@@ -181,31 +181,29 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _curation_shard_parts(path: str, P: int, shard_idx: int, lang: str,
-                          min_tokens: int, max_tokens: int,
-                          thr: int) -> list:
-    """Pass-1 partial for one input shard of the FULL curation profile:
-    gate-passing (text_hash, doc_id, shard_idx) triples hash-routed
-    into P partitions (``num_returns=P``); each return is a (3, n)
-    int64 array. Gate semantics are the pipeline's own
-    ``_curation_kept`` — identical by construction."""
+def _curation_shard_parts(src: tuple, P: int, lang: str, min_tokens: int,
+                          max_tokens: int, thr: int) -> list:
+    """Pass-1 partial for one (shard_idx, path) input shard of the FULL
+    curation profile: gate-passing (text_hash, doc_id, shard_idx)
+    triples hash-routed into P partitions (``num_returns=P``); each
+    return is a (3, n) int64 array. Gate semantics are the pipeline's
+    own ``_curation_kept`` — identical by construction."""
     import numpy as np
     import pyarrow.parquet as pq
 
+    from . import exchange as X
     from .pipelines.datapipe import _curation_kept
 
+    shard_idx, path = src
     t = pq.read_table(path, columns=["doc_id", "text"])
     kept = _curation_kept(t, lang, min_tokens, max_tokens, thr)
     h = kept.column("text_hash").to_numpy(
         zero_copy_only=False).astype(np.int64)
     d = kept.column("doc_id").to_numpy(
         zero_copy_only=False).astype(np.int64)
-    part = h % P  # text_hash is a 63-bit non-negative md5 prefix
-    order = np.argsort(part, kind="stable")
-    bounds = np.searchsorted(part[order], np.arange(P + 1))
-    return [np.stack([h[order[s:e]], d[order[s:e]],
-                      np.full(e - s, shard_idx, np.int64)])
-            for s, e in zip(bounds[:-1], bounds[1:])]
+    # text_hash is a 63-bit non-negative md5 prefix
+    return [np.stack([hs, ds, np.full(len(hs), shard_idx, np.int64)])
+            for hs, ds in X.split(h % P, P, h, d)]
 
 
 def _curation_combine(S: int, *parts) -> list:
@@ -224,10 +222,7 @@ def _curation_combine(S: int, *parts) -> list:
     first = np.ones(len(h), dtype=bool)
     first[1:] = h[1:] != h[:-1]
     dd, dsi = d[~first], si[~first]
-    outs = [np.sort(dd[dsi == s]) for s in range(S)]
-    # Ray's num_returns=1 convention: the value itself IS the single
-    # return, so a one-shard run must not wrap it in a list
-    return outs[0] if S == 1 else outs
+    return [np.sort(dd[dsi == s]) for s in range(S)]
 
 
 def cmd_curate(args) -> int:
@@ -295,9 +290,9 @@ def _cmd_curate_full(args, out: str) -> int:
     import ray
     import ray.data as rd
 
+    from . import exchange as X
     from . import fsio
-    from .pipelines.datapipe import (_CURATION_SCALE, _curation_kept,
-                                     _n_parts)
+    from .pipelines.datapipe import _CURATION_SCALE, _curation_kept
 
     lang, mn, mx = "en", 20, 1000
     thr = int(round(0.015 * _CURATION_SCALE))
@@ -320,18 +315,12 @@ def _cmd_curate_full(args, out: str) -> int:
         # pass 1: deterministic global dedup exchange over ALL shards
         # (committed ones included — winners must not depend on resume
         # state); dropped ids come back pre-routed per input shard
-        P = _n_parts()
-        stask = ray.remote(_curation_shard_parts)
-        sl = [stask.options(num_returns=P).remote(p, P, si, lang, mn,
-                                                  mx, thr)
-              for si, p in enumerate(args.inputs)]
-        ctask = ray.remote(_curation_combine)
-        cl = [ctask.options(num_returns=S).remote(
-            S, *[s[pt] for s in sl]) for pt in range(P)]
+        P = X.n_parts()
+        sl = X.shard(_curation_shard_parts, list(enumerate(args.inputs)), P,
+                     P, lang, mn, mx, thr)
+        cl = X.combine(_curation_combine, sl, S, num_returns=S)
         for si, p, stem, pdir in todo:
-            dropped = np.sort(np.concatenate(
-                ray.get([c if S == 1 else c[si] for c in cl])
-                or [np.zeros(0, np.int64)]))
+            dropped = np.sort(np.concatenate(ray.get(cl[si])))
             fsio.makedirs(pdir)
             fsio.clear_fragments(pdir)
             n_rows = 0
@@ -360,20 +349,22 @@ def _cmd_curate_full(args, out: str) -> int:
     return 0
 
 
-def _pack_shard_parts(path: str, P: int, row_base: int,
-                      min_tok: int, max_dom_ppm: int) -> list:
-    """Curated-pack pass 1, one input shard: gate rows block-locally
-    (_quality_gate_mask), hash the survivors' token arrays, and return
-    (h, global rownum, n_tok) triples pre-sharded by h (num_returns=P).
-    Gated-out rows are not dedup candidates and contribute nothing."""
+def _pack_shard_parts(src: tuple, P: int, min_tok: int,
+                      max_dom_ppm: int) -> list:
+    """Curated-pack pass 1, one (path, row_base) input shard: gate rows
+    block-locally (_quality_gate_mask), hash the survivors' token
+    arrays, and return (h, global rownum, n_tok) triples pre-sharded by
+    h (num_returns=P). Gated-out rows are not dedup candidates and
+    contribute nothing."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from .pipelines.dp_dedup import _lp_partition
+    from . import exchange as X
     from .pipelines.queries import (_quality_gate_mask, _seq_hash64,
                                     _token_lists)
 
+    path, row_base = src
     t = pq.read_table(path, columns=["tokens"])
     toks = t.column("tokens")
     if isinstance(toks, pa.ChunkedArray):
@@ -383,12 +374,8 @@ def _pack_shard_parts(path: str, P: int, row_base: int,
     h = _seq_hash64(vals, off).view(np.int64)[keep]
     rn = row_base + np.flatnonzero(keep).astype(np.int64)
     nt = np.diff(off)[keep]
-    part = _lp_partition(h, P)
-    order = np.argsort(part, kind="stable")
-    bounds = np.searchsorted(part[order], np.arange(P + 1))
-    stacked = np.stack([h[order], rn[order], nt[order]])
-    outs = [stacked[:, s:e] for s, e in zip(bounds[:-1], bounds[1:])]
-    return outs[0] if P == 1 else outs
+    return [np.stack(s)
+            for s in X.split(X.fib_partition(h, P), P, h, rn, nt)]
 
 
 def _pack_combine_dedup(S: int, row_bounds, *parts) -> list:
@@ -429,8 +416,8 @@ def _cmd_pack_curated(args, out: str) -> int:
     import ray
     import ray.data as rd
 
+    from . import exchange as X
     from . import fsio
-    from .pipelines.datapipe import _n_parts
     from .pipelines.queries import (_pack_fragments, _quality_gate_mask,
                                     _token_lists)
 
@@ -460,22 +447,15 @@ def _cmd_pack_curated(args, out: str) -> int:
         row_bounds = [0] * (S + 1)
         for i, n in enumerate(nrows):
             row_bounds[i + 1] = row_bounds[i] + n
-        P = _n_parts()
-        stask = ray.remote(_pack_shard_parts)
-        sl = [stask.options(num_returns=P).remote(
-            p, P, row_bounds[si], min_tok, max_dom_ppm)
-            for si, p in enumerate(args.inputs)]
-        ctask = ray.remote(_pack_combine_dedup)
-        cl = [ctask.options(num_returns=S + 1).remote(
-            S, row_bounds[:-1],
-            *([s for s in sl] if P == 1 else [s[pt] for s in sl]))
-            for pt in range(P)]
-        sums = np.sum(ray.get([c[0] for c in cl]), axis=0).astype(np.int64)
+        P = X.n_parts()
+        sl = X.shard(_pack_shard_parts, list(zip(args.inputs, row_bounds)),
+                     P, P, min_tok, max_dom_ppm)
+        cl = X.combine(_pack_combine_dedup, sl, S, row_bounds[:-1],
+                       num_returns=S + 1)
+        sums = np.sum(ray.get(cl[0]), axis=0).astype(np.int64)
         bases = np.cumsum(sums) - sums
         for si, p, stem, pdir in todo:
-            dropped = np.sort(np.concatenate(
-                ray.get([c[1 + si] for c in cl]) or
-                [np.zeros(0, np.int64)]))
+            dropped = np.sort(np.concatenate(ray.get(cl[1 + si])))
             fsio.makedirs(pdir)
             fsio.clear_fragments(pdir)
             n_rows, seen = 0, 0

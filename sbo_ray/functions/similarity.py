@@ -59,11 +59,10 @@ def topk_block(batch: pa.Table, query: np.ndarray, k: int,
     return topk_rows(ids, m @ query, k)
 
 
-def merge_topk(tables: list[pa.Table], k: int, round_digits: int = 3) -> pa.Table:
-    """Merge block-local top-ks: order by (round(cos) desc, vec_id asc) —
-    the deterministic tie-break mirrored by the oracle SQL."""
-    tables = [t for t in tables if t.num_rows] or [_EMPTY_TOPK.empty_table()]
-    t = pa.concat_tables(tables)
+def merge_topk(t: pa.Table, k: int, round_digits: int = 3) -> pa.Table:
+    """Merge concatenated block-local top-ks: order by (round(cos) desc,
+    vec_id asc) — the deterministic tie-break mirrored by the oracle
+    SQL."""
     ids = t.column("vec_id").to_numpy(zero_copy_only=False)
     cos = t.column("cos").to_numpy(zero_copy_only=False)
     r = np.round(cos, round_digits)

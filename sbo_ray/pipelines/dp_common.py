@@ -40,16 +40,6 @@ def _parquet_num_rows(sf_dir: str, table: str) -> int:
     return pq.ParquetFile(os.path.join(sf_dir, f"{table}.parquet")).metadata.num_rows
 
 
-def _n_parts() -> int:
-    """Hash-partition count for the partition-grouped pattern: Ray's
-    ``groupby().map_groups`` pays ~60us of per-group pandas overhead, so
-    grouping millions of tiny buckets (LSH bands, users) directly is
-    minutes of pure overhead. Instead group by ``key_hash % P`` and do
-    the real (vectorized) grouping inside each partition — same rows
-    shuffled, P pandas calls instead of millions. Partitioning
-    assumption: one hash partition fits in a worker; raise P for bigger
-    inputs."""
-    return max(16, _cpus() * 4)
 
 
 def _bw_task_cpus(target_concurrency: int) -> int:
@@ -78,6 +68,5 @@ def _bw_task_cpus(target_concurrency: int) -> int:
 __all__ = [
     "_read",
     "_parquet_num_rows",
-    "_n_parts",
     "_bw_task_cpus",
 ]

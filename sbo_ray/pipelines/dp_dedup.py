@@ -18,6 +18,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from .. import exchange as X
 from ..functions import dedup as D
 from ..functions import similarity as S
 from ..functions import text as T
@@ -55,12 +56,12 @@ def doc_dedup_exact(sf_dir: str):
     """Exact dedup: hash-partitioned min(doc_id)+count per distinct text.
     Only the 8-byte hash + ids shuffle; payload stays put.
 
-    Partition-grouped (see ``_n_parts``): with ~4M mostly-distinct keys,
-    Ray's native ``groupby(key).aggregate`` sort-aggregates the whole
+    Partition-grouped (see ``exchange.n_parts``): with ~4M mostly-distinct
+    keys, Ray's native ``groupby(key).aggregate`` sort-aggregates the whole
     exchange (49 s at 4M docs); shuffling the same rows to P hash
     partitions and doing the per-key min+count vectorized inside each
     (``_min_doc_per_hash``) is 6.4 s — identical rows."""
-    P = _n_parts()
+    P = X.n_parts()
 
     def add_part(t: pa.Table) -> pa.Table:
         return _hash_part_col(D.add_text_hash(t), P).select(
@@ -183,15 +184,11 @@ def doc_sample_weighted(sf_dir: str, k: int = 100):
         })
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    schema = pa.schema([("doc_id", pa.int64()), ("wkey", pa.float64())])
-    batches = list(ds.map_batches(local_bottomk, batch_format="pyarrow")
-                   .iter_batches(batch_format="pyarrow", batch_size=None))
-    if not batches:
-        return schema.empty_table()
-    merged = pa.concat_tables(batches)
+    merged = X.fold(ds, local_bottomk, pa.schema([("doc_id", pa.int64()),
+                                                  ("wkey", pa.float64())]))
     order = pc.sort_indices(merged, sort_keys=[("wkey", "ascending"),
                                                ("doc_id", "ascending")])
-    return merged.take(order[:k]).cast(schema)
+    return merged.take(order[:k])
 
 
 def doc_compression_ratio(sf_dir: str):
@@ -238,8 +235,6 @@ def doc_length_histogram(sf_dir: str, bucket_tokens: int = 10):
                       ("sum_tokens", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return PART.empty_table()
         col = t.column("text")
         col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) \
             else col
@@ -255,11 +250,7 @@ def doc_length_histogram(sf_dir: str, bucket_tokens: int = 10):
             pa.array(sum_tok[nz]),
         ], schema=PART)
 
-    parts = pa.concat_tables(
-        [PART.empty_table()]
-        + list(_read(sf_dir, "documents", columns=["text"])
-               .map_batches(partial, batch_format="pyarrow")
-               .iter_batches(batch_format="pyarrow", batch_size=None)))
+    parts = X.fold(_read(sf_dir, "documents", columns=["text"]), partial, PART)
     g = parts.group_by("bucket").aggregate(
         [("n_docs", "sum"), ("sum_tokens", "sum")])
     order = pc.sort_indices(g.column("bucket"))
@@ -340,15 +331,11 @@ def doc_sample_reservoir(sf_dir: str, k: int = 100):
         })
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    schema = pa.schema([("doc_id", pa.int64()), ("sample_key", pa.int64())])
-    batches = list(ds.map_batches(local_bottomk, batch_format="pyarrow")
-                   .iter_batches(batch_format="pyarrow", batch_size=None))
-    if not batches:
-        return schema.empty_table()
-    merged = pa.concat_tables(batches)
+    merged = X.fold(ds, local_bottomk, pa.schema([
+        ("doc_id", pa.int64()), ("sample_key", pa.int64())]))
     order = pc.sort_indices(merged, sort_keys=[("sample_key", "ascending"),
                                                ("doc_id", "ascending")])
-    return merged.take(order[:k]).cast(schema)
+    return merged.take(order[:k])
 
 
 def doc_sample_stratified(sf_dir: str, rates: dict[str, float] | None = None,
@@ -435,7 +422,7 @@ def doc_dedup_substring(sf_dir: str, k: int = 10):
     birthday) exactly like the engine-wide 63-bit text_hash contract;
     the string-exact SQL mirror gates the fixed testdata
     value-for-value."""
-    P = max(2, _n_parts())
+    P = X.n_parts()
 
     def window_partial(t: pa.Table):
         import zlib
@@ -484,12 +471,7 @@ def doc_dedup_substring(sf_dir: str, k: int = 10):
         # slice into P whash-hash shards (the raw-task exchange: same
         # two-phase shape as compat/label-prop; the 3.5 GB of window
         # partials stream shard-by-shard instead of through a Sort)
-        part = (hu % np.uint64(P)).astype(np.int64)
-        order = np.argsort(part, kind="stable")
-        hu, du, cnt = hu[order], du[order], cnt[order]
-        bounds = np.searchsorted(part[order], np.arange(P + 1))
-        return [(hu[s:e], du[s:e], cnt[s:e])
-                for s, e in zip(bounds[:-1], bounds[1:])]
+        return X.split((hu % np.uint64(P)).astype(np.int64), P, hu, du, cnt)
 
     def dup_part(P2: int, *shards) -> list:
         h = np.concatenate([s[0] for s in shards])
@@ -512,12 +494,7 @@ def doc_dedup_substring(sf_dir: str, k: int = 10):
         uniq, code = np.unique(dd, return_inverse=True)
         n = np.bincount(code, weights=cc).astype(np.int64)
         # route the per-doc sums by doc hash for the second exchange
-        part = uniq % P2
-        order = np.argsort(part, kind="stable")
-        uniq, n = uniq[order], n[order]
-        bounds = np.searchsorted(part[order], np.arange(P2 + 1))
-        return [(uniq[s:e], n[s:e])
-                for s, e in zip(bounds[:-1], bounds[1:])]
+        return X.split(uniq % P2, P2, uniq, n)
 
     OUT = pa.schema([("doc_id", pa.int64()), ("n_dup_windows", pa.int64())])
 
@@ -532,18 +509,12 @@ def doc_dedup_substring(sf_dir: str, k: int = 10):
                                     schema=OUT)
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    refs = [block_ref for bundle in ds.iter_internal_ref_bundles()
-            for block_ref, _md in bundle.blocks if _md.num_rows]
+    refs = X.block_refs(ds)
     if not refs:
         return rd.from_arrow(OUT.empty_table())
-    shard = ray.remote(window_partial)
-    sl = [shard.options(num_returns=P).remote(r) for r in refs]
-    dup = ray.remote(dup_part)
-    dl = [dup.options(num_returns=P).remote(P, *[s[p] for s in sl])
-          for p in range(P)]
-    docsum = ray.remote(doc_sum)
-    outs = [docsum.remote(*[dd[p] for dd in dl]) for p in range(P)]
-    return rd.from_arrow_refs(outs)
+    sl = X.shard(window_partial, refs, P)
+    dl = X.combine(dup_part, sl, P, num_returns=P)
+    return rd.from_arrow_refs(X.combine(doc_sum, dl))
 
 
 def doc_decontaminate_ngram(sf_dir: str,
@@ -616,13 +587,7 @@ def _band_shard(block: pa.Table, P: int) -> list:
         zero_copy_only=False).astype(np.int64)
     ids = bt.column("doc_id").to_numpy(
         zero_copy_only=False).astype(np.int64)
-    if not len(bh):
-        return [(bh, ids) for _ in range(P)]
-    part = bh % P
-    order = np.argsort(part, kind="stable")
-    bh, ids = bh[order], ids[order]
-    bounds = np.searchsorted(part[order], np.arange(P + 1))
-    return [(bh[s:e], ids[s:e]) for s, e in zip(bounds[:-1], bounds[1:])]
+    return X.split(bh % P, P, bh, ids)
 
 
 def _bucket_pairs_combine(*shards) -> pa.Table:
@@ -668,16 +633,11 @@ def _candidate_pair_block_refs(sf_dir: str) -> list:
     to combines as soon as each block is signed. No candidate pair
     ever lands on the driver — assembly, slot-map construction and
     edge sharding all happen in downstream remote tasks."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    refs = [block_ref for bundle in ds.iter_internal_ref_bundles()
-            for block_ref, _md in bundle.blocks if _md.num_rows]
+    refs = X.block_refs(_read(sf_dir, "documents", columns=["doc_id", "text"]))
     if not refs:
         return []
-    P = max(2, _n_parts())
-    shard = ray.remote(_band_shard)
-    sl = [shard.options(num_returns=P).remote(r, P) for r in refs]
-    combine = ray.remote(_bucket_pairs_combine)
-    return [combine.remote(*[s[p] for s in sl]) for p in range(P)]
+    P = X.n_parts()
+    return X.combine(_bucket_pairs_combine, X.shard(_band_shard, refs, P, P))
 
 
 def _pair_cols(block) -> np.ndarray | None:
@@ -830,7 +790,7 @@ def doc_dedup_minhash(sf_dir: str, threshold: float = 0.8):
         return empty
     bc_ref = ray.remote(_build_slot_map).remote(pairs_ref)
     verified = _verified_pairs_ds(sf_dir, bc_ref, threshold,
-                                  _n_parts()).to_pandas()
+                                  X.n_parts()).to_pandas()
     if verified.empty or "id_a" not in verified.columns:
         return empty
     verified = verified.sort_values(["id_a", "id_b"]).reset_index(drop=True)
@@ -879,27 +839,19 @@ def doc_dedup_simhash(sf_dir: str, max_hamming: int = 3):
     materialization; per-worker memory is bounded by the partition's
     bucket rows."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    P = max(2, _n_parts())
+    P = X.n_parts()
 
     def seg_shard(block: pa.Table) -> list:
         t = D.simhash_segment_rows(D.simhash_batch(block))
         seg = t.column("seg").to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        E = (np.zeros(0, np.int64),) * 4
-        if not len(seg):
-            return [E for _ in range(P)]
         sv = t.column("seg_val").to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         ids = t.column("doc_id").to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         sigs = t.column("simhash").to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        part = (sv * 4 + seg) % P
-        order = np.argsort(part, kind="stable")
-        seg, sv, ids, sigs = seg[order], sv[order], ids[order], sigs[order]
-        bounds = np.searchsorted(part[order], np.arange(P + 1))
-        return [(seg[s:e], sv[s:e], ids[s:e], sigs[s:e])
-                for s, e in zip(bounds[:-1], bounds[1:])]
+        return X.split((sv * 4 + seg) % P, P, seg, sv, ids, sigs)
 
     PAIRS = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
                        ("hamming", pa.int64())])
@@ -935,15 +887,9 @@ def doc_dedup_simhash(sf_dir: str, max_hamming: int = 3):
             pa.array(np.concatenate(out_h).astype(np.int64)),
         ], schema=PAIRS)
 
-    refs = [block_ref for bundle in ds.iter_internal_ref_bundles()
-            for block_ref, _md in bundle.blocks if _md.num_rows]
-    if not refs:
-        return PAIRS.empty_table()
-    shard = ray.remote(seg_shard)
-    sl = [shard.options(num_returns=P).remote(r) for r in refs]
-    verify = ray.remote(bucket_verify_part)
-    outs = ray.get([verify.remote(*[s[p] for s in sl]) for p in range(P)])
-    pairs = pa.concat_tables([PAIRS.empty_table()] + outs).to_pandas()
+    sl = X.shard(seg_shard, X.block_refs(ds), P)
+    pairs = X.gather(X.combine(bucket_verify_part, sl, out_schema=PAIRS),
+                     PAIRS).to_pandas()
     if pairs.empty:
         return PAIRS.empty_table()
     # a pair is found once per shared segment (<=4): dedupe + sort; this
@@ -999,17 +945,26 @@ _CONTAIN_PAIRS_SCHEMA = pa.schema([
 ])
 
 
-def _ngram_slice(block: pa.Table, B: int) -> list:
-    """Split one read block into B chunk slices (``doc_id % B``) —
-    the exchange half of the raw-task chunk-pair join; each slice is
+def _chunk_slice(block: pa.Table, B: int, id_col: str) -> list:
+    """Split one read block into B chunk slices (``id % B``) — the
+    exchange half of the raw-task chunk-pair join; each slice is
     consumed by the B pair tasks whose pair contains its chunk."""
-    ids = block.column("doc_id").to_numpy(zero_copy_only=False)
-    chunk = (ids % B).astype(np.int64)
-    order = np.argsort(chunk, kind="stable")
-    sorted_tbl = block.take(pa.array(order))
-    bounds = np.searchsorted(chunk[order], np.arange(B + 1))
-    return [sorted_tbl.slice(s, e - s)
-            for s, e in zip(bounds[:-1], bounds[1:])]
+    ids = block.column(id_col).to_numpy(zero_copy_only=False)
+    return X.split((ids % B).astype(np.int64), B, block)
+
+
+def _chunk_pair_join(refs: list, id_col: str, B: int, pair_fn, *args,
+                     num_cpus: int, **kw) -> list:
+    """The raw-task chunk-pair join (the classic all-pairs "triangle"
+    layout): every block ships once, sliced into B chunks, and each of
+    the B(B+1)/2 ``pair_fn(*args, n_a, *a_slices, *b_slices, **kw)``
+    tasks pulls exactly the two chunks it compares (no b slices = the
+    in-chunk upper triangle). Returns the pair-task refs."""
+    sl = X.shard(_chunk_slice, refs, B, B, id_col)
+    task = ray.remote(pair_fn).options(num_cpus=num_cpus)
+    return [task.remote(*args, len(sl[a]), *sl[a],
+                        *(sl[b] if b > a else ()), **kw)
+            for a in range(B) for b in range(a, B)]
 
 
 def _ngram_pair(threshold: float, n: int, na_parts: int,
@@ -1169,31 +1124,18 @@ def doc_dedup_ngram(sf_dir: str, threshold: float = 0.4, n: int = 5,
     so the brute-force SQL oracle gates it directly."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     B = n_chunks or max(4, int(np.sqrt(2 * _cpus())))
-    # zero-row blocks are dropped by METADATA (an empty parquet read
-    # yields a schemaless block that would poison the concat downstream)
-    refs = [block_ref for bundle in ds.iter_internal_ref_bundles()
-            for block_ref, _md in bundle.blocks if _md.num_rows]
+    refs = X.block_refs(ds)
     if not refs:
         return _NGRAM_PAIRS_SCHEMA.empty_table()
-    slice_task = ray.remote(_ngram_slice)
-    sl = [slice_task.options(num_returns=max(2, B)).remote(r, B)
-          for r in refs]
     # bandwidth cap (target 8/node): each pair task churns dense
     # (n/B)^2 count matrices (~0.5 GB allocation traffic) — at 32-way
     # concurrency they thrash (measured 40-68 s); 8 concurrent tasks
     # run the same 36 pairs in 21-31 s. Also honest accounting on a
     # shared cluster: these are not 1-cpu-sized tasks.
-    pair_task = ray.remote(_ngram_pair).options(num_cpus=_bw_task_cpus(8))
-    outs = []
-    for c_a in range(B):
-        a_parts = [s[c_a] for s in sl]
-        outs.append(pair_task.remote(threshold, n, len(a_parts), *a_parts))
-        for c_b in range(c_a + 1, B):
-            outs.append(pair_task.remote(
-                threshold, n, len(a_parts),
-                *a_parts, *[s[c_b] for s in sl]))
-    return pa.concat_tables([_NGRAM_PAIRS_SCHEMA.empty_table()]
-                            + ray.get(outs))
+    return X.gather(_chunk_pair_join(refs, "doc_id", B, _ngram_pair,
+                                     threshold, n,
+                                     num_cpus=_bw_task_cpus(8)),
+                    _NGRAM_PAIRS_SCHEMA)
 
 
 def doc_dedup_containment(sf_dir: str, threshold: float = 0.6, n: int = 5,
@@ -1209,61 +1151,33 @@ def doc_dedup_containment(sf_dir: str, threshold: float = 0.6, n: int = 5,
     size tie -> larger doc_id). Exact brute-force SQL mirror."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     B = n_chunks or max(4, int(np.sqrt(2 * _cpus())))
-    refs = [block_ref for bundle in ds.iter_internal_ref_bundles()
-            for block_ref, _md in bundle.blocks if _md.num_rows]
+    refs = X.block_refs(ds)
     if not refs:
         return _CONTAIN_PAIRS_SCHEMA.empty_table()
-    slice_task = ray.remote(_ngram_slice)
-    sl = [slice_task.options(num_returns=max(2, B)).remote(r, B)
-          for r in refs]
-    pair_task = ray.remote(_ngram_pair).options(num_cpus=4)
-    outs = []
-    for c_a in range(B):
-        a_parts = [s[c_a] for s in sl]
-        outs.append(pair_task.remote(threshold, n, len(a_parts), *a_parts,
-                                     metric="containment"))
-        for c_b in range(c_a + 1, B):
-            outs.append(pair_task.remote(
-                threshold, n, len(a_parts),
-                *a_parts, *[s[c_b] for s in sl], metric="containment"))
-    return pa.concat_tables([_CONTAIN_PAIRS_SCHEMA.empty_table()]
-                            + ray.get(outs))
+    return X.gather(_chunk_pair_join(refs, "doc_id", B, _ngram_pair,
+                                     threshold, n, num_cpus=4,
+                                     metric="containment"),
+                    _CONTAIN_PAIRS_SCHEMA)
 
 
-def _lp_partition(x: np.ndarray, P: int) -> np.ndarray:
-    """int64 keys -> partition ids via a Fibonacci mixing hash (plain
-    ``x % P`` would correlate with any stride structure in the ids)."""
-    h = x.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    return ((h >> np.uint64(33)) % np.uint64(P)).astype(np.int64)
-
-
-def _lp_split(keys: np.ndarray, P: int, *arrays: np.ndarray):
-    """Split parallel arrays into P shards by ``_lp_partition(keys)``;
-    one stable argsort, then contiguous slices (no per-shard scans)."""
-    p = _lp_partition(keys, P)
-    order = np.argsort(p, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(p, minlength=P))])
-    return [tuple(a[order[bounds[q]:bounds[q + 1]]] for a in arrays)
-            for q in range(P)]
-
-
-def _lp_propagate(P, edges, labels, *shortcut_shards):
+def _lp_propagate(P, edges: list, labels: list, shortcut_shards: list):
     """Round phase 1 (one task per edge partition): look up label[u] for
     every (u, v) edge co-located here — ``u`` values are guaranteed
     present in this partition's (sorted) node array because edges were
     partitioned by the same hash — and return the (v, label) offers
     sharded by destination partition of ``v`` (``num_returns=P``, so a
-    downstream combine task pulls only its own shard)."""
-    nodes, lab = labels
-    u, v = edges
+    downstream combine task pulls only its own shard). ``edges`` and
+    ``labels`` hold this partition's one shard each."""
+    (nodes, lab), = labels
+    (u, v), = edges
     if shortcut_shards:
         u = np.concatenate([u] + [s[0] for s in shortcut_shards])
         v = np.concatenate([v] + [s[1] for s in shortcut_shards])
     offers = lab[np.searchsorted(nodes, u)]
-    return tuple(_lp_split(v, P, v, offers))
+    return X.split(X.fib_partition(v, P), P, v, offers)
 
 
-def _lp_combine(P, labels, make_shortcut, *offer_shards):
+def _lp_combine(P, make_shortcut, labels: list, offer_shards: list):
     """Round phase 2 (one task per label partition): min-merge the
     incoming (v, label) offers into this partition's labels — grouped
     min via the sorted-``reduceat`` idiom, and each node keeps its own
@@ -1272,7 +1186,7 @@ def _lp_combine(P, labels, make_shortcut, *offer_shards):
     pointer-doubles — the shortcut edges ``label(u) -> u`` generated
     from the NEW labels, pre-sharded by the partition OWNING label(u)
     (a shortcut edge's join key is its label value)."""
-    nodes, lab = labels
+    (nodes, lab), = labels
     new = lab.copy()
     if offer_shards:
         vs = np.concatenate([s[0] for s in offer_shards])
@@ -1288,7 +1202,8 @@ def _lp_combine(P, labels, make_shortcut, *offer_shards):
     psum = int(new.sum())
     if make_shortcut:
         m = new != nodes  # self-pointers add nothing
-        return ((nodes, new), psum, *_lp_split(new[m], P, new[m], nodes[m]))
+        return ((nodes, new), psum,
+                *X.split(X.fib_partition(new[m], P), P, new[m], nodes[m]))
     return (nodes, new), psum
 
 
@@ -1329,7 +1244,7 @@ def _min_label_prop(pairs_t: pa.Table, max_rounds: int = 50,
     partial-sum ints — never row data. Min-propagation labels only ever
     DECREASE, so the label-sum is strictly monotone and "sum unchanged"
     == "no label changed" (the convergence check costs no extra
-    exchange). Partitioning assumption (same as ``_n_parts``): one hash
+    exchange). Partitioning assumption (same as ``exchange.n_parts``): one hash
     partition of the CANDIDATE-PAIR graph fits in a worker; raise P for
     bigger graphs."""
     ua = pairs_t.column("id_a").to_numpy(zero_copy_only=False)
@@ -1340,12 +1255,12 @@ def _min_label_prop(pairs_t: pa.Table, max_rounds: int = 50,
     # scale P with the graph, not the corpus: tiny graphs shouldn't pay
     # hundreds of no-op tasks per round (n_parts overrides, for tests
     # that pin the cross-partition shard routing at high P)
-    P = n_parts or max(2, min(_n_parts(), 1 + len(u) // 32768))
-    edge_refs = [ray.put(s) for s in _lp_split(u, P, u, v)]
+    P = n_parts or max(2, min(X.n_parts(), 1 + len(u) // 32768))
+    edge_refs = [ray.put(s) for s in X.split(X.fib_partition(u, P), P, u, v)]
     # np.unique gives sorted nodes; the stable split keeps each
     # partition's node array sorted (searchsorted relies on this)
-    label_refs = [ray.put((s[0], s[0].copy()))
-                  for s in _lp_split(nodes, P, nodes)]
+    label_refs = [ray.put((s, s.copy()))
+                  for s in X.split(X.fib_partition(nodes, P), P, nodes)]
     label_sum = int(nodes.sum())
     return _lp_loop(edge_refs, label_refs, label_sum, P, max_rounds,
                     jump_after)
@@ -1357,29 +1272,18 @@ def _lp_loop(edge_refs, label_refs, label_sum, P, max_rounds, jump_after):
     driver-free LSH path (doc_dedup_clusters_lp). See _min_label_prop
     for the round anatomy; this function touches only refs and P ints
     per round."""
-    propagate = ray.remote(_lp_propagate)
-    combine = ray.remote(_lp_combine)
-
-    shortcut_refs = None  # [source q][dest p] from the previous combine
+    edges = [[r] for r in edge_refs]
+    shortcuts = [[] for _ in range(P)]  # [dest p][source q]
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        offer_refs = []
-        for p in range(P):
-            extra = ([shortcut_refs[q][p] for q in range(P)]
-                     if shortcut_refs is not None else [])
-            offer_refs.append(propagate.options(num_returns=P).remote(
-                P, edge_refs[p], label_refs[p], *extra))
+        offers = X.combine(_lp_propagate,
+                           (edges, [[r] for r in label_refs], shortcuts),
+                           P, num_returns=P)
         make_sc = rounds + 1 > jump_after
-        new_labels, sum_refs, shortcut_refs = [], [], ([] if make_sc else None)
-        for q in range(P):
-            out = combine.options(num_returns=2 + (P if make_sc else 0)).remote(
-                P, label_refs[q], make_sc,
-                *[offer_refs[p][q] for p in range(P)])
-            new_labels.append(out[0])
-            sum_refs.append(out[1])
-            if make_sc:
-                shortcut_refs.append(out[2:])
-        label_refs = new_labels
+        out = X.combine(_lp_combine, ([[r] for r in label_refs], offers),
+                        P, make_sc, num_returns=2 + (P if make_sc else 0))
+        label_refs, sum_refs = out[0], out[1]
+        shortcuts = out[2:] if make_sc else [[] for _ in range(P)]
         new_sum = sum(ray.get(sum_refs))
         if new_sum == label_sum:  # labels only decrease: sum fixed == converged
             break
@@ -1403,15 +1307,14 @@ def _lp_loop(edge_refs, label_refs, label_sum, P, max_rounds, jump_after):
 
 def _lp_edge_shard(block, P: int):
     """Remote task: one verified-pair block -> P symmetrized edge shards
-    by _lp_partition(u) (num_returns=P, so each seed task pulls only its
-    shard). Pair rows never touch the driver."""
+    by the Fibonacci hash of u (num_returns=P, so each seed task pulls
+    only its shard). Pair rows never touch the driver."""
     pr = _pair_cols(block)
     if pr is None:
-        e = np.empty(0, dtype=np.int64)
-        return tuple((e, e) for _ in range(P))
+        pr = np.empty((0, 2), dtype=np.int64)
     u = np.concatenate([pr[:, 0], pr[:, 1]])
     v = np.concatenate([pr[:, 1], pr[:, 0]])
-    return tuple(_lp_split(u, P, u, v))
+    return X.split(X.fib_partition(u, P), P, u, v)
 
 
 def _lp_seed_partition(*shards):
@@ -1454,25 +1357,14 @@ def doc_dedup_clusters_lp(sf_dir: str, threshold: float = 0.8,
     if ray.get(n_ref) == 0:
         return empty_out
     bc_ref = ray.remote(_build_slot_map).remote(pairs_ref)
-    verified = _verified_pairs_ds(sf_dir, bc_ref, threshold, _n_parts())
-    vrefs, total = [], 0
-    for bundle in verified.iter_internal_ref_bundles():
-        for block_ref, md in bundle.blocks:
-            vrefs.append(block_ref)
-            total += md.num_rows or 0
+    verified = _verified_pairs_ds(sf_dir, bc_ref, threshold, X.n_parts())
+    vrefs, total = X.sized_block_refs(verified)
     if not vrefs:
         return empty_out
-    P = max(2, min(_n_parts(), 1 + (2 * total) // 32768))
-    shard = ray.remote(_lp_edge_shard)
-    shard_refs = [shard.options(num_returns=P).remote(r, P) for r in vrefs]
-    seed = ray.remote(_lp_seed_partition)
-    edge_refs, label_refs, cnt_refs, sum_refs = [], [], [], []
-    for q in range(P):
-        o = seed.options(num_returns=4).remote(*[sr[q] for sr in shard_refs])
-        edge_refs.append(o[0])
-        label_refs.append(o[1])
-        cnt_refs.append(o[2])
-        sum_refs.append(o[3])
+    P = max(2, min(X.n_parts(), 1 + (2 * total) // 32768))
+    edge_refs, label_refs, cnt_refs, sum_refs = X.combine(
+        _lp_seed_partition, X.shard(_lp_edge_shard, vrefs, P, P),
+        num_returns=4)
     if sum(ray.get(cnt_refs)) == 0:  # no pair survived the verify
         return empty_out
     label_sum = sum(ray.get(sum_refs))
@@ -1516,18 +1408,6 @@ def doc_dedup_near_keep(sf_dir: str, threshold: float = 0.8,
 _COS_PAIRS_SCHEMA = pa.schema([
     ("id_a", pa.int64()), ("id_b", pa.int64()), ("cos", pa.float64()),
 ])
-
-
-def _cos_slice(block: pa.Table, B: int) -> list:
-    """Split one read block into B ``vec_id % B`` chunk slices for the
-    raw-task chunk-pair join (same exchange as ``_ngram_slice``)."""
-    ids = block.column("vec_id").to_numpy(zero_copy_only=False)
-    chunk = (ids % B).astype(np.int64)
-    order = np.argsort(chunk, kind="stable")
-    sorted_tbl = block.take(pa.array(order))
-    bounds = np.searchsorted(chunk[order], np.arange(B + 1))
-    return [sorted_tbl.slice(s, e - s)
-            for s, e in zip(bounds[:-1], bounds[1:])]
 
 
 def _cos_pair(threshold: float, na_parts: int, *parts) -> pa.Table:
@@ -1577,28 +1457,15 @@ def emb_dedup_cosine(sf_dir: str, threshold: float = 0.35,
     all-pairs at cos>0.35 is inherently O(n^2) compute anywhere."""
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     B = n_chunks or max(4, int(np.sqrt(2 * _cpus())))
-    # zero-row blocks are dropped by METADATA (an empty parquet read
-    # yields a schemaless block that would poison the concat downstream)
-    refs = [block_ref for bundle in ds.iter_internal_ref_bundles()
-            for block_ref, _md in bundle.blocks if _md.num_rows]
+    refs = X.block_refs(ds)
     if not refs:
         return _COS_PAIRS_SCHEMA.empty_table()
-    slice_task = ray.remote(_cos_slice)
-    sl = [slice_task.options(num_returns=max(2, B)).remote(r, B)
-          for r in refs]
     # bandwidth cap: big-matmul tasks; see doc_dedup_ngram's sizing
-    # note and _bw_task_cpus for the per-node-concurrency rule
-    pair_task = ray.remote(_cos_pair).options(num_cpus=_bw_task_cpus(16))
-    outs = []
-    for c_a in range(B):
-        a_parts = [s[c_a] for s in sl]
-        outs.append(pair_task.remote(threshold, len(a_parts), *a_parts))
-        for c_b in range(c_a + 1, B):
-            outs.append(pair_task.remote(
-                threshold, len(a_parts), *a_parts, *[s[c_b] for s in sl]))
-    # the threshold-pair OUTPUT is small, so it concats on the driver
-    return pa.concat_tables([_COS_PAIRS_SCHEMA.empty_table()]
-                            + ray.get(outs))
+    # note and _bw_task_cpus for the per-node-concurrency rule. The
+    # threshold-pair OUTPUT is small, so it concats on the driver
+    return X.gather(_chunk_pair_join(refs, "vec_id", B, _cos_pair, threshold,
+                                     num_cpus=_bw_task_cpus(16)),
+                    _COS_PAIRS_SCHEMA)
 
 
 __all__ = [
@@ -1633,12 +1500,11 @@ __all__ = [
     "_chunk_pair_replicate",
     "_NGRAM_PAIRS_SCHEMA",
     "_CONTAIN_PAIRS_SCHEMA",
-    "_ngram_slice",
+    "_chunk_slice",
+    "_chunk_pair_join",
     "_ngram_pair",
     "doc_dedup_ngram",
     "doc_dedup_containment",
-    "_lp_partition",
-    "_lp_split",
     "_lp_propagate",
     "_lp_combine",
     "_min_label_prop",
@@ -1648,7 +1514,6 @@ __all__ = [
     "doc_dedup_clusters_lp",
     "doc_dedup_near_keep",
     "_COS_PAIRS_SCHEMA",
-    "_cos_slice",
     "_cos_pair",
     "emb_dedup_cosine",
 ]

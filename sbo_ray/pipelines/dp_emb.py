@@ -18,6 +18,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from .. import exchange as X
 from ..functions import dedup as D
 from ..functions import similarity as S
 from ..functions import text as T
@@ -28,6 +29,22 @@ from .dp_common import *  # noqa: F401,F403
 from .dp_dedup import *  # noqa: F401,F403
 
 # ---- similarity search -----------------------------------------------------
+
+
+def _strided_sample(ds: rd.Dataset, stride: int) -> pa.Table:
+    """The deterministic strided sample behind the codebooks and coarse
+    quantizers: rows with ``vec_id % stride == 0``, sorted by vec_id
+    (block arrival order is nondeterministic)."""
+    def strided(b: pa.Table) -> pa.Table:
+        ids = b.column("vec_id").to_numpy(zero_copy_only=False)
+        return b.filter(pa.array(ids % stride == 0))
+
+    return X.fold(ds, strided, ds.schema().base_schema).sort_by("vec_id")
+
+
+def _topk_fold(ds: rd.Dataset, block_topk, k: int) -> pa.Table:
+    """Block-local cosine top-ks folded on the driver and merged."""
+    return S.merge_topk(X.fold(ds, block_topk, S._EMPTY_TOPK), k)
 
 
 def _min_id_row(ds: rd.Dataset, id_col: str = "vec_id") -> dict:
@@ -50,12 +67,7 @@ def emb_similarity_topk(sf_dir: str, k: int = 10):
     def block_topk(batch: pa.Table) -> pa.Table:
         return S.topk_block(batch, ray.get(q_ref), k, exclude_id=q_id)
 
-    parts = list(
-        ds.map_batches(block_topk, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None
-        )
-    )
-    return S.merge_topk(parts, k)
+    return _topk_fold(ds, block_topk, k)
 
 
 _BATCH_SEARCH = pa.schema([
@@ -82,22 +94,13 @@ def emb_batch_search(sf_dir: str, n_queries: int = 32, k: int = 10):
         return _BATCH_SEARCH.empty_table()
     stride = max(1, n // n_queries)
 
-    def strided_ids(b: pa.Table) -> pa.Table:
-        ids = b.column("vec_id").to_numpy(zero_copy_only=False)
-        return b.select(["vec_id"]).filter(pa.array(ids % stride == 0))
-
-    qids = pa.concat_tables(
-        ds.map_batches(strided_ids, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None)
-    ).sort_by("vec_id").column("vec_id").to_numpy(
-        zero_copy_only=False)[:n_queries].astype(np.int64)
+    qids = _strided_sample(ds, stride).column(
+        "vec_id").to_numpy(zero_copy_only=False)[:n_queries].astype(np.int64)
     q_ref = ray.put((qids, D.normalize_rows(qm)))
     PART = pa.schema([("query_id", pa.int64()), ("neighbor_id", pa.int64()),
                       ("key", pa.int64())])
 
     def block_topk(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return PART.empty_table()
         qi, qn = ray.get(q_ref)
         ids = t.column("vec_id").to_numpy(
             zero_copy_only=False).astype(np.int64)
@@ -127,10 +130,7 @@ def emb_batch_search(sf_dir: str, n_queries: int = 32, k: int = 10):
             "key": pa.array(key[rows, qcol]),
         }, schema=PART)
 
-    parts = pa.concat_tables(
-        ds.map_batches(block_topk, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None))
-    return _batch_topk_merge(parts, k)
+    return _batch_topk_merge(X.fold(ds, block_topk, PART), k)
 
 
 def _batch_topk_merge(parts: pa.Table, k: int) -> pa.Table:
@@ -255,9 +255,7 @@ def emb_ann_recall(sf_dir: str, n_queries: int = 32, k: int = 10,
                 .astype(np.int64)),
         }, schema=PART)
 
-    parts = pa.concat_tables(
-        ds.map_batches(block_topk, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None))
+    parts = X.fold(ds, block_topk, PART)
     approx = _batch_topk_merge(parts.select(
         ["query_id", "neighbor_id", "key"]), k)
     tot_rows = int(pc.sum(parts.column("n_rows")).as_py() or 0)
@@ -318,8 +316,6 @@ def emb_ann_lsh(sf_dir: str, k: int = 10, n_bits: int = 6,
     bcast = ray.put((q, tables))
 
     def block_scan(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return S._EMPTY_TOPK.empty_table()
         qv, tabs = ray.get(bcast)
         ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
         m = D.normalize_rows(S.embedding_matrix(batch))
@@ -329,12 +325,7 @@ def emb_ann_lsh(sf_dir: str, k: int = 10, n_bits: int = 6,
         mask &= ids != q_id
         return S.topk_rows(ids[mask], m[mask] @ qv, k)
 
-    parts = list(
-        ds.map_batches(block_scan, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None
-        )
-    )
-    return S.merge_topk(parts, k)
+    return _topk_fold(ds, block_scan, k)
 
 
 def emb_ann_ivf(sf_dir: str, k: int = 10, nlist: int = 32, nprobe: int = 24,
@@ -369,22 +360,12 @@ def emb_ann_ivf(sf_dir: str, k: int = 10, nlist: int = 32, nprobe: int = 24,
         target = max(512, nlist * 64)
         sample_stride = max(7, _parquet_num_rows(sf_dir, "embeddings") // target)
 
-    def strided(b: pa.Table) -> pa.Table:
-        ids = b.column("vec_id").to_numpy(zero_copy_only=False)
-        return b.filter(pa.array(ids % sample_stride == 0))
-
-    sample_t = pa.concat_tables(
-        ds.map_batches(strided, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None
-        )
-    ).sort_by("vec_id")  # block arrival order is nondeterministic
+    sample_t = _strided_sample(ds, sample_stride)
     centroids = S.ivf_centroids(S.embedding_matrix(sample_t), nlist)
     probe = np.argsort(-(centroids @ q))[:nprobe]
     bcast = ray.put((q, centroids, np.asarray(probe, dtype=np.int64)))
 
     def block_scan(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return S._EMPTY_TOPK.empty_table()
         qv, cent, probe_arr = ray.get(bcast)
         ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
         m = D.normalize_rows(S.embedding_matrix(batch))
@@ -392,12 +373,7 @@ def emb_ann_ivf(sf_dir: str, k: int = 10, nlist: int = 32, nprobe: int = 24,
         mask = np.isin(lists, probe_arr) & (ids != q_id)
         return S.topk_rows(ids[mask], m[mask] @ qv, k)
 
-    parts = list(
-        ds.map_batches(block_scan, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None
-        )
-    )
-    return S.merge_topk(parts, k)
+    return _topk_fold(ds, block_scan, k)
 
 
 def emb_kmeans(sf_dir: str, k: int = 16, iters: int = 5,
@@ -429,16 +405,9 @@ def emb_kmeans(sf_dir: str, k: int = 16, iters: int = 5,
     if sample_stride is None:
         sample_stride = max(1, n // max(256, k * 16))
 
-    def strided(b: pa.Table) -> pa.Table:
-        ids = b.column("vec_id").to_numpy(zero_copy_only=False)
-        return b.filter(pa.array(ids % sample_stride == 0))
-
-    sample_t = pa.concat_tables(
-        ds.map_batches(strided, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None))
-    # blocks arrive in scheduling order — sort by vec_id so the seeding
-    # (rng.choice over row INDICES) is deterministic run to run
-    sample_t = sample_t.sort_by("vec_id")
+    # sorted by vec_id so the seeding (rng.choice over row INDICES) is
+    # deterministic run to run
+    sample_t = _strided_sample(ds, sample_stride)
     cent = S.ivf_centroids(S.embedding_matrix(sample_t), k, iters=1)
 
     PART = pa.schema([("cluster", pa.int64()), ("cnt", pa.int64()),
@@ -448,8 +417,6 @@ def emb_kmeans(sf_dir: str, k: int = 16, iters: int = 5,
         cent_ref = ray.put(cent)
 
         def partial(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0:
-                return PART.empty_table()
             c = ray.get(cent_ref)
             # spherical k-means like ivf_centroids: normalized rows, so
             # the mean/renormalize update matches the seed pass exactly
@@ -468,16 +435,16 @@ def emb_kmeans(sf_dir: str, k: int = 16, iters: int = 5,
                 pa.ListArray.from_arrays(offs, flat),
             ], schema=PART)
 
+        parts = X.fold(ds, partial, PART)
+        cl = parts.column("cluster").to_numpy(zero_copy_only=False)
+        vsc = parts.column("vsum").combine_chunks()
+        # np.add.at accumulates rows in block order, like a streaming fold
         tot_cnt = np.zeros(k, dtype=np.int64)
         tot_sum = np.zeros((k, cent.shape[1]))
-        for b in ds.map_batches(partial, batch_format="pyarrow").iter_batches(
-                batch_format="pyarrow", batch_size=None):
-            cl = b.column("cluster").to_numpy(zero_copy_only=False)
-            tot_cnt[cl] += b.column("cnt").to_numpy(zero_copy_only=False)
-            vsc = b.column("vsum")
-            vsc = vsc.combine_chunks() if isinstance(vsc, pa.ChunkedArray) else vsc
-            tot_sum[cl] += vsc.values.to_numpy(zero_copy_only=False).reshape(
-                len(cl), -1)
+        np.add.at(tot_cnt, cl, parts.column("cnt").to_numpy(
+            zero_copy_only=False))
+        np.add.at(tot_sum, cl, vsc.values.to_numpy(
+            zero_copy_only=False).reshape(len(cl), -1))
         nz = tot_cnt > 0
         new_cent = cent.copy()
         new_cent[nz] = tot_sum[nz] / tot_cnt[nz, None]
@@ -491,20 +458,17 @@ def emb_kmeans(sf_dir: str, k: int = 16, iters: int = 5,
     fin_ref = ray.put(cent)
 
     def count_pass(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table({"cluster": pa.array([], pa.int64()),
-                             "cnt": pa.array([], pa.int64())})
         m = D.normalize_rows(S.embedding_matrix(b)).astype(np.float64)
         asg = np.argmax(m @ ray.get(fin_ref).T, axis=1)
         cnt = np.bincount(asg, minlength=k)
         return pa.table({"cluster": pa.array(np.arange(k, dtype=np.int64)),
                          "cnt": pa.array(cnt.astype(np.int64))})
 
+    counts = X.fold(ds, count_pass, pa.schema([("cluster", pa.int64()),
+                                               ("cnt", pa.int64())]))
     tot_cnt = np.zeros(k, dtype=np.int64)
-    for b in ds.map_batches(count_pass, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None):
-        tot_cnt[b.column("cluster").to_numpy(zero_copy_only=False)] += \
-            b.column("cnt").to_numpy(zero_copy_only=False)
+    np.add.at(tot_cnt, counts.column("cluster").to_numpy(zero_copy_only=False),
+              counts.column("cnt").to_numpy(zero_copy_only=False))
 
     dim = cent.shape[1]
     flat = pa.array(cent.reshape(-1))
@@ -526,16 +490,11 @@ def _sq8_minmax(ds: rd.Dataset):
     blocks x dim floats. Returns (mn, mx) or (None, None) on empty."""
 
     def mm_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _MM_SCHEMA.empty_table()
         m = S.embedding_matrix(t).astype(np.float64)
         return pa.table({"mn": [m.min(axis=0)], "mx": [m.max(axis=0)]},
                         schema=_MM_SCHEMA)
 
-    parts = pa.concat_tables(
-        [_MM_SCHEMA.empty_table()]
-        + list(ds.map_batches(mm_partial, batch_format="pyarrow")
-               .iter_batches(batch_format="pyarrow", batch_size=None)))
+    parts = X.fold(ds, mm_partial, _MM_SCHEMA)
     if parts.num_rows == 0:
         return None, None
     mns = np.stack([np.asarray(r) for r in parts.column("mn").to_pylist()])
@@ -664,8 +623,6 @@ def emb_sample_balanced(sf_dir: str, per_label: int = 10):
                         ("sample_key", pa.int64())])
 
     def local_bottomk(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return SCHEMA.empty_table()
         ids = t.column("vec_id").to_numpy(zero_copy_only=False)
         labels = t.column("label").to_numpy(
             zero_copy_only=False).astype(np.int64)
@@ -689,12 +646,7 @@ def emb_sample_balanced(sf_dir: str, per_label: int = 10):
         })
 
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "label"])
-    batches = list(ds.map_batches(local_bottomk, batch_format="pyarrow")
-                   .iter_batches(batch_format="pyarrow", batch_size=None))
-    batches = [b for b in batches if b.num_rows]
-    if not batches:
-        return SCHEMA.empty_table()
-    merged = pa.concat_tables(batches)
+    merged = X.fold(ds, local_bottomk, SCHEMA)
     labels = merged.column("label").to_numpy(zero_copy_only=False)
     keys = merged.column("sample_key").to_numpy(zero_copy_only=False)
     ids = merged.column("vec_id").to_numpy(zero_copy_only=False)
@@ -735,8 +687,6 @@ def emb_ann_sq8(sf_dir: str, k: int = 10):
     ref = ray.put((q, mn, mx))
 
     def block_topk(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return S.topk_rows(np.zeros(0, np.int64), np.zeros(0), k)
         qv, lo, hi = ray.get(ref)
         m = S.embedding_matrix(batch).astype(np.float64)
         rng = hi - lo
@@ -754,10 +704,7 @@ def emb_ann_sq8(sf_dir: str, k: int = 10):
         keep = ids != q_id
         return S.topk_rows(ids[keep], sims[keep], k)
 
-    parts = list(
-        ds.map_batches(block_topk, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None))
-    return S.merge_topk(parts, k)
+    return _topk_fold(ds, block_topk, k)
 
 
 _PQ_SCHEMA = pa.schema([("vec_id", pa.int64()),
@@ -772,18 +719,9 @@ def _pq_codebook(ds: rd.Dataset, n: int, ksub: int) -> np.ndarray | None:
     init, and a closed-form pick (unlike k-means) keeps the SQL mirror
     exact. One tiny streaming pass; returns a ksub x dim float64
     matrix (or None on an empty corpus)."""
-    stride = max(1, n // ksub)
-
-    def strided(b: pa.Table) -> pa.Table:
-        ids = b.column("vec_id").to_numpy(zero_copy_only=False)
-        return b.filter(pa.array(ids % stride == 0))
-
-    parts = list(ds.map_batches(strided, batch_format="pyarrow")
-                 .iter_batches(batch_format="pyarrow", batch_size=None))
-    parts = [t for t in parts if t.num_rows]
-    if not parts:
+    t = _strided_sample(ds, max(1, n // ksub)).slice(0, ksub)
+    if not t.num_rows:
         return None
-    t = pa.concat_tables(parts).sort_by("vec_id").slice(0, ksub)
     return S.embedding_matrix(t).astype(np.float64)
 
 
@@ -838,8 +776,6 @@ def emb_kmeans_step(sf_dir: str, k: int = 16):
                       ("s", pa.float64()), ("cnt", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return PART.empty_table()
         c = ray.get(cb_ref)
         kk, d = c.shape
         x = S.embedding_matrix(t).astype(np.float64)
@@ -862,10 +798,7 @@ def emb_kmeans_step(sf_dir: str, k: int = 16):
             "cnt": pa.array(np.repeat(cnts, d)),
         }, schema=PART)
 
-    parts = pa.concat_tables(
-        ds.map_batches(partial, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None))
-    g = parts.group_by(["cluster", "dim"]).aggregate(
+    g = X.fold(ds, partial, PART).group_by(["cluster", "dim"]).aggregate(
         [("s", "sum"), ("cnt", "sum")])
     return pa.table({
         "cluster": g.column("cluster"),
@@ -936,8 +869,6 @@ def emb_pq_error(sf_dir: str, M: int = 8, ksub: int = 16):
                       ("cnt", pa.int64())])
 
     def err_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return PART.empty_table()
         cbm = ray.get(cb_ref)
         x = S.embedding_matrix(t).astype(np.float64)
         codes = _pq_encode(x, cbm, M)
@@ -951,15 +882,13 @@ def emb_pq_error(sf_dir: str, M: int = 8, ksub: int = 16):
                          "cnt": pa.array([t.num_rows] * M, pa.int64())},
                         schema=PART)
 
+    parts = X.fold(ds, err_partial, PART)
+    mi = parts.column("m").to_numpy(zero_copy_only=False)
+    # np.add.at accumulates rows in block order, like a streaming fold
     tot = np.zeros(M)
-    cnt = 0
-    for b in ds.map_batches(err_partial, batch_format="pyarrow") \
-            .iter_batches(batch_format="pyarrow", batch_size=None):
-        if b.num_rows == 0:
-            continue
-        mi = b.column("m").to_numpy(zero_copy_only=False)
-        tot[mi] += b.column("sum_d2").to_numpy(zero_copy_only=False)
-        cnt += int(b.column("cnt")[0].as_py())
+    np.add.at(tot, mi, parts.column("sum_d2").to_numpy(zero_copy_only=False))
+    cnt = int(parts.column("cnt").to_numpy(
+        zero_copy_only=False)[mi == 0].sum())
     return pa.table({"m": pa.array(np.arange(M, dtype=np.int64)),
                      "mse": pa.array(np.round(tot / cnt, 6))}, schema=schema)
 
@@ -1002,8 +931,6 @@ def emb_ann_pq(sf_dir: str, k: int = 10, M: int = 8, ksub: int = 16):
         ], schema=_ADC_SCHEMA)
 
     def block_topk(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _ADC_SCHEMA.empty_table()
         cbm, lutm = ray.get(ref)
         ids = t.column("vec_id").to_numpy(zero_copy_only=False)
         keep = ids != q_id
@@ -1014,12 +941,7 @@ def emb_ann_pq(sf_dir: str, k: int = 10, M: int = 8, ksub: int = 16):
         adc = lutm[np.arange(M), codes].sum(axis=1)
         return topk_asc(ids[keep], adc)
 
-    parts = [t for t in
-             ds.map_batches(block_topk, batch_format="pyarrow").iter_batches(
-                 batch_format="pyarrow", batch_size=None) if t.num_rows]
-    if not parts:
-        return _ADC_SCHEMA.empty_table()
-    t = pa.concat_tables(parts)
+    t = X.fold(ds, block_topk, _ADC_SCHEMA)
     return topk_asc(t.column("vec_id").to_numpy(zero_copy_only=False),
                     t.column("adc").to_numpy(zero_copy_only=False))
 
@@ -1056,13 +978,7 @@ def emb_ann_ivfpq(sf_dir: str, k: int = 10, nlist: int = 32,
     target = max(512, nlist * 64)
     sample_stride = max(7, n // target)
 
-    def strided(b: pa.Table) -> pa.Table:
-        ids = b.column("vec_id").to_numpy(zero_copy_only=False)
-        return b.filter(pa.array(ids % sample_stride == 0))
-
-    sample_t = pa.concat_tables(
-        ds.map_batches(strided, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None)).sort_by("vec_id")
+    sample_t = _strided_sample(ds, sample_stride)
     centroids = S.ivf_centroids(S.embedding_matrix(sample_t), nlist)
     probe = np.argsort(-(centroids @ q))[:nprobe]
 
@@ -1082,8 +998,6 @@ def emb_ann_ivfpq(sf_dir: str, k: int = 10, nlist: int = 32,
                      cb, lut))
 
     def block_scan(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return S._EMPTY_TOPK.empty_table()
         qv, cent, probe_arr, cbm, lutm = ray.get(bcast)
         ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
         m = D.normalize_rows(S.embedding_matrix(batch)).astype(np.float64)
@@ -1098,10 +1012,7 @@ def emb_ann_ivfpq(sf_dir: str, k: int = 10, nlist: int = 32,
         # exact re-rank of the shortlist only
         return S.topk_rows(ids[keep], m[keep] @ qv, k)
 
-    parts = list(
-        ds.map_batches(block_scan, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None))
-    return S.merge_topk(parts, k)
+    return _topk_fold(ds, block_scan, k)
 
 
 _MEAN_PART = pa.schema([("xsum", pa.list_(pa.float64())),
@@ -1122,19 +1033,15 @@ def emb_outlier_scores(sf_dir: str, threshold: float = 0.0):
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
     def mean_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _MEAN_PART.empty_table()
         m = S.embedding_matrix(t).astype(np.float64)
         return pa.table({"xsum": [m.sum(axis=0)], "cnt": [m.shape[0]]},
                         schema=_MEAN_PART)
 
-    xsum, n = None, 0
-    for b in ds.map_batches(mean_partial, batch_format="pyarrow") \
-            .iter_batches(batch_format="pyarrow", batch_size=None):
-        for r in range(b.num_rows):
-            s = np.asarray(b.column("xsum")[r].as_py())
-            xsum = s if xsum is None else xsum + s
-            n += int(b.column("cnt")[r].as_py())
+    parts = X.fold(ds, mean_partial, _MEAN_PART)
+    n = int(pc.sum(parts.column("cnt")).as_py() or 0)
+    xsum = None
+    for s in parts.column("xsum").to_pylist():  # block order, sequential
+        xsum = np.asarray(s) if xsum is None else xsum + np.asarray(s)
     schema = pa.schema([("vec_id", pa.int64()), ("cos_mean", pa.float64()),
                         ("is_outlier", pa.bool_())])
     if n == 0:
@@ -1173,8 +1080,6 @@ def _cov_moments(ds: rd.Dataset):
     Returns (xtx, xsum, n) or (None, None, 0) on empty."""
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _COV_PART.empty_table()
         m = S.embedding_matrix(t).astype(np.float64)
         return pa.table({
             "xtx": [(m.T @ m).reshape(-1)],
@@ -1182,18 +1087,13 @@ def _cov_moments(ds: rd.Dataset):
             "cnt": [m.shape[0]],
         }, schema=_COV_PART)
 
-    xtx, xsum, n = None, None, 0
-    for b in ds.map_batches(partial, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None):
-        for r in range(b.num_rows):
-            g = np.asarray(b.column("xtx")[r].as_py())
-            s = np.asarray(b.column("xsum")[r].as_py())
-            if xtx is None:
-                xtx, xsum = g, s
-            else:
-                xtx = xtx + g
-                xsum = xsum + s
-            n += int(b.column("cnt")[r].as_py())
+    parts = X.fold(ds, partial, _COV_PART)
+    xtx, xsum = None, None
+    for g, s in zip(parts.column("xtx").to_pylist(),  # block order
+                    parts.column("xsum").to_pylist()):
+        g, s = np.asarray(g), np.asarray(s)
+        xtx, xsum = (g, s) if xtx is None else (xtx + g, xsum + s)
+    n = int(pc.sum(parts.column("cnt")).as_py() or 0)
     if xtx is None:
         return None, None, 0
     dim = len(xsum)
@@ -1287,17 +1187,9 @@ def _sem_shard(block: pa.Table, P: int, cent: np.ndarray) -> list:
     soundness test)."""
     ids = block.column("vec_id").to_numpy(zero_copy_only=False) \
         .astype(np.int64)
-    if block.num_rows == 0:
-        e = (ids, ids, np.empty((0, cent.shape[1]), np.float32))
-        return [e for _ in range(P)]
     m = D.normalize_rows(S.embedding_matrix(block))
     cl = S.ivf_assign(m, cent)
-    part = cl % P
-    order = np.argsort(part, kind="stable")
-    ids, cl, m32 = ids[order], cl[order], m[order].astype(np.float32)
-    bounds = np.searchsorted(part[order], np.arange(P + 1))
-    return [(ids[s:e], cl[s:e], m32[s:e])
-            for s, e in zip(bounds[:-1], bounds[1:])]
+    return X.split(cl % P, P, ids, cl, m.astype(np.float32))
 
 
 def _sem_combine(threshold: float, chunk: int, *shards) -> pa.Table:
@@ -1404,10 +1296,7 @@ def emb_semdedup(sf_dir: str, nlist: int | None = None,
         target = max(256, nlist * 16)
         sample_stride = max(1, n // target)
 
-    # zero-row blocks are dropped by METADATA (an empty parquet read
-    # yields a schemaless block that would poison the concat downstream)
-    refs = [block_ref for bundle in ds.iter_internal_ref_bundles()
-            for block_ref, _md in bundle.blocks if _md.num_rows]
+    refs = X.block_refs(ds)
     if not refs:
         return rd.from_arrow(_SEM_SCHEMA.empty_table())
     sample_task = ray.remote(_sem_sample)
@@ -1416,17 +1305,15 @@ def emb_semdedup(sf_dir: str, nlist: int | None = None,
     ).sort_by("vec_id")  # block arrival order is nondeterministic
     centroids = S.ivf_centroids(S.embedding_matrix(sample_t), nlist)
     cent_ref = ray.put(centroids)
-    P = max(2, _n_parts())
-    shard = ray.remote(_sem_shard)
-    shard_refs = [shard.options(num_returns=P).remote(r, P, cent_ref)
-                  for r in refs]
-    combine = ray.remote(_sem_combine)
-    outs = [combine.remote(threshold, chunk, *[sr[p] for sr in shard_refs])
-            for p in range(P)]
-    return rd.from_arrow_refs(outs)
+    P = X.n_parts()
+    shard_refs = X.shard(_sem_shard, refs, P, P, cent_ref)
+    return rd.from_arrow_refs(
+        X.combine(_sem_combine, shard_refs, threshold, chunk))
 
 
 __all__ = [
+    "_strided_sample",
+    "_topk_fold",
     "_min_id_row",
     "emb_similarity_topk",
     "_BATCH_SEARCH",

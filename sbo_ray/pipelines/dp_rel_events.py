@@ -18,6 +18,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from .. import exchange as X
 from ..functions import dedup as D
 from ..functions import similarity as S
 from ..functions import text as T
@@ -36,11 +37,9 @@ from .dp_multimodal import *  # noqa: F401,F403
 def customer_nation_agg(sf_dir: str):
     """Broadcast hash join customer->nation (ray.put the 25-row dim
     table) + grouped aggregate: count + total acctbal per nation."""
-    nation = pa.concat_tables(
-        _read(sf_dir, "nation", columns=["n_nationkey", "n_name"]).iter_batches(
-            batch_format="pyarrow", batch_size=None
-        )
-    )
+    nation = X.collect(
+        _read(sf_dir, "nation", columns=["n_nationkey", "n_name"]),
+        pa.schema([("n_nationkey", pa.int32()), ("n_name", pa.string())]))
     lookup = dict(zip(nation.column("n_nationkey").to_pylist(),
                       nation.column("n_name").to_pylist()))
     lookup_ref = ray.put(lookup)
@@ -54,11 +53,9 @@ def customer_nation_agg(sf_dir: str):
         return g.rename_columns(["n_name", "n_customers", "total_acctbal"])
 
     ds = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey", "c_acctbal"])
-    parts = pa.concat_tables(
-        ds.map_batches(enrich, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None
-        )
-    )
+    parts = X.fold(ds, enrich, pa.schema([("n_name", pa.string()),
+                                          ("n_customers", pa.int64()),
+                                          ("total_acctbal", pa.float64())]))
     g = parts.group_by("n_name").aggregate(
         [("n_customers", "sum"), ("total_acctbal", "sum")]
     )
@@ -70,36 +67,18 @@ def customer_nation_agg(sf_dir: str):
     })
 
 
-def _table_shard(block: pa.Table, P: int, key_col: str) -> list:
-    """Route one block's ROWS (all columns) by the Fibonacci hash of
-    ``key_col`` into P table slices — the string-carrying sibling of
-    _anti_shard for exchanges whose carry isn't a single int64."""
-    keys = block.column(key_col).to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    if not len(keys):
-        return [block] * P
-    part = _lp_partition(keys, P)
-    order = np.argsort(part, kind="stable")
-    t = block.take(pa.array(order))
-    bounds = np.searchsorted(part[order], np.arange(P + 1))
-    return [t.slice(s, e - s) for s, e in zip(bounds[:-1], bounds[1:])]
-
-
 _SEMI_ORD = pa.schema([("o_orderpriority", pa.string()),
                        ("n_orders", pa.int64()),
                        ("total_price", pa.float64())])
 
 
-def _semi_orders_combine(n_ord: int, *shards) -> pa.Table:
+def _semi_orders_combine(orders: list, keys: list) -> pa.Table:
     """One hash partition of the orders SEMI-join: keep orders whose
     orderkey appears in the lineitem key shards, fold per-priority
     (count, price-sum) partials via pyarrow group_by."""
-    ot = pa.concat_tables([s for s in shards[:n_ord] if s.num_rows])  \
-        if any(s.num_rows for s in shards[:n_ord]) else None
-    if ot is None:
-        return _SEMI_ORD.empty_table()
-    rk = (np.unique(np.concatenate([s[0] for s in shards[n_ord:]]))
-          if len(shards) > n_ord else np.zeros(0, np.int64))
+    ot = pa.concat_tables(orders)
+    rk = (np.unique(np.concatenate([s[0] for s in keys]))
+          if keys else np.zeros(0, np.int64))
     ok = ot.column("o_orderkey").to_numpy(
         zero_copy_only=False).astype(np.int64)
     hit = ot.filter(pa.array(np.isin(ok, rk)))
@@ -121,7 +100,7 @@ def orders_with_returns(sf_dir: str, flag: str = "R"):
     are corpus-sized, so neither broadcasts: the returnflag filter is
     pushed into the lineitem scan, lineitem ships KEYS ONLY (8
     bytes/row via _anti_shard), orders ship their three needed columns
-    via _table_shard, one Fibonacci-hash exchange co-locates them, and
+    as table slices, one Fibonacci-hash exchange co-locates them, and
     each partition emits |priorities|-sized partials the driver folds.
     Membership (not join multiplicity) is the semi-join semantics —
     duplicate lineitem keys collapse in the per-partition unique."""
@@ -130,25 +109,14 @@ def orders_with_returns(sf_dir: str, flag: str = "R"):
     li = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_returnflag"]).filter(
         expr=f"l_returnflag == '{flag}'")
-    orefs = [r for b in orders.iter_internal_ref_bundles()
-             for r, md in b.blocks if md.num_rows]
+    orefs = X.block_refs(orders)
     if not orefs:
         return _SEMI_ORD.empty_table()
-    lrefs = [r for b in li.iter_internal_ref_bundles()
-             for r, md in b.blocks if md.num_rows]
-    P = max(2, _n_parts())
-    tshard = ray.remote(_table_shard)
-    kshard = ray.remote(_anti_shard)
-    osl = [tshard.options(num_returns=P).remote(r, P, "o_orderkey")
-           for r in orefs]
-    lsl = [kshard.options(num_returns=P).remote(r, P, "l_orderkey", None)
-           for r in lrefs]
-    combine = ray.remote(_semi_orders_combine)
-    outs = ray.get([combine.remote(len(osl),
-                                   *[s[p] for s in osl],
-                                   *[s[p] for s in lsl])
-                    for p in range(P)])
-    merged = pa.concat_tables([_SEMI_ORD.empty_table()] + outs)
+    P = X.n_parts()
+    osl = X.shard(X.table_shard, orefs, P, P, "o_orderkey")
+    lsl = X.shard(_anti_shard, X.block_refs(li), P, P, "l_orderkey", None)
+    merged = X.gather(X.combine(_semi_orders_combine, (osl, lsl),
+                                out_schema=_SEMI_ORD), _SEMI_ORD)
     g = merged.group_by("o_orderpriority").aggregate(
         [("n_orders", "sum"), ("total_price", "sum")])
     return pa.table({
@@ -165,8 +133,6 @@ def _lv_combine(thresh: int, *shards) -> pa.Table:
     """One hash partition of the large-volume scan: fold (orderkey,
     qty) pairs, keep keys whose total exceeds ``thresh``."""
     ks = np.concatenate([s[0] for s in shards])
-    if not len(ks):
-        return _LV_Q.empty_table()
     qty = np.concatenate([s[1] for s in shards])
     uk, inv = np.unique(ks, return_inverse=True)
     sums = np.bincount(inv, weights=qty).astype(np.int64)
@@ -196,19 +162,12 @@ def orders_large_volume(sf_dir: str, min_qty: int = 200):
         ("sum_qty", pa.int64()),
     ])
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
-    lrefs = [r for b in li.iter_internal_ref_bundles()
-             for r, md in b.blocks if md.num_rows]
+    lrefs = X.block_refs(li)
     if not lrefs:
         return out_schema.empty_table()
-    P = max(2, _n_parts())
-    shard = ray.remote(_anti_shard)
-    sl = [shard.options(num_returns=P).remote(r, P, "l_orderkey",
-                                              "l_quantity")
-          for r in lrefs]
-    comb = ray.remote(_lv_combine)
-    q = pa.concat_tables([_LV_Q.empty_table()] +
-                         ray.get([comb.remote(min_qty, *[s[p] for s in sl])
-                                  for p in range(P)]))
+    P = X.n_parts()
+    sl = X.shard(_anti_shard, lrefs, P, P, "l_orderkey", "l_quantity")
+    q = X.gather(X.combine(_lv_combine, sl, min_qty), _LV_Q)
     if q.num_rows == 0:
         return out_schema.empty_table()
     qk = np.sort(q.column("l_orderkey").to_numpy(zero_copy_only=False))
@@ -222,16 +181,11 @@ def orders_large_volume(sf_dir: str, min_qty: int = 200):
         m = (pos < len(k)) & (k[np.minimum(pos, len(k) - 1)] == ok)
         return t.filter(pa.array(m))
 
-    hits = pa.concat_tables(
-        [pa.schema([("o_orderkey", pa.int64()), ("o_custkey", pa.int64()),
-                    ("o_totalprice", pa.float64())]).empty_table()] +
-        [b.cast(pa.schema([("o_orderkey", pa.int64()),
-                           ("o_custkey", pa.int64()),
-                           ("o_totalprice", pa.float64())]))
-         for b in _read(sf_dir, "orders",
-                        columns=["o_orderkey", "o_custkey", "o_totalprice"])
-         .map_batches(hit_orders, batch_format="pyarrow")
-         .iter_batches(batch_format="pyarrow", batch_size=None)])
+    hits = X.fold(_read(sf_dir, "orders",
+                        columns=["o_orderkey", "o_custkey", "o_totalprice"]),
+                  hit_orders, pa.schema([("o_orderkey", pa.int64()),
+                                         ("o_custkey", pa.int64()),
+                                         ("o_totalprice", pa.float64())]))
     ck = np.unique(hits.column("o_custkey").to_numpy(zero_copy_only=False))
     ck_ref = ray.put(ck)
 
@@ -243,14 +197,9 @@ def orders_large_volume(sf_dir: str, min_qty: int = 200):
         m = (pos < len(k)) & (k[np.minimum(pos, len(k) - 1)] == cc)
         return t.filter(pa.array(m))
 
-    cust = pa.concat_tables(
-        [pa.schema([("c_custkey", pa.int64()),
-                    ("c_name", pa.string())]).empty_table()] +
-        [b.cast(pa.schema([("c_custkey", pa.int64()),
-                           ("c_name", pa.string())]))
-         for b in _read(sf_dir, "customer", columns=["c_custkey", "c_name"])
-         .map_batches(hit_cust, batch_format="pyarrow")
-         .iter_batches(batch_format="pyarrow", batch_size=None)])
+    cust = X.fold(_read(sf_dir, "customer", columns=["c_custkey", "c_name"]),
+                  hit_cust, pa.schema([("c_custkey", pa.int64()),
+                                       ("c_name", pa.string())]))
     # output-bounded driver assembly
     df = (hits.to_pandas()
           .merge(q.to_pandas(), left_on="o_orderkey", right_on="l_orderkey")
@@ -276,10 +225,7 @@ def _rfm_combine(asof_us: int, *shards) -> pa.Table:
     an INTEGER day division ((asof - last) // 86400e6 us) — numpy and
     DuckDB `//` agree exactly on positive int64, no float gate needed
     (the emb_pq_codes idiom)."""
-    ts = [s for s in shards if s.num_rows]
-    if not ts:
-        return _RFM.empty_table()
-    t = pa.concat_tables(ts)
+    t = pa.concat_tables(shards)
     ck = t.column("o_custkey").to_numpy(zero_copy_only=False).astype(np.int64)
     od = t.column("o_orderdate").to_numpy(zero_copy_only=False) \
         .astype("datetime64[us]").astype(np.int64)
@@ -305,7 +251,7 @@ def customer_rfm(sf_dir: str):
     and revenue sum. HIGH-CARDINALITY key (customers ~ corpus-sized),
     so the shape is the raw-task Fibonacci-hash exchange
     (CLAUDE.md: native groupby over ~distinct keys is the 49-vs-6.4 s
-    trap): orders ship their three needed columns via ``_table_shard``,
+    trap): orders ship their three needed columns as table slices,
     each partition folds its customers with bincount/maximum.at, and
     the customer-sized OUTPUT becomes a Dataset straight from the
     combine-task refs (``from_arrow_refs``) — it never concats on the
@@ -323,24 +269,16 @@ def customer_rfm(sf_dir: str):
             [np.datetime64(m.value, "us").astype(np.int64)]
         return pa.table({"m": pa.array(v, pa.int64())})
 
-    maxes = [v for b in asof.map_batches(
-        block_max, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow", batch_size=None)
-        for v in b.column("m").to_pylist()]
-    if not maxes:
+    maxes = X.fold(asof, block_max, pa.schema([("m", pa.int64())]))
+    if not maxes.num_rows:
         return rd.from_arrow(_RFM.empty_table())
-    asof_us = max(maxes)
+    asof_us = pc.max(maxes.column("m")).as_py()
     ds = _read(sf_dir, "orders",
                columns=["o_custkey", "o_orderdate", "o_totalprice"])
-    refs = [r for b in ds.iter_internal_ref_bundles()
-            for r, md in b.blocks if md.num_rows]
-    P = max(2, _n_parts())
-    tshard = ray.remote(_table_shard)
-    sl = [tshard.options(num_returns=P).remote(r, P, "o_custkey")
-          for r in refs]
-    comb = ray.remote(_rfm_combine)
-    outs = [comb.remote(asof_us, *[s[p] for s in sl]) for p in range(P)]
-    return rd.from_arrow_refs(outs)
+    P = X.n_parts()
+    sl = X.shard(X.table_shard, X.block_refs(ds), P, P, "o_custkey")
+    return rd.from_arrow_refs(
+        X.combine(_rfm_combine, sl, asof_us, out_schema=_RFM))
 
 
 _INC_DD = pa.schema([("doc_id", pa.int64()), ("n_copies", pa.int64())])
@@ -398,17 +336,12 @@ def doc_dedup_incremental(sf_dir: str):
         return D.add_text_hash(t).select(["text_hash", "doc_id"])
 
     hashed = ds.map_batches(hash_rows, batch_format="pyarrow")
-    refs = [r for b in hashed.iter_internal_ref_bundles()
-            for r, md in b.blocks if md.num_rows]
+    refs = X.block_refs(hashed)
     if not refs:
         return _INC_DD.empty_table()
-    P = max(2, _n_parts())
-    shard = ray.remote(_anti_shard)
-    sl = [shard.options(num_returns=P).remote(r, P, "text_hash", "doc_id")
-          for r in refs]
-    combine = ray.remote(_inc_dedup_combine)
-    outs = [combine.remote(*[s[p] for s in sl]) for p in range(P)]
-    return rd.from_arrow_refs(outs)
+    P = X.n_parts()
+    sl = X.shard(_anti_shard, refs, P, P, "text_hash", "doc_id")
+    return rd.from_arrow_refs(X.combine(_inc_dedup_combine, sl))
 
 
 _BLOOM_MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
@@ -493,31 +426,22 @@ def _anti_shard(block: pa.Table, P: int, key_col: str,
     P shards of (keys, carry) arrays (carry=None ships key-only)."""
     keys = block.column(key_col).to_numpy(
         zero_copy_only=False).astype(np.int64)
-    carry = (block.column(carry_col).to_numpy(
+    part = X.fib_partition(keys, P)
+    if not carry_col:
+        return [(k, k[:0]) for k in X.split(part, P, keys)]
+    carry = block.column(carry_col).to_numpy(
         zero_copy_only=False).astype(np.int64)
-        if carry_col else np.zeros(0, np.int64))
-    if not len(keys):
-        return [(keys, carry) for _ in range(P)]
-    part = _lp_partition(keys, P)
-    order = np.argsort(part, kind="stable")
-    keys = keys[order]
-    carry = carry[order] if carry_col else carry
-    bounds = np.searchsorted(part[order], np.arange(P + 1))
-    return [(keys[s:e], carry[s:e] if carry_col else carry)
-            for s, e in zip(bounds[:-1], bounds[1:])]
+    return X.split(part, P, keys, carry)
 
 
-def _anti_combine(n_left: int, *shards) -> pa.Table:
+def _anti_combine(left: list, right: list) -> pa.Table:
     """One hash partition of the anti-join: left keys absent from the
-    right side, counted per carry value. ``shards[:n_left]`` are
-    (custkey, nationkey) left shards, the rest key-only right shards."""
-    lk = np.concatenate([s[0] for s in shards[:n_left]])
-    if not len(lk):
-        return pa.table({"key": pa.array([], pa.int64()),
-                         "cnt": pa.array([], pa.int64())})
-    lc = np.concatenate([s[1] for s in shards[:n_left]])
-    rk = np.unique(np.concatenate([s[0] for s in shards[n_left:]])) \
-        if len(shards) > n_left else np.zeros(0, np.int64)
+    right side, counted per carry value. ``left`` holds (custkey,
+    nationkey) shards, ``right`` key-only shards."""
+    lk = np.concatenate([s[0] for s in left])
+    lc = np.concatenate([s[1] for s in left])
+    rk = np.unique(np.concatenate([s[0] for s in right])) \
+        if right else np.zeros(0, np.int64)
     miss = ~np.isin(lk, rk)
     vals, cnts = np.unique(lc[miss], return_counts=True)
     return pa.table({"key": pa.array(vals.astype(np.int64)),
@@ -540,28 +464,15 @@ def customer_no_orders(sf_dir: str, status: str = "F"):
         expr=f"o_orderstatus == '{status}'")
     OUT = pa.schema([("c_nationkey", pa.int64()),
                      ("n_no_order_customers", pa.int64())])
-    crefs = [r for b in cust.iter_internal_ref_bundles()
-             for r, md in b.blocks if md.num_rows]
+    crefs = X.block_refs(cust)
     if not crefs:
         return OUT.empty_table()
-    orefs = [r for b in orders.iter_internal_ref_bundles()
-             for r, md in b.blocks if md.num_rows]
-    P = max(2, _n_parts())
-    shard = ray.remote(_anti_shard)
-    csl = [shard.options(num_returns=P).remote(r, P, "c_custkey",
-                                               "c_nationkey")
-           for r in crefs]
-    osl = [shard.options(num_returns=P).remote(r, P, "o_custkey", None)
-           for r in orefs]
-    combine = ray.remote(_anti_combine)
-    outs = ray.get([combine.remote(len(csl),
-                                   *[s[p] for s in csl],
-                                   *[s[p] for s in osl])
-                    for p in range(P)])
-    merged = pa.concat_tables(outs)
-    if merged.num_rows == 0:
-        return OUT.empty_table()
-    g = merged.group_by("key").aggregate([("cnt", "sum")])
+    P = X.n_parts()
+    csl = X.shard(_anti_shard, crefs, P, P, "c_custkey", "c_nationkey")
+    osl = X.shard(_anti_shard, X.block_refs(orders), P, P, "o_custkey", None)
+    g = X.gather(X.combine(_anti_combine, (csl, osl)), pa.schema(
+        [("key", pa.int64()), ("cnt", pa.int64())]))
+    g = g.group_by("key").aggregate([("cnt", "sum")])
     order = pc.sort_indices(g.column("key"))
     return pa.table({
         "c_nationkey": g.column("key").take(order).cast(pa.int64()),
@@ -574,16 +485,14 @@ _EMB_CUR = pa.schema([("doc_id", pa.int64()), ("n_tokens", pa.int64()),
                       ("cos_mean", pa.float64())])
 
 
-def _emb_cur_combine(n_text: int, *shards) -> pa.Table:
+def _emb_cur_combine(ts: list, es: list) -> pa.Table:
     """One hash partition of the text x embedding curation join:
-    ``shards[:n_text]`` are (doc_id, n_tokens) gate-passing text rows,
-    the rest (vec_id, cos-in-micro-units) inlier embedding rows. Inner
+    ``ts`` are (doc_id, n_tokens) gate-passing text rows, ``es``
+    (vec_id, cos-in-micro-units) inlier embedding rows. Inner
     join via sorted-unique vec_ids + searchsorted (vec_ids are unique,
     so one probe per doc); output sorted by doc_id for per-partition
     determinism. ``cos_int / 1e6`` reproduces ROUND(cos, 6) exactly:
     both are the nearest double to the same decimal."""
-    ts = shards[:n_text]
-    es = shards[n_text:]
     tk = (np.concatenate([s[0] for s in ts])
           if ts else np.zeros(0, np.int64))
     ek = (np.concatenate([s[0] for s in es])
@@ -661,26 +570,16 @@ def doc_emb_curation(sf_dir: str, lang: str = "en", min_tokens: int = 20,
     text_ds = docs.map_batches(text_gate, batch_format="pyarrow")
     emb_ds = emb_outlier_scores(sf_dir, threshold=cos_threshold) \
         .map_batches(emb_gate, batch_format="pyarrow")
-    trefs = [r for b in text_ds.iter_internal_ref_bundles()
-             for r, md in b.blocks if md.num_rows]
+    trefs = X.block_refs(text_ds)
     if not trefs:
         return _EMB_CUR.empty_table()
-    erefs = [r for b in emb_ds.iter_internal_ref_bundles()
-             for r, md in b.blocks if md.num_rows]
+    erefs = X.block_refs(emb_ds)
     if not erefs:
         return _EMB_CUR.empty_table()
-    P = max(2, _n_parts())
-    shard = ray.remote(_anti_shard)
-    tsl = [shard.options(num_returns=P).remote(r, P, "doc_id", "n_tokens")
-           for r in trefs]
-    esl = [shard.options(num_returns=P).remote(r, P, "vec_id", "cos_int")
-           for r in erefs]
-    combine = ray.remote(_emb_cur_combine)
-    outs = [combine.remote(len(tsl),
-                           *[s[p] for s in tsl],
-                           *[s[p] for s in esl])
-            for p in range(P)]
-    return rd.from_arrow_refs(outs)
+    P = X.n_parts()
+    tsl = X.shard(_anti_shard, trefs, P, P, "doc_id", "n_tokens")
+    esl = X.shard(_anti_shard, erefs, P, P, "vec_id", "cos_int")
+    return rd.from_arrow_refs(X.combine(_emb_cur_combine, (tsl, esl)))
 
 
 def orders_mktsegment_revenue(sf_dir: str):
@@ -700,11 +599,9 @@ def orders_mktsegment_revenue(sf_dir: str):
                                        ("o_totalprice", "count")])
         return g.rename_columns(["c_mktsegment", "revenue", "n_orders"])
 
-    parts = pa.concat_tables(
-        joined.map_batches(partial, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None
-        )
-    )
+    parts = X.fold(joined, partial, pa.schema([
+        ("c_mktsegment", pa.string()), ("revenue", pa.float64()),
+        ("n_orders", pa.int64())]))
     g = parts.group_by("c_mktsegment").aggregate(
         [("revenue", "sum"), ("n_orders", "sum")]
     )
@@ -736,7 +633,7 @@ def orders_shipping_priority(sf_dir: str, segment: str = "BUILDING",
     under the FINAL (round2(revenue) desc, o_orderdate asc, key asc)
     rule — merge-closed, driver sees P x k rows. Exact SQL mirror."""
     cutoff = pa.scalar(pd.Timestamp(date))
-    P = max(2, _n_parts())
+    P = X.n_parts()
 
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]) \
         .map_batches(lambda t: t.filter(
@@ -769,19 +666,10 @@ def orders_shipping_priority(sf_dir: str, segment: str = "BUILDING",
             ["l_orderkey", "o_orderdate", "revenue"])
         keys = g.column("l_orderkey").to_numpy(
             zero_copy_only=False).astype(np.int64)
-        if not len(keys):
-            return [g.cast(_Q3) for _ in range(P)]
-        part = _lp_partition(keys, P)
-        order = np.argsort(part, kind="stable")
-        st = g.take(pa.array(order)).cast(_Q3)
-        bounds = np.searchsorted(part[order], np.arange(P + 1))
-        return [st.slice(s, e - s) for s, e in zip(bounds[:-1], bounds[1:])]
+        return X.split(X.fib_partition(keys, P), P, g.cast(_Q3))
 
     def topk_combine(*shards) -> pa.Table:
-        live = [x for x in shards if x.num_rows]
-        if not live:
-            return _Q3.empty_table()
-        t = pa.concat_tables(live)
+        t = pa.concat_tables(shards)
         g = t.group_by(["l_orderkey", "o_orderdate"]).aggregate(
             [("revenue", "sum")]).rename_columns(
             ["l_orderkey", "o_orderdate", "revenue"])
@@ -796,15 +684,8 @@ def orders_shipping_priority(sf_dir: str, segment: str = "BUILDING",
             "revenue": pa.array(rev[order]),
         }, schema=_Q3)
 
-    refs = [block_ref for bundle in j2.iter_internal_ref_bundles()
-            for block_ref, _md in bundle.blocks if _md.num_rows]
-    if not refs:
-        return _Q3.empty_table()
-    shard = ray.remote(rev_shard)
-    sl = [shard.options(num_returns=P).remote(r) for r in refs]
-    combine = ray.remote(topk_combine)
-    outs = ray.get([combine.remote(*[s[p] for s in sl]) for p in range(P)])
-    merged = pa.concat_tables([_Q3.empty_table()] + outs)
+    sl = X.shard(rev_shard, X.block_refs(j2), P)
+    merged = X.gather(X.combine(topk_combine, sl, out_schema=_Q3), _Q3)
     keys = merged.column("l_orderkey").to_numpy(zero_copy_only=False)
     dates = merged.column("o_orderdate").to_numpy(zero_copy_only=False) \
         .astype("datetime64[us]").astype(np.int64)
@@ -858,11 +739,9 @@ def orders_by_month(sf_dir: str):
         return g.rename_columns(["month", "revenue", "n_orders"])
 
     ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
-    parts = pa.concat_tables(
-        ds.map_batches(partial, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None
-        )
-    )
+    parts = X.fold(ds, partial, pa.schema([("month", pa.string()),
+                                           ("revenue", pa.float64()),
+                                           ("n_orders", pa.int64())]))
     g = parts.group_by("month").aggregate([("revenue", "sum"), ("n_orders", "sum")])
     g = g.rename_columns(["month", "revenue", "n_orders"])
     return pa.table({
@@ -903,11 +782,9 @@ def events_sliding_window(sf_dir: str, size_minutes: int = 60,
             ["window_start", "event_type", "sum_value", "n_events"])
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-    parts = pa.concat_tables(
-        ds.map_batches(partial, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None
-        )
-    )
+    parts = X.fold(ds, partial, pa.schema([
+        ("window_start", pa.timestamp("us")), ("event_type", pa.string()),
+        ("sum_value", pa.float64()), ("n_events", pa.int64())]))
     g = parts.group_by(["window_start", "event_type"]).aggregate(
         [("sum_value", "sum"), ("n_events", "sum")]
     )
@@ -937,7 +814,7 @@ def events_sliding_distinct(sf_dir: str, size_minutes: int = 60,
         raise ValueError("size must be a multiple of slide")
     k = size_minutes // slide_minutes
     slide_us = np.int64(slide_minutes) * 60 * 1_000_000
-    P = max(2, _n_parts())
+    P = X.n_parts()
 
     def pair_shard(block: pa.Table) -> list:
         n = block.num_rows
@@ -951,23 +828,13 @@ def events_sliding_distinct(sf_dir: str, size_minutes: int = 60,
         }).group_by(["window_start", "user_id"]).aggregate([])
         u = pairs.column("user_id").to_numpy(
             zero_copy_only=False).astype(np.int64)
-        if not len(u):
-            return [pairs for _ in range(P)]
-        part = _lp_partition(u, P)
-        order = np.argsort(part, kind="stable")
-        sorted_tbl = pairs.take(pa.array(order))
-        bounds = np.searchsorted(part[order], np.arange(P + 1))
-        return [sorted_tbl.slice(s, e - s)
-                for s, e in zip(bounds[:-1], bounds[1:])]
+        return X.split(X.fib_partition(u, P), P, pairs)
 
     PARTIAL = pa.schema([("window_start", pa.timestamp("us")),
                          ("n", pa.int64())])
 
     def win_combine(*tables) -> pa.Table:
-        live = [x for x in tables if x.num_rows]
-        if not live:
-            return PARTIAL.empty_table()
-        t = pa.concat_tables(live)
+        t = pa.concat_tables(tables)
         dd = t.group_by(["window_start", "user_id"]).aggregate([])
         g = dd.group_by("window_start").aggregate([([], "count_all")])
         return g.rename_columns(["window_start", "n"]).cast(PARTIAL)
@@ -975,21 +842,14 @@ def events_sliding_distinct(sf_dir: str, size_minutes: int = 60,
     ds = _read(sf_dir, "events", columns=["ts", "user_id"])
     OUT = pa.schema([("window_start", pa.timestamp("us")),
                      ("n_users", pa.int64())])
-    refs = [block_ref for bundle in ds.iter_internal_ref_bundles()
-            for block_ref, _md in bundle.blocks if _md.num_rows]
-    if not refs:
-        return OUT.empty_table()
-    shard = ray.remote(pair_shard)
-    sl = [shard.options(num_returns=P).remote(r) for r in refs]
-    combine = ray.remote(win_combine)
-    outs = ray.get([combine.remote(*[s[p] for s in sl]) for p in range(P)])
-    merged = pa.concat_tables([PARTIAL.empty_table()] + outs)
+    sl = X.shard(pair_shard, X.block_refs(ds), P)
+    merged = X.gather(X.combine(win_combine, sl, out_schema=PARTIAL), PARTIAL)
     g = merged.group_by("window_start").aggregate([("n", "sum")])
     order = pc.sort_indices(g.column("window_start"))
     return pa.table({
         "window_start": g.column("window_start").take(order),
         "n_users": g.column("n_sum").take(order).cast(pa.int64()),
-    })
+    }, schema=OUT)
 
 
 def events_transitions(sf_dir: str):
@@ -1001,7 +861,7 @@ def events_transitions(sf_dir: str):
     user), then a block-local (from_type, to_type) partial count; the
     driver merges the tiny |types|^2 partial rows. Text of events
     never leaves its partition unaggregated."""
-    P = _n_parts()
+    P = X.n_parts()
 
     def bigrams_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="stable")
@@ -1028,14 +888,9 @@ def events_transitions(sf_dir: str):
         .groupby("part")
         .map_groups(bigrams_part, batch_format="pandas")
     )
-    parts = pa.concat_tables(
-        parts_ds.iter_batches(batch_format="pyarrow", batch_size=None))
-    if parts.num_rows == 0:
-        return pa.table({
-            "from_type": pa.array([], pa.string()),
-            "to_type": pa.array([], pa.string()),
-            "n": pa.array([], pa.int64()),
-        })
+    parts = X.collect(parts_ds, pa.schema([("from_type", pa.string()),
+                                           ("to_type", pa.string()),
+                                           ("n", pa.int64())]))
     g = parts.group_by(["from_type", "to_type"]).aggregate([("n", "sum")])
     return pa.table({
         "from_type": g.column("from_type"),
@@ -1085,7 +940,7 @@ def events_user_value_topk(sf_dir: str, k: int = 100):
     n desc, user asc) key — a user lives in exactly one partition, so
     P local top-ks contain the global top-k; driver merges P x k rows.
     Exact SQL mirror."""
-    P = max(2, _n_parts())
+    P = X.n_parts()
 
     def val_shard(block: pa.Table) -> list:
         g = pa.table({
@@ -1099,19 +954,10 @@ def events_user_value_topk(sf_dir: str, k: int = 100):
                              ("n_events", pa.int64()),
                              ("total_value", pa.float64())]))
         u = g.column("user_id").to_numpy(zero_copy_only=False)
-        if not len(u):
-            return [g for _ in range(P)]
-        part = _lp_partition(u.astype(np.int64), P)
-        order = np.argsort(part, kind="stable")
-        st = g.take(pa.array(order))
-        bounds = np.searchsorted(part[order], np.arange(P + 1))
-        return [st.slice(s, e - s) for s, e in zip(bounds[:-1], bounds[1:])]
+        return X.split(X.fib_partition(u.astype(np.int64), P), P, g)
 
     def ltv_combine(*shards) -> pa.Table:
-        live = [x for x in shards if x.num_rows]
-        if not live:
-            return _ULTV.empty_table()
-        t = pa.concat_tables(live)
+        t = pa.concat_tables(shards)
         g = t.group_by("user_id").aggregate(
             [("total_value", "sum"), ("n_events", "sum")]).rename_columns(
             ["user_id", "total_value", "n_events"])
@@ -1127,15 +973,8 @@ def events_user_value_topk(sf_dir: str, k: int = 100):
         }, schema=_ULTV)
 
     ds = _read(sf_dir, "events", columns=["user_id", "value"])
-    refs = [block_ref for bundle in ds.iter_internal_ref_bundles()
-            for block_ref, _md in bundle.blocks if _md.num_rows]
-    if not refs:
-        return _ULTV.empty_table()
-    shard = ray.remote(val_shard)
-    sl = [shard.options(num_returns=P).remote(r) for r in refs]
-    combine = ray.remote(ltv_combine)
-    outs = ray.get([combine.remote(*[s[p] for s in sl]) for p in range(P)])
-    merged = pa.concat_tables([_ULTV.empty_table()] + outs)
+    sl = X.shard(val_shard, X.block_refs(ds), P)
+    merged = X.gather(X.combine(ltv_combine, sl, out_schema=_ULTV), _ULTV)
     u = merged.column("user_id").to_numpy(zero_copy_only=False)
     n = merged.column("n_events").to_numpy(zero_copy_only=False)
     v = merged.column("total_value").to_numpy(zero_copy_only=False)
@@ -1163,26 +1002,23 @@ def events_quantiles_kll(sf_dir: str, qs: tuple = (0.5, 0.9, 0.99)):
 
     def partial(t: pa.Table) -> pa.Table:
         srcs, sketches = [], []
-        if t.num_rows:
-            enc = pc.dictionary_encode(t.column("event_type")
-                                       .combine_chunks())
-            vals = t.column("value").combine_chunks().to_numpy(
-                zero_copy_only=False)
-            idx = enc.indices.to_numpy(zero_copy_only=False)
-            for i, et in enumerate(enc.dictionary.to_pylist()):
-                sk = KLLSketch(K)
-                sk.add(vals[idx == i])
-                srcs.append(et)
-                sketches.append(sk.to_bytes())
+        enc = pc.dictionary_encode(t.column("event_type").combine_chunks())
+        vals = t.column("value").combine_chunks().to_numpy(
+            zero_copy_only=False)
+        idx = enc.indices.to_numpy(zero_copy_only=False)
+        for i, et in enumerate(enc.dictionary.to_pylist()):
+            sk = KLLSketch(K)
+            sk.add(vals[idx == i])
+            srcs.append(et)
+            sketches.append(sk.to_bytes())
         return pa.table({
             "event_type": pa.array(srcs, type=pa.string()),
             "sketch": pa.array(sketches, type=pa.binary()),
         })
 
     ds = _read(sf_dir, "events", columns=["event_type", "value"])
-    parts = pa.concat_tables(
-        ds.map_batches(partial, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None))
+    parts = X.fold(ds, partial, pa.schema([("event_type", pa.string()),
+                                           ("sketch", pa.binary())]))
     merged: dict = {}
     for et, blob in zip(parts.column("event_type").to_pylist(),
                         parts.column("sketch").to_pylist()):
@@ -1209,11 +1045,12 @@ def events_sessionize(sf_dir: str, gap_minutes: int = 30):
     ts-sorted groups — the Ray-idiomatic stream-window pattern).
 
     Partitioning assumption: one hash partition of users fits in a
-    worker (partition-grouped, see _n_parts). For hot single users where
+    worker (partition-grouped, see exchange.n_parts). For hot single users
+    where
     even that breaks, use ``events_sessionize_salted`` — the two-phase
     time-bucketed variant with identical output.
     Output: one row per session."""
-    P = _n_parts()
+    P = X.n_parts()
 
     def sessions_part(g: pd.DataFrame) -> pd.DataFrame:
         # all users of one hash partition, fully vectorized: session
@@ -1256,7 +1093,7 @@ def events_running_total(sf_dir: str):
     per-row state. Running sums are sequential prefix sums on BOTH
     engines (np.cumsum and DuckDB's window accumulate in the same
     order), ROUND-6 absorbs the residue."""
-    P = _n_parts()
+    P = X.n_parts()
 
     def running_part(g: pd.DataFrame) -> pd.DataFrame:
         o = np.lexsort((g["event_id"].to_numpy(),
@@ -1308,7 +1145,7 @@ def events_attribution(sf_dir: str,
     a shifted lookup — no per-user Python. Partitions emit per-channel
     sufficient stats (n, sum value); the driver folds |channels|+1
     rows. ROUND-2 on the revenue sum (the revenue-query convention)."""
-    P = _n_parts()
+    P = X.n_parts()
     out_schema = pa.schema([("touch_type", pa.string()),
                             ("n_purchases", pa.int64()),
                             ("total_value", pa.float64())])
@@ -1356,11 +1193,8 @@ def events_attribution(sf_dir: str,
             "part", pa.array(t.column("user_id").to_numpy() % P)),
         batch_format="pyarrow",
     )
-    parts = pa.concat_tables(
-        [out_schema.empty_table()] +
-        [b.select(out_schema.names).cast(out_schema) for b in
-         ds.groupby("part").map_groups(attr_part, batch_format="pandas")
-         .iter_batches(batch_format="pyarrow", batch_size=None)])
+    parts = X.collect(ds.groupby("part").map_groups(
+        attr_part, batch_format="pandas"), out_schema)
     g = parts.group_by("touch_type").aggregate(
         [("n_purchases", "sum"), ("total_value", "sum")])
     return pa.table({
@@ -1385,7 +1219,7 @@ def events_cohort_ltv(sf_dir: str):
     plain partial sums; inside a partition one lexsort, segment-start
     cohort lookup, and composite-key unique folds. The driver merges
     cells x partitions rows (bounded by the corpus time span)."""
-    P = _n_parts()
+    P = X.n_parts()
     W_US = 604800 * 1_000_000  # one week of microseconds
     out_schema = pa.schema([
         ("cohort_week", pa.int64()), ("age_weeks", pa.int64()),
@@ -1431,11 +1265,8 @@ def events_cohort_ltv(sf_dir: str):
             "part", pa.array(t.column("user_id").to_numpy() % P)),
         batch_format="pyarrow",
     )
-    parts = pa.concat_tables(
-        [out_schema.empty_table()] +
-        [b.select(out_schema.names).cast(out_schema) for b in
-         ds.groupby("part").map_groups(cohort_part, batch_format="pandas")
-         .iter_batches(batch_format="pyarrow", batch_size=None)])
+    parts = X.collect(ds.groupby("part").map_groups(
+        cohort_part, batch_format="pandas"), out_schema)
     g = parts.group_by(["cohort_week", "age_weeks"]).aggregate(
         [("n_users", "sum"), ("n_events", "sum"), ("revenue", "sum")])
     return pa.table({
@@ -1473,8 +1304,6 @@ def events_ab_ttest(sf_dir: str):
                       ("sv", pa.float64()), ("svv", pa.float64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return PART.empty_table()
         uid_s = pa.table(
             {"u": t.column("user_id").cast(pa.string())})
         h = D.add_text_hash(uid_s, column="u").column(
@@ -1492,10 +1321,7 @@ def events_ab_ttest(sf_dir: str):
     OUT = pa.schema([("n_a", pa.int64()), ("n_b", pa.int64()),
                      ("mean_a", pa.float64()), ("mean_b", pa.float64()),
                      ("t_stat", pa.float64())])
-    parts = pa.concat_tables(
-        [PART.empty_table()]
-        + list(ds.map_batches(partial, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None)))
+    parts = X.fold(ds, partial, PART)
     g = parts.group_by("arm").aggregate(
         [("n", "sum"), ("sv", "sum"), ("svv", "sum")])
     idx = g.column("arm").to_numpy(zero_copy_only=False)
@@ -1530,7 +1356,7 @@ def events_user_features(sf_dir: str):
     partition vectorized: one lexsort per distinct-feature, segment
     boundaries, bincount folds. Output is user-sized (the op's own
     output), per-partition."""
-    P = _n_parts()
+    P = X.n_parts()
 
     def feats_part(g: pd.DataFrame) -> pd.DataFrame:
         uid = g["user_id"].to_numpy()
@@ -1590,7 +1416,7 @@ def events_sessionize_salted(sf_dir: str, gap_minutes: int = 30,
     Partitioning assumption: one user's SESSIONS (not events) fit in a
     worker; the bucket granularity is the skew knob."""
 
-    P = _n_parts()
+    P = X.n_parts()
 
     def partial_sessions_part(g: pd.DataFrame) -> pd.DataFrame:
         # all (user, bucket) groups of one hash partition, vectorized:
@@ -1657,7 +1483,6 @@ def events_sessionize_salted(sf_dir: str, gap_minutes: int = 30,
 
 __all__ = [
     "customer_nation_agg",
-    "_table_shard",
     "_SEMI_ORD",
     "_semi_orders_combine",
     "orders_with_returns",

@@ -18,6 +18,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from .. import exchange as X
 from ..functions import dedup as D
 from ..functions import similarity as S
 from ..functions import text as T
@@ -59,12 +60,9 @@ def emb_triplet_mining(sf_dir: str, n_anchors: int = 10):
     OFF = 2_000_000  # makes the floored cos term non-negative
 
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding", "label"])
-    head = pa.concat_tables(
-        ds.map_batches(
-            lambda t: t.sort_by("vec_id").slice(0, n_anchors),
-            batch_format="pyarrow",
-        ).iter_batches(batch_format="pyarrow", batch_size=None)
-    ).sort_by("vec_id").slice(0, n_anchors)
+    head = X.fold(ds, lambda t: t.sort_by("vec_id").slice(0, n_anchors),
+                  ds.schema().base_schema)
+    head = head.sort_by("vec_id").slice(0, n_anchors)
     a_ids = head.column("vec_id").to_numpy(zero_copy_only=False)
     a_lab = head.column("label").to_numpy(zero_copy_only=False)
     a_m = D.normalize_rows(S.embedding_matrix(head))
@@ -74,8 +72,6 @@ def emb_triplet_mining(sf_dir: str, n_anchors: int = 10):
                              ("key", pa.int64())])
 
     def block_best(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
         aid, alab, am = ray.get(a_ref)
         ids = t.column("vec_id").to_numpy(
             zero_copy_only=False).astype(np.int64)
@@ -103,10 +99,7 @@ def emb_triplet_mining(sf_dir: str, n_anchors: int = 10):
             "key": pa.array([r[2] for r in rows], pa.int64()),
         })
 
-    parts = pa.concat_tables(
-        [part_schema.empty_table()] +
-        list(ds.map_batches(block_best, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow", batch_size=None)))
+    parts = X.fold(ds, block_best, part_schema)
     out_schema = pa.schema([
         ("anchor_id", pa.int64()), ("anchor_label", pa.int64()),
         ("pos_id", pa.int64()), ("neg_id", pa.int64()),
@@ -145,11 +138,6 @@ def emb_label_centroids(sf_dir: str):
         if isinstance(emb, pa.ChunkedArray):
             emb = emb.combine_chunks()
         n = len(emb)
-        if n == 0:
-            return pa.table({"label": pa.array([], type=pa.int64()),
-                             "dim": pa.array([], type=pa.int64()),
-                             "s": pa.array([], type=pa.float64()),
-                             "cnt": pa.array([], type=pa.int64())})
         offs = emb.offsets.to_numpy(zero_copy_only=False)
         widths = np.diff(offs)
         d = int(widths[0])
@@ -168,11 +156,10 @@ def emb_label_centroids(sf_dir: str):
             "cnt": pa.array(np.repeat(cnts, d)),
         })
 
-    parts = pa.concat_tables(
-        _read(sf_dir, "embeddings", columns=["label", "embedding"])
-        .map_batches(partial, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow", batch_size=None)
-    )
+    parts = X.fold(
+        _read(sf_dir, "embeddings", columns=["label", "embedding"]), partial,
+        pa.schema([("label", pa.int64()), ("dim", pa.int64()),
+                   ("s", pa.float64()), ("cnt", pa.int64())]))
     g = parts.group_by(["label", "dim"]).aggregate([("s", "sum"), ("cnt", "sum")])
     centroid = pc.round(pc.divide(g.column("s_sum"),
                                   g.column("cnt_sum").cast(pa.float64())), 4)
@@ -201,11 +188,10 @@ def events_props_extract(sf_dir: str):
             "k": k,
         }).group_by("event_type").aggregate([("k", "sum"), ("k", "count")])
 
-    parts = pa.concat_tables(
-        _read(sf_dir, "events", columns=["event_type", "props"])
-        .map_batches(partial, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow", batch_size=None)
-    )
+    parts = X.fold(_read(sf_dir, "events", columns=["event_type", "props"]),
+                   partial, pa.schema([("event_type", pa.string()),
+                                       ("k_sum", pa.int64()),
+                                       ("k_count", pa.int64())]))
     g = parts.group_by("event_type").aggregate(
         [("k_sum", "sum"), ("k_count", "sum")])
     return pa.table({
@@ -232,7 +218,7 @@ def events_asof_join(sf_dir: str, left_type: str = "purchase",
     event_id (-1 = none) and the gap in microseconds.
     Partitioning assumption: one hash partition of users fits a worker
     (same contract as events_sessionize)."""
-    P = _n_parts()
+    P = X.n_parts()
 
     def keep_and_part(t: pa.Table) -> pa.Table:
         et = t.column("event_type")
@@ -298,7 +284,7 @@ def events_window_join(sf_dir: str, left_type: str = "purchase",
     half-open interval exactly.
     Partitioning assumption: one hash partition of users fits a worker
     (same contract as events_sessionize)."""
-    P = _n_parts()
+    P = X.n_parts()
     win_us = np.int64(window_minutes) * 60 * 1_000_000
 
     def keep_and_part(t: pa.Table) -> pa.Table:
@@ -378,11 +364,9 @@ def events_hourly(sf_dir: str):
         return g.rename_columns(["event_type", "hour", "sum_value", "n_events"])
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-    parts = pa.concat_tables(
-        ds.map_batches(partial, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None
-        )
-    )
+    parts = X.fold(ds, partial, pa.schema([
+        ("event_type", pa.string()), ("hour", pa.timestamp("us")),
+        ("sum_value", pa.float64()), ("n_events", pa.int64())]))
     g = parts.group_by(["event_type", "hour"]).aggregate(
         [("sum_value", "sum"), ("n_events", "sum")]
     )
@@ -404,7 +388,7 @@ def events_daily_active(sf_dir: str):
     partition dedupes and counts per day, and the driver folds
     P x |days| tiny partials. Distinct users are unbounded at scale —
     nothing user-sized ever lands on the driver."""
-    P = max(2, _n_parts())
+    P = X.n_parts()
 
     def pair_shard(block: pa.Table) -> list:
         day = pc.floor_temporal(block.column("ts"), unit="day")
@@ -413,43 +397,26 @@ def events_daily_active(sf_dir: str):
         }).group_by(["day", "user_id"]).aggregate([])
         u = pairs.column("user_id").to_numpy(
             zero_copy_only=False).astype(np.int64)
-        if not len(u):
-            return [pairs for _ in range(P)]
-        part = _lp_partition(u, P)
-        order = np.argsort(part, kind="stable")
-        sorted_tbl = pairs.take(pa.array(order))
-        bounds = np.searchsorted(part[order], np.arange(P + 1))
-        return [sorted_tbl.slice(s, e - s)
-                for s, e in zip(bounds[:-1], bounds[1:])]
+        return X.split(X.fib_partition(u, P), P, pairs)
 
     PARTIAL = pa.schema([("day", pa.timestamp("us")), ("n", pa.int64())])
 
     def dau_combine(*tables) -> pa.Table:
-        t = pa.concat_tables([x for x in tables if x.num_rows])
-        if t.num_rows == 0:
-            return PARTIAL.empty_table()
+        t = pa.concat_tables(tables)
         dd = t.group_by(["day", "user_id"]).aggregate([])
         g = dd.group_by("day").aggregate([([], "count_all")])
         return g.rename_columns(["day", "n"]).cast(PARTIAL)
 
     ds = _read(sf_dir, "events", columns=["ts", "user_id"])
     OUT = pa.schema([("day", pa.timestamp("us")), ("n_users", pa.int64())])
-    refs = [block_ref for bundle in ds.iter_internal_ref_bundles()
-            for block_ref, _md in bundle.blocks if _md.num_rows]
-    if not refs:
-        return OUT.empty_table()
-    shard = ray.remote(pair_shard)
-    sl = [shard.options(num_returns=P).remote(r) for r in refs]
-    combine = ray.remote(dau_combine)
-    outs = ray.get([combine.remote(*[s[p] for s in sl])
-                    for p in range(P)])
-    merged = pa.concat_tables([PARTIAL.empty_table()] + outs)
+    sl = X.shard(pair_shard, X.block_refs(ds), P)
+    merged = X.gather(X.combine(dau_combine, sl, out_schema=PARTIAL), PARTIAL)
     g = merged.group_by("day").aggregate([("n", "sum")])
     order = pc.sort_indices(g.column("day"))
     return pa.table({
         "day": g.column("day").take(order),
         "n_users": g.column("n_sum").take(order).cast(pa.int64()),
-    })
+    }, schema=OUT)
 
 
 _ANOM_MAD = pa.schema([
@@ -482,13 +449,12 @@ def events_anomaly_mad(sf_dir: str, threshold: float = 3.0):
         }).group_by(["event_type", "day"]).aggregate([([], "count_all")])
         return g.rename_columns(["event_type", "day", "n"])
 
-    parts = [b for b in ds.map_batches(
-        partial, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow", batch_size=None) if b.num_rows]
-    if not parts:
+    parts = X.fold(ds, partial, pa.schema([("event_type", pa.string()),
+                                           ("day", pa.timestamp("us")),
+                                           ("n", pa.int64())]))
+    if not parts.num_rows:
         return _ANOM_MAD.empty_table()
-    g = pa.concat_tables(parts).group_by(
-        ["event_type", "day"]).aggregate([("n", "sum")])
+    g = parts.group_by(["event_type", "day"]).aggregate([("n", "sum")])
     df = g.to_pandas().rename(columns={"n_sum": "n"}).sort_values(
         ["event_type", "day"]).reset_index(drop=True)
     ets, days, ns, meds, mads, flags = [], [], [], [], [], []
@@ -523,7 +489,7 @@ def events_funnel(sf_dir: str,
     (-1 = not reached).
 
     Engine shape: hash-partition by user (partition-grouped,
-    ``_n_parts``) so every user's history is co-located, then one fully
+    ``exchange.n_parts``) so every user's history is co-located, then one fully
     vectorized pass per partition — per-user first-event times via
     lexsort + segment-first, the at-or-after gate via a searchsorted
     lookup of the previous stage's time. No per-user Python, no
@@ -532,7 +498,7 @@ def events_funnel(sf_dir: str,
     family generalized to ordered multi-step conversion
     (metrics/SBOMetrics.go:64-90 holds per-key time windows; this holds
     per-user stage fronts)."""
-    P = _n_parts()
+    P = X.n_parts()
     SENT = np.iinfo(np.int64).max
 
     def funnel_part(g: pd.DataFrame) -> pd.DataFrame:
@@ -580,17 +546,11 @@ def events_funnel(sf_dir: str,
         .groupby("part")
         .map_groups(funnel_part, batch_format="pandas")
     )
-    batches = list(out_ds.iter_batches(batch_format="pyarrow",
-                                       batch_size=None))
-    schema = pa.schema([
+    return X.collect(out_ds, pa.schema([
         ("user_id", pa.int64()), ("max_stage", pa.int64()),
         ("t_stage1_us", pa.int64()), ("t_stage2_us", pa.int64()),
         ("t_stage3_us", pa.int64()),
-    ])
-    if not batches:
-        return schema.empty_table()
-    return pa.concat_tables(
-        [b.select(schema.names).cast(schema) for b in batches])
+    ]))
 
 
 _BM25 = pa.schema([("doc_id", pa.int64()), ("score", pa.float64())])
@@ -630,8 +590,6 @@ def doc_bm25_topk(sf_dir: str, k: int = 100, n_terms: int = 3,
         col = t.column("text")
         col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
         ts = ray.get(tref)
-        if len(col) == 0:
-            return _BM25_STAT.empty_table()
         toks = pc.split_pattern(col.cast(pa.string()), " ")
         lens = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
         doc_idx = np.repeat(np.arange(len(col), dtype=np.int64), lens)
@@ -653,18 +611,15 @@ def doc_bm25_topk(sf_dir: str, k: int = 100, n_terms: int = 3,
         }, schema=_BM25_STAT)
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    df_tot = np.zeros(len(terms_sorted), dtype=np.int64)
-    dl_sum = 0
-    n_docs = 0
-    for bt in ds.map_batches(stat_partial, batch_format="pyarrow") \
-            .iter_batches(batch_format="pyarrow", batch_size=None):
-        if bt.num_rows == 0:
-            continue
-        tarr = np.array(bt.column("term").to_pylist(), dtype=object)
-        order = np.argsort(tarr)
-        df_tot += bt.column("df").to_numpy(zero_copy_only=False)[order]
-        dl_sum += int(bt.column("dl_sum")[0].as_py())
-        n_docs += int(bt.column("n_docs")[0].as_py())
+    # every block partial is one row per term, in terms_sorted order
+    st = X.fold(ds, stat_partial, _BM25_STAT)
+    nt = len(terms_sorted)
+    df_tot = st.column("df").to_numpy(zero_copy_only=False) \
+        .reshape(-1, nt).sum(axis=0)
+    dl_sum = int(st.column("dl_sum").to_numpy(zero_copy_only=False)[::nt]
+                 .sum())
+    n_docs = int(st.column("n_docs").to_numpy(zero_copy_only=False)[::nt]
+                 .sum())
     if n_docs == 0:
         return _BM25.empty_table()
     avgdl = dl_sum / n_docs
@@ -674,8 +629,6 @@ def doc_bm25_topk(sf_dir: str, k: int = 100, n_terms: int = 3,
     def score_topk(t: pa.Table) -> pa.Table:
         col = t.column("text")
         col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        if len(col) == 0:
-            return _BM25.empty_table()
         ts, idf_b, avg_b = ray.get(sref)
         nt = len(ts)
         toks = pc.split_pattern(col.cast(pa.string()), " ")
@@ -704,12 +657,7 @@ def doc_bm25_topk(sf_dir: str, k: int = 100, n_terms: int = 3,
                          "score": pa.array(np.round(score[order], 6))},
                         schema=_BM25)
 
-    parts = [x for x in ds.map_batches(score_topk, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow", batch_size=None)
-             if x.num_rows]
-    if not parts:
-        return _BM25.empty_table()
-    merged = pa.concat_tables(parts)
+    merged = X.fold(ds, score_topk, _BM25)
     ids = merged.column("doc_id").to_numpy(zero_copy_only=False)
     sc = merged.column("score").to_numpy(zero_copy_only=False)
     order = np.lexsort((ids, -sc))[:k]
@@ -757,19 +705,15 @@ def doc_tfidf(sf_dir: str, k: int = 3):
                                if g.num_rows else [], pa.int64()))
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    parts = list(docs.map_batches(
-        df_partial, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow", batch_size=None))
-    empty = pa.schema([
+    merged = X.fold(docs, df_partial, pa.schema([
+        ("token", pa.string()), ("df_n", pa.int64()), ("n_docs", pa.int64())]))
+    out_schema = pa.schema([
         ("doc_id", pa.int64()), ("token", pa.string()),
         ("score", pa.float64()), ("rnk", pa.int64()),
-    ]).empty_table()
-    if not parts:
-        return empty
-    merged = pa.concat_tables(parts)
+    ])
     n_docs = int(pc.sum(merged.column("n_docs")).as_py() or 0)
     if n_docs == 0:
-        return empty
+        return out_schema.empty_table()
     dfa = merged.group_by("token").aggregate([("df_n", "sum")])
     # broadcast the vocabulary SORTED: index_in positions then double as
     # the alphabetical tie-break codes (token ASC), globally consistent
@@ -813,10 +757,7 @@ def doc_tfidf(sf_dir: str, k: int = 3):
             "rnk": pa.array(rank[rank < k] + 1, pa.int64()),
         })
 
-    out = list(docs.map_batches(
-        topk_scores, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow", batch_size=None))
-    return pa.concat_tables(out) if out else empty
+    return X.fold(docs, topk_scores, out_schema)
 
 
 def emb_knn_join(sf_dir: str, k: int = 5, n_chunks: int | None = None):
@@ -855,7 +796,7 @@ def emb_knn_join(sf_dir: str, k: int = 5, n_chunks: int | None = None):
         # the whole read an extra time just to size B (VERDICT r3 #7).
         n = _parquet_num_rows(sf_dir, "embeddings")
         B = int(min(128, max(4, np.sqrt(2 * _cpus()), -(-n // 1000))))
-    P = _n_parts()
+    P = X.n_parts()
 
     def _rank_topk(flat_cos, rows, cols, row_ids):
         """top-k rows per `rows` group under (cos desc, col asc)."""
@@ -962,16 +903,10 @@ def emb_knn_join(sf_dir: str, k: int = 5, n_chunks: int | None = None):
         .groupby("part")
         .map_groups(final_part, batch_format="pandas")
     )
-    out = list(partials.iter_batches(batch_format="pyarrow",
-                                     batch_size=None))
-    schema = pa.schema([
+    return X.collect(partials, pa.schema([
         ("vec_id", pa.int64()), ("neighbor_id", pa.int64()),
         ("cos", pa.float64()), ("rnk", pa.int64()),
-    ])
-    if not out:
-        return schema.empty_table()
-    return pa.concat_tables([b.select(schema.names).cast(schema)
-                             for b in out])
+    ]))
 
 
 def supplier_nation_revenue(sf_dir: str):
@@ -984,14 +919,12 @@ def supplier_nation_revenue(sf_dir: str):
     the driver merges |nations| rows. No shuffle at all — the 100-TB
     shape for dimension-join aggregation (two chained Dataset.joins
     would pay two all-to-all exchanges for the same answer)."""
-    supplier = pa.concat_tables(
-        _read(sf_dir, "supplier",
-              columns=["s_suppkey", "s_nationkey"]).iter_batches(
-            batch_format="pyarrow", batch_size=None))
-    nation = pa.concat_tables(
-        _read(sf_dir, "nation",
-              columns=["n_nationkey", "n_name"]).iter_batches(
-            batch_format="pyarrow", batch_size=None))
+    supplier = X.collect(
+        _read(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"]),
+        pa.schema([("s_suppkey", pa.int64()), ("s_nationkey", pa.int32())]))
+    nation = X.collect(
+        _read(sf_dir, "nation", columns=["n_nationkey", "n_name"]),
+        pa.schema([("n_nationkey", pa.int32()), ("n_name", pa.string())]))
     n_name = dict(zip(nation.column("n_nationkey").to_pylist(),
                       nation.column("n_name").to_pylist()))
     lookup = {
@@ -1017,13 +950,10 @@ def supplier_nation_revenue(sf_dir: str):
 
     ds = _read(sf_dir, "lineitem",
                columns=["l_suppkey", "l_extendedprice", "l_discount"])
-    parts = list(ds.map_batches(partial, batch_format="pyarrow")
-                 .iter_batches(batch_format="pyarrow", batch_size=None))
-    if not parts:
-        return pa.schema([("n_name", pa.string()),
-                          ("n_items", pa.int64()),
-                          ("revenue", pa.float64())]).empty_table()
-    g = pa.concat_tables(parts).group_by("n_name").aggregate(
+    parts = X.fold(ds, partial, pa.schema([("n_name", pa.string()),
+                                           ("revenue", pa.float64()),
+                                           ("n_items", pa.int64())]))
+    g = parts.group_by("n_name").aggregate(
         [("revenue", "sum"), ("n_items", "sum")])
     g = g.rename_columns(["n_name", "revenue", "n_items"])
     return pa.table({
@@ -1043,7 +973,7 @@ def events_retention(sf_dir: str):
     by segment-first forward-fill; per-partition (cohort, offset)
     partial counts add across partitions because users never span
     partitions. Driver merges the tiny |days|^2/2-bounded matrix."""
-    P = _n_parts()
+    P = X.n_parts()
 
     def retention_part(g: pd.DataFrame) -> pd.DataFrame:
         u = g["user_id"].to_numpy()
@@ -1075,15 +1005,10 @@ def events_retention(sf_dir: str):
         .groupby("part")
         .map_groups(retention_part, batch_format="pandas")
     )
-    parts = list(parts_ds.iter_batches(batch_format="pyarrow",
-                                       batch_size=None))
-    schema = pa.schema([
-        ("cohort_day", pa.timestamp("us")), ("offset_days", pa.int64()),
-        ("n_users", pa.int64()),
-    ])
-    if not parts:
-        return schema.empty_table()
-    g = pa.concat_tables(parts).group_by(
+    parts = X.collect(parts_ds, pa.schema([
+        ("cohort_day_i", pa.int64()), ("offset_days", pa.int64()),
+        ("n_users", pa.int64())]))
+    g = parts.group_by(
         ["cohort_day_i", "offset_days"]).aggregate([("n_users", "sum")])
     cohort_us = g.column("cohort_day_i").to_numpy(
         zero_copy_only=False).astype("datetime64[D]").astype(
@@ -1125,14 +1050,10 @@ def part_brand_revenue(sf_dir: str):
         return g.rename_columns(["p_brand", "sum_qty", "revenue",
                                  "n_items"])
 
-    parts = list(joined.map_batches(partial, batch_format="pyarrow")
-                 .iter_batches(batch_format="pyarrow", batch_size=None))
-    if not parts:
-        return pa.schema([("p_brand", pa.string()),
-                          ("n_items", pa.int64()),
-                          ("sum_qty", pa.float64()),
-                          ("revenue", pa.float64())]).empty_table()
-    g = pa.concat_tables(parts).group_by("p_brand").aggregate(
+    parts = X.fold(joined, partial, pa.schema([
+        ("p_brand", pa.string()), ("sum_qty", pa.float64()),
+        ("revenue", pa.float64()), ("n_items", pa.int64())]))
+    g = parts.group_by("p_brand").aggregate(
         [("sum_qty", "sum"), ("revenue", "sum"), ("n_items", "sum")])
     g = g.rename_columns(["p_brand", "sum_qty", "revenue", "n_items"])
     return pa.table({
@@ -1151,14 +1072,12 @@ def region_revenue_by_year(sf_dir: str):
     happens driver-side on 25+5 rows; the year is extracted
     vectorized; per-block partials keep post-join traffic at
     |regions x years| rows per block."""
-    nation = pa.concat_tables(
-        _read(sf_dir, "nation",
-              columns=["n_nationkey", "n_regionkey"]).iter_batches(
-            batch_format="pyarrow", batch_size=None))
-    region = pa.concat_tables(
-        _read(sf_dir, "region",
-              columns=["r_regionkey", "r_name"]).iter_batches(
-            batch_format="pyarrow", batch_size=None))
+    nation = X.collect(
+        _read(sf_dir, "nation", columns=["n_nationkey", "n_regionkey"]),
+        pa.schema([("n_nationkey", pa.int32()), ("n_regionkey", pa.int32())]))
+    region = X.collect(
+        _read(sf_dir, "region", columns=["r_regionkey", "r_name"]),
+        pa.schema([("r_regionkey", pa.int32()), ("r_name", pa.string())]))
     r_name = dict(zip(region.column("r_regionkey").to_pylist(),
                       region.column("r_name").to_pylist()))
     lookup = {
@@ -1189,13 +1108,10 @@ def region_revenue_by_year(sf_dir: str):
             [("revenue", "sum"), ("revenue", "count")])
         return g.rename_columns(["r_name", "year", "revenue", "n_orders"])
 
-    parts = list(joined.map_batches(partial, batch_format="pyarrow")
-                 .iter_batches(batch_format="pyarrow", batch_size=None))
-    if not parts:
-        return pa.schema([("r_name", pa.string()), ("year", pa.int64()),
-                          ("n_orders", pa.int64()),
-                          ("revenue", pa.float64())]).empty_table()
-    g = pa.concat_tables(parts).group_by(["r_name", "year"]).aggregate(
+    parts = X.fold(joined, partial, pa.schema([
+        ("r_name", pa.string()), ("year", pa.int64()),
+        ("revenue", pa.float64()), ("n_orders", pa.int64())]))
+    g = parts.group_by(["r_name", "year"]).aggregate(
         [("revenue", "sum"), ("n_orders", "sum")])
     g = g.rename_columns(["r_name", "year", "revenue", "n_orders"])
     return pa.table({
@@ -1213,13 +1129,9 @@ def _unigram_vocab_ref(docs):
     broadcast ONCE sorted with its count array so scoring passes work
     entirely in index_in positions. Returns (object ref to
     (sorted_vocab, counts_f64), total_tokens) or (None, 0) on empty."""
-    parts = list(docs.map_batches(
-        T.vocab_partial, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow", batch_size=None))
-    if not parts:
-        return None, 0
-    agg = pa.concat_tables(parts).group_by("token").aggregate(
-        [("n", "sum")])
+    agg = X.fold(docs, T.vocab_partial, pa.schema([
+        ("token", pa.string()), ("n", pa.int64())])).group_by(
+        "token").aggregate([("n", "sum")])
     total = int(pc.sum(agg.column("n_sum")).as_py() or 0)
     if total == 0:
         return None, 0
@@ -1276,9 +1188,7 @@ def doc_unigram_logprob(sf_dir: str):
                 np.round(lp_sum / np.maximum(n_tok, 1), 6)),
         })
 
-    out = list(docs.map_batches(score, batch_format="pyarrow")
-               .iter_batches(batch_format="pyarrow", batch_size=None))
-    return pa.concat_tables(out) if out else empty
+    return X.fold(docs, score, empty.schema)
 
 
 def doc_bigram_logprob(sf_dir: str, k_big: int = 2000,
@@ -1361,9 +1271,7 @@ def doc_bigram_logprob(sf_dir: str, k_big: int = 2000,
                 np.round(lp_sum[keep] / n_pairs[keep], 6)),
         })
 
-    out = list(docs.map_batches(score, batch_format="pyarrow")
-               .iter_batches(batch_format="pyarrow", batch_size=None))
-    return pa.concat_tables(out) if out else empty
+    return X.fold(docs, score, empty.schema)
 
 
 _CCNET_SCHEMA = pa.schema([
@@ -1385,18 +1293,12 @@ def _ccnet_slice(block: pa.Table, splits: np.ndarray) -> list:
     (searchsorted side='right': equal keys always land in one range,
     so cross-range order == key order regardless of split quality).
     16 bytes/row leave the scan."""
-    P = len(splits) + 1
     ids = block.column("doc_id").to_numpy(
         zero_copy_only=False).astype(np.int64)
     keys = block.column("key").to_numpy(
         zero_copy_only=False).astype(np.int64)
-    if not len(ids):
-        return [(ids, keys) for _ in range(P)]
-    part = np.searchsorted(splits, keys, side="right")
-    order = np.argsort(part, kind="stable")
-    ids, keys = ids[order], keys[order]
-    bounds = np.searchsorted(part[order], np.arange(P + 1))
-    return [(ids[s:e], keys[s:e]) for s, e in zip(bounds[:-1], bounds[1:])]
+    return X.split(np.searchsorted(splits, keys, side="right"),
+                   len(splits) + 1, ids, keys)
 
 
 def _ccnet_rank(base: int, n_total: int, *shards) -> pa.Table:
@@ -1479,32 +1381,24 @@ def doc_ccnet_buckets(sf_dir: str, sample_per_block: int = 64):
         })
 
     scored = docs.map_batches(score_keys, batch_format="pyarrow")
-    refs = [block_ref for bundle in scored.iter_internal_ref_bundles()
-            for block_ref, _md in bundle.blocks if _md.num_rows]
+    refs = X.block_refs(scored)
     if not refs:
         return rd.from_arrow(_CCNET_SCHEMA.empty_table())
-    P = max(2, _n_parts())
+    P = X.n_parts()
     sample_task = ray.remote(_ccnet_sample)
     sample = np.sort(np.concatenate(ray.get(
         [sample_task.remote(r, sample_per_block) for r in refs])))
     splits = np.unique(
         sample[(np.arange(1, P) * len(sample)) // P]) \
         if len(sample) else np.array([], dtype=np.int64)
-    P_eff = len(splits) + 1
-    slice_task = ray.remote(_ccnet_slice)
-    sl = [slice_task.options(num_returns=P_eff).remote(r, splits)
-          for r in refs]
-    if P_eff == 1:
-        sl = [[s] for s in sl]
-    count_task = ray.remote(_shuf_count)
-    counts = ray.get([count_task.remote(*[s[p] for s in sl])
-                      for p in range(P_eff)])
+    sl = X.shard(_ccnet_slice, refs, len(splits) + 1, splits)
+    counts = ray.get(X.combine(_shuf_count, sl))
     n_total = int(sum(counts))
-    bases = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    bases = np.cumsum(counts) - counts
+    # one rank task per key range, each with its own prefix-sum base
     rank_task = ray.remote(_ccnet_rank)
-    outs = [rank_task.remote(int(bases[p]), n_total, *[s[p] for s in sl])
-            for p in range(P_eff)]
-    return rd.from_arrow_refs(outs)
+    return rd.from_arrow_refs([rank_task.remote(int(b), n_total, *part)
+                               for b, part in zip(bases, sl)])
 
 
 __all__ = [

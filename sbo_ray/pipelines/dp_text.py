@@ -18,6 +18,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from .. import exchange as X
 from ..functions import dedup as D
 from ..functions import similarity as S
 from ..functions import text as T
@@ -223,10 +224,10 @@ def doc_pack_sequences(sf_dir: str, seq_len: int = 512,
               plus the broadcast base, yields exact global offsets.
 
     Offsets are exact and independent of block/partition boundaries.
-    Partitioning assumption (same as ``_n_parts``): one hash partition
-    of (doc_id, n_tokens) rows fits in a worker."""
+    Partitioning assumption (same as ``exchange.n_parts``): one hash
+    partition of (doc_id, n_tokens) rows fits in a worker."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    P = _n_parts()
+    P = X.n_parts()
 
     def _tok_counts(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
         col = t.column("text")
@@ -244,25 +245,7 @@ def doc_pack_sequences(sf_dir: str, seq_len: int = 512,
         return pa.table({"chunk": pa.array(uk, pa.int64()),
                          "tok_sum": pa.array(sums, pa.int64())})
 
-    parts = list(ds.map_batches(
-        chunk_partials, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow", batch_size=None))
-    empty = pa.schema([
-        ("doc_id", pa.int64()), ("n_tokens", pa.int64()),
-        ("tok_offset", pa.int64()), ("seq_first", pa.int64()),
-        ("seq_last", pa.int64()),
-    ]).empty_table()
-    if not parts:
-        return empty
-    merged = pa.concat_tables(parts).group_by("chunk").aggregate(
-        [("tok_sum", "sum")])
-    order = pc.sort_indices(merged.column("chunk"))
-    chunk_ids = merged.column("chunk").take(order).to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    sums = merged.column("tok_sum_sum").take(order).to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    bases = np.cumsum(sums) - sums  # exclusive: tokens before this chunk
-    base_ref = ray.put((chunk_ids, bases))
+    base_ref = ray.put(X.chunk_bases(X.fold(ds, chunk_partials, X.CHUNK_SUMS)))
 
     def id_count_rows(t: pa.Table) -> pa.Table:
         ids, n_tok = _tok_counts(t)
@@ -292,12 +275,11 @@ def doc_pack_sequences(sf_dir: str, seq_len: int = 512,
             "seq_last": (off + nt_s - 1) // seq_len,
         })
 
-    out = list(ds.map_batches(id_count_rows, batch_format="pyarrow")
-               .groupby("part").map_groups(pack_part)
-               .iter_batches(batch_format="pyarrow", batch_size=None))
-    if not out:
-        return empty
-    return pa.concat_tables(out).select(empty.schema.names).cast(empty.schema)
+    return X.collect(ds.map_batches(id_count_rows, batch_format="pyarrow")
+                     .groupby("part").map_groups(pack_part), pa.schema([
+                         ("doc_id", pa.int64()), ("n_tokens", pa.int64()),
+                         ("tok_offset", pa.int64()), ("seq_first", pa.int64()),
+                         ("seq_last", pa.int64())]))
 
 
 def doc_pack_materialize(sf_dir: str, seq_len: int = 512,
@@ -319,7 +301,7 @@ def doc_pack_materialize(sf_dir: str, seq_len: int = 512,
     Partitioning assumption: one doc-id chunk partition of TEXT fits
     in a worker; lower ``chunk_docs`` for huge docs."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    P = _n_parts()
+    P = X.n_parts()
 
     def chunk_partials(t: pa.Table) -> pa.Table:
         col = t.column("text")
@@ -333,24 +315,14 @@ def doc_pack_materialize(sf_dir: str, seq_len: int = 512,
         return pa.table({"chunk": pa.array(uk, pa.int64()),
                          "tok_sum": pa.array(sums, pa.int64())})
 
-    parts = list(ds.map_batches(
-        chunk_partials, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow", batch_size=None))
-    empty = pa.schema([
+    out_schema = pa.schema([
         ("doc_id", pa.int64()), ("seq_id", pa.int64()),
         ("n_frag_tokens", pa.int64()), ("frag_text", pa.string()),
-    ]).empty_table()
-    if not parts:
-        return rd.from_arrow(empty)
-    merged = pa.concat_tables(parts).group_by("chunk").aggregate(
-        [("tok_sum", "sum")])
-    order = pc.sort_indices(merged.column("chunk"))
-    chunk_ids = merged.column("chunk").take(order).to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    sums = merged.column("tok_sum_sum").take(order).to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    bases = np.cumsum(sums) - sums
-    base_ref = ray.put((chunk_ids, bases))
+    ])
+    sums = X.fold(ds, chunk_partials, X.CHUNK_SUMS)
+    if not sums.num_rows:
+        return rd.from_arrow(out_schema.empty_table())
+    base_ref = ray.put(X.chunk_bases(sums))
 
     def add_part(t: pa.Table) -> pa.Table:
         ids = t.column("doc_id").to_numpy(zero_copy_only=False)
@@ -397,8 +369,6 @@ def doc_pack_materialize(sf_dir: str, seq_len: int = 512,
             "frag_text": frag_text.to_pandas(),
         })
 
-    out_schema = empty.schema
-
     def project(t: pa.Table) -> pa.Table:
         return t.select(out_schema.names).cast(out_schema)
 
@@ -431,7 +401,7 @@ def doc_paragraph_dedup(sf_dir: str, shared_mod: int = 7):
     the STRING, so a 64-bit hash collision can only co-locate, never
     merge, distinct paragraphs. No driver state, no broadcast."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    P = _n_parts()
+    P = X.n_parts()
 
     def explode(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id")
@@ -459,7 +429,7 @@ def doc_paragraph_dedup(sf_dir: str, shared_mod: int = 7):
             "para": flat,
         }).filter(pc.not_equal(flat, ""))
         t = D.add_text_hash(t, column="para")
-        part = _lp_partition(t.column("text_hash").to_numpy(
+        part = X.fib_partition(t.column("text_hash").to_numpy(
             zero_copy_only=False), P)
         return t.drop_columns(["text_hash"]).append_column(
             "part", pa.array(part))
@@ -516,18 +486,14 @@ def doc_group_topk(sf_dir: str, k: int = 3):
         return df.select(["doc_id", "lang", "n_chars"]).take(pa.array(keep))
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
-    batches = list(
-        ds.map_batches(local_topk, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None))
-    empty = pa.schema([
+    df = X.fold(ds, local_topk, pa.schema([
         ("doc_id", pa.int64()), ("lang", pa.string()),
-        ("n_chars", pa.int64()), ("rnk", pa.int64()),
-    ]).empty_table()
-    if not batches:
-        return empty
-    df = pa.concat_tables(batches).to_pandas()
+        ("n_chars", pa.int64())])).to_pandas()
     if df.empty:
-        return empty
+        return pa.schema([
+            ("doc_id", pa.int64()), ("lang", pa.string()),
+            ("n_chars", pa.int64()), ("rnk", pa.int64()),
+        ]).empty_table()
     df = df.sort_values(["lang", "n_chars", "doc_id"],
                         ascending=[True, False, True], kind="stable")
     df["rnk"] = df.groupby("lang").cumcount() + 1
@@ -623,8 +589,6 @@ def doc_dsir_weights(sf_dir: str, n_buckets: int = 8192,
         return h % B, n_tok
 
     def hist_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return hist_schema.empty_table()
         b, n_tok = _buckets(t)
         is_t = pc.equal(t.column("lang"), target_lang).to_numpy(
             zero_copy_only=False)
@@ -636,10 +600,7 @@ def doc_dsir_weights(sf_dir: str, n_buckets: int = 8192,
                          "cnt_r": pa.array(cr[nz], pa.int64()),
                          "cnt_t": pa.array(ct[nz], pa.int64())})
 
-    parts = pa.concat_tables(
-        [hist_schema.empty_table()] +
-        list(docs.map_batches(hist_partial, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow", batch_size=None)))
+    parts = X.fold(docs, hist_partial, hist_schema)
     if parts.num_rows == 0:
         return empty
     g = parts.group_by("bucket").aggregate([("cnt_r", "sum"),
@@ -655,8 +616,6 @@ def doc_dsir_weights(sf_dir: str, n_buckets: int = 8192,
     lam_ref = ray.put(lam)
 
     def score(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
         lam_v = ray.get(lam_ref)
         b, n_tok = _buckets(t)
         doc_of = np.repeat(np.arange(t.num_rows, dtype=np.int64), n_tok)
@@ -667,9 +626,7 @@ def doc_dsir_weights(sf_dir: str, n_buckets: int = 8192,
             "logw": pa.array(np.round(logw, 6)),
         })
 
-    out = list(docs.map_batches(score, batch_format="pyarrow")
-               .iter_batches(batch_format="pyarrow", batch_size=None))
-    return pa.concat_tables(out).cast(empty.schema) if out else empty
+    return X.fold(docs, score, empty.schema)
 
 
 def doc_entropy(sf_dir: str):
@@ -725,11 +682,9 @@ def doc_vocab_topk(sf_dir: str, k: int = 100):
     natural-language vocabularies (Heaps' law); a truly unbounded token
     space would swap the driver merge for ds.groupby("token").count()
     like metrics' final="groupby" escape hatch."""
-    parts = _read(sf_dir, "documents", columns=["text"]).map_batches(
-        T.vocab_partial, batch_format="pyarrow"
-    )
-    merged = pa.concat_tables(
-        parts.iter_batches(batch_format="pyarrow", batch_size=None))
+    merged = X.fold(_read(sf_dir, "documents", columns=["text"]),
+                    T.vocab_partial, pa.schema([("token", pa.string()),
+                                                ("n", pa.int64())]))
     agg = merged.group_by("token").aggregate([("n", "sum")])
     order = pc.sort_indices(agg, sort_keys=[("n_sum", "descending"),
                                             ("token", "ascending")])
@@ -755,41 +710,31 @@ def _bigram_shard(block: pa.Table, P: int, k: int) -> list:
 
     col = block.column("text")
     col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    empty = _BI.empty_table()
-    if len(col) == 0:
-        return [empty for _ in range(P)]
     words = pc.split_pattern(col.cast(pa.string()), " ")
     vals = words.values
     nv = len(vals)
-    if nv < 2:
-        return [empty for _ in range(P)]
-    big = pc.binary_join_element_wise(
-        vals.slice(0, nv - 1), vals.slice(1), " ")
-    keep = np.ones(nv - 1, dtype=bool)
-    ends = words.offsets.to_numpy().astype(np.int64)[1:] - 1
-    keep[ends[(ends >= 0) & (ends < nv - 1)]] = False
-    vc = pc.value_counts(big.filter(pa.array(keep)))
-    t = pa.table({"bigram": vc.field("values"),
-                  "n": vc.field("counts").cast(pa.int64())}, schema=_BI)
+    t = _BI.empty_table()
+    if nv >= 2:
+        big = pc.binary_join_element_wise(
+            vals.slice(0, nv - 1), vals.slice(1), " ")
+        keep = np.ones(nv - 1, dtype=bool)
+        ends = words.offsets.to_numpy().astype(np.int64)[1:] - 1
+        keep[ends[(ends >= 0) & (ends < nv - 1)]] = False
+        vc = pc.value_counts(big.filter(pa.array(keep)))
+        t = pa.table({"bigram": vc.field("values"),
+                      "n": vc.field("counts").cast(pa.int64())}, schema=_BI)
     part = np.fromiter(
         (zlib.crc32(u.encode("utf-8")) for u in
          t.column("bigram").to_pylist()),
         dtype=np.uint32, count=t.num_rows).astype(np.int64) % P
-    order = np.argsort(part, kind="stable")
-    sorted_t = t.take(pa.array(order))
-    bounds = np.searchsorted(part[order], np.arange(P + 1))
-    return [sorted_t.slice(s, e - s) for s, e in zip(bounds[:-1], bounds[1:])]
+    return X.split(part, P, t)
 
 
 def _bigram_combine(k: int, *shards) -> pa.Table:
     """One hash partition: sum its bigrams' counts and emit the LOCAL
     top-k — correct globally because a bigram lives in exactly one
     partition, so the global top-k is the top-k of P local top-ks."""
-    t = pa.concat_tables([_BI.empty_table()]
-                         + [x for x in shards if x.num_rows])
-    if t.num_rows == 0:
-        return _BI.empty_table()
-    agg = t.group_by("bigram").aggregate([("n", "sum")])
+    agg = pa.concat_tables(shards).group_by("bigram").aggregate([("n", "sum")])
     order = pc.sort_indices(agg, sort_keys=[("n_sum", "descending"),
                                             ("bigram", "ascending")])
     top = agg.take(order[:k])
@@ -808,18 +753,10 @@ def doc_vocab_bigrams(sf_dir: str, k: int = 100):
     each partition sums its bigrams and emits a LOCAL top-k, and the
     driver merges P x k rows — nothing bigram-vocabulary-sized ever
     lands anywhere central. 14.7-14.9 s at 4M docs."""
-    P = max(2, _n_parts())
+    P = X.n_parts()
     ds = _read(sf_dir, "documents", columns=["text"])
-    refs = [block_ref for bundle in ds.iter_internal_ref_bundles()
-            for block_ref, _md in bundle.blocks if _md.num_rows]
-    if not refs:
-        return _BI.empty_table()
-    shard = ray.remote(_bigram_shard)
-    sl = [shard.options(num_returns=P).remote(r, P, k) for r in refs]
-    combine = ray.remote(_bigram_combine)
-    outs = ray.get([combine.remote(k, *[s[p] for s in sl])
-                    for p in range(P)])
-    merged = pa.concat_tables([_BI.empty_table()] + outs)
+    sl = X.shard(_bigram_shard, X.block_refs(ds), P, P, k)
+    merged = X.gather(X.combine(_bigram_combine, sl, k, out_schema=_BI), _BI)
     order = pc.sort_indices(merged, sort_keys=[("n", "descending"),
                                                ("bigram", "ascending")])
     return merged.take(order[:k])
@@ -921,8 +858,6 @@ def doc_perplexity_bigram(sf_dir: str, vocab_size: int = 1000):
     BPART = pa.schema([("key", pa.int64()), ("c", pa.int64())])
 
     def bigram_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return BPART.empty_table()
         st, si = ray.get(vref)
         _docs, offsets, flat = _flat_vocab_ids(t, st, si)
         a, b = flat[:-1], flat[1:]
@@ -935,14 +870,11 @@ def doc_perplexity_bigram(sf_dir: str, vocab_size: int = 1000):
         return pa.table({"key": nz.astype(np.int64),
                          "c": cnt[nz].astype(np.int64)}, schema=BPART)
 
-    parts = list(docs.map_batches(
-        bigram_partial, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow", batch_size=None))
+    merged = X.fold(docs, bigram_partial, BPART)
     OUT = pa.schema([("doc_id", pa.int64()), ("n_bigrams", pa.int64()),
                      ("avg_neg_logprob", pa.float64())])
-    if not parts:
+    if not merged.num_rows:
         return OUT.empty_table()
-    merged = pa.concat_tables(parts)
     cb = np.zeros(W * W, dtype=np.int64)
     np.add.at(cb, merged.column("key").to_numpy(zero_copy_only=False),
               merged.column("c").to_numpy(zero_copy_only=False))
@@ -1001,14 +933,8 @@ def _shuf_slice(block: pa.Table, P: int, shift: int) -> list:
     sampling step). Returns P (ids, keys) shards — 16 bytes/row."""
     ids = block.column("doc_id").to_numpy(
         zero_copy_only=False).astype(np.int64)
-    if block.num_rows == 0:
-        return [(ids, ids) for _ in range(P)]
     keys = _shuf_keys(block)
-    part = (keys >> shift).astype(np.int64)
-    order = np.argsort(part, kind="stable")
-    ids, keys = ids[order], keys[order]
-    bounds = np.searchsorted(part[order], np.arange(P + 1))
-    return [(ids[s:e], keys[s:e]) for s, e in zip(bounds[:-1], bounds[1:])]
+    return X.split((keys >> shift).astype(np.int64), P, ids, keys)
 
 
 def _shuf_count(*shards) -> int:
@@ -1053,23 +979,18 @@ def doc_shuffle_order(sf_dir: str):
     ever dropped. Exact SQL mirror: ROW_NUMBER() OVER (ORDER BY the
     same md5, doc_id) - 1."""
     ds = _read(sf_dir, "documents", columns=["doc_id"])
-    refs = [block_ref for bundle in ds.iter_internal_ref_bundles()
-            for block_ref, _md in bundle.blocks if _md.num_rows]
+    refs = X.block_refs(ds)
     if not refs:
         return rd.from_arrow(_SHUF_SCHEMA.empty_table())
-    P = max(2, _n_parts())
+    P = X.n_parts()
     shift = max(0, 63 - int(np.log2(P)))
-    slice_task = ray.remote(_shuf_slice)
-    sl = [slice_task.options(num_returns=P).remote(r, P, shift)
-          for r in refs]
-    count_task = ray.remote(_shuf_count)
-    counts = ray.get([count_task.remote(*[s[p] for s in sl])
-                      for p in range(P)])
-    bases = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    sl = X.shard(_shuf_slice, refs, P, P, shift)
+    counts = ray.get(X.combine(_shuf_count, sl))
+    bases = np.cumsum(counts) - counts
+    # one rank task per key range, each with its own prefix-sum base
     rank_task = ray.remote(_shuf_rank)
-    outs = [rank_task.remote(int(bases[p]), *[s[p] for s in sl])
-            for p in range(P)]
-    return rd.from_arrow_refs(outs)
+    return rd.from_arrow_refs([rank_task.remote(int(b), *part)
+                               for b, part in zip(bases, sl)])
 
 
 def doc_lang_id(sf_dir: str):
@@ -1186,7 +1107,7 @@ def doc_curation_pipeline(sf_dir: str, lang: str = "en",
     (the r3 scale-killer), payload text never moves, and the shuffle
     carries only (doc_id, hash, 2 small ints) for gate-passing rows."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    P = _n_parts()
+    P = X.n_parts()
     thr = int(round(min_stop_ratio * _CURATION_SCALE))
 
     def annotate(batch: pa.Table) -> pa.Table:
@@ -1236,11 +1157,7 @@ def _cur_report_block(t: pa.Table, P: int, lang: str, mn: int, mx: int,
                        int(tok_ok.sum()), int(gate_ok.sum())], np.int64)
     h = D.add_text_hash(t.filter(pa.array(gate_ok))).column(
         "text_hash").to_numpy(zero_copy_only=False).astype(np.int64)
-    part = h % P
-    order = np.argsort(part, kind="stable")
-    bounds = np.searchsorted(part[order], np.arange(P + 1))
-    return [counts] + [h[order[s:e]]
-                       for s, e in zip(bounds[:-1], bounds[1:])]
+    return [counts] + X.split(h % P, P, h)
 
 
 def _cur_report_uniq(*shards) -> int:
@@ -1267,21 +1184,18 @@ def doc_curation_report(sf_dir: str, lang: str = "en",
     text) over gate-passers."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     thr = int(round(min_stop_ratio * _CURATION_SCALE))
-    P = max(2, _n_parts())
-    refs = [r for b in ds.iter_internal_ref_bundles()
-            for r, md in b.blocks if md.num_rows]
+    P = X.n_parts()
+    refs = X.block_refs(ds)
     stages = ["1_total", "2_lang", "3_token_range", "4_stop_ratio",
               "5_dedup_kept"]
     if not refs:
         return pa.table({"stage": pa.array(stages),
                          "n_docs": pa.array([0] * 5, pa.int64())},
                         schema=_CUR_REPORT)
-    btask = ray.remote(_cur_report_block)
-    parts = [btask.options(num_returns=P + 1).remote(
-        r, P, lang, min_tokens, max_tokens, thr) for r in refs]
-    utask = ray.remote(_cur_report_uniq)
-    uniq = [utask.remote(*[p[1 + j] for p in parts]) for j in range(P)]
-    counts = np.sum(ray.get([p[0] for p in parts]), axis=0)
+    parts = X.shard(_cur_report_block, refs, P + 1, P, lang, min_tokens,
+                    max_tokens, thr)
+    uniq = X.combine(_cur_report_uniq, parts[1:])
+    counts = np.sum(ray.get(parts[0]), axis=0)
     n_kept = int(sum(ray.get(uniq)))
     return pa.table({
         "stage": pa.array(stages),

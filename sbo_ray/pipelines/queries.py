@@ -24,6 +24,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .. import exchange as X
 from .. import synth
 from ..config import JobConfig
 from ..oracle import materialize
@@ -1004,11 +1005,8 @@ def q_log_geo_counts(sf_dir: str):
         )
         return g.rename_columns(["source", "geo", "cnt"])
 
-    parts = pa.concat_tables(
-        enr.map_batches(partial, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None
-        )
-    )
+    parts = X.fold(enr, partial, pa.schema([
+        ("source", pa.string()), ("geo", pa.string()), ("cnt", pa.int64())]))
     g = parts.group_by(["source", "geo"]).aggregate([("cnt", "sum")])
     g = g.rename_columns(["source", "geo", "cnt"])
     return pa.table({
@@ -1115,6 +1113,9 @@ def q_log_bytes_quantiles(sf_dir: str, qs: tuple = (0.5, 0.9, 0.99)):
     return pa.table(out, schema=out_schema)
 
 
+_SKETCH_PART = pa.schema([("source", pa.string()), ("sketch", pa.binary())])
+
+
 def q_log_bytes_quantiles_kll(sf_dir: str, qs: tuple = (0.5, 0.9, 0.99)):
     """Approximate per-source byte-size percentiles via mergeable KLL
     sketches (one bounded compactor ladder per (block, source),
@@ -1132,25 +1133,21 @@ def q_log_bytes_quantiles_kll(sf_dir: str, qs: tuple = (0.5, 0.9, 0.99)):
     def partial(t: pa.Table) -> pa.Table:
         t = t.filter(t.column("parse_ok"))
         srcs, sketches = [], []
-        if t.num_rows:
-            enc = pc.dictionary_encode(t.column("source").combine_chunks())
-            bs = t.column("bytes_sent").combine_chunks().to_numpy(
-                zero_copy_only=False)
-            idx = enc.indices.to_numpy(zero_copy_only=False)
-            for i, src in enumerate(enc.dictionary.to_pylist()):
-                sk = KLLSketch(K)
-                sk.add(bs[idx == i])
-                srcs.append(src)
-                sketches.append(sk.to_bytes())
+        enc = pc.dictionary_encode(t.column("source").combine_chunks())
+        bs = t.column("bytes_sent").combine_chunks().to_numpy(
+            zero_copy_only=False)
+        idx = enc.indices.to_numpy(zero_copy_only=False)
+        for i, src in enumerate(enc.dictionary.to_pylist()):
+            sk = KLLSketch(K)
+            sk.add(bs[idx == i])
+            srcs.append(src)
+            sketches.append(sk.to_bytes())
         return pa.table({
             "source": pa.array(srcs, type=pa.string()),
             "sketch": pa.array(sketches, type=pa.binary()),
         })
 
-    parts = pa.concat_tables(
-        _enriched(sf_dir).map_batches(partial, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow", batch_size=None)
-    )
+    parts = X.fold(_enriched(sf_dir), partial, _SKETCH_PART)
     merged: dict[str, KLLSketch] = {}
     for src, blob in zip(parts.column("source").to_pylist(),
                          parts.column("sketch").to_pylist()):
@@ -1185,11 +1182,9 @@ def q_log_status_class_counts(sf_dir: str):
             ["source", "status_class"]).aggregate([([], "count_all")])
         return g.rename_columns(["source", "status_class", "cnt"])
 
-    parts = pa.concat_tables(
-        enr.map_batches(partial, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None
-        )
-    )
+    parts = X.fold(enr, partial, pa.schema([
+        ("source", pa.string()), ("status_class", pa.string()),
+        ("cnt", pa.int64())]))
     g = parts.group_by(["source", "status_class"]).aggregate([("cnt", "sum")])
     g = g.rename_columns(["source", "status_class", "cnt"])
     return pa.table({
@@ -1212,9 +1207,8 @@ def q_log_distinct_clients(sf_dir: str):
     import zlib
 
     import numpy as np
-    import ray
 
-    P = max(4, int(ray.cluster_resources().get("CPU", 4)))
+    P = X.groupby_parts()
     pair_schema = pa.schema([("source", pa.string()),
                              ("client_ip", pa.string()),
                              ("part", pa.int64())])
@@ -1268,24 +1262,20 @@ def q_log_distinct_clients_hll(sf_dir: str):
     def partial(t: pa.Table) -> pa.Table:
         t = t.filter(t.column("parse_ok"))
         srcs, sketches = [], []
-        if t.num_rows:
-            enc = pc.dictionary_encode(t.column("source").combine_chunks())
-            ips = t.column("client_ip").combine_chunks()
-            for i, src in enumerate(enc.dictionary.to_pylist()):
-                uniq = pc.unique(ips.filter(pc.equal(enc.indices, i))).to_pylist()
-                hll = HyperLogLog(P)
-                hll.add_hashes(_hash_strings([str(u) for u in uniq]))
-                srcs.append(src)
-                sketches.append(hll.registers.tobytes())
+        enc = pc.dictionary_encode(t.column("source").combine_chunks())
+        ips = t.column("client_ip").combine_chunks()
+        for i, src in enumerate(enc.dictionary.to_pylist()):
+            uniq = pc.unique(ips.filter(pc.equal(enc.indices, i))).to_pylist()
+            hll = HyperLogLog(P)
+            hll.add_hashes(_hash_strings([str(u) for u in uniq]))
+            srcs.append(src)
+            sketches.append(hll.registers.tobytes())
         return pa.table({
             "source": pa.array(srcs, type=pa.string()),
             "sketch": pa.array(sketches, type=pa.binary()),
         })
 
-    parts = pa.concat_tables(
-        _enriched(sf_dir).map_batches(partial, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow", batch_size=None)
-    )
+    parts = X.fold(_enriched(sf_dir), partial, _SKETCH_PART)
     merged: dict[str, HyperLogLog] = {}
     for src, blob in zip(parts.column("source").to_pylist(),
                          parts.column("sketch").to_pylist()):
@@ -1317,9 +1307,7 @@ def q_log_sessionize(sf_dir: str, gap_sec: int = 600):
     them; epochs are exact integers."""
     import zlib
 
-    import ray
-
-    P = max(4, int(ray.cluster_resources().get("CPU", 4)))
+    P = X.groupby_parts()
     row_schema = pa.schema([("source", pa.string()),
                             ("client_ip", pa.string()),
                             ("e", pa.int64()), ("part", pa.int64())])
@@ -1368,12 +1356,7 @@ def q_log_sessionize(sf_dir: str, gap_sec: int = 600):
     parts = (_enriched(sf_dir)
              .map_batches(route, batch_format="pyarrow")
              .groupby("part").map_groups(sessions_part))
-    out = list(parts.iter_batches(batch_format="pyarrow", batch_size=None))
-    if not out:
-        return out_schema.empty_table()
-    return pa.concat_tables(
-        [out_schema.empty_table()] +
-        [b.select(out_schema.names).cast(out_schema) for b in out])
+    return X.collect(parts, out_schema)
 
 
 def sql_log_sessionize(cache: str, gap_sec: int = 600) -> str:
@@ -1438,19 +1421,13 @@ def q_log_token_histogram(sf_dir: str, k: int = 32):
     part_schema = pa.schema([("token", pa.int64()), ("cnt", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
         vals, _ = _token_lists(t.column("tokens"))
         cnt = np.bincount(vals, minlength=256)
         nz = np.nonzero(cnt)[0]
         return pa.table({"token": nz.astype(np.int64),
                          "cnt": cnt[nz].astype(np.int64)})
 
-    parts = pa.concat_tables(
-        [part_schema.empty_table()] +
-        list(_read_tokens(sf_dir, ["tokens"])
-             .map_batches(partial, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow", batch_size=None)))
+    parts = X.fold(_read_tokens(sf_dir, ["tokens"]), partial, part_schema)
     g = parts.group_by("token").aggregate([("cnt", "sum")])
     g = g.rename_columns(["token", "cnt"])
     out = g.sort_by([("cnt", "descending"), ("token", "ascending")]).slice(0, k)
@@ -1475,8 +1452,6 @@ def q_log_token_bigrams(sf_dir: str, k: int = 32):
     part_schema = pa.schema([("pair", pa.int64()), ("cnt", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
         vals, off = _token_lists(t.column("tokens"))
         if len(vals) < 2:
             return part_schema.empty_table()
@@ -1490,11 +1465,7 @@ def q_log_token_bigrams(sf_dir: str, k: int = 32):
         return pa.table({"pair": nz.astype(np.int64),
                          "cnt": cnt[nz].astype(np.int64)})
 
-    parts = pa.concat_tables(
-        [part_schema.empty_table()] +
-        list(_read_tokens(sf_dir, ["tokens"])
-             .map_batches(partial, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow", batch_size=None)))
+    parts = X.fold(_read_tokens(sf_dir, ["tokens"]), partial, part_schema)
     g = parts.group_by("pair").aggregate([("cnt", "sum")])
     g = g.rename_columns(["pair", "cnt"])
     pair = g.column("pair").to_numpy(zero_copy_only=False)
@@ -1534,8 +1505,6 @@ def q_log_token_pmi(sf_dir: str, k: int = 32, min_cnt: int = 5):
     part_schema = pa.schema([("pair", pa.int64()), ("cnt", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
         vals, off = _token_lists(t.column("tokens"))
         if len(vals) < 2:
             return part_schema.empty_table()
@@ -1549,11 +1518,7 @@ def q_log_token_pmi(sf_dir: str, k: int = 32, min_cnt: int = 5):
         return pa.table({"pair": nz.astype(np.int64),
                          "cnt": cnt[nz].astype(np.int64)})
 
-    parts = pa.concat_tables(
-        [part_schema.empty_table()] +
-        list(_read_tokens(sf_dir, ["tokens"])
-             .map_batches(partial, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow", batch_size=None)))
+    parts = X.fold(_read_tokens(sf_dir, ["tokens"]), partial, part_schema)
     g = parts.group_by("pair").aggregate([("cnt", "sum")])
     pair = g.column("pair").to_numpy(zero_copy_only=False)
     cnt = g.column("cnt_sum").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1627,9 +1592,7 @@ def q_log_ip_entropy(sf_dir: str):
     folds H = ln N - (sum c ln c)/N. ROUND-6 (transcendental sums)."""
     import zlib
 
-    import ray
-
-    P = max(4, int(ray.cluster_resources().get("CPU", 4)))
+    P = X.groupby_parts()
     pair_schema = pa.schema([("source", pa.string()),
                              ("client_ip", pa.string()),
                              ("cnt", pa.int64()), ("part", pa.int64())])
@@ -1721,8 +1684,6 @@ def q_log_source_ce(sf_dir: str):
                             ("ce", pa.float64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
         vals, off = _token_lists(t.column("tokens"))
         if len(vals) < 2:
             return part_schema.empty_table()
@@ -1745,11 +1706,8 @@ def q_log_source_ce(sf_dir: str):
             "cnt": pa.array(cnt[nz], pa.int64()),
         })
 
-    parts = pa.concat_tables(
-        [part_schema.empty_table()] +
-        list(_read_tokens(sf_dir, ["tokens", "source"])
-             .map_batches(partial, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow", batch_size=None)))
+    parts = X.fold(_read_tokens(sf_dir, ["tokens", "source"]), partial,
+                   part_schema)
     g = parts.group_by(["source", "pair"]).aggregate([("cnt", "sum")])
     if g.num_rows == 0:
         return out_schema.empty_table()
@@ -1808,9 +1766,7 @@ def q_log_seq_dedup(sf_dir: str):
     h % P co-locates every copy of a sequence; each partition counts
     distinct hashes and total rows per source, and the driver folds
     P x |sources| tiny rows. Sequences themselves never move."""
-    import ray
-
-    P = max(4, int(ray.cluster_resources().get("CPU", 4)))
+    P = X.groupby_parts()
     part_schema = pa.schema([("source", pa.string()), ("h", pa.int64()),
                              ("cnt", pa.int64()), ("part", pa.int64())])
 
@@ -1874,9 +1830,7 @@ def q_log_seq_dedup_prefix(sf_dir: str, k: int = 32):
     Same engine shape as log_seq_dedup — block-local polynomial hash
     (over the CLAMPED prefix slice of the flat value array), one
     h % P exchange, bounded per-source fold — sequences never move."""
-    import ray
-
-    P = max(4, int(ray.cluster_resources().get("CPU", 4)))
+    P = X.groupby_parts()
     part_schema = pa.schema([("source", pa.string()), ("h", pa.int64()),
                              ("cnt", pa.int64()), ("part", pa.int64())])
 
@@ -1937,6 +1891,22 @@ def q_log_seq_dedup_prefix(sf_dir: str, k: int = 32):
     })
 
 
+def _source_idx_range(sf_dir: str) -> pa.Table:
+    """Per-source (mn_min, mx_max) ingestion-index range: one pass of
+    bounded |sources|-row block partials."""
+    def minmax(t: pa.Table) -> pa.Table:
+        idx = _pack_idx(t.column("doc_id"))
+        g = pa.table({"source": t.column("source"),
+                      "idx": pa.array(idx, pa.int64())}).group_by(
+            "source").aggregate([("idx", "min"), ("idx", "max")])
+        return g.rename_columns(["source", "mn", "mx"])
+
+    return X.fold(_read_tokens(sf_dir, ["doc_id", "source"]), minmax,
+                  pa.schema([("source", pa.string()), ("mn", pa.int64()),
+                             ("mx", pa.int64())])).group_by(
+        "source").aggregate([("mn", "min"), ("mx", "max")])
+
+
 def q_log_source_drift(sf_dir: str):
     """Per-source token-distribution DRIFT between the early and late
     half of the stream — the data-shift monitor a training pipeline
@@ -1957,30 +1927,13 @@ def q_log_source_drift(sf_dir: str):
     Engine shape: pass 1 folds |sources| (min,max) idx partials; pass 2
     folds |sources| x 2 x 256 bincount partials (byte vocab). Nothing
     unbounded leaves the workers."""
-    p1 = pa.schema([("source", pa.string()), ("mn", pa.int64()),
-                    ("mx", pa.int64())])
-
-    def minmax(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return p1.empty_table()
-        idx = _pack_idx(t.column("doc_id"))
-        g = pa.table({"source": t.column("source"),
-                      "idx": pa.array(idx, pa.int64())}).group_by(
-            "source").aggregate([("idx", "min"), ("idx", "max")])
-        return g.rename_columns(["source", "mn", "mx"])
-
-    parts = [b for b in _read_tokens(sf_dir, ["doc_id", "source"])
-             .map_batches(minmax, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow", batch_size=None)
-             if b.num_rows]
     OUT = pa.schema([("source", pa.string()),
                      ("n_early_tokens", pa.int64()),
                      ("n_late_tokens", pa.int64()),
                      ("tvd_num", pa.int64())])
-    if not parts:
+    mm = _source_idx_range(sf_dir)
+    if not mm.num_rows:
         return OUT.empty_table()
-    mm = pa.concat_tables(parts).group_by("source").aggregate(
-        [("mn", "min"), ("mx", "max")])
     srcs_sorted = np.sort(np.asarray(mm.column("source").to_pylist()))
     mid_of = {}
     for s, mn, mx in zip(mm.column("source").to_pylist(),
@@ -1994,8 +1947,6 @@ def q_log_source_drift(sf_dir: str):
                     ("token", pa.int64()), ("cnt", pa.int64())])
 
     def counts(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return p2.empty_table()
         mids = ray.get(mid_ref)
         idx = _pack_idx(t.column("doc_id"))
         src = np.asarray(t.column("source").to_pylist())
@@ -2017,14 +1968,8 @@ def q_log_source_drift(sf_dir: str):
             "cnt": pa.array(bc[nz], pa.int64()),
         }, schema=p2)
 
-    cparts = [b for b in _read_tokens(sf_dir,
-                                      ["doc_id", "tokens", "source"])
-              .map_batches(counts, batch_format="pyarrow")
-              .iter_batches(batch_format="pyarrow", batch_size=None)
-              if b.num_rows]
-    if not cparts:
-        return OUT.empty_table()
-    g = pa.concat_tables(cparts).group_by(
+    g = X.fold(_read_tokens(sf_dir, ["doc_id", "tokens", "source"]), counts,
+               p2).group_by(
         ["source", "early", "token"]).aggregate([("cnt", "sum")])
     df = g.to_pandas().rename(columns={"cnt_sum": "cnt"})
     rows = []
@@ -2097,8 +2042,6 @@ def q_log_token_entropy(sf_dir: str):
                             ("token_entropy", pa.float64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
         vals, off = _token_lists(t.column("tokens"))
         if not len(vals):
             return part_schema.empty_table()
@@ -2114,11 +2057,8 @@ def q_log_token_entropy(sf_dir: str):
             "cnt": pa.array(cnt[nz], pa.int64()),
         })
 
-    parts = pa.concat_tables(
-        [part_schema.empty_table()] +
-        list(_read_tokens(sf_dir, ["tokens", "source"])
-             .map_batches(partial, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow", batch_size=None)))
+    parts = X.fold(_read_tokens(sf_dir, ["tokens", "source"]), partial,
+                   part_schema)
     g = parts.group_by(["source", "token"]).aggregate([("cnt", "sum")])
     if g.num_rows == 0:
         return out_schema.empty_table()
@@ -2168,8 +2108,6 @@ def q_log_source_token_tfidf(sf_dir: str, k: int = 5):
                             ("cnt", pa.int64()), ("tfidf", pa.float64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
         vals, off = _token_lists(t.column("tokens"))
         if not len(vals):
             return part_schema.empty_table()
@@ -2185,11 +2123,8 @@ def q_log_source_token_tfidf(sf_dir: str, k: int = 5):
             "cnt": pa.array(cnt[nz], pa.int64()),
         })
 
-    parts = pa.concat_tables(
-        [part_schema.empty_table()] +
-        list(_read_tokens(sf_dir, ["tokens", "source"])
-             .map_batches(partial, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow", batch_size=None)))
+    parts = X.fold(_read_tokens(sf_dir, ["tokens", "source"]), partial,
+                   part_schema)
     g = parts.group_by(["source", "token"]).aggregate([("cnt", "sum")])
     if g.num_rows == 0:
         return out_schema.empty_table()
@@ -2266,8 +2201,6 @@ def q_log_oov_rate(sf_dir: str, v: int = 64):
                             ("oov_ppm", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
         vals, off = _token_lists(t.column("tokens"))
         if not len(vals):
             return part_schema.empty_table()
@@ -2283,11 +2216,8 @@ def q_log_oov_rate(sf_dir: str, v: int = 64):
             "cnt": pa.array(cnt[nz], pa.int64()),
         })
 
-    parts = pa.concat_tables(
-        [part_schema.empty_table()] +
-        list(_read_tokens(sf_dir, ["tokens", "source"])
-             .map_batches(partial, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow", batch_size=None)))
+    parts = X.fold(_read_tokens(sf_dir, ["tokens", "source"]), partial,
+                   part_schema)
     g = parts.group_by(["source", "token"]).aggregate([("cnt", "sum")])
     if g.num_rows == 0:
         return out_schema.empty_table()
@@ -2354,8 +2284,6 @@ def q_log_seq_len_buckets(sf_dir: str, width: int = 128):
                             ("pad_ppm", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
         nt = t.column("n_tok").to_numpy(zero_copy_only=False).astype(np.int64)
         enc = pc.dictionary_encode(t.column("source").combine_chunks())
         src = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
@@ -2373,11 +2301,8 @@ def q_log_seq_len_buckets(sf_dir: str, width: int = 128):
             "sum_tokens": pa.array(tot[nz].astype(np.int64)),
         })
 
-    parts = pa.concat_tables(
-        [part_schema.empty_table()] +
-        list(_read_tokens(sf_dir, ["n_tok", "source"])
-             .map_batches(partial, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow", batch_size=None)))
+    parts = X.fold(_read_tokens(sf_dir, ["n_tok", "source"]), partial,
+                   part_schema)
     g = parts.group_by(["source", "bucket"]).aggregate(
         [("n_seqs", "sum"), ("sum_tokens", "sum")])
     if g.num_rows == 0:
@@ -2440,17 +2365,15 @@ def q_log_token_ngram_dedup(sf_dir: str, n: int = 8, mod: int = 8):
         rows — searchsorted membership — and emit bounded per-source
         (n_docs, n_flagged) partials; the driver sums P x |sources|.
     """
-    import ray
+    from .datapipe import _bw_task_cpus
 
-    from .datapipe import _lp_split, _n_parts
-
-    P = max(2, _n_parts())
+    P = X.n_parts()
 
     def window_partial(t: pa.Table) -> list:
         idx = _pack_idx(t.column("doc_id"))
         dtab = pa.table({"idx": pa.array(idx, pa.int64()),
                          "source": t.column("source")})
-        dparts = [dtab.take(pa.array(ix)) for ix in _ngram_doc_slots(idx, P)]
+        dparts = X.split(X.fib_partition(idx, P), P, dtab)
         vals, off = _token_lists(t.column("tokens"))
         lens = np.diff(off)
         m = len(vals) - n + 1
@@ -2486,8 +2409,7 @@ def q_log_token_ngram_dedup(sf_dir: str, n: int = 8, mod: int = 8):
             first = np.ones(len(wk), dtype=bool)
             first[1:] = (wk[1:] != wk[:-1]) | (wd[1:] != wd[:-1])
             wk, wd = wk[first], wd[first]
-            shards = _lp_split(wk, P, wk, wd)
-            pairs = [(s[0], s[1]) for s in shards]
+            pairs = X.split(X.fib_partition(wk, P), P, wk, wd)
         return list(pairs) + dparts
 
     def flag_part(*shards) -> list:
@@ -2505,14 +2427,10 @@ def q_log_token_ngram_dedup(sf_dir: str, n: int = 8, mod: int = 8):
         kid = np.cumsum(newk) - 1
         ndoc = np.bincount(kid)
         flagged = np.unique(ds_[ndoc[kid] >= 2])
-        return [s[0] for s in _lp_split(flagged, P, flagged)]
+        return X.split(X.fib_partition(flagged, P), P, flagged)
 
-    def count_part(nb: int, *args) -> pa.Table:
-        flagged = np.unique(np.concatenate(args[:nb])) \
-            if nb else np.zeros(0, np.int64)
-        tabs = [t for t in args[nb:] if t.num_rows]
-        if not tabs:
-            return _NGRAM_OUT.empty_table()
+    def count_part(flagged: list, tabs: list) -> pa.Table:
+        flagged = np.unique(np.concatenate(flagged))
         t = pa.concat_tables(tabs)
         di = t.column("idx").to_numpy(zero_copy_only=False)
         if len(flagged):
@@ -2529,9 +2447,7 @@ def q_log_token_ngram_dedup(sf_dir: str, n: int = 8, mod: int = 8):
                          "n_flagged": g.column("fl_sum").cast(pa.int64())},
                         schema=_NGRAM_OUT)
 
-    ds = _read_tokens(sf_dir, ["doc_id", "tokens", "source"])
-    refs = [r for b in ds.iter_internal_ref_bundles()
-            for r, md in b.blocks if md.num_rows]
+    refs = X.block_refs(_read_tokens(sf_dir, ["doc_id", "tokens", "source"]))
     if not refs:
         return _NGRAM_OUT.empty_table()
     # bandwidth cap (target 16/node): the window stage streams ~0.5 GB
@@ -2540,18 +2456,10 @@ def q_log_token_ngram_dedup(sf_dir: str, n: int = 8, mod: int = 8):
     # at 16 concurrent it is 6.9 s for the same 64 tasks. The cap
     # derives from per-node cpus (datapipe._bw_task_cpus), overridable
     # via SBO_BW_TASK_CPUS.
-    from .datapipe import _bw_task_cpus
-
-    wtask = ray.remote(num_cpus=_bw_task_cpus(16))(window_partial)
-    sl = [wtask.options(num_returns=2 * P).remote(r) for r in refs]
-    ftask = ray.remote(flag_part)
-    fl = [ftask.options(num_returns=P).remote(*[s[p] for s in sl])
-          for p in range(P)]
-    ctask = ray.remote(count_part)
-    outs = ray.get([ctask.remote(P, *[f[p] for f in fl],
-                                 *[s[P + p] for s in sl])
-                    for p in range(P)])
-    merged = pa.concat_tables([_NGRAM_OUT.empty_table()] + outs)
+    sl = X.shard(window_partial, refs, 2 * P, num_cpus=_bw_task_cpus(16))
+    fl = X.combine(flag_part, sl[:P], num_returns=P)
+    merged = X.gather(X.combine(count_part, (fl, sl[P:]),
+                                out_schema=_NGRAM_OUT), _NGRAM_OUT)
     g = merged.group_by("source").aggregate(
         [("n_docs", "sum"), ("n_flagged", "sum")])
     g = g.sort_by("source")
@@ -2559,17 +2467,6 @@ def q_log_token_ngram_dedup(sf_dir: str, n: int = 8, mod: int = 8):
                      "n_docs": g.column("n_docs_sum"),
                      "n_flagged": g.column("n_flagged_sum")},
                     schema=_NGRAM_OUT)
-
-
-def _ngram_doc_slots(idx: np.ndarray, P: int) -> list:
-    """Per-partition row-index lists for the doc-hash routing of one
-    block's (doc, source) rows."""
-    from .datapipe import _lp_partition
-
-    part = _lp_partition(idx, P)
-    order = np.argsort(part, kind="stable")
-    bounds = np.searchsorted(part[order], np.arange(P + 1))
-    return [order[s:e] for s, e in zip(bounds[:-1], bounds[1:])]
 
 
 def sql_token_ngram_dedup(cache: str, n: int = 8, mod: int = 8) -> str:
@@ -2656,11 +2553,9 @@ def q_log_seq_dedup_minhash(sf_dir: str, n: int = 8, mod: int = 8):
     (bucket, doc) pairs route by bucket hash, flagged ids re-route by
     doc hash, bounded per-source partials fold on the driver. Payload
     tokens never move; the exchange carries 4 x 16 bytes per row."""
-    import ray
+    from .datapipe import _bw_task_cpus
 
-    from .datapipe import _bw_task_cpus, _lp_split, _n_parts
-
-    P = max(2, _n_parts())
+    P = X.n_parts()
     nbands = len(_MH_PERMS) // 2
 
     def window_partial(t: pa.Table) -> list:
@@ -2708,9 +2603,8 @@ def q_log_seq_dedup_minhash(sf_dir: str, n: int = 8, mod: int = 8):
         dtab = pa.table({"idx": pa.array(idx, pa.int64()),
                          "source": t.column("source"),
                          "sig": pa.array(sig)})
-        dparts = [dtab.take(pa.array(ix)) for ix in _ngram_doc_slots(idx, P)]
-        shards = _lp_split(bks, P, bks, bds)
-        return [(s[0], s[1]) for s in shards] + dparts
+        dparts = X.split(X.fib_partition(idx, P), P, dtab)
+        return X.split(X.fib_partition(bks, P), P, bks, bds) + dparts
 
     def flag_part(*shards) -> list:
         ks = np.concatenate([s[0] for s in shards])
@@ -2727,14 +2621,10 @@ def q_log_seq_dedup_minhash(sf_dir: str, n: int = 8, mod: int = 8):
         kid = np.cumsum(newk) - 1
         ndoc = np.bincount(kid)
         flagged = np.unique(ds_[ndoc[kid] >= 2])
-        return [s[0] for s in _lp_split(flagged, P, flagged)]
+        return X.split(X.fib_partition(flagged, P), P, flagged)
 
-    def count_part(nb: int, *args) -> pa.Table:
-        flagged = np.unique(np.concatenate(args[:nb])) \
-            if nb else np.zeros(0, np.int64)
-        tabs = [t for t in args[nb:] if t.num_rows]
-        if not tabs:
-            return _MH_OUT.empty_table()
+    def count_part(flagged: list, tabs: list) -> pa.Table:
+        flagged = np.unique(np.concatenate(flagged))
         t = pa.concat_tables(tabs)
         di = t.column("idx").to_numpy(zero_copy_only=False)
         if len(flagged):
@@ -2755,23 +2645,15 @@ def q_log_seq_dedup_minhash(sf_dir: str, n: int = 8, mod: int = 8):
                          "n_flagged": g.column("fl_sum").cast(pa.int64())},
                         schema=_MH_OUT)
 
-    ds = _read_tokens(sf_dir, ["doc_id", "tokens", "source"])
-    refs = [r for b in ds.iter_internal_ref_bundles()
-            for r, md in b.blocks if md.num_rows]
+    refs = X.block_refs(_read_tokens(sf_dir, ["doc_id", "tokens", "source"]))
     if not refs:
         return _MH_OUT.empty_table()
     # same ~0.5 GB-of-temps-per-block profile as the ngram window
     # stage -> same bandwidth cap (target 16/node)
-    wtask = ray.remote(num_cpus=_bw_task_cpus(16))(window_partial)
-    sl = [wtask.options(num_returns=2 * P).remote(r) for r in refs]
-    ftask = ray.remote(flag_part)
-    fl = [ftask.options(num_returns=P).remote(*[s[p] for s in sl])
-          for p in range(P)]
-    ctask = ray.remote(count_part)
-    outs = ray.get([ctask.remote(P, *[f[p] for f in fl],
-                                 *[s[P + p] for s in sl])
-                    for p in range(P)])
-    merged = pa.concat_tables([_MH_OUT.empty_table()] + outs)
+    sl = X.shard(window_partial, refs, 2 * P, num_cpus=_bw_task_cpus(16))
+    fl = X.combine(flag_part, sl[:P], num_returns=P)
+    merged = X.gather(X.combine(count_part, (fl, sl[P:]),
+                                out_schema=_MH_OUT), _MH_OUT)
     g = merged.group_by("source").aggregate(
         [("n_rows", "sum"), ("n_sig", "sum"), ("n_flagged", "sum")])
     g = g.sort_by("source")
@@ -2858,8 +2740,6 @@ def q_log_token_zipf(sf_dir: str):
                              ("cnt", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
         vals, off = _token_lists(t.column("tokens"))
         if not len(vals):
             return part_schema.empty_table()
@@ -2877,11 +2757,8 @@ def q_log_token_zipf(sf_dir: str):
             "cnt": pa.array(cnt[nz].astype(np.int64)),
         })
 
-    parts = pa.concat_tables(
-        [part_schema.empty_table()] +
-        list(_read_tokens(sf_dir, ["tokens", "source"])
-             .map_batches(partial, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow", batch_size=None)))
+    parts = X.fold(_read_tokens(sf_dir, ["tokens", "source"]), partial,
+                   part_schema)
     g = parts.group_by(["source", "token"]).aggregate([("cnt", "sum")])
     df = g.rename_columns(["source", "token", "cnt"]).to_pandas()
     rows = []
@@ -2960,11 +2837,8 @@ def q_log_decontaminate_eval(sf_dir: str, n: int = 8, mod: int = 8,
         k = _sampled_window_keys(vals, off, n, mod)[0]
         return pa.table({"key": pa.array(np.unique(k).view(np.int64))})
 
-    parts = pa.concat_tables(
-        [pa.schema([("key", pa.int64())]).empty_table()] +
-        list(_read_tokens(sf_dir, ["doc_id", "tokens"])
-             .map_batches(eval_keys, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow", batch_size=None)))
+    parts = X.fold(_read_tokens(sf_dir, ["doc_id", "tokens"]), eval_keys,
+                   pa.schema([("key", pa.int64())]))
     block = np.unique(parts.column("key").to_numpy(zero_copy_only=False))
     block_ref = ray.put(block)
 
@@ -2972,8 +2846,6 @@ def q_log_decontaminate_eval(sf_dir: str, n: int = 8, mod: int = 8,
                              ("n_flagged", pa.int64())])
 
     def flag(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
         bl = ray.get(block_ref)
         idx = _pack_idx(t.column("doc_id"))
         train = idx % every != 0
@@ -2998,11 +2870,8 @@ def q_log_decontaminate_eval(sf_dir: str, n: int = 8, mod: int = 8,
                             minlength=nsrc).astype(np.int64)),
         })
 
-    out = pa.concat_tables(
-        [part_schema.empty_table()] +
-        list(_read_tokens(sf_dir, ["doc_id", "tokens", "source"])
-             .map_batches(flag, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow", batch_size=None)))
+    out = X.fold(_read_tokens(sf_dir, ["doc_id", "tokens", "source"]), flag,
+                 part_schema)
     g = out.group_by("source").aggregate(
         [("n_rows", "sum"), ("n_flagged", "sum")])
     g = g.rename_columns(["source", "n_rows", "n_flagged"])
@@ -3086,9 +2955,7 @@ def q_log_dup_gap_histogram(sf_dir: str):
     frexp exponent (integer for gaps < 2^53 — never a raw log2, the
     transcendental-gating rule); the SQL twin buckets via
     strlen(bin(gap)) - 1, bit-identical."""
-    import ray
-
-    P = max(4, int(ray.cluster_resources().get("CPU", 4)))
+    P = X.groupby_parts()
     part_schema = pa.schema([("h", pa.int64()), ("idx", pa.int64()),
                              ("part", pa.int64())])
 
@@ -3175,8 +3042,6 @@ def q_log_seq_internal_repeats(sf_dir: str, n: int = 8):
                              ("n_rep_windows", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
         vals, off = _token_lists(t.column("tokens"))
         m = len(vals) - n + 1
         enc = pc.dictionary_encode(t.column("source").combine_chunks())
@@ -3214,11 +3079,8 @@ def q_log_seq_internal_repeats(sf_dir: str, n: int = 8):
                             minlength=nsrc).astype(np.int64)),
         })
 
-    parts = pa.concat_tables(
-        [part_schema.empty_table()] +
-        list(_read_tokens(sf_dir, ["tokens", "source"])
-             .map_batches(partial, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow", batch_size=None)))
+    parts = X.fold(_read_tokens(sf_dir, ["tokens", "source"]), partial,
+                   part_schema)
     g = parts.group_by("source").aggregate(
         [("n_seqs_repeat", "sum"), ("n_rep_windows", "sum")])
     g = g.rename_columns(["source", "n_seqs_repeat", "n_rep_windows"])
@@ -3281,8 +3143,6 @@ def q_log_source_minhash_sim(sf_dir: str, n: int = 8, mod: int = 8):
                              ("mv", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
         vals, off = _token_lists(t.column("tokens"))
         m = len(vals) - n + 1
         if m <= 0:
@@ -3318,11 +3178,8 @@ def q_log_source_minhash_sim(sf_dir: str, n: int = 8, mod: int = 8):
             "mv": pa.array(np.concatenate(rows["mv"])),
         })
 
-    parts = pa.concat_tables(
-        [part_schema.empty_table()] +
-        list(_read_tokens(sf_dir, ["tokens", "source"])
-             .map_batches(partial, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow", batch_size=None)))
+    parts = X.fold(_read_tokens(sf_dir, ["tokens", "source"]), partial,
+                   part_schema)
     df = parts.to_pandas()
     if not len(df):
         return _SRCSIM_OUT.empty_table()
@@ -3399,31 +3256,12 @@ def q_log_ngram_novelty(sf_dir: str, n: int = 8, mod: int = 8):
     // (mx - mn + 1)) — no float boundary crosses the gate), and
     emits <= |sources| x 4 rows. Tokens never move; the exchange
     carries distinct-per-block (key, src, idx) triples."""
-    import ray
+    from .datapipe import _bw_task_cpus
 
-    from .datapipe import _bw_task_cpus, _lp_split, _n_parts
-
-    P = max(2, _n_parts())
-    p1 = pa.schema([("source", pa.string()), ("mn", pa.int64()),
-                    ("mx", pa.int64())])
-
-    def minmax(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return p1.empty_table()
-        idx = _pack_idx(t.column("doc_id"))
-        g = pa.table({"source": t.column("source"),
-                      "idx": pa.array(idx, pa.int64())}).group_by(
-            "source").aggregate([("idx", "min"), ("idx", "max")])
-        return g.rename_columns(["source", "mn", "mx"])
-
-    parts = [b for b in _read_tokens(sf_dir, ["doc_id", "source"])
-             .map_batches(minmax, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow", batch_size=None)
-             if b.num_rows]
-    if not parts:
+    P = X.n_parts()
+    mm = _source_idx_range(sf_dir)
+    if not mm.num_rows:
         return _NOV_OUT.empty_table()
-    mm = pa.concat_tables(parts).group_by("source").aggregate(
-        [("mn", "min"), ("mx", "max")])
     srcs = np.sort(np.asarray(mm.column("source").to_pylist()))
     mn_of = np.empty(len(srcs), np.int64)
     mx_of = np.empty(len(srcs), np.int64)
@@ -3461,7 +3299,7 @@ def q_log_ngram_novelty(sf_dir: str, n: int = 8, mod: int = 8):
         first = np.ones(len(kk), dtype=bool)
         first[1:] = (kk[1:] != kk[:-1]) | (su[1:] != su[:-1])
         kk, su, fi = kk[first], su[first], fi[first]
-        return [tuple(s) for s in _lp_split(kk, P, kk, su, fi)]
+        return X.split(X.fib_partition(kk, P), P, kk, su, fi)
 
     def combine(*shards) -> pa.Table:
         kk = np.concatenate([s[0] for s in shards])
@@ -3483,16 +3321,11 @@ def q_log_ngram_novelty(sf_dir: str, n: int = 8, mod: int = 8):
                          "n_new": pa.array(cnt[nz], pa.int64())},
                         schema=_NOV_OUT)
 
-    ds = _read_tokens(sf_dir, ["doc_id", "tokens", "source"])
-    refs = [r for b in ds.iter_internal_ref_bundles()
-            for r, md in b.blocks if md.num_rows]
-    if not refs:
-        return _NOV_OUT.empty_table()
-    wtask = ray.remote(num_cpus=_bw_task_cpus(16))(window_partial)
-    sl = [wtask.options(num_returns=P).remote(r) for r in refs]
-    ctask = ray.remote(combine)
-    outs = ray.get([ctask.remote(*[s[p] for s in sl]) for p in range(P)])
-    merged = pa.concat_tables([_NOV_OUT.empty_table()] + outs)
+    sl = X.shard(window_partial,
+                 X.block_refs(_read_tokens(sf_dir, ["doc_id", "tokens",
+                                                    "source"])),
+                 P, num_cpus=_bw_task_cpus(16))
+    merged = X.gather(X.combine(combine, sl, out_schema=_NOV_OUT), _NOV_OUT)
     g = merged.group_by(["source", "quartile"]).aggregate([("n_new", "sum")])
     g = g.sort_by([("source", "ascending"), ("quartile", "ascending")])
     return pa.table({"source": g.column("source"),
@@ -3544,9 +3377,7 @@ def q_log_dup_cluster_sizes(sf_dir: str):
     sequence hash with per-block copy counts, ONE h % P exchange — but
     the partition fold emits the bounded (source, copies, n_clusters)
     histogram instead of two scalars. Sequences never move."""
-    import ray
-
-    P = max(4, int(ray.cluster_resources().get("CPU", 4)))
+    P = X.groupby_parts()
     part_schema = pa.schema([("source", pa.string()), ("h", pa.int64()),
                              ("cnt", pa.int64()), ("part", pa.int64())])
 
@@ -3620,8 +3451,6 @@ def q_log_token_positional_stats(sf_dir: str, width: int = 64):
                              ("token", pa.int64()), ("cnt", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
         vals, off = _token_lists(t.column("tokens"))
         if not len(vals):
             return part_schema.empty_table()
@@ -3644,11 +3473,8 @@ def q_log_token_positional_stats(sf_dir: str, width: int = 64):
             "cnt": pa.array(cnt[nz], pa.int64()),
         }, schema=part_schema)
 
-    parts = pa.concat_tables(
-        [part_schema.empty_table()] +
-        list(_read_tokens(sf_dir, ["tokens", "source"])
-             .map_batches(partial, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow", batch_size=None)))
+    parts = X.fold(_read_tokens(sf_dir, ["tokens", "source"]), partial,
+                   part_schema)
     g = parts.group_by(["source", "pb", "token"]).aggregate([("cnt", "sum")])
     if g.num_rows == 0:
         return _POSB_OUT.empty_table()
@@ -3710,8 +3536,6 @@ def q_log_token_burstiness(sf_dir: str):
                              ("sum_sq", pa.int64()), ("n_seqs", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
         vals, off = _token_lists(t.column("tokens"))
         if not len(vals):
             return part_schema.empty_table()
@@ -3731,11 +3555,7 @@ def q_log_token_burstiness(sf_dir: str):
             "n_seqs": pa.array(n_seqs[nz].astype(np.int64)),
         })
 
-    parts = pa.concat_tables(
-        [part_schema.empty_table()] +
-        list(_read_tokens(sf_dir, ["tokens"])
-             .map_batches(partial, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow", batch_size=None)))
+    parts = X.fold(_read_tokens(sf_dir, ["tokens"]), partial, part_schema)
     g = parts.group_by("token").aggregate(
         [("n_occ", "sum"), ("sum_sq", "sum"), ("n_seqs", "sum")])
     g = g.rename_columns(["token", "n_occ", "sum_sq", "n_seqs"])
@@ -3782,19 +3602,14 @@ def q_log_seq_len_percentiles(sf_dir: str):
                              ("cnt", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
         g = pa.table({
             "source": t.column("source"),
             "n_tok": t.column("n_tok").cast(pa.int64()),
         }).group_by(["source", "n_tok"]).aggregate([([], "count_all")])
         return g.rename_columns(["source", "n_tok", "cnt"])
 
-    parts = pa.concat_tables(
-        [part_schema.empty_table()] +
-        list(_read_tokens(sf_dir, ["source", "n_tok"])
-             .map_batches(partial, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow", batch_size=None)))
+    parts = X.fold(_read_tokens(sf_dir, ["source", "n_tok"]), partial,
+                   part_schema)
     g = parts.group_by(["source", "n_tok"]).aggregate([("cnt", "sum")])
     df = g.rename_columns(["source", "n_tok", "cnt"]).to_pandas()
     rows = []
@@ -3842,8 +3657,6 @@ def q_log_token_run_lengths(sf_dir: str):
     part_schema = pa.schema([("run_len", pa.int64()), ("n_runs", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
         vals, off = _token_lists(t.column("tokens"))
         n = len(vals)
         if not n:
@@ -3859,11 +3672,7 @@ def q_log_token_run_lengths(sf_dir: str):
         return pa.table({"run_len": pa.array(nz.astype(np.int64)),
                          "n_runs": pa.array(cnt[nz].astype(np.int64))})
 
-    parts = pa.concat_tables(
-        [part_schema.empty_table()] +
-        list(_read_tokens(sf_dir, ["tokens"])
-             .map_batches(partial, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow", batch_size=None)))
+    parts = X.fold(_read_tokens(sf_dir, ["tokens"]), partial, part_schema)
     g = parts.group_by("run_len").aggregate([("n_runs", "sum")])
     g = g.rename_columns(["run_len", "n_runs"])
     g = g.sort_by([("run_len", "ascending")])
@@ -3920,8 +3729,6 @@ def q_log_seq_dominant_ratio(sf_dir: str):
                              ("n_seqs", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
         vals, off = _token_lists(t.column("tokens"))
         if not len(vals):
             return part_schema.empty_table()
@@ -3946,11 +3753,8 @@ def q_log_seq_dominant_ratio(sf_dir: str):
             "n_seqs": pa.array(h[nz].astype(np.int64)),
         })
 
-    parts = pa.concat_tables(
-        [part_schema.empty_table()] +
-        list(_read_tokens(sf_dir, ["tokens", "source"])
-             .map_batches(partial, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow", batch_size=None)))
+    parts = X.fold(_read_tokens(sf_dir, ["tokens", "source"]), partial,
+                   part_schema)
     g = parts.group_by(["source", "decile"]).aggregate([("n_seqs", "sum")])
     g = g.rename_columns(["source", "decile", "n_seqs"])
     g = g.sort_by([("source", "ascending"), ("decile", "ascending")])
@@ -3994,9 +3798,7 @@ def q_log_cross_source_leakage(sf_dir: str):
     self-joins the presence rows on h (fan-out bounded by |sources|
     per hash) and emits per-pair counts; the driver sums
     P x |sources|^2 tiny rows. Sequences never move."""
-    import ray
-
-    P = max(4, int(ray.cluster_resources().get("CPU", 4)))
+    P = X.groupby_parts()
     part_schema = pa.schema([("source", pa.string()), ("h", pa.int64()),
                              ("part", pa.int64())])
 
@@ -4066,6 +3868,17 @@ def _pack_idx(col) -> np.ndarray:
                    pa.int64()).to_numpy(zero_copy_only=False)
 
 
+def _pack_bases(chunk_sums, refs: list):
+    """Pass 1 of the packing exchange: one ``chunk_sums`` task per block
+    ref, folded on the driver into the broadcast (chunk ids, exclusive
+    token bases) — O(corpus / chunk_docs) ints."""
+    import ray
+
+    task = ray.remote(chunk_sums)
+    return ray.put(X.chunk_bases(X.gather([task.remote(r) for r in refs],
+                                         X.CHUNK_SUMS)))
+
+
 def _pack_chunk_sums(block: pa.Table) -> pa.Table:
     """Bounded pass-1 partial: per-chunk token sums for one block."""
     ck = block.column("chunk").to_numpy(zero_copy_only=False)
@@ -4082,10 +3895,7 @@ def _pack_combine(base, seq_len: int, *shards) -> pa.Table:
     from the broadcast chunk bases, then vectorized fragment slicing
     over the partition's flat token values (cumsum checksums)."""
     cids, cbases = base
-    tabs = [s for s in shards if s.num_rows]
-    if not tabs:
-        return _PACK_SCHEMA.empty_table()
-    g = pa.concat_tables(tabs).combine_chunks()
+    g = pa.concat_tables(shards).combine_chunks()
     idx_np = g.column("idx").to_numpy(zero_copy_only=False)
     o = np.argsort(idx_np, kind="stable")
     g = g.take(pa.array(o))
@@ -4175,10 +3985,7 @@ def _pack_src_combine(base, seq_len: int, *shards) -> pa.Table:
     broadcast composite-key bases give exact PER-SOURCE stream offsets;
     fragment slicing is the shared kernel."""
     srcs_sorted, comp_keys, cbases, C = base
-    tabs = [s for s in shards if s.num_rows]
-    if not tabs:
-        return _PACK_SRC_SCHEMA.empty_table()
-    g = pa.concat_tables(tabs).combine_chunks()
+    g = pa.concat_tables(shards).combine_chunks()
     enc = pc.dictionary_encode(g.column("source").combine_chunks())
     dic = np.asarray(enc.dictionary.to_pylist())
     src_idx = np.searchsorted(srcs_sorted, dic)[
@@ -4227,11 +4034,9 @@ def q_log_pack_tokens_by_source(sf_dir: str, seq_len: int = 512,
     composite-key bases broadcast once. SQL mirror: the same window
     cumsum PARTITIONed BY source."""
     import ray
+    import ray.data as rd
 
-    from .datapipe import _n_parts, _table_shard
-
-    P = max(2, _n_parts())
-    empty = _PACK_SRC_SCHEMA.empty_table()
+    P = X.n_parts()
 
     def add_keys(t: pa.Table) -> pa.Table:
         idx = _pack_idx(t.column("doc_id"))
@@ -4240,14 +4045,10 @@ def q_log_pack_tokens_by_source(sf_dir: str, seq_len: int = 512,
                 .append_column("chunk",
                                pa.array(idx // chunk_docs, pa.int64())))
 
-    ds = (_read_tokens(sf_dir, ["doc_id", "tokens", "source"])
-          .map_batches(add_keys, batch_format="pyarrow"))
-    refs = [r for b in ds.iter_internal_ref_bundles()
-            for r, md in b.blocks if md.num_rows]
+    refs = X.block_refs(_read_tokens(sf_dir, ["doc_id", "tokens", "source"])
+                        .map_batches(add_keys, batch_format="pyarrow"))
     if not refs:
-        import ray.data as rd
-
-        return rd.from_arrow(empty)
+        return rd.from_arrow(_PACK_SRC_SCHEMA.empty_table())
     sums_task = ray.remote(_pack_src_chunk_sums)
     merged = pa.concat_tables(
         ray.get([sums_task.remote(r) for r in refs])).group_by(
@@ -4266,19 +4067,12 @@ def q_log_pack_tokens_by_source(sf_dir: str, seq_len: int = 512,
                                             np.arange(len(df)), 0))
     bases = run - run[firsts]
     base_ref = ray.put((srcs_sorted, comp_keys, bases, C))
-
-    tshard = ray.remote(_table_shard)
-    slices = [tshard.options(num_returns=P).remote(r, P, "chunk")
-              for r in refs]
-    comb = ray.remote(_pack_src_combine)
     # combine outputs stay in the object store: the packed corpus is
     # O(input) rows, so the result ships as a Dataset of per-partition
     # blocks (the customer_rfm idiom), never a driver concat
-    outs = [comb.remote(base_ref, seq_len, *[s[p] for s in slices])
-            for p in range(P)]
-    import ray.data as rd
-
-    return rd.from_arrow_refs(outs)
+    return rd.from_arrow_refs(X.combine(
+        _pack_src_combine, X.shard(X.table_shard, refs, P, P, "chunk"),
+        base_ref, seq_len, out_schema=_PACK_SRC_SCHEMA))
 
 
 def sql_pack_tokens_by_source(cache: str, seq_len: int = 512) -> str:
@@ -4325,20 +4119,17 @@ def q_log_pack_tokens(sf_dir: str, seq_len: int = 512,
 
     Engine shape (the doc_pack_materialize semantics on the raw-task
     exchange layout): ONE file-aligned read (keys added in the same
-    fused map), block refs captured via ``iter_internal_ref_bundles``;
+    fused map), block refs captured via ``exchange.block_refs``;
     bounded per-chunk token sums fold on the driver into exclusive
     chunk bases broadcast once; then the ONE justified payload exchange
-    runs as ``_table_shard``/combine raw tasks (Ray Data's sort-based
+    runs as ``exchange.table_shard``/combine raw tasks (Ray Data's sort-based
     groupby sizes post-shuffle blocks by bytes, capping concurrency for
     this stage — the compat/semdedup rule) with full P-way combine
     parallelism. Fragment stats are exact integers (tokens < 256,
     fragments <= seq_len), so the SQL gate is hash-exact."""
-    import ray
+    import ray.data as rd
 
-    from .datapipe import _n_parts, _table_shard
-
-    P = max(2, _n_parts())
-    empty = _PACK_SCHEMA.empty_table()
+    P = X.n_parts()
 
     def add_keys(t: pa.Table) -> pa.Table:
         idx = _pack_idx(t.column("doc_id"))
@@ -4347,37 +4138,16 @@ def q_log_pack_tokens(sf_dir: str, seq_len: int = 512,
                 .append_column("chunk",
                                pa.array(idx // chunk_docs, pa.int64())))
 
-    ds = (_read_tokens(sf_dir, ["doc_id", "tokens"])
-          .map_batches(add_keys, batch_format="pyarrow"))
-    refs = [r for b in ds.iter_internal_ref_bundles()
-            for r, md in b.blocks if md.num_rows]
+    refs = X.block_refs(_read_tokens(sf_dir, ["doc_id", "tokens"])
+                        .map_batches(add_keys, batch_format="pyarrow"))
     if not refs:
-        import ray.data as rd
-
-        return rd.from_arrow(empty)
-    sums_task = ray.remote(_pack_chunk_sums)
-    merged = pa.concat_tables(
-        ray.get([sums_task.remote(r) for r in refs])).group_by(
-        "chunk").aggregate([("tok_sum", "sum")])
-    order = pc.sort_indices(merged.column("chunk"))
-    chunk_ids = merged.column("chunk").take(order).to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    sums = merged.column("tok_sum_sum").take(order).to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    bases = np.cumsum(sums) - sums
-    base_ref = ray.put((chunk_ids, bases))
-
-    tshard = ray.remote(_table_shard)
-    slices = [tshard.options(num_returns=P).remote(r, P, "chunk")
-              for r in refs]
-    comb = ray.remote(_pack_combine)
+        return rd.from_arrow(_PACK_SCHEMA.empty_table())
+    base_ref = _pack_bases(_pack_chunk_sums, refs)
     # packed output is O(corpus): return per-partition blocks as a
     # Dataset (customer_rfm idiom), never a driver concat
-    outs = [comb.remote(base_ref, seq_len, *[s[p] for s in slices])
-            for p in range(P)]
-    import ray.data as rd
-
-    return rd.from_arrow_refs(outs)
+    return rd.from_arrow_refs(X.combine(
+        _pack_combine, X.shard(X.table_shard, refs, P, P, "chunk"),
+        base_ref, seq_len, out_schema=_PACK_SCHEMA))
 
 
 def sql_pack_tokens(cache: str, seq_len: int = 512) -> str:
@@ -4435,14 +4205,8 @@ def _mix_combine(base, seq_len: int, P2: int, *shards):
     derivation, minus the payload), then per-doc [first_seq, last_seq]
     spans expand to (seq, touch-count) partials, returned PRE-SHARDED
     by seq hash for the per-seq fold (num_returns=P2)."""
-    from .datapipe import _lp_split
-
     cids, cbases = base
-    tabs = [s for s in shards if s.num_rows]
-    if not tabs:
-        outs = [_MIX_PART.empty_table()] * P2
-        return outs if P2 > 1 else outs[0]
-    g = pa.concat_tables(tabs).combine_chunks()
+    g = pa.concat_tables(shards).combine_chunks()
     idx = g.column("idx").to_numpy(zero_copy_only=False)
     o = np.argsort(idx, kind="stable")
     nt = g.column("n_tok").to_numpy(
@@ -4460,19 +4224,15 @@ def _mix_combine(base, seq_len: int, P2: int, *shards):
     seq = (np.repeat(sf, k) + np.arange(n, dtype=np.int64)
            - np.repeat(np.cumsum(k) - k, k))
     us, cnts = np.unique(seq, return_counts=True)
-    outs = [pa.table({"seq": pa.array(s, pa.int64()),
-                      "cnt": pa.array(c.astype(np.int64))})
-            for s, c in _lp_split(us, P2, us, cnts)]
-    return outs if P2 > 1 else outs[0]
+    return X.split(X.fib_partition(us, P2), P2, pa.table(
+        {"seq": pa.array(us, pa.int64()),
+         "cnt": pa.array(cnts.astype(np.int64))}))
 
 
 def _mix_fold(*parts) -> pa.Table:
     """Per-seq totals for one seq partition, folded straight into the
     bounded (n_docs, n_seqs) histogram (n_docs <= seq_len + 1)."""
-    tabs = [p for p in parts if p.num_rows]
-    if not tabs:
-        return _MIX_SCHEMA.empty_table()
-    t = pa.concat_tables(tabs)
+    t = pa.concat_tables(parts)
     seq = t.column("seq").to_numpy(zero_copy_only=False)
     cnt = t.column("cnt").to_numpy(zero_copy_only=False)
     _, inv = np.unique(seq, return_inverse=True)
@@ -4510,14 +4270,8 @@ def _purity_combine(base, seq_len: int, P2: int, *shards):
     pre-sharded by seq hash (num_returns=P2). Pairs from docs of the
     SAME source in the same seq dedup here; cross-partition repeats of
     a pair dedup again in the fold."""
-    from .datapipe import _lp_split
-
     cids, cbases = base
-    tabs = [s for s in shards if s.num_rows]
-    if not tabs:
-        outs = [_PUR_PART.empty_table()] * P2
-        return outs if P2 > 1 else outs[0]
-    g = pa.concat_tables(tabs).combine_chunks()
+    g = pa.concat_tables(shards).combine_chunks()
     idx = g.column("idx").to_numpy(zero_copy_only=False)
     o = np.argsort(idx, kind="stable")
     nt = g.column("n_tok").to_numpy(
@@ -4541,19 +4295,14 @@ def _purity_combine(base, seq_len: int, P2: int, *shards):
     keep = np.ones(len(seq), dtype=bool)
     keep[1:] = (seq[1:] != seq[:-1]) | (sh[1:] != sh[:-1])
     seq, sh = seq[keep], sh[keep]
-    outs = [pa.table({"seq": pa.array(s, pa.int64()),
-                      "srch": pa.array(c, pa.int64())})
-            for s, c in _lp_split(seq, P2, seq, sh)]
-    return outs if P2 > 1 else outs[0]
+    return X.split(X.fib_partition(seq, P2), P2, pa.table(
+        {"seq": pa.array(seq, pa.int64()), "srch": pa.array(sh, pa.int64())}))
 
 
 def _purity_fold(*parts) -> pa.Table:
     """Distinct sources per seq for one seq partition, folded into the
     bounded (n_sources, n_seqs) histogram."""
-    tabs = [p for p in parts if p.num_rows]
-    if not tabs:
-        return _PUR_SCHEMA.empty_table()
-    t = pa.concat_tables(tabs)
+    t = pa.concat_tables(parts)
     seq = t.column("seq").to_numpy(zero_copy_only=False)
     sh = t.column("srch").to_numpy(zero_copy_only=False)
     o = np.lexsort((sh, seq))
@@ -4580,12 +4329,7 @@ def q_log_pack_source_purity(sf_dir: str, seq_len: int = 512,
     partition and emits DISTINCT (seq, source) presence pairs
     pre-sharded by seq hash; wave 2 re-dedups cross-partition repeats
     and folds bounded histograms. Exact integers end-to-end."""
-    import ray
-
-    from .datapipe import _n_parts, _table_shard
-
-    P = max(2, _n_parts())
-    empty = _PUR_SCHEMA.empty_table()
+    P = X.n_parts()
 
     def add_keys(t: pa.Table) -> pa.Table:
         idx = _pack_idx(t.column("doc_id"))
@@ -4594,38 +4338,18 @@ def q_log_pack_source_purity(sf_dir: str, seq_len: int = 512,
                 .append_column("chunk",
                                pa.array(idx // chunk_docs, pa.int64())))
 
-    ds = (_read_tokens(sf_dir, ["doc_id", "n_tok", "source"])
-          .map_batches(add_keys, batch_format="pyarrow"))
-    refs = [r for b in ds.iter_internal_ref_bundles()
-            for r, md in b.blocks if md.num_rows]
+    refs = X.block_refs(_read_tokens(sf_dir, ["doc_id", "n_tok", "source"])
+                        .map_batches(add_keys, batch_format="pyarrow"))
     if not refs:
-        return empty
-    sums_task = ray.remote(_mix_chunk_sums)
-    merged = pa.concat_tables(
-        ray.get([sums_task.remote(r) for r in refs])).group_by(
-        "chunk").aggregate([("tok_sum", "sum")])
-    order = pc.sort_indices(merged.column("chunk"))
-    chunk_ids = merged.column("chunk").take(order).to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    sums = merged.column("tok_sum_sum").take(order).to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    bases = np.cumsum(sums) - sums
-    base_ref = ray.put((chunk_ids, bases))
-
-    tshard = ray.remote(_table_shard)
-    slices = [tshard.options(num_returns=P).remote(r, P, "chunk")
-              for r in refs]
-    comb = ray.remote(_purity_combine)
-    mids = [comb.options(num_returns=P).remote(
-        base_ref, seq_len, P, *[s[p] for s in slices])
-        for p in range(P)]
-    if P == 1:
-        mids = [[m] for m in mids]
-    fold = ray.remote(_purity_fold)
-    hists = ray.get([fold.remote(*[m[q] for m in mids])
-                     for q in range(P)])
-    t = pa.concat_tables([empty] + list(hists)).group_by(
-        "n_sources").aggregate([("n_seqs", "sum")])
+        return _PUR_SCHEMA.empty_table()
+    base_ref = _pack_bases(_mix_chunk_sums, refs)
+    mids = X.combine(_purity_combine,
+                     X.shard(X.table_shard, refs, P, P, "chunk"),
+                     base_ref, seq_len, P, num_returns=P,
+                     out_schema=_PUR_PART)
+    t = X.gather(X.combine(_purity_fold, mids, out_schema=_PUR_SCHEMA),
+                 _PUR_SCHEMA).group_by("n_sources").aggregate(
+        [("n_seqs", "sum")])
     t = t.rename_columns(["n_sources", "n_seqs"])
     t = t.sort_by([("n_sources", "ascending")])
     return pa.table({"n_sources": t.column("n_sources"),
@@ -4674,12 +4398,7 @@ def q_log_pack_doc_mix(sf_dir: str, seq_len: int = 512,
     histograms. Every stream position belongs to a doc, so every seq
     appears in some partial — no missing-seq correction. Exact
     integers end-to-end."""
-    import ray
-
-    from .datapipe import _n_parts, _table_shard
-
-    P = max(2, _n_parts())
-    empty = _MIX_SCHEMA.empty_table()
+    P = X.n_parts()
 
     def add_keys(t: pa.Table) -> pa.Table:
         idx = _pack_idx(t.column("doc_id"))
@@ -4688,38 +4407,18 @@ def q_log_pack_doc_mix(sf_dir: str, seq_len: int = 512,
                 .append_column("chunk",
                                pa.array(idx // chunk_docs, pa.int64())))
 
-    ds = (_read_tokens(sf_dir, ["doc_id", "n_tok"])
-          .map_batches(add_keys, batch_format="pyarrow"))
-    refs = [r for b in ds.iter_internal_ref_bundles()
-            for r, md in b.blocks if md.num_rows]
+    refs = X.block_refs(_read_tokens(sf_dir, ["doc_id", "n_tok"])
+                        .map_batches(add_keys, batch_format="pyarrow"))
     if not refs:
-        return empty
-    sums_task = ray.remote(_mix_chunk_sums)
-    merged = pa.concat_tables(
-        ray.get([sums_task.remote(r) for r in refs])).group_by(
-        "chunk").aggregate([("tok_sum", "sum")])
-    order = pc.sort_indices(merged.column("chunk"))
-    chunk_ids = merged.column("chunk").take(order).to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    sums = merged.column("tok_sum_sum").take(order).to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    bases = np.cumsum(sums) - sums
-    base_ref = ray.put((chunk_ids, bases))
-
-    tshard = ray.remote(_table_shard)
-    slices = [tshard.options(num_returns=P).remote(r, P, "chunk")
-              for r in refs]
-    comb = ray.remote(_mix_combine)
-    mids = [comb.options(num_returns=P).remote(
-        base_ref, seq_len, P, *[s[p] for s in slices])
-        for p in range(P)]
-    if P == 1:
-        mids = [[m] for m in mids]
-    fold = ray.remote(_mix_fold)
-    hists = ray.get([fold.remote(*[m[q] for m in mids])
-                     for q in range(P)])
-    t = pa.concat_tables([empty] + list(hists)).group_by(
-        "n_docs").aggregate([("n_seqs", "sum")])
+        return _MIX_SCHEMA.empty_table()
+    base_ref = _pack_bases(_mix_chunk_sums, refs)
+    mids = X.combine(_mix_combine,
+                     X.shard(X.table_shard, refs, P, P, "chunk"),
+                     base_ref, seq_len, P, num_returns=P,
+                     out_schema=_MIX_PART)
+    t = X.gather(X.combine(_mix_fold, mids, out_schema=_MIX_SCHEMA),
+                 _MIX_SCHEMA).group_by("n_docs").aggregate(
+        [("n_seqs", "sum")])
     t = t.rename_columns(["n_docs", "n_seqs"])
     t = t.sort_by([("n_docs", "ascending")])
     return pa.table({"n_docs": t.column("n_docs"),
@@ -4773,10 +4472,7 @@ def _pack_sep_combine(base, seq_len: int, sep: int, *shards) -> pa.Table:
     still occupy one stream position and every fragment checksum
     includes the separators it covers."""
     cids, cbases = base
-    tabs = [s for s in shards if s.num_rows]
-    if not tabs:
-        return _PACK_SCHEMA.empty_table()
-    g = pa.concat_tables(tabs).combine_chunks()
+    g = pa.concat_tables(shards).combine_chunks()
     idx_np = g.column("idx").to_numpy(zero_copy_only=False)
     o = np.argsort(idx_np, kind="stable")
     g = g.take(pa.array(o))
@@ -4824,16 +4520,13 @@ def q_log_pack_tokens_sep(sf_dir: str, seq_len: int = 512,
     Zero-token rows still contribute their separator (a boundary
     marker). Same engine shape as q_log_pack_tokens: one file-aligned
     read, bounded (n_tok+1) chunk sums -> broadcast bases, ONE
-    ``_table_shard`` payload exchange, Dataset-of-blocks return. The
+    ``exchange.table_shard`` payload exchange, Dataset-of-blocks return. The
     fragment checksums are exact integers including covered separators,
     so the SQL gate (list_concat(tokens, [sep]) + the same window
     cumsum) is hash-exact."""
-    import ray
+    import ray.data as rd
 
-    from .datapipe import _n_parts, _table_shard
-
-    P = max(2, _n_parts())
-    empty = _PACK_SCHEMA.empty_table()
+    P = X.n_parts()
 
     def add_keys(t: pa.Table) -> pa.Table:
         idx = _pack_idx(t.column("doc_id"))
@@ -4842,35 +4535,14 @@ def q_log_pack_tokens_sep(sf_dir: str, seq_len: int = 512,
                 .append_column("chunk",
                                pa.array(idx // chunk_docs, pa.int64())))
 
-    ds = (_read_tokens(sf_dir, ["doc_id", "tokens"])
-          .map_batches(add_keys, batch_format="pyarrow"))
-    refs = [r for b in ds.iter_internal_ref_bundles()
-            for r, md in b.blocks if md.num_rows]
+    refs = X.block_refs(_read_tokens(sf_dir, ["doc_id", "tokens"])
+                        .map_batches(add_keys, batch_format="pyarrow"))
     if not refs:
-        import ray.data as rd
-
-        return rd.from_arrow(empty)
-    sums_task = ray.remote(_pack_sep_chunk_sums)
-    merged = pa.concat_tables(
-        ray.get([sums_task.remote(r) for r in refs])).group_by(
-        "chunk").aggregate([("tok_sum", "sum")])
-    order = pc.sort_indices(merged.column("chunk"))
-    chunk_ids = merged.column("chunk").take(order).to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    sums = merged.column("tok_sum_sum").take(order).to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    bases = np.cumsum(sums) - sums
-    base_ref = ray.put((chunk_ids, bases))
-
-    tshard = ray.remote(_table_shard)
-    slices = [tshard.options(num_returns=P).remote(r, P, "chunk")
-              for r in refs]
-    comb = ray.remote(_pack_sep_combine)
-    outs = [comb.remote(base_ref, seq_len, sep, *[s[p] for s in slices])
-            for p in range(P)]
-    import ray.data as rd
-
-    return rd.from_arrow_refs(outs)
+        return rd.from_arrow(_PACK_SCHEMA.empty_table())
+    base_ref = _pack_bases(_pack_sep_chunk_sums, refs)
+    return rd.from_arrow_refs(X.combine(
+        _pack_sep_combine, X.shard(X.table_shard, refs, P, P, "chunk"),
+        base_ref, seq_len, sep, out_schema=_PACK_SCHEMA))
 
 
 def sql_pack_tokens_sep(cache: str, seq_len: int = 512,
@@ -4908,27 +4580,22 @@ FROM s
 """
 
 
-def _pack_dedup_combine(base, seq_len: int, ndrop: int, *args) -> pa.Table:
+def _pack_dedup_combine(base, seq_len: int, dropped: list,
+                        tabs: list) -> pa.Table:
     """One hash partition of the dedup-then-pack exchange: drop the
     partition's duplicate rows (sorted dropped-idx membership via
     searchsorted), then delegate to the plain pack combine — within-
     chunk offsets are rebuilt over KEPT rows only, matching the
     kept-only chunk bases."""
-    dropped = np.unique(np.concatenate(args[:ndrop])) \
-        if ndrop else np.zeros(0, np.int64)
-    tabs = []
-    for t in args[ndrop:]:
-        if t.num_rows == 0:
-            continue
-        if len(dropped):
-            idx = t.column("idx").to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(dropped, idx)
-            hit = (pos < len(dropped)) & \
-                (dropped[np.minimum(pos, len(dropped) - 1)] == idx)
-            t = t.filter(pa.array(~hit))
-        if t.num_rows:
-            tabs.append(t)
-    return _pack_combine(base, seq_len, *tabs)
+    dropped = np.unique(np.concatenate(dropped))
+    t = pa.concat_tables(tabs)
+    if len(dropped):
+        idx = t.column("idx").to_numpy(zero_copy_only=False)
+        pos = np.searchsorted(dropped, idx)
+        hit = (pos < len(dropped)) & \
+            (dropped[np.minimum(pos, len(dropped) - 1)] == idx)
+        t = t.filter(pa.array(~hit))
+    return _pack_combine(base, seq_len, t)
 
 
 def q_log_pack_tokens_dedup(sf_dir: str, seq_len: int = 512,
@@ -4947,7 +4614,7 @@ def q_log_pack_tokens_dedup(sf_dir: str, seq_len: int = 512,
          never concat on the driver, the clusters_lp rule).
       2. The driver folds chunk sums into exclusive bases (the pack
          prefix-sum contract: O(corpus/chunk_docs) ints) broadcast once.
-      3. The payload exchange (`_table_shard` by chunk) lands each
+      3. The payload exchange (``exchange.table_shard`` by chunk) lands each
          chunk's rows WITH its dropped-id shard in one combine task,
          which filters and delegates to the plain pack combine.
 
@@ -4979,25 +4646,21 @@ def _dedup_pack_pipeline(sf_dir: str, add_keys, seq_len: int,
     chunk/h). Shared by log_pack_tokens_dedup and
     log_pack_tokens_curated."""
     import ray
+    import ray.data as rd
 
-    from .datapipe import _lp_split, _n_parts, _table_shard
-
-    P = max(2, _n_parts())
-    empty = _PACK_SCHEMA.empty_table()
+    P = X.n_parts()
 
     def hshard(t: pa.Table) -> list:
         h = t.column("h").to_numpy(zero_copy_only=False)
         idx = t.column("idx").to_numpy(zero_copy_only=False)
         nt = pc.list_value_length(t.column("tokens")).to_numpy(
             zero_copy_only=False).astype(np.int64)
-        return _lp_split(h, P, h, idx, nt)
-
-    _SUMS = pa.schema([("chunk", pa.int64()), ("tok_sum", pa.int64())])
+        return X.split(X.fib_partition(h, P), P, h, idx, nt)
 
     def flag(*shards) -> list:
         h = np.concatenate([s[0] for s in shards])
         if not len(h):
-            return [_SUMS.empty_table()] + [np.zeros(0, np.int64)] * P
+            return [X.CHUNK_SUMS.empty_table()] + [np.zeros(0, np.int64)] * P
         idx = np.concatenate([s[1] for s in shards])
         nt = np.concatenate([s[2] for s in shards])
         o = np.lexsort((idx, h))
@@ -5011,47 +4674,23 @@ def _dedup_pack_pipeline(sf_dir: str, add_keys, seq_len: int,
             "chunk": pa.array(uk, pa.int64()),
             "tok_sum": pa.array(
                 np.bincount(inv, weights=knt).astype(np.int64)),
-        }, schema=_SUMS)
+        }, schema=X.CHUNK_SUMS)
         dropped = idx[~first]
-        dsh = [s[0] for s in _lp_split(dropped // chunk_docs, P, dropped)]
-        return [sums] + dsh
+        return [sums] + X.split(X.fib_partition(dropped // chunk_docs, P),
+                                P, dropped)
 
-    ds = (_read_tokens(sf_dir, ["doc_id", "tokens"])
-          .map_batches(add_keys, batch_format="pyarrow"))
-    refs = [r for b in ds.iter_internal_ref_bundles()
-            for r, md in b.blocks if md.num_rows]
+    refs = X.block_refs(_read_tokens(sf_dir, ["doc_id", "tokens"])
+                        .map_batches(add_keys, batch_format="pyarrow"))
     if not refs:
-        import ray.data as rd
-
-        return rd.from_arrow(empty)
-    htask = ray.remote(hshard)
-    hs = [htask.options(num_returns=P).remote(r) for r in refs]
-    ftask = ray.remote(flag)
-    fl = [ftask.options(num_returns=P + 1).remote(*[s[p] for s in hs])
-          for p in range(P)]
-    merged = pa.concat_tables(
-        [_SUMS.empty_table()] + ray.get([f[0] for f in fl])).group_by(
-        "chunk").aggregate([("tok_sum", "sum")])
-    order = pc.sort_indices(merged.column("chunk"))
-    chunk_ids = merged.column("chunk").take(order).to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    sums = merged.column("tok_sum_sum").take(order).to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    bases = np.cumsum(sums) - sums
-    base_ref = ray.put((chunk_ids, bases))
-    tshard = ray.remote(_table_shard)
-    slices = [tshard.options(num_returns=P).remote(r, P, "chunk")
-              for r in refs]
-    comb = ray.remote(_pack_dedup_combine)
+        return rd.from_arrow(_PACK_SCHEMA.empty_table())
+    fl = X.combine(flag, X.shard(hshard, refs, P), num_returns=P + 1)
+    base_ref = ray.put(X.chunk_bases(X.gather(fl[0], X.CHUNK_SUMS)))
     # packed survivor stream is O(corpus): ship it as a Dataset of
     # per-partition blocks (customer_rfm idiom), never a driver concat
-    outs = [comb.remote(base_ref, seq_len, len(fl),
-                        *[f[1 + p] for f in fl],
-                        *[s[p] for s in slices])
-            for p in range(P)]
-    import ray.data as rd
-
-    return rd.from_arrow_refs(outs)
+    return rd.from_arrow_refs(X.combine(
+        _pack_dedup_combine,
+        (fl[1:], X.shard(X.table_shard, refs, P, P, "chunk")),
+        base_ref, seq_len, out_schema=_PACK_SCHEMA))
 
 
 def sql_pack_tokens_dedup(cache: str, seq_len: int = 512) -> str:
@@ -5243,7 +4882,7 @@ def q_log_repeat_offenders(sf_dir: str):
     client's last 50 parsed entries in file order counts malicious
     requests; a client whose window ever holds >=3 is flagged.
 
-    Ray shape: partition-grouped (datapipe._n_parts — client count is
+    Ray shape: partition-grouped (exchange.n_parts — client count is
     unbounded at scale, so per-client map_groups would pay ~60us per
     tiny group): group by client-hash %% P, then one vectorized
     windowed cumsum scan per partition; the oracle is an independent
@@ -5253,9 +4892,7 @@ def q_log_repeat_offenders(sf_dir: str):
     import numpy as np
     import pandas as pd
 
-    from .datapipe import _n_parts
-
-    P = _n_parts()
+    P = X.n_parts()
 
     def add_part(t: pa.Table) -> pa.Table:
         t = t.filter(t.column("parse_ok")).select(

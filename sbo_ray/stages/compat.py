@@ -26,6 +26,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .. import exchange as X
 from ..oracle.pipeline import OracleMetricsManager
 
 COMPAT_SCHEMA = pa.schema([
@@ -432,24 +433,13 @@ def _compat_shard(t, P: int):
 
     if not isinstance(t, pa.Table):
         t = pa.Table.from_pandas(t, preserve_index=False)
-    if t.num_rows == 0:
-        empty = COMPAT_PARTIAL_SCHEMA.empty_table()
-        return tuple([empty] * P)
     keys = _group_key_expr(t)
     if isinstance(keys, pa.ChunkedArray):
         keys = keys.combine_chunks()
     enc = keys.dictionary_encode()
     uh = np.array([zlib.crc32(u.encode("utf-8")) % P
                    for u in enc.dictionary.to_pylist()], dtype=np.int64)
-    h = uh[enc.indices.to_numpy(zero_copy_only=False)]
-    # one stable argsort + contiguous index slices (P filters would
-    # rescan the block P times); per-shard take keeps each return's
-    # buffers shard-sized for serialization
-    order = np.argsort(h, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(h, minlength=P))])
-    return tuple(
-        t.take(pa.array(order[bounds[q]:bounds[q + 1]]))
-        for q in range(P))
+    return X.split(uh[enc.indices.to_numpy(zero_copy_only=False)], P, t)
 
 
 def _compat_combine(window_size: int, replace_existing: bool, *shards):
@@ -552,28 +542,19 @@ def metrics_dataset_compat(enriched, window_size: int = 3,
     import ray
     import ray.data as rd
 
-    partial_ds = long_ds.map_batches(compat_partial, batch_format="pyarrow")
-    refs = []
-    for bundle in partial_ds.iter_internal_ref_bundles():
-        for block_ref, _md in bundle.blocks:
-            refs.append(block_ref)
+    refs = X.block_refs(
+        long_ds.map_batches(compat_partial, batch_format="pyarrow"))
     if not refs:
         return rd.from_arrow(COMPAT_SCHEMA.empty_table())
     import pyarrow.compute as pc
 
     ncpu = int(ray.cluster_resources().get("CPU", 4))
     P = max(2, min(2 * ncpu, 4 * len(refs)))
-    shard = ray.remote(_compat_shard)
-    shard_refs = [shard.options(num_returns=P).remote(r, P) for r in refs]
-    combine = ray.remote(_compat_combine)
-    outs = [
-        combine.options(num_returns=2).remote(
-            window_size, replace_existing, *[sr[p] for sr in shard_refs])
-        for p in range(P)
-    ]
-    table_refs = [o[0] for o in outs]
+    table_refs, key_refs = X.combine(
+        _compat_combine, X.shard(_compat_shard, refs, P, P),
+        window_size, replace_existing, num_returns=2)
     overlap_keys: set[str] = set()
-    for ks in ray.get([o[1] for o in outs]):
+    for ks in ray.get(key_refs):
         overlap_keys.update(ks)
     out_ds = rd.from_arrow_refs(table_refs)
 

@@ -1,0 +1,172 @@
+"""The shared raw-task exchange (``sbo_ray/exchange.py``): unit behavior
+of split / shard / combine / fold, and partition-count invariance of
+every exchange shape against its SQL gate at sf0.001.
+
+P is forced by patching ``exchange.n_parts`` (every exchange site reads
+it at call time), so these run at P = 1, 2 and 128 on any cpu count."""
+
+import os
+
+import duckdb
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pytest
+
+from sbo_ray import exchange as X
+from sbo_ray.pipelines.queries import SF_CORRECTNESS
+
+SF = os.path.join(os.path.dirname(SF_CORRECTNESS), "sf0.001")
+TABLES = ("region", "nation", "customer", "supplier", "part", "orders",
+          "lineitem", "events", "documents", "embeddings")
+
+
+def _norm(df: pd.DataFrame) -> pd.DataFrame:
+    df = df.reindex(sorted(df.columns), axis=1)
+    for c in df.columns:
+        if df[c].dtype.kind == "f":
+            df[c] = df[c].round(6)
+        elif df[c].dtype == object:
+            df[c] = df[c].astype(str)
+    return df.sort_values(by=list(df.columns)).reset_index(drop=True)
+
+
+@pytest.fixture(scope="module")
+def gate(ray_session):
+    """check(name, **kw): the query's result == its SQL gate."""
+    import ray.data as rd
+
+    import __ray_entry__ as E
+
+    con = duckdb.connect()
+    for t in TABLES:
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                    f"read_parquet('{SF}/{t}.parquet')")
+    qs, sqls = E.queries(), E.oracle_sql(SF)
+
+    def check(name, **kw):
+        res = qs[name](SF, **kw)
+        got = res.to_pandas() if isinstance(res, (rd.Dataset, pa.Table)) \
+            else res
+        pd.testing.assert_frame_equal(
+            _norm(got), _norm(con.execute(sqls[name]).df()),
+            check_dtype=False)
+
+    return check
+
+
+# ---- primitives ------------------------------------------------------------
+
+
+def test_split_tables_and_arrays():
+    part = np.array([2, 0, 2, 1, 0])
+    t = pa.table({"k": [10, 11, 12, 13, 14]})
+    out = X.split(part, 3, t)
+    assert [s.column("k").to_pylist() for s in out] == [[11, 14], [13],
+                                                        [10, 12]]
+    a, b = np.arange(5), np.arange(5) * 10
+    pairs = X.split(part, 4, a, b)
+    assert len(pairs) == 4 and pairs[3][0].size == 0
+    assert pairs[2][1].tolist() == [0, 20]
+    assert [s.num_rows for s in X.split(part[:0], 2, t.slice(0, 0))] == [0, 0]
+
+
+# Task functions are built inside the tests: workers cannot import this
+# test module, so they must pickle by value.
+def _fns():
+    def pieces(t: pa.Table, P: int) -> list:
+        k = t.column("k").to_numpy()
+        return X.split(k % P, P, t)
+
+    def never_on_empty(*tabs):
+        if not all(t.num_rows for t in tabs):
+            raise AssertionError("called on a zero-row input")
+        return pa.concat_tables(tabs)
+
+    def count_sides(left: list, right: list) -> list:
+        return [len(left), len(right)]
+
+    def raise_on_empty(t: pa.Table) -> pa.Table:
+        if not t.num_rows:
+            raise AssertionError("partial called on an empty block")
+        return t.select(["x"])
+
+    return pieces, never_on_empty, count_sides, raise_on_empty
+
+
+@pytest.mark.parametrize("P", [1, 2, 5])
+def test_shard_combine_matrix_and_empty_partitions(ray_session, P):
+    import ray
+
+    _pieces, _never_on_empty, _, _ = _fns()
+    refs = [ray.put(pa.table({"k": pa.array([0, 2, 4], pa.int64())})),
+            ray.put(pa.table({"k": pa.array([6], pa.int64())}))]
+    m = X.shard(_pieces, refs, P, P)
+    assert len(m) == P and all(len(col) == len(refs) for col in m)
+    schema = pa.schema([("k", pa.int64())])
+    outs = ray.get(X.combine(_never_on_empty, m, out_schema=schema))
+    # odd partitions receive only zero-row slices: typed empties, and
+    # the site's function is never called on them
+    assert sorted(v for o in outs for v in o.column("k").to_pylist()) \
+        == [0, 2, 4, 6]
+    assert all(o.schema == schema for o in outs)
+
+
+def test_combine_sides_and_num_returns(ray_session):
+    import ray
+
+    _pieces, _, _count_sides, _ = _fns()
+    refs = [ray.put(pa.table({"k": pa.array([1, 2], pa.int64())}))]
+    a = X.shard(_pieces, refs, 2, 2)
+    b = X.shard(_pieces, refs * 3, 2, 2)
+    m = X.combine(_count_sides, (a, b), num_returns=2)
+    assert ray.get(m[0]) == [1, 1] and ray.get(m[1]) == [3, 3]
+    one = X.combine(_count_sides, (a, b), num_returns=1)
+    assert ray.get(one[0]) == [1, 1]  # first piece of each partition
+
+
+def test_fold_skips_empty_blocks(ray_session, tmp_path):
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    _raise_on_empty = _fns()[3]
+    schema = pa.schema([("x", pa.int64())])
+    pq.write_table(pa.table({"x": pa.array([], pa.int64())}),
+                   str(tmp_path / "empty.parquet"))
+    empty = X.fold(rd.read_parquet(str(tmp_path / "empty.parquet")),
+                   _raise_on_empty, schema)
+    assert empty.num_rows == 0 and empty.schema == schema
+    full = X.fold(rd.from_arrow(pa.table({"x": [1, 2, 3]})),
+                  _raise_on_empty, schema)
+    assert sorted(full.column("x").to_pylist()) == [1, 2, 3]
+
+
+# ---- partition invariance vs the SQL gates ---------------------------------
+
+
+@pytest.mark.parametrize("P", [16, 128])
+def test_events_daily_active_high_p(gate, monkeypatch, P):
+    """P=16 and P=128 leave most DAU partitions without rows; the
+    combine's empty-partition rule must keep them out of the fold."""
+    monkeypatch.setattr(X, "n_parts", lambda: P)
+    gate("events_daily_active")
+
+
+@pytest.mark.parametrize("P", [1, 2, 128])
+@pytest.mark.parametrize("name", [
+    "log_pack_tokens",          # single-wave table shard
+    "log_pack_tokens_dedup",    # pre-sharded multi-wave
+    "log_token_ngram_dedup",    # pre-sharded multi-wave (numpy + tables)
+    "orders_with_returns",      # two-sided join
+    "doc_dedup_substring",      # numpy-tuple carry, two waves
+    "doc_shuffle_order",        # range split + prefix-sum bases
+])
+def test_exchange_partition_invariance(gate, monkeypatch, name, P):
+    monkeypatch.setattr(X, "n_parts", lambda: P)
+    gate(name)
+
+
+@pytest.mark.parametrize("B", [1, 2])
+def test_chunk_pair_join_invariance(gate, B):
+    """doc_dedup_ngram fans out over B chunk pairs, not P partitions."""
+    gate("doc_dedup_ngram", n_chunks=B)

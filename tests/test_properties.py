@@ -341,7 +341,7 @@ def test_anti_combine_matches_set_reference(custs, orders):
     ok = np.array(orders, dtype=np.int64)
     left = [(ck[i::2], cn[i::2]) for i in range(2)]
     right = [(ok[i::2], np.zeros(0, np.int64)) for i in range(2)]
-    got = _anti_combine(2, *left, *right)
+    got = _anti_combine(left, right)
     got_map = dict(zip(got.column("key").to_pylist(),
                        got.column("cnt").to_pylist()))
     want = {}

@@ -2,12 +2,15 @@
 
 Usage:
     python tools/verify_queries.py [--sf /root/testdata/sf0.01] \
-        [--cpus 8] [name ...]
+        [--cpus 32] [name ...]
 
 With no names, runs every query that has an oracle_sql entry. For each
 query: runs the Ray callable and the DuckDB SQL over pre-registered
 views, sorts columns by name and rows by all values, normalizes floats
 (round 6), and reports rows/schema/values match. Exit 1 on any mismatch.
+The first output line names the Ray session's cpu count. The default,
+32, is the session shape the correctness gate runs at; the cpu count
+sets the exchange partition count P.
 """
 from __future__ import annotations
 
@@ -50,7 +53,7 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("names", nargs="*")
     ap.add_argument("--sf", default="/root/testdata/sf0.01")
-    ap.add_argument("--cpus", type=int, default=8)
+    ap.add_argument("--cpus", type=int, default=32)
     args = ap.parse_args()
 
     import ray
@@ -58,6 +61,8 @@ def main() -> int:
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=args.cpus,
                  include_dashboard=False, logging_level="ERROR")
+    print(f"cpus={int(ray.cluster_resources().get('CPU', 0))} sf={args.sf}",
+          flush=True)
     import duckdb
 
     sys.path.insert(0, "/root/repo")
