@@ -1,14 +1,15 @@
 """Raw-task hash exchange plumbing, shared by every shard -> combine op.
 
-Ray Data's sort/groupby sizes post-shuffle blocks by bytes, so stages
-that are compute-heavy per byte (packing, dedup, compat replay, label
-propagation) run their exchange as plain Ray tasks instead. This module
-owns the parts of that layout that every site used to re-solve:
+Ray Data's sort/groupby sizes post-shuffle blocks by bytes and pays a
+fixed sample/sort overhead per shuffle, so the engine's hash exchanges
+run as plain Ray tasks instead. This module owns the parts of
+that layout that every site used to re-solve:
 
 - ``block_refs(ds)``: the Dataset's non-empty block refs (an empty
   parquet read yields a schemaless block that poisons downstream
   concats, so zero-row blocks drop by bundle metadata);
-  ``sized_block_refs`` also sums their rows.
+  ``sized_block_refs`` also sums their rows and bytes.
+- ``n_parts(nbytes)``: the partition count P, the one P rule (below).
 - ``split(part, P, *cols)``: one stable argsort by partition id, then
   contiguous slices of tables or numpy arrays (``table_shard`` is the
   whole-row form keyed by the Fibonacci hash of one int64 column).
@@ -24,8 +25,13 @@ owns the parts of that layout that every site used to re-solve:
   ``collect`` is the same concat without the map, ``gather`` the same
   for combine-task refs.
 
-Each site keeps its own partition function; P is read at call time
-through ``n_parts()`` (patch it to force a partition count).
+The P rule: one partition per ``DataContext.target_max_block_size`` of
+input bytes, at least one per cpu and at most ``max(16, 4 * cpus)``.
+A site that holds its block refs before it picks P passes their bytes
+(``n_parts(nbytes)``); a site that must fix P before its input exists
+(P baked into a Ray Data map closure) calls ``n_parts()`` and gets the
+cap. Each site keeps its own partition function; P is read at call
+time through ``n_parts`` (patch it to force a partition count).
 """
 from __future__ import annotations
 
@@ -36,26 +42,29 @@ import pyarrow as pa
 
 import ray
 import ray.data as rd
+from ray.data import DataContext
 
 from .pipelines.logpipe import _cpus
 
 
-def n_parts() -> int:
-    """Hash-partition count for the partition-grouped pattern: Ray's
-    ``groupby().map_groups`` pays ~60us of per-group pandas overhead, so
-    grouping millions of tiny buckets (LSH bands, users) directly is
-    minutes of pure overhead. Instead group by ``key_hash % P`` and do
-    the real (vectorized) grouping inside each partition — same rows
-    shuffled, P pandas calls instead of millions. Partitioning
-    assumption: one hash partition fits in a worker; raise P for bigger
-    inputs."""
-    return max(16, _cpus() * 4)
+def n_parts(nbytes: int | None = None) -> int:
+    """Hash-partition count P for an exchange over ``nbytes`` of input:
+    ``min(max(16, 4 * cpus), max(cpus, ceil(nbytes / block_size)))``
+    with Ray Data's ``target_max_block_size`` as the block size.
 
-
-def groupby_parts() -> int:
-    """Partition count of the log ops' ``groupby("part")`` layout: one
-    partition per cpu, at least 4."""
-    return max(4, int(ray.cluster_resources().get("CPU", 4)))
+    Every partition costs one combine task and one return per shard
+    task whatever its size, so small inputs get few partitions (P = 1
+    for a 32 MB table at 1 cpu). The cpu floor keeps every cpu busy in
+    the combine wave; the cap bounds the task count on big inputs,
+    where a partition then holds more than one block's bytes (one hash
+    partition must still fit in a worker). With no bytes, P is the
+    cap."""
+    cpus = _cpus()
+    cap = max(16, 4 * cpus)
+    if nbytes is None:
+        return cap
+    block = DataContext.get_current().target_max_block_size
+    return min(cap, max(cpus, -(-nbytes // block)))
 
 
 def fib_partition(x: np.ndarray, P: int) -> np.ndarray:
@@ -65,12 +74,14 @@ def fib_partition(x: np.ndarray, P: int) -> np.ndarray:
     return ((h >> np.uint64(33)) % np.uint64(P)).astype(np.int64)
 
 
-def sized_block_refs(ds: rd.Dataset) -> tuple[list, int]:
+def sized_block_refs(ds: rd.Dataset) -> tuple[list, int, int]:
     """The Dataset's non-empty block refs (one execution) and their
-    total row count, both from bundle metadata."""
-    blocks = [(r, md.num_rows) for b in ds.iter_internal_ref_bundles()
+    total rows and bytes, all from bundle metadata."""
+    blocks = [(r, md) for b in ds.iter_internal_ref_bundles()
               for r, md in b.blocks if md.num_rows != 0]
-    return [r for r, _ in blocks], sum(n or 0 for _, n in blocks)
+    return ([r for r, _ in blocks],
+            sum(md.num_rows or 0 for _, md in blocks),
+            sum(md.size_bytes or 0 for _, md in blocks))
 
 
 def block_refs(ds: rd.Dataset) -> list:

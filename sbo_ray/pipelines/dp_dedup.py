@@ -1358,7 +1358,7 @@ def doc_dedup_clusters_lp(sf_dir: str, threshold: float = 0.8,
         return empty_out
     bc_ref = ray.remote(_build_slot_map).remote(pairs_ref)
     verified = _verified_pairs_ds(sf_dir, bc_ref, threshold, X.n_parts())
-    vrefs, total = X.sized_block_refs(verified)
+    vrefs, total, _ = X.sized_block_refs(verified)
     if not vrefs:
         return empty_out
     P = max(2, min(X.n_parts(), 1 + (2 * total) // 32768))

@@ -928,6 +928,30 @@ def _enriched(sf_dir: str):
     return logpipe.enriched_dataset(_input_paths(sf_dir), _job())
 
 
+def _part_exchange(ds, partial, fold_part, schema: pa.Schema) -> pa.Table:
+    """The log ops' one hash exchange, as raw tasks: ``partial(block, P)``
+    runs block-local and tags each row with an int64 ``part`` id < P
+    (the site's partition function), ``X.split`` routes the rows by it,
+    and one task per partition runs ``fold_part`` (pandas, ``part``
+    dropped) over every row of its partition. P follows ``ds``'s bytes
+    (``exchange.n_parts``); the folded partitions are gathered as one
+    ``schema`` table."""
+    refs, _, nbytes = X.sized_block_refs(ds)
+    P = X.n_parts(nbytes)
+
+    def part_shard(t: pa.Table) -> list:
+        p = partial(t, P)
+        return X.split(p.column("part").to_numpy(), P, p.drop_columns("part"))
+
+    def part_combine(*tabs: pa.Table) -> pa.Table:
+        return pa.Table.from_pandas(
+            fold_part(pa.concat_tables(tabs).to_pandas()), schema=schema,
+            preserve_index=False)
+
+    return X.gather(X.combine(part_combine, X.shard(part_shard, refs, P),
+                              out_schema=schema), schema)
+
+
 def q_log_metrics(sf_dir: str):
     return logpipe.metrics_dataset(_enriched(sf_dir))
 
@@ -1208,12 +1232,11 @@ def q_log_distinct_clients(sf_dir: str):
 
     import numpy as np
 
-    P = X.groupby_parts()
     pair_schema = pa.schema([("source", pa.string()),
                              ("client_ip", pa.string()),
                              ("part", pa.int64())])
 
-    def pair_partial(t: pa.Table) -> pa.Table:
+    def pair_partial(t: pa.Table, P: int) -> pa.Table:
         t = t.filter(t.column("parse_ok"))
         if t.num_rows == 0:
             return pair_schema.empty_table()
@@ -1236,14 +1259,14 @@ def q_log_distinct_clients(sf_dir: str):
         return pd.DataFrame({"source": out["source"],
                              "n": out["n"].astype("int64")})
 
-    parts = (_enriched(sf_dir)
-             .map_batches(pair_partial, batch_format="pyarrow")
-             .groupby("part").map_groups(count_part))
-    df = logpipe.to_pandas_with_schema(
-        parts, pa.schema([("source", pa.string()), ("n", pa.int64())]))
+    df = _part_exchange(
+        _enriched(sf_dir), pair_partial, count_part,
+        pa.schema([("source", pa.string()), ("n", pa.int64())])).to_pandas()
     out = df.groupby("source", sort=True)["n"].sum().reset_index(name="n_clients")
     out["n_clients"] = out["n_clients"].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return pa.Table.from_pandas(out, schema=pa.schema([
+        ("source", pa.string()), ("n_clients", pa.int64())]),
+        preserve_index=False)
 
 
 def q_log_distinct_clients_hll(sf_dir: str):
@@ -1307,7 +1330,6 @@ def q_log_sessionize(sf_dir: str, gap_sec: int = 600):
     them; epochs are exact integers."""
     import zlib
 
-    P = X.groupby_parts()
     row_schema = pa.schema([("source", pa.string()),
                             ("client_ip", pa.string()),
                             ("e", pa.int64()), ("part", pa.int64())])
@@ -1317,7 +1339,7 @@ def q_log_sessionize(sf_dir: str, gap_sec: int = 600):
                             ("session_end", pa.int64()),
                             ("n_requests", pa.int64())])
 
-    def route(t: pa.Table) -> pa.Table:
+    def route(t: pa.Table, P: int) -> pa.Table:
         t = t.filter(pc.and_(t.column("parse_ok"),
                              pc.is_valid(t.column("ts"))))
         if t.num_rows == 0:
@@ -1353,10 +1375,8 @@ def q_log_sessionize(sf_dir: str, gap_sec: int = 600):
         out["n_requests"] = out["n_requests"].astype("int64")
         return out.reset_index(drop=True)
 
-    parts = (_enriched(sf_dir)
-             .map_batches(route, batch_format="pyarrow")
-             .groupby("part").map_groups(sessions_part))
-    return X.collect(parts, out_schema)
+    return _part_exchange(_enriched(sf_dir), route, sessions_part,
+                          out_schema)
 
 
 def sql_log_sessionize(cache: str, gap_sec: int = 600) -> str:
@@ -1592,7 +1612,6 @@ def q_log_ip_entropy(sf_dir: str):
     folds H = ln N - (sum c ln c)/N. ROUND-6 (transcendental sums)."""
     import zlib
 
-    P = X.groupby_parts()
     pair_schema = pa.schema([("source", pa.string()),
                              ("client_ip", pa.string()),
                              ("cnt", pa.int64()), ("part", pa.int64())])
@@ -1600,7 +1619,7 @@ def q_log_ip_entropy(sf_dir: str):
                             ("n_requests", pa.int64()),
                             ("ip_entropy", pa.float64())])
 
-    def pair_partial(t: pa.Table) -> pa.Table:
+    def pair_partial(t: pa.Table, P: int) -> pa.Table:
         t = t.filter(t.column("parse_ok"))
         if t.num_rows == 0:
             return pair_schema.empty_table()
@@ -1630,12 +1649,10 @@ def q_log_ip_entropy(sf_dir: str):
                              "n": out["n"].astype("int64"),
                              "clnc": out["clnc"]})
 
-    parts = (_enriched(sf_dir)
-             .map_batches(pair_partial, batch_format="pyarrow")
-             .groupby("part").map_groups(fold_part))
-    df = logpipe.to_pandas_with_schema(
-        parts, pa.schema([("source", pa.string()), ("n", pa.int64()),
-                          ("clnc", pa.float64())]))
+    df = _part_exchange(
+        _enriched(sf_dir), pair_partial, fold_part,
+        pa.schema([("source", pa.string()), ("n", pa.int64()),
+                   ("clnc", pa.float64())])).to_pandas()
     if df.empty:
         return out_schema.empty_table()
     agg = df.groupby("source", sort=True).agg(
@@ -1766,13 +1783,7 @@ def q_log_seq_dedup(sf_dir: str):
     h % P co-locates every copy of a sequence; each partition counts
     distinct hashes and total rows per source, and the driver folds
     P x |sources| tiny rows. Sequences themselves never move."""
-    P = X.groupby_parts()
-    part_schema = pa.schema([("source", pa.string()), ("h", pa.int64()),
-                             ("cnt", pa.int64()), ("part", pa.int64())])
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
+    def partial(t: pa.Table, P: int) -> pa.Table:
         vals, off = _token_lists(t.column("tokens"))
         h = _seq_hash64(vals, off)
         g = pa.table({
@@ -1796,12 +1807,10 @@ def q_log_seq_dedup(sf_dir: str):
                              "n_rows": out["n_rows"].astype("int64"),
                              "n_uniq": out["n_uniq"].astype("int64")})
 
-    parts = (_read_tokens(sf_dir, ["tokens", "source"])
-             .map_batches(partial, batch_format="pyarrow")
-             .groupby("part").map_groups(fold_part))
-    df = logpipe.to_pandas_with_schema(
-        parts, pa.schema([("source", pa.string()), ("n_rows", pa.int64()),
-                          ("n_uniq", pa.int64())]))
+    df = _part_exchange(
+        _read_tokens(sf_dir, ["tokens", "source"]), partial, fold_part,
+        pa.schema([("source", pa.string()), ("n_rows", pa.int64()),
+                   ("n_uniq", pa.int64())])).to_pandas()
     out = df.groupby("source", sort=True).agg(
         n_rows=("n_rows", "sum"), n_uniq_seq=("n_uniq", "sum")).reset_index()
     return pa.table({
@@ -1830,13 +1839,7 @@ def q_log_seq_dedup_prefix(sf_dir: str, k: int = 32):
     Same engine shape as log_seq_dedup — block-local polynomial hash
     (over the CLAMPED prefix slice of the flat value array), one
     h % P exchange, bounded per-source fold — sequences never move."""
-    P = X.groupby_parts()
-    part_schema = pa.schema([("source", pa.string()), ("h", pa.int64()),
-                             ("cnt", pa.int64()), ("part", pa.int64())])
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
+    def partial(t: pa.Table, P: int) -> pa.Table:
         vals, off = _token_lists(t.column("tokens"))
         nt = np.diff(off)
         # clamp every row to its first min(k, n) tokens: keep flat
@@ -1874,12 +1877,10 @@ def q_log_seq_dedup_prefix(sf_dir: str, k: int = 32):
                              "n_rows": out["n_rows"].astype("int64"),
                              "n_uniq": out["n_uniq"].astype("int64")})
 
-    parts = (_read_tokens(sf_dir, ["tokens", "source"])
-             .map_batches(partial, batch_format="pyarrow")
-             .groupby("part").map_groups(fold_part))
-    df = logpipe.to_pandas_with_schema(
-        parts, pa.schema([("source", pa.string()), ("n_rows", pa.int64()),
-                          ("n_uniq", pa.int64())]))
+    df = _part_exchange(
+        _read_tokens(sf_dir, ["tokens", "source"]), partial, fold_part,
+        pa.schema([("source", pa.string()), ("n_rows", pa.int64()),
+                   ("n_uniq", pa.int64())])).to_pandas()
     out = df.groupby("source", sort=True).agg(
         n_rows=("n_rows", "sum"), n_uniq=("n_uniq", "sum")).reset_index()
     return pa.table({
@@ -2955,13 +2956,7 @@ def q_log_dup_gap_histogram(sf_dir: str):
     frexp exponent (integer for gaps < 2^53 — never a raw log2, the
     transcendental-gating rule); the SQL twin buckets via
     strlen(bin(gap)) - 1, bit-identical."""
-    P = X.groupby_parts()
-    part_schema = pa.schema([("h", pa.int64()), ("idx", pa.int64()),
-                             ("part", pa.int64())])
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
+    def partial(t: pa.Table, P: int) -> pa.Table:
         vals, off = _token_lists(t.column("tokens"))
         h = _seq_hash64(vals, off)
         idx = _pack_idx(t.column("doc_id"))
@@ -2988,10 +2983,8 @@ def q_log_dup_gap_histogram(sf_dir: str):
         return pd.DataFrame({"gap_bucket": ub,
                              "n_pairs": cnt.astype("int64")})
 
-    parts = (_read_tokens(sf_dir, ["doc_id", "tokens"])
-             .map_batches(partial, batch_format="pyarrow")
-             .groupby("part").map_groups(fold_part))
-    df = logpipe.to_pandas_with_schema(parts, _DUPGAP_OUT)
+    df = _part_exchange(_read_tokens(sf_dir, ["doc_id", "tokens"]), partial,
+                        fold_part, _DUPGAP_OUT).to_pandas()
     out = (df.groupby("gap_bucket", sort=True)["n_pairs"].sum()
            .reset_index())
     return pa.table({
@@ -3377,13 +3370,7 @@ def q_log_dup_cluster_sizes(sf_dir: str):
     sequence hash with per-block copy counts, ONE h % P exchange — but
     the partition fold emits the bounded (source, copies, n_clusters)
     histogram instead of two scalars. Sequences never move."""
-    P = X.groupby_parts()
-    part_schema = pa.schema([("source", pa.string()), ("h", pa.int64()),
-                             ("cnt", pa.int64()), ("part", pa.int64())])
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
+    def partial(t: pa.Table, P: int) -> pa.Table:
         vals, off = _token_lists(t.column("tokens"))
         h = _seq_hash64(vals, off)
         g = pa.table({
@@ -3407,10 +3394,8 @@ def q_log_dup_cluster_sizes(sf_dir: str):
                              "copies": hist["cnt"].astype("int64"),
                              "n_clusters": hist["h"].astype("int64")})
 
-    parts = (_read_tokens(sf_dir, ["tokens", "source"])
-             .map_batches(partial, batch_format="pyarrow")
-             .groupby("part").map_groups(fold_part))
-    df = logpipe.to_pandas_with_schema(parts, _DUPSZ_OUT)
+    df = _part_exchange(_read_tokens(sf_dir, ["tokens", "source"]), partial,
+                        fold_part, _DUPSZ_OUT).to_pandas()
     out = (df.groupby(["source", "copies"], sort=True)["n_clusters"].sum()
            .reset_index())
     return pa.table({
@@ -3798,13 +3783,7 @@ def q_log_cross_source_leakage(sf_dir: str):
     self-joins the presence rows on h (fan-out bounded by |sources|
     per hash) and emits per-pair counts; the driver sums
     P x |sources|^2 tiny rows. Sequences never move."""
-    P = X.groupby_parts()
-    part_schema = pa.schema([("source", pa.string()), ("h", pa.int64()),
-                             ("part", pa.int64())])
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return part_schema.empty_table()
+    def partial(t: pa.Table, P: int) -> pa.Table:
         vals, off = _token_lists(t.column("tokens"))
         h = _seq_hash64(vals, off)
         g = pa.table({
@@ -3828,10 +3807,8 @@ def q_log_cross_source_leakage(sf_dir: str):
                              "src_b": out["source_y"],
                              "n_shared": out["n"].astype("int64")})
 
-    parts = (_read_tokens(sf_dir, ["tokens", "source"])
-             .map_batches(partial, batch_format="pyarrow")
-             .groupby("part").map_groups(fold_part))
-    df = logpipe.to_pandas_with_schema(parts, _LEAK_OUT)
+    df = _part_exchange(_read_tokens(sf_dir, ["tokens", "source"]), partial,
+                        fold_part, _LEAK_OUT).to_pandas()
     out = (df.groupby(["src_a", "src_b"], sort=True)["n_shared"].sum()
            .reset_index())
     return pa.table({
@@ -3868,15 +3845,26 @@ def _pack_idx(col) -> np.ndarray:
                    pa.int64()).to_numpy(zero_copy_only=False)
 
 
-def _pack_bases(chunk_sums, refs: list):
-    """Pass 1 of the packing exchange: one ``chunk_sums`` task per block
-    ref, folded on the driver into the broadcast (chunk ids, exclusive
-    token bases) — O(corpus / chunk_docs) ints."""
+def _pack_shard(chunk_sums, refs: list, P: int) -> tuple[list, list]:
+    """Both per-block passes of the packing exchange, one task per block
+    ref: the block's rows sliced into P partitions by chunk
+    (``exchange.table_shard``) plus its bounded pass-1 ``chunk_sums``
+    partial. Returns the partition-major slice matrix and the partial
+    refs."""
+    def chunk_shard(block: pa.Table) -> list:
+        return X.table_shard(block, P, "chunk") + [chunk_sums(block)]
+
+    sl = X.shard(chunk_shard, refs, P + 1)
+    return sl[:P], sl[P]
+
+
+def _pack_bases(sum_refs: list):
+    """The packing prefix sum: (chunk, tok_sum) partials folded on the
+    driver into the broadcast (chunk ids, exclusive token bases) —
+    O(corpus / chunk_docs) ints."""
     import ray
 
-    task = ray.remote(chunk_sums)
-    return ray.put(X.chunk_bases(X.gather([task.remote(r) for r in refs],
-                                         X.CHUNK_SUMS)))
+    return ray.put(X.chunk_bases(X.gather(sum_refs, X.CHUNK_SUMS)))
 
 
 def _pack_chunk_sums(block: pa.Table) -> pa.Table:
@@ -4036,8 +4024,6 @@ def q_log_pack_tokens_by_source(sf_dir: str, seq_len: int = 512,
     import ray
     import ray.data as rd
 
-    P = X.n_parts()
-
     def add_keys(t: pa.Table) -> pa.Table:
         idx = _pack_idx(t.column("doc_id"))
         return (t.select(["doc_id", "tokens", "source"])
@@ -4045,13 +4031,14 @@ def q_log_pack_tokens_by_source(sf_dir: str, seq_len: int = 512,
                 .append_column("chunk",
                                pa.array(idx // chunk_docs, pa.int64())))
 
-    refs = X.block_refs(_read_tokens(sf_dir, ["doc_id", "tokens", "source"])
-                        .map_batches(add_keys, batch_format="pyarrow"))
+    refs, _, nbytes = X.sized_block_refs(
+        _read_tokens(sf_dir, ["doc_id", "tokens", "source"])
+        .map_batches(add_keys, batch_format="pyarrow"))
     if not refs:
         return rd.from_arrow(_PACK_SRC_SCHEMA.empty_table())
-    sums_task = ray.remote(_pack_src_chunk_sums)
-    merged = pa.concat_tables(
-        ray.get([sums_task.remote(r) for r in refs])).group_by(
+    P = X.n_parts(nbytes)
+    sl, sum_refs = _pack_shard(_pack_src_chunk_sums, refs, P)
+    merged = pa.concat_tables(ray.get(sum_refs)).group_by(
         ["source", "chunk"]).aggregate([("tok_sum", "sum")])
     df = merged.to_pandas().sort_values(["source", "chunk"])
     srcs_sorted = np.asarray(sorted(df["source"].unique()))
@@ -4071,8 +4058,8 @@ def q_log_pack_tokens_by_source(sf_dir: str, seq_len: int = 512,
     # O(input) rows, so the result ships as a Dataset of per-partition
     # blocks (the customer_rfm idiom), never a driver concat
     return rd.from_arrow_refs(X.combine(
-        _pack_src_combine, X.shard(X.table_shard, refs, P, P, "chunk"),
-        base_ref, seq_len, out_schema=_PACK_SRC_SCHEMA))
+        _pack_src_combine, sl, base_ref, seq_len,
+        out_schema=_PACK_SRC_SCHEMA))
 
 
 def sql_pack_tokens_by_source(cache: str, seq_len: int = 512) -> str:
@@ -4119,17 +4106,17 @@ def q_log_pack_tokens(sf_dir: str, seq_len: int = 512,
 
     Engine shape (the doc_pack_materialize semantics on the raw-task
     exchange layout): ONE file-aligned read (keys added in the same
-    fused map), block refs captured via ``exchange.block_refs``;
-    bounded per-chunk token sums fold on the driver into exclusive
-    chunk bases broadcast once; then the ONE justified payload exchange
-    runs as ``exchange.table_shard``/combine raw tasks (Ray Data's sort-based
+    fused map), block refs and bytes captured via
+    ``exchange.sized_block_refs``; one ``_pack_shard`` task per block
+    slices its rows by chunk hash (``exchange.table_shard``) and emits
+    its bounded per-chunk token sums, which fold on the driver into
+    exclusive chunk bases broadcast once; then the ONE justified
+    payload exchange combines on raw tasks (Ray Data's sort-based
     groupby sizes post-shuffle blocks by bytes, capping concurrency for
     this stage — the compat/semdedup rule) with full P-way combine
     parallelism. Fragment stats are exact integers (tokens < 256,
     fragments <= seq_len), so the SQL gate is hash-exact."""
     import ray.data as rd
-
-    P = X.n_parts()
 
     def add_keys(t: pa.Table) -> pa.Table:
         idx = _pack_idx(t.column("doc_id"))
@@ -4138,16 +4125,18 @@ def q_log_pack_tokens(sf_dir: str, seq_len: int = 512,
                 .append_column("chunk",
                                pa.array(idx // chunk_docs, pa.int64())))
 
-    refs = X.block_refs(_read_tokens(sf_dir, ["doc_id", "tokens"])
-                        .map_batches(add_keys, batch_format="pyarrow"))
+    refs, _, nbytes = X.sized_block_refs(
+        _read_tokens(sf_dir, ["doc_id", "tokens"])
+        .map_batches(add_keys, batch_format="pyarrow"))
     if not refs:
         return rd.from_arrow(_PACK_SCHEMA.empty_table())
-    base_ref = _pack_bases(_pack_chunk_sums, refs)
+    P = X.n_parts(nbytes)
+    sl, sum_refs = _pack_shard(_pack_chunk_sums, refs, P)
     # packed output is O(corpus): return per-partition blocks as a
     # Dataset (customer_rfm idiom), never a driver concat
     return rd.from_arrow_refs(X.combine(
-        _pack_combine, X.shard(X.table_shard, refs, P, P, "chunk"),
-        base_ref, seq_len, out_schema=_PACK_SCHEMA))
+        _pack_combine, sl, _pack_bases(sum_refs), seq_len,
+        out_schema=_PACK_SCHEMA))
 
 
 def sql_pack_tokens(cache: str, seq_len: int = 512) -> str:
@@ -4329,8 +4318,6 @@ def q_log_pack_source_purity(sf_dir: str, seq_len: int = 512,
     partition and emits DISTINCT (seq, source) presence pairs
     pre-sharded by seq hash; wave 2 re-dedups cross-partition repeats
     and folds bounded histograms. Exact integers end-to-end."""
-    P = X.n_parts()
-
     def add_keys(t: pa.Table) -> pa.Table:
         idx = _pack_idx(t.column("doc_id"))
         return (t.select(["n_tok", "source"])
@@ -4338,15 +4325,15 @@ def q_log_pack_source_purity(sf_dir: str, seq_len: int = 512,
                 .append_column("chunk",
                                pa.array(idx // chunk_docs, pa.int64())))
 
-    refs = X.block_refs(_read_tokens(sf_dir, ["doc_id", "n_tok", "source"])
-                        .map_batches(add_keys, batch_format="pyarrow"))
+    refs, _, nbytes = X.sized_block_refs(
+        _read_tokens(sf_dir, ["doc_id", "n_tok", "source"])
+        .map_batches(add_keys, batch_format="pyarrow"))
     if not refs:
         return _PUR_SCHEMA.empty_table()
-    base_ref = _pack_bases(_mix_chunk_sums, refs)
-    mids = X.combine(_purity_combine,
-                     X.shard(X.table_shard, refs, P, P, "chunk"),
-                     base_ref, seq_len, P, num_returns=P,
-                     out_schema=_PUR_PART)
+    P = X.n_parts(nbytes)
+    sl, sum_refs = _pack_shard(_mix_chunk_sums, refs, P)
+    mids = X.combine(_purity_combine, sl, _pack_bases(sum_refs), seq_len,
+                     P, num_returns=P, out_schema=_PUR_PART)
     t = X.gather(X.combine(_purity_fold, mids, out_schema=_PUR_SCHEMA),
                  _PUR_SCHEMA).group_by("n_sources").aggregate(
         [("n_seqs", "sum")])
@@ -4398,8 +4385,6 @@ def q_log_pack_doc_mix(sf_dir: str, seq_len: int = 512,
     histograms. Every stream position belongs to a doc, so every seq
     appears in some partial — no missing-seq correction. Exact
     integers end-to-end."""
-    P = X.n_parts()
-
     def add_keys(t: pa.Table) -> pa.Table:
         idx = _pack_idx(t.column("doc_id"))
         return (t.select(["n_tok"])
@@ -4407,15 +4392,15 @@ def q_log_pack_doc_mix(sf_dir: str, seq_len: int = 512,
                 .append_column("chunk",
                                pa.array(idx // chunk_docs, pa.int64())))
 
-    refs = X.block_refs(_read_tokens(sf_dir, ["doc_id", "n_tok"])
-                        .map_batches(add_keys, batch_format="pyarrow"))
+    refs, _, nbytes = X.sized_block_refs(
+        _read_tokens(sf_dir, ["doc_id", "n_tok"])
+        .map_batches(add_keys, batch_format="pyarrow"))
     if not refs:
         return _MIX_SCHEMA.empty_table()
-    base_ref = _pack_bases(_mix_chunk_sums, refs)
-    mids = X.combine(_mix_combine,
-                     X.shard(X.table_shard, refs, P, P, "chunk"),
-                     base_ref, seq_len, P, num_returns=P,
-                     out_schema=_MIX_PART)
+    P = X.n_parts(nbytes)
+    sl, sum_refs = _pack_shard(_mix_chunk_sums, refs, P)
+    mids = X.combine(_mix_combine, sl, _pack_bases(sum_refs), seq_len,
+                     P, num_returns=P, out_schema=_MIX_PART)
     t = X.gather(X.combine(_mix_fold, mids, out_schema=_MIX_SCHEMA),
                  _MIX_SCHEMA).group_by("n_docs").aggregate(
         [("n_seqs", "sum")])
@@ -4519,14 +4504,13 @@ def q_log_pack_tokens_sep(sf_dir: str, seq_len: int = 512,
     boundaries and attention masks can be rebuilt from the separators.
     Zero-token rows still contribute their separator (a boundary
     marker). Same engine shape as q_log_pack_tokens: one file-aligned
-    read, bounded (n_tok+1) chunk sums -> broadcast bases, ONE
-    ``exchange.table_shard`` payload exchange, Dataset-of-blocks return. The
+    read, one ``_pack_shard`` wave (chunk slices + bounded (n_tok+1)
+    chunk sums -> broadcast bases), ONE payload combine,
+    Dataset-of-blocks return. The
     fragment checksums are exact integers including covered separators,
     so the SQL gate (list_concat(tokens, [sep]) + the same window
     cumsum) is hash-exact."""
     import ray.data as rd
-
-    P = X.n_parts()
 
     def add_keys(t: pa.Table) -> pa.Table:
         idx = _pack_idx(t.column("doc_id"))
@@ -4535,14 +4519,16 @@ def q_log_pack_tokens_sep(sf_dir: str, seq_len: int = 512,
                 .append_column("chunk",
                                pa.array(idx // chunk_docs, pa.int64())))
 
-    refs = X.block_refs(_read_tokens(sf_dir, ["doc_id", "tokens"])
-                        .map_batches(add_keys, batch_format="pyarrow"))
+    refs, _, nbytes = X.sized_block_refs(
+        _read_tokens(sf_dir, ["doc_id", "tokens"])
+        .map_batches(add_keys, batch_format="pyarrow"))
     if not refs:
         return rd.from_arrow(_PACK_SCHEMA.empty_table())
-    base_ref = _pack_bases(_pack_sep_chunk_sums, refs)
+    P = X.n_parts(nbytes)
+    sl, sum_refs = _pack_shard(_pack_sep_chunk_sums, refs, P)
     return rd.from_arrow_refs(X.combine(
-        _pack_sep_combine, X.shard(X.table_shard, refs, P, P, "chunk"),
-        base_ref, seq_len, sep, out_schema=_PACK_SCHEMA))
+        _pack_sep_combine, sl, _pack_bases(sum_refs), seq_len, sep,
+        out_schema=_PACK_SCHEMA))
 
 
 def sql_pack_tokens_sep(cache: str, seq_len: int = 512,
@@ -4606,17 +4592,19 @@ def q_log_pack_tokens_dedup(sf_dir: str, seq_len: int = 512,
     data job actually runs (dedup feeding the packer), in one pipeline
     with no intermediate materialization.
 
-    Three raw-task waves over ONE read:
-      1. (h, idx, n_tok) triples route by the sequence hash — each hash
-         partition keeps the min idx per h, emits (a) bounded per-chunk
-         KEPT-token sums and (b) the dropped ids PRE-SHARDED by their
-         chunk's Fibonacci hash (``num_returns=P+1`` — dropped ids
-         never concat on the driver, the clusters_lp rule).
-      2. The driver folds chunk sums into exclusive bases (the pack
+    Raw-task waves over ONE read:
+      1. One shard task per block slices (h, idx, n_tok) triples by the
+         sequence hash and the payload rows by chunk hash
+         (``exchange.table_shard``), ``num_returns=2P``.
+      2. Each hash partition keeps the min idx per h, emits (a) bounded
+         per-chunk KEPT-token sums and (b) the dropped ids PRE-SHARDED
+         by their chunk's Fibonacci hash (``num_returns=P+1`` — dropped
+         ids never concat on the driver, the clusters_lp rule).
+      3. The driver folds chunk sums into exclusive bases (the pack
          prefix-sum contract: O(corpus/chunk_docs) ints) broadcast once.
-      3. The payload exchange (``exchange.table_shard`` by chunk) lands each
-         chunk's rows WITH its dropped-id shard in one combine task,
-         which filters and delegates to the plain pack combine.
+      4. Each chunk partition's payload slices meet its dropped-id shard
+         in one combine task, which filters and delegates to the plain
+         pack combine.
 
     Sequence identity rides the property-tested 64-bit polynomial row
     hash (the log_seq_dedup contract: collisions ~ n^2/2^64); the SQL
@@ -4645,17 +4633,24 @@ def _dedup_pack_pipeline(sf_dir: str, add_keys, seq_len: int,
     variant's quality gate — as long as it emits doc_id/tokens/idx/
     chunk/h). Shared by log_pack_tokens_dedup and
     log_pack_tokens_curated."""
-    import ray
     import ray.data as rd
 
-    P = X.n_parts()
+    refs, _, nbytes = X.sized_block_refs(
+        _read_tokens(sf_dir, ["doc_id", "tokens"])
+        .map_batches(add_keys, batch_format="pyarrow"))
+    if not refs:
+        return rd.from_arrow(_PACK_SCHEMA.empty_table())
+    P = X.n_parts(nbytes)
 
-    def hshard(t: pa.Table) -> list:
+    def dedup_shard(t: pa.Table) -> list:
+        # P (h, idx, n_tok) slices by sequence hash, then P payload
+        # slices by chunk hash
         h = t.column("h").to_numpy(zero_copy_only=False)
         idx = t.column("idx").to_numpy(zero_copy_only=False)
         nt = pc.list_value_length(t.column("tokens")).to_numpy(
             zero_copy_only=False).astype(np.int64)
-        return X.split(X.fib_partition(h, P), P, h, idx, nt)
+        return (X.split(X.fib_partition(h, P), P, h, idx, nt)
+                + X.table_shard(t, P, "chunk"))
 
     def flag(*shards) -> list:
         h = np.concatenate([s[0] for s in shards])
@@ -4679,18 +4674,13 @@ def _dedup_pack_pipeline(sf_dir: str, add_keys, seq_len: int,
         return [sums] + X.split(X.fib_partition(dropped // chunk_docs, P),
                                 P, dropped)
 
-    refs = X.block_refs(_read_tokens(sf_dir, ["doc_id", "tokens"])
-                        .map_batches(add_keys, batch_format="pyarrow"))
-    if not refs:
-        return rd.from_arrow(_PACK_SCHEMA.empty_table())
-    fl = X.combine(flag, X.shard(hshard, refs, P), num_returns=P + 1)
-    base_ref = ray.put(X.chunk_bases(X.gather(fl[0], X.CHUNK_SUMS)))
+    sl = X.shard(dedup_shard, refs, 2 * P)
+    fl = X.combine(flag, sl[:P], num_returns=P + 1)
     # packed survivor stream is O(corpus): ship it as a Dataset of
     # per-partition blocks (customer_rfm idiom), never a driver concat
     return rd.from_arrow_refs(X.combine(
-        _pack_dedup_combine,
-        (fl[1:], X.shard(X.table_shard, refs, P, P, "chunk")),
-        base_ref, seq_len, out_schema=_PACK_SCHEMA))
+        _pack_dedup_combine, (fl[1:], sl[P:]), _pack_bases(fl[0]), seq_len,
+        out_schema=_PACK_SCHEMA))
 
 
 def sql_pack_tokens_dedup(cache: str, seq_len: int = 512) -> str:

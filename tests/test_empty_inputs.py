@@ -271,12 +271,25 @@ def test_late_r5_token_ops_empty(ray_session, empty_token_dir, monkeypatch):
     ("q_log_status_class_counts", ["source", "status_class", "cnt"]),
     ("q_log_geo_counts", ["source", "geo", "cnt"]),
     ("q_log_distinct_clients_hll", ["source", "n_clients_est"]),
+    # the raw-task hash-exchange log ops (queries._part_exchange)
+    ("q_log_distinct_clients", ["source", "n_clients"]),
+    ("q_log_sessionize", ["source", "client_ip", "session_start",
+                          "session_end", "n_requests"]),
+    ("q_log_ip_entropy", ["source", "n_requests", "ip_entropy"]),
+    ("q_log_seq_dedup", ["source", "n_rows", "n_uniq_seq", "n_dup_rows"]),
+    ("q_log_seq_dedup_prefix", ["source", "n_rows", "n_uniq_prefix",
+                                "n_dup_rows"]),
+    ("q_log_dup_gap_histogram", ["gap_bucket", "n_pairs"]),
+    ("q_log_dup_cluster_sizes", ["source", "copies", "n_clusters"]),
+    ("q_log_cross_source_leakage", ["src_a", "src_b", "n_shared"]),
 ])
 def test_log_block_folds_empty(ray_session, empty_token_dir, monkeypatch,
                                name, cols):
-    """Bounded per-block folds over an empty token table: zero batches
-    reach the driver, and the result is still a typed empty table with
-    the gate's columns (exchange.fold's seeded concat)."""
+    """Bounded per-block folds and hash-exchange log ops over an empty
+    token table: zero batches reach the driver (no block reaches a
+    shard task, every partition takes the combine's empty rule), and
+    the result is still a typed empty table, no null column, with the
+    gate's columns (the seeded concats of exchange.fold/gather)."""
     from sbo_ray.pipelines import queries as Q
 
     monkeypatch.setattr(
@@ -285,6 +298,7 @@ def test_log_block_folds_empty(ray_session, empty_token_dir, monkeypatch,
     out = getattr(Q, name)("ignored")
     assert out.num_rows == 0
     assert out.schema.names == cols
+    assert not any(pa.types.is_null(f.type) for f in out.schema), out.schema
 
 
 def test_semi_join_empty_orders(ray_session, tmp_path):

@@ -3,7 +3,8 @@ of split / shard / combine / fold, and partition-count invariance of
 every exchange shape against its SQL gate at sf0.001.
 
 P is forced by patching ``exchange.n_parts`` (every exchange site reads
-it at call time), so these run at P = 1, 2 and 128 on any cpu count."""
+it at call time, with or without the input's bytes), so these run at
+P = 1, 2 and 128 on any cpu count."""
 
 import os
 
@@ -56,6 +57,22 @@ def gate(ray_session):
 
 
 # ---- primitives ------------------------------------------------------------
+
+
+def test_n_parts_rule(monkeypatch):
+    """P = min(max(16, 4 cpus), max(cpus, ceil(bytes / block size)))."""
+    from ray.data import DataContext
+
+    block = DataContext.get_current().target_max_block_size
+    monkeypatch.setattr(X, "_cpus", lambda: 1)
+    assert X.n_parts(32 << 20) == 1         # the 1-cpu benchmark's tokens
+    assert X.n_parts(3 * block + 1) == 4
+    assert X.n_parts(100 * block) == 16     # cap
+    assert X.n_parts() == 16                # no bytes: the cap
+    monkeypatch.setattr(X, "_cpus", lambda: 8)
+    assert X.n_parts(0) == X.n_parts(1) == 8    # cpu floor
+    assert X.n_parts(20 * block) == 20
+    assert X.n_parts(100 * block) == X.n_parts() == 32
 
 
 def test_split_tables_and_arrays():
@@ -148,13 +165,15 @@ def test_fold_skips_empty_blocks(ray_session, tmp_path):
 def test_events_daily_active_high_p(gate, monkeypatch, P):
     """P=16 and P=128 leave most DAU partitions without rows; the
     combine's empty-partition rule must keep them out of the fold."""
-    monkeypatch.setattr(X, "n_parts", lambda: P)
+    monkeypatch.setattr(X, "n_parts", lambda *_: P)
     gate("events_daily_active")
 
 
 @pytest.mark.parametrize("P", [1, 2, 128])
 @pytest.mark.parametrize("name", [
     "log_pack_tokens",          # single-wave table shard
+    "log_seq_dedup",            # block partial + split, pandas fold
+    "log_sessionize",           # parsed-log partial, pandas fold
     "log_pack_tokens_dedup",    # pre-sharded multi-wave
     "log_token_ngram_dedup",    # pre-sharded multi-wave (numpy + tables)
     "orders_with_returns",      # two-sided join
@@ -162,7 +181,7 @@ def test_events_daily_active_high_p(gate, monkeypatch, P):
     "doc_shuffle_order",        # range split + prefix-sum bases
 ])
 def test_exchange_partition_invariance(gate, monkeypatch, name, P):
-    monkeypatch.setattr(X, "n_parts", lambda: P)
+    monkeypatch.setattr(X, "n_parts", lambda *_: P)
     gate(name)
 
 
