@@ -9,7 +9,11 @@ that layout that every site used to re-solve:
   parquet read yields a schemaless block that poisons downstream
   concats, so zero-row blocks drop by bundle metadata);
   ``sized_block_refs`` also sums their rows and bytes.
-- ``n_parts(nbytes)``: the partition count P, the one P rule (below).
+- ``n_parts(nbytes)``: the partition count P (its docstring is the
+  one statement of the rule). A site that holds its block refs before
+  it picks P passes their bytes; a site that must fix P before its
+  input exists (P baked into a Ray Data map closure) calls
+  ``n_parts()`` and gets the cap.
 - ``split(part, P, *cols)``: one stable argsort by partition id, then
   contiguous slices of tables or numpy arrays (``table_shard`` is the
   whole-row form keyed by the Fibonacci hash of one int64 column).
@@ -25,13 +29,8 @@ that layout that every site used to re-solve:
   ``collect`` is the same concat without the map, ``gather`` the same
   for combine-task refs.
 
-The P rule: one partition per ``DataContext.target_max_block_size`` of
-input bytes, at least one per cpu and at most ``max(16, 4 * cpus)``.
-A site that holds its block refs before it picks P passes their bytes
-(``n_parts(nbytes)``); a site that must fix P before its input exists
-(P baked into a Ray Data map closure) calls ``n_parts()`` and gets the
-cap. Each site keeps its own partition function; P is read at call
-time through ``n_parts`` (patch it to force a partition count).
+Each site keeps its own partition function; P is read at call time
+through ``n_parts`` (patch it to force a partition count).
 """
 from __future__ import annotations
 
@@ -48,7 +47,8 @@ from .pipelines.logpipe import _cpus
 
 
 def n_parts(nbytes: int | None = None) -> int:
-    """Hash-partition count P for an exchange over ``nbytes`` of input:
+    """Hash-partition count P for an exchange whose shard wave splits
+    ``nbytes`` of blocks:
     ``min(max(16, 4 * cpus), max(cpus, ceil(nbytes / block_size)))``
     with Ray Data's ``target_max_block_size`` as the block size.
 

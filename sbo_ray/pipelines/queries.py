@@ -17,6 +17,7 @@ scale); ``oracle_sql_map()`` materializes that cache before returning.
 
 from __future__ import annotations
 
+import functools
 import glob
 import os
 
@@ -928,20 +929,45 @@ def _enriched(sf_dir: str):
     return logpipe.enriched_dataset(_input_paths(sf_dir), _job())
 
 
-def _part_exchange(ds, partial, fold_part, schema: pa.Schema) -> pa.Table:
-    """The log ops' one hash exchange, as raw tasks: ``partial(block, P)``
-    runs block-local and tags each row with an int64 ``part`` id < P
-    (the site's partition function), ``X.split`` routes the rows by it,
-    and one task per partition runs ``fold_part`` (pandas, ``part``
-    dropped) over every row of its partition. P follows ``ds``'s bytes
+def _h_key(t: pa.Table) -> np.ndarray:
+    """Partition key of the sequence-hash ops: the int64 ``h`` column."""
+    return t.column("h").to_numpy()
+
+
+def _ip_key(t: pa.Table) -> np.ndarray:
+    """Partition key of the per-ip log ops: crc32 of ``client_ip``,
+    hashed once per distinct ip of the block."""
+    import zlib
+
+    enc = t.column("client_ip").combine_chunks().dictionary_encode()
+    uh = np.array([zlib.crc32(u.encode("utf-8"))
+                   for u in enc.dictionary.to_pylist()], dtype=np.int64)
+    return uh[enc.indices.to_numpy(zero_copy_only=False)]
+
+
+def _part_exchange(ds, partial, key, fold_part,
+                   schema: pa.Schema) -> pa.Table:
+    """The log ops' one hash exchange, as raw tasks.
+
+    ``partial(block)`` reduces each block inside ``ds``'s own map (fused
+    into the read), so only its output is materialized for the shuffle.
+    The shard task routes those rows by ``key(rows) % P`` (``key`` gives
+    the site's int64 hash per row), and one task per partition runs
+    ``fold_part`` (pandas) over every row of its partition. P follows
+    the partial outputs' bytes, the bytes that actually move
     (``exchange.n_parts``); the folded partitions are gathered as one
     ``schema`` table."""
-    refs, _, nbytes = X.sized_block_refs(ds)
+    @functools.wraps(partial)
+    def run(t: pa.Table) -> pa.Table:
+        return partial(t) if t.num_rows else t  # zero-row blocks drop below
+
+    refs, _, nbytes = X.sized_block_refs(
+        ds.map_batches(run, batch_format="pyarrow", batch_size=None))
     P = X.n_parts(nbytes)
 
     def part_shard(t: pa.Table) -> list:
-        p = partial(t, P)
-        return X.split(p.column("part").to_numpy(), P, p.drop_columns("part"))
+        part = (key(t).view(np.uint64) % np.uint64(P)).astype(np.int64)
+        return X.split(part, P, t)
 
     def part_combine(*tabs: pa.Table) -> pa.Table:
         return pa.Table.from_pandas(
@@ -1228,28 +1254,10 @@ def q_log_distinct_clients(sf_dir: str):
     set (unbounded distinct IPs at scale; the r3 shape materialized the
     whole per-(source, ip) aggregate as driver pandas). The HLL twin
     (below) stays the single-scan sketch path."""
-    import zlib
-
-    import numpy as np
-
-    pair_schema = pa.schema([("source", pa.string()),
-                             ("client_ip", pa.string()),
-                             ("part", pa.int64())])
-
-    def pair_partial(t: pa.Table, P: int) -> pa.Table:
+    def pair_partial(t: pa.Table) -> pa.Table:
         t = t.filter(t.column("parse_ok"))
-        if t.num_rows == 0:
-            return pair_schema.empty_table()
-        pairs = (t.select(["source", "client_ip"])
-                 .group_by(["source", "client_ip"]).aggregate([]))
-        ips = pairs.column("client_ip").combine_chunks()
-        enc = ips.dictionary_encode()
-        uh = np.array([zlib.crc32(u.encode("utf-8")) % P
-                       for u in enc.dictionary.to_pylist()], dtype=np.int64)
-        part = uh[enc.indices.to_numpy(zero_copy_only=False)]
-        return pa.table({"source": pairs.column("source"),
-                         "client_ip": ips,
-                         "part": pa.array(part)})
+        return (t.select(["source", "client_ip"])
+                .group_by(["source", "client_ip"]).aggregate([]))
 
     def count_part(g: "pd.DataFrame"):
         import pandas as pd
@@ -1260,7 +1268,7 @@ def q_log_distinct_clients(sf_dir: str):
                              "n": out["n"].astype("int64")})
 
     df = _part_exchange(
-        _enriched(sf_dir), pair_partial, count_part,
+        _enriched(sf_dir), pair_partial, _ip_key, count_part,
         pa.schema([("source", pa.string()), ("n", pa.int64())])).to_pandas()
     out = df.groupby("source", sort=True)["n"].sum().reset_index(name="n_clients")
     out["n_clients"] = out["n_clients"].astype("int64")
@@ -1328,32 +1336,19 @@ def q_log_sessionize(sf_dir: str, gap_sec: int = 600):
     boundaries (no per-session Python). Session boundaries depend only
     on ts gaps, so equal-timestamp ordering ambiguity cannot move
     them; epochs are exact integers."""
-    import zlib
-
-    row_schema = pa.schema([("source", pa.string()),
-                            ("client_ip", pa.string()),
-                            ("e", pa.int64()), ("part", pa.int64())])
     out_schema = pa.schema([("source", pa.string()),
                             ("client_ip", pa.string()),
                             ("session_start", pa.int64()),
                             ("session_end", pa.int64()),
                             ("n_requests", pa.int64())])
 
-    def route(t: pa.Table, P: int) -> pa.Table:
+    def route(t: pa.Table) -> pa.Table:
         t = t.filter(pc.and_(t.column("parse_ok"),
                              pc.is_valid(t.column("ts"))))
-        if t.num_rows == 0:
-            return row_schema.empty_table()
-        ips = t.column("client_ip").combine_chunks()
-        enc = ips.dictionary_encode()
-        uh = np.array([zlib.crc32(u.encode("utf-8")) % P
-                       for u in enc.dictionary.to_pylist()], dtype=np.int64)
-        part = uh[enc.indices.to_numpy(zero_copy_only=False)]
         return pa.table({
             "source": t.column("source"),
-            "client_ip": ips,
+            "client_ip": t.column("client_ip"),
             "e": t.column("ts").cast(pa.int64()),
-            "part": pa.array(part),
         })
 
     def sessions_part(g: "pd.DataFrame"):
@@ -1375,7 +1370,7 @@ def q_log_sessionize(sf_dir: str, gap_sec: int = 600):
         out["n_requests"] = out["n_requests"].astype("int64")
         return out.reset_index(drop=True)
 
-    return _part_exchange(_enriched(sf_dir), route, sessions_part,
+    return _part_exchange(_enriched(sf_dir), route, _ip_key, sessions_part,
                           out_schema)
 
 
@@ -1610,31 +1605,18 @@ def q_log_ip_entropy(sf_dir: str):
     partition owns its ips' GLOBAL counts and emits two bounded
     sufficient-stat rows per source (sum c*ln c, sum c); the driver
     folds H = ln N - (sum c ln c)/N. ROUND-6 (transcendental sums)."""
-    import zlib
-
-    pair_schema = pa.schema([("source", pa.string()),
-                             ("client_ip", pa.string()),
-                             ("cnt", pa.int64()), ("part", pa.int64())])
     out_schema = pa.schema([("source", pa.string()),
                             ("n_requests", pa.int64()),
                             ("ip_entropy", pa.float64())])
 
-    def pair_partial(t: pa.Table, P: int) -> pa.Table:
+    def pair_partial(t: pa.Table) -> pa.Table:
         t = t.filter(t.column("parse_ok"))
-        if t.num_rows == 0:
-            return pair_schema.empty_table()
         pairs = (t.select(["source", "client_ip"])
                  .group_by(["source", "client_ip"])
                  .aggregate([([], "count_all")]))
-        ips = pairs.column("client_ip").combine_chunks()
-        enc = ips.dictionary_encode()
-        uh = np.array([zlib.crc32(u.encode("utf-8")) % P
-                       for u in enc.dictionary.to_pylist()], dtype=np.int64)
-        part = uh[enc.indices.to_numpy(zero_copy_only=False)]
         return pa.table({"source": pairs.column("source"),
-                         "client_ip": ips,
-                         "cnt": pairs.column("count_all").cast(pa.int64()),
-                         "part": pa.array(part)})
+                         "client_ip": pairs.column("client_ip"),
+                         "cnt": pairs.column("count_all").cast(pa.int64())})
 
     def fold_part(g: "pd.DataFrame"):
         import pandas as pd
@@ -1650,7 +1632,7 @@ def q_log_ip_entropy(sf_dir: str):
                              "clnc": out["clnc"]})
 
     df = _part_exchange(
-        _enriched(sf_dir), pair_partial, fold_part,
+        _enriched(sf_dir), pair_partial, _ip_key, fold_part,
         pa.schema([("source", pa.string()), ("n", pa.int64()),
                    ("clnc", pa.float64())])).to_pandas()
     if df.empty:
@@ -1783,18 +1765,15 @@ def q_log_seq_dedup(sf_dir: str):
     h % P co-locates every copy of a sequence; each partition counts
     distinct hashes and total rows per source, and the driver folds
     P x |sources| tiny rows. Sequences themselves never move."""
-    def partial(t: pa.Table, P: int) -> pa.Table:
+    def partial(t: pa.Table) -> pa.Table:
         vals, off = _token_lists(t.column("tokens"))
         h = _seq_hash64(vals, off)
         g = pa.table({
             "source": t.column("source"),
             "h": pa.array(h.view(np.int64)),
         }).group_by(["source", "h"]).aggregate([([], "count_all")])
-        hh = g.column("h").to_numpy(zero_copy_only=False)
-        part = (hh.view(np.uint64) % np.uint64(P)).astype(np.int64)
         return pa.table({"source": g.column("source"), "h": g.column("h"),
-                         "cnt": g.column("count_all").cast(pa.int64()),
-                         "part": pa.array(part)})
+                         "cnt": g.column("count_all").cast(pa.int64())})
 
     def fold_part(g: "pd.DataFrame"):
         import pandas as pd
@@ -1808,9 +1787,10 @@ def q_log_seq_dedup(sf_dir: str):
                              "n_uniq": out["n_uniq"].astype("int64")})
 
     df = _part_exchange(
-        _read_tokens(sf_dir, ["tokens", "source"]), partial, fold_part,
-        pa.schema([("source", pa.string()), ("n_rows", pa.int64()),
-                   ("n_uniq", pa.int64())])).to_pandas()
+        _read_tokens(sf_dir, ["tokens", "source"]), partial, _h_key,
+        fold_part, pa.schema([("source", pa.string()),
+                              ("n_rows", pa.int64()),
+                              ("n_uniq", pa.int64())])).to_pandas()
     out = df.groupby("source", sort=True).agg(
         n_rows=("n_rows", "sum"), n_uniq_seq=("n_uniq", "sum")).reset_index()
     return pa.table({
@@ -1839,7 +1819,7 @@ def q_log_seq_dedup_prefix(sf_dir: str, k: int = 32):
     Same engine shape as log_seq_dedup — block-local polynomial hash
     (over the CLAMPED prefix slice of the flat value array), one
     h % P exchange, bounded per-source fold — sequences never move."""
-    def partial(t: pa.Table, P: int) -> pa.Table:
+    def partial(t: pa.Table) -> pa.Table:
         vals, off = _token_lists(t.column("tokens"))
         nt = np.diff(off)
         # clamp every row to its first min(k, n) tokens: keep flat
@@ -1860,11 +1840,8 @@ def q_log_seq_dedup_prefix(sf_dir: str, k: int = 32):
             "source": t.column("source"),
             "h": pa.array(h.view(np.int64)),
         }).group_by(["source", "h"]).aggregate([([], "count_all")])
-        hh = g.column("h").to_numpy(zero_copy_only=False)
-        part = (hh.view(np.uint64) % np.uint64(P)).astype(np.int64)
         return pa.table({"source": g.column("source"), "h": g.column("h"),
-                         "cnt": g.column("count_all").cast(pa.int64()),
-                         "part": pa.array(part)})
+                         "cnt": g.column("count_all").cast(pa.int64())})
 
     def fold_part(g: "pd.DataFrame"):
         import pandas as pd
@@ -1878,9 +1855,10 @@ def q_log_seq_dedup_prefix(sf_dir: str, k: int = 32):
                              "n_uniq": out["n_uniq"].astype("int64")})
 
     df = _part_exchange(
-        _read_tokens(sf_dir, ["tokens", "source"]), partial, fold_part,
-        pa.schema([("source", pa.string()), ("n_rows", pa.int64()),
-                   ("n_uniq", pa.int64())])).to_pandas()
+        _read_tokens(sf_dir, ["tokens", "source"]), partial, _h_key,
+        fold_part, pa.schema([("source", pa.string()),
+                              ("n_rows", pa.int64()),
+                              ("n_uniq", pa.int64())])).to_pandas()
     out = df.groupby("source", sort=True).agg(
         n_rows=("n_rows", "sum"), n_uniq=("n_uniq", "sum")).reset_index()
     return pa.table({
@@ -2956,14 +2934,12 @@ def q_log_dup_gap_histogram(sf_dir: str):
     frexp exponent (integer for gaps < 2^53 — never a raw log2, the
     transcendental-gating rule); the SQL twin buckets via
     strlen(bin(gap)) - 1, bit-identical."""
-    def partial(t: pa.Table, P: int) -> pa.Table:
+    def partial(t: pa.Table) -> pa.Table:
         vals, off = _token_lists(t.column("tokens"))
         h = _seq_hash64(vals, off)
         idx = _pack_idx(t.column("doc_id"))
-        part = (h % np.uint64(P)).astype(np.int64)
         return pa.table({"h": pa.array(h.view(np.int64)),
-                         "idx": pa.array(idx, pa.int64()),
-                         "part": pa.array(part)})
+                         "idx": pa.array(idx, pa.int64())})
 
     def fold_part(g: "pd.DataFrame"):
         import pandas as pd
@@ -2984,7 +2960,7 @@ def q_log_dup_gap_histogram(sf_dir: str):
                              "n_pairs": cnt.astype("int64")})
 
     df = _part_exchange(_read_tokens(sf_dir, ["doc_id", "tokens"]), partial,
-                        fold_part, _DUPGAP_OUT).to_pandas()
+                        _h_key, fold_part, _DUPGAP_OUT).to_pandas()
     out = (df.groupby("gap_bucket", sort=True)["n_pairs"].sum()
            .reset_index())
     return pa.table({
@@ -3370,18 +3346,15 @@ def q_log_dup_cluster_sizes(sf_dir: str):
     sequence hash with per-block copy counts, ONE h % P exchange — but
     the partition fold emits the bounded (source, copies, n_clusters)
     histogram instead of two scalars. Sequences never move."""
-    def partial(t: pa.Table, P: int) -> pa.Table:
+    def partial(t: pa.Table) -> pa.Table:
         vals, off = _token_lists(t.column("tokens"))
         h = _seq_hash64(vals, off)
         g = pa.table({
             "source": t.column("source"),
             "h": pa.array(h.view(np.int64)),
         }).group_by(["source", "h"]).aggregate([([], "count_all")])
-        hh = g.column("h").to_numpy(zero_copy_only=False)
-        part = (hh.view(np.uint64) % np.uint64(P)).astype(np.int64)
         return pa.table({"source": g.column("source"), "h": g.column("h"),
-                         "cnt": g.column("count_all").cast(pa.int64()),
-                         "part": pa.array(part)})
+                         "cnt": g.column("count_all").cast(pa.int64())})
 
     def fold_part(g: "pd.DataFrame"):
         import pandas as pd
@@ -3395,7 +3368,7 @@ def q_log_dup_cluster_sizes(sf_dir: str):
                              "n_clusters": hist["h"].astype("int64")})
 
     df = _part_exchange(_read_tokens(sf_dir, ["tokens", "source"]), partial,
-                        fold_part, _DUPSZ_OUT).to_pandas()
+                        _h_key, fold_part, _DUPSZ_OUT).to_pandas()
     out = (df.groupby(["source", "copies"], sort=True)["n_clusters"].sum()
            .reset_index())
     return pa.table({
@@ -3783,17 +3756,13 @@ def q_log_cross_source_leakage(sf_dir: str):
     self-joins the presence rows on h (fan-out bounded by |sources|
     per hash) and emits per-pair counts; the driver sums
     P x |sources|^2 tiny rows. Sequences never move."""
-    def partial(t: pa.Table, P: int) -> pa.Table:
+    def partial(t: pa.Table) -> pa.Table:
         vals, off = _token_lists(t.column("tokens"))
         h = _seq_hash64(vals, off)
-        g = pa.table({
+        return pa.table({
             "source": t.column("source"),
             "h": pa.array(h.view(np.int64)),
         }).group_by(["source", "h"]).aggregate([])
-        hh = g.column("h").to_numpy(zero_copy_only=False)
-        part = (hh.view(np.uint64) % np.uint64(P)).astype(np.int64)
-        return pa.table({"source": g.column("source"), "h": g.column("h"),
-                         "part": pa.array(part)})
 
     def fold_part(g: "pd.DataFrame"):
         import pandas as pd
@@ -3808,7 +3777,7 @@ def q_log_cross_source_leakage(sf_dir: str):
                              "n_shared": out["n"].astype("int64")})
 
     df = _part_exchange(_read_tokens(sf_dir, ["tokens", "source"]), partial,
-                        fold_part, _LEAK_OUT).to_pandas()
+                        _h_key, fold_part, _LEAK_OUT).to_pandas()
     out = (df.groupby(["src_a", "src_b"], sort=True)["n_shared"].sum()
            .reset_index())
     return pa.table({

@@ -27,7 +27,6 @@ import pandas as pd
 import pyarrow as pa
 
 from .. import exchange as X
-from ..pipelines.logpipe import _cpus
 from ..oracle.pipeline import OracleMetricsManager
 
 COMPAT_SCHEMA = pa.schema([
@@ -549,7 +548,7 @@ def metrics_dataset_compat(enriched, window_size: int = 3,
         return rd.from_arrow(COMPAT_SCHEMA.empty_table())
     import pyarrow.compute as pc
 
-    P = max(2, min(2 * _cpus(), 4 * len(refs)))
+    P = max(2, min(2 * X._cpus(), 4 * len(refs)))
     table_refs, key_refs = X.combine(
         _compat_combine, X.shard(_compat_shard, refs, P, P),
         window_size, replace_existing, num_returns=2)

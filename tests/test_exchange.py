@@ -60,7 +60,8 @@ def gate(ray_session):
 
 
 def test_n_parts_rule(monkeypatch):
-    """P = min(max(16, 4 cpus), max(cpus, ceil(bytes / block size)))."""
+    """``exchange.n_parts``: the cpu floor, the cap, and P = 1 for the
+    1-cpu benchmark's token table."""
     from ray.data import DataContext
 
     block = DataContext.get_current().target_max_block_size
