@@ -5,14 +5,19 @@ fixed sample/sort overhead per shuffle, so the engine's hash exchanges
 run as plain Ray tasks instead. This module owns the parts of
 that layout that every site used to re-solve:
 
+- ``part_exchange(ds, partial, key, fold, out_schema)``: the one
+  hash-grouped fold (a block partial fused into the read, rows routed
+  by ``key % P``, one pandas ``fold`` per partition), returning one
+  ref per partition. Every "group by a hash partition, then fold each
+  partition" op goes through it; none runs through a Ray Data
+  groupby's sort shuffle.
 - ``block_refs(ds)``: the Dataset's non-empty block refs (an empty
   parquet read yields a schemaless block that poisons downstream
   concats, so zero-row blocks drop by bundle metadata);
   ``sized_block_refs`` also sums their rows and bytes.
 - ``n_parts(nbytes)``: the partition count P (its docstring is the
   one statement of the rule). A site that holds its block refs before
-  it picks P passes their bytes; a site that must fix P before its
-  input exists (P baked into a Ray Data map closure) calls
+  it picks P passes their bytes; one that picks P first calls
   ``n_parts()`` and gets the cap.
 - ``split(part, P, *cols)``: one stable argsort by partition id, then
   contiguous slices of tables or numpy arrays (``table_shard`` is the
@@ -236,3 +241,41 @@ def fold(ds: rd.Dataset, partial, schema: pa.Schema) -> pa.Table:
         return partial(t) if t.num_rows else schema.empty_table()
 
     return collect(ds.map_batches(run, batch_format="pyarrow"), schema)
+
+
+def part_exchange(ds: rd.Dataset, partial, key, fold,
+                  out_schema: pa.Schema) -> list:
+    """The hash-grouped fold, as raw tasks; returns one ref per partition.
+
+    ``partial(block)`` (or None: the blocks as read) runs inside
+    ``ds``'s own map, fused into the read, so only its output is
+    materialized for the shuffle. The ``part_shard`` task routes those
+    rows by ``key(rows) % P`` (``key`` gives the site's int64 hash per
+    row) and one ``part_combine`` task per partition runs ``fold``
+    (pandas in, pandas out) over every row of its partition, cast to
+    ``out_schema``. P follows the partial outputs' bytes, the bytes
+    that actually move. A partition without rows returns
+    ``out_schema``'s empty table without calling ``fold``, so the refs
+    always hold typed tables: a per-row op returns them as
+    ``rd.from_arrow_refs(refs)``, a bounded one folds
+    ``gather(refs, out_schema)``."""
+    if partial is not None:
+        @functools.wraps(partial)
+        def run(t: pa.Table) -> pa.Table:
+            return partial(t) if t.num_rows else t  # zero-row blocks drop
+
+        ds = ds.map_batches(run, batch_format="pyarrow", batch_size=None)
+    refs, _, nbytes = sized_block_refs(ds)
+    P = n_parts(nbytes)
+
+    def part_shard(t: pa.Table) -> list:
+        part = (key(t).view(np.uint64) % np.uint64(P)).astype(np.int64)
+        return split(part, P, t)
+
+    def part_combine(*tabs: pa.Table) -> pa.Table:
+        return pa.Table.from_pandas(
+            fold(pa.concat_tables(tabs).to_pandas()), schema=out_schema,
+            preserve_index=False)
+
+    return combine(part_combine, shard(part_shard, refs, P),
+                   out_schema=out_schema)

@@ -1,4 +1,4 @@
-"""Shared infrastructure for the datapipe family modules: pruned reads, partition sizing, and the bandwidth-cap rule.
+"""Shared infrastructure for the datapipe family modules: pruned reads, partition sizing, the per-user exchange key, and the bandwidth-cap rule.
 
 Mechanical r5 split of pipelines/datapipe.py (the facade re-exports
 everything; import from ``datapipe`` unless you need this module's
@@ -42,6 +42,11 @@ def _parquet_num_rows(sf_dir: str, table: str) -> int:
 
 
 
+def _user_key(t: pa.Table) -> np.ndarray:
+    """Partition key of the per-user event exchanges: the int64 user_id."""
+    return t.column("user_id").to_numpy()
+
+
 def _bw_task_cpus(target_concurrency: int) -> int:
     """CPU reservation for memory-BANDWIDTH-bound tasks (dense-matmul /
     large-temp stages: the ivf_assign rule). Memory bandwidth is a
@@ -68,5 +73,6 @@ def _bw_task_cpus(target_concurrency: int) -> int:
 __all__ = [
     "_read",
     "_parquet_num_rows",
+    "_user_key",
     "_bw_task_cpus",
 ]

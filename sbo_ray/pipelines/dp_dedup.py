@@ -30,9 +30,9 @@ from .dp_common import *  # noqa: F401,F403
 # ---- dedup -----------------------------------------------------------------
 
 
-def _hash_part_col(t: pa.Table, P: int) -> pa.Table:
-    return t.append_column("part", pa.array(
-        t.column("text_hash").to_numpy(zero_copy_only=False) % P))
+def _text_hash_key(t: pa.Table) -> np.ndarray:
+    """Partition key of the exact-dedup exchanges: the int64 text_hash."""
+    return t.column("text_hash").to_numpy(zero_copy_only=False)
 
 
 def _min_doc_per_hash(g: pd.DataFrame, with_counts: bool) -> pd.DataFrame:
@@ -52,25 +52,25 @@ def _min_doc_per_hash(g: pd.DataFrame, with_counts: bool) -> pd.DataFrame:
     return pd.DataFrame({"doc_id": ds_[starts], "n_dupes": counts})
 
 
+_DEDUP_EXACT = pa.schema([("doc_id", pa.int64()), ("n_dupes", pa.int64())])
+
+
 def doc_dedup_exact(sf_dir: str):
     """Exact dedup: hash-partitioned min(doc_id)+count per distinct text.
     Only the 8-byte hash + ids shuffle; payload stays put.
 
-    Partition-grouped (see ``exchange.n_parts``): with ~4M mostly-distinct
+    Hash-grouped (``exchange.part_exchange``): with ~4M mostly-distinct
     keys, Ray's native ``groupby(key).aggregate`` sort-aggregates the whole
     exchange (49 s at 4M docs); shuffling the same rows to P hash
     partitions and doing the per-key min+count vectorized inside each
     (``_min_doc_per_hash``) is 6.4 s — identical rows."""
-    P = X.n_parts()
-
-    def add_part(t: pa.Table) -> pa.Table:
-        return _hash_part_col(D.add_text_hash(t), P).select(
-            ["doc_id", "text_hash", "part"])
+    def hashed(t: pa.Table) -> pa.Table:
+        return D.add_text_hash(t).select(["doc_id", "text_hash"])
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    return ds.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("part").map_groups(
-            lambda g: _min_doc_per_hash(g, with_counts=True))
+    return rd.from_arrow_refs(X.part_exchange(
+        ds, hashed, _text_hash_key,
+        lambda g: _min_doc_per_hash(g, with_counts=True), _DEDUP_EXACT))
 
 
 def doc_sample_hash(sf_dir: str, rate: float = 0.1, salt: str = "s1"):
@@ -693,15 +693,16 @@ _PAIR_SCHEMA = pa.schema([
 ])
 
 
-def _verified_pairs_ds(sf_dir: str, bc_ref, threshold: float, P: int):
+def _verified_pairs_ds(sf_dir: str, bc_ref, threshold: float):
     """Distributed exact-Jaccard verify WITHOUT a corpus-wide join: the
     slot map (bc_ref, object-store resident) is read inside every scan
     task and candidate texts are emitted as (pair_id, side, text) slot
     rows straight from the corpus scan via searchsorted — only candidate
-    TEXTS enter the part shuffle. The native slots.join(corpus)
+    TEXTS enter the pair-id hash exchange. The native slots.join(corpus)
     alternative hash-partitioned all 4M texts for 400k slots (~2x the
-    wall time of this whole verify). Returns the LAZY verified-pairs
-    Dataset; no pair row touches the driver."""
+    wall time of this whole verify). Returns the verified pairs as a
+    Dataset over the combine tasks' outputs; no pair row touches the
+    driver."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def emit_slots(t: pa.Table) -> pa.Table:
@@ -712,15 +713,6 @@ def _verified_pairs_ds(sf_dir: str, bc_ref, threshold: float, P: int):
         m = cnt > 0
         tot = cnt[m]
         n_out = int(tot.sum())
-        if n_out == 0:
-            return pa.table({
-                "pair_id": pa.array([], pa.int64()),
-                "part": pa.array([], pa.int64()),
-                "id_a": pa.array([], pa.int64()),
-                "id_b": pa.array([], pa.int64()),
-                "side": pa.array([], pa.int64()),
-                "text": pa.array([], t.schema.field("text").type),
-            })
         # flatten each matching row's [lo, lo+cnt) slot range
         pos = (np.arange(n_out, dtype=np.int64)
                - np.repeat(np.cumsum(tot) - tot, tot)
@@ -729,14 +721,11 @@ def _verified_pairs_ds(sf_dir: str, bc_ref, threshold: float, P: int):
         rows = np.repeat(np.flatnonzero(m), tot)
         return pa.table({
             "pair_id": pa.array(pid, pa.int64()),
-            "part": pa.array(pid % P, pa.int64()),
             "id_a": pa.array(prs[pid, 0], pa.int64()),
             "id_b": pa.array(prs[pid, 1], pa.int64()),
             "side": pa.array(ss[pos], pa.int64()),
             "text": t.column("text").take(pa.array(rows)),
         })
-
-    joined = ds.map_batches(emit_slots, batch_format="pyarrow")
 
     def verify_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["pair_id", "side"], kind="stable")
@@ -759,7 +748,11 @@ def _verified_pairs_ds(sf_dir: str, bc_ref, threshold: float, P: int):
                              "id_b": pd.array(out_b, dtype="int64"),
                              "jaccard": pd.array(out_j, dtype="float64")})
 
-    return joined.groupby("part").map_groups(verify_part, batch_format="pandas")
+    def pair_key(t: pa.Table) -> np.ndarray:
+        return t.column("pair_id").to_numpy()
+
+    return rd.from_arrow_refs(X.part_exchange(
+        ds, emit_slots, pair_key, verify_part, _PAIR_SCHEMA))
 
 
 def doc_dedup_minhash(sf_dir: str, threshold: float = 0.8):
@@ -789,13 +782,9 @@ def doc_dedup_minhash(sf_dir: str, threshold: float = 0.8):
     if ray.get(n_ref) == 0:
         return empty
     bc_ref = ray.remote(_build_slot_map).remote(pairs_ref)
-    verified = _verified_pairs_ds(sf_dir, bc_ref, threshold,
-                                  X.n_parts()).to_pandas()
-    if verified.empty or "id_a" not in verified.columns:
-        return empty
-    verified = verified.sort_values(["id_a", "id_b"]).reset_index(drop=True)
-    return pa.Table.from_pandas(verified, preserve_index=False).cast(
-        _PAIR_SCHEMA)
+    verified = X.collect(_verified_pairs_ds(sf_dir, bc_ref, threshold),
+                         _PAIR_SCHEMA)
+    return verified.sort_by([("id_a", "ascending"), ("id_b", "ascending")])
 
 
 def doc_decontaminate_neardup(sf_dir: str, threshold: float = 0.8,
@@ -1357,7 +1346,7 @@ def doc_dedup_clusters_lp(sf_dir: str, threshold: float = 0.8,
     if ray.get(n_ref) == 0:
         return empty_out
     bc_ref = ray.remote(_build_slot_map).remote(pairs_ref)
-    verified = _verified_pairs_ds(sf_dir, bc_ref, threshold, X.n_parts())
+    verified = _verified_pairs_ds(sf_dir, bc_ref, threshold)
     vrefs, total, _ = X.sized_block_refs(verified)
     if not vrefs:
         return empty_out
@@ -1469,7 +1458,8 @@ def emb_dedup_cosine(sf_dir: str, threshold: float = 0.35,
 
 
 __all__ = [
-    "_hash_part_col",
+    "_text_hash_key",
+    "_DEDUP_EXACT",
     "_min_doc_per_hash",
     "doc_dedup_exact",
     "doc_sample_hash",

@@ -861,7 +861,6 @@ def events_transitions(sf_dir: str):
     user), then a block-local (from_type, to_type) partial count; the
     driver merges the tiny |types|^2 partial rows. Text of events
     never leaves its partition unaggregated."""
-    P = X.n_parts()
 
     def bigrams_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="stable")
@@ -878,19 +877,10 @@ def events_transitions(sf_dir: str):
 
     ds = _read(sf_dir, "events",
                columns=["event_id", "user_id", "ts", "event_type"])
-    parts_ds = (
-        ds.map_batches(
-            lambda t: t.append_column(
-                "part", pa.array(
-                    t.column("user_id").to_numpy(zero_copy_only=False) % P)),
-            batch_format="pyarrow",
-        )
-        .groupby("part")
-        .map_groups(bigrams_part, batch_format="pandas")
-    )
-    parts = X.collect(parts_ds, pa.schema([("from_type", pa.string()),
-                                           ("to_type", pa.string()),
-                                           ("n", pa.int64())]))
+    part_schema = pa.schema([("from_type", pa.string()),
+                             ("to_type", pa.string()), ("n", pa.int64())])
+    parts = X.gather(X.part_exchange(ds, None, _user_key, bigrams_part,
+                                     part_schema), part_schema)
     g = parts.group_by(["from_type", "to_type"]).aggregate([("n", "sum")])
     return pa.table({
         "from_type": g.column("from_type"),
@@ -1038,19 +1028,24 @@ def events_quantiles_kll(sf_dir: str, qs: tuple = (0.5, 0.9, 0.99)):
     }, schema=schema)
 
 
+_SESSIONS = pa.schema([
+    ("user_id", pa.int64()), ("session_start", pa.timestamp("us")),
+    ("session_end", pa.timestamp("us")), ("n_events", pa.int64()),
+    ("sum_value", pa.float64()),
+])
+
+
 def events_sessionize(sf_dir: str, gap_minutes: int = 30):
     """Session windows over the events stream: per user, events closer
     than ``gap_minutes`` belong to one session (the classic stream
-    sessionization, expressed as groupby(user).map_groups over
-    ts-sorted groups — the Ray-idiomatic stream-window pattern).
+    sessionization, expressed as one hash-grouped fold over ts-sorted
+    user runs).
 
     Partitioning assumption: one hash partition of users fits in a
-    worker (partition-grouped, see exchange.n_parts). For hot single users
-    where
-    even that breaks, use ``events_sessionize_salted`` — the two-phase
-    time-bucketed variant with identical output.
+    worker (hash-grouped, see exchange.part_exchange). For hot single
+    users where even that breaks, use ``events_sessionize_salted`` —
+    the two-phase time-bucketed variant with identical output.
     Output: one row per session."""
-    P = X.n_parts()
 
     def sessions_part(g: pd.DataFrame) -> pd.DataFrame:
         # all users of one hash partition, fully vectorized: session
@@ -1074,12 +1069,15 @@ def events_sessionize(sf_dir: str, gap_minutes: int = 30):
         return out.reset_index(drop=True)
 
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
-    ds = ds.map_batches(
-        lambda t: t.append_column(
-            "part", pa.array(t.column("user_id").to_numpy() % P)),
-        batch_format="pyarrow",
-    )
-    return ds.groupby("part").map_groups(sessions_part, batch_format="pandas")
+    return rd.from_arrow_refs(X.part_exchange(
+        ds, None, _user_key, sessions_part, _SESSIONS))
+
+
+_RUNNING = pa.schema([
+    ("event_id", pa.int64()), ("user_id", pa.int64()),
+    ("ts", pa.timestamp("us")), ("running_n", pa.int64()),
+    ("running_value", pa.float64()),
+])
 
 
 def events_running_total(sf_dir: str):
@@ -1093,8 +1091,6 @@ def events_running_total(sf_dir: str):
     per-row state. Running sums are sequential prefix sums on BOTH
     engines (np.cumsum and DuckDB's window accumulate in the same
     order), ROUND-6 absorbs the residue."""
-    P = X.n_parts()
-
     def running_part(g: pd.DataFrame) -> pd.DataFrame:
         o = np.lexsort((g["event_id"].to_numpy(),
                         g["ts"].to_numpy(), g["user_id"].to_numpy()))
@@ -1118,13 +1114,8 @@ def events_running_total(sf_dir: str):
 
     ds = _read(sf_dir, "events",
                columns=["event_id", "user_id", "ts", "value"])
-    ds = ds.map_batches(
-        lambda t: t.append_column(
-            "part", pa.array(t.column("user_id").to_numpy() % P)),
-        batch_format="pyarrow",
-    )
-    return ds.groupby("part").map_groups(running_part,
-                                         batch_format="pandas")
+    return rd.from_arrow_refs(X.part_exchange(
+        ds, None, _user_key, running_part, _RUNNING))
 
 
 def events_attribution(sf_dir: str,
@@ -1145,7 +1136,6 @@ def events_attribution(sf_dir: str,
     a shifted lookup — no per-user Python. Partitions emit per-channel
     sufficient stats (n, sum value); the driver folds |channels|+1
     rows. ROUND-2 on the revenue sum (the revenue-query convention)."""
-    P = X.n_parts()
     out_schema = pa.schema([("touch_type", pa.string()),
                             ("n_purchases", pa.int64()),
                             ("total_value", pa.float64())])
@@ -1188,13 +1178,8 @@ def events_attribution(sf_dir: str,
 
     ds = _read(sf_dir, "events",
                columns=["event_id", "user_id", "ts", "event_type", "value"])
-    ds = ds.map_batches(
-        lambda t: t.append_column(
-            "part", pa.array(t.column("user_id").to_numpy() % P)),
-        batch_format="pyarrow",
-    )
-    parts = X.collect(ds.groupby("part").map_groups(
-        attr_part, batch_format="pandas"), out_schema)
+    parts = X.gather(X.part_exchange(ds, None, _user_key, attr_part,
+                                     out_schema), out_schema)
     g = parts.group_by("touch_type").aggregate(
         [("n_purchases", "sum"), ("total_value", "sum")])
     return pa.table({
@@ -1219,7 +1204,6 @@ def events_cohort_ltv(sf_dir: str):
     plain partial sums; inside a partition one lexsort, segment-start
     cohort lookup, and composite-key unique folds. The driver merges
     cells x partitions rows (bounded by the corpus time span)."""
-    P = X.n_parts()
     W_US = 604800 * 1_000_000  # one week of microseconds
     out_schema = pa.schema([
         ("cohort_week", pa.int64()), ("age_weeks", pa.int64()),
@@ -1260,13 +1244,8 @@ def events_cohort_ltv(sf_dir: str):
 
     ds = _read(sf_dir, "events",
                columns=["event_id", "user_id", "ts", "event_type", "value"])
-    ds = ds.map_batches(
-        lambda t: t.append_column(
-            "part", pa.array(t.column("user_id").to_numpy() % P)),
-        batch_format="pyarrow",
-    )
-    parts = X.collect(ds.groupby("part").map_groups(
-        cohort_part, batch_format="pandas"), out_schema)
+    parts = X.gather(X.part_exchange(ds, None, _user_key, cohort_part,
+                                     out_schema), out_schema)
     g = parts.group_by(["cohort_week", "age_weeks"]).aggregate(
         [("n_users", "sum"), ("n_events", "sum"), ("revenue", "sum")])
     return pa.table({
@@ -1346,17 +1325,23 @@ def events_ab_ttest(sf_dir: str):
     })
 
 
+_USER_FEATS = pa.schema([
+    ("user_id", pa.int64()), ("n_events", pa.int64()),
+    ("total_value", pa.float64()), ("n_event_types", pa.int64()),
+    ("first_ts", pa.timestamp("us")), ("last_ts", pa.timestamp("us")),
+    ("n_active_days", pa.int64()),
+])
+
+
 def events_user_features(sf_dir: str):
     """Per-user feature engineering — the user-level feature table a
     ranking/recommendation training job materializes: event count,
     total value, distinct event types, first/last timestamps and
     distinct active days. Needs per-user DISTINCT sets, so it is
-    partition-grouped by user hash (the sessionize pattern, P ~ 4x
-    cpus, never per-user map_groups) with everything inside a
-    partition vectorized: one lexsort per distinct-feature, segment
-    boundaries, bincount folds. Output is user-sized (the op's own
-    output), per-partition."""
-    P = X.n_parts()
+    hash-grouped by user (the sessionize pattern, never per-user
+    map_groups) with everything inside a partition vectorized: one
+    lexsort per distinct-feature, segment boundaries, bincount folds.
+    Output is user-sized (the op's own output), per-partition."""
 
     def feats_part(g: pd.DataFrame) -> pd.DataFrame:
         uid = g["user_id"].to_numpy()
@@ -1393,12 +1378,8 @@ def events_user_features(sf_dir: str):
 
     ds = _read(sf_dir, "events",
                columns=["user_id", "ts", "event_type", "value"])
-    ds = ds.map_batches(
-        lambda t: t.append_column(
-            "part", pa.array(t.column("user_id").to_numpy() % P)),
-        batch_format="pyarrow",
-    )
-    return ds.groupby("part").map_groups(feats_part, batch_format="pandas")
+    return rd.from_arrow_refs(X.part_exchange(
+        ds, None, _user_key, feats_part, _USER_FEATS))
 
 
 def events_sessionize_salted(sf_dir: str, gap_minutes: int = 30,
@@ -1415,8 +1396,6 @@ def events_sessionize_salted(sf_dir: str, gap_minutes: int = 30,
 
     Partitioning assumption: one user's SESSIONS (not events) fit in a
     worker; the bucket granularity is the skew knob."""
-
-    P = X.n_parts()
 
     def partial_sessions_part(g: pd.DataFrame) -> pd.DataFrame:
         # all (user, bucket) groups of one hash partition, vectorized:
@@ -1459,26 +1438,20 @@ def events_sessionize_salted(sf_dir: str, gap_minutes: int = 30,
         return out.reset_index(drop=True)
 
     def add_bucket(t: pa.Table) -> pa.Table:
-        t = t.append_column(
+        return t.append_column(
             "bucket", pc.floor_temporal(t["ts"], unit=bucket).cast(pa.int64())
         )
-        part = (t.column("user_id").to_numpy() * 8191
-                + t.column("bucket").to_numpy()) % P
-        return t.append_column("part", pa.array(part))
+
+    def user_bucket_key(t: pa.Table) -> np.ndarray:
+        return (t.column("user_id").to_numpy() * 8191
+                + t.column("bucket").to_numpy())
 
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
-    partials = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(partial_sessions_part, batch_format="pandas")
-        .map_batches(
-            lambda t: t.append_column(
-                "part2", pa.array(t.column("user_id").to_numpy() % P)),
-            batch_format="pyarrow",
-        )
-    )
-    return partials.groupby("part2").map_groups(
-        merge_sessions_part, batch_format="pandas")
+    partials = X.part_exchange(ds, add_bucket, user_bucket_key,
+                               partial_sessions_part, _SESSIONS)
+    return rd.from_arrow_refs(X.part_exchange(
+        rd.from_arrow_refs(partials), None, _user_key, merge_sessions_part,
+        _SESSIONS))
 
 
 __all__ = [
@@ -1517,12 +1490,15 @@ __all__ = [
     "_ULTV",
     "events_user_value_topk",
     "events_quantiles_kll",
+    "_SESSIONS",
     "events_sessionize",
+    "_RUNNING",
     "events_running_total",
     "events_attribution",
     "events_cohort_ltv",
     "events_attribution_first",
     "events_ab_ttest",
+    "_USER_FEATS",
     "events_user_features",
     "events_sessionize_salted",
 ]

@@ -8,6 +8,7 @@ the chained star-imports and the facade must see them.
 """
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -201,15 +202,36 @@ def events_props_extract(sf_dir: str):
     })
 
 
+def _keep_types(types: tuple, t: pa.Table) -> pa.Table:
+    """The block's rows whose event_type is one of ``types`` (the two
+    stream-join ops' read-side filter)."""
+    et = t.column("event_type")
+    if isinstance(et, pa.ChunkedArray):
+        et = et.combine_chunks()
+    return t.filter(pc.is_in(et, value_set=pa.array(list(types))))
+
+
+_ASOF = pa.schema([
+    ("event_id", pa.int64()), ("user_id", pa.int64()),
+    ("ts", pa.timestamp("us")), ("matched_event_id", pa.int64()),
+    ("gap_us", pa.int64()),
+])
+_WINDOW_JOIN = pa.schema([
+    ("event_id", pa.int64()), ("user_id", pa.int64()),
+    ("ts", pa.timestamp("us")), ("n_right", pa.int64()),
+    ("sum_right_value", pa.float64()),
+])
+
+
 def events_asof_join(sf_dir: str, left_type: str = "purchase",
                      right_type: str = "view"):
     """As-of join — a stream-enrichment operator Ray Data lacks
     natively: each ``left_type`` event joins the same user's most
     recent ``right_type`` event at-or-before its timestamp. Expressed
-    Ray-Data-first as a partition-grouped transform: row-filter to the
-    two types in the first map pass, hash-partition by user (part =
-    user % P) so each partition holds complete user histories, then
-    one vectorized merge per partition (sort + forward-filled
+    as a hash-grouped transform (``exchange.part_exchange``):
+    row-filter to the two types in the read's map, hash-partition by
+    user so each partition holds complete user histories, then one
+    vectorized merge per partition (sort + forward-filled
     last-right-index, no per-row Python). Tie rule matches SQL
     ``v.ts <= p.ts``: right rows sort BEFORE left rows at equal
     (user, ts), and among equal-(user, ts) right rows the max event_id
@@ -218,17 +240,6 @@ def events_asof_join(sf_dir: str, left_type: str = "purchase",
     event_id (-1 = none) and the gap in microseconds.
     Partitioning assumption: one hash partition of users fits a worker
     (same contract as events_sessionize)."""
-    P = X.n_parts()
-
-    def keep_and_part(t: pa.Table) -> pa.Table:
-        et = t.column("event_type")
-        if isinstance(et, pa.ChunkedArray):
-            et = et.combine_chunks()
-        mask = pc.is_in(et, value_set=pa.array([left_type, right_type]))
-        t = t.filter(mask)
-        return t.append_column(
-            "part", pa.array(t.column("user_id").to_numpy(zero_copy_only=False) % P))
-
     def asof_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.assign(_is_left=(g["event_type"] == left_type).astype(np.int8))
         g = g.sort_values(["user_id", "ts", "_is_left", "event_id"],
@@ -260,11 +271,9 @@ def events_asof_join(sf_dir: str, left_type: str = "purchase",
 
     ds = _read(sf_dir, "events",
                columns=["event_id", "user_id", "ts", "event_type"])
-    return (
-        ds.map_batches(keep_and_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(asof_part, batch_format="pandas")
-    )
+    return rd.from_arrow_refs(X.part_exchange(
+        ds, functools.partial(_keep_types, (left_type, right_type)),
+        _user_key, asof_part, _ASOF))
 
 
 def events_window_join(sf_dir: str, left_type: str = "purchase",
@@ -284,17 +293,7 @@ def events_window_join(sf_dir: str, left_type: str = "purchase",
     half-open interval exactly.
     Partitioning assumption: one hash partition of users fits a worker
     (same contract as events_sessionize)."""
-    P = X.n_parts()
     win_us = np.int64(window_minutes) * 60 * 1_000_000
-
-    def keep_and_part(t: pa.Table) -> pa.Table:
-        et = t.column("event_type")
-        if isinstance(et, pa.ChunkedArray):
-            et = et.combine_chunks()
-        mask = pc.is_in(et, value_set=pa.array([left_type, right_type]))
-        t = t.filter(mask)
-        return t.append_column(
-            "part", pa.array(t.column("user_id").to_numpy(zero_copy_only=False) % P))
 
     def window_part(g: pd.DataFrame) -> pd.DataFrame:
         is_left = (g["event_type"] == left_type).to_numpy()
@@ -344,11 +343,9 @@ def events_window_join(sf_dir: str, left_type: str = "purchase",
 
     ds = _read(sf_dir, "events",
                columns=["event_id", "user_id", "ts", "event_type", "value"])
-    return (
-        ds.map_batches(keep_and_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(window_part, batch_format="pandas")
-    )
+    return rd.from_arrow_refs(X.part_exchange(
+        ds, functools.partial(_keep_types, (left_type, right_type)),
+        _user_key, window_part, _WINDOW_JOIN))
 
 
 def events_hourly(sf_dir: str):
@@ -488,8 +485,8 @@ def events_funnel(sf_dir: str,
     with max_stage 0..3 and the three stage timestamps as epoch-us
     (-1 = not reached).
 
-    Engine shape: hash-partition by user (partition-grouped,
-    ``exchange.n_parts``) so every user's history is co-located, then one fully
+    Engine shape: hash-partition by user (hash-grouped,
+    ``exchange.part_exchange``) so every user's history is co-located, then one fully
     vectorized pass per partition — per-user first-event times via
     lexsort + segment-first, the at-or-after gate via a searchsorted
     lookup of the previous stage's time. No per-user Python, no
@@ -498,7 +495,6 @@ def events_funnel(sf_dir: str,
     family generalized to ordered multi-step conversion
     (metrics/SBOMetrics.go:64-90 holds per-key time windows; this holds
     per-user stage fronts)."""
-    P = X.n_parts()
     SENT = np.iinfo(np.int64).max
 
     def funnel_part(g: pd.DataFrame) -> pd.DataFrame:
@@ -536,21 +532,13 @@ def events_funnel(sf_dir: str,
         })
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_type"])
-    out_ds = (
-        ds.map_batches(
-            lambda t: t.append_column(
-                "part", pa.array(
-                    t.column("user_id").to_numpy(zero_copy_only=False) % P)),
-            batch_format="pyarrow",
-        )
-        .groupby("part")
-        .map_groups(funnel_part, batch_format="pandas")
-    )
-    return X.collect(out_ds, pa.schema([
+    out_schema = pa.schema([
         ("user_id", pa.int64()), ("max_stage", pa.int64()),
         ("t_stage1_us", pa.int64()), ("t_stage2_us", pa.int64()),
         ("t_stage3_us", pa.int64()),
-    ]))
+    ])
+    return X.gather(X.part_exchange(ds, None, _user_key, funnel_part,
+                                    out_schema), out_schema)
 
 
 _BM25 = pa.schema([("doc_id", pa.int64()), ("score", pa.float64())])
@@ -796,7 +784,6 @@ def emb_knn_join(sf_dir: str, k: int = 5, n_chunks: int | None = None):
         # the whole read an extra time just to size B (VERDICT r3 #7).
         n = _parquet_num_rows(sf_dir, "embeddings")
         B = int(min(128, max(4, np.sqrt(2 * _cpus()), -(-n // 1000))))
-    P = X.n_parts()
 
     def _rank_topk(flat_cos, rows, cols, row_ids):
         """top-k rows per `rows` group under (cos desc, col asc)."""
@@ -890,23 +877,21 @@ def emb_knn_join(sf_dir: str, k: int = 5, n_chunks: int | None = None):
             "rnk": (r + 1).astype(np.int64),
         })
 
+    def vec_key(t: pa.Table) -> np.ndarray:
+        return t.column("vec_id").to_numpy()
+
     partials = (
         ds.map_batches(_chunk_pair_replicate("vec_id", B),
                        batch_format="pyarrow")
         .groupby("pair_id")
         .map_groups(pair_block, batch_format="pyarrow")
-        .map_batches(
-            lambda t: t.append_column(
-                "part", pa.array(
-                    t.column("vec_id").to_numpy(zero_copy_only=False) % P)),
-            batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(final_part, batch_format="pandas")
     )
-    return X.collect(partials, pa.schema([
+    out_schema = pa.schema([
         ("vec_id", pa.int64()), ("neighbor_id", pa.int64()),
         ("cos", pa.float64()), ("rnk", pa.int64()),
-    ]))
+    ])
+    return X.gather(X.part_exchange(partials, None, vec_key, final_part,
+                                    out_schema), out_schema)
 
 
 def supplier_nation_revenue(sf_dir: str):
@@ -973,7 +958,6 @@ def events_retention(sf_dir: str):
     by segment-first forward-fill; per-partition (cohort, offset)
     partial counts add across partitions because users never span
     partitions. Driver merges the tiny |days|^2/2-bounded matrix."""
-    P = X.n_parts()
 
     def retention_part(g: pd.DataFrame) -> pd.DataFrame:
         u = g["user_id"].to_numpy()
@@ -996,18 +980,11 @@ def events_retention(sf_dir: str):
                 .size().rename(columns={"size": "n_users"}))
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-    parts_ds = (
-        ds.map_batches(
-            lambda t: t.append_column(
-                "part", pa.array(
-                    t.column("user_id").to_numpy(zero_copy_only=False) % P)),
-            batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(retention_part, batch_format="pandas")
-    )
-    parts = X.collect(parts_ds, pa.schema([
+    part_schema = pa.schema([
         ("cohort_day_i", pa.int64()), ("offset_days", pa.int64()),
-        ("n_users", pa.int64())]))
+        ("n_users", pa.int64())])
+    parts = X.gather(X.part_exchange(ds, None, _user_key, retention_part,
+                                     part_schema), part_schema)
     g = parts.group_by(
         ["cohort_day_i", "offset_days"]).aggregate([("n_users", "sum")])
     cohort_us = g.column("cohort_day_i").to_numpy(
@@ -1408,6 +1385,9 @@ __all__ = [
     "emb_triplet_mining",
     "emb_label_centroids",
     "events_props_extract",
+    "_keep_types",
+    "_ASOF",
+    "_WINDOW_JOIN",
     "events_asof_join",
     "events_window_join",
     "events_hourly",

@@ -225,9 +225,10 @@ def doc_pack_sequences(sf_dir: str, seq_len: int = 512,
 
     Offsets are exact and independent of block/partition boundaries.
     Partitioning assumption (same as ``exchange.n_parts``): one hash
-    partition of (doc_id, n_tokens) rows fits in a worker."""
+    partition of (doc_id, n_tokens) rows fits in a worker. Returns a
+    Dataset over the per-partition combine outputs (per-doc rows never
+    concatenate on the driver)."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    P = X.n_parts()
 
     def _tok_counts(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
         col = t.column("text")
@@ -252,8 +253,10 @@ def doc_pack_sequences(sf_dir: str, seq_len: int = 512,
         return pa.table({
             "doc_id": pa.array(ids, pa.int64()),
             "n_tokens": pa.array(n_tok, pa.int64()),
-            "part": pa.array((ids // chunk_docs) % P),
         })
+
+    def chunk_key(t: pa.Table) -> np.ndarray:
+        return t.column("doc_id").to_numpy() // chunk_docs
 
     def pack_part(g: pd.DataFrame) -> pd.DataFrame:
         cids, cbases = ray.get(base_ref)
@@ -275,11 +278,11 @@ def doc_pack_sequences(sf_dir: str, seq_len: int = 512,
             "seq_last": (off + nt_s - 1) // seq_len,
         })
 
-    return X.collect(ds.map_batches(id_count_rows, batch_format="pyarrow")
-                     .groupby("part").map_groups(pack_part), pa.schema([
-                         ("doc_id", pa.int64()), ("n_tokens", pa.int64()),
-                         ("tok_offset", pa.int64()), ("seq_first", pa.int64()),
-                         ("seq_last", pa.int64())]))
+    return rd.from_arrow_refs(X.part_exchange(
+        ds, id_count_rows, chunk_key, pack_part, pa.schema([
+            ("doc_id", pa.int64()), ("n_tokens", pa.int64()),
+            ("tok_offset", pa.int64()), ("seq_first", pa.int64()),
+            ("seq_last", pa.int64())])))
 
 
 def doc_pack_materialize(sf_dir: str, seq_len: int = 512,
@@ -301,7 +304,6 @@ def doc_pack_materialize(sf_dir: str, seq_len: int = 512,
     Partitioning assumption: one doc-id chunk partition of TEXT fits
     in a worker; lower ``chunk_docs`` for huge docs."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    P = X.n_parts()
 
     def chunk_partials(t: pa.Table) -> pa.Table:
         col = t.column("text")
@@ -319,15 +321,10 @@ def doc_pack_materialize(sf_dir: str, seq_len: int = 512,
         ("doc_id", pa.int64()), ("seq_id", pa.int64()),
         ("n_frag_tokens", pa.int64()), ("frag_text", pa.string()),
     ])
-    sums = X.fold(ds, chunk_partials, X.CHUNK_SUMS)
-    if not sums.num_rows:
-        return rd.from_arrow(out_schema.empty_table())
-    base_ref = ray.put(X.chunk_bases(sums))
+    base_ref = ray.put(X.chunk_bases(X.fold(ds, chunk_partials, X.CHUNK_SUMS)))
 
-    def add_part(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        return t.select(["doc_id", "text"]).append_column(
-            "part", pa.array((ids // chunk_docs) % P))
+    def chunk_key(t: pa.Table) -> np.ndarray:
+        return t.column("doc_id").to_numpy() // chunk_docs
 
     def mat_part(g: pd.DataFrame) -> pd.DataFrame:
         cids, cbases = ray.get(base_ref)
@@ -369,15 +366,11 @@ def doc_pack_materialize(sf_dir: str, seq_len: int = 512,
             "frag_text": frag_text.to_pandas(),
         })
 
-    def project(t: pa.Table) -> pa.Table:
-        return t.select(out_schema.names).cast(out_schema)
-
-    # the materialized fragment table is O(corpus) text: keep it a
-    # streaming Dataset (the caller writes or folds it) — never a
-    # driver concat of every partition's payload
-    return (ds.map_batches(add_part, batch_format="pyarrow")
-            .groupby("part").map_groups(mat_part)
-            .map_batches(project, batch_format="pyarrow"))
+    # the materialized fragment table is O(corpus) text: it stays in
+    # the combine tasks' outputs (the caller writes or folds the
+    # Dataset) — never a driver concat of every partition's payload
+    return rd.from_arrow_refs(X.part_exchange(ds, None, chunk_key, mat_part,
+                                              out_schema))
 
 
 def doc_paragraph_dedup(sf_dir: str, shared_mod: int = 7):
@@ -393,15 +386,15 @@ def doc_paragraph_dedup(sf_dir: str, shared_mod: int = 7):
     unique tail — rebuilt identically by the SQL oracle, so the
     keep-first boundary fires on both sides.
 
-    Scale shape: explode + hash-route in ONE map_batches (paragraph
-    text moves once, inherent — the output IS the surviving text, the
+    Scale shape: explode + hash in the read's map, one
+    ``exchange.part_exchange`` on the paragraph hash (paragraph text
+    moves once, inherent — the output IS the surviving text, the
     pack_materialize precedent); the winner per distinct paragraph is
     decided entirely inside its hash partition (equal strings always
     co-locate) via dictionary codes + lexsort — and selection groups on
     the STRING, so a 64-bit hash collision can only co-locate, never
     merge, distinct paragraphs. No driver state, no broadcast."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    P = X.n_parts()
 
     def explode(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id")
@@ -428,11 +421,7 @@ def doc_paragraph_dedup(sf_dir: str, shared_mod: int = 7):
                 np.arange(total, dtype=np.int64) - starts[doc_of]),
             "para": flat,
         }).filter(pc.not_equal(flat, ""))
-        t = D.add_text_hash(t, column="para")
-        part = X.fib_partition(t.column("text_hash").to_numpy(
-            zero_copy_only=False), P)
-        return t.drop_columns(["text_hash"]).append_column(
-            "part", pa.array(part))
+        return D.add_text_hash(t, column="para")
 
     def dedup_part(g: pd.DataFrame) -> pd.DataFrame:
         did = g["doc_id"].to_numpy()
@@ -449,8 +438,10 @@ def doc_paragraph_dedup(sf_dir: str, shared_mod: int = 7):
             "para": g["para"].to_numpy()[keep],
         })
 
-    return (ds.map_batches(explode, batch_format="pyarrow")
-            .groupby("part").map_groups(dedup_part))
+    return rd.from_arrow_refs(X.part_exchange(
+        ds, explode, _text_hash_key, dedup_part, pa.schema([
+            ("doc_id", pa.int64()), ("para_idx", pa.int64()),
+            ("para", pa.string())])))
 
 
 def doc_group_topk(sf_dir: str, k: int = 3):
@@ -680,8 +671,8 @@ def doc_vocab_topk(sf_dir: str, k: int = 100):
     merge + exact top-k with deterministic ties (count desc, token
     asc). Driver memory is the union of block-unique tokens — fine for
     natural-language vocabularies (Heaps' law); a truly unbounded token
-    space would swap the driver merge for ds.groupby("token").count()
-    like metrics' final="groupby" escape hatch."""
+    space would swap the driver merge for a hash exchange on the token
+    (``exchange.part_exchange``)."""
     merged = X.fold(_read(sf_dir, "documents", columns=["text"]),
                     T.vocab_partial, pa.schema([("token", pa.string()),
                                                 ("n", pa.int64())]))
@@ -1083,6 +1074,10 @@ def _curation_kept(batch: pa.Table, lang: str, min_tokens: int,
     }).filter(m)
 
 
+_CURATED = pa.schema([("doc_id", pa.int64()), ("n_tokens", pa.int64()),
+                      ("n_stop_en", pa.int64())])
+
+
 def doc_curation_pipeline(sf_dir: str, lang: str = "en",
                           min_tokens: int = 20, max_tokens: int = 1000,
                           min_stop_ratio: float = 0.015):
@@ -1096,7 +1091,7 @@ def doc_curation_pipeline(sf_dir: str, lang: str = "en",
 
     Shape: one map_batches computes hash+lang+quality columns per block
     (all vectorized, single text scan) and applies the lang/quality gate
-    BLOCK-LOCALLY; ONE groupby on the 8-byte text hash picks the
+    BLOCK-LOCALLY; ONE hash exchange on the 8-byte text hash picks the
     min-doc_id representative per surviving distinct text and emits the
     kept rows straight from the partition stage. Filter-before-rep-pick
     is exact here because every gate column is a pure function of the
@@ -1107,12 +1102,10 @@ def doc_curation_pipeline(sf_dir: str, lang: str = "en",
     (the r3 scale-killer), payload text never moves, and the shuffle
     carries only (doc_id, hash, 2 small ints) for gate-passing rows."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    P = X.n_parts()
     thr = int(round(min_stop_ratio * _CURATION_SCALE))
 
     def annotate(batch: pa.Table) -> pa.Table:
-        return _hash_part_col(
-            _curation_kept(batch, lang, min_tokens, max_tokens, thr), P)
+        return _curation_kept(batch, lang, min_tokens, max_tokens, thr)
 
     def rep_pick(g: pd.DataFrame) -> pd.DataFrame:
         # min doc_id per distinct text_hash, stats carried through (they
@@ -1130,8 +1123,8 @@ def doc_curation_pipeline(sf_dir: str, lang: str = "en",
             "n_stop_en": g["n_stop_en"].to_numpy()[keep],
         })
 
-    return ds.map_batches(annotate, batch_format="pyarrow") \
-        .groupby("part").map_groups(rep_pick)
+    return rd.from_arrow_refs(X.part_exchange(
+        ds, annotate, _text_hash_key, rep_pick, _CURATED))
 
 
 _CUR_REPORT = pa.schema([("stage", pa.string()), ("n_docs", pa.int64())])
@@ -1243,5 +1236,6 @@ __all__ = [
     "doc_winnow",
     "_CURATION_SCALE",
     "_curation_kept",
+    "_CURATED",
     "doc_curation_pipeline",
 ]

@@ -4,8 +4,8 @@ The Dataset DAG mirroring the reference's lifecycle (SURVEY.md §3.4):
 
     read_parquet(shards)                       # S1: the token table
       -> map_batches(ParseEnrich, actors)      # P1-P12 + ST1, zero-copy Arrow
-      -> (a) metric fan-out + partial agg -> groupby.sum   # A1/A2/ST2
-         (b) counter melt -> groupby.sum                    # A4/A5/ST3
+      -> (a) metric fan-out + partial agg -> stream merge  # A1/A2/ST2
+         (b) counter melt -> stream merge                   # A4/A5/ST3
          (c) relevance filter + projection -> routed sink   # F3/K5
          (d) top-N: groupby.count -> sort.limit             # A6
 
@@ -47,19 +47,15 @@ def _cpus() -> int:
 def tune_context() -> None:
     """Shuffle knobs sized to the session instead of the fixed
     200-partition default, which burns constant overhead per shuffle at
-    small scale. Strategy selectable via SBO_SHUFFLE_STRATEGY
-    (default sort): hash-shuffle aggregator actors linger for 300s
-    holding CPU reservations (min_hash_shuffle_aggregator_wait_time_in_s),
-    which starves small-CPU sessions across repeated shuffles."""
+    small scale. The strategy is the pull-based sort shuffle:
+    hash-shuffle aggregator actors linger for 300s holding CPU
+    reservations (min_hash_shuffle_aggregator_wait_time_in_s), which
+    starves small-CPU sessions across repeated shuffles."""
     from ray.data.context import DataContext, ShuffleStrategy
 
     ctx = DataContext.get_current()
     cpus = _cpus()
-    strat = os.environ.get("SBO_SHUFFLE_STRATEGY", "sort")
-    if strat == "hash":
-        ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-    else:
-        ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PULL_BASED
+    ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PULL_BASED
     ctx.default_hash_shuffle_parallelism = max(4, cpus)
     ctx.min_parallelism = max(4, cpus)
 
@@ -161,9 +157,6 @@ def _stream_merge(long_ds: rd.Dataset, keys: list[str], value: str,
       O(final distinct keys + fanin x per-block keys) instead of
       growing linearly with block count.
 
-    ``final="groupby"`` on the callers remains the fully-shuffled
-    escape hatch for key spaces that rival the row count.
-
     ``schema`` is the expected result schema, used only for the typed
     empty result when no partial row survives: on a fully empty input
     ``long_ds.schema()`` can be None (Ray returns no blocks at all), so
@@ -213,27 +206,19 @@ def _stream_merge(long_ds: rd.Dataset, keys: list[str], value: str,
     return final
 
 
-def metrics_dataset(enriched: rd.Dataset, final: str = "stream") -> rd.Dataset:
+def metrics_dataset(enriched: rd.Dataset) -> rd.Dataset:
     """Enriched -> exact per-window metric totals (the sbo_metrics sink in
     add-merge mode, SURVEY.md §2.6 A3): melt + block-local partial agg,
-    then either a driver streaming combine (default; bounded key
-    cardinality) or a hash-shuffle groupby (``final="groupby"``,
-    unbounded cardinality)."""
+    then the streaming combine (``_stream_merge``)."""
     long_ds = enriched.map_batches(metric_fanout, batch_format="pyarrow")
-    if final == "groupby":
-        return long_ds.groupby(GROUP_KEYS).aggregate(
-            Sum("metric_value", alias_name="metric_value")
-        )
     return rd.from_arrow(_stream_merge(long_ds, GROUP_KEYS, "metric_value",
                                       schema=METRIC_SCHEMA))
 
 
-def keyed_counters_dataset(enriched: rd.Dataset, final: str = "stream") -> rd.Dataset:
+def keyed_counters_dataset(enriched: rd.Dataset) -> rd.Dataset:
     """All nine keyed counter dimensions, per source, in one pass."""
     long_ds = enriched.map_batches(counter_melt, batch_format="pyarrow")
     keys = ["source", "dimension", "key_value"]
-    if final == "groupby":
-        return long_ds.groupby(keys).aggregate(Sum("cnt", alias_name="cnt"))
     return rd.from_arrow(_stream_merge(long_ds, keys, "cnt",
                                       schema=COUNTER_SCHEMA))
 

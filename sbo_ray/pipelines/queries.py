@@ -17,7 +17,6 @@ scale); ``oracle_sql_map()`` materializes that cache before returning.
 
 from __future__ import annotations
 
-import functools
 import glob
 import os
 
@@ -945,39 +944,6 @@ def _ip_key(t: pa.Table) -> np.ndarray:
     return uh[enc.indices.to_numpy(zero_copy_only=False)]
 
 
-def _part_exchange(ds, partial, key, fold_part,
-                   schema: pa.Schema) -> pa.Table:
-    """The log ops' one hash exchange, as raw tasks.
-
-    ``partial(block)`` reduces each block inside ``ds``'s own map (fused
-    into the read), so only its output is materialized for the shuffle.
-    The shard task routes those rows by ``key(rows) % P`` (``key`` gives
-    the site's int64 hash per row), and one task per partition runs
-    ``fold_part`` (pandas) over every row of its partition. P follows
-    the partial outputs' bytes, the bytes that actually move
-    (``exchange.n_parts``); the folded partitions are gathered as one
-    ``schema`` table."""
-    @functools.wraps(partial)
-    def run(t: pa.Table) -> pa.Table:
-        return partial(t) if t.num_rows else t  # zero-row blocks drop below
-
-    refs, _, nbytes = X.sized_block_refs(
-        ds.map_batches(run, batch_format="pyarrow", batch_size=None))
-    P = X.n_parts(nbytes)
-
-    def part_shard(t: pa.Table) -> list:
-        part = (key(t).view(np.uint64) % np.uint64(P)).astype(np.int64)
-        return X.split(part, P, t)
-
-    def part_combine(*tabs: pa.Table) -> pa.Table:
-        return pa.Table.from_pandas(
-            fold_part(pa.concat_tables(tabs).to_pandas()), schema=schema,
-            preserve_index=False)
-
-    return X.gather(X.combine(part_combine, X.shard(part_shard, refs, P),
-                              out_schema=schema), schema)
-
-
 def q_log_metrics(sf_dir: str):
     return logpipe.metrics_dataset(_enriched(sf_dir))
 
@@ -1267,9 +1233,10 @@ def q_log_distinct_clients(sf_dir: str):
         return pd.DataFrame({"source": out["source"],
                              "n": out["n"].astype("int64")})
 
-    df = _part_exchange(
-        _enriched(sf_dir), pair_partial, _ip_key, count_part,
-        pa.schema([("source", pa.string()), ("n", pa.int64())])).to_pandas()
+    part_schema = pa.schema([("source", pa.string()), ("n", pa.int64())])
+    df = X.gather(X.part_exchange(_enriched(sf_dir), pair_partial, _ip_key,
+                                  count_part, part_schema),
+                  part_schema).to_pandas()
     out = df.groupby("source", sort=True)["n"].sum().reset_index(name="n_clients")
     out["n_clients"] = out["n_clients"].astype("int64")
     return pa.Table.from_pandas(out, schema=pa.schema([
@@ -1370,8 +1337,8 @@ def q_log_sessionize(sf_dir: str, gap_sec: int = 600):
         out["n_requests"] = out["n_requests"].astype("int64")
         return out.reset_index(drop=True)
 
-    return _part_exchange(_enriched(sf_dir), route, _ip_key, sessions_part,
-                          out_schema)
+    return X.gather(X.part_exchange(_enriched(sf_dir), route, _ip_key,
+                                    sessions_part, out_schema), out_schema)
 
 
 def sql_log_sessionize(cache: str, gap_sec: int = 600) -> str:
@@ -1631,10 +1598,11 @@ def q_log_ip_entropy(sf_dir: str):
                              "n": out["n"].astype("int64"),
                              "clnc": out["clnc"]})
 
-    df = _part_exchange(
-        _enriched(sf_dir), pair_partial, _ip_key, fold_part,
-        pa.schema([("source", pa.string()), ("n", pa.int64()),
-                   ("clnc", pa.float64())])).to_pandas()
+    part_schema = pa.schema([("source", pa.string()), ("n", pa.int64()),
+                             ("clnc", pa.float64())])
+    df = X.gather(X.part_exchange(_enriched(sf_dir), pair_partial, _ip_key,
+                                  fold_part, part_schema),
+                  part_schema).to_pandas()
     if df.empty:
         return out_schema.empty_table()
     agg = df.groupby("source", sort=True).agg(
@@ -1755,6 +1723,24 @@ GROUP BY sc.source
 """
 
 
+_SEQ_COUNTS = pa.schema([("source", pa.string()), ("n_rows", pa.int64()),
+                         ("n_uniq", pa.int64())])
+
+
+def _seq_count_part(g: "pd.DataFrame"):
+    """One hash partition of (source, h, cnt) sequence-hash partials ->
+    per-source row and distinct-sequence counts (the seq-dedup fold)."""
+    import pandas as pd
+
+    per_seq = (g.groupby(["source", "h"], sort=False)["cnt"].sum()
+               .reset_index())
+    out = per_seq.groupby("source", sort=False).agg(
+        n_rows=("cnt", "sum"), n_uniq=("h", "size")).reset_index()
+    return pd.DataFrame({"source": out["source"],
+                         "n_rows": out["n_rows"].astype("int64"),
+                         "n_uniq": out["n_uniq"].astype("int64")})
+
+
 def q_log_seq_dedup(sf_dir: str):
     """Exact duplicate token *sequences* per source — dedup keyed on the
     whole tokens array (the sequence-level twin of doc_dedup_exact).
@@ -1775,22 +1761,9 @@ def q_log_seq_dedup(sf_dir: str):
         return pa.table({"source": g.column("source"), "h": g.column("h"),
                          "cnt": g.column("count_all").cast(pa.int64())})
 
-    def fold_part(g: "pd.DataFrame"):
-        import pandas as pd
-
-        per_seq = (g.groupby(["source", "h"], sort=False)["cnt"].sum()
-                   .reset_index())
-        out = per_seq.groupby("source", sort=False).agg(
-            n_rows=("cnt", "sum"), n_uniq=("h", "size")).reset_index()
-        return pd.DataFrame({"source": out["source"],
-                             "n_rows": out["n_rows"].astype("int64"),
-                             "n_uniq": out["n_uniq"].astype("int64")})
-
-    df = _part_exchange(
+    df = X.gather(X.part_exchange(
         _read_tokens(sf_dir, ["tokens", "source"]), partial, _h_key,
-        fold_part, pa.schema([("source", pa.string()),
-                              ("n_rows", pa.int64()),
-                              ("n_uniq", pa.int64())])).to_pandas()
+        _seq_count_part, _SEQ_COUNTS), _SEQ_COUNTS).to_pandas()
     out = df.groupby("source", sort=True).agg(
         n_rows=("n_rows", "sum"), n_uniq_seq=("n_uniq", "sum")).reset_index()
     return pa.table({
@@ -1843,22 +1816,9 @@ def q_log_seq_dedup_prefix(sf_dir: str, k: int = 32):
         return pa.table({"source": g.column("source"), "h": g.column("h"),
                          "cnt": g.column("count_all").cast(pa.int64())})
 
-    def fold_part(g: "pd.DataFrame"):
-        import pandas as pd
-
-        per_seq = (g.groupby(["source", "h"], sort=False)["cnt"].sum()
-                   .reset_index())
-        out = per_seq.groupby("source", sort=False).agg(
-            n_rows=("cnt", "sum"), n_uniq=("h", "size")).reset_index()
-        return pd.DataFrame({"source": out["source"],
-                             "n_rows": out["n_rows"].astype("int64"),
-                             "n_uniq": out["n_uniq"].astype("int64")})
-
-    df = _part_exchange(
+    df = X.gather(X.part_exchange(
         _read_tokens(sf_dir, ["tokens", "source"]), partial, _h_key,
-        fold_part, pa.schema([("source", pa.string()),
-                              ("n_rows", pa.int64()),
-                              ("n_uniq", pa.int64())])).to_pandas()
+        _seq_count_part, _SEQ_COUNTS), _SEQ_COUNTS).to_pandas()
     out = df.groupby("source", sort=True).agg(
         n_rows=("n_rows", "sum"), n_uniq=("n_uniq", "sum")).reset_index()
     return pa.table({
@@ -2959,8 +2919,9 @@ def q_log_dup_gap_histogram(sf_dir: str):
         return pd.DataFrame({"gap_bucket": ub,
                              "n_pairs": cnt.astype("int64")})
 
-    df = _part_exchange(_read_tokens(sf_dir, ["doc_id", "tokens"]), partial,
-                        _h_key, fold_part, _DUPGAP_OUT).to_pandas()
+    df = X.gather(X.part_exchange(
+        _read_tokens(sf_dir, ["doc_id", "tokens"]), partial, _h_key,
+        fold_part, _DUPGAP_OUT), _DUPGAP_OUT).to_pandas()
     out = (df.groupby("gap_bucket", sort=True)["n_pairs"].sum()
            .reset_index())
     return pa.table({
@@ -3367,8 +3328,9 @@ def q_log_dup_cluster_sizes(sf_dir: str):
                              "copies": hist["cnt"].astype("int64"),
                              "n_clusters": hist["h"].astype("int64")})
 
-    df = _part_exchange(_read_tokens(sf_dir, ["tokens", "source"]), partial,
-                        _h_key, fold_part, _DUPSZ_OUT).to_pandas()
+    df = X.gather(X.part_exchange(
+        _read_tokens(sf_dir, ["tokens", "source"]), partial, _h_key,
+        fold_part, _DUPSZ_OUT), _DUPSZ_OUT).to_pandas()
     out = (df.groupby(["source", "copies"], sort=True)["n_clusters"].sum()
            .reset_index())
     return pa.table({
@@ -3776,8 +3738,9 @@ def q_log_cross_source_leakage(sf_dir: str):
                              "src_b": out["source_y"],
                              "n_shared": out["n"].astype("int64")})
 
-    df = _part_exchange(_read_tokens(sf_dir, ["tokens", "source"]), partial,
-                        _h_key, fold_part, _LEAK_OUT).to_pandas()
+    df = X.gather(X.part_exchange(
+        _read_tokens(sf_dir, ["tokens", "source"]), partial, _h_key,
+        fold_part, _LEAK_OUT), _LEAK_OUT).to_pandas()
     out = (df.groupby(["src_a", "src_b"], sort=True)["n_shared"].sum()
            .reset_index())
     return pa.table({
@@ -4841,32 +4804,36 @@ def q_log_repeat_offenders(sf_dir: str):
     client's last 50 parsed entries in file order counts malicious
     requests; a client whose window ever holds >=3 is flagged.
 
-    Ray shape: partition-grouped (exchange.n_parts — client count is
-    unbounded at scale, so per-client map_groups would pay ~60us per
-    tiny group): group by client-hash %% P, then one vectorized
-    windowed cumsum scan per partition; the oracle is an independent
-    SQL window query (and the literal ring-buffer dump in pytest)."""
+    Ray shape: hash-grouped by client (``exchange.part_exchange`` —
+    client count is unbounded at scale, so per-client map_groups would
+    pay ~60us per tiny group), then one vectorized windowed cumsum scan
+    per partition; the oracle is an independent SQL window query (and
+    the literal ring-buffer dump in pytest)."""
     import zlib
 
-    import numpy as np
     import pandas as pd
+    import ray.data as rd
 
-    P = X.n_parts()
+    out_schema = pa.schema([("source", pa.string()),
+                            ("client_ip", pa.string()),
+                            ("n_requests", pa.int64()),
+                            ("max_malicious_in_window", pa.int64()),
+                            ("flagged", pa.int64())])
 
-    def add_part(t: pa.Table) -> pa.Table:
-        t = t.filter(t.column("parse_ok")).select(
+    def parsed(t: pa.Table) -> pa.Table:
+        return t.filter(t.column("parse_ok")).select(
             ["source", "client_ip", "doc_id", "malicious"])
+
+    def client_key(t: pa.Table) -> np.ndarray:
         key = pc.binary_join_element_wise(
             t.column("source").cast(pa.string()),
             t.column("client_ip").cast(pa.string()), "\x00")
         enc = pc.dictionary_encode(
             key.combine_chunks() if isinstance(key, pa.ChunkedArray) else key)
-        uniq = enc.dictionary.to_pylist()
-        uh = np.fromiter((zlib.crc32(u.encode()) for u in uniq),
-                         dtype=np.int64, count=len(uniq))
-        part = (uh[enc.indices.to_numpy(zero_copy_only=False)] % P
-                if len(uniq) else np.zeros(0, dtype=np.int64))
-        return t.append_column("part", pa.array(part))
+        uh = np.fromiter((zlib.crc32(u.encode())
+                          for u in enc.dictionary.to_pylist()),
+                         dtype=np.int64, count=len(enc.dictionary))
+        return uh[enc.indices.to_numpy(zero_copy_only=False)]
 
     def offenders_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["source", "client_ip", "doc_id"], kind="stable")
@@ -4894,8 +4861,8 @@ def q_log_repeat_offenders(sf_dir: str):
             "flagged": (max_in >= 3).astype(np.int64),
         })
 
-    enr = _enriched(sf_dir).map_batches(add_part, batch_format="pyarrow")
-    return enr.groupby("part").map_groups(offenders_part, batch_format="pandas")
+    return rd.from_arrow_refs(X.part_exchange(
+        _enriched(sf_dir), parsed, client_key, offenders_part, out_schema))
 
 
 def q_log_counter_deltas(sf_dir: str):

@@ -105,9 +105,9 @@ def test_dedup_family_empty_documents(ray_session, empty_doc_dir):
     assert DP.doc_decontaminate_ngram(empty_doc_dir).count() == 0
 
 
-def test_funnel_empty_events(ray_session, tmp_path):
-    from sbo_ray.pipelines.datapipe import events_funnel
-
+@pytest.fixture(scope="module")
+def empty_events_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("empty_events")
     pq.write_table(
         pa.schema([("event_id", pa.int64()),
                    ("ts", pa.timestamp("us")),
@@ -115,12 +115,62 @@ def test_funnel_empty_events(ray_session, tmp_path):
                    ("event_type", pa.string()),
                    ("value", pa.float64()),
                    ("props", pa.string())]).empty_table(),
-        str(tmp_path / "events.parquet"),
+        str(d / "events.parquet"),
     )
-    out = events_funnel(str(tmp_path))
+    return str(d)
+
+
+def test_funnel_empty_events(ray_session, empty_events_dir):
+    from sbo_ray.pipelines.datapipe import events_funnel
+
+    out = events_funnel(empty_events_dir)
     assert out.num_rows == 0
     assert out.schema.names == ["user_id", "max_stage", "t_stage1_us",
                                 "t_stage2_us", "t_stage3_us"]
+
+
+_I64, _F64, _TS, _STR = (pa.int64(), pa.float64(), pa.timestamp("us"),
+                         pa.string())
+_SESSION_COLS = [("user_id", _I64), ("session_start", _TS),
+                 ("session_end", _TS), ("n_events", _I64),
+                 ("sum_value", _F64)]
+
+
+@pytest.mark.parametrize("name, table, cols", [
+    ("events_sessionize", "events", _SESSION_COLS),
+    ("events_sessionize_salted", "events", _SESSION_COLS),
+    ("events_running_total", "events",
+     [("event_id", _I64), ("user_id", _I64), ("ts", _TS),
+      ("running_n", _I64), ("running_value", _F64)]),
+    ("events_user_features", "events",
+     [("user_id", _I64), ("n_events", _I64), ("total_value", _F64),
+      ("n_event_types", _I64), ("first_ts", _TS), ("last_ts", _TS),
+      ("n_active_days", _I64)]),
+    ("events_asof_join", "events",
+     [("event_id", _I64), ("user_id", _I64), ("ts", _TS),
+      ("matched_event_id", _I64), ("gap_us", _I64)]),
+    ("events_window_join", "events",
+     [("event_id", _I64), ("user_id", _I64), ("ts", _TS),
+      ("n_right", _I64), ("sum_right_value", _F64)]),
+    ("doc_paragraph_dedup", "documents",
+     [("doc_id", _I64), ("para_idx", _I64), ("para", _STR)]),
+    ("doc_dedup_exact", "documents", [("doc_id", _I64), ("n_dupes", _I64)]),
+    ("doc_curation_pipeline", "documents",
+     [("doc_id", _I64), ("n_tokens", _I64), ("n_stop_en", _I64)]),
+])
+def test_per_row_exchange_ops_empty(ray_session, empty_events_dir,
+                                    empty_doc_dir, name, table, cols):
+    """Per-row hash-exchange ops over an empty events/documents table
+    return a zero-row Dataset with the op's declared columns and types
+    (every partition takes the combine's typed empty), never a
+    zero-column one."""
+    from sbo_ray.pipelines import datapipe as DP
+
+    d = empty_events_dir if table == "events" else empty_doc_dir
+    out = getattr(DP, name)(d)
+    assert out.count() == 0
+    schema = out.schema()
+    assert list(zip(schema.names, schema.types)) == cols
 
 
 def test_knn_join_empty_embeddings(ray_session, tmp_path):
@@ -271,7 +321,7 @@ def test_late_r5_token_ops_empty(ray_session, empty_token_dir, monkeypatch):
     ("q_log_status_class_counts", ["source", "status_class", "cnt"]),
     ("q_log_geo_counts", ["source", "geo", "cnt"]),
     ("q_log_distinct_clients_hll", ["source", "n_clients_est"]),
-    # the raw-task hash-exchange log ops (queries._part_exchange)
+    # the raw-task hash-exchange log ops (exchange.part_exchange)
     ("q_log_distinct_clients", ["source", "n_clients"]),
     ("q_log_sessionize", ["source", "client_ip", "session_start",
                           "session_end", "n_requests"]),

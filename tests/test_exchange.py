@@ -180,6 +180,12 @@ def test_events_daily_active_high_p(gate, monkeypatch, P):
     "orders_with_returns",      # two-sided join
     "doc_dedup_substring",      # numpy-tuple carry, two waves
     "doc_shuffle_order",        # range split + prefix-sum bases
+    # exchange.part_exchange shapes
+    "events_sessionize",        # per-row Dataset over combine refs
+    "events_asof_join",         # read-side filter partial
+    "events_sessionize_salted",  # two waves, the second over the first's refs
+    "doc_pack_sequences",       # doc-id chunk key + broadcast bases
+    "log_repeat_offenders",     # parsed-log partial, crc32 client key
 ])
 def test_exchange_partition_invariance(gate, monkeypatch, name, P):
     monkeypatch.setattr(X, "n_parts", lambda *_: P)

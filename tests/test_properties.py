@@ -1,7 +1,6 @@
-"""Property-based tests (hypothesis) for the codec and scalar semantics,
-plus equality of the distributed final="groupby" aggregation path."""
+"""Property-based tests (hypothesis) for the codec, scalar semantics and
+the exchange-side combine kernels."""
 
-import pandas as pd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,43 +45,6 @@ def test_top_n_properties(counts, n):
         kept_min = min(out.values())
         dropped = {k: v for k, v in counts.items() if k not in out}
         assert all(v <= kept_min for v in dropped.values())
-
-
-def test_groupby_final_path_equals_stream(ray_session, tmp_path):
-    """The distributed hash-shuffle finalizer must agree with the driver
-    streaming combine (they are alternative final stages of the same
-    partial-agg pipeline)."""
-    from sbo_ray import synth
-    from sbo_ray.config import JobConfig
-    from sbo_ray.pipelines import logpipe
-
-    doc_ids, lines, sources = synth.synth_lines(2000, seed=8)
-    cfg = synth.source_config(12)
-    table = synth.build_table(doc_ids, lines, sources)
-    paths = synth.write_sharded(table, str(tmp_path), n_shards=2)
-    job = JobConfig.from_format_map(cfg)
-
-    def norm(df):
-        return df.sort_values(
-            ["source", "metric_type", "key_value", "time_window"]
-        ).reset_index(drop=True)
-
-    a = norm(logpipe.metrics_dataset(
-        logpipe.enriched_dataset(paths, job), final="stream").to_pandas())
-    b = norm(logpipe.metrics_dataset(
-        logpipe.enriched_dataset(paths, job), final="groupby").to_pandas())
-    pd.testing.assert_frame_equal(a, b, check_dtype=False)
-
-    ka = logpipe.keyed_counters_dataset(
-        logpipe.enriched_dataset(paths, job), final="stream").to_pandas()
-    kb = logpipe.keyed_counters_dataset(
-        logpipe.enriched_dataset(paths, job), final="groupby").to_pandas()
-    key = ["source", "dimension", "key_value"]
-    pd.testing.assert_frame_equal(
-        ka.sort_values(key).reset_index(drop=True),
-        kb.sort_values(key).reset_index(drop=True),
-        check_dtype=False,
-    )
 
 
 # ---- round-2 scalar functions ----------------------------------------------
