@@ -357,7 +357,6 @@ def _pack_shard_parts(src: tuple, P: int, min_tok: int,
     h (num_returns=P). Gated-out rows are not dedup candidates and
     contribute nothing."""
     import numpy as np
-    import pyarrow as pa
     import pyarrow.parquet as pq
 
     from . import exchange as X
@@ -365,11 +364,8 @@ def _pack_shard_parts(src: tuple, P: int, min_tok: int,
                                     _token_lists)
 
     path, row_base = src
-    t = pq.read_table(path, columns=["tokens"])
-    toks = t.column("tokens")
-    if isinstance(toks, pa.ChunkedArray):
-        toks = toks.combine_chunks()
-    vals, off = _token_lists(toks)
+    vals, off = _token_lists(
+        pq.read_table(path, columns=["tokens"]).column("tokens"))
     keep = _quality_gate_mask(vals, off, min_tok, max_dom_ppm)
     h = _seq_hash64(vals, off).view(np.int64)[keep]
     rn = row_base + np.flatnonzero(keep).astype(np.int64)
@@ -418,8 +414,8 @@ def _cmd_pack_curated(args, out: str) -> int:
 
     from . import exchange as X
     from . import fsio
-    from .pipelines.queries import (_pack_fragments, _quality_gate_mask,
-                                    _token_lists)
+    from .functions import pack
+    from .pipelines.queries import _quality_gate_mask, _token_lists
 
     seq_len = args.seq_len
     min_tok, max_dom_ppm = 4, 900_000
@@ -464,10 +460,7 @@ def _cmd_pack_curated(args, out: str) -> int:
                                  override_num_blocks=1)
             for i, b in enumerate(ds.iter_batches(
                     batch_format="pyarrow", batch_size=None)):
-                toks = b.column("tokens")
-                if isinstance(toks, pa.ChunkedArray):
-                    toks = toks.combine_chunks()
-                vals, off = _token_lists(toks)
+                vals, off = _token_lists(b.column("tokens"))
                 keep = _quality_gate_mask(vals, off, min_tok, max_dom_ppm)
                 rn = row_bounds[si] + seen + np.arange(
                     b.num_rows, dtype=np.int64)
@@ -478,18 +471,12 @@ def _cmd_pack_curated(args, out: str) -> int:
                         (dropped[np.minimum(pos, len(dropped) - 1)] == rn)
                     keep &= ~hit
                 kept = b.filter(pa.array(keep))
-                toks = kept.column("tokens")
-                if isinstance(toks, pa.ChunkedArray):
-                    toks = toks.combine_chunks()
-                vals, off = _token_lists(toks)
+                vals, off = _token_lists(kept.column("tokens"))
                 nt = np.diff(off)
                 goff = running + np.cumsum(nt) - nt
                 running += int(nt.sum())
-                docids = kept.column("doc_id")
-                if isinstance(docids, pa.ChunkedArray):
-                    docids = docids.combine_chunks()
-                frag = _pack_fragments(docids, vals.astype(np.int64),
-                                       off, goff, seq_len)
+                frag = pack.fragments(kept.select(["doc_id"]), vals, off,
+                                      goff, seq_len)
                 fsio.write_fragment(pdir, f"part-{i:05d}.parquet", frag)
                 n_rows += frag.num_rows
             with fsio.open_file(os.path.join(pdir, "_SUCCESS"), "wb") as f:
@@ -521,7 +508,8 @@ def cmd_pack(args) -> int:
     import ray.data as rd
 
     from . import fsio
-    from .pipelines.queries import _pack_fragments
+    from .functions import pack
+    from .pipelines.queries import _token_lists
 
     _init_ray()
     out = args.out or "/tmp/sbo_ray_out/pack"
@@ -557,29 +545,18 @@ def cmd_pack(args) -> int:
         fsio.clear_fragments(pdir)
         n_rows = 0
         import numpy as np
-        import pyarrow as pa
 
         ds = rd.read_parquet(p, columns=["doc_id", "tokens"],
                              override_num_blocks=1)
         running = base
         for i, b in enumerate(ds.iter_batches(batch_format="pyarrow",
                                               batch_size=None)):
-            toks = b.column("tokens")
-            if isinstance(toks, pa.ChunkedArray):
-                toks = toks.combine_chunks()
-            toffs0 = toks.offsets.to_numpy().astype(np.int64)
-            start = int(toffs0[0])
-            vals = toks.values.slice(
-                start, int(toffs0[-1]) - start).to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            toffs = toffs0 - start
+            vals, toffs = _token_lists(b.column("tokens"))
             nt = np.diff(toffs)
             off = running + np.cumsum(nt) - nt
             running += int(nt.sum())
-            docids = b.column("doc_id")
-            if isinstance(docids, pa.ChunkedArray):
-                docids = docids.combine_chunks()
-            frag = _pack_fragments(docids, vals, toffs, off, seq_len)
+            frag = pack.fragments(b.select(["doc_id"]), vals, toffs, off,
+                                  seq_len)
             fsio.write_fragment(pdir, f"part-{i:05d}.parquet", frag)
             n_rows += frag.num_rows
         with fsio.open_file(marker, "wb") as f:

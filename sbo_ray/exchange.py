@@ -116,21 +116,6 @@ def table_shard(block: pa.Table, P: int, key_col: str) -> list:
     return split(fib_partition(keys, P), P, block)
 
 
-CHUNK_SUMS = pa.schema([("chunk", pa.int64()), ("tok_sum", pa.int64())])
-
-
-def chunk_bases(sums: pa.Table) -> tuple[np.ndarray, np.ndarray]:
-    """The packing prefix sum: fold per-block (chunk, tok_sum) partials
-    into sorted chunk ids and their exclusive token bases (tokens
-    before the chunk) — O(corpus / chunk_docs) ints, broadcast once."""
-    g = sums.group_by("chunk").aggregate([("tok_sum", "sum")]) \
-        .sort_by("chunk")
-    tot = g.column("tok_sum_sum").to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    return (g.column("chunk").to_numpy(zero_copy_only=False).astype(np.int64),
-            np.cumsum(tot) - tot)
-
-
 def _task(fn, n: int | None, sizes: list = (), out_schema=None):
     """``fn`` as a Ray task taking its per-partition inputs flat.
 

@@ -52,7 +52,6 @@ def add_text_hash(batch: pa.Table, column: str = "text") -> pa.Table:
 
 
 # ---- shingles / minhash ----------------------------------------------------
-_MERSENNE = (1 << 61) - 1
 
 
 def _shingle_hashes(text: str, k: int = 3) -> np.ndarray:
@@ -66,27 +65,6 @@ def _shingle_hashes(text: str, k: int = 3) -> np.ndarray:
         (zlib.crc32(s.encode()) for s in set(shingles)),
         dtype=np.uint64, count=len(set(shingles)),
     )
-
-
-def _perm_params(n_perm: int, seed: int = 7) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.RandomState(seed)
-    a = rng.randint(1, _MERSENNE, size=n_perm, dtype=np.int64).astype(np.uint64)
-    b = rng.randint(0, _MERSENNE, size=n_perm, dtype=np.int64).astype(np.uint64)
-    return a, b
-
-
-def minhash_signature(text: str, n_perm: int = 64, seed: int = 7,
-                      _cache: dict = {}) -> np.ndarray:
-    key = (n_perm, seed)
-    if key not in _cache:
-        _cache[key] = _perm_params(n_perm, seed)
-    a, b = _cache[key]
-    x = _shingle_hashes(text)
-    if len(x) == 0:
-        return np.zeros(n_perm, dtype=np.uint64)
-    # (a*x + b) mod p per permutation; min over shingles
-    vals = (np.outer(a, x) + b[:, None]) % np.uint64(_MERSENNE)
-    return vals.min(axis=1)
 
 
 _MIX = (np.uint64(0x9E3779B185EBCA87), np.uint64(0xC2B2AE3D27D4EB4F),
@@ -110,10 +88,10 @@ def minhash_bands(batch: pa.Table, n_perm: int = 64, bands: int = 16,
     split -> per-UNIQUE-word crc32 (dictionary hash) -> order-dependent
     3-shingle mix over the flat word-hash array -> multiply-permute
     minhash via np.minimum.reduceat over ragged per-doc segments. The
-    hash family differs from the per-doc implementation's (a*x+b mod p),
-    which only shifts LSH candidate RECALL; the verified exact-Jaccard
-    output is pinned by the brute-force SQL oracle and planted-dup
-    tests. Docs with < 3 words get a single degenerate shingle."""
+    hash family only shifts LSH candidate RECALL; the verified
+    exact-Jaccard output is pinned by the brute-force SQL oracle and
+    planted-dup tests. Docs with < 3 words get a single degenerate
+    shingle."""
     n = batch.num_rows
     empty = pa.table({
         "band_hash": pa.array([], type=pa.int64()),
@@ -190,16 +168,6 @@ def jaccard(text_a: str, text_b: str, k: int = 3) -> float:
         return 1.0
     inter = len(a & b)
     return inter / (len(a) + len(b) - inter)
-
-
-def verify_candidates(pairs: set[tuple[int, int]], texts_by_id: dict,
-                      threshold: float = 0.8) -> list[tuple[int, int, float]]:
-    out = []
-    for ia, ib in sorted(pairs):
-        j = jaccard(texts_by_id[ia], texts_by_id[ib])
-        if j >= threshold:
-            out.append((ia, ib, j))
-    return out
 
 
 # ---- character n-gram Jaccard ----------------------------------------------
@@ -307,10 +275,6 @@ def simhash_batch(batch: pa.Table, text_col: str = "text",
     return pa.table(cols)
 
 
-def hamming64(a: int, b: int) -> int:
-    return bin((a ^ b) & ((1 << 64) - 1)).count("1")
-
-
 def popcount64(x: np.ndarray) -> np.ndarray:
     """Vectorized 64-bit popcount (SWAR) over a uint64 array."""
     x = x.astype(np.uint64, copy=True)
@@ -407,21 +371,6 @@ def connected_components(pairs: list[tuple[int, int]]) -> dict[int, int]:
 
 
 # ---- embedding cosine ------------------------------------------------------
-
-
-def cosine_pairs_block(block: np.ndarray, block_ids: np.ndarray,
-                       other: np.ndarray, other_ids: np.ndarray,
-                       threshold: float) -> list[tuple[int, int, float]]:
-    """All pairs (block x other) with cosine > threshold; caller ensures
-    id_a < id_b de-dup. Inputs must be L2-normalized float64."""
-    sims = block @ other.T
-    ia, ib = np.nonzero(sims > threshold)
-    out = []
-    for x, y in zip(ia, ib):
-        a, b = int(block_ids[x]), int(other_ids[y])
-        if a < b:
-            out.append((a, b, float(sims[x, y])))
-    return out
 
 
 def cosine_pairs_cross(ma: np.ndarray, ids_a: np.ndarray,

@@ -88,12 +88,6 @@ def lsh_bucket(m: np.ndarray, planes: np.ndarray) -> np.ndarray:
     return bits.astype(np.int64) @ weights
 
 
-def lsh_index_batch(batch: pa.Table, planes: np.ndarray) -> pa.Table:
-    m = normalize_rows(embedding_matrix(batch))
-    buckets = lsh_bucket(m, planes)
-    return batch.append_column("bucket", pa.array(buckets))
-
-
 # ---- IVF (inverted-file coarse quantizer) ----------------------------------
 
 

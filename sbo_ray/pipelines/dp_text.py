@@ -20,6 +20,7 @@ import ray.data as rd
 
 from .. import exchange as X
 from ..functions import dedup as D
+from ..functions import pack
 from ..functions import similarity as S
 from ..functions import text as T
 from ..functions.multimodal import DecoderStub, to_payload_table
@@ -202,6 +203,28 @@ def doc_quality_c4(sf_dir: str):
     )
 
 
+def _doc_tok_counts(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+    """(doc ids, tokens per doc) of a documents block: tokens are the
+    ' '-separated words of ``text``."""
+    col = t.column("text")
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    n_tok = pc.list_value_length(pc.split_pattern(col, " ")).to_numpy(
+        zero_copy_only=False).astype(np.int64)
+    ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
+    return ids, n_tok
+
+
+def _doc_chunk_bases(ds: rd.Dataset, chunk_docs: int):
+    """Pass 1 of the doc-side packers: per-block token sums per doc-id
+    chunk, folded on the driver into ``pack.bases`` and broadcast."""
+    def chunk_partials(t: pa.Table) -> pa.Table:
+        ids, n_tok = _doc_tok_counts(t)
+        return pack.chunk_sums(ids // chunk_docs, n_tok)
+
+    return ray.put(pack.bases(X.fold(ds, chunk_partials, pack.CHUNK_SUMS)))
+
+
 def doc_pack_sequences(sf_dir: str, seq_len: int = 512,
                        chunk_docs: int = 4096):
     """GPT-style sequence PACKING: concatenate every document's tokens
@@ -229,27 +252,10 @@ def doc_pack_sequences(sf_dir: str, seq_len: int = 512,
     Dataset over the per-partition combine outputs (per-doc rows never
     concatenate on the driver)."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def _tok_counts(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
-        col = t.column("text")
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        n_tok = pc.list_value_length(pc.split_pattern(col, " ")).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        return ids, n_tok
-
-    def chunk_partials(t: pa.Table) -> pa.Table:
-        ids, n_tok = _tok_counts(t)
-        uk, inv = np.unique(ids // chunk_docs, return_inverse=True)
-        sums = np.bincount(inv, weights=n_tok).astype(np.int64)
-        return pa.table({"chunk": pa.array(uk, pa.int64()),
-                         "tok_sum": pa.array(sums, pa.int64())})
-
-    base_ref = ray.put(X.chunk_bases(X.fold(ds, chunk_partials, X.CHUNK_SUMS)))
+    base_ref = _doc_chunk_bases(ds, chunk_docs)
 
     def id_count_rows(t: pa.Table) -> pa.Table:
-        ids, n_tok = _tok_counts(t)
+        ids, n_tok = _doc_tok_counts(t)
         return pa.table({
             "doc_id": pa.array(ids, pa.int64()),
             "n_tokens": pa.array(n_tok, pa.int64()),
@@ -259,19 +265,11 @@ def doc_pack_sequences(sf_dir: str, seq_len: int = 512,
         return t.column("doc_id").to_numpy() // chunk_docs
 
     def pack_part(g: pd.DataFrame) -> pd.DataFrame:
-        cids, cbases = ray.get(base_ref)
         ids = g["doc_id"].to_numpy()
         nt = g["n_tokens"].to_numpy()
         o = np.argsort(ids, kind="stable")  # chunk is monotone in doc_id
         ids_s, nt_s = ids[o], nt[o]
-        ck = ids_s // chunk_docs
-        csum = np.cumsum(nt_s) - nt_s
-        new = np.ones(len(ids_s), dtype=bool)
-        new[1:] = ck[1:] != ck[:-1]
-        first = np.maximum.accumulate(
-            np.where(new, np.arange(len(ids_s)), 0))
-        off = (csum - csum[first]
-               + cbases[np.searchsorted(cids, ck)])
+        off = pack.offsets(ids_s // chunk_docs, nt_s, ray.get(base_ref))
         return pd.DataFrame({
             "doc_id": ids_s, "n_tokens": nt_s, "tok_offset": off,
             "seq_first": off // seq_len,
@@ -304,65 +302,38 @@ def doc_pack_materialize(sf_dir: str, seq_len: int = 512,
     Partitioning assumption: one doc-id chunk partition of TEXT fits
     in a worker; lower ``chunk_docs`` for huge docs."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def chunk_partials(t: pa.Table) -> pa.Table:
-        col = t.column("text")
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        n_tok = pc.list_value_length(pc.split_pattern(col, " ")).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        uk, inv = np.unique(ids // chunk_docs, return_inverse=True)
-        sums = np.bincount(inv, weights=n_tok).astype(np.int64)
-        return pa.table({"chunk": pa.array(uk, pa.int64()),
-                         "tok_sum": pa.array(sums, pa.int64())})
-
     out_schema = pa.schema([
         ("doc_id", pa.int64()), ("seq_id", pa.int64()),
         ("n_frag_tokens", pa.int64()), ("frag_text", pa.string()),
     ])
-    base_ref = ray.put(X.chunk_bases(X.fold(ds, chunk_partials, X.CHUNK_SUMS)))
+    base_ref = _doc_chunk_bases(ds, chunk_docs)
 
     def chunk_key(t: pa.Table) -> np.ndarray:
         return t.column("doc_id").to_numpy() // chunk_docs
 
     def mat_part(g: pd.DataFrame) -> pd.DataFrame:
-        cids, cbases = ray.get(base_ref)
         o = np.argsort(g["doc_id"].to_numpy(), kind="stable")
         ids = g["doc_id"].to_numpy()[o]
         toks = pc.split_pattern(pa.array(g["text"].to_numpy()[o]), " ")
         toffs = toks.offsets.to_numpy().astype(np.int64)
         nt = np.diff(toffs)
-        ck = ids // chunk_docs
-        csum = np.cumsum(nt) - nt
-        new = np.ones(len(ids), dtype=bool)
-        new[1:] = ck[1:] != ck[:-1]
-        first = np.maximum.accumulate(np.where(new, np.arange(len(ids)), 0))
-        off = csum - csum[first] + cbases[np.searchsorted(cids, ck)]
-        seq_first = off // seq_len
-        seq_last = (off + nt - 1) // seq_len
-        k = seq_last - seq_first + 1
-        doc_of = np.repeat(np.arange(len(ids), dtype=np.int64), k)
-        out_pos = np.arange(int(k.sum()), dtype=np.int64)
-        fno = out_pos - np.repeat(np.cumsum(k) - k, k)
-        seq_id = seq_first[doc_of] + fno
-        fs = np.maximum(seq_id * seq_len, off[doc_of])
-        fe = np.minimum((seq_id + 1) * seq_len, off[doc_of] + nt[doc_of])
+        off = pack.offsets(ids // chunk_docs, nt, ray.get(base_ref))
+        row, seq_id, lo, hi = pack.spans(off, nt, seq_len)
         # local flat-token positions; fragments tile each doc and docs
         # are contiguous, so [starts..., last end] is a valid offset
         # vector over the SAME flat token array (chunk_docs idiom)
-        starts_flat = toffs[:-1][doc_of] + (fs - off[doc_of])
-        ends_flat = starts_flat + (fe - fs)
+        starts_flat = toffs[row] + lo
         if len(starts_flat):
-            new_offs = np.append(starts_flat, ends_flat[-1]).astype(np.int32)
+            new_offs = np.append(starts_flat,
+                                 toffs[row[-1]] + hi[-1]).astype(np.int32)
             frag_text = pc.binary_join(
                 pa.ListArray.from_arrays(pa.array(new_offs), toks.values),
                 " ")
         else:
             frag_text = pa.array([], type=pa.string())
         return pd.DataFrame({
-            "doc_id": ids[doc_of], "seq_id": seq_id,
-            "n_frag_tokens": fe - fs,
+            "doc_id": ids[row], "seq_id": seq_id,
+            "n_frag_tokens": hi - lo,
             "frag_text": frag_text.to_pandas(),
         })
 
@@ -1210,6 +1181,8 @@ __all__ = [
     "doc_repetition_stats",
     "doc_quality_gopher",
     "doc_quality_c4",
+    "_doc_tok_counts",
+    "_doc_chunk_bases",
     "doc_pack_sequences",
     "doc_pack_materialize",
     "doc_paragraph_dedup",

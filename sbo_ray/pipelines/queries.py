@@ -27,6 +27,7 @@ import pyarrow.compute as pc
 from .. import exchange as X
 from .. import synth
 from ..config import JobConfig
+from ..functions import pack
 from ..oracle import materialize
 from . import logpipe
 
@@ -3777,106 +3778,83 @@ def _pack_idx(col) -> np.ndarray:
                    pa.int64()).to_numpy(zero_copy_only=False)
 
 
-def _pack_shard(chunk_sums, refs: list, P: int) -> tuple[list, list]:
-    """Both per-block passes of the packing exchange, one task per block
-    ref: the block's rows sliced into P partitions by chunk
-    (``exchange.table_shard``) plus its bounded pass-1 ``chunk_sums``
-    partial. Returns the partition-major slice matrix and the partial
-    refs."""
+def _with_sep(col, sep: int) -> pa.ListArray:
+    """A list<int32> token column with one ``sep`` token appended to
+    every row (a null row becomes ``[sep]``)."""
+    vals, off = _token_lists(col)
+    noff = off + np.arange(len(off))
+    out = np.full(len(vals) + len(off) - 1, sep, dtype=np.int32)
+    keep = np.ones(len(out), dtype=bool)
+    keep[noff[1:] - 1] = False
+    out[keep] = vals
+    return pa.ListArray.from_arrays(pa.array(noff, pa.int32()),
+                                    pa.array(out))
+
+
+def _pack_shard(sf_dir: str, cols: list, chunk_docs: int, sums,
+                sep: int | None = None) -> tuple[list, list]:
+    """The shared head of the single-read pack ops. One file-aligned
+    read of ``doc_id`` + ``cols``; its fused map keeps ``cols`` and adds
+    the ingestion index ``idx`` and ``chunk = idx // chunk_docs`` (with
+    ``sep``, every row's ``tokens`` also gets one separator appended).
+    P follows the keyed blocks' bytes, and one task per block slices
+    its rows into P partitions by chunk (``exchange.table_shard``) and
+    emits its bounded pass-1 partial ``sums(block)``. Returns the
+    partition-major slice matrix and the partial refs, both empty when
+    the input has no rows."""
+    def add_keys(t: pa.Table) -> pa.Table:
+        idx = _pack_idx(t.column("doc_id"))
+        t = t.select(cols)
+        if sep is not None:
+            t = t.set_column(t.column_names.index("tokens"), "tokens",
+                             _with_sep(t.column("tokens"), sep))
+        return (t.append_column("idx", pa.array(idx, pa.int64()))
+                .append_column("chunk",
+                               pa.array(idx // chunk_docs, pa.int64())))
+
+    refs, _, nbytes = X.sized_block_refs(
+        _read_tokens(sf_dir, list(dict.fromkeys(["doc_id", *cols])))
+        .map_batches(add_keys, batch_format="pyarrow"))
+    if not refs:
+        return [], []
+    P = X.n_parts(nbytes)
+
     def chunk_shard(block: pa.Table) -> list:
-        return X.table_shard(block, P, "chunk") + [chunk_sums(block)]
+        return X.table_shard(block, P, "chunk") + [sums(block)]
 
     sl = X.shard(chunk_shard, refs, P + 1)
     return sl[:P], sl[P]
 
 
+def _chunk_tok_sums(block: pa.Table) -> pa.Table:
+    """Pass-1 partial of the pack ops: per-chunk token totals, from
+    ``n_tok`` when the op reads it, else from the ``tokens`` lengths."""
+    n = (block.column("n_tok") if "n_tok" in block.column_names
+         else pc.list_value_length(block.column("tokens")))
+    return pack.chunk_sums(
+        block.column("chunk").to_numpy(zero_copy_only=False),
+        n.to_numpy(zero_copy_only=False).astype(np.int64))
+
+
 def _pack_bases(sum_refs: list):
-    """The packing prefix sum: (chunk, tok_sum) partials folded on the
-    driver into the broadcast (chunk ids, exclusive token bases) —
-    O(corpus / chunk_docs) ints."""
+    """(chunk, tok_sum) partial refs folded on the driver into the
+    broadcast ``pack.bases``."""
     import ray
 
-    return ray.put(X.chunk_bases(X.gather(sum_refs, X.CHUNK_SUMS)))
-
-
-def _pack_chunk_sums(block: pa.Table) -> pa.Table:
-    """Bounded pass-1 partial: per-chunk token sums for one block."""
-    ck = block.column("chunk").to_numpy(zero_copy_only=False)
-    nt = pc.list_value_length(block.column("tokens")).to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    uk, inv = np.unique(ck, return_inverse=True)
-    sums = np.bincount(inv, weights=nt).astype(np.int64)
-    return pa.table({"chunk": pa.array(uk, pa.int64()),
-                     "tok_sum": pa.array(sums, pa.int64())})
+    return ray.put(pack.bases(X.gather(sum_refs, pack.CHUNK_SUMS)))
 
 
 def _pack_combine(base, seq_len: int, *shards) -> pa.Table:
-    """One hash partition of the packing exchange: exact global offsets
-    from the broadcast chunk bases, then vectorized fragment slicing
-    over the partition's flat token values (cumsum checksums)."""
-    cids, cbases = base
+    """One hash partition of the packing exchange: rows back in
+    ingestion order, exact stream offsets from the broadcast chunk
+    bases, then the fragments."""
     g = pa.concat_tables(shards).combine_chunks()
-    idx_np = g.column("idx").to_numpy(zero_copy_only=False)
-    o = np.argsort(idx_np, kind="stable")
-    g = g.take(pa.array(o))
-    ids = idx_np[o]
-    docids = g.column("doc_id")
-    if isinstance(docids, pa.ChunkedArray):
-        docids = docids.combine_chunks()
-    toks = g.column("tokens")
-    if isinstance(toks, pa.ChunkedArray):
-        toks = toks.combine_chunks()
-    toffs0 = toks.offsets.to_numpy().astype(np.int64)
-    start = int(toffs0[0])
-    vals = toks.values.slice(start, int(toffs0[-1]) - start).to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    toffs = toffs0 - start
-    nt = np.diff(toffs)
-    ck = g.column("chunk").to_numpy(zero_copy_only=False)
-    csum = np.cumsum(nt) - nt
-    new = np.ones(len(ids), dtype=bool)
-    new[1:] = ck[1:] != ck[:-1]
-    first = np.maximum.accumulate(np.where(new, np.arange(len(ids)), 0))
-    off = csum - csum[first] + cbases[np.searchsorted(cids, ck)]
-    return _pack_fragments(docids, vals, toffs, off, seq_len)
-
-
-def _pack_fragments(docids, vals: np.ndarray, toffs: np.ndarray,
-                    off: np.ndarray, seq_len: int,
-                    sources=None) -> pa.Table:
-    """Vectorized fragment slicing given exact global offsets: per-doc
-    sequence spans, flat-value cumsum checksums. Shared by the query's
-    exchange combine, the by-source variant (``sources`` adds the
-    stream-key column) and the CLI pack profile."""
-    nt = np.diff(toffs)
-    nz = nt > 0  # zero-token rows consume no stream positions
-    seq_first = off[nz] // seq_len
-    seq_last = (off[nz] + nt[nz] - 1) // seq_len
-    k = seq_last - seq_first + 1
-    doc_of = np.repeat(np.flatnonzero(nz), k)
-    fno = (np.arange(int(k.sum()), dtype=np.int64)
-           - np.repeat(np.cumsum(k) - k, k))
-    seq_id = np.repeat(seq_first, k) + fno
-    fs = np.maximum(seq_id * seq_len, off[doc_of])
-    fe = np.minimum((seq_id + 1) * seq_len, off[doc_of] + nt[doc_of])
-    starts_flat = toffs[:-1][doc_of] + (fs - off[doc_of])
-    ends_flat = starts_flat + (fe - fs)
-    C = np.zeros(len(vals) + 1, dtype=np.int64)
-    np.cumsum(vals, out=C[1:])
-    cols = {
-        "doc_id": docids.take(pa.array(doc_of)),
-        "seq_id": pa.array(seq_id),
-        "n_frag_tokens": pa.array(fe - fs),
-        "frag_sum": pa.array(C[ends_flat] - C[starts_flat]),
-        "first_tok": pa.array(vals[starts_flat] if len(starts_flat)
-                              else np.empty(0, np.int64)),
-        "last_tok": pa.array(vals[ends_flat - 1] if len(ends_flat)
-                             else np.empty(0, np.int64)),
-    }
-    if sources is not None:
-        return pa.table({"source": sources.take(pa.array(doc_of)), **cols},
-                        schema=_PACK_SRC_SCHEMA)
-    return pa.table(cols, schema=_PACK_SCHEMA)
+    g = g.take(pa.array(np.argsort(
+        g.column("idx").to_numpy(zero_copy_only=False), kind="stable")))
+    vals, toffs = _token_lists(g.column("tokens"))
+    off = pack.offsets(g.column("chunk").to_numpy(zero_copy_only=False),
+                       np.diff(toffs), base)
+    return pack.fragments(g.select(["doc_id"]), vals, toffs, off, seq_len)
 
 
 _PACK_SRC_SCHEMA = pa.schema([
@@ -3901,43 +3879,22 @@ def _pack_src_chunk_sums(block: pa.Table) -> pa.Table:
 
 def _pack_src_combine(base, seq_len: int, *shards) -> pa.Table:
     """One hash partition of the by-source packing exchange: rows sort
-    by (source, chunk, idx); per-(source, chunk) run cumsums plus the
-    broadcast composite-key bases give exact PER-SOURCE stream offsets;
-    fragment slicing is the shared kernel."""
-    srcs_sorted, comp_keys, cbases, C = base
+    by (source, chunk, idx), and the composite (source, chunk) key runs
+    through ``pack.offsets`` against the broadcast per-source bases."""
+    srcs_sorted, C, comp_base = base
     g = pa.concat_tables(shards).combine_chunks()
     enc = pc.dictionary_encode(g.column("source").combine_chunks())
-    dic = np.asarray(enc.dictionary.to_pylist())
-    src_idx = np.searchsorted(srcs_sorted, dic)[
-        enc.indices.to_numpy(zero_copy_only=False)]
-    idx_np = g.column("idx").to_numpy(zero_copy_only=False)
-    ck = g.column("chunk").to_numpy(zero_copy_only=False)
-    comp = src_idx * C + ck
-    o = np.lexsort((idx_np, comp))  # == (source, idx): chunk is
-    g = g.take(pa.array(o))         # monotone in idx within a source
-    comp = comp[o]
-    docids = g.column("doc_id")
-    if isinstance(docids, pa.ChunkedArray):
-        docids = docids.combine_chunks()
-    srcs = g.column("source")
-    if isinstance(srcs, pa.ChunkedArray):
-        srcs = srcs.combine_chunks()
-    toks = g.column("tokens")
-    if isinstance(toks, pa.ChunkedArray):
-        toks = toks.combine_chunks()
-    toffs0 = toks.offsets.to_numpy().astype(np.int64)
-    start = int(toffs0[0])
-    vals = toks.values.slice(start, int(toffs0[-1]) - start).to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    toffs = toffs0 - start
-    nt = np.diff(toffs)
-    csum = np.cumsum(nt) - nt
-    new = np.ones(len(comp), dtype=bool)
-    new[1:] = comp[1:] != comp[:-1]
-    first = np.maximum.accumulate(np.where(new, np.arange(len(comp)), 0))
-    off = csum - csum[first] + cbases[np.searchsorted(comp_keys, comp)]
-    return _pack_fragments(docids, vals, toffs, off, seq_len,
-                           sources=srcs)
+    src_idx = np.searchsorted(srcs_sorted, np.asarray(
+        enc.dictionary.to_pylist()))[enc.indices.to_numpy(
+            zero_copy_only=False)]
+    comp = src_idx * C + g.column("chunk").to_numpy(zero_copy_only=False)
+    o = np.lexsort((g.column("idx").to_numpy(zero_copy_only=False),
+                    comp))  # == (source, idx): chunk is monotone in idx
+    g = g.take(pa.array(o))
+    vals, toffs = _token_lists(g.column("tokens"))
+    off = pack.offsets(comp[o], np.diff(toffs), comp_base)
+    return pack.fragments(g.select(["source", "doc_id"]), vals, toffs, off,
+                          seq_len)
 
 
 def q_log_pack_tokens_by_source(sf_dir: str, seq_len: int = 512,
@@ -3956,41 +3913,27 @@ def q_log_pack_tokens_by_source(sf_dir: str, seq_len: int = 512,
     import ray
     import ray.data as rd
 
-    def add_keys(t: pa.Table) -> pa.Table:
-        idx = _pack_idx(t.column("doc_id"))
-        return (t.select(["doc_id", "tokens", "source"])
-                .append_column("idx", pa.array(idx, pa.int64()))
-                .append_column("chunk",
-                               pa.array(idx // chunk_docs, pa.int64())))
-
-    refs, _, nbytes = X.sized_block_refs(
-        _read_tokens(sf_dir, ["doc_id", "tokens", "source"])
-        .map_batches(add_keys, batch_format="pyarrow"))
-    if not refs:
+    sl, sum_refs = _pack_shard(sf_dir, ["doc_id", "tokens", "source"],
+                               chunk_docs, _pack_src_chunk_sums)
+    if not sl:
         return rd.from_arrow(_PACK_SRC_SCHEMA.empty_table())
-    P = X.n_parts(nbytes)
-    sl, sum_refs = _pack_shard(_pack_src_chunk_sums, refs, P)
     merged = pa.concat_tables(ray.get(sum_refs)).group_by(
         ["source", "chunk"]).aggregate([("tok_sum", "sum")])
     df = merged.to_pandas().sort_values(["source", "chunk"])
     srcs_sorted = np.asarray(sorted(df["source"].unique()))
     C = int(df["chunk"].max()) + 1
     src_idx = np.searchsorted(srcs_sorted, df["source"].to_numpy())
-    comp_keys = src_idx * C + df["chunk"].to_numpy()
     sums = df["tok_sum_sum"].to_numpy().astype(np.int64)
-    run = np.cumsum(sums) - sums
-    # reset the exclusive cumsum at each source boundary
-    new_src = np.ones(len(df), dtype=bool)
-    new_src[1:] = src_idx[1:] != src_idx[:-1]
-    firsts = np.maximum.accumulate(np.where(new_src,
-                                            np.arange(len(df)), 0))
-    bases = run - run[firsts]
-    base_ref = ray.put((srcs_sorted, comp_keys, bases, C))
+    # per-source exclusive cumsum: the offsets rule with the source as
+    # the run key and zero bases
+    zero = (np.arange(len(srcs_sorted)), np.zeros(len(srcs_sorted), np.int64))
+    comp_base = (src_idx * C + df["chunk"].to_numpy(),
+                 pack.offsets(src_idx, sums, zero))
     # combine outputs stay in the object store: the packed corpus is
     # O(input) rows, so the result ships as a Dataset of per-partition
     # blocks (the customer_rfm idiom), never a driver concat
     return rd.from_arrow_refs(X.combine(
-        _pack_src_combine, sl, base_ref, seq_len,
+        _pack_src_combine, sl, ray.put((srcs_sorted, C, comp_base)), seq_len,
         out_schema=_PACK_SRC_SCHEMA))
 
 
@@ -4037,9 +3980,8 @@ def q_log_pack_tokens(sf_dir: str, seq_len: int = 512,
     (count / sum / first / last token).
 
     Engine shape (the doc_pack_materialize semantics on the raw-task
-    exchange layout): ONE file-aligned read (keys added in the same
-    fused map), block refs and bytes captured via
-    ``exchange.sized_block_refs``; one ``_pack_shard`` task per block
+    exchange layout): ``_pack_shard`` makes ONE file-aligned read
+    (keys added in the same fused map) and one task per block that
     slices its rows by chunk hash (``exchange.table_shard``) and emits
     its bounded per-chunk token sums, which fold on the driver into
     exclusive chunk bases broadcast once; then the ONE justified
@@ -4050,20 +3992,10 @@ def q_log_pack_tokens(sf_dir: str, seq_len: int = 512,
     fragments <= seq_len), so the SQL gate is hash-exact."""
     import ray.data as rd
 
-    def add_keys(t: pa.Table) -> pa.Table:
-        idx = _pack_idx(t.column("doc_id"))
-        return (t.select(["doc_id", "tokens"])
-                .append_column("idx", pa.array(idx, pa.int64()))
-                .append_column("chunk",
-                               pa.array(idx // chunk_docs, pa.int64())))
-
-    refs, _, nbytes = X.sized_block_refs(
-        _read_tokens(sf_dir, ["doc_id", "tokens"])
-        .map_batches(add_keys, batch_format="pyarrow"))
-    if not refs:
+    sl, sum_refs = _pack_shard(sf_dir, ["doc_id", "tokens"], chunk_docs,
+                               _chunk_tok_sums)
+    if not sl:
         return rd.from_arrow(_PACK_SCHEMA.empty_table())
-    P = X.n_parts(nbytes)
-    sl, sum_refs = _pack_shard(_pack_chunk_sums, refs, P)
     # packed output is O(corpus): return per-partition blocks as a
     # Dataset (customer_rfm idiom), never a driver concat
     return rd.from_arrow_refs(X.combine(
@@ -4108,49 +4040,33 @@ _MIX_PART = pa.schema([("seq", pa.int64()), ("cnt", pa.int64())])
 _MIX_SCHEMA = pa.schema([("n_docs", pa.int64()), ("n_seqs", pa.int64())])
 
 
-def _mix_chunk_sums(block: pa.Table) -> pa.Table:
-    """Per-chunk n_tok sums for one block (the payload-free twin of
-    _pack_chunk_sums — this op never reads ``tokens``)."""
-    ck = block.column("chunk").to_numpy(zero_copy_only=False)
-    nt = block.column("n_tok").to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    uk, inv = np.unique(ck, return_inverse=True)
-    sums = np.bincount(inv, weights=nt).astype(np.int64)
-    return pa.table({"chunk": pa.array(uk, pa.int64()),
-                     "tok_sum": pa.array(sums, pa.int64())})
-
-
-def _mix_combine(base, seq_len: int, P2: int, *shards):
-    """One chunk partition of the doc-mix exchange: exact global
-    offsets from the broadcast chunk bases (the _pack_combine offset
-    derivation, minus the payload), then per-doc [first_seq, last_seq]
-    spans expand to (seq, touch-count) partials, returned PRE-SHARDED
-    by seq hash for the per-seq fold (num_returns=P2)."""
-    cids, cbases = base
+def _seq_spans(base, seq_len: int, shards) -> tuple:
+    """Wave 1 of the payload-free pack ops, one chunk partition: exact
+    stream offsets from ``n_tok`` and the broadcast chunk bases, then
+    the (row, seq) spans. Returns the partition's table, each span's
+    row in it, and each span's seq id."""
     g = pa.concat_tables(shards).combine_chunks()
-    idx = g.column("idx").to_numpy(zero_copy_only=False)
-    o = np.argsort(idx, kind="stable")
+    o = np.argsort(g.column("idx").to_numpy(zero_copy_only=False),
+                   kind="stable")
     nt = g.column("n_tok").to_numpy(
         zero_copy_only=False).astype(np.int64)[o]
     ck = g.column("chunk").to_numpy(zero_copy_only=False)[o]
-    csum = np.cumsum(nt) - nt
-    new = np.ones(len(ck), dtype=bool)
-    new[1:] = ck[1:] != ck[:-1]
-    first = np.maximum.accumulate(np.where(new, np.arange(len(ck)), 0))
-    off = csum - csum[first] + cbases[np.searchsorted(cids, ck)]
-    nz = nt > 0
-    sf = off[nz] // seq_len
-    k = (off[nz] + nt[nz] - 1) // seq_len - sf + 1
-    n = int(k.sum())
-    seq = (np.repeat(sf, k) + np.arange(n, dtype=np.int64)
-           - np.repeat(np.cumsum(k) - k, k))
+    row, seq, _, _ = pack.spans(pack.offsets(ck, nt, base), nt, seq_len)
+    return g, o[row], seq
+
+
+def _mix_combine(base, seq_len: int, P2: int, *shards):
+    """One chunk partition of the doc-mix exchange: every doc's
+    sequence spans as (seq, touch-count) partials, returned PRE-SHARDED
+    by seq hash for the per-seq combine (num_returns=P2)."""
+    _, _, seq = _seq_spans(base, seq_len, shards)
     us, cnts = np.unique(seq, return_counts=True)
     return X.split(X.fib_partition(us, P2), P2, pa.table(
         {"seq": pa.array(us, pa.int64()),
          "cnt": pa.array(cnts.astype(np.int64))}))
 
 
-def _mix_fold(*parts) -> pa.Table:
+def _mix_seq_combine(*parts) -> pa.Table:
     """Per-seq totals for one seq partition, folded straight into the
     bounded (n_docs, n_seqs) histogram (n_docs <= seq_len + 1)."""
     t = pa.concat_tables(parts)
@@ -4187,30 +4103,12 @@ def _src_hash64(col) -> np.ndarray:
 
 def _purity_combine(base, seq_len: int, P2: int, *shards):
     """One chunk partition of the source-purity exchange: the doc-mix
-    offset derivation, then distinct (seq, source-hash) presence pairs
-    pre-sharded by seq hash (num_returns=P2). Pairs from docs of the
-    SAME source in the same seq dedup here; cross-partition repeats of
-    a pair dedup again in the fold."""
-    cids, cbases = base
-    g = pa.concat_tables(shards).combine_chunks()
-    idx = g.column("idx").to_numpy(zero_copy_only=False)
-    o = np.argsort(idx, kind="stable")
-    nt = g.column("n_tok").to_numpy(
-        zero_copy_only=False).astype(np.int64)[o]
-    ck = g.column("chunk").to_numpy(zero_copy_only=False)[o]
-    srch = _src_hash64(g.column("source"))[o]
-    csum = np.cumsum(nt) - nt
-    new = np.ones(len(ck), dtype=bool)
-    new[1:] = ck[1:] != ck[:-1]
-    first = np.maximum.accumulate(np.where(new, np.arange(len(ck)), 0))
-    off = csum - csum[first] + cbases[np.searchsorted(cids, ck)]
-    nz = nt > 0
-    sf = off[nz] // seq_len
-    k = (off[nz] + nt[nz] - 1) // seq_len - sf + 1
-    n = int(k.sum())
-    seq = (np.repeat(sf, k) + np.arange(n, dtype=np.int64)
-           - np.repeat(np.cumsum(k) - k, k))
-    sh = np.repeat(srch[nz], k)
+    spans, then distinct (seq, source-hash) presence pairs pre-sharded
+    by seq hash (num_returns=P2). Pairs from docs of the SAME source in
+    the same seq dedup here; cross-partition repeats of a pair dedup
+    again in the per-seq combine."""
+    g, row, seq = _seq_spans(base, seq_len, shards)
+    sh = _src_hash64(g.column("source"))[row]
     o2 = np.lexsort((sh, seq))
     seq, sh = seq[o2], sh[o2]
     keep = np.ones(len(seq), dtype=bool)
@@ -4220,7 +4118,7 @@ def _purity_combine(base, seq_len: int, P2: int, *shards):
         {"seq": pa.array(seq, pa.int64()), "srch": pa.array(sh, pa.int64())}))
 
 
-def _purity_fold(*parts) -> pa.Table:
+def _purity_seq_combine(*parts) -> pa.Table:
     """Distinct sources per seq for one seq partition, folded into the
     bounded (n_sources, n_seqs) histogram."""
     t = pa.concat_tables(parts)
@@ -4250,23 +4148,14 @@ def q_log_pack_source_purity(sf_dir: str, seq_len: int = 512,
     partition and emits DISTINCT (seq, source) presence pairs
     pre-sharded by seq hash; wave 2 re-dedups cross-partition repeats
     and folds bounded histograms. Exact integers end-to-end."""
-    def add_keys(t: pa.Table) -> pa.Table:
-        idx = _pack_idx(t.column("doc_id"))
-        return (t.select(["n_tok", "source"])
-                .append_column("idx", pa.array(idx, pa.int64()))
-                .append_column("chunk",
-                               pa.array(idx // chunk_docs, pa.int64())))
-
-    refs, _, nbytes = X.sized_block_refs(
-        _read_tokens(sf_dir, ["doc_id", "n_tok", "source"])
-        .map_batches(add_keys, batch_format="pyarrow"))
-    if not refs:
+    sl, sum_refs = _pack_shard(sf_dir, ["n_tok", "source"], chunk_docs,
+                               _chunk_tok_sums)
+    if not sl:
         return _PUR_SCHEMA.empty_table()
-    P = X.n_parts(nbytes)
-    sl, sum_refs = _pack_shard(_mix_chunk_sums, refs, P)
+    P = len(sl)
     mids = X.combine(_purity_combine, sl, _pack_bases(sum_refs), seq_len,
                      P, num_returns=P, out_schema=_PUR_PART)
-    t = X.gather(X.combine(_purity_fold, mids, out_schema=_PUR_SCHEMA),
+    t = X.gather(X.combine(_purity_seq_combine, mids, out_schema=_PUR_SCHEMA),
                  _PUR_SCHEMA).group_by("n_sources").aggregate(
         [("n_seqs", "sum")])
     t = t.rename_columns(["n_sources", "n_seqs"])
@@ -4317,23 +4206,14 @@ def q_log_pack_doc_mix(sf_dir: str, seq_len: int = 512,
     histograms. Every stream position belongs to a doc, so every seq
     appears in some partial — no missing-seq correction. Exact
     integers end-to-end."""
-    def add_keys(t: pa.Table) -> pa.Table:
-        idx = _pack_idx(t.column("doc_id"))
-        return (t.select(["n_tok"])
-                .append_column("idx", pa.array(idx, pa.int64()))
-                .append_column("chunk",
-                               pa.array(idx // chunk_docs, pa.int64())))
-
-    refs, _, nbytes = X.sized_block_refs(
-        _read_tokens(sf_dir, ["doc_id", "n_tok"])
-        .map_batches(add_keys, batch_format="pyarrow"))
-    if not refs:
+    sl, sum_refs = _pack_shard(sf_dir, ["n_tok"], chunk_docs,
+                               _chunk_tok_sums)
+    if not sl:
         return _MIX_SCHEMA.empty_table()
-    P = X.n_parts(nbytes)
-    sl, sum_refs = _pack_shard(_mix_chunk_sums, refs, P)
+    P = len(sl)
     mids = X.combine(_mix_combine, sl, _pack_bases(sum_refs), seq_len,
                      P, num_returns=P, out_schema=_MIX_PART)
-    t = X.gather(X.combine(_mix_fold, mids, out_schema=_MIX_SCHEMA),
+    t = X.gather(X.combine(_mix_seq_combine, mids, out_schema=_MIX_SCHEMA),
                  _MIX_SCHEMA).group_by("n_docs").aggregate(
         [("n_seqs", "sum")])
     t = t.rename_columns(["n_docs", "n_seqs"])
@@ -4368,65 +4248,6 @@ FROM d GROUP BY n_docs ORDER BY n_docs
 """
 
 
-def _pack_sep_chunk_sums(block: pa.Table) -> pa.Table:
-    """Bounded pass-1 partial for separator packing: every row occupies
-    n_tok + 1 stream positions (its tokens plus one EOS)."""
-    ck = block.column("chunk").to_numpy(zero_copy_only=False)
-    nt = pc.list_value_length(block.column("tokens")).to_numpy(
-        zero_copy_only=False).astype(np.int64) + 1
-    uk, inv = np.unique(ck, return_inverse=True)
-    sums = np.bincount(inv, weights=nt).astype(np.int64)
-    return pa.table({"chunk": pa.array(uk, pa.int64()),
-                     "tok_sum": pa.array(sums, pa.int64())})
-
-
-def _pack_sep_combine(base, seq_len: int, sep: int, *shards) -> pa.Table:
-    """One hash partition of the EOS-separated packing exchange: like
-    _pack_combine, but each doc's span is its tokens followed by ONE
-    ``sep`` token — the flat value array is re-laid with a vectorized
-    scatter (value at local position p of doc d moves to p + d; the
-    separator lands on each doc's last position), so zero-token docs
-    still occupy one stream position and every fragment checksum
-    includes the separators it covers."""
-    cids, cbases = base
-    g = pa.concat_tables(shards).combine_chunks()
-    idx_np = g.column("idx").to_numpy(zero_copy_only=False)
-    o = np.argsort(idx_np, kind="stable")
-    g = g.take(pa.array(o))
-    ids = idx_np[o]
-    docids = g.column("doc_id")
-    if isinstance(docids, pa.ChunkedArray):
-        docids = docids.combine_chunks()
-    toks = g.column("tokens")
-    if isinstance(toks, pa.ChunkedArray):
-        toks = toks.combine_chunks()
-    toffs0 = toks.offsets.to_numpy().astype(np.int64)
-    start = int(toffs0[0])
-    vals0 = toks.values.slice(start, int(toffs0[-1]) - start).to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    toffs_raw = toffs0 - start
-    nt0 = np.diff(toffs_raw)
-    n = len(ids)
-    # extended layout: doc d's values shift right by d, separator at
-    # each doc's new last position
-    toffs = np.empty(n + 1, dtype=np.int64)
-    toffs[0] = 0
-    np.cumsum(nt0 + 1, out=toffs[1:])
-    vals = np.empty(len(vals0) + n, dtype=np.int64)
-    if len(vals0):
-        doc_of_val = np.repeat(np.arange(n), nt0)
-        vals[np.arange(len(vals0)) + doc_of_val] = vals0
-    vals[toffs[1:] - 1] = sep
-    nt = nt0 + 1
-    ck = g.column("chunk").to_numpy(zero_copy_only=False)
-    csum = np.cumsum(nt) - nt
-    new = np.ones(n, dtype=bool)
-    new[1:] = ck[1:] != ck[:-1]
-    first = np.maximum.accumulate(np.where(new, np.arange(n), 0))
-    off = csum - csum[first] + cbases[np.searchsorted(cids, ck)]
-    return _pack_fragments(docids, vals, toffs, off, seq_len)
-
-
 def q_log_pack_tokens_sep(sf_dir: str, seq_len: int = 512,
                           chunk_docs: int = 4096, sep: int = 256):
     """EOS-SEPARATED sequence packing — the standard LLM training
@@ -4435,31 +4256,21 @@ def q_log_pack_tokens_sep(sf_dir: str, seq_len: int = 512,
     into fixed seq_len-token sequences, so a model can learn document
     boundaries and attention masks can be rebuilt from the separators.
     Zero-token rows still contribute their separator (a boundary
-    marker). Same engine shape as q_log_pack_tokens: one file-aligned
-    read, one ``_pack_shard`` wave (chunk slices + bounded (n_tok+1)
-    chunk sums -> broadcast bases), ONE payload combine,
-    Dataset-of-blocks return. The
-    fragment checksums are exact integers including covered separators,
-    so the SQL gate (list_concat(tokens, [sep]) + the same window
-    cumsum) is hash-exact."""
+    marker). This is plain q_log_pack_tokens over ``tokens + [sep]``:
+    ``_pack_shard`` appends the separator in the read's map, so the
+    chunk sums, the one payload combine and the Dataset-of-blocks
+    return are the plain op's. The fragment checksums are exact
+    integers including covered separators, so the SQL gate
+    (list_concat(tokens, [sep]) + the same window cumsum) is
+    hash-exact."""
     import ray.data as rd
 
-    def add_keys(t: pa.Table) -> pa.Table:
-        idx = _pack_idx(t.column("doc_id"))
-        return (t.select(["doc_id", "tokens"])
-                .append_column("idx", pa.array(idx, pa.int64()))
-                .append_column("chunk",
-                               pa.array(idx // chunk_docs, pa.int64())))
-
-    refs, _, nbytes = X.sized_block_refs(
-        _read_tokens(sf_dir, ["doc_id", "tokens"])
-        .map_batches(add_keys, batch_format="pyarrow"))
-    if not refs:
+    sl, sum_refs = _pack_shard(sf_dir, ["doc_id", "tokens"], chunk_docs,
+                               _chunk_tok_sums, sep=sep)
+    if not sl:
         return rd.from_arrow(_PACK_SCHEMA.empty_table())
-    P = X.n_parts(nbytes)
-    sl, sum_refs = _pack_shard(_pack_sep_chunk_sums, refs, P)
     return rd.from_arrow_refs(X.combine(
-        _pack_sep_combine, sl, _pack_bases(sum_refs), seq_len, sep,
+        _pack_combine, sl, _pack_bases(sum_refs), seq_len,
         out_schema=_PACK_SCHEMA))
 
 
@@ -4541,6 +4352,17 @@ def q_log_pack_tokens_dedup(sf_dir: str, seq_len: int = 512,
     Sequence identity rides the property-tested 64-bit polynomial row
     hash (the log_seq_dedup contract: collisions ~ n^2/2^64); the SQL
     gate dedups on the exact tokens array."""
+    return _dedup_pack_pipeline(sf_dir, seq_len, chunk_docs)
+
+
+def _dedup_pack_pipeline(sf_dir: str, seq_len: int, chunk_docs: int,
+                         gate=None):
+    """The dedup-feeding-pack three-wave exchange, shared by
+    log_pack_tokens_dedup and log_pack_tokens_curated. The read's map
+    adds idx/chunk and the sequence hash ``h``; ``gate(vals, off)``,
+    when given, returns the per-row keep mask of a filter applied
+    there, before any row enters the dedup."""
+    import ray.data as rd
 
     def add_keys(t: pa.Table) -> pa.Table:
         idx = _pack_idx(t.column("doc_id"))
@@ -4549,23 +4371,11 @@ def q_log_pack_tokens_dedup(sf_dir: str, seq_len: int = 512,
         # (the log_seq_dedup idiom; astype of out-of-range uint64 is a
         # platform-defined C cast)
         h = _seq_hash64(vals, off).view(np.int64)
-        return (t.select(["doc_id", "tokens"])
-                .append_column("idx", pa.array(idx, pa.int64()))
-                .append_column("chunk",
-                               pa.array(idx // chunk_docs, pa.int64()))
-                .append_column("h", pa.array(h)))
-
-    return _dedup_pack_pipeline(sf_dir, add_keys, seq_len, chunk_docs)
-
-
-def _dedup_pack_pipeline(sf_dir: str, add_keys, seq_len: int,
-                         chunk_docs: int):
-    """The dedup-feeding-pack three-wave exchange, parameterized over
-    the key/gate stage (``add_keys`` may FILTER rows — the curated
-    variant's quality gate — as long as it emits doc_id/tokens/idx/
-    chunk/h). Shared by log_pack_tokens_dedup and
-    log_pack_tokens_curated."""
-    import ray.data as rd
+        t = (t.select(["doc_id", "tokens"])
+             .append_column("idx", pa.array(idx, pa.int64()))
+             .append_column("chunk", pa.array(idx // chunk_docs, pa.int64()))
+             .append_column("h", pa.array(h)))
+        return t if gate is None else t.filter(pa.array(gate(vals, off)))
 
     refs, _, nbytes = X.sized_block_refs(
         _read_tokens(sf_dir, ["doc_id", "tokens"])
@@ -4584,30 +4394,22 @@ def _dedup_pack_pipeline(sf_dir: str, add_keys, seq_len: int,
         return (X.split(X.fib_partition(h, P), P, h, idx, nt)
                 + X.table_shard(t, P, "chunk"))
 
-    def flag(*shards) -> list:
-        h = np.concatenate([s[0] for s in shards])
-        if not len(h):
-            return [X.CHUNK_SUMS.empty_table()] + [np.zeros(0, np.int64)] * P
-        idx = np.concatenate([s[1] for s in shards])
-        nt = np.concatenate([s[2] for s in shards])
+    def dedup_combine(*shards) -> list:
+        # keep the min idx per h: kept-token chunk sums, plus the
+        # dropped ids split by their chunk's partition
+        h, idx, nt = (np.concatenate([s[i] for s in shards])
+                      for i in range(3))
         o = np.lexsort((idx, h))
         h, idx, nt = h[o], idx[o], nt[o]
         first = np.ones(len(h), dtype=bool)
         first[1:] = h[1:] != h[:-1]
-        kidx, knt = idx[first], nt[first]
-        ck = kidx // chunk_docs
-        uk, inv = np.unique(ck, return_inverse=True)
-        sums = pa.table({
-            "chunk": pa.array(uk, pa.int64()),
-            "tok_sum": pa.array(
-                np.bincount(inv, weights=knt).astype(np.int64)),
-        }, schema=X.CHUNK_SUMS)
         dropped = idx[~first]
-        return [sums] + X.split(X.fib_partition(dropped // chunk_docs, P),
-                                P, dropped)
+        return ([pack.chunk_sums(idx[first] // chunk_docs, nt[first])]
+                + X.split(X.fib_partition(dropped // chunk_docs, P), P,
+                          dropped))
 
     sl = X.shard(dedup_shard, refs, 2 * P)
-    fl = X.combine(flag, sl[:P], num_returns=P + 1)
+    fl = X.combine(dedup_combine, sl[:P], num_returns=P + 1)
     # packed survivor stream is O(corpus): ship it as a Dataset of
     # per-partition blocks (customer_rfm idiom), never a driver concat
     return rd.from_arrow_refs(X.combine(
@@ -4691,20 +4493,10 @@ def q_log_pack_tokens_curated(sf_dir: str, seq_len: int = 512,
 
     Gate ordering matters and is pinned by the SQL mirror: a copy
     dropped by the QUALITY gate never shadows a later duplicate."""
-
-    def add_keys(t: pa.Table) -> pa.Table:
-        idx = _pack_idx(t.column("doc_id"))
-        vals, off = _token_lists(t.column("tokens"))
-        keep = _quality_gate_mask(vals, off, min_tok, max_dom_ppm)
-        h = _seq_hash64(vals, off).view(np.int64)
-        t = (t.select(["doc_id", "tokens"])
-             .append_column("idx", pa.array(idx, pa.int64()))
-             .append_column("chunk",
-                            pa.array(idx // chunk_docs, pa.int64()))
-             .append_column("h", pa.array(h)))
-        return t.filter(pa.array(keep))
-
-    return _dedup_pack_pipeline(sf_dir, add_keys, seq_len, chunk_docs)
+    return _dedup_pack_pipeline(
+        sf_dir, seq_len, chunk_docs,
+        gate=lambda vals, off: _quality_gate_mask(vals, off, min_tok,
+                                                  max_dom_ppm))
 
 
 def sql_pack_tokens_curated(cache: str, seq_len: int = 512,

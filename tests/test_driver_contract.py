@@ -45,6 +45,7 @@ def contract(ray_session):
     "log_parse_stats_auto", "log_metrics_basic_auto",
     "log_counter_deltas", "log_repeat_offenders",
     "log_rate_zscore", "log_bytes_quantiles",
+    "log_pack_doc_mix", "log_pack_source_purity", "log_pack_tokens_curated",
 ])
 def test_query_matches_oracle_sql(contract, name):
     queries, sqls = contract

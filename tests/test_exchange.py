@@ -173,6 +173,9 @@ def test_events_daily_active_high_p(gate, monkeypatch, P):
 @pytest.mark.parametrize("P", [1, 2, 128])
 @pytest.mark.parametrize("name", [
     "log_pack_tokens",          # single-wave table shard
+    "log_pack_tokens_sep",      # separator appended in the read's map
+    "log_pack_tokens_by_source",  # per-source composite key via offsets
+    "log_pack_doc_mix",         # two waves, pre-sharded per-seq combine
     "log_seq_dedup",            # block partial + split, pandas fold
     "log_sessionize",           # parsed-log partial, pandas fold
     "log_pack_tokens_dedup",    # pre-sharded multi-wave

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -65,7 +66,9 @@ def main() -> int:
           flush=True)
     import duckdb
 
-    sys.path.insert(0, "/root/repo")
+    # this checkout's code, the same tree the Ray workers import
+    sys.path.insert(0, os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
     import __ray_entry__ as E
 
     con = duckdb.connect()
