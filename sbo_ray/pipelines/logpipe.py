@@ -294,38 +294,22 @@ UNIFIED_SCHEMA = pa.schema([
 UNIFIED_KEYS = ["kind", "source", "metric_type", "dimension", "key_value", "time_window"]
 
 
-def full_pipeline(input_paths, job: JobConfig, out_dir: str,
-                  mask_ips: bool = False, relevant_only: bool = True,
-                  batch_size: int | None = None) -> dict:
-    """The flagship single-pass pipeline (the reference's whole lifecycle,
-    SURVEY.md §3): ONE streaming read of the token table; each task
-    parses+enriches its batch, writes its routed raw-log fragment
-    (per-source hive layout) directly, and emits unified pre-aggregated
-    partials for every metric/counter sink; one tree combine finalizes
-    all aggregates. No stage reads the input twice.
-
-    Returns {"metrics": ..., "keyed_counters": ..., "global_counters": ...}
-    pyarrow Tables; routed rows land under ``out_dir``/routed/source=*/.
-
-    ``out_dir`` may be a plain local path (default) or an fsspec URI
-    (``file://``, ``s3://``, ...) — on a multi-node cluster pass shared
-    storage; worker tasks resolve the URI per process (`sbo_ray.fsio`).
-    """
+def partial_stage(job: JobConfig, mask_ips: bool = False,
+                  relevant_only: bool = True):
+    """Build the flagship's per-batch stage, ``stage(batch, routed_root)``:
+    parse+enrich the batch, write its routed fragment under
+    ``routed_root`` and return its unified pre-aggregated partial
+    (``UNIFIED_SCHEMA``) for every metric/counter sink. Shared by
+    ``full_pipeline`` and the checkpointed runner, so the two cannot
+    drift; one parse function per build, so its run-scoped auto-detect
+    state spans the whole execution."""
     import hashlib
 
     from .. import fsio
 
-    tune_context()
-
     parse_fn = make_parse_fn(job)
-    routed_root = fsio.join(out_dir, "routed")
-    fsio.makedirs(routed_root)
-    # clear fragments from any previous invocation: content-derived names
-    # make RETRIES idempotent within a run, but a reused out_dir with
-    # different input/batching would otherwise mix stale fragments in
-    fsio.clear_fragments(routed_root)
 
-    def stage(batch: pa.Table) -> pa.Table:
+    def stage(batch: pa.Table, routed_root: str) -> pa.Table:
         enriched = parse_fn(batch)
         routed = routed_projection(enriched, mask_ips=mask_ips,
                                    relevant_only=relevant_only)
@@ -345,7 +329,7 @@ def full_pipeline(input_paths, job: JobConfig, out_dir: str,
         g = global_counter_partial(enriched)
         n_m, n_c = m.num_rows, c.num_rows
         g_cols = g.column_names
-        unified = pa.Table.from_arrays(
+        return pa.Table.from_arrays(
             [
                 pa.concat_arrays([
                     pa.array([0] * n_m, pa.int8()),
@@ -385,19 +369,17 @@ def full_pipeline(input_paths, job: JobConfig, out_dir: str,
             ],
             schema=UNIFIED_SCHEMA,
         )
-        return unified
 
-    ds = read_input(input_paths).map_batches(
-        stage, batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True
-    )
-    # NOTE: consume via iter_batches — to_arrow_refs() runs the plan twice
-    # (an extra limit=1 schema pass), which would duplicate the routed
-    # side-effect writes
-    table = _stream_merge(ds, UNIFIED_KEYS, "value", schema=UNIFIED_SCHEMA)
+    return stage
 
-    kinds = table.column("kind")
+
+def split_unified(table: pa.Table) -> dict:
+    """Combined unified partial -> the three result shapes by ``kind``:
+    {"metrics": METRIC_SCHEMA table, "keyed_counters": COUNTER_SCHEMA
+    table, "global_counters": {name: total}}. Other kinds are ignored."""
     import pyarrow.compute as pc_
 
+    kinds = table.column("kind")
     metrics = (
         table.filter(pc_.equal(kinds, 0))
         .select(["source", "metric_type", "key_value", "time_window", "value"])
@@ -409,7 +391,6 @@ def full_pipeline(input_paths, job: JobConfig, out_dir: str,
         .rename_columns(["source", "dimension", "key_value", "cnt"])
     )
     glob = table.filter(pc_.equal(kinds, 2)).select(["dimension", "value"])
-    fsio.write_table(fsio.join(out_dir, "metrics"), "metrics.parquet", metrics)
     return {
         "metrics": metrics,
         "keyed_counters": counters,
@@ -418,6 +399,48 @@ def full_pipeline(input_paths, job: JobConfig, out_dir: str,
                                  glob.column("value").to_pylist())
         },
     }
+
+
+def full_pipeline(input_paths, job: JobConfig, out_dir: str,
+                  mask_ips: bool = False, relevant_only: bool = True,
+                  batch_size: int | None = None) -> dict:
+    """The flagship single-pass pipeline (the reference's whole lifecycle,
+    SURVEY.md §3): ONE streaming read of the token table; each task
+    parses+enriches its batch, writes its routed raw-log fragment
+    (per-source hive layout) directly, and emits unified pre-aggregated
+    partials for every metric/counter sink; one tree combine finalizes
+    all aggregates. No stage reads the input twice.
+
+    Returns {"metrics": ..., "keyed_counters": ..., "global_counters": ...}
+    pyarrow Tables; routed rows land under ``out_dir``/routed/source=*/.
+
+    ``out_dir`` may be a plain local path (default) or an fsspec URI
+    (``file://``, ``s3://``, ...) — on a multi-node cluster pass shared
+    storage; worker tasks resolve the URI per process (`sbo_ray.fsio`).
+    """
+    from .. import fsio
+
+    tune_context()
+
+    routed_root = fsio.join(out_dir, "routed")
+    fsio.makedirs(routed_root)
+    # clear fragments from any previous invocation: content-derived names
+    # make RETRIES idempotent within a run, but a reused out_dir with
+    # different input/batching would otherwise mix stale fragments in
+    fsio.clear_fragments(routed_root)
+
+    ds = read_input(input_paths).map_batches(
+        partial_stage(job, mask_ips, relevant_only), fn_args=(routed_root,),
+        batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True
+    )
+    # NOTE: consume via iter_batches — to_arrow_refs() runs the plan twice
+    # (an extra limit=1 schema pass), which would duplicate the routed
+    # side-effect writes
+    result = split_unified(
+        _stream_merge(ds, UNIFIED_KEYS, "value", schema=UNIFIED_SCHEMA))
+    fsio.write_table(fsio.join(out_dir, "metrics"), "metrics.parquet",
+                     result["metrics"])
+    return result
 
 
 def write_enriched_jsonl(enriched: rd.Dataset, out_dir: str) -> None:

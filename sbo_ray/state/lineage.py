@@ -13,7 +13,11 @@ Design (SURVEY.md §4 "Checkpoint / resume"):
   ``out/runs/<run_id>/`` (the run dir is cleared at run start, so a
   crashed run's leftovers are overwritten, never double-counted), then
   appends one commit record per shard to ``manifest.jsonl``.
-- ``run_id`` is a content hash of (shard names + config hash) — no
+- **One execution, many commits**: ``run_all`` reads every pending
+  shard in ONE Ray Data read->stage execution; each run commits as
+  soon as all of its input rows are counted, so a crash mid-execution
+  keeps every run completed before it.
+- ``run_id`` is a content hash of (shard paths + config hash) — no
   wall-clock, so a retried run lands in the same directory.
 - **Resume** = skip shards already in the manifest; reprocess the rest.
 - **No recount drift**: final aggregates are derived only from the
@@ -59,10 +63,14 @@ class CheckpointManifest:
         fsio.makedirs(out_dir)
         self.path = fsio.join(out_dir, "manifest.jsonl")
         self._local = fsio.is_local_path(out_dir)
+        # length of the committed (newline-terminated, parseable) prefix;
+        # None until first learned by a read
+        self._valid_bytes: int | None = None
 
     def committed_shards(self) -> dict[str, CommitRecord]:
         out: dict[str, CommitRecord] = {}
         if not self._fsio.exists(self.path):
+            self._valid_bytes = 0
             return out
         with self._fsio.open_file(self.path, "rb") as f:
             raw = f.read()
@@ -111,28 +119,33 @@ class CheckpointManifest:
         re-PUTs the whole manifest (valid bytes + new records) in one
         atomic object write — correct under the same one-writer
         contract, O(manifest) per commit (the manifest is record-sized,
-        not data-sized)."""
-        payload = "".join(json.dumps(asdict(r)) + "\n" for r in records)
+        not data-sized).
+
+        Under the same contract the writer learns the valid length once
+        (its first commit reads the manifest) and then adds each payload
+        it appends, so a run of N commits parses the manifest once, not
+        N times."""
+        payload = "".join(json.dumps(asdict(r)) + "\n" for r in records).encode()
+        if self._valid_bytes is None:
+            self.committed_shards()  # computes _valid_bytes
+        valid = self._valid_bytes
         if self._local:
             _, lpath = self._fsio.resolve(self.path)
-            if os.path.exists(lpath):
-                self.committed_shards()  # computes _valid_bytes
-                valid = getattr(self, "_valid_bytes", None)
-                if valid is not None and valid < os.path.getsize(lpath):
-                    with open(lpath, "r+b") as f:
-                        f.truncate(valid)
-            with open(lpath, "a") as f:
+            if os.path.exists(lpath) and valid < os.path.getsize(lpath):
+                with open(lpath, "r+b") as f:
+                    f.truncate(valid)
+            with open(lpath, "ab") as f:
                 f.write(payload)
                 f.flush()
                 os.fsync(f.fileno())
-            return
-        valid_raw = b""
-        if self._fsio.exists(self.path):
-            self.committed_shards()  # computes _valid_bytes
-            with self._fsio.open_file(self.path, "rb") as f:
-                valid_raw = f.read()[: getattr(self, "_valid_bytes", 0)]
-        with self._fsio.open_file(self.path, "wb") as f:
-            f.write(valid_raw + payload.encode())
+        else:
+            valid_raw = b""
+            if valid:
+                with self._fsio.open_file(self.path, "rb") as f:
+                    valid_raw = f.read()[:valid]
+            with self._fsio.open_file(self.path, "wb") as f:
+                f.write(valid_raw + payload)
+        self._valid_bytes = valid + len(payload)
 
     def counters_total(self) -> dict[str, int]:
         total: dict[str, int] = {}
@@ -168,8 +181,52 @@ def _stage_hash(job) -> str:
 
 
 def _run_id(shards: list[str], stage_hash: str) -> str:
-    blob = json.dumps([sorted(os.path.basename(s) for s in shards), stage_hash])
+    # full paths: same-named shards in different directories are
+    # different runs (hashing basenames made their run dirs collide)
+    blob = json.dumps([sorted(shards), stage_hash])
     return hashlib.sha1(blob.encode()).hexdigest()[:12]
+
+
+# driver-side fold cadence of a group's streamed partial blocks
+_FOLD_EVERY = 16
+# unified-partial kind of the per-group input row counts (0-2: logpipe's)
+_ROWS_IN_KIND = 3
+
+
+def _grouped_stage(stage, keys: list[str], key_groups: list[int],
+                   routed: list[str]):
+    """Wrap ``logpipe.partial_stage`` for a read over many groups: map
+    each row's ``path`` (``keys``, normalized as ``include_paths``
+    reports them) to its group, run the stage per group present with
+    that group's routed dir, and tag the partials with an int32
+    ``group`` column plus one ``_ROWS_IN_KIND`` row holding the group's
+    input rows in the batch."""
+    import pyarrow.compute as pc
+
+    from ..pipelines.logpipe import UNIFIED_SCHEMA
+
+    keys = pa.array(keys, pa.string())
+    key_groups = pa.array(key_groups, pa.int32())
+    out_schema = UNIFIED_SCHEMA.append(pa.field("group", pa.int32()))
+
+    def group_stage(batch: pa.Table) -> pa.Table:
+        # a batch may span shards and groups (batch_size): split it
+        gid = key_groups.take(pc.index_in(batch.column("path"), keys))
+        batch = batch.drop_columns(["path"])
+        outs = []
+        for g in pc.unique(gid).to_pylist():
+            sub = batch.filter(pc.equal(gid, g))
+            count = pa.table({
+                "kind": pa.array([_ROWS_IN_KIND], pa.int8()), "source": [""],
+                "metric_type": pa.array([0], pa.int32()), "dimension": ["rows_in"],
+                "key_value": [""], "time_window": [0], "value": [sub.num_rows],
+            }, schema=UNIFIED_SCHEMA)
+            unified = pa.concat_tables([stage(sub, routed[g]), count])
+            outs.append(unified.append_column(
+                "group", pa.array([g] * unified.num_rows, pa.int32())))
+        return pa.concat_tables(outs) if outs else out_schema.empty_table()
+
+    return group_stage
 
 
 class CheckpointedPipeline:
@@ -220,33 +277,133 @@ class CheckpointedPipeline:
         done = set(self.manifest.committed_shards())
         return [p for p in self.input_paths if p not in done]
 
+    def _pending_groups(self) -> list[list[str]]:
+        pending = self.pending_shards()
+        return [pending[i:i + self.group_size]
+                for i in range(0, len(pending), self.group_size)]
+
     def run_once(self) -> bool:
         """Process the next group of uncommitted shards; returns True if
         work remains afterwards."""
-        from ..pipelines import logpipe
+        groups = self._pending_groups()
+        if groups:
+            self._run(groups[:1])
+        return len(groups) > 1
+
+    def run_all(self) -> None:
+        groups = self._pending_groups()
+        if groups:
+            self._run(groups)
+
+    def _run(self, groups: list[list[str]]) -> None:
+        """Process ``groups`` in ONE Ray Data read->stage execution and
+        commit each group as soon as every one of its input rows is
+        counted.
+
+        Each task runs ``_grouped_stage``: routed fragments land in their
+        group's run dir, and each group's partial carries the count of
+        its input rows before parse (``skip_line_regex`` drops rows
+        inside parse). The driver pulls each partial block as it
+        streams, folds it into its group (at most every ``_FOLD_EVERY``
+        blocks, so memory stays bounded) and commits a group once its
+        counted rows equal the parquet footer total of its shards. A
+        failed task leaves its groups uncommitted (the run raises after
+        the others commit); resume clears their run dirs."""
+        import pyarrow.compute as pc
+        import ray
+        import ray.data as rd
+        from ray.data.datasource.path_util import _resolve_paths_and_filesystem
 
         from .. import fsio
+        from ..pipelines import logpipe
 
-        pending = self.pending_shards()
-        if not pending:
-            return False
-        group = pending[: self.group_size]
-        run_id = _run_id(group, self.stage_hash)
-        run_dir = fsio.join(self.out_dir, "runs", run_id)
-        # a crashed attempt at this run left uncommitted fragments: clear
-        fsio.rmtree(run_dir)
-        fsio.makedirs(run_dir)
+        opts = dict(self.pipeline_kwargs)
+        batch_size = opts.pop("batch_size", None)
+        stage = logpipe.partial_stage(self.job, **opts)
+        run_ids = [_run_id(g, self.stage_hash) for g in groups]
+        run_dirs = [fsio.join(self.out_dir, "runs", r) for r in run_ids]
+        routed = [fsio.join(d, "routed") for d in run_dirs]
+        for run_dir, routed_dir in zip(run_dirs, routed):
+            # a crashed attempt at this run left uncommitted fragments: clear
+            fsio.rmtree(run_dir)
+            fsio.makedirs(routed_dir)
+        shard_rows = [{p: pq.ParquetFile(p).metadata.num_rows for p in g}
+                      for g in groups]
+        expected = [sum(r.values()) for r in shard_rows]
+        counted = [0] * len(groups)
+        parts: list[list[pa.Table]] = [[] for _ in groups]
+        open_groups = set(range(len(groups)))
 
-        result = logpipe.full_pipeline(group, self.job, run_dir,
-                                       **self.pipeline_kwargs)
-        # persist this run's aggregate partials (merged across the group)
+        def commit(i: int) -> None:
+            self._commit(groups[i], run_ids[i], run_dirs[i], shard_rows[i],
+                         parts[i])
+            parts[i] = []
+            open_groups.discard(i)
+
+        for i in range(len(groups)):
+            if expected[i] == 0:  # zero-row shards yield no block
+                commit(i)
+        # zero-row shards add no rows, so they need no read task
+        todo = [p for r in shard_rows for p, n in r.items() if n]
+        if todo:
+            # include_paths reports each path as read_parquet resolved it
+            # (relative stays relative, URI schemes are stripped): key the
+            # path -> group map the same way
+            group_of = {p: i for i, g in enumerate(groups) for p in g}
+            group_stage = _grouped_stage(
+                stage, _resolve_paths_and_filesystem(todo)[0],
+                [group_of[p] for p in todo], routed)
+            logpipe.tune_context()
+            ds = rd.read_parquet(
+                todo, include_paths=True, override_num_blocks=len(todo),
+            ).map_batches(group_stage, batch_format="pyarrow",
+                          batch_size=batch_size, zero_copy_batch=True)
+            # a failed task (bad shard) must not abort the groups around
+            # it: its rows go uncounted, so its group stays uncommitted
+            # and the run raises below once every other group committed
+            ds.context.max_errored_blocks = -1
+            # single execution, consumed as a stream of block refs (see
+            # logpipe._stream_merge: side-effect stages must not rerun)
+            for bundle in ds.iter_internal_ref_bundles():
+                for block in ray.get([ref for ref, _ in bundle.blocks]):
+                    if not block.num_rows:
+                        continue
+                    gcol = block.column("group")
+                    for g in pc.unique(gcol).to_pylist():
+                        sub = block.filter(pc.equal(gcol, g)).drop_columns(["group"])
+                        rows_in = sub.filter(pc.equal(sub.column("kind"), _ROWS_IN_KIND))
+                        counted[g] += pc.sum(rows_in.column("value")).as_py() or 0
+                        parts[g].append(sub)
+                        if counted[g] == expected[g]:
+                            commit(g)
+                        elif len(parts[g]) >= _FOLD_EVERY:
+                            folded = logpipe._combine_partials(
+                                logpipe.UNIFIED_KEYS, "value", parts[g])
+                            parts[g] = [] if folded is None else [folded]
+        if open_groups:
+            missing = sorted(open_groups)
+            raise RuntimeError(
+                f"left uncommitted: {[groups[i] for i in missing]} "
+                f"(counted {[counted[i] for i in missing]} of "
+                f"{[expected[i] for i in missing]} input rows; the Ray Data "
+                f"log holds the failed tasks' errors)")
+
+    def _commit(self, group: list[str], run_id: str, run_dir: str,
+                shard_rows: dict[str, int], parts: list[pa.Table]) -> None:
+        """Persist one complete group's aggregate partials, then append
+        its commit records: the run counts only once the manifest says so."""
+        from .. import fsio
+        from ..pipelines import logpipe
+
+        table = logpipe._combine_partials(logpipe.UNIFIED_KEYS, "value", parts)
+        result = logpipe.split_unified(
+            logpipe.UNIFIED_SCHEMA.empty_table() if table is None else table)
         fsio.write_table(run_dir, "metrics_partial.parquet", result["metrics"])
         fsio.write_table(run_dir, "counters_partial.parquet",
                          result["keyed_counters"])
         with fsio.open_file(fsio.join(run_dir, "global_partial.json"), "w") as f:
             json.dump(result["global_counters"], f)
 
-        shard_rows = {p: pq.ParquetFile(p).metadata.num_rows for p in group}
         g = result["global_counters"]
         records = []
         for p in group:
@@ -267,11 +424,6 @@ class CheckpointedPipeline:
                 },
             ))
         self.manifest.commit(records)
-        return len(pending) > len(group)
-
-    def run_all(self) -> None:
-        while self.run_once():
-            pass
 
     # ---- finalization -----------------------------------------------------
     def finalize(self) -> dict:
@@ -279,6 +431,7 @@ class CheckpointedPipeline:
         Derived only from committed runs: a shard contributes exactly
         once, so reruns never drift the counts."""
         from .. import fsio
+        from ..stages.metrics import COUNTER_SCHEMA, METRIC_SCHEMA
 
         run_ids = sorted(self.manifest.committed_run_ids())
         metrics_parts, counter_parts = [], []
@@ -305,7 +458,7 @@ class CheckpointedPipeline:
             counters = c.group_by(ckeys).aggregate([("cnt", "sum")])
             counters = counters.rename_columns(ckeys + ["cnt"])
         else:
-            metrics = counters = None
+            metrics, counters = METRIC_SCHEMA.empty_table(), COUNTER_SCHEMA.empty_table()
         return {"metrics": metrics, "keyed_counters": counters,
                 "global_counters": glob}
 
