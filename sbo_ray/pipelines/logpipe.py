@@ -100,13 +100,8 @@ def enriched_dataset(input_dir: str, job: JobConfig,
     module level in each worker and amortize exactly like actor state,
     without per-query actor-pool startup latency. (SURVEY.md §2.4 ST1;
     an actor-pool variant is available via ``ParseEnrich`` directly.)"""
-    tune_context()
-    return read_input(input_dir).map_batches(
-        make_parse_fn(job),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        zero_copy_batch=True,
-    )
+    tune_context()  # before the read: the Dataset copies the context then
+    return enriched_dataset_from(read_input(input_dir), job, batch_size)
 
 
 def _combine_partials(keys: list[str], value: str, tables) -> pa.Table | None:

@@ -8,22 +8,27 @@ Per batch:
 
 1. ``tokens -> line`` via the zero-copy byte codec;
 2. per-source format lookup (explicit config, never sniffed);
-3. one RE2 ``pyarrow.compute.extract_regex`` per format present in the
-   batch — the same anchored patterns as the reference's five parsers
-   (``logparsers/httpservers.go:169-318``), vectorized;
+3. field extraction once per format present in the batch, on that
+   format's lines — the same anchored patterns as the reference's five
+   parsers (``logparsers/httpservers.go:169-318``), vectorized — with
+   the fields scattered back to input row order; everything below runs
+   once over the whole batch;
 4. timestamps: vectorized ``strptime`` of the local clock fields plus a
    numeric-offset column (the metric time window uses the *local* clock,
    ``handlers/metricgenerator.go:131-158``);
-5. URI/referer/user-agent enrichment per **unique value** with per-actor
-   caches (dictionary-encode, classify the dictionary, scatter back) —
-   user-agent and referer cardinality is tiny compared to row count, so
-   the Python decision tree runs orders of magnitude fewer times than a
-   row loop would;
+5. enrichment per **unique value** (dictionary-encode, classify the
+   dictionary, scatter back): the URI dictionary is classified by
+   ``pyarrow.compute`` kernels (path, path1-3, malicious, utm_source;
+   scalar ``split_path`` only for URIs Go would unescape or reject), and
+   referer hosts and user agents through per-worker caches — their
+   cardinality is tiny compared to row count, so the Python decision
+   tree runs orders of magnitude fewer times than a row loop would;
 6. robots.txt override, relevance flags, time-window column.
 
-Run as an actor pool: ``ds.map_batches(ParseEnrich, concurrency=N,
-batch_format="pyarrow")`` so caches persist across batches
-(SURVEY.md §2.4 ST1).
+Runs as a task pool (:func:`make_parse_fn`): the caches are module-level,
+so they persist across batches in each long-lived worker; an actor pool,
+``ds.map_batches(ParseEnrich, concurrency=N, batch_format="pyarrow")``,
+works too (SURVEY.md §2.4 ST1).
 """
 
 from __future__ import annotations
@@ -84,8 +89,8 @@ _TS_PIECES = (
 # long-lived Ray worker process (task pool) — same effect as actor state,
 # without per-query actor-pool startup. The classified values are pure
 # functions of the input string, so sharing across configs is safe. Bounded:
-# cleared wholesale if they outgrow the cap (URI cardinality can be unbounded
-# at 10^12 scale; UA/referer cardinality is naturally small).
+# cleared wholesale if they outgrow the cap (UA/referer cardinality is
+# naturally small).
 _CACHE_CAP = 1 << 19
 
 
@@ -93,27 +98,15 @@ class _Caches:
     __slots__ = ("uri", "ref", "ua")
 
     def __init__(self) -> None:
+        # URI classification is vectorized (_classify_uris) and caches
+        # nothing; ``uri`` stays, always empty, because perfbench's traced
+        # replay (perfbench/tracing.py) reads len(_CACHES.uri)
         self.uri: dict[str, tuple] = {}
         self.ref: dict[str, str] = {}
         self.ua: dict[str, tuple] = {}
 
 
 _CACHES = _Caches()
-
-
-def _uri_info(uri: str, cache: dict) -> tuple:
-    """(path, path1, path2, path3, malicious, utm_or_None) per unique
-    request URI; utm is the utm_source override for the referer."""
-    hit = cache.get(uri)
-    if hit is None:
-        if len(cache) > _CACHE_CAP:
-            cache.clear()
-        p = L.split_path(uri)
-        m = L.RE_UTM_SOURCE.search(uri)
-        hit = (p.path, p.path1, p.path2, p.path3, p.malicious,
-               m.group(2) if m else None)
-        cache[uri] = hit
-    return hit
 
 
 def _ref_host(referer: str, cache: dict) -> str:
@@ -141,6 +134,79 @@ def _ua_info(ua: str, cache: dict) -> tuple:
         hit = (r.os, r.family, r.device_type, r.human, r.intent)
         cache[ua] = hit
     return hit
+
+
+def _unpermute(order: np.ndarray) -> pa.Array:
+    """Take indices that move rows concatenated in ``order`` (a
+    permutation of input positions) back to input order."""
+    inv = np.empty(len(order), dtype=np.int64)
+    inv[order] = np.arange(len(order))
+    return pa.array(inv)
+
+
+# ---- URI -> path, path1-3, malicious, utm_source ----------------------------
+# A request URI that starts with "/" and holds no "%" or control byte has,
+# in Go's ParseRequestURI, no scheme, no authority and nothing to unescape:
+# its path is the text before the first "?" and its raw query the text
+# after it. Those URIs are classified by Arrow kernels; every other one
+# ("", "*", percent escapes, absolute URLs, bad requests) goes through the
+# scalar L.split_path.
+_URI_SCALAR_ONLY = r"[%\x00-\x1f\x7f]"
+_URI_PARTS = r"(?s)^(?P<path>[^?]*)\??(?P<query>.*)$"
+# L.RE_UTM_SOURCE with a named group; RE2's "$" (no multi-line) is "\Z"
+_UTM_SOURCE = r"(?:\?|&)utm_source=(?P<utm>[^&]+)(?:&|$)"
+
+
+def _classify_uris(uris: pa.Array) -> tuple:
+    """(path, path1, path2, path3, malicious, utm) per value of ``uris``,
+    equal to ``L.split_path`` and ``L.RE_UTM_SOURCE``'s group 2; the
+    string columns are Arrow arrays, malicious an int8 ndarray, and utm
+    is null where the URI has no utm_source parameter."""
+    simple = pc.and_not(pc.starts_with(uris, "/"),
+                        pc.match_substring_regex(uris, _URI_SCALAR_ONLY))
+    simple_np = simple.to_numpy(zero_copy_only=False)
+    fast = uris.filter(simple)
+    parts = pc.extract_regex(fast, _URI_PARTS)
+    path = pc.struct_field(parts, "path")
+    query = pc.struct_field(parts, "query")
+    n_slash = pc.count_substring(path, "/")
+    # "//" padding makes segments 1-3 exist; n_slash says which are real
+    seg = pc.split_pattern(pc.binary_join_element_wise(path, "//", ""), "/",
+                           max_splits=4)
+    p1 = pc.binary_join_element_wise("", pc.list_element(seg, 1), "/")
+    p2 = pc.if_else(pc.greater_equal(n_slash, 2),
+                    pc.binary_join_element_wise(p1, pc.list_element(seg, 2), "/"),
+                    "")
+    p3 = pc.if_else(pc.greater_equal(n_slash, 3),
+                    pc.binary_join_element_wise(p2, pc.list_element(seg, 3), "/"),
+                    "")
+    # precedence traversal > XSS > SQLi; "%00" cannot occur on this path
+    mal = np.select(
+        [pc.match_substring(path, "/../").to_numpy(zero_copy_only=False),
+         pc.match_substring_regex(query, L.RE_XSS.pattern).to_numpy(zero_copy_only=False),
+         pc.match_substring_regex(query, L.RE_SQLI.pattern).to_numpy(zero_copy_only=False)],
+        [L.MALICIOUS_TRAVERSAL, L.MALICIOUS_XSS, L.MALICIOUS_SQLINJ],
+        L.MALICIOUS_UNKNOWN,
+    ).astype(np.int8)
+    utm = pc.struct_field(pc.extract_regex(fast, _UTM_SOURCE), "utm")
+    cols = [path, p1, p2, p3, utm]
+    if not simple_np.all():
+        rest = uris.filter(pc.invert(simple)).to_pylist()
+        info = [L.split_path(u) for u in rest]
+        utm_rest = []
+        for u in rest:
+            m = L.RE_UTM_SOURCE.search(u)
+            utm_rest.append(m.group(2) if m else None)
+        rest_cols = [[x[k] for x in info] for k in range(4)] + [utm_rest]
+        take = _unpermute(np.concatenate([np.flatnonzero(simple_np),
+                                          np.flatnonzero(~simple_np)]))
+        cols = [pa.concat_arrays([c, pa.array(r, type=pa.string())]).take(take)
+                for c, r in zip(cols, rest_cols)]
+        mal = np.concatenate(
+            [mal, np.array([x.malicious for x in info], dtype=np.int8)]
+        )[take.to_numpy()]
+    path, p1, p2, p3, utm = cols
+    return path, p1, p2, p3, mal, utm
 
 
 _FIELD_NAMES = ("client_ip", "remote_logname", "remote_user", "ts", "method",
@@ -276,10 +342,7 @@ def _extract_fields(lines: pa.Array, fmt: str) -> tuple[pa.Array, dict]:
 
     # scatter fast + slow + failed("") back to original row order
     pos_bad = np.flatnonzero(~ok_np)
-    order = np.concatenate([pos_fast, pos_slow, pos_bad])
-    inv = np.empty(n, dtype=np.int64)
-    inv[order] = np.arange(n)
-    take_idx = pa.array(inv)
+    take_idx = _unpermute(np.concatenate([pos_fast, pos_slow, pos_bad]))
     n_bad = len(pos_bad)
     for name in _FIELD_NAMES:
         merged = pa.concat_arrays([
@@ -291,10 +354,48 @@ def _extract_fields(lines: pa.Array, fmt: str) -> tuple[pa.Array, dict]:
     return ok, fields
 
 
+def _extract_by_format(lines: pa.Array,
+                       fmt_codes: np.ndarray) -> tuple[np.ndarray, dict]:
+    """:func:`_extract_fields` once per format present, on that format's
+    lines, with ``ok`` and the fields scattered back to input row order."""
+    present = np.unique(fmt_codes)
+    if len(present) == 1:
+        ok, fields = _extract_fields(lines, L.FORMATS[present[0]])
+        return ok.to_numpy(zero_copy_only=False), fields
+    pos = [np.flatnonzero(fmt_codes == fi) for fi in present]
+    parts = [_extract_fields(lines.take(pa.array(p)), L.FORMATS[fi])
+             for p, fi in zip(pos, present)]
+    take = _unpermute(np.concatenate(pos))
+    ok_np = np.concatenate(
+        [ok.to_numpy(zero_copy_only=False) for ok, _ in parts]
+    )[take.to_numpy()]
+    fields = {name: pa.concat_arrays([f[name] for _, f in parts]).take(take)
+              for name in _FIELD_NAMES}
+    return ok_np, fields
+
+
+def _dict_col(indices: np.ndarray, values: list) -> pa.Array:
+    """Per-row string column from per-unique ``values``: a vectorized
+    Arrow take, never a per-row Python loop."""
+    return pa.DictionaryArray.from_arrays(
+        pa.array(indices, type=pa.int32()),
+        pa.array(values, type=pa.string()),
+    ).cast(pa.string())
+
+
+# formats whose lines carry referer and user-agent, by format code
+_HAS_UA = np.array([f in L.FORMATS_WITH_UA for f in L.FORMATS])
+
+
 class ParseEnrich:
     """Parse+enrich stage. Usable as a task-pool function target (via
     :func:`make_parse_fn`) or an actor-pool callable class; both share the
-    worker-process-level unique-value caches."""
+    worker-process-level referer and user-agent caches.
+
+    Per batch, field extraction runs once per log format present, on that
+    format's lines; the enrichment (bytes, timestamp, URI, referer, UA,
+    window) then runs once over the whole batch. Output rows keep the
+    input order."""
 
     def __init__(self, job: JobConfig | "ray.ObjectRef") -> None:  # noqa: F821
         try:  # accept a ray.put handle (broadcast once, read per actor)
@@ -320,9 +421,6 @@ class ParseEnrich:
             self._default_skip or any(v for v in self._skip_of.values())
         )
         self._caches = _CACHES
-
-    def _uri_info(self, uri: str) -> tuple:
-        return _uri_info(uri, self._caches.uri)
 
     def _ref_host(self, referer: str) -> str:
         return _ref_host(referer, self._caches.ref)
@@ -398,27 +496,13 @@ class ParseEnrich:
         )
         window_minutes = wm_uniques[src_enc.indices.to_numpy(zero_copy_only=False)]
 
-        pieces = []
-        for fi, fmt in enumerate(L.FORMATS):
-            mask = fmt_codes == fi
-            if not mask.any():
-                continue
-            if mask.all():
-                sub, sub_lines, sub_wm = batch, lines, window_minutes
-            else:
-                pa_mask = pa.array(mask)
-                sub = batch.filter(pa_mask)
-                sub_lines = lines.filter(pa_mask)
-                sub_wm = window_minutes[mask]
-            pieces.append(self._parse_one_format(sub, sub_lines, fmt, sub_wm))
-        return pa.concat_tables(pieces) if len(pieces) > 1 else pieces[0]
+        ok_np, fields = _extract_by_format(lines, fmt_codes)
+        return self._enrich(batch, ok_np, fields, _HAS_UA[fmt_codes],
+                            window_minutes)
 
-    def _parse_one_format(self, sub: pa.Table, lines: pa.Array, fmt: str,
-                          window_minutes: np.ndarray) -> pa.Table:
-        n = sub.num_rows
-        ok, fields = _extract_fields(lines, fmt)
-        ok_np = ok.to_numpy(zero_copy_only=False)
-
+    def _enrich(self, batch: pa.Table, ok_np: np.ndarray, fields: dict,
+                has_ua: np.ndarray, window_minutes: np.ndarray) -> pa.Table:
+        n = batch.num_rows
         client_ip = fields["client_ip"]
         remote_logname = fields["remote_logname"]
         remote_user = fields["remote_user"]
@@ -491,54 +575,33 @@ class ParseEnrich:
             # unparsed rows carry the Go-zero-time window marker
             tw[~ok_np] = L.GO_ZERO_TIME_WINDOW
 
-        # ---- URI -> paths + malicious + utm (per unique) -------------------
-        # All string columns derived from cached per-unique classification
-        # are built as DictionaryArray(indices, uniques) then cast to
-        # string: the expansion is a vectorized Arrow take, never a
-        # per-row Python loop.
-        def dict_col(indices: np.ndarray, values: list) -> pa.Array:
-            return pa.DictionaryArray.from_arrays(
-                pa.array(indices, type=pa.int32()),
-                pa.array(values, type=pa.string()),
-            ).cast(pa.string())
-
+        # ---- URI -> paths + malicious + utm (vectorized, per unique) -------
         uri_enc = pc.dictionary_encode(fields["uri"])
-        uidx = uri_enc.indices.to_numpy(zero_copy_only=False).astype(np.int32)
-        uinfo = [self._uri_info(u) for u in uri_enc.dictionary.to_pylist()]
-        path_c = dict_col(uidx, [x[0] for x in uinfo])
-        p1_vals = [x[1] for x in uinfo]
-        p1_c = dict_col(uidx, p1_vals)
-        p2_c = dict_col(uidx, [x[2] for x in uinfo])
-        p3_c = dict_col(uidx, [x[3] for x in uinfo])
-        malicious = np.array([x[4] for x in uinfo], dtype=np.int8)[uidx]
-        utm_vals = [x[5] for x in uinfo]
-        robots_u = np.array([v == "/robots.txt" for v in p1_vals], dtype=bool)
-        robots = robots_u[uidx]  # per-row robots flag, from uri uniques
+        uidx = uri_enc.indices
+        path_u, p1_u, p2_u, p3_u, mal_u, utm_u = _classify_uris(uri_enc.dictionary)
+        path_c, p1_c, p2_c, p3_c, utm = (
+            c.take(uidx) for c in (path_u, p1_u, p2_u, p3_u, utm_u)
+        )
+        uidx_np = uidx.to_numpy(zero_copy_only=False)
+        malicious = mal_u[uidx_np]
+        robots = pc.equal(p1_u, "/robots.txt").to_numpy(zero_copy_only=False)[uidx_np]
 
-        # ---- referer + UA (per unique; only formats that capture them) -----
-        if fmt in L.FORMATS_WITH_UA:
-            ref_enc = pc.dictionary_encode(fields["referer"])
-            ridx = ref_enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-            host_vals = [self._ref_host(r) for r in ref_enc.dictionary.to_pylist()]
-            # final referer depends on the (uri, referer-header) pair:
-            # classify per distinct pair (np.unique), expand via dictionary
-            pair = uidx.astype(np.int64) * len(host_vals) + ridx
-            pair_u, pair_inv = np.unique(pair, return_inverse=True)
-            ref_final = [
-                utm_vals[int(p // len(host_vals))] or host_vals[int(p % len(host_vals))]
-                for p in pair_u
-            ]
-            referer_c = dict_col(pair_inv.astype(np.int32), ref_final)
+        # ---- referer + UA (per unique; "" on formats that capture none) ----
+        # a utm_source parameter in the URI overrides the referer header's
+        # host (httpservers.go:79-93)
+        ref_enc = pc.dictionary_encode(fields["referer"])
+        host_u = pa.array(
+            [self._ref_host(r) for r in ref_enc.dictionary.to_pylist()],
+            type=pa.string(),
+        )
+        referer_c = pc.coalesce(utm, host_u.take(ref_enc.indices))
+        if not has_ua.all():
+            referer_c = pc.if_else(pa.array(has_ua), referer_c, "")
 
-            ua_enc = pc.dictionary_encode(fields["ua"])
-            aidx = ua_enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-            ua_uniques = ua_enc.dictionary.to_pylist()
-            ua_fullname_c = dict_col(aidx.astype(np.int32), ua_uniques)
-        else:
-            referer_c = dict_col(np.zeros(n, dtype=np.int32), [""])
-            aidx = np.zeros(n, dtype=np.int64)
-            ua_uniques = [""]
-            ua_fullname_c = dict_col(np.zeros(n, dtype=np.int32), [""])
+        ua_enc = pc.dictionary_encode(fields["ua"])
+        aidx = ua_enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        ua_uniques = ua_enc.dictionary.to_pylist()
+        ua_fullname_c = ua_enc.dictionary.take(ua_enc.indices)
 
         # UA classification + robots.txt override (httpservers.go:63-77),
         # per distinct (ua, robots) pair
@@ -559,18 +622,18 @@ class ParseEnrich:
             hum_v.append(ua_hum)
             int_v.append(ua_int)
         code_inv32 = code_inv.astype(np.int32)
-        ua_os_c = dict_col(code_inv32, os_v)
-        ua_family_c = dict_col(code_inv32, fam_v)
-        ua_device_c = dict_col(code_inv32, dev_v)
-        ua_human_c = dict_col(code_inv32, hum_v)
-        ua_intent_c = dict_col(code_inv32, int_v)
+        ua_os_c = _dict_col(code_inv32, os_v)
+        ua_family_c = _dict_col(code_inv32, fam_v)
+        ua_device_c = _dict_col(code_inv32, dev_v)
+        ua_human_c = _dict_col(code_inv32, hum_v)
+        ua_intent_c = _dict_col(code_inv32, int_v)
 
         cols = {
-            "doc_id": sub.column("doc_id"),
-            "tokens": sub.column("tokens"),
-            "n_tok": sub.column("n_tok"),
-            "source": sub.column("source"),
-            "parse_ok": ok,
+            "doc_id": batch.column("doc_id"),
+            "tokens": batch.column("tokens"),
+            "n_tok": batch.column("n_tok"),
+            "source": batch.column("source"),
+            "parse_ok": pa.array(ok_np, type=pa.bool_()),
             "domain": domain,
             "client_ip": client_ip,
             "remote_logname": remote_logname,

@@ -160,3 +160,48 @@ def test_metrics_equal_oracle_multi_seed(ray_session, tmp_path, seed):
     for s, t, k, tw, v in oracle.metrics:
         want[(s, t, k, tw)] = want.get((s, t, k, tw), 0) + v
     assert got_map == want
+
+
+def test_full_pipeline_unique_paths_equal_oracle(ray_session, tmp_path):
+    """The URI miss side: every ordinary URL distinct, as in the
+    ``unique_url_flagship`` benchmark, through the flagship pipeline."""
+    import glob
+    import os
+
+    import pyarrow.parquet as pq
+
+    doc_ids, lines, sources = synth.synth_lines(2000, seed=SEED,
+                                                unique_paths=True)
+    cfg = synth.source_config(12)
+    paths = synth.write_sharded(synth.build_table(doc_ids, lines, sources),
+                                str(tmp_path / "in"), n_shards=2)
+    out = str(tmp_path / "out")
+    result = logpipe.full_pipeline(paths, JobConfig.from_format_map(cfg), out)
+    oracle = run_oracle(doc_ids, lines, sources, cfg, exact_totals=True)
+
+    got_m = {(r["source"], r["metric_type"], r["key_value"], r["time_window"]):
+             r["metric_value"] for r in result["metrics"].to_pylist()}
+    want_m = {}
+    for s, t, k, tw, v in oracle.metrics:
+        want_m[(s, t, k, tw)] = want_m.get((s, t, k, tw), 0) + v
+    assert got_m == want_m
+
+    kc = result["keyed_counters"].to_pylist()
+    for dim, want_counts in oracle.keyed_counters.items():
+        got_counts = {(r["source"], r["key_value"]): r["cnt"]
+                      for r in kc if r["dimension"] == dim}
+        assert got_counts == want_counts, f"dimension {dim} differs"
+
+    names = ("handled", "requests", "bytes_sent", "humans", "non_humans",
+             "malicious")
+    want_g = {k: oracle.counters.get(k, 0) for k in names}
+    want_g["parse_errors"] = oracle.parse_errors
+    assert result["global_counters"] == want_g
+
+    files = glob.glob(os.path.join(out, "routed", "**", "*.parquet"),
+                      recursive=True)
+    got_ids = sorted(i for f in files
+                     for i in pq.read_table(f, columns=["doc_id"])
+                     .column("doc_id").to_pylist())
+    assert got_ids
+    assert got_ids == sorted(r["doc_id"] for r in oracle.routed)

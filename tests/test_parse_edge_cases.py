@@ -2,6 +2,7 @@
 empty batches, mixed formats in one batch."""
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from sbo_ray.codec import encode_lines
@@ -64,6 +65,51 @@ def test_mixed_formats_one_batch():
     # CLF has no UA -> empty-string classification (documented divergence)
     assert by_ip["1.1.1.1"]["ua_family"] == "Other"
     assert by_ip["1.1.1.1"]["ua_human"] == "NonHuman"
+
+
+_MIXED_JOB = dict(a="apache_common", b="apache_combined",
+                  c="apache_vhost_combined")
+
+
+def test_mixed_formats_keep_input_order():
+    clf = '1.1.1.{} - - [10/Oct/2000:13:55:36 -0700] "GET /a HTTP/1.0" 200 10'
+    combined = '2.2.2.{} - - [10/Oct/2000:13:55:36 -0700] "GET /b HTTP/1.1" 404 20 "-" "curl/8"'
+    vhost = 'x.com 3.3.3.{} - - [10/Oct/2000:13:55:36 -0700] "GET /c HTTP/2.0" 500 30 "-" "Bytespider"'
+    tmpl = {"a": clf, "b": combined, "c": vhost}
+    sources = ["b", "a", "c", "a", "b", "c", "c", "a"]
+    lines = [tmpl[s].format(i) for i, s in enumerate(sources)]
+    out = ParseEnrich(_job(**_MIXED_JOB))(_table(lines, sources))
+    assert out.column("doc_id").to_pylist() == [f"d{i}" for i in range(len(lines))]
+    assert out.column("source").to_pylist() == sources
+    assert out.column("parse_ok").to_pylist() == [True] * len(lines)
+    assert [ip.rsplit(".", 1)[1] for ip in out.column("client_ip").to_pylist()] == [
+        str(i) for i in range(len(lines))]
+
+
+def test_utm_source_overrides_referer_only_on_formats_with_ua():
+    uri = "/p?utm_source=x"
+    clf = f'1.1.1.1 - - [10/Oct/2000:13:55:36 -0700] "GET {uri} HTTP/1.0" 200 10'
+    combined = (f'2.2.2.2 - - [10/Oct/2000:13:55:36 -0700] "GET {uri} HTTP/1.1" '
+                '200 20 "http://www.ref.com/a" "curl/8"')
+    out = ParseEnrich(_job(**_MIXED_JOB))(_table([clf, combined], ["a", "b"]))
+    assert out.column("parse_ok").to_pylist() == [True, True]
+    assert out.column("path").to_pylist() == ["/p", "/p"]
+    assert out.column("referer").to_pylist() == ["", "x"]
+
+
+def test_mixed_batch_equals_per_source_batches():
+    from sbo_ray import synth
+
+    doc_ids, lines, sources = synth.synth_lines(600, seed=5)
+    job = JobConfig.from_format_map(synth.source_config(12))
+    table = synth.build_table(doc_ids, lines, sources)
+    assert len(set(synth.source_config(12)[s] for s in sources)) > 1
+    mixed = ParseEnrich(job)(table).sort_by("doc_id")
+    per_source = pa.concat_tables([
+        ParseEnrich(job)(table.filter(pc.equal(table.column("source"), s)))
+        for s in sorted(set(sources))
+    ]).sort_by("doc_id")
+    assert mixed.equals(per_source)
 
 
 def test_nondefault_window_size_per_source():

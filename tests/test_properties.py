@@ -1,7 +1,9 @@
 """Property-based tests (hypothesis) for the codec, scalar semantics and
 the exchange-side combine kernels."""
 
-from hypothesis import given, settings
+import string
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbo_ray.codec import decode_tokens, encode_lines
@@ -24,6 +26,43 @@ def test_split_path_total(uri):
     assert p.malicious in (0, 1, 10, 20, 30)
     if p.malicious == 1:
         assert p.path1 == p.path2 == p.path3 == ""
+
+
+_URI_PIECES = st.one_of(
+    st.sampled_from("/?&=%.'<>#" + string.ascii_letters),
+    st.sampled_from("/?&=%.'<>#" + string.ascii_letters),
+    st.sampled_from(["utm_source=", "/../", "%00", "script>", "alert", "' exec"]),
+    st.sampled_from([chr(c) for c in range(0x20)] + ["\x7f"]),
+    st.characters(min_codepoint=0x80, blacklist_categories=("Cs",)),
+)
+_URIS = st.one_of(
+    st.lists(_URI_PIECES, max_size=14).map(lambda p: "/" + "".join(p)),
+    st.lists(_URI_PIECES, max_size=14).map("".join),
+    st.sampled_from(["", "*", "http://h/p"]),
+)
+
+
+@given(st.lists(_URIS, max_size=30), st.lists(_URIS, max_size=30))
+@example(["/p?' exec alert", "/a/../b?script>' insert"], ["/x?' update"])
+@settings(max_examples=200, deadline=None)
+def test_vectorized_uri_classification_matches_split_path(head, tail):
+    """The parse stage's Arrow URI classification equals scalar
+    ``split_path`` + ``RE_UTM_SOURCE`` on every value. Each array holds
+    URIs of both the Arrow path ("/..." without "%" or control bytes)
+    and the scalar fallback, so the scatter back to value order is
+    covered too."""
+    import pyarrow as pa
+
+    from sbo_ray.stages.parse import _classify_uris
+
+    uris = [*head, "/a/b?utm_source=x&c", *tail, "%zz"]
+    path, p1, p2, p3, mal, utm = _classify_uris(pa.array(uris, pa.string()))
+    for i, uri in enumerate(uris):
+        want = L.split_path(uri)
+        m = L.RE_UTM_SOURCE.search(uri)
+        got = (path[i].as_py(), p1[i].as_py(), p2[i].as_py(), p3[i].as_py(),
+               int(mal[i]), utm[i].as_py())
+        assert got == (*want, m.group(2) if m else None), uri
 
 
 @given(st.text(max_size=120), st.text(max_size=120))
