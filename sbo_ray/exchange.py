@@ -28,11 +28,18 @@ that layout that every site used to re-solve:
 - ``combine(..., out_schema=...)``: zero-row table inputs are dropped
   inside the task, and a partition left with none returns
   ``out_schema.empty_table()`` without calling the site's function.
-- ``fold(ds, partial, schema)``: the bounded per-block partial ->
-  driver concat, seeded with a typed empty table (an empty Dataset
-  yields zero batches) and skipping ``partial`` on empty blocks;
-  ``collect`` is the same concat without the map, ``gather`` the same
-  for combine-task refs.
+- ``merge(ds, partial, keys, schema)``: the one keyed partial merge
+  (the metric/counter combiner): ``partial`` fused into the map, then
+  every non-key column of ``schema`` summed per key. Its partial blocks
+  stream to one driver concat + ``group_by``, or, past ``DRIVER_ROWS``
+  partial rows or ``DRIVER_BLOCKS`` blocks, through a remote tree of
+  ``FANIN``-way ``_merge_partials`` tasks, so no unbounded partial
+  stream is concatenated on the driver.
+- ``fold(ds, partial, schema)``: keyless per-block partials (top-k,
+  sketches, vector sums, min/max) -> driver concat, seeded with a typed
+  empty table (an empty Dataset yields zero batches) and skipping
+  ``partial`` on empty blocks; ``collect`` is the same concat without
+  the map, ``gather`` the same for combine-task refs.
 
 Each site keeps its own partition function; P is read at call time
 through ``n_parts`` (patch it to force a partition count).
@@ -48,7 +55,18 @@ import ray
 import ray.data as rd
 from ray.data import DataContext
 
-from .pipelines.logpipe import _cpus
+# merge's tree switch: past DRIVER_ROWS partial rows or DRIVER_BLOCKS
+# blocks, every FANIN pending partials merge in one remote task
+FANIN = 16
+DRIVER_ROWS = 1 << 20
+DRIVER_BLOCKS = 256
+
+
+def _cpus() -> int:
+    try:
+        return int(ray.cluster_resources().get("CPU", 8))
+    except Exception:
+        return 8
 
 
 def n_parts(nbytes: int | None = None) -> int:
@@ -226,6 +244,94 @@ def fold(ds: rd.Dataset, partial, schema: pa.Schema) -> pa.Table:
         return partial(t) if t.num_rows else schema.empty_table()
 
     return collect(ds.map_batches(run, batch_format="pyarrow"), schema)
+
+
+def _combine_partials(keys: list[str], value, tables) -> pa.Table | None:
+    """Concat + ``group_by(keys)`` sum of ``value`` (one column name or a
+    list) over partial tables, skipping None, zero-row and converting
+    pandas inputs; None when no row is left. The one combine of
+    ``merge``'s driver path, its tree nodes and the checkpointed runner,
+    so the regimes cannot drift."""
+    values = [value] if isinstance(value, str) else list(value)
+    ts = []
+    for t in tables:
+        if t is None:
+            continue
+        if not isinstance(t, pa.Table):
+            t = pa.Table.from_pandas(t, preserve_index=False)
+        if t.num_rows:
+            ts.append(t)
+    if not ts:
+        return None
+    g = pa.concat_tables(ts).group_by(keys).aggregate(
+        [(v, "sum") for v in values])
+    return g.select(keys + [f"{v}_sum" for v in values]).rename_columns(
+        keys + values)
+
+
+@ray.remote
+def _merge_partials(keys: list[str], value, *tables) -> pa.Table | None:
+    """One node of ``merge``'s remote tree."""
+    return _combine_partials(keys, value, tables)
+
+
+def merge(ds: rd.Dataset, partial, keys: list[str],
+          schema: pa.Schema) -> pa.Table:
+    """Keyed partial merge: every non-key column of ``schema`` summed per
+    ``keys`` (``[]``: one total row), typed by ``schema``; an input with
+    no rows gives ``schema``'s empty table.
+
+    ``partial(block)`` (or None: the blocks as they are) runs inside
+    ``ds``'s own map on every non-empty block, cast to ``schema``. The
+    partial blocks are consumed as one stream of refs
+    (``iter_internal_ref_bundles``: a single execution, so side-effect
+    stages never rerun). Until ``DRIVER_ROWS`` partial rows or
+    ``DRIVER_BLOCKS`` blocks have streamed, they are fetched and
+    combined in one driver concat + ``group_by``; past either, every
+    ``FANIN`` pending refs merge in a ``_merge_partials`` task (while
+    upstream still runs), recursively down to one table, so driver
+    memory stays O(final keys) however many blocks stream."""
+    values = [n for n in schema.names if n not in keys]
+    if partial is not None:
+        @functools.wraps(partial)
+        def run(t: pa.Table) -> pa.Table:
+            if not t.num_rows:
+                return schema.empty_table()
+            return partial(t).select(schema.names).cast(schema)
+
+        ds = ds.map_batches(run, batch_format="pyarrow")
+
+    def reduce(pending: list) -> list:
+        batch, rest = pending[:FANIN], pending[FANIN:]
+        return rest + [(_merge_partials.remote(
+            keys, values, *[r for r, _ in batch]), True)]
+
+    pending: list = []  # (ref, is a tree node's output)
+    rows = blocks = 0
+    tree = False
+    for bundle in ds.iter_internal_ref_bundles():
+        for ref, md in bundle.blocks:
+            pending.append((ref, False))
+            blocks += 1
+            rows += md.num_rows or 0
+            tree = tree or rows > DRIVER_ROWS or blocks > DRIVER_BLOCKS
+            while tree and len(pending) >= FANIN:
+                pending = reduce(pending)
+    if tree:
+        while len(pending) > 1:
+            pending = reduce(pending)
+        ref, merged = pending[0]
+        if not merged:
+            # one oversized raw block switched to the tree before any
+            # merge round: run the combine it skipped
+            ref = _merge_partials.remote(keys, values, ref)
+        out = ray.get(ref)
+    else:
+        out = _combine_partials(keys, values,
+                                ray.get([r for r, _ in pending]))
+    if out is None:
+        return schema.empty_table()
+    return out.select(schema.names).cast(schema)
 
 
 def part_exchange(ds: rd.Dataset, partial, key, fold,

@@ -250,16 +250,8 @@ def doc_length_histogram(sf_dir: str, bucket_tokens: int = 10):
             pa.array(sum_tok[nz]),
         ], schema=PART)
 
-    parts = X.fold(_read(sf_dir, "documents", columns=["text"]), partial, PART)
-    g = parts.group_by("bucket").aggregate(
-        [("n_docs", "sum"), ("sum_tokens", "sum")])
-    order = pc.sort_indices(g.column("bucket"))
-    return pa.table({
-        "bucket": g.column("bucket").take(order).cast(pa.int64()),
-        "n_docs": g.column("n_docs_sum").take(order).cast(pa.int64()),
-        "sum_tokens":
-            g.column("sum_tokens_sum").take(order).cast(pa.int64()),
-    })
+    return X.merge(_read(sf_dir, "documents", columns=["text"]), partial,
+                   ["bucket"], PART).sort_by("bucket")
 
 
 def doc_split_assign(sf_dir: str, val: float = 0.05, test: float = 0.05,

@@ -798,14 +798,13 @@ def emb_kmeans_step(sf_dir: str, k: int = 16):
             "cnt": pa.array(np.repeat(cnts, d)),
         }, schema=PART)
 
-    g = X.fold(ds, partial, PART).group_by(["cluster", "dim"]).aggregate(
-        [("s", "sum"), ("cnt", "sum")])
+    g = X.merge(ds, partial, ["cluster", "dim"], PART)
     return pa.table({
         "cluster": g.column("cluster"),
         "dim": g.column("dim"),
-        "n_members": g.column("cnt_sum"),
-        "centroid": pc.round(pc.divide(g.column("s_sum"),
-                                       pc.cast(g.column("cnt_sum"),
+        "n_members": g.column("cnt"),
+        "centroid": pc.round(pc.divide(g.column("s"),
+                                       pc.cast(g.column("cnt"),
                                                pa.float64())), 4),
     }, schema=OUT)
 

@@ -53,16 +53,12 @@ def customer_nation_agg(sf_dir: str):
         return g.rename_columns(["n_name", "n_customers", "total_acctbal"])
 
     ds = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey", "c_acctbal"])
-    parts = X.fold(ds, enrich, pa.schema([("n_name", pa.string()),
-                                          ("n_customers", pa.int64()),
-                                          ("total_acctbal", pa.float64())]))
-    g = parts.group_by("n_name").aggregate(
-        [("n_customers", "sum"), ("total_acctbal", "sum")]
-    )
-    g = g.rename_columns(["n_name", "n_customers", "total_acctbal"])
+    g = X.merge(ds, enrich, ["n_name"], pa.schema([
+        ("n_name", pa.string()), ("n_customers", pa.int64()),
+        ("total_acctbal", pa.float64())]))
     return pa.table({
         "n_name": g.column("n_name"),
-        "n_customers": g.column("n_customers").cast(pa.int64()),
+        "n_customers": g.column("n_customers"),
         "total_acctbal": pc.round(g.column("total_acctbal"), 2),
     })
 
@@ -599,16 +595,12 @@ def orders_mktsegment_revenue(sf_dir: str):
                                        ("o_totalprice", "count")])
         return g.rename_columns(["c_mktsegment", "revenue", "n_orders"])
 
-    parts = X.fold(joined, partial, pa.schema([
+    g = X.merge(joined, partial, ["c_mktsegment"], pa.schema([
         ("c_mktsegment", pa.string()), ("revenue", pa.float64()),
         ("n_orders", pa.int64())]))
-    g = parts.group_by("c_mktsegment").aggregate(
-        [("revenue", "sum"), ("n_orders", "sum")]
-    )
-    g = g.rename_columns(["c_mktsegment", "revenue", "n_orders"])
     return pa.table({
         "c_mktsegment": g.column("c_mktsegment"),
-        "n_orders": g.column("n_orders").cast(pa.int64()),
+        "n_orders": g.column("n_orders"),
         "revenue": pc.round(g.column("revenue"), 2),
     })
 
@@ -739,14 +731,12 @@ def orders_by_month(sf_dir: str):
         return g.rename_columns(["month", "revenue", "n_orders"])
 
     ds = _read(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
-    parts = X.fold(ds, partial, pa.schema([("month", pa.string()),
-                                           ("revenue", pa.float64()),
-                                           ("n_orders", pa.int64())]))
-    g = parts.group_by("month").aggregate([("revenue", "sum"), ("n_orders", "sum")])
-    g = g.rename_columns(["month", "revenue", "n_orders"])
+    g = X.merge(ds, partial, ["month"], pa.schema([
+        ("month", pa.string()), ("revenue", pa.float64()),
+        ("n_orders", pa.int64())]))
     return pa.table({
         "month": g.column("month"),
-        "n_orders": g.column("n_orders").cast(pa.int64()),
+        "n_orders": g.column("n_orders"),
         "revenue": pc.round(g.column("revenue"), 2),
     })
 
@@ -782,17 +772,13 @@ def events_sliding_window(sf_dir: str, size_minutes: int = 60,
             ["window_start", "event_type", "sum_value", "n_events"])
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-    parts = X.fold(ds, partial, pa.schema([
+    g = X.merge(ds, partial, ["window_start", "event_type"], pa.schema([
         ("window_start", pa.timestamp("us")), ("event_type", pa.string()),
         ("sum_value", pa.float64()), ("n_events", pa.int64())]))
-    g = parts.group_by(["window_start", "event_type"]).aggregate(
-        [("sum_value", "sum"), ("n_events", "sum")]
-    )
-    g = g.rename_columns(["window_start", "event_type", "sum_value", "n_events"])
     return pa.table({
         "window_start": g.column("window_start"),
         "event_type": g.column("event_type"),
-        "n_events": g.column("n_events").cast(pa.int64()),
+        "n_events": g.column("n_events"),
         "sum_value": pc.round(g.column("sum_value"), 2),
     })
 
@@ -1300,16 +1286,14 @@ def events_ab_ttest(sf_dir: str):
     OUT = pa.schema([("n_a", pa.int64()), ("n_b", pa.int64()),
                      ("mean_a", pa.float64()), ("mean_b", pa.float64()),
                      ("t_stat", pa.float64())])
-    parts = X.fold(ds, partial, PART)
-    g = parts.group_by("arm").aggregate(
-        [("n", "sum"), ("sv", "sum"), ("svv", "sum")])
+    g = X.merge(ds, partial, ["arm"], PART)
     idx = g.column("arm").to_numpy(zero_copy_only=False)
     n = np.zeros(2, np.int64)
     sv = np.zeros(2)
     svv = np.zeros(2)
-    n[idx] = g.column("n_sum").to_numpy(zero_copy_only=False)
-    sv[idx] = g.column("sv_sum").to_numpy(zero_copy_only=False)
-    svv[idx] = g.column("svv_sum").to_numpy(zero_copy_only=False)
+    n[idx] = g.column("n").to_numpy(zero_copy_only=False)
+    sv[idx] = g.column("sv").to_numpy(zero_copy_only=False)
+    svv[idx] = g.column("svv").to_numpy(zero_copy_only=False)
     if (n < 2).any():
         # an arm with <2 events has no sample variance; the SQL mirror
         # likewise emits no row (its a JOIN b finds no pair)

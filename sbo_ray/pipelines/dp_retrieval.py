@@ -157,13 +157,13 @@ def emb_label_centroids(sf_dir: str):
             "cnt": pa.array(np.repeat(cnts, d)),
         })
 
-    parts = X.fold(
+    g = X.merge(
         _read(sf_dir, "embeddings", columns=["label", "embedding"]), partial,
+        ["label", "dim"],
         pa.schema([("label", pa.int64()), ("dim", pa.int64()),
                    ("s", pa.float64()), ("cnt", pa.int64())]))
-    g = parts.group_by(["label", "dim"]).aggregate([("s", "sum"), ("cnt", "sum")])
-    centroid = pc.round(pc.divide(g.column("s_sum"),
-                                  g.column("cnt_sum").cast(pa.float64())), 4)
+    centroid = pc.round(pc.divide(g.column("s"),
+                                  g.column("cnt").cast(pa.float64())), 4)
     return pa.table({
         "label": g.column("label"),
         "dim": g.column("dim"),
@@ -189,16 +189,14 @@ def events_props_extract(sf_dir: str):
             "k": k,
         }).group_by("event_type").aggregate([("k", "sum"), ("k", "count")])
 
-    parts = X.fold(_read(sf_dir, "events", columns=["event_type", "props"]),
-                   partial, pa.schema([("event_type", pa.string()),
-                                       ("k_sum", pa.int64()),
-                                       ("k_count", pa.int64())]))
-    g = parts.group_by("event_type").aggregate(
-        [("k_sum", "sum"), ("k_count", "sum")])
+    g = X.merge(_read(sf_dir, "events", columns=["event_type", "props"]),
+                partial, ["event_type"],
+                pa.schema([("event_type", pa.string()), ("k_sum", pa.int64()),
+                           ("k_count", pa.int64())]))
     return pa.table({
         "event_type": g.column("event_type"),
-        "n_events": g.column("k_count_sum").cast(pa.int64()),
-        "sum_k": g.column("k_sum_sum").cast(pa.int64()),
+        "n_events": g.column("k_count"),
+        "sum_k": g.column("k_sum"),
     })
 
 
@@ -361,17 +359,13 @@ def events_hourly(sf_dir: str):
         return g.rename_columns(["event_type", "hour", "sum_value", "n_events"])
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-    parts = X.fold(ds, partial, pa.schema([
+    g = X.merge(ds, partial, ["event_type", "hour"], pa.schema([
         ("event_type", pa.string()), ("hour", pa.timestamp("us")),
         ("sum_value", pa.float64()), ("n_events", pa.int64())]))
-    g = parts.group_by(["event_type", "hour"]).aggregate(
-        [("sum_value", "sum"), ("n_events", "sum")]
-    )
-    g = g.rename_columns(["event_type", "hour", "sum_value", "n_events"])
     return pa.table({
         "event_type": g.column("event_type"),
         "hour": g.column("hour"),
-        "n_events": g.column("n_events").cast(pa.int64()),
+        "n_events": g.column("n_events"),
         "sum_value": pc.round(g.column("sum_value"), 2),
     })
 
@@ -446,14 +440,12 @@ def events_anomaly_mad(sf_dir: str, threshold: float = 3.0):
         }).group_by(["event_type", "day"]).aggregate([([], "count_all")])
         return g.rename_columns(["event_type", "day", "n"])
 
-    parts = X.fold(ds, partial, pa.schema([("event_type", pa.string()),
-                                           ("day", pa.timestamp("us")),
-                                           ("n", pa.int64())]))
-    if not parts.num_rows:
+    g = X.merge(ds, partial, ["event_type", "day"],
+                pa.schema([("event_type", pa.string()),
+                           ("day", pa.timestamp("us")), ("n", pa.int64())]))
+    if not g.num_rows:
         return _ANOM_MAD.empty_table()
-    g = parts.group_by(["event_type", "day"]).aggregate([("n", "sum")])
-    df = g.to_pandas().rename(columns={"n_sum": "n"}).sort_values(
-        ["event_type", "day"]).reset_index(drop=True)
+    df = g.to_pandas().sort_values(["event_type", "day"]).reset_index(drop=True)
     ets, days, ns, meds, mads, flags = [], [], [], [], [], []
     for et, sub in df.groupby("event_type", sort=True):
         c = sub["n"].to_numpy(np.float64)
@@ -693,25 +685,26 @@ def doc_tfidf(sf_dir: str, k: int = 3):
                                if g.num_rows else [], pa.int64()))
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    merged = X.fold(docs, df_partial, pa.schema([
+    dfa = X.merge(docs, df_partial, ["token"], pa.schema([
         ("token", pa.string()), ("df_n", pa.int64()), ("n_docs", pa.int64())]))
     out_schema = pa.schema([
         ("doc_id", pa.int64()), ("token", pa.string()),
         ("score", pa.float64()), ("rnk", pa.int64()),
     ])
-    n_docs = int(pc.sum(merged.column("n_docs")).as_py() or 0)
+    n_docs = int(pc.sum(dfa.column("n_docs")).as_py() or 0)
     if n_docs == 0:
         return out_schema.empty_table()
-    dfa = merged.group_by("token").aggregate([("df_n", "sum")])
     # broadcast the vocabulary SORTED: index_in positions then double as
     # the alphabetical tie-break codes (token ASC), globally consistent
     order = pc.sort_indices(dfa.column("token"))
     vocab = dfa.column("token").take(order).combine_chunks()
-    df_arr = dfa.column("df_n_sum").take(order).to_numpy(
+    df_arr = dfa.column("df_n").take(order).to_numpy(
         zero_copy_only=False).astype(np.float64)
     df_ref = ray.put((vocab, df_arr))
 
     def topk_scores(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return out_schema.empty_table()
         vocab_a, df_v = ray.get(df_ref)
         col = batch.column("text")
         if isinstance(col, pa.ChunkedArray):
@@ -745,7 +738,7 @@ def doc_tfidf(sf_dir: str, k: int = 3):
             "rnk": pa.array(rank[rank < k] + 1, pa.int64()),
         })
 
-    return X.fold(docs, topk_scores, out_schema)
+    return docs.map_batches(topk_scores, batch_format="pyarrow")
 
 
 def emb_knn_join(sf_dir: str, k: int = 5, n_chunks: int | None = None):
@@ -935,15 +928,12 @@ def supplier_nation_revenue(sf_dir: str):
 
     ds = _read(sf_dir, "lineitem",
                columns=["l_suppkey", "l_extendedprice", "l_discount"])
-    parts = X.fold(ds, partial, pa.schema([("n_name", pa.string()),
-                                           ("revenue", pa.float64()),
-                                           ("n_items", pa.int64())]))
-    g = parts.group_by("n_name").aggregate(
-        [("revenue", "sum"), ("n_items", "sum")])
-    g = g.rename_columns(["n_name", "revenue", "n_items"])
+    g = X.merge(ds, partial, ["n_name"], pa.schema([
+        ("n_name", pa.string()), ("revenue", pa.float64()),
+        ("n_items", pa.int64())]))
     return pa.table({
         "n_name": g.column("n_name"),
-        "n_items": g.column("n_items").cast(pa.int64()),
+        "n_items": g.column("n_items"),
         "revenue": pc.round(g.column("revenue"), 2),
     })
 
@@ -1027,15 +1017,12 @@ def part_brand_revenue(sf_dir: str):
         return g.rename_columns(["p_brand", "sum_qty", "revenue",
                                  "n_items"])
 
-    parts = X.fold(joined, partial, pa.schema([
+    g = X.merge(joined, partial, ["p_brand"], pa.schema([
         ("p_brand", pa.string()), ("sum_qty", pa.float64()),
         ("revenue", pa.float64()), ("n_items", pa.int64())]))
-    g = parts.group_by("p_brand").aggregate(
-        [("sum_qty", "sum"), ("revenue", "sum"), ("n_items", "sum")])
-    g = g.rename_columns(["p_brand", "sum_qty", "revenue", "n_items"])
     return pa.table({
         "p_brand": g.column("p_brand"),
-        "n_items": g.column("n_items").cast(pa.int64()),
+        "n_items": g.column("n_items"),
         "sum_qty": pc.round(g.column("sum_qty"), 2),
         "revenue": pc.round(g.column("revenue"), 2),
     })
@@ -1085,16 +1072,13 @@ def region_revenue_by_year(sf_dir: str):
             [("revenue", "sum"), ("revenue", "count")])
         return g.rename_columns(["r_name", "year", "revenue", "n_orders"])
 
-    parts = X.fold(joined, partial, pa.schema([
+    g = X.merge(joined, partial, ["r_name", "year"], pa.schema([
         ("r_name", pa.string()), ("year", pa.int64()),
         ("revenue", pa.float64()), ("n_orders", pa.int64())]))
-    g = parts.group_by(["r_name", "year"]).aggregate(
-        [("revenue", "sum"), ("n_orders", "sum")])
-    g = g.rename_columns(["r_name", "year", "revenue", "n_orders"])
     return pa.table({
         "r_name": g.column("r_name"),
-        "year": g.column("year").cast(pa.int64()),
-        "n_orders": g.column("n_orders").cast(pa.int64()),
+        "year": g.column("year"),
+        "n_orders": g.column("n_orders"),
         "revenue": pc.round(g.column("revenue"), 2),
     })
 
@@ -1106,15 +1090,14 @@ def _unigram_vocab_ref(docs):
     broadcast ONCE sorted with its count array so scoring passes work
     entirely in index_in positions. Returns (object ref to
     (sorted_vocab, counts_f64), total_tokens) or (None, 0) on empty."""
-    agg = X.fold(docs, T.vocab_partial, pa.schema([
-        ("token", pa.string()), ("n", pa.int64())])).group_by(
-        "token").aggregate([("n", "sum")])
-    total = int(pc.sum(agg.column("n_sum")).as_py() or 0)
+    agg = X.merge(docs, T.vocab_partial, ["token"], pa.schema([
+        ("token", pa.string()), ("n", pa.int64())]))
+    total = int(pc.sum(agg.column("n")).as_py() or 0)
     if total == 0:
         return None, 0
     order = pc.sort_indices(agg.column("token"))
     vocab = agg.column("token").take(order).combine_chunks()
-    cnt_arr = agg.column("n_sum").take(order).to_numpy(
+    cnt_arr = agg.column("n").take(order).to_numpy(
         zero_copy_only=False).astype(np.float64)
     return ray.put((vocab, cnt_arr)), total
 
@@ -1141,6 +1124,8 @@ def doc_unigram_logprob(sf_dir: str):
         return empty
 
     def score(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return empty
         vocab_a, gc_arr = ray.get(cnt_ref)
         col = batch.column("text")
         if isinstance(col, pa.ChunkedArray):
@@ -1165,7 +1150,7 @@ def doc_unigram_logprob(sf_dir: str):
                 np.round(lp_sum / np.maximum(n_tok, 1), 6)),
         })
 
-    return X.fold(docs, score, empty.schema)
+    return docs.map_batches(score, batch_format="pyarrow")
 
 
 def doc_bigram_logprob(sf_dir: str, k_big: int = 2000,
@@ -1207,6 +1192,8 @@ def doc_bigram_logprob(sf_dir: str, k_big: int = 2000,
     ))
 
     def score(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return empty
         vocab_a, gc = ray.get(cnt_ref)
         bgv, bgc = ray.get(big_ref)
         col = batch.column("text")
@@ -1248,7 +1235,7 @@ def doc_bigram_logprob(sf_dir: str, k_big: int = 2000,
                 np.round(lp_sum[keep] / n_pairs[keep], 6)),
         })
 
-    return X.fold(docs, score, empty.schema)
+    return docs.map_batches(score, batch_format="pyarrow")
 
 
 _CCNET_SCHEMA = pa.schema([

@@ -562,22 +562,22 @@ def doc_dsir_weights(sf_dir: str, n_buckets: int = 8192,
                          "cnt_r": pa.array(cr[nz], pa.int64()),
                          "cnt_t": pa.array(ct[nz], pa.int64())})
 
-    parts = X.fold(docs, hist_partial, hist_schema)
-    if parts.num_rows == 0:
+    g = X.merge(docs, hist_partial, ["bucket"], hist_schema)
+    if g.num_rows == 0:
         return empty
-    g = parts.group_by("bucket").aggregate([("cnt_r", "sum"),
-                                            ("cnt_t", "sum")])
     cr = np.zeros(B, dtype=np.int64)
     ct = np.zeros(B, dtype=np.int64)
     bk = g.column("bucket").to_numpy(zero_copy_only=False)
-    cr[bk] = g.column("cnt_r_sum").to_numpy(zero_copy_only=False)
-    ct[bk] = g.column("cnt_t_sum").to_numpy(zero_copy_only=False)
+    cr[bk] = g.column("cnt_r").to_numpy(zero_copy_only=False)
+    ct[bk] = g.column("cnt_t").to_numpy(zero_copy_only=False)
     R, T = int(cr.sum()), int(ct.sum())
     lam = ((np.log(ct + 1.0) - np.log(float(T + B)))
            - (np.log(cr + 1.0) - np.log(float(R + B))))
     lam_ref = ray.put(lam)
 
     def score(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return empty
         lam_v = ray.get(lam_ref)
         b, n_tok = _buckets(t)
         doc_of = np.repeat(np.arange(t.num_rows, dtype=np.int64), n_tok)
@@ -588,7 +588,7 @@ def doc_dsir_weights(sf_dir: str, n_buckets: int = 8192,
             "logw": pa.array(np.round(logw, 6)),
         })
 
-    return X.fold(docs, score, empty.schema)
+    return docs.map_batches(score, batch_format="pyarrow")
 
 
 def doc_entropy(sf_dir: str):
@@ -644,17 +644,11 @@ def doc_vocab_topk(sf_dir: str, k: int = 100):
     natural-language vocabularies (Heaps' law); a truly unbounded token
     space would swap the driver merge for a hash exchange on the token
     (``exchange.part_exchange``)."""
-    merged = X.fold(_read(sf_dir, "documents", columns=["text"]),
-                    T.vocab_partial, pa.schema([("token", pa.string()),
-                                                ("n", pa.int64())]))
-    agg = merged.group_by("token").aggregate([("n", "sum")])
-    order = pc.sort_indices(agg, sort_keys=[("n_sum", "descending"),
-                                            ("token", "ascending")])
-    top = agg.take(order[:k])
-    return pa.table({
-        "token": top.column("token"),
-        "n": top.column("n_sum"),
-    })
+    agg = X.merge(_read(sf_dir, "documents", columns=["text"]),
+                  T.vocab_partial, ["token"],
+                  pa.schema([("token", pa.string()), ("n", pa.int64())]))
+    return agg.sort_by([("n", "descending"), ("token", "ascending")]) \
+        .slice(0, k)
 
 
 _BI = pa.schema([("bigram", pa.string()), ("n", pa.int64())])

@@ -4,8 +4,8 @@ The Dataset DAG mirroring the reference's lifecycle (SURVEY.md §3.4):
 
     read_parquet(shards)                       # S1: the token table
       -> map_batches(ParseEnrich, actors)      # P1-P12 + ST1, zero-copy Arrow
-      -> (a) metric fan-out + partial agg -> stream merge  # A1/A2/ST2
-         (b) counter melt -> stream merge                   # A4/A5/ST3
+      -> (a) metric fan-out + partial agg -> keyed merge   # A1/A2/ST2
+         (b) counter melt -> keyed merge                    # A4/A5/ST3
          (c) relevance filter + projection -> routed sink   # F3/K5
          (d) top-N: groupby.count -> sort.limit             # A6
 
@@ -20,13 +20,14 @@ import os
 
 import pyarrow as pa
 
-import ray
 import ray.data as rd
-from ray.data.aggregate import Sum
 
+from .. import exchange as X
 from ..config import JobConfig
+from ..exchange import _combine_partials, _cpus  # noqa: F401 (perfbench replays the combine)
 from ..stages.metrics import (
     COUNTER_SCHEMA,
+    GLOBAL_COUNTER_SCHEMA,
     GROUP_KEYS,
     METRIC_SCHEMA,
     counter_melt,
@@ -35,13 +36,6 @@ from ..stages.metrics import (
 )
 from ..stages.parse import ParseEnrich, make_parse_fn  # noqa: F401 (actor variant exported)
 from ..stages.route import routed_projection
-
-
-def _cpus() -> int:
-    try:
-        return int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        return 8
 
 
 def tune_context() -> None:
@@ -104,133 +98,25 @@ def enriched_dataset(input_dir: str, job: JobConfig,
     return enriched_dataset_from(read_input(input_dir), job, batch_size)
 
 
-def _combine_partials(keys: list[str], value: str, tables) -> pa.Table | None:
-    """Normalize (None-skip, pandas tolerance, empty-skip) + concat +
-    group_by sum — the ONE combine used by both the worker-side tree
-    nodes and the driver-side small-stream path, so the two regimes
-    cannot drift."""
-    ts = []
-    for t in tables:
-        if t is None:
-            continue
-        if not isinstance(t, pa.Table):  # tolerate pandas blocks
-            t = pa.Table.from_pandas(t, preserve_index=False)
-        if t.num_rows:
-            ts.append(t)
-    if not ts:
-        return None
-    g = pa.concat_tables(ts).group_by(keys).aggregate([(value, "sum")])
-    return g.rename_columns(keys + [value])
-
-
-@ray.remote
-def _merge_partials(keys: list[str], value: str, *tables) -> pa.Table | None:
-    """Worker-side combine of partial-aggregate tables (one tree node)."""
-    return _combine_partials(keys, value, tables)
-
-
-def _stream_merge(long_ds: rd.Dataset, keys: list[str], value: str,
-                  fanin: int = 16, driver_rows_budget: int = 1 << 20,
-                  schema: pa.Schema | None = None) -> pa.Table:
-    """Final combine of block-local partial aggregates.
-
-    The heavy reduction already happened distributed (the per-block
-    partial agg inside map_batches). The partial blocks are consumed as
-    a stream of object refs (``iter_internal_ref_bundles`` — single
-    execution, safe with side-effect stages). Two regimes:
-
-    - small partial stream (the bounded-cardinality common case):
-      blocks stream to the driver and one Arrow group_by merges them —
-      measured 4-5x faster locally than Ray's all-to-all operators,
-      which carry multi-second fixed costs per execution;
-    - once the streamed partial rows exceed ``driver_rows_budget`` (or
-      block count grows past 256 with unknown counts — data-dependent
-      key spaces like PATH/REFERER at high block counts), the combine
-      auto-switches to a distributed TREE: every ``fanin`` pending
-      partials are merged by a worker task (overlapping the still-
-      running upstream), recursively, so driver memory is bounded by
-      O(final distinct keys + fanin x per-block keys) instead of
-      growing linearly with block count.
-
-    ``schema`` is the expected result schema, used only for the typed
-    empty result when no partial row survives: on a fully empty input
-    ``long_ds.schema()`` can be None (Ray returns no blocks at all), so
-    callers should pass it explicitly."""
-
-    def _empty() -> pa.Table:
-        if schema is not None:
-            return schema.empty_table()
-        return long_ds.schema().base_schema.empty_table()
-    pending: list = []          # (ref, is_merged_result)
-    rows_seen = 0
-    blocks_seen = 0
-    merging = False
-    for bundle in long_ds.iter_internal_ref_bundles():
-        for block_ref, md in bundle.blocks:
-            pending.append((block_ref, False))
-            blocks_seen += 1
-            rows_seen += md.num_rows or 0
-            if not merging and (rows_seen > driver_rows_budget or blocks_seen > 256):
-                merging = True
-            while merging and len(pending) >= fanin:
-                batch, pending = pending[:fanin], pending[fanin:]
-                merged = _merge_partials.remote(keys, value,
-                                                *[r for r, _ in batch])
-                pending.append((merged, True))
-    if merging:
-        # finish the reduction remotely down to ONE table so the driver
-        # only ever reads the final result (zero-copy from the object
-        # store), never an intermediate concat
-        while len(pending) > 1:
-            batch, pending = pending[:fanin], pending[fanin:]
-            merged = _merge_partials.remote(keys, value, *[r for r, _ in batch])
-            pending.append((merged, True))
-        ref, is_merged = pending[0]
-        if not is_merged:
-            # a single oversized RAW block flipped merging without any
-            # merge round: run the combine it skipped (pandas tolerance
-            # + group_by)
-            ref = _merge_partials.remote(keys, value, ref)
-        final = ray.get(ref)
-        if final is None or final.num_rows == 0:
-            return _empty()
-        return final
-    final = _combine_partials(keys, value, ray.get([r for r, _ in pending]))
-    if final is None or final.num_rows == 0:
-        return _empty()
-    return final
-
-
 def metrics_dataset(enriched: rd.Dataset) -> rd.Dataset:
     """Enriched -> exact per-window metric totals (the sbo_metrics sink in
     add-merge mode, SURVEY.md §2.6 A3): melt + block-local partial agg,
-    then the streaming combine (``_stream_merge``)."""
-    long_ds = enriched.map_batches(metric_fanout, batch_format="pyarrow")
-    return rd.from_arrow(_stream_merge(long_ds, GROUP_KEYS, "metric_value",
-                                      schema=METRIC_SCHEMA))
+    then the keyed merge (``exchange.merge``)."""
+    return rd.from_arrow(X.merge(enriched, metric_fanout, GROUP_KEYS,
+                                 METRIC_SCHEMA))
 
 
 def keyed_counters_dataset(enriched: rd.Dataset) -> rd.Dataset:
     """All nine keyed counter dimensions, per source, in one pass."""
-    long_ds = enriched.map_batches(counter_melt, batch_format="pyarrow")
-    keys = ["source", "dimension", "key_value"]
-    return rd.from_arrow(_stream_merge(long_ds, keys, "cnt",
-                                      schema=COUNTER_SCHEMA))
+    return rd.from_arrow(X.merge(enriched, counter_melt,
+                                 ["source", "dimension", "key_value"],
+                                 COUNTER_SCHEMA))
 
 
 def global_counters(enriched: rd.Dataset) -> dict[str, int]:
     """The six global counters + parse errors, as one small dict."""
-    partials = enriched.map_batches(global_counter_partial, batch_format="pyarrow")
-    out = partials.aggregate(
-        Sum("handled", alias_name="handled"),
-        Sum("requests", alias_name="requests"),
-        Sum("bytes_sent", alias_name="bytes_sent"),
-        Sum("humans", alias_name="humans"),
-        Sum("non_humans", alias_name="non_humans"),
-        Sum("malicious", alias_name="malicious"),
-        Sum("parse_errors", alias_name="parse_errors"),
-    )
-    return {k: int(v) for k, v in out.items()}
+    t = X.merge(enriched, global_counter_partial, [], GLOBAL_COUNTER_SCHEMA)
+    return {k: sum(t.column(k).to_pylist()) for k in t.column_names}
 
 
 def to_pandas_with_schema(ds: rd.Dataset, schema: pa.Schema) -> "pd.DataFrame":
@@ -403,7 +289,7 @@ def full_pipeline(input_paths, job: JobConfig, out_dir: str,
     SURVEY.md §3): ONE streaming read of the token table; each task
     parses+enriches its batch, writes its routed raw-log fragment
     (per-source hive layout) directly, and emits unified pre-aggregated
-    partials for every metric/counter sink; one tree combine finalizes
+    partials for every metric/counter sink; one keyed merge finalizes
     all aggregates. No stage reads the input twice.
 
     Returns {"metrics": ..., "keyed_counters": ..., "global_counters": ...}
@@ -428,11 +314,10 @@ def full_pipeline(input_paths, job: JobConfig, out_dir: str,
         partial_stage(job, mask_ips, relevant_only), fn_args=(routed_root,),
         batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True
     )
-    # NOTE: consume via iter_batches — to_arrow_refs() runs the plan twice
-    # (an extra limit=1 schema pass), which would duplicate the routed
-    # side-effect writes
-    result = split_unified(
-        _stream_merge(ds, UNIFIED_KEYS, "value", schema=UNIFIED_SCHEMA))
+    # NOTE: merge consumes the stream in one execution; to_arrow_refs()
+    # runs the plan twice (an extra limit=1 schema pass), which would
+    # duplicate the routed side-effect writes
+    result = split_unified(X.merge(ds, None, UNIFIED_KEYS, UNIFIED_SCHEMA))
     fsio.write_table(fsio.join(out_dir, "metrics"), "metrics.parquet",
                      result["metrics"])
     return result

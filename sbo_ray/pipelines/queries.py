@@ -1022,15 +1022,8 @@ def q_log_geo_counts(sf_dir: str):
         )
         return g.rename_columns(["source", "geo", "cnt"])
 
-    parts = X.fold(enr, partial, pa.schema([
+    return X.merge(enr, partial, ["source", "geo"], pa.schema([
         ("source", pa.string()), ("geo", pa.string()), ("cnt", pa.int64())]))
-    g = parts.group_by(["source", "geo"]).aggregate([("cnt", "sum")])
-    g = g.rename_columns(["source", "geo", "cnt"])
-    return pa.table({
-        "source": g.column("source"),
-        "geo": g.column("geo"),
-        "cnt": g.column("cnt").cast(pa.int64()),
-    })
 
 
 def q_log_rate_zscore(sf_dir: str, z_cut: float = 1.5):
@@ -1039,7 +1032,7 @@ def q_log_rate_zscore(sf_dir: str, z_cut: float = 1.5):
     window-count distribution (mean/STDDEV over its windows, sample
     ddof=1), emitting windows with |z| >= ``z_cut`` — the telemetry
     alerting primitive on top of the windowed counters. Distributed
-    shape: block-local (source, window) partial counts -> stream merge
+    shape: block-local (source, window) partial counts -> keyed merge
     (bounded: sources x windows, windows bounded by the corpus time
     span) -> per-source vectorized stats on the driver-held aggregate
     (the same bounded-table contract as the counter report)."""
@@ -1055,10 +1048,7 @@ def q_log_rate_zscore(sf_dir: str, z_cut: float = 1.5):
 
     schema = pa.schema([("source", pa.string()),
                         ("time_window", pa.int64()), ("cnt", pa.int64())])
-    agg = logpipe._stream_merge(
-        enr.map_batches(partial, batch_format="pyarrow"),
-        ["source", "time_window"], "cnt", schema=schema)
-    df = logpipe.to_pandas_with_schema(agg, schema)
+    df = X.merge(enr, partial, ["source", "time_window"], schema).to_pandas()
     if df.empty:
         return pa.schema([("source", pa.string()),
                           ("time_window", pa.int64()), ("cnt", pa.int64()),
@@ -1082,7 +1072,7 @@ def q_log_bytes_quantiles(sf_dir: str, qs: tuple = (0.5, 0.9, 0.99)):
     bytes_sent over parsed lines) — the latency/size-distribution view
     log analytics adds on top of the counters. Distributed shape:
     value-HISTOGRAM quantiles — block-local (source, bytes_sent) partial
-    counts -> stream merge (bounded by sources x distinct byte values,
+    counts -> keyed merge (bounded by sources x distinct byte values,
     a bounded value domain in log data; the CMS/HLL sketch family is
     the unbounded-domain path) -> the driver interpolates the order
     statistic from the weighted histogram per source without ever
@@ -1102,10 +1092,7 @@ def q_log_bytes_quantiles(sf_dir: str, qs: tuple = (0.5, 0.9, 0.99)):
 
     schema = pa.schema([("source", pa.string()),
                         ("bytes_sent", pa.int64()), ("cnt", pa.int64())])
-    agg = logpipe._stream_merge(
-        enr.map_batches(partial, batch_format="pyarrow"),
-        ["source", "bytes_sent"], "cnt", schema=schema)
-    df = logpipe.to_pandas_with_schema(agg, schema)
+    df = X.merge(enr, partial, ["source", "bytes_sent"], schema).to_pandas()
     out_schema = pa.schema([("source", pa.string()), ("p50", pa.float64()),
                             ("p90", pa.float64()), ("p99", pa.float64())])
     if df.empty:
@@ -1199,16 +1186,9 @@ def q_log_status_class_counts(sf_dir: str):
             ["source", "status_class"]).aggregate([([], "count_all")])
         return g.rename_columns(["source", "status_class", "cnt"])
 
-    parts = X.fold(enr, partial, pa.schema([
+    return X.merge(enr, partial, ["source", "status_class"], pa.schema([
         ("source", pa.string()), ("status_class", pa.string()),
         ("cnt", pa.int64())]))
-    g = parts.group_by(["source", "status_class"]).aggregate([("cnt", "sum")])
-    g = g.rename_columns(["source", "status_class", "cnt"])
-    return pa.table({
-        "source": g.column("source"),
-        "status_class": g.column("status_class"),
-        "cnt": g.column("cnt").cast(pa.int64()),
-    })
 
 
 def q_log_distinct_clients(sf_dir: str):
@@ -1410,12 +1390,9 @@ def q_log_token_histogram(sf_dir: str, k: int = 32):
         return pa.table({"token": nz.astype(np.int64),
                          "cnt": cnt[nz].astype(np.int64)})
 
-    parts = X.fold(_read_tokens(sf_dir, ["tokens"]), partial, part_schema)
-    g = parts.group_by("token").aggregate([("cnt", "sum")])
-    g = g.rename_columns(["token", "cnt"])
-    out = g.sort_by([("cnt", "descending"), ("token", "ascending")]).slice(0, k)
-    return pa.table({"token": out.column("token"),
-                     "cnt": out.column("cnt").cast(pa.int64())})
+    g = X.merge(_read_tokens(sf_dir, ["tokens"]), partial, ["token"],
+                part_schema)
+    return g.sort_by([("cnt", "descending"), ("token", "ascending")]).slice(0, k)
 
 
 def sql_token_histogram(cache: str, k: int = 32) -> str:
@@ -1448,12 +1425,10 @@ def q_log_token_bigrams(sf_dir: str, k: int = 32):
         return pa.table({"pair": nz.astype(np.int64),
                          "cnt": cnt[nz].astype(np.int64)})
 
-    parts = X.fold(_read_tokens(sf_dir, ["tokens"]), partial, part_schema)
-    g = parts.group_by("pair").aggregate([("cnt", "sum")])
-    g = g.rename_columns(["pair", "cnt"])
+    g = X.merge(_read_tokens(sf_dir, ["tokens"]), partial, ["pair"],
+                part_schema)
     pair = g.column("pair").to_numpy(zero_copy_only=False)
-    t = pa.table({"a": pair // 256, "b": pair % 256,
-                  "cnt": g.column("cnt").cast(pa.int64())})
+    t = pa.table({"a": pair // 256, "b": pair % 256, "cnt": g.column("cnt")})
     return t.sort_by([("cnt", "descending"), ("a", "ascending"),
                       ("b", "ascending")]).slice(0, k)
 
@@ -1501,10 +1476,10 @@ def q_log_token_pmi(sf_dir: str, k: int = 32, min_cnt: int = 5):
         return pa.table({"pair": nz.astype(np.int64),
                          "cnt": cnt[nz].astype(np.int64)})
 
-    parts = X.fold(_read_tokens(sf_dir, ["tokens"]), partial, part_schema)
-    g = parts.group_by("pair").aggregate([("cnt", "sum")])
+    g = X.merge(_read_tokens(sf_dir, ["tokens"]), partial, ["pair"],
+                part_schema)
     pair = g.column("pair").to_numpy(zero_copy_only=False)
-    cnt = g.column("cnt_sum").to_numpy(zero_copy_only=False).astype(np.int64)
+    cnt = g.column("cnt").to_numpy(zero_copy_only=False)
     a, b = pair // 256, pair % 256
     ra = np.bincount(a, weights=cnt, minlength=256).astype(np.int64)
     cb = np.bincount(b, weights=cnt, minlength=256).astype(np.int64)
@@ -1674,14 +1649,13 @@ def q_log_source_ce(sf_dir: str):
             "cnt": pa.array(cnt[nz], pa.int64()),
         })
 
-    parts = X.fold(_read_tokens(sf_dir, ["tokens", "source"]), partial,
-                   part_schema)
-    g = parts.group_by(["source", "pair"]).aggregate([("cnt", "sum")])
+    g = X.merge(_read_tokens(sf_dir, ["tokens", "source"]), partial,
+                ["source", "pair"], part_schema)
     if g.num_rows == 0:
         return out_schema.empty_table()
     src = g.column("source").to_numpy(zero_copy_only=False)
     pair = g.column("pair").to_numpy(zero_copy_only=False)
-    cnt = g.column("cnt_sum").to_numpy(zero_copy_only=False)
+    cnt = g.column("cnt").to_numpy(zero_copy_only=False)
     glob = np.bincount(pair, weights=cnt, minlength=65536)
     ca = np.zeros(256)
     np.add.at(ca, pair // 256, cnt)
@@ -1908,10 +1882,8 @@ def q_log_source_drift(sf_dir: str):
             "cnt": pa.array(bc[nz], pa.int64()),
         }, schema=p2)
 
-    g = X.fold(_read_tokens(sf_dir, ["doc_id", "tokens", "source"]), counts,
-               p2).group_by(
-        ["source", "early", "token"]).aggregate([("cnt", "sum")])
-    df = g.to_pandas().rename(columns={"cnt_sum": "cnt"})
+    df = X.merge(_read_tokens(sf_dir, ["doc_id", "tokens", "source"]),
+                 counts, ["source", "early", "token"], p2).to_pandas()
     rows = []
     for s, sub in df.groupby("source", sort=True):
         c = np.zeros((2, 256), np.int64)
@@ -1997,14 +1969,13 @@ def q_log_token_entropy(sf_dir: str):
             "cnt": pa.array(cnt[nz], pa.int64()),
         })
 
-    parts = X.fold(_read_tokens(sf_dir, ["tokens", "source"]), partial,
-                   part_schema)
-    g = parts.group_by(["source", "token"]).aggregate([("cnt", "sum")])
+    g = X.merge(_read_tokens(sf_dir, ["tokens", "source"]), partial,
+                ["source", "token"], part_schema)
     if g.num_rows == 0:
         return out_schema.empty_table()
     import pandas as pd
 
-    c = g.column("cnt_sum").to_numpy(zero_copy_only=False).astype(np.float64)
+    c = g.column("cnt").to_numpy(zero_copy_only=False).astype(np.float64)
     df = pd.DataFrame({"source": g.column("source").to_numpy(
         zero_copy_only=False), "n": c, "clnc": c * np.log(c)})
     agg = df.groupby("source", sort=True).sum()
@@ -2063,9 +2034,8 @@ def q_log_source_token_tfidf(sf_dir: str, k: int = 5):
             "cnt": pa.array(cnt[nz], pa.int64()),
         })
 
-    parts = X.fold(_read_tokens(sf_dir, ["tokens", "source"]), partial,
-                   part_schema)
-    g = parts.group_by(["source", "token"]).aggregate([("cnt", "sum")])
+    g = X.merge(_read_tokens(sf_dir, ["tokens", "source"]), partial,
+                ["source", "token"], part_schema)
     if g.num_rows == 0:
         return out_schema.empty_table()
     import pandas as pd
@@ -2073,7 +2043,7 @@ def q_log_source_token_tfidf(sf_dir: str, k: int = 5):
     df = pd.DataFrame({
         "source": g.column("source").to_numpy(zero_copy_only=False),
         "token": g.column("token").to_numpy(zero_copy_only=False),
-        "cnt": g.column("cnt_sum").to_numpy(zero_copy_only=False),
+        "cnt": g.column("cnt").to_numpy(zero_copy_only=False),
     })
     nsrc = df["source"].nunique()
     dfreq = df.groupby("token")["source"].nunique()
@@ -2156,13 +2126,12 @@ def q_log_oov_rate(sf_dir: str, v: int = 64):
             "cnt": pa.array(cnt[nz], pa.int64()),
         })
 
-    parts = X.fold(_read_tokens(sf_dir, ["tokens", "source"]), partial,
-                   part_schema)
-    g = parts.group_by(["source", "token"]).aggregate([("cnt", "sum")])
+    g = X.merge(_read_tokens(sf_dir, ["tokens", "source"]), partial,
+                ["source", "token"], part_schema)
     if g.num_rows == 0:
         return out_schema.empty_table()
     tok = g.column("token").to_numpy(zero_copy_only=False)
-    cnt = g.column("cnt_sum").to_numpy(zero_copy_only=False)
+    cnt = g.column("cnt").to_numpy(zero_copy_only=False)
     glob = np.zeros(256, dtype=np.int64)
     np.add.at(glob, tok, cnt)
     # top-v under (cnt desc, token asc): lexsort on (-cnt, token)
@@ -2241,15 +2210,13 @@ def q_log_seq_len_buckets(sf_dir: str, width: int = 128):
             "sum_tokens": pa.array(tot[nz].astype(np.int64)),
         })
 
-    parts = X.fold(_read_tokens(sf_dir, ["n_tok", "source"]), partial,
-                   part_schema)
-    g = parts.group_by(["source", "bucket"]).aggregate(
-        [("n_seqs", "sum"), ("sum_tokens", "sum")])
+    g = X.merge(_read_tokens(sf_dir, ["n_tok", "source"]), partial,
+                ["source", "bucket"], part_schema)
     if g.num_rows == 0:
         return out_schema.empty_table()
     b = g.column("bucket").to_numpy(zero_copy_only=False)
-    n = g.column("n_seqs_sum").to_numpy(zero_copy_only=False)
-    s = g.column("sum_tokens_sum").to_numpy(zero_copy_only=False)
+    n = g.column("n_seqs").to_numpy(zero_copy_only=False)
+    s = g.column("sum_tokens").to_numpy(zero_copy_only=False)
     cap = (b + 1) * width * n
     return pa.table({
         "source": g.column("source"),
@@ -2697,10 +2664,8 @@ def q_log_token_zipf(sf_dir: str):
             "cnt": pa.array(cnt[nz].astype(np.int64)),
         })
 
-    parts = X.fold(_read_tokens(sf_dir, ["tokens", "source"]), partial,
-                   part_schema)
-    g = parts.group_by(["source", "token"]).aggregate([("cnt", "sum")])
-    df = g.rename_columns(["source", "token", "cnt"]).to_pandas()
+    df = X.merge(_read_tokens(sf_dir, ["tokens", "source"]), partial,
+                 ["source", "token"], part_schema).to_pandas()
     rows = []
     for src, grp in df.groupby("source", sort=True):
         grp = grp.sort_values(["cnt", "token"],
@@ -2782,9 +2747,6 @@ def q_log_decontaminate_eval(sf_dir: str, n: int = 8, mod: int = 8,
     block = np.unique(parts.column("key").to_numpy(zero_copy_only=False))
     block_ref = ray.put(block)
 
-    part_schema = pa.schema([("source", pa.string()), ("n_rows", pa.int64()),
-                             ("n_flagged", pa.int64())])
-
     def flag(t: pa.Table) -> pa.Table:
         bl = ray.get(block_ref)
         idx = _pack_idx(t.column("doc_id"))
@@ -2810,17 +2772,8 @@ def q_log_decontaminate_eval(sf_dir: str, n: int = 8, mod: int = 8,
                             minlength=nsrc).astype(np.int64)),
         })
 
-    out = X.fold(_read_tokens(sf_dir, ["doc_id", "tokens", "source"]), flag,
-                 part_schema)
-    g = out.group_by("source").aggregate(
-        [("n_rows", "sum"), ("n_flagged", "sum")])
-    g = g.rename_columns(["source", "n_rows", "n_flagged"])
-    g = g.sort_by([("source", "ascending")])
-    return pa.table({
-        "source": g.column("source"),
-        "n_rows": g.column("n_rows").cast(pa.int64()),
-        "n_flagged": g.column("n_flagged").cast(pa.int64()),
-    }, schema=_DECON_OUT)
+    return X.merge(_read_tokens(sf_dir, ["doc_id", "tokens", "source"]), flag,
+                   ["source"], _DECON_OUT).sort_by("source")
 
 
 def _sampled_window_keys(vals: np.ndarray, off: np.ndarray, n: int,
@@ -2968,9 +2921,6 @@ def q_log_seq_internal_repeats(sf_dir: str, n: int = 8):
     SLOWER — num_cpus on a map_batches breaks read->map fusion, so the
     raw-task _bw_task_cpus rule does NOT transfer to fused map stages;
     17 s at 4M as-is.)"""
-    part_schema = pa.schema([("source", pa.string()),
-                             ("n_seqs_repeat", pa.int64()),
-                             ("n_rep_windows", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
         vals, off = _token_lists(t.column("tokens"))
@@ -3010,17 +2960,8 @@ def q_log_seq_internal_repeats(sf_dir: str, n: int = 8):
                             minlength=nsrc).astype(np.int64)),
         })
 
-    parts = X.fold(_read_tokens(sf_dir, ["tokens", "source"]), partial,
-                   part_schema)
-    g = parts.group_by("source").aggregate(
-        [("n_seqs_repeat", "sum"), ("n_rep_windows", "sum")])
-    g = g.rename_columns(["source", "n_seqs_repeat", "n_rep_windows"])
-    g = g.sort_by([("source", "ascending")])
-    return pa.table({
-        "source": g.column("source"),
-        "n_seqs_repeat": g.column("n_seqs_repeat").cast(pa.int64()),
-        "n_rep_windows": g.column("n_rep_windows").cast(pa.int64()),
-    }, schema=_INTREP_OUT)
+    return X.merge(_read_tokens(sf_dir, ["tokens", "source"]), partial,
+                   ["source"], _INTREP_OUT).sort_by("source")
 
 
 def sql_seq_internal_repeats(cache: str, n: int = 8) -> str:
@@ -3394,19 +3335,10 @@ def q_log_token_positional_stats(sf_dir: str, width: int = 64):
             "cnt": pa.array(cnt[nz], pa.int64()),
         }, schema=part_schema)
 
-    parts = X.fold(_read_tokens(sf_dir, ["tokens", "source"]), partial,
-                   part_schema)
-    g = parts.group_by(["source", "pb", "token"]).aggregate([("cnt", "sum")])
-    if g.num_rows == 0:
+    df = X.merge(_read_tokens(sf_dir, ["tokens", "source"]), partial,
+                 ["source", "pb", "token"], part_schema).to_pandas()
+    if df.empty:
         return _POSB_OUT.empty_table()
-    import pandas as pd
-
-    df = pd.DataFrame({
-        "source": g.column("source").to_numpy(zero_copy_only=False),
-        "pb": g.column("pb").to_numpy(zero_copy_only=False),
-        "token": g.column("token").to_numpy(zero_copy_only=False),
-        "cnt": g.column("cnt_sum").to_numpy(zero_copy_only=False),
-    })
     agg = (df.assign(st=df["token"] * df["cnt"])
            .groupby(["source", "pb"], sort=True)
            .agg(n_tokens=("cnt", "sum"), sum_tok=("st", "sum"),
@@ -3453,13 +3385,11 @@ def q_log_token_burstiness(sf_dir: str):
     Exchange-free: per-(row, token) counts via the same sorted-key
     segmented pass as the dominant-ratio screen, squared and bincounted
     into a <=256-row partial per block; the driver folds KBs."""
-    part_schema = pa.schema([("token", pa.int64()), ("n_occ", pa.int64()),
-                             ("sum_sq", pa.int64()), ("n_seqs", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
         vals, off = _token_lists(t.column("tokens"))
         if not len(vals):
-            return part_schema.empty_table()
+            return _BURST_OUT.empty_table()
         nt = np.diff(off)
         row_of = np.repeat(np.arange(t.num_rows, dtype=np.int64), nt)
         key = row_of * 256 + vals.astype(np.int64)
@@ -3476,16 +3406,8 @@ def q_log_token_burstiness(sf_dir: str):
             "n_seqs": pa.array(n_seqs[nz].astype(np.int64)),
         })
 
-    parts = X.fold(_read_tokens(sf_dir, ["tokens"]), partial, part_schema)
-    g = parts.group_by("token").aggregate(
-        [("n_occ", "sum"), ("sum_sq", "sum"), ("n_seqs", "sum")])
-    g = g.rename_columns(["token", "n_occ", "sum_sq", "n_seqs"])
-    g = g.sort_by([("token", "ascending")])
-    return pa.table({"token": g.column("token"),
-                     "n_occ": g.column("n_occ").cast(pa.int64()),
-                     "sum_sq": g.column("sum_sq").cast(pa.int64()),
-                     "n_seqs": g.column("n_seqs").cast(pa.int64())},
-                    schema=_BURST_OUT)
+    return X.merge(_read_tokens(sf_dir, ["tokens"]), partial, ["token"],
+                   _BURST_OUT).sort_by("token")
 
 
 def sql_token_burstiness(cache: str) -> str:
@@ -3529,10 +3451,8 @@ def q_log_seq_len_percentiles(sf_dir: str):
         }).group_by(["source", "n_tok"]).aggregate([([], "count_all")])
         return g.rename_columns(["source", "n_tok", "cnt"])
 
-    parts = X.fold(_read_tokens(sf_dir, ["source", "n_tok"]), partial,
-                   part_schema)
-    g = parts.group_by(["source", "n_tok"]).aggregate([("cnt", "sum")])
-    df = g.rename_columns(["source", "n_tok", "cnt"]).to_pandas()
+    df = X.merge(_read_tokens(sf_dir, ["source", "n_tok"]), partial,
+                 ["source", "n_tok"], part_schema).to_pandas()
     rows = []
     for src, grp in df.groupby("source", sort=True):
         grp = grp.sort_values("n_tok")
@@ -3575,13 +3495,12 @@ def q_log_token_run_lengths(sf_dir: str):
     (value change OR row start), lengths diff out of the start
     indices, and each block emits a <=max-n_tok-row bincount partial;
     the driver folds KBs. Exact integers end-to-end."""
-    part_schema = pa.schema([("run_len", pa.int64()), ("n_runs", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
         vals, off = _token_lists(t.column("tokens"))
         n = len(vals)
         if not n:
-            return part_schema.empty_table()
+            return _RUN_OUT.empty_table()
         start = np.zeros(n, dtype=bool)
         starts = off[:-1][np.diff(off) > 0]  # first token of nonempty rows
         start[starts] = True
@@ -3593,13 +3512,8 @@ def q_log_token_run_lengths(sf_dir: str):
         return pa.table({"run_len": pa.array(nz.astype(np.int64)),
                          "n_runs": pa.array(cnt[nz].astype(np.int64))})
 
-    parts = X.fold(_read_tokens(sf_dir, ["tokens"]), partial, part_schema)
-    g = parts.group_by("run_len").aggregate([("n_runs", "sum")])
-    g = g.rename_columns(["run_len", "n_runs"])
-    g = g.sort_by([("run_len", "ascending")])
-    return pa.table({"run_len": g.column("run_len"),
-                     "n_runs": g.column("n_runs").cast(pa.int64())},
-                    schema=_RUN_OUT)
+    return X.merge(_read_tokens(sf_dir, ["tokens"]), partial, ["run_len"],
+                   _RUN_OUT).sort_by("run_len")
 
 
 def sql_token_run_lengths(cache: str) -> str:
@@ -3646,13 +3560,11 @@ def q_log_seq_dominant_ratio(sf_dir: str):
     a <= |sources| x 11 histogram partial, the driver folds a few KB.
     Ratio rides an exact INTEGER ppm floor — count quotients are never
     ROUND-6 safe (the doc_quality_linear rule)."""
-    part_schema = pa.schema([("source", pa.string()), ("decile", pa.int64()),
-                             ("n_seqs", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
         vals, off = _token_lists(t.column("tokens"))
         if not len(vals):
-            return part_schema.empty_table()
+            return _DOM_OUT.empty_table()
         nt = np.diff(off)
         row_of = np.repeat(np.arange(t.num_rows, dtype=np.int64), nt)
         key = row_of * 256 + vals.astype(np.int64)
@@ -3674,15 +3586,9 @@ def q_log_seq_dominant_ratio(sf_dir: str):
             "n_seqs": pa.array(h[nz].astype(np.int64)),
         })
 
-    parts = X.fold(_read_tokens(sf_dir, ["tokens", "source"]), partial,
-                   part_schema)
-    g = parts.group_by(["source", "decile"]).aggregate([("n_seqs", "sum")])
-    g = g.rename_columns(["source", "decile", "n_seqs"])
-    g = g.sort_by([("source", "ascending"), ("decile", "ascending")])
-    return pa.table({"source": g.column("source"),
-                     "decile": g.column("decile"),
-                     "n_seqs": g.column("n_seqs").cast(pa.int64())},
-                    schema=_DOM_OUT)
+    return X.merge(_read_tokens(sf_dir, ["tokens", "source"]), partial,
+                   ["source", "decile"], _DOM_OUT).sort_by(
+        [("source", "ascending"), ("decile", "ascending")])
 
 
 def sql_seq_dominant_ratio(cache: str) -> str:
@@ -4565,23 +4471,16 @@ def _parse_stats_from(enr) -> pa.Table:
         g = t.group_by("source").aggregate([("parse_ok", "sum"), ("parse_ok", "count")])
         return g.rename_columns(["source", "parsed", "total_lines"])
 
-    agg = (
-        enr.map_batches(partial, batch_format="pyarrow")
-        .groupby("source")
-        .sum(["parsed", "total_lines"])
-    )
-    df = logpipe.to_pandas_with_schema(
-        agg,
-        pa.schema([("source", pa.string()), ("sum(parsed)", pa.int64()),
-                   ("sum(total_lines)", pa.int64())]),
-    ).rename(
-        columns={"sum(parsed)": "parsed", "sum(total_lines)": "total_lines"}
-    )
-    df["parse_errors"] = df["total_lines"] - df["parsed"]
-    df = df[["source", "total_lines", "parsed", "parse_errors"]]
-    for c in ("total_lines", "parsed", "parse_errors"):
-        df[c] = df[c].astype("int64")
-    return pa.Table.from_pandas(df, preserve_index=False)
+    t = X.merge(enr, partial, ["source"], pa.schema([
+        ("source", pa.string()), ("parsed", pa.int64()),
+        ("total_lines", pa.int64())])).sort_by("source")
+    return pa.table({
+        "source": t.column("source"),
+        "total_lines": t.column("total_lines"),
+        "parsed": t.column("parsed"),
+        "parse_errors": pc.subtract(t.column("total_lines"),
+                                    t.column("parsed")),
+    })
 
 
 def q_log_parse_stats(sf_dir: str):
@@ -4662,7 +4561,7 @@ def q_log_counter_deltas(sf_dir: str):
     53-56 CurrentValue/PreviousValue, 255-284 startNewWindow) in
     event-time: per (source, dimension, key_value, time_window) the
     in-window count (== current-previous of the cumulative counter) and
-    the running cumulative. Distributed melt + partial agg + tree/stream
+    the running cumulative. Distributed melt + partial agg + keyed
     combine; the running sum runs over the (bounded, aggregate-sized)
     counter table on the driver — same contract as the top-N report."""
     import numpy as np
@@ -4688,29 +4587,18 @@ def q_log_counter_deltas(sf_dir: str):
                     "cnt": ones,
                 }))
         if not pieces:
-            return pa.schema([
-                ("source", pa.string()), ("dimension", pa.string()),
-                ("key_value", pa.string()), ("time_window", pa.int64()),
-                ("cnt", pa.int64()),
-            ]).empty_table()
-        long_t = pa.concat_tables(pieces)
-        keys = ["source", "dimension", "key_value", "time_window"]
-        g = long_t.group_by(keys).aggregate([("cnt", "sum")])
-        return g.rename_columns(keys + ["cnt"])
+            return schema.empty_table()
+        return X._combine_partials(keys, "cnt", pieces)
 
-    long_ds = enr.map_batches(melt, batch_format="pyarrow")
-    agg = logpipe._stream_merge(
-        long_ds, ["source", "dimension", "key_value", "time_window"], "cnt",
-        schema=pa.schema([
-            ("source", pa.string()), ("dimension", pa.string()),
-            ("key_value", pa.string()), ("time_window", pa.int64()),
-            ("cnt", pa.int64()),
-        ]))
-    df = agg.to_pandas().sort_values(
-        ["source", "dimension", "key_value", "time_window"])
+    keys = ["source", "dimension", "key_value", "time_window"]
+    schema = pa.schema([
+        ("source", pa.string()), ("dimension", pa.string()),
+        ("key_value", pa.string()), ("time_window", pa.int64()),
+        ("cnt", pa.int64()),
+    ])
+    df = X.merge(enr, melt, keys, schema).to_pandas().sort_values(keys)
     df["cumulative"] = df.groupby(
         ["source", "dimension", "key_value"])["cnt"].cumsum().astype("int64")
-    df["cnt"] = df["cnt"].astype("int64")
     return pa.Table.from_pandas(df.reset_index(drop=True), preserve_index=False)
 
 

@@ -9,7 +9,7 @@ The reference's only join is the broadcast get-or-create domain-id cache
   filter inside map_batches — no shuffle.
 
 Both-sides-large joins belong to ``Dataset.join`` (hash-partitioned) or
-the explicit bucket pattern in stages/shuffle.py.
+a raw-task hash exchange (``exchange.shard``/``combine``).
 """
 
 from __future__ import annotations

@@ -14,11 +14,10 @@ shuffles ~#distinct-groups-per-block rows instead of ~12x input rows.
 With a 10-minute window the group cardinality per block is tiny compared
 to row count, which is what makes this viable at 10^12 rows.
 
-Key-space note (SURVEY.md §4): the shuffle key includes ``key_value`` and
-``time_window``, so a hot ``source`` does NOT concentrate on one reducer;
-the hash key-space stays wide without explicit salting. Salting is still
-applied for the per-source *routed* writes (route.py) where ``source``
-alone is the partition key.
+Key-space note (SURVEY.md §4): the merge key includes ``key_value`` and
+``time_window``, so a hot ``source`` does NOT concentrate on one key;
+the key space stays wide without explicit salting. The partials merge
+through ``exchange.merge``.
 """
 
 from __future__ import annotations

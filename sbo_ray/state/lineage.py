@@ -187,8 +187,6 @@ def _run_id(shards: list[str], stage_hash: str) -> str:
     return hashlib.sha1(blob.encode()).hexdigest()[:12]
 
 
-# driver-side fold cadence of a group's streamed partial blocks
-_FOLD_EVERY = 16
 # unified-partial kind of the per-group input row counts (0-2: logpipe's)
 _ROWS_IN_KIND = 3
 
@@ -304,7 +302,7 @@ class CheckpointedPipeline:
         group's run dir, and each group's partial carries the count of
         its input rows before parse (``skip_line_regex`` drops rows
         inside parse). The driver pulls each partial block as it
-        streams, folds it into its group (at most every ``_FOLD_EVERY``
+        streams, folds it into its group (at most every ``exchange.FANIN``
         blocks, so memory stays bounded) and commits a group once its
         counted rows equal the parquet footer total of its shards. A
         failed task leaves its groups uncommitted (the run raises after
@@ -314,6 +312,7 @@ class CheckpointedPipeline:
         import ray.data as rd
         from ray.data.datasource.path_util import _resolve_paths_and_filesystem
 
+        from .. import exchange as X
         from .. import fsio
         from ..pipelines import logpipe
 
@@ -363,7 +362,7 @@ class CheckpointedPipeline:
             # and the run raises below once every other group committed
             ds.context.max_errored_blocks = -1
             # single execution, consumed as a stream of block refs (see
-            # logpipe._stream_merge: side-effect stages must not rerun)
+            # exchange.merge: side-effect stages must not rerun)
             for bundle in ds.iter_internal_ref_bundles():
                 for block in ray.get([ref for ref, _ in bundle.blocks]):
                     if not block.num_rows:
@@ -376,8 +375,8 @@ class CheckpointedPipeline:
                         parts[g].append(sub)
                         if counted[g] == expected[g]:
                             commit(g)
-                        elif len(parts[g]) >= _FOLD_EVERY:
-                            folded = logpipe._combine_partials(
+                        elif len(parts[g]) >= X.FANIN:
+                            folded = X._combine_partials(
                                 logpipe.UNIFIED_KEYS, "value", parts[g])
                             parts[g] = [] if folded is None else [folded]
         if open_groups:
@@ -392,10 +391,11 @@ class CheckpointedPipeline:
                 shard_rows: dict[str, int], parts: list[pa.Table]) -> None:
         """Persist one complete group's aggregate partials, then append
         its commit records: the run counts only once the manifest says so."""
+        from .. import exchange as X
         from .. import fsio
         from ..pipelines import logpipe
 
-        table = logpipe._combine_partials(logpipe.UNIFIED_KEYS, "value", parts)
+        table = X._combine_partials(logpipe.UNIFIED_KEYS, "value", parts)
         result = logpipe.split_unified(
             logpipe.UNIFIED_SCHEMA.empty_table() if table is None else table)
         fsio.write_table(run_dir, "metrics_partial.parquet", result["metrics"])
@@ -430,8 +430,9 @@ class CheckpointedPipeline:
         """Merge the partials of every committed run into final tables.
         Derived only from committed runs: a shard contributes exactly
         once, so reruns never drift the counts."""
+        from .. import exchange as X
         from .. import fsio
-        from ..stages.metrics import COUNTER_SCHEMA, METRIC_SCHEMA
+        from ..stages.metrics import COUNTER_SCHEMA, GROUP_KEYS, METRIC_SCHEMA
 
         run_ids = sorted(self.manifest.committed_run_ids())
         metrics_parts, counter_parts = [], []
@@ -448,17 +449,14 @@ class CheckpointedPipeline:
                     fsio.join(run_dir, "global_partial.json"), "r") as f:
                 for k, v in json.load(f).items():
                     glob[k] = glob.get(k, 0) + int(v)
-        if metrics_parts:
-            m = pa.concat_tables(metrics_parts)
-            keys = ["source", "metric_type", "key_value", "time_window"]
-            metrics = m.group_by(keys).aggregate([("metric_value", "sum")])
-            metrics = metrics.rename_columns(keys + ["metric_value"])
-            c = pa.concat_tables(counter_parts)
-            ckeys = ["source", "dimension", "key_value"]
-            counters = c.group_by(ckeys).aggregate([("cnt", "sum")])
-            counters = counters.rename_columns(ckeys + ["cnt"])
-        else:
-            metrics, counters = METRIC_SCHEMA.empty_table(), COUNTER_SCHEMA.empty_table()
+        metrics = X._combine_partials(GROUP_KEYS, "metric_value",
+                                      metrics_parts)
+        counters = X._combine_partials(["source", "dimension", "key_value"],
+                                       "cnt", counter_parts)
+        if metrics is None:
+            metrics = METRIC_SCHEMA.empty_table()
+        if counters is None:
+            counters = COUNTER_SCHEMA.empty_table()
         return {"metrics": metrics, "keyed_counters": counters,
                 "global_counters": glob}
 

@@ -2421,3 +2421,19 @@ def test_triplet_mining_semantics(ray_session):
         diff = (lab != r.anchor_label)
         assert ids[same][np.argmax(key[same])] == r.pos_id
         assert ids[diff][np.argmax(key[diff])] == r.neg_id
+
+
+def test_per_row_doc_scorers_return_datasets(ray_session):
+    """The per-doc scorers stream their output as a Dataset (no driver
+    concat of per-row results), like doc_perplexity_bigram."""
+    import ray.data as rd
+
+    from sbo_ray.pipelines.datapipe import (
+        doc_bigram_logprob, doc_dsir_weights, doc_tfidf, doc_unigram_logprob,
+    )
+
+    for op in (doc_tfidf, doc_unigram_logprob, doc_bigram_logprob,
+               doc_dsir_weights):
+        out = op(SF)
+        assert isinstance(out, rd.Dataset), op.__name__
+        assert out.count() > 0, op.__name__
