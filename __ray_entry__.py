@@ -5,10 +5,9 @@
 - ``queries()``: one entry per implemented operator/pipeline from
   SURVEY.md §2 (+ the training-data operators); each callable takes
   ``sf_dir`` and returns a Dataset / pandas DataFrame / pyarrow Table.
-- ``oracle_sql()``: DuckDB SQL per query. Two styles, documented in
-  sbo_ray/pipelines/queries.py: genuinely independent SQL over the raw
-  line view, or SELECTs over the materialized pure-Python oracle dumps
-  (engine-vs-independent-implementation).
+- ``oracle_sql()``: DuckDB SQL per query: genuinely independent SQL
+  over the raw line view or the input tables (see
+  sbo_ray/pipelines/queries.py and pipelines/dataqueries.py).
 
 Ray is initialised by the driver BEFORE this module is imported; nothing
 here calls ray.init()/ray.shutdown().

@@ -40,9 +40,9 @@ def run_bench() -> dict:
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 
     # synthesize/caches BEFORE timing (also warms the page cache)
-    from sbo_ray.oracle import materialize
+    from sbo_ray import synth
 
-    cache = materialize.cache_dir_for(sf_dir)
+    cache = synth.ensure_input(sf_dir)
 
     ray.init(
         address="local",
@@ -109,11 +109,9 @@ def run_bench() -> dict:
     # generated by --scaling; skip silently otherwise to keep plain bench
     # fast on a cold machine)
     big = None
-    from sbo_ray import synth as _synth
-
     big_rows = int(os.environ.get("SBO_SCALE_ROWS", "4000000"))
     big_cache = os.path.join("/tmp/sbo_synth",
-                             f"v5_n{big_rows}_s{_synth.SEED_DEFAULT}_k12")
+                             f"v5_n{big_rows}_s{synth.SEED_DEFAULT}_k12")
     if os.path.exists(os.path.join(big_cache, "_SUCCESS")):
         import glob as _g
 
@@ -182,11 +180,10 @@ def run_highcard() -> dict:
     import ray.data as rd
 
     from sbo_ray.config import JobConfig
-    from sbo_ray.oracle.materialize import N_SOURCES
     from sbo_ray.pipelines import logpipe
 
     paths = sorted(g.glob(os.path.join(cache, "shard-*.parquet")))
-    job = JobConfig.from_format_map(synth.source_config(N_SOURCES))
+    job = JobConfig.from_format_map(synth.source_config(synth.N_SOURCES))
     out_root = f"/tmp/sbo_hc_out_{os.getpid()}"
     rd.read_parquet(paths).count()  # warm page cache + workers
     rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -444,11 +441,10 @@ def run_scaling_child() -> dict:
     import ray.data as rd
 
     from sbo_ray.config import JobConfig
-    from sbo_ray.oracle.materialize import N_SOURCES
     from sbo_ray.pipelines import logpipe
 
     paths = sorted(g.glob(os.path.join(cache, "shard-*.parquet")))
-    job = JobConfig.from_format_map(synth.source_config(N_SOURCES))
+    job = JobConfig.from_format_map(synth.source_config(synth.N_SOURCES))
     out_root = f"/tmp/sbo_scale_out_{os.getpid()}"
     # warm: page cache + workers + imports
     rd.read_parquet(paths).count()

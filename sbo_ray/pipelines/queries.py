@@ -1,18 +1,12 @@
 """Driver-contract query registry: name -> (Ray callable, DuckDB oracle SQL).
 
-Two oracle styles (documented per query):
-
-- **independent SQL**: a genuinely independent DuckDB implementation of
-  the same semantics over the raw line view (regexp parse + window math
-  in SQL) — the strongest gate; used for the parse/aggregate layer.
-- **materialized oracle**: the pure-Python row-at-a-time oracle's output
-  dumped to Parquet and SELECTed — used for the UA-/URL-decision-tree
-  sinks where faithful ANSI SQL is not practical. The comparison is then
-  engine-vs-independent-implementation, which is exactly the
-  north_rule's correctness gate.
+Every log oracle is an independent DuckDB implementation of the same
+semantics over the raw line view ``lines.parquet`` (regexp parse, window
+math, Go net/url, the UA tree and the malicious classifier in SQL) or
+over the token shards themselves.
 
 All SQL strings target the sf0.01 cache (the driver's correctness
-scale); ``oracle_sql_map()`` materializes that cache before returning.
+scale); ``log_oracle_sql()`` materializes that cache before returning.
 """
 
 from __future__ import annotations
@@ -28,7 +22,6 @@ from .. import exchange as X
 from .. import synth
 from ..config import JobConfig
 from ..functions import pack
-from ..oracle import materialize
 from . import logpipe
 
 SF_CORRECTNESS = "/root/testdata/sf0.01"
@@ -917,16 +910,29 @@ FROM parsed GROUP BY source
 
 # ---- Ray-side callables ----------------------------------------------------
 def _input_paths(sf_dir: str) -> list[str]:
-    cache = materialize.cache_dir_for(sf_dir)
+    cache = synth.ensure_input(sf_dir)
     return sorted(glob.glob(os.path.join(cache, "shard-*.parquet")))
 
 
 def _job() -> JobConfig:
-    return JobConfig.from_format_map(synth.source_config(materialize.N_SOURCES))
+    return JobConfig.from_format_map(synth.source_config(synth.N_SOURCES))
 
 
 def _enriched(sf_dir: str):
     return logpipe.enriched_dataset(_input_paths(sf_dir), _job())
+
+
+def _sum_refs(refs: list, keys: list[str], schema: pa.Schema) -> pa.Table:
+    """Combine-task outputs summed per ``keys`` on the driver
+    (``exchange._combine_partials`` over every non-key column of
+    ``schema``), sorted by ``keys`` and typed by ``schema``."""
+    import ray
+
+    values = [c for c in schema.names if c not in keys]
+    t = X._combine_partials(keys, values, ray.get(refs))
+    if t is None:
+        return schema.empty_table()
+    return t.sort_by([(k, "ascending") for k in keys]).cast(schema)
 
 
 def _h_key(t: pa.Table) -> np.ndarray:
@@ -966,7 +972,7 @@ def q_log_metrics_basic(sf_dir: str):
 def q_log_metrics_compat(sf_dir: str):
     """Faithful streaming bounded-window semantics (stages/compat.py).
     On chronological input (the default synth) its totals coincide with
-    the exact oracle dump, so the same materialized oracle gates it."""
+    the exact sums, so ``sql_metrics`` gates it."""
     from ..stages.compat import metrics_dataset_compat
 
     return metrics_dataset_compat(_enriched(sf_dir), window_size=3)
@@ -2365,15 +2371,8 @@ def q_log_token_ngram_dedup(sf_dir: str, n: int = 8, mod: int = 8):
     # via SBO_BW_TASK_CPUS.
     sl = X.shard(window_partial, refs, 2 * P, num_cpus=_bw_task_cpus(16))
     fl = X.combine(flag_part, sl[:P], num_returns=P)
-    merged = X.gather(X.combine(count_part, (fl, sl[P:]),
-                                out_schema=_NGRAM_OUT), _NGRAM_OUT)
-    g = merged.group_by("source").aggregate(
-        [("n_docs", "sum"), ("n_flagged", "sum")])
-    g = g.sort_by("source")
-    return pa.table({"source": g.column("source"),
-                     "n_docs": g.column("n_docs_sum"),
-                     "n_flagged": g.column("n_flagged_sum")},
-                    schema=_NGRAM_OUT)
+    return _sum_refs(X.combine(count_part, (fl, sl[P:]),
+                               out_schema=_NGRAM_OUT), ["source"], _NGRAM_OUT)
 
 
 def sql_token_ngram_dedup(cache: str, n: int = 8, mod: int = 8) -> str:
@@ -2559,16 +2558,8 @@ def q_log_seq_dedup_minhash(sf_dir: str, n: int = 8, mod: int = 8):
     # stage -> same bandwidth cap (target 16/node)
     sl = X.shard(window_partial, refs, 2 * P, num_cpus=_bw_task_cpus(16))
     fl = X.combine(flag_part, sl[:P], num_returns=P)
-    merged = X.gather(X.combine(count_part, (fl, sl[P:]),
-                                out_schema=_MH_OUT), _MH_OUT)
-    g = merged.group_by("source").aggregate(
-        [("n_rows", "sum"), ("n_sig", "sum"), ("n_flagged", "sum")])
-    g = g.sort_by("source")
-    return pa.table({"source": g.column("source"),
-                     "n_rows": g.column("n_rows_sum"),
-                     "n_sig": g.column("n_sig_sum"),
-                     "n_flagged": g.column("n_flagged_sum")},
-                    schema=_MH_OUT)
+    return _sum_refs(X.combine(count_part, (fl, sl[P:]), out_schema=_MH_OUT),
+                     ["source"], _MH_OUT)
 
 
 def sql_seq_dedup_minhash(cache: str, n: int = 8, mod: int = 8) -> str:
@@ -3197,12 +3188,8 @@ def q_log_ngram_novelty(sf_dir: str, n: int = 8, mod: int = 8):
                  X.block_refs(_read_tokens(sf_dir, ["doc_id", "tokens",
                                                     "source"])),
                  P, num_cpus=_bw_task_cpus(16))
-    merged = X.gather(X.combine(combine, sl, out_schema=_NOV_OUT), _NOV_OUT)
-    g = merged.group_by(["source", "quartile"]).aggregate([("n_new", "sum")])
-    g = g.sort_by([("source", "ascending"), ("quartile", "ascending")])
-    return pa.table({"source": g.column("source"),
-                     "quartile": g.column("quartile"),
-                     "n_new": g.column("n_new_sum")}, schema=_NOV_OUT)
+    return _sum_refs(X.combine(combine, sl, out_schema=_NOV_OUT),
+                     ["source", "quartile"], _NOV_OUT)
 
 
 def sql_ngram_novelty(cache: str, n: int = 8, mod: int = 8) -> str:
@@ -4061,13 +4048,9 @@ def q_log_pack_source_purity(sf_dir: str, seq_len: int = 512,
     P = len(sl)
     mids = X.combine(_purity_combine, sl, _pack_bases(sum_refs), seq_len,
                      P, num_returns=P, out_schema=_PUR_PART)
-    t = X.gather(X.combine(_purity_seq_combine, mids, out_schema=_PUR_SCHEMA),
-                 _PUR_SCHEMA).group_by("n_sources").aggregate(
-        [("n_seqs", "sum")])
-    t = t.rename_columns(["n_sources", "n_seqs"])
-    t = t.sort_by([("n_sources", "ascending")])
-    return pa.table({"n_sources": t.column("n_sources"),
-                     "n_seqs": t.column("n_seqs").cast(pa.int64())})
+    return _sum_refs(
+        X.combine(_purity_seq_combine, mids, out_schema=_PUR_SCHEMA),
+        ["n_sources"], _PUR_SCHEMA)
 
 
 def sql_pack_source_purity(cache: str, seq_len: int = 512) -> str:
@@ -4119,13 +4102,9 @@ def q_log_pack_doc_mix(sf_dir: str, seq_len: int = 512,
     P = len(sl)
     mids = X.combine(_mix_combine, sl, _pack_bases(sum_refs), seq_len,
                      P, num_returns=P, out_schema=_MIX_PART)
-    t = X.gather(X.combine(_mix_seq_combine, mids, out_schema=_MIX_SCHEMA),
-                 _MIX_SCHEMA).group_by("n_docs").aggregate(
-        [("n_seqs", "sum")])
-    t = t.rename_columns(["n_docs", "n_seqs"])
-    t = t.sort_by([("n_docs", "ascending")])
-    return pa.table({"n_docs": t.column("n_docs"),
-                     "n_seqs": t.column("n_seqs").cast(pa.int64())})
+    return _sum_refs(
+        X.combine(_mix_seq_combine, mids, out_schema=_MIX_SCHEMA),
+        ["n_docs"], _MIX_SCHEMA)
 
 
 def sql_pack_doc_mix(cache: str, seq_len: int = 512) -> str:
@@ -4691,9 +4670,9 @@ def log_queries() -> dict:
 
 
 def log_oracle_sql(sf_dir: str = SF_CORRECTNESS) -> dict:
-    """Materializes the oracle cache for ``sf_dir``, then returns the SQL
-    map (driver default: the sf0.01 correctness scale)."""
-    cache = materialize.oracle_dir_for(sf_dir)
+    """Materializes the input shards and line view for ``sf_dir``, then
+    returns the SQL map (driver default: the sf0.01 correctness scale)."""
+    cache = synth.ensure_line_view(sf_dir)
     return {
         # independent SQL implementations
         "log_metrics_basic": sql_metrics_basic(cache),
@@ -4722,8 +4701,7 @@ def log_oracle_sql(sf_dir: str = SF_CORRECTNESS) -> dict:
         "log_keyed_counters": sql_keyed_counters(cache),
         "log_global_counters": sql_global_counters(cache),
         # r3: the routed sink pair too — every log-query oracle is now
-        # independent SQL (the materialized Python-oracle dumps remain
-        # only as pytest cross-checks in tests/test_oracle.py)
+        # independent SQL (the Python oracle is a pytest cross-check)
         "log_routed": sql_routed(cache),
         "log_routed_masked": sql_routed(cache, masked=True),
         # token-native operators gate directly against the raw shards

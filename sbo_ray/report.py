@@ -7,8 +7,6 @@ a follow-mode display artifact; SURVEY.md §2.6 A4/ST3)."""
 
 from __future__ import annotations
 
-from .oracle.pipeline import top_n
-
 DIMENSION_TITLES = [
     ("status_codes", "Status codes"),
     ("methods", "Methods"),
@@ -39,11 +37,15 @@ def render_counter_report(global_counters: dict[str, int],
         f"Parse errors             : {g.get('parse_errors', 0)}",
     ]
     for dim, title in DIMENSION_TITLES:
-        counts = keyed.get(dim, {})
+        # deterministic (count desc, key asc) order and top-N tie-break;
+        # the reference's map-iteration tie order is nondeterministic
+        # (counter.go:305-321), documented divergence
+        items = sorted(keyed.get(dim, {}).items(),
+                       key=lambda kv: (-kv[1], kv[0]))
         if dim in TOP_N_LIMITED:
-            counts = top_n(counts, top_n_size)
+            items = items[:top_n_size]
         out.append(f"{title}:")
-        for key, cnt in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
+        for key, cnt in items:
             shown = key if key else "(empty)"
             out.append(f"  {shown:<40.40} : {cnt}")
     return "\n".join(out) + "\n"

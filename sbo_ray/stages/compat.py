@@ -27,7 +27,8 @@ import pandas as pd
 import pyarrow as pa
 
 from .. import exchange as X
-from ..oracle.pipeline import OracleMetricsManager
+from ..functions.sbometrics import SBOMetricsManager
+from .metrics import fanout_long
 
 COMPAT_SCHEMA = pa.schema([
     ("source", pa.string()),
@@ -49,73 +50,13 @@ ORDERED_SCHEMA = pa.schema([
 
 
 def ordered_fanout(batch: pa.Table, order_col: str = "doc_id") -> pa.Table:
-    """Enriched batch -> long metric rows WITH the arrival-order key
-    (no pre-aggregation: the accumulator is order-sensitive). Same
-    fan-out rules as stages.metrics.metric_fanout
-    (metricgenerator.go:86-126), vectorized with Arrow masks."""
-    import pyarrow.compute as pc
-
-    from ..oracle.pipeline import (
-        METRIC_BYTES_SENT, METRIC_DEVICE_TYPE, METRIC_HTTP_STATUS,
-        METRIC_IS_HUMAN, METRIC_METHOD, METRIC_OS_FAMILY, METRIC_PATH,
-        METRIC_REFERER, METRIC_REQ_COUNT, METRIC_REQUEST_INTENT,
-        METRIC_UA_FAMILY,
-    )
-
-    batch = batch.filter(batch.column("parse_ok"))
-    n = batch.num_rows
-    if n == 0:
-        return ORDERED_SCHEMA.empty_table()
-    source = batch.column("source").combine_chunks()
-    tw = batch.column("time_window").combine_chunks()
-    arrival = batch.column(order_col).combine_chunks().cast(pa.string())
-    ones = pa.array(np.ones(n, dtype=np.int64))
-    empty_key = pa.DictionaryArray.from_arrays(
-        pa.array(np.zeros(n, dtype=np.int32)), pa.array([""], type=pa.string())
-    ).cast(pa.string())
-
-    pieces: list[pa.Table] = []
-
-    def emit(mtype: int, key: pa.Array, value: pa.Array, mask=None) -> None:
-        s, t, k, v, o = source, tw, key, value, arrival
-        if mask is not None:
-            s, t = s.filter(mask), t.filter(mask)
-            k, v, o = k.filter(mask), v.filter(mask), o.filter(mask)
-        if len(k) == 0:
-            return
-        mt = pa.array(np.full(len(k), mtype, dtype=np.int32))
-        pieces.append(pa.Table.from_arrays([s, mt, k, t, v, o],
-                                           schema=ORDERED_SCHEMA))
-
-    emit(METRIC_REQ_COUNT, empty_key, ones)
-    emit(METRIC_BYTES_SENT, empty_key, batch.column("bytes_sent").combine_chunks())
-    emit(METRIC_HTTP_STATUS, batch.column("status").combine_chunks(), ones)
-    emit(METRIC_METHOD, batch.column("method").combine_chunks(), ones)
-    referer = batch.column("referer").combine_chunks()
-    emit(METRIC_REFERER, referer, ones, mask=pc.not_equal(referer, ""))
-    is2xx = pc.starts_with(batch.column("status").combine_chunks(), "2")
-    p1 = batch.column("path1").combine_chunks()
-    p2 = batch.column("path2").combine_chunks()
-    p3 = batch.column("path3").combine_chunks()
-    emit(METRIC_PATH, p1, ones, mask=is2xx)
-    emit(METRIC_PATH, p2, ones, mask=pc.and_(is2xx, pc.not_equal(p2, "")))
-    emit(METRIC_PATH, p3, ones, mask=pc.and_(is2xx, pc.not_equal(p3, "")))
-    emit(METRIC_UA_FAMILY, batch.column("ua_family").combine_chunks(), ones)
-    emit(METRIC_OS_FAMILY, batch.column("ua_os").combine_chunks(), ones)
-    emit(METRIC_DEVICE_TYPE, batch.column("ua_device_type").combine_chunks(), ones)
-    emit(METRIC_IS_HUMAN, batch.column("ua_human").combine_chunks(), ones)
-    emit(METRIC_REQUEST_INTENT, batch.column("ua_intent").combine_chunks(), ones)
-    long_t = pa.concat_tables(pieces)
-    # same 100-byte sink truncation as metrics.metric_fanout / the oracle
-    # (ReduceToMaxColumnLen, db/mysqldb.go:152)
-    from .route import _truncate
-
-    kv = long_t.column("key_value")
-    kv = kv.combine_chunks() if isinstance(kv, pa.ChunkedArray) else kv
-    return long_t.set_column(
-        long_t.schema.get_field_index("key_value"), "key_value",
-        _truncate(kv, 100),
-    )
+    """Enriched batch -> long metric rows WITH the arrival-order key:
+    ``metrics.fanout_long``'s emissions without the pre-aggregation
+    (the accumulator is order-sensitive)."""
+    batch = batch.append_column(
+        "arrival", batch.column(order_col).cast(pa.string()))
+    return fanout_long(batch, carry="arrival").rename_columns(
+        ORDERED_SCHEMA.names)
 
 
 def replay_group(g: pd.DataFrame, window_size: int = 3,
@@ -133,7 +74,7 @@ def replay_group(g: pd.DataFrame, window_size: int = 3,
     src = g["source"].iloc[0]
     mtype = int(g["metric_type"].iloc[0])
     key = g["key_value"].iloc[0]
-    mgr = OracleMetricsManager(window_size)
+    mgr = SBOMetricsManager(window_size)
     emitted: list[tuple[int, int]] = []
     for tw, val in zip(g["time_window"].to_numpy(), g["value"].to_numpy()):
         ev = mgr.add(src, mtype, key, int(tw), int(val))
@@ -376,7 +317,7 @@ def _replay_runs(runs: pd.DataFrame, window_size: int,
     bounds = np.append(starts, n)
     for s, e in zip(bounds[:-1], bounds[1:]):
         src, mtype, key = src_a[s], int(mt_a[s]), kv_a[s]
-        mgr = OracleMetricsManager(window_size)
+        mgr = SBOMetricsManager(window_size)
         emitted: list[tuple[int, int]] = []
 
         def add(tw, v):
@@ -542,13 +483,13 @@ def metrics_dataset_compat(enriched, window_size: int = 3,
     import ray
     import ray.data as rd
 
-    refs = X.block_refs(
+    refs, _, nbytes = X.sized_block_refs(
         long_ds.map_batches(compat_partial, batch_format="pyarrow"))
     if not refs:
         return rd.from_arrow(COMPAT_SCHEMA.empty_table())
     import pyarrow.compute as pc
 
-    P = max(2, min(2 * X._cpus(), 4 * len(refs)))
+    P = X.n_parts(nbytes)
     table_refs, key_refs = X.combine(
         _compat_combine, X.shard(_compat_shard, refs, P, P),
         window_size, replace_existing, num_returns=2)

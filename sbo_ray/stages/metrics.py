@@ -26,7 +26,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..oracle.pipeline import (
+from ..functions.sbometrics import (
     METRIC_BYTES_SENT,
     METRIC_DEVICE_TYPE,
     METRIC_HTTP_STATUS,
@@ -56,12 +56,19 @@ def const_str(n: int, value: str) -> pa.Array:
     return pa.repeat(pa.scalar(value, type=pa.string()), n)
 
 
-def metric_fanout(batch: pa.Table) -> pa.Table:
-    """Enriched batch -> pre-aggregated long metric rows."""
+def fanout_long(batch: pa.Table, carry: str | None) -> pa.Table:
+    """HandleEntry's emission rules (metricgenerator.go:86-126), the one
+    copy: the batch's parse_ok rows -> one long METRIC_SCHEMA row per
+    emission, not aggregated. ``carry`` names a batch column appended to
+    every emission (compat's arrival order), or None."""
     batch = batch.filter(batch.column("parse_ok"))
+    schema, extra = METRIC_SCHEMA, []
+    if carry is not None:
+        schema = schema.append(batch.schema.field(carry))
+        extra = [batch.column(carry).combine_chunks()]
     n = batch.num_rows
     if n == 0:
-        return METRIC_SCHEMA.empty_table()
+        return schema.empty_table()
 
     source = batch.column("source").combine_chunks()
     tw = batch.column("time_window").combine_chunks()
@@ -72,15 +79,15 @@ def metric_fanout(batch: pa.Table) -> pa.Table:
 
     def emit(mtype: int, key: pa.Array, value: pa.Array,
              mask: pa.Array | None = None) -> None:
-        s, t, k, v = source, tw, key, value
+        cols = [source, tw, key, value, *extra]
         if mask is not None:
-            s, t = s.filter(mask), t.filter(mask)
-            k, v = k.filter(mask), v.filter(mask)
+            cols = [c.filter(mask) for c in cols]
+        s, t, k, v, *rest = cols
         if len(k) == 0:
             return
         mt = pa.array(np.full(len(k), mtype, dtype=np.int32))
         pieces.append(
-            pa.Table.from_arrays([s, mt, k, t, v], schema=METRIC_SCHEMA)
+            pa.Table.from_arrays([s, mt, k, t, v, *rest], schema=schema)
         )
 
     emit(METRIC_REQ_COUNT, empty_key, ones)
@@ -109,16 +116,23 @@ def metric_fanout(batch: pa.Table) -> pa.Table:
     long_t = pa.concat_tables(pieces)
     # the sbo_metrics sink truncates key_value to 100 bytes
     # (ReduceToMaxColumnLen, db/mysqldb.go:152), merging counts for keys
-    # sharing a 100-byte prefix; applied BEFORE the aggregation so the
+    # sharing a 100-byte prefix; applied BEFORE any aggregation so the
     # merge happens here instead of in a DB upsert
     from .route import _truncate
 
     kv = long_t.column("key_value")
     kv = kv.combine_chunks() if isinstance(kv, pa.ChunkedArray) else kv
-    long_t = long_t.set_column(
+    return long_t.set_column(
         long_t.schema.get_field_index("key_value"), "key_value",
         _truncate(kv, 100),
     )
+
+
+def metric_fanout(batch: pa.Table) -> pa.Table:
+    """Enriched batch -> pre-aggregated long metric rows."""
+    long_t = fanout_long(batch, None)
+    if long_t.num_rows == 0:
+        return long_t
     # partial pre-aggregation: shrink before the global shuffle
     agg = long_t.group_by(GROUP_KEYS).aggregate([("metric_value", "sum")])
     agg = agg.rename_columns(GROUP_KEYS + ["metric_value"])

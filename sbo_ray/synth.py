@@ -30,6 +30,7 @@ from .codec import encode_lines
 from .functions import loglines as L
 
 SEED_DEFAULT = 20250817
+N_SOURCES = 12
 
 # UA pool: the reference's own test corpus (useragent_test.go) + extras.
 UA_POOL = [
@@ -254,7 +255,8 @@ def _sf_rows(sf_dir: str) -> int:
     return 6000
 
 
-def ensure_input(sf_dir: str, seed: int = SEED_DEFAULT, n_sources: int = 12,
+def ensure_input(sf_dir: str, seed: int = SEED_DEFAULT,
+                 n_sources: int = N_SOURCES,
                  cache_root: str = "/tmp/sbo_synth") -> str:
     """Idempotently materialize the synthetic input table for a testdata
     scale dir; returns the directory of Parquet shards."""
@@ -287,3 +289,24 @@ def ensure_rows(n_rows: int, seed: int = SEED_DEFAULT, n_sources: int = 12,
     shutil.rmtree(out, ignore_errors=True)  # stale partial dir
     os.replace(tmp, out)
     return out
+
+
+def ensure_line_view(sf_dir: str) -> str:
+    """``ensure_input`` plus ``lines.parquet`` next to the shards: the
+    synthesizer's own ``(doc_id, line, source)`` rows, not a decode of
+    the shards, so the SQL gates that parse it check the codec too.
+    Idempotent and written atomically; returns the cache dir."""
+    cache = ensure_input(sf_dir)
+    path = os.path.join(cache, "lines.parquet")
+    if os.path.exists(path):
+        return cache
+    doc_ids, lines, sources = synth_lines(_sf_rows(sf_dir), seed=SEED_DEFAULT,
+                                          n_sources=N_SOURCES)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    pq.write_table(pa.table({
+        "doc_id": pa.array(doc_ids, type=pa.string()),
+        "line": pa.array(lines, type=pa.string()),
+        "source": pa.array(sources, type=pa.string()),
+    }), tmp)
+    os.replace(tmp, path)
+    return cache

@@ -189,6 +189,7 @@ def test_events_daily_active_high_p(gate, monkeypatch, P):
     "events_sessionize_salted",  # two waves, the second over the first's refs
     "doc_pack_sequences",       # doc-id chunk key + broadcast bases
     "log_repeat_offenders",     # parsed-log partial, crc32 client key
+    "log_metrics_compat",       # crc32-by-group routing, two returns
 ])
 def test_exchange_partition_invariance(gate, monkeypatch, name, P):
     monkeypatch.setattr(X, "n_parts", lambda *_: P)

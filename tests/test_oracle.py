@@ -3,12 +3,13 @@
 FIXTURES.md §5.4) and synth determinism."""
 
 from sbo_ray import synth
-from sbo_ray.oracle.pipeline import OracleMetricsManager, run_oracle, top_n
+from sbo_ray.functions.sbometrics import SBOMetricsManager
+from sbo_ray.oracle.pipeline import run_oracle, top_n
 
 
 def test_window_accumulator_smoke():
     # SBOMetrics_test.go:26-38: windowSize=5, one add
-    mgr = OracleMetricsManager(5)
+    mgr = SBOMetricsManager(5)
     ev = mgr.add("f", 1, "", 202511172034, 100)
     assert ev is None
     assert list(mgr.flush()) == [("f", 1, "", 202511172034, 100)]
@@ -18,7 +19,7 @@ def test_window_eviction_emits_second_smallest():
     # Go quirk (SBOMetrics.go:189-201): keys[0] is overwritten before the
     # sort, so the oldest window w1 is orphaned (flushes at End) and w2 is
     # what gets evicted when the 4th distinct window arrives.
-    mgr = OracleMetricsManager(3)
+    mgr = SBOMetricsManager(3)
     for tw in (101, 102, 103):
         assert mgr.add("f", 1, "k", tw, 1) is None
     ev = mgr.add("f", 1, "k", 104, 1)
@@ -30,7 +31,7 @@ def test_window_eviction_emits_second_smallest():
 
 
 def test_window_late_drop():
-    mgr = OracleMetricsManager(3)
+    mgr = SBOMetricsManager(3)
     for tw in (101, 102, 103, 104):
         mgr.add("f", 1, "k", tw, 1)
     ev = mgr.add("f", 1, "k", 50, 7)  # older than all retained -> dropped
@@ -41,7 +42,7 @@ def test_window_late_drop():
 
 
 def test_same_window_adds_sum():
-    mgr = OracleMetricsManager(3)
+    mgr = SBOMetricsManager(3)
     mgr.add("f", 2, "", 101, 10)
     mgr.add("f", 2, "", 101, 32)
     assert list(mgr.flush()) == [("f", 2, "", 101, 42)]

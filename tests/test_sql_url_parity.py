@@ -4,12 +4,14 @@ against the Python port (itself golden-tested against the reference's
 httpservers_test.go) over adversarial URIs and the full corpus URI set.
 No Ray needed."""
 
+import os
+
 import duckdb
 import pandas as pd
 import pytest
 
 from sbo_ray.functions.loglines import split_path
-from sbo_ray.pipelines.queries import _sql_url_ctes
+from sbo_ray.pipelines.queries import SF_CORRECTNESS, _sql_url_ctes
 
 ADVERSARIAL = [
     "/", "/a", "/a/b", "/a/b/c", "/a/b/c/d", "/a/b/c/d/e",
@@ -201,9 +203,9 @@ def test_sql_chains_seeded_fuzz():
 def test_sql_split_path_full_corpus():
     from sbo_ray import synth
     from sbo_ray.functions.loglines import parse_line
-    from sbo_ray.oracle import materialize
 
-    cache = materialize.cache_dir_for("/root/testdata/sf0.001")
+    cache = synth.ensure_line_view(
+        os.path.join(os.path.dirname(SF_CORRECTNESS), "sf0.001"))
     con = duckdb.connect()
     lines = con.sql(
         f"SELECT line, source FROM read_parquet('{cache}/lines.parquet')").df()

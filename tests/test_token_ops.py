@@ -13,7 +13,6 @@ import pyarrow.parquet as pq
 import pytest
 
 from sbo_ray import synth
-from sbo_ray.oracle import materialize
 from sbo_ray.pipelines import queries as Q
 
 SF = "/root/testdata/sf0.001"
@@ -30,7 +29,7 @@ def _norm(df: pd.DataFrame) -> pd.DataFrame:
 
 @pytest.fixture(scope="module")
 def cache(ray_session):
-    return materialize.cache_dir_for(SF)
+    return synth.ensure_input(SF)
 
 
 def test_token_histogram_vs_duckdb(ray_session, cache):
