@@ -106,13 +106,16 @@ def run_bench() -> dict:
         pass
 
     # large-input throughput: reuse the scaling cache when present (it is
-    # generated by --scaling; skip silently otherwise to keep plain bench
-    # fast on a cold machine)
+    # generated by --scaling; skipped with a note on stderr otherwise, to
+    # keep plain bench fast on a cold machine)
     big = None
     big_rows = int(os.environ.get("SBO_SCALE_ROWS", "4000000"))
-    big_cache = os.path.join("/tmp/sbo_synth",
-                             f"v5_n{big_rows}_s{synth.SEED_DEFAULT}_k12")
-    if os.path.exists(os.path.join(big_cache, "_SUCCESS")):
+    big_cache = synth.rows_dir(big_rows)
+    if not os.path.exists(os.path.join(big_cache, "_SUCCESS")):
+        print(f"bench: no {big_rows}-row table at {big_cache} (python "
+              "bench.py --scaling builds it); skipping full_pipeline_4m",
+              file=sys.stderr)
+    else:
         import glob as _g
 
         big_paths = sorted(_g.glob(os.path.join(big_cache, "shard-*.parquet")))

@@ -39,7 +39,12 @@ that layout that every site used to re-solve:
   sketches, vector sums, min/max) -> driver concat, seeded with a typed
   empty table (an empty Dataset yields zero batches) and skipping
   ``partial`` on empty blocks; ``collect`` is the same concat without
-  the map, ``gather`` the same for combine-task refs.
+  the map, ``gather`` the same for combine-task refs: bounded
+  outputs that are not summed (top-k, pairs, per-row).
+- ``sum_refs(refs, keys, schema)``: the one bounded keyed sum of
+  combine outputs (``merge``'s combine over P partition refs, sorted
+  by ``keys``); every shard -> combine op whose partitions emit
+  per-key partial counts or sums ends in it.
 
 Each site keeps its own partition function; P is read at call time
 through ``n_parts`` (patch it to force a partition count).
@@ -250,8 +255,8 @@ def _combine_partials(keys: list[str], value, tables) -> pa.Table | None:
     """Concat + ``group_by(keys)`` sum of ``value`` (one column name or a
     list) over partial tables, skipping None, zero-row and converting
     pandas inputs; None when no row is left. The one combine of
-    ``merge``'s driver path, its tree nodes and the checkpointed runner,
-    so the regimes cannot drift."""
+    ``merge``'s driver path, its tree nodes, ``sum_refs`` and the
+    checkpointed runner, so the regimes cannot drift."""
     values = [value] if isinstance(value, str) else list(value)
     ts = []
     for t in tables:
@@ -267,6 +272,18 @@ def _combine_partials(keys: list[str], value, tables) -> pa.Table | None:
         [(v, "sum") for v in values])
     return g.select(keys + [f"{v}_sum" for v in values]).rename_columns(
         keys + values)
+
+
+def sum_refs(refs: list, keys: list[str], schema: pa.Schema) -> pa.Table:
+    """Combine-task outputs summed per ``keys`` on the driver
+    (``_combine_partials`` over every non-key column of ``schema``),
+    sorted by ``keys`` and typed by ``schema``; ``schema``'s empty
+    table when no rows come back."""
+    values = [c for c in schema.names if c not in keys]
+    t = _combine_partials(keys, values, ray.get(refs))
+    if t is None:
+        return schema.empty_table()
+    return t.sort_by([(k, "ascending") for k in keys]).cast(schema)
 
 
 @ray.remote

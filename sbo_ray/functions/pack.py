@@ -7,8 +7,9 @@ Rows concatenate in ingestion order and the stream is cut every
 the chunk, so packing is a two-pass prefix sum:
 
 - pass 1: each block emits bounded per-chunk token sums
-  (``chunk_sums``); the driver folds them into sorted chunk ids and
-  exclusive bases (``bases``), O(corpus / chunk_docs) ints broadcast
+  (``chunk_sums``); the caller sums them per chunk (``exchange.merge``
+  or ``exchange.sum_refs``) and ``bases`` turns the totals into sorted
+  chunk ids and exclusive bases, O(corpus / chunk_docs) ints broadcast
   once;
 - pass 2: a partition holding whole chunks, rows in stream order,
   turns them into offsets (``offsets``), the (row, sequence) spans
@@ -36,11 +37,10 @@ def chunk_sums(chunk: np.ndarray, n: np.ndarray) -> pa.Table:
 
 
 def bases(sums: pa.Table) -> tuple[np.ndarray, np.ndarray]:
-    """Fold (chunk, tok_sum) partials into sorted chunk ids and their
-    exclusive token bases (tokens before the chunk)."""
-    g = sums.group_by("chunk").aggregate([("tok_sum", "sum")]) \
-        .sort_by("chunk")
-    tot = g.column("tok_sum_sum").to_numpy(
+    """Summed (chunk, tok_sum) rows, one per chunk, -> sorted chunk ids
+    and their exclusive token bases (tokens before the chunk)."""
+    g = sums.sort_by("chunk")
+    tot = g.column("tok_sum").to_numpy(
         zero_copy_only=False).astype(np.int64)
     return (g.column("chunk").to_numpy(zero_copy_only=False).astype(np.int64),
             np.cumsum(tot) - tot)

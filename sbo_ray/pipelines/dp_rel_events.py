@@ -97,7 +97,8 @@ def orders_with_returns(sf_dir: str, flag: str = "R"):
     pushed into the lineitem scan, lineitem ships KEYS ONLY (8
     bytes/row via _anti_shard), orders ship their three needed columns
     as table slices, one Fibonacci-hash exchange co-locates them, and
-    each partition emits |priorities|-sized partials the driver folds.
+    each partition emits |priorities|-sized partials the driver sums
+    (``exchange.sum_refs``).
     Membership (not join multiplicity) is the semi-join semantics —
     duplicate lineitem keys collapse in the per-partition unique."""
     orders = _read(sf_dir, "orders",
@@ -111,15 +112,10 @@ def orders_with_returns(sf_dir: str, flag: str = "R"):
     P = X.n_parts()
     osl = X.shard(X.table_shard, orefs, P, P, "o_orderkey")
     lsl = X.shard(_anti_shard, X.block_refs(li), P, P, "l_orderkey", None)
-    merged = X.gather(X.combine(_semi_orders_combine, (osl, lsl),
-                                out_schema=_SEMI_ORD), _SEMI_ORD)
-    g = merged.group_by("o_orderpriority").aggregate(
-        [("n_orders", "sum"), ("total_price", "sum")])
-    return pa.table({
-        "o_orderpriority": g.column("o_orderpriority"),
-        "n_orders": g.column("n_orders_sum"),
-        "total_price": pc.round(g.column("total_price_sum"), 2),
-    }, schema=_SEMI_ORD)
+    g = X.sum_refs(X.combine(_semi_orders_combine, (osl, lsl),
+                             out_schema=_SEMI_ORD), ["o_orderpriority"],
+                   _SEMI_ORD)
+    return g.set_column(2, "total_price", pc.round(g.column("total_price"), 2))
 
 
 _LV_Q = pa.schema([("l_orderkey", pa.int64()), ("sum_qty", pa.int64())])
@@ -452,8 +448,9 @@ def customer_no_orders(sf_dir: str, status: str = "F"):
     customer row and order rows in the same partition (Fibonacci-mix
     hash, ``num_returns=P``, 8-16 bytes/row), each partition emits
     per-nation missing counts via sorted-unique + ``isin``, and the
-    driver folds P x |nations| tiny partials. The status filter is
-    pushed into the scan (predicate before the exchange)."""
+    driver sums P x |nations| tiny partials (``exchange.sum_refs``).
+    The status filter is pushed into the scan (predicate before the
+    exchange)."""
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
     orders = _read(sf_dir, "orders",
                    columns=["o_custkey", "o_orderstatus"]).filter(
@@ -466,15 +463,9 @@ def customer_no_orders(sf_dir: str, status: str = "F"):
     P = X.n_parts()
     csl = X.shard(_anti_shard, crefs, P, P, "c_custkey", "c_nationkey")
     osl = X.shard(_anti_shard, X.block_refs(orders), P, P, "o_custkey", None)
-    g = X.gather(X.combine(_anti_combine, (csl, osl)), pa.schema(
+    g = X.sum_refs(X.combine(_anti_combine, (csl, osl)), ["key"], pa.schema(
         [("key", pa.int64()), ("cnt", pa.int64())]))
-    g = g.group_by("key").aggregate([("cnt", "sum")])
-    order = pc.sort_indices(g.column("key"))
-    return pa.table({
-        "c_nationkey": g.column("key").take(order).cast(pa.int64()),
-        "n_no_order_customers":
-            g.column("cnt_sum").take(order).cast(pa.int64()),
-    })
+    return g.rename_columns(OUT.names)
 
 
 _EMB_CUR = pa.schema([("doc_id", pa.int64()), ("n_tokens", pa.int64()),
@@ -794,8 +785,9 @@ def events_sliding_distinct(sf_dir: str, size_minutes: int = 60,
     Fibonacci-hash exchange on user_id co-locates every copy of a user
     (``num_returns=P`` raw tasks, the events_daily_active layout), each
     partition dedupes and counts per window over its DISJOINT user set,
-    and the driver folds P x |windows| ints. Nothing user-sized lands
-    anywhere central. COUNT(DISTINCT)-over-expansion SQL mirror."""
+    and the driver sums P x |windows| ints (``exchange.sum_refs``).
+    Nothing user-sized lands anywhere central.
+    COUNT(DISTINCT)-over-expansion SQL mirror."""
     if size_minutes % slide_minutes:
         raise ValueError("size must be a multiple of slide")
     k = size_minutes // slide_minutes
@@ -816,26 +808,19 @@ def events_sliding_distinct(sf_dir: str, size_minutes: int = 60,
             zero_copy_only=False).astype(np.int64)
         return X.split(X.fib_partition(u, P), P, pairs)
 
-    PARTIAL = pa.schema([("window_start", pa.timestamp("us")),
-                         ("n", pa.int64())])
+    OUT = pa.schema([("window_start", pa.timestamp("us")),
+                     ("n_users", pa.int64())])
 
     def win_combine(*tables) -> pa.Table:
         t = pa.concat_tables(tables)
         dd = t.group_by(["window_start", "user_id"]).aggregate([])
         g = dd.group_by("window_start").aggregate([([], "count_all")])
-        return g.rename_columns(["window_start", "n"]).cast(PARTIAL)
+        return g.rename_columns(["window_start", "n_users"]).cast(OUT)
 
     ds = _read(sf_dir, "events", columns=["ts", "user_id"])
-    OUT = pa.schema([("window_start", pa.timestamp("us")),
-                     ("n_users", pa.int64())])
     sl = X.shard(pair_shard, X.block_refs(ds), P)
-    merged = X.gather(X.combine(win_combine, sl, out_schema=PARTIAL), PARTIAL)
-    g = merged.group_by("window_start").aggregate([("n", "sum")])
-    order = pc.sort_indices(g.column("window_start"))
-    return pa.table({
-        "window_start": g.column("window_start").take(order),
-        "n_users": g.column("n_sum").take(order).cast(pa.int64()),
-    }, schema=OUT)
+    return X.sum_refs(X.combine(win_combine, sl, out_schema=OUT),
+                      ["window_start"], OUT)
 
 
 def events_transitions(sf_dir: str):
@@ -845,8 +830,8 @@ def events_transitions(sf_dir: str):
     partition by (user, ts, event_id), vectorized shift-compare for
     adjacency (a pair exists only when the shifted row is the SAME
     user), then a block-local (from_type, to_type) partial count; the
-    driver merges the tiny |types|^2 partial rows. Text of events
-    never leaves its partition unaggregated."""
+    driver sums the tiny |types|^2 partial rows (``exchange.sum_refs``).
+    Text of events never leaves its partition unaggregated."""
 
     def bigrams_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="stable")
@@ -863,16 +848,11 @@ def events_transitions(sf_dir: str):
 
     ds = _read(sf_dir, "events",
                columns=["event_id", "user_id", "ts", "event_type"])
-    part_schema = pa.schema([("from_type", pa.string()),
-                             ("to_type", pa.string()), ("n", pa.int64())])
-    parts = X.gather(X.part_exchange(ds, None, _user_key, bigrams_part,
-                                     part_schema), part_schema)
-    g = parts.group_by(["from_type", "to_type"]).aggregate([("n", "sum")])
-    return pa.table({
-        "from_type": g.column("from_type"),
-        "to_type": g.column("to_type"),
-        "n": g.column("n_sum").cast(pa.int64()),
-    })
+    out_schema = pa.schema([("from_type", pa.string()),
+                            ("to_type", pa.string()), ("n", pa.int64())])
+    return X.sum_refs(X.part_exchange(ds, None, _user_key, bigrams_part,
+                                      out_schema),
+                      ["from_type", "to_type"], out_schema)
 
 
 def events_quantiles(sf_dir: str, qs: tuple = (0.5, 0.9, 0.99)):
@@ -1120,8 +1100,9 @@ def events_attribution(sf_dir: str,
     starts (maximum.accumulate of positions for last-touch; the same
     accumulate over first-touch-run-anchored positions for first), and
     a shifted lookup — no per-user Python. Partitions emit per-channel
-    sufficient stats (n, sum value); the driver folds |channels|+1
-    rows. ROUND-2 on the revenue sum (the revenue-query convention)."""
+    sufficient stats (n, sum value); the driver sums |channels|+1
+    rows (``exchange.sum_refs``). ROUND-2 on the revenue sum (the
+    revenue-query convention)."""
     out_schema = pa.schema([("touch_type", pa.string()),
                             ("n_purchases", pa.int64()),
                             ("total_value", pa.float64())])
@@ -1164,17 +1145,10 @@ def events_attribution(sf_dir: str,
 
     ds = _read(sf_dir, "events",
                columns=["event_id", "user_id", "ts", "event_type", "value"])
-    parts = X.gather(X.part_exchange(ds, None, _user_key, attr_part,
-                                     out_schema), out_schema)
-    g = parts.group_by("touch_type").aggregate(
-        [("n_purchases", "sum"), ("total_value", "sum")])
-    return pa.table({
-        "touch_type": g.column("touch_type"),
-        "n_purchases": g.column("n_purchases_sum").cast(pa.int64()),
-        "total_value": pa.array(
-            np.round(g.column("total_value_sum").to_numpy(
-                zero_copy_only=False), 2)),
-    })
+    g = X.sum_refs(X.part_exchange(ds, None, _user_key, attr_part,
+                                   out_schema), ["touch_type"], out_schema)
+    return g.set_column(2, "total_value", pa.array(np.round(
+        g.column("total_value").to_numpy(), 2)))
 
 
 def events_cohort_ltv(sf_dir: str):
@@ -1188,8 +1162,9 @@ def events_cohort_ltv(sf_dir: str):
     Partition-grouped by user hash: a user's whole history lands in
     one partition, so per-cell distinct-user counts are exact as
     plain partial sums; inside a partition one lexsort, segment-start
-    cohort lookup, and composite-key unique folds. The driver merges
-    cells x partitions rows (bounded by the corpus time span)."""
+    cohort lookup, and composite-key unique folds. The driver sums
+    cells x partitions rows (``exchange.sum_refs``; bounded by the
+    corpus time span)."""
     W_US = 604800 * 1_000_000  # one week of microseconds
     out_schema = pa.schema([
         ("cohort_week", pa.int64()), ("age_weeks", pa.int64()),
@@ -1230,18 +1205,11 @@ def events_cohort_ltv(sf_dir: str):
 
     ds = _read(sf_dir, "events",
                columns=["event_id", "user_id", "ts", "event_type", "value"])
-    parts = X.gather(X.part_exchange(ds, None, _user_key, cohort_part,
-                                     out_schema), out_schema)
-    g = parts.group_by(["cohort_week", "age_weeks"]).aggregate(
-        [("n_users", "sum"), ("n_events", "sum"), ("revenue", "sum")])
-    return pa.table({
-        "cohort_week": g.column("cohort_week"),
-        "age_weeks": g.column("age_weeks"),
-        "n_users": g.column("n_users_sum").cast(pa.int64()),
-        "n_events": g.column("n_events_sum").cast(pa.int64()),
-        "revenue": pa.array(np.round(
-            g.column("revenue_sum").to_numpy(zero_copy_only=False), 2)),
-    })
+    g = X.sum_refs(X.part_exchange(ds, None, _user_key, cohort_part,
+                                   out_schema),
+                   ["cohort_week", "age_weeks"], out_schema)
+    return g.set_column(4, "revenue", pa.array(np.round(
+        g.column("revenue").to_numpy(), 2)))
 
 
 def events_attribution_first(sf_dir: str):

@@ -376,9 +376,10 @@ def events_daily_active(sf_dir: str):
     pairs (volume drops from events to block-distinct pairs before
     anything leaves the worker), ONE Fibonacci-hash exchange on
     user_id co-locates every copy of a user (``num_returns=P``), each
-    partition dedupes and counts per day, and the driver folds
-    P x |days| tiny partials. Distinct users are unbounded at scale —
-    nothing user-sized ever lands on the driver."""
+    partition dedupes and counts per day, and the driver sums
+    P x |days| tiny partials (``exchange.sum_refs``). Distinct users
+    are unbounded at scale — nothing user-sized ever lands on the
+    driver."""
     P = X.n_parts()
 
     def pair_shard(block: pa.Table) -> list:
@@ -390,24 +391,18 @@ def events_daily_active(sf_dir: str):
             zero_copy_only=False).astype(np.int64)
         return X.split(X.fib_partition(u, P), P, pairs)
 
-    PARTIAL = pa.schema([("day", pa.timestamp("us")), ("n", pa.int64())])
+    OUT = pa.schema([("day", pa.timestamp("us")), ("n_users", pa.int64())])
 
     def dau_combine(*tables) -> pa.Table:
         t = pa.concat_tables(tables)
         dd = t.group_by(["day", "user_id"]).aggregate([])
         g = dd.group_by("day").aggregate([([], "count_all")])
-        return g.rename_columns(["day", "n"]).cast(PARTIAL)
+        return g.rename_columns(["day", "n_users"]).cast(OUT)
 
     ds = _read(sf_dir, "events", columns=["ts", "user_id"])
-    OUT = pa.schema([("day", pa.timestamp("us")), ("n_users", pa.int64())])
     sl = X.shard(pair_shard, X.block_refs(ds), P)
-    merged = X.gather(X.combine(dau_combine, sl, out_schema=PARTIAL), PARTIAL)
-    g = merged.group_by("day").aggregate([("n", "sum")])
-    order = pc.sort_indices(g.column("day"))
-    return pa.table({
-        "day": g.column("day").take(order),
-        "n_users": g.column("n_sum").take(order).cast(pa.int64()),
-    }, schema=OUT)
+    return X.sum_refs(X.combine(dau_combine, sl, out_schema=OUT), ["day"],
+                      OUT)
 
 
 _ANOM_MAD = pa.schema([
@@ -947,7 +942,8 @@ def events_retention(sf_dir: str):
     lexsort gives distinct (user, day) pairs AND each user's first day
     by segment-first forward-fill; per-partition (cohort, offset)
     partial counts add across partitions because users never span
-    partitions. Driver merges the tiny |days|^2/2-bounded matrix."""
+    partitions. The driver sums the tiny |days|^2/2-bounded matrix
+    (``exchange.sum_refs``)."""
 
     def retention_part(g: pd.DataFrame) -> pd.DataFrame:
         u = g["user_id"].to_numpy()
@@ -962,29 +958,20 @@ def events_retention(sf_dir: str):
         cohort = dday[np.maximum.accumulate(
             np.where(seg_first, np.arange(len(du)), 0))]
         out = pd.DataFrame({
-            "cohort_day_i": cohort,
+            "cohort_day": cohort.astype("datetime64[D]").astype(
+                "datetime64[us]"),
             "offset_days": dday - cohort,
         })
-        return (out.groupby(["cohort_day_i", "offset_days"],
-                            as_index=False)
+        return (out.groupby(["cohort_day", "offset_days"], as_index=False)
                 .size().rename(columns={"size": "n_users"}))
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-    part_schema = pa.schema([
-        ("cohort_day_i", pa.int64()), ("offset_days", pa.int64()),
+    out_schema = pa.schema([
+        ("cohort_day", pa.timestamp("us")), ("offset_days", pa.int64()),
         ("n_users", pa.int64())])
-    parts = X.gather(X.part_exchange(ds, None, _user_key, retention_part,
-                                     part_schema), part_schema)
-    g = parts.group_by(
-        ["cohort_day_i", "offset_days"]).aggregate([("n_users", "sum")])
-    cohort_us = g.column("cohort_day_i").to_numpy(
-        zero_copy_only=False).astype("datetime64[D]").astype(
-        "datetime64[us]")
-    return pa.table({
-        "cohort_day": pa.array(cohort_us, type=pa.timestamp("us")),
-        "offset_days": g.column("offset_days").cast(pa.int64()),
-        "n_users": g.column("n_users_sum").cast(pa.int64()),
-    })
+    return X.sum_refs(X.part_exchange(ds, None, _user_key, retention_part,
+                                      out_schema),
+                      ["cohort_day", "offset_days"], out_schema)
 
 
 def part_brand_revenue(sf_dir: str):

@@ -217,12 +217,14 @@ def _doc_tok_counts(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
 
 def _doc_chunk_bases(ds: rd.Dataset, chunk_docs: int):
     """Pass 1 of the doc-side packers: per-block token sums per doc-id
-    chunk, folded on the driver into ``pack.bases`` and broadcast."""
+    chunk, summed by ``exchange.merge`` into ``pack.bases`` and
+    broadcast."""
     def chunk_partials(t: pa.Table) -> pa.Table:
         ids, n_tok = _doc_tok_counts(t)
         return pack.chunk_sums(ids // chunk_docs, n_tok)
 
-    return ray.put(pack.bases(X.fold(ds, chunk_partials, pack.CHUNK_SUMS)))
+    return ray.put(pack.bases(X.merge(ds, chunk_partials, ["chunk"],
+                                      pack.CHUNK_SUMS)))
 
 
 def doc_pack_sequences(sf_dir: str, seq_len: int = 512,

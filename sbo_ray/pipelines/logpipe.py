@@ -3,11 +3,14 @@
 The Dataset DAG mirroring the reference's lifecycle (SURVEY.md §3.4):
 
     read_parquet(shards)                       # S1: the token table
-      -> map_batches(ParseEnrich, actors)      # P1-P12 + ST1, zero-copy Arrow
-      -> (a) metric fan-out + partial agg -> keyed merge   # A1/A2/ST2
-         (b) counter melt -> keyed merge                    # A4/A5/ST3
-         (c) relevance filter + projection -> routed sink   # F3/K5
-         (d) top-N: groupby.count -> sort.limit             # A6
+      -> map_batches(make_parse_fn(job))       # P1-P12 + ST1, task pool, Arrow
+      -> (a) metric fan-out + partial agg -> exchange.merge  # A1/A2/ST2
+         (b) counter melt -> exchange.merge                  # A4/A5/ST3
+         (c) relevance filter + projection -> routed sink    # F3/K5
+         (d) top-N: pandas sort + per-source head over the
+             merged keyed counters                           # A6
+
+``full_pipeline`` fuses (a)-(c) into one per-batch stage and one merge.
 
 Nothing here calls ray.init(); the caller (driver / bench.py / tests)
 owns the session. All stages stream; only final small aggregates are

@@ -922,19 +922,6 @@ def _enriched(sf_dir: str):
     return logpipe.enriched_dataset(_input_paths(sf_dir), _job())
 
 
-def _sum_refs(refs: list, keys: list[str], schema: pa.Schema) -> pa.Table:
-    """Combine-task outputs summed per ``keys`` on the driver
-    (``exchange._combine_partials`` over every non-key column of
-    ``schema``), sorted by ``keys`` and typed by ``schema``."""
-    import ray
-
-    values = [c for c in schema.names if c not in keys]
-    t = X._combine_partials(keys, values, ray.get(refs))
-    if t is None:
-        return schema.empty_table()
-    return t.sort_by([(k, "ascending") for k in keys]).cast(schema)
-
-
 def _h_key(t: pa.Table) -> np.ndarray:
     """Partition key of the sequence-hash ops: the int64 ``h`` column."""
     return t.column("h").to_numpy()
@@ -1203,10 +1190,10 @@ def q_log_distinct_clients(sf_dir: str):
     exchange to distinct-pairs-per-block, ONE hash exchange on
     crc32(ip) % P co-locates every copy of an ip, each partition
     vectorized-dedups its pairs and emits per-source counts, and the
-    driver merges only P x |sources| tiny count rows — never the pair
-    set (unbounded distinct IPs at scale; the r3 shape materialized the
-    whole per-(source, ip) aggregate as driver pandas). The HLL twin
-    (below) stays the single-scan sketch path."""
+    driver sums only P x |sources| tiny count rows (``exchange.sum_refs``)
+    — never the pair set (unbounded distinct IPs at scale; the r3 shape
+    materialized the whole per-(source, ip) aggregate as driver
+    pandas). The HLL twin (below) stays the single-scan sketch path."""
     def pair_partial(t: pa.Table) -> pa.Table:
         t = t.filter(t.column("parse_ok"))
         return (t.select(["source", "client_ip"])
@@ -1216,19 +1203,16 @@ def q_log_distinct_clients(sf_dir: str):
         import pandas as pd
 
         dd = g.drop_duplicates(["source", "client_ip"])
-        out = dd.groupby("source", sort=False).size().reset_index(name="n")
+        out = dd.groupby("source", sort=False).size().reset_index(
+            name="n_clients")
         return pd.DataFrame({"source": out["source"],
-                             "n": out["n"].astype("int64")})
+                             "n_clients": out["n_clients"].astype("int64")})
 
-    part_schema = pa.schema([("source", pa.string()), ("n", pa.int64())])
-    df = X.gather(X.part_exchange(_enriched(sf_dir), pair_partial, _ip_key,
-                                  count_part, part_schema),
-                  part_schema).to_pandas()
-    out = df.groupby("source", sort=True)["n"].sum().reset_index(name="n_clients")
-    out["n_clients"] = out["n_clients"].astype("int64")
-    return pa.Table.from_pandas(out, schema=pa.schema([
-        ("source", pa.string()), ("n_clients", pa.int64())]),
-        preserve_index=False)
+    out_schema = pa.schema([("source", pa.string()),
+                            ("n_clients", pa.int64())])
+    return X.sum_refs(X.part_exchange(_enriched(sf_dir), pair_partial,
+                                      _ip_key, count_part, out_schema),
+                      ["source"], out_schema)
 
 
 def q_log_distinct_clients_hll(sf_dir: str):
@@ -1553,7 +1537,8 @@ def q_log_ip_entropy(sf_dir: str):
     distinct_clients exchange co-locates every copy of an ip, so each
     partition owns its ips' GLOBAL counts and emits two bounded
     sufficient-stat rows per source (sum c*ln c, sum c); the driver
-    folds H = ln N - (sum c ln c)/N. ROUND-6 (transcendental sums)."""
+    sums them (``exchange.sum_refs``) and derives
+    H = ln N - (sum c ln c)/N. ROUND-6 (transcendental sums)."""
     out_schema = pa.schema([("source", pa.string()),
                             ("n_requests", pa.int64()),
                             ("ip_entropy", pa.float64())])
@@ -1575,27 +1560,24 @@ def q_log_ip_entropy(sf_dir: str):
         c = per_ip["cnt"].to_numpy().astype(np.float64)
         per_ip["clnc"] = c * np.log(c)
         out = per_ip.groupby("source", sort=False).agg(
-            n=("cnt", "sum"), clnc=("clnc", "sum")).reset_index()
+            n_requests=("cnt", "sum"), clnc=("clnc", "sum")).reset_index()
         return pd.DataFrame({"source": out["source"],
-                             "n": out["n"].astype("int64"),
+                             "n_requests": out["n_requests"].astype("int64"),
                              "clnc": out["clnc"]})
 
-    part_schema = pa.schema([("source", pa.string()), ("n", pa.int64()),
+    part_schema = pa.schema([("source", pa.string()),
+                             ("n_requests", pa.int64()),
                              ("clnc", pa.float64())])
-    df = X.gather(X.part_exchange(_enriched(sf_dir), pair_partial, _ip_key,
-                                  fold_part, part_schema),
-                  part_schema).to_pandas()
-    if df.empty:
-        return out_schema.empty_table()
-    agg = df.groupby("source", sort=True).agg(
-        n=("n", "sum"), clnc=("clnc", "sum")).reset_index()
-    n = agg["n"].to_numpy().astype(np.float64)
-    ent = np.log(n) - agg["clnc"].to_numpy() / n
+    t = X.sum_refs(X.part_exchange(_enriched(sf_dir), pair_partial, _ip_key,
+                                   fold_part, part_schema),
+                   ["source"], part_schema)
+    n = t.column("n_requests").to_numpy().astype(np.float64)
+    ent = np.log(n) - t.column("clnc").to_numpy() / n
     return pa.table({
-        "source": pa.array(agg["source"], pa.string()),
-        "n_requests": pa.array(agg["n"].astype("int64")),
+        "source": t.column("source"),
+        "n_requests": t.column("n_requests"),
         "ip_entropy": pa.array(np.round(ent, 6)),
-    })
+    }, schema=out_schema)
 
 
 def sql_ip_entropy(cache: str) -> str:
@@ -1708,6 +1690,18 @@ _SEQ_COUNTS = pa.schema([("source", pa.string()), ("n_rows", pa.int64()),
                          ("n_uniq", pa.int64())])
 
 
+def _seq_counts(source, vals: np.ndarray, off: np.ndarray) -> pa.Table:
+    """Block partial of the sequence-hash ops: one ``_seq_hash64`` per
+    row of flat ``vals`` / ``off``, then (source, h, cnt) with ``cnt``
+    the row's copies within the block."""
+    g = pa.table({
+        "source": source,
+        "h": pa.array(_seq_hash64(vals, off).view(np.int64)),
+    }).group_by(["source", "h"]).aggregate([([], "count_all")])
+    return pa.table({"source": g.column("source"), "h": g.column("h"),
+                     "cnt": g.column("count_all").cast(pa.int64())})
+
+
 def _seq_count_part(g: "pd.DataFrame"):
     """One hash partition of (source, h, cnt) sequence-hash partials ->
     per-source row and distinct-sequence counts (the seq-dedup fold)."""
@@ -1730,30 +1724,17 @@ def q_log_seq_dedup(sf_dir: str):
     ragged segments, uint64 wraparound), then block dedup of
     (source, hash) with a per-block copy count. ONE hash exchange on
     h % P co-locates every copy of a sequence; each partition counts
-    distinct hashes and total rows per source, and the driver folds
+    distinct hashes and total rows per source, and the driver sums
     P x |sources| tiny rows. Sequences themselves never move."""
     def partial(t: pa.Table) -> pa.Table:
-        vals, off = _token_lists(t.column("tokens"))
-        h = _seq_hash64(vals, off)
-        g = pa.table({
-            "source": t.column("source"),
-            "h": pa.array(h.view(np.int64)),
-        }).group_by(["source", "h"]).aggregate([([], "count_all")])
-        return pa.table({"source": g.column("source"), "h": g.column("h"),
-                         "cnt": g.column("count_all").cast(pa.int64())})
+        return _seq_counts(t.column("source"),
+                           *_token_lists(t.column("tokens")))
 
-    df = X.gather(X.part_exchange(
+    t = X.sum_refs(X.part_exchange(
         _read_tokens(sf_dir, ["tokens", "source"]), partial, _h_key,
-        _seq_count_part, _SEQ_COUNTS), _SEQ_COUNTS).to_pandas()
-    out = df.groupby("source", sort=True).agg(
-        n_rows=("n_rows", "sum"), n_uniq_seq=("n_uniq", "sum")).reset_index()
-    return pa.table({
-        "source": pa.array(out["source"], type=pa.string()),
-        "n_rows": pa.array(out["n_rows"], type=pa.int64()),
-        "n_uniq_seq": pa.array(out["n_uniq_seq"], type=pa.int64()),
-        "n_dup_rows": pa.array(out["n_rows"] - out["n_uniq_seq"],
-                               type=pa.int64()),
-    })
+        _seq_count_part, _SEQ_COUNTS), ["source"], _SEQ_COUNTS)
+    return t.rename_columns(["source", "n_rows", "n_uniq_seq"]).append_column(
+        "n_dup_rows", pc.subtract(t.column("n_rows"), t.column("n_uniq")))
 
 
 def sql_seq_dedup(cache: str) -> str:
@@ -1789,26 +1770,14 @@ def q_log_seq_dedup_prefix(sf_dir: str, k: int = 32):
         poff = np.empty(len(nt) + 1, dtype=np.int64)
         poff[0] = 0
         np.cumsum(pnt, out=poff[1:])
-        h = _seq_hash64(pvals, poff)
-        g = pa.table({
-            "source": t.column("source"),
-            "h": pa.array(h.view(np.int64)),
-        }).group_by(["source", "h"]).aggregate([([], "count_all")])
-        return pa.table({"source": g.column("source"), "h": g.column("h"),
-                         "cnt": g.column("count_all").cast(pa.int64())})
+        return _seq_counts(t.column("source"), pvals, poff)
 
-    df = X.gather(X.part_exchange(
+    t = X.sum_refs(X.part_exchange(
         _read_tokens(sf_dir, ["tokens", "source"]), partial, _h_key,
-        _seq_count_part, _SEQ_COUNTS), _SEQ_COUNTS).to_pandas()
-    out = df.groupby("source", sort=True).agg(
-        n_rows=("n_rows", "sum"), n_uniq=("n_uniq", "sum")).reset_index()
-    return pa.table({
-        "source": pa.array(out["source"], type=pa.string()),
-        "n_rows": pa.array(out["n_rows"], type=pa.int64()),
-        "n_uniq_prefix": pa.array(out["n_uniq"], type=pa.int64()),
-        "n_dup_rows": pa.array(out["n_rows"] - out["n_uniq"],
-                               type=pa.int64()),
-    })
+        _seq_count_part, _SEQ_COUNTS), ["source"], _SEQ_COUNTS)
+    return t.rename_columns(
+        ["source", "n_rows", "n_uniq_prefix"]).append_column(
+        "n_dup_rows", pc.subtract(t.column("n_rows"), t.column("n_uniq")))
 
 
 def _source_idx_range(sf_dir: str) -> pa.Table:
@@ -2371,8 +2340,8 @@ def q_log_token_ngram_dedup(sf_dir: str, n: int = 8, mod: int = 8):
     # via SBO_BW_TASK_CPUS.
     sl = X.shard(window_partial, refs, 2 * P, num_cpus=_bw_task_cpus(16))
     fl = X.combine(flag_part, sl[:P], num_returns=P)
-    return _sum_refs(X.combine(count_part, (fl, sl[P:]),
-                               out_schema=_NGRAM_OUT), ["source"], _NGRAM_OUT)
+    return X.sum_refs(X.combine(count_part, (fl, sl[P:]),
+                                out_schema=_NGRAM_OUT), ["source"], _NGRAM_OUT)
 
 
 def sql_token_ngram_dedup(cache: str, n: int = 8, mod: int = 8) -> str:
@@ -2558,8 +2527,8 @@ def q_log_seq_dedup_minhash(sf_dir: str, n: int = 8, mod: int = 8):
     # stage -> same bandwidth cap (target 16/node)
     sl = X.shard(window_partial, refs, 2 * P, num_cpus=_bw_task_cpus(16))
     fl = X.combine(flag_part, sl[:P], num_returns=P)
-    return _sum_refs(X.combine(count_part, (fl, sl[P:]), out_schema=_MH_OUT),
-                     ["source"], _MH_OUT)
+    return X.sum_refs(X.combine(count_part, (fl, sl[P:]), out_schema=_MH_OUT),
+                      ["source"], _MH_OUT)
 
 
 def sql_seq_dedup_minhash(cache: str, n: int = 8, mod: int = 8) -> str:
@@ -2864,15 +2833,9 @@ def q_log_dup_gap_histogram(sf_dir: str):
         return pd.DataFrame({"gap_bucket": ub,
                              "n_pairs": cnt.astype("int64")})
 
-    df = X.gather(X.part_exchange(
+    return X.sum_refs(X.part_exchange(
         _read_tokens(sf_dir, ["doc_id", "tokens"]), partial, _h_key,
-        fold_part, _DUPGAP_OUT), _DUPGAP_OUT).to_pandas()
-    out = (df.groupby("gap_bucket", sort=True)["n_pairs"].sum()
-           .reset_index())
-    return pa.table({
-        "gap_bucket": pa.array(out["gap_bucket"], type=pa.int64()),
-        "n_pairs": pa.array(out["n_pairs"], type=pa.int64()),
-    }, schema=_DUPGAP_OUT)
+        fold_part, _DUPGAP_OUT), ["gap_bucket"], _DUPGAP_OUT)
 
 
 def sql_dup_gap_histogram(cache: str) -> str:
@@ -3188,8 +3151,8 @@ def q_log_ngram_novelty(sf_dir: str, n: int = 8, mod: int = 8):
                  X.block_refs(_read_tokens(sf_dir, ["doc_id", "tokens",
                                                     "source"])),
                  P, num_cpus=_bw_task_cpus(16))
-    return _sum_refs(X.combine(combine, sl, out_schema=_NOV_OUT),
-                     ["source", "quartile"], _NOV_OUT)
+    return X.sum_refs(X.combine(combine, sl, out_schema=_NOV_OUT),
+                      ["source", "quartile"], _NOV_OUT)
 
 
 def sql_ngram_novelty(cache: str, n: int = 8, mod: int = 8) -> str:
@@ -3237,14 +3200,8 @@ def q_log_dup_cluster_sizes(sf_dir: str):
     the partition fold emits the bounded (source, copies, n_clusters)
     histogram instead of two scalars. Sequences never move."""
     def partial(t: pa.Table) -> pa.Table:
-        vals, off = _token_lists(t.column("tokens"))
-        h = _seq_hash64(vals, off)
-        g = pa.table({
-            "source": t.column("source"),
-            "h": pa.array(h.view(np.int64)),
-        }).group_by(["source", "h"]).aggregate([([], "count_all")])
-        return pa.table({"source": g.column("source"), "h": g.column("h"),
-                         "cnt": g.column("count_all").cast(pa.int64())})
+        return _seq_counts(t.column("source"),
+                           *_token_lists(t.column("tokens")))
 
     def fold_part(g: "pd.DataFrame"):
         import pandas as pd
@@ -3257,16 +3214,9 @@ def q_log_dup_cluster_sizes(sf_dir: str):
                              "copies": hist["cnt"].astype("int64"),
                              "n_clusters": hist["h"].astype("int64")})
 
-    df = X.gather(X.part_exchange(
+    return X.sum_refs(X.part_exchange(
         _read_tokens(sf_dir, ["tokens", "source"]), partial, _h_key,
-        fold_part, _DUPSZ_OUT), _DUPSZ_OUT).to_pandas()
-    out = (df.groupby(["source", "copies"], sort=True)["n_clusters"].sum()
-           .reset_index())
-    return pa.table({
-        "source": pa.array(out["source"], type=pa.string()),
-        "copies": pa.array(out["copies"], type=pa.int64()),
-        "n_clusters": pa.array(out["n_clusters"], type=pa.int64()),
-    }, schema=_DUPSZ_OUT)
+        fold_part, _DUPSZ_OUT), ["source", "copies"], _DUPSZ_OUT)
 
 
 def sql_dup_cluster_sizes(cache: str) -> str:
@@ -3611,7 +3561,8 @@ def q_log_cross_source_leakage(sf_dir: str):
     presence pairs, ONE h % P exchange — but the partition fold
     self-joins the presence rows on h (fan-out bounded by |sources|
     per hash) and emits per-pair counts; the driver sums
-    P x |sources|^2 tiny rows. Sequences never move."""
+    P x |sources|^2 tiny rows (``exchange.sum_refs``). Sequences never
+    move."""
     def partial(t: pa.Table) -> pa.Table:
         vals, off = _token_lists(t.column("tokens"))
         h = _seq_hash64(vals, off)
@@ -3632,16 +3583,9 @@ def q_log_cross_source_leakage(sf_dir: str):
                              "src_b": out["source_y"],
                              "n_shared": out["n"].astype("int64")})
 
-    df = X.gather(X.part_exchange(
+    return X.sum_refs(X.part_exchange(
         _read_tokens(sf_dir, ["tokens", "source"]), partial, _h_key,
-        fold_part, _LEAK_OUT), _LEAK_OUT).to_pandas()
-    out = (df.groupby(["src_a", "src_b"], sort=True)["n_shared"].sum()
-           .reset_index())
-    return pa.table({
-        "src_a": pa.array(out["src_a"], type=pa.string()),
-        "src_b": pa.array(out["src_b"], type=pa.string()),
-        "n_shared": pa.array(out["n_shared"], type=pa.int64()),
-    }, schema=_LEAK_OUT)
+        fold_part, _LEAK_OUT), ["src_a", "src_b"], _LEAK_OUT)
 
 
 def sql_cross_source_leakage(cache: str) -> str:
@@ -3730,11 +3674,12 @@ def _chunk_tok_sums(block: pa.Table) -> pa.Table:
 
 
 def _pack_bases(sum_refs: list):
-    """(chunk, tok_sum) partial refs folded on the driver into the
+    """(chunk, tok_sum) partial refs summed on the driver into the
     broadcast ``pack.bases``."""
     import ray
 
-    return ray.put(pack.bases(X.gather(sum_refs, pack.CHUNK_SUMS)))
+    return ray.put(pack.bases(X.sum_refs(sum_refs, ["chunk"],
+                                         pack.CHUNK_SUMS)))
 
 
 def _pack_combine(base, seq_len: int, *shards) -> pa.Table:
@@ -3756,6 +3701,10 @@ _PACK_SRC_SCHEMA = pa.schema([
     ("frag_sum", pa.int64()),
     ("first_tok", pa.int64()), ("last_tok", pa.int64()),
 ])
+
+
+_PACK_SRC_SUMS = pa.schema([("source", pa.string()), ("chunk", pa.int64()),
+                            ("tok_sum", pa.int64())])
 
 
 def _pack_src_chunk_sums(block: pa.Table) -> pa.Table:
@@ -3810,18 +3759,16 @@ def q_log_pack_tokens_by_source(sf_dir: str, seq_len: int = 512,
                                chunk_docs, _pack_src_chunk_sums)
     if not sl:
         return rd.from_arrow(_PACK_SRC_SCHEMA.empty_table())
-    merged = pa.concat_tables(ray.get(sum_refs)).group_by(
-        ["source", "chunk"]).aggregate([("tok_sum", "sum")])
-    df = merged.to_pandas().sort_values(["source", "chunk"])
-    srcs_sorted = np.asarray(sorted(df["source"].unique()))
-    C = int(df["chunk"].max()) + 1
-    src_idx = np.searchsorted(srcs_sorted, df["source"].to_numpy())
-    sums = df["tok_sum_sum"].to_numpy().astype(np.int64)
+    t = X.sum_refs(sum_refs, ["source", "chunk"], _PACK_SRC_SUMS)
+    srcs_sorted, src_idx = np.unique(
+        np.asarray(t.column("source").to_pylist()), return_inverse=True)
+    chunk = t.column("chunk").to_numpy()
+    C = int(chunk.max()) + 1
     # per-source exclusive cumsum: the offsets rule with the source as
     # the run key and zero bases
     zero = (np.arange(len(srcs_sorted)), np.zeros(len(srcs_sorted), np.int64))
-    comp_base = (src_idx * C + df["chunk"].to_numpy(),
-                 pack.offsets(src_idx, sums, zero))
+    comp_base = (src_idx * C + chunk,
+                 pack.offsets(src_idx, t.column("tok_sum").to_numpy(), zero))
     # combine outputs stay in the object store: the packed corpus is
     # O(input) rows, so the result ships as a Dataset of per-partition
     # blocks (the customer_rfm idiom), never a driver concat
@@ -4048,7 +3995,7 @@ def q_log_pack_source_purity(sf_dir: str, seq_len: int = 512,
     P = len(sl)
     mids = X.combine(_purity_combine, sl, _pack_bases(sum_refs), seq_len,
                      P, num_returns=P, out_schema=_PUR_PART)
-    return _sum_refs(
+    return X.sum_refs(
         X.combine(_purity_seq_combine, mids, out_schema=_PUR_SCHEMA),
         ["n_sources"], _PUR_SCHEMA)
 
@@ -4102,7 +4049,7 @@ def q_log_pack_doc_mix(sf_dir: str, seq_len: int = 512,
     P = len(sl)
     mids = X.combine(_mix_combine, sl, _pack_bases(sum_refs), seq_len,
                      P, num_returns=P, out_schema=_MIX_PART)
-    return _sum_refs(
+    return X.sum_refs(
         X.combine(_mix_seq_combine, mids, out_schema=_MIX_SCHEMA),
         ["n_docs"], _MIX_SCHEMA)
 

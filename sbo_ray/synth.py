@@ -264,14 +264,24 @@ def ensure_input(sf_dir: str, seed: int = SEED_DEFAULT,
                        cache_root=cache_root)
 
 
+def rows_dir(n_rows: int, seed: int = SEED_DEFAULT, n_sources: int = 12,
+             cache_root: str = "/tmp/sbo_synth",
+             unique_paths: bool = False) -> str:
+    """The cache directory ``ensure_rows`` fills for these arguments (a
+    ``_SUCCESS`` file marks it complete): the one spelling of the cache
+    key and its version tag, which a change to the synthesizer's output
+    bumps."""
+    tag = "v5hc" if unique_paths else "v5"
+    return os.path.join(cache_root, f"{tag}_n{n_rows}_s{seed}_k{n_sources}")
+
+
 def ensure_rows(n_rows: int, seed: int = SEED_DEFAULT, n_sources: int = 12,
                 cache_root: str = "/tmp/sbo_synth",
                 unique_paths: bool = False) -> str:
     """Idempotently materialize a synthetic input table of n_rows.
     ``unique_paths=True`` is the adversarial high-key-cardinality variant
     (own cache key)."""
-    tag = "v5hc" if unique_paths else "v5"
-    out = os.path.join(cache_root, f"{tag}_n{n_rows}_s{seed}_k{n_sources}")
+    out = rows_dir(n_rows, seed, n_sources, cache_root, unique_paths)
     marker = os.path.join(out, "_SUCCESS")
     if os.path.exists(marker):
         return out

@@ -173,6 +173,29 @@ def test_per_row_exchange_ops_empty(ray_session, empty_events_dir,
     assert list(zip(schema.names, schema.types)) == cols
 
 
+@pytest.mark.parametrize("name, cols", [
+    ("events_transitions", [("from_type", _STR), ("to_type", _STR),
+                            ("n", _I64)]),
+    ("events_retention", [("cohort_day", _TS), ("offset_days", _I64),
+                          ("n_users", _I64)]),
+    ("events_sliding_distinct", [("window_start", _TS), ("n_users", _I64)]),
+    ("events_attribution", [("touch_type", _STR), ("n_purchases", _I64),
+                            ("total_value", _F64)]),
+    ("events_cohort_ltv", [("cohort_week", _I64), ("age_weeks", _I64),
+                           ("n_users", _I64), ("n_events", _I64),
+                           ("revenue", _F64)]),
+])
+def test_bounded_event_ops_empty(ray_session, empty_events_dir, name, cols):
+    """Bounded hash-exchange event ops over an empty events table: a
+    zero-row table with the op's columns and types (the typed empty of
+    the driver's keyed sum), never an untyped or null column."""
+    from sbo_ray.pipelines import datapipe as DP
+
+    out = getattr(DP, name)(empty_events_dir)
+    assert out.num_rows == 0
+    assert list(zip(out.schema.names, out.schema.types)) == cols
+
+
 def test_knn_join_empty_embeddings(ray_session, tmp_path):
     from sbo_ray.pipelines.datapipe import emb_knn_join
 

@@ -190,6 +190,16 @@ def test_events_daily_active_high_p(gate, monkeypatch, P):
     "doc_pack_sequences",       # doc-id chunk key + broadcast bases
     "log_repeat_offenders",     # parsed-log partial, crc32 client key
     "log_metrics_compat",       # crc32-by-group routing, two returns
+    # bounded keyed sums of the combine outputs (exchange.sum_refs)
+    "log_distinct_clients",     # per-source distinct counts
+    "log_ip_entropy",           # float sufficient stats, derived column
+    "log_dup_gap_histogram",    # numpy-bucketed pandas fold
+    "log_cross_source_leakage",  # per-partition self-join counts
+    "events_transitions",       # user-key pandas fold
+    "events_retention",         # timestamp key from the fold
+    "customer_no_orders",       # two-sided anti-join
+    "events_sliding_distinct",  # block-expanded pairs, raw-task shard
+    "events_cohort_ltv",        # rounded float sum
 ])
 def test_exchange_partition_invariance(gate, monkeypatch, name, P):
     monkeypatch.setattr(X, "n_parts", lambda *_: P)
