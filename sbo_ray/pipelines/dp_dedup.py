@@ -1135,8 +1135,10 @@ def doc_dedup_containment(sf_dir: str, threshold: float = 0.6, n: int = 5,
     refs = X.block_refs(ds)
     if not refs:
         return _CONTAIN_PAIRS_SCHEMA.empty_table()
+    # the doc_dedup_ngram kernel, so the same bandwidth cap (target 8)
     return X.gather(_chunk_pair_join(refs, "doc_id", B, _ngram_pair,
-                                     threshold, n, num_cpus=4,
+                                     threshold, n,
+                                     num_cpus=_bw_task_cpus(8),
                                      metric="containment"),
                     _CONTAIN_PAIRS_SCHEMA)
 

@@ -32,6 +32,20 @@ from .dp_text import *  # noqa: F401,F403
 # ---- multimodal plumbing ---------------------------------------------------
 
 
+def _decode_pool() -> dict:
+    """``map_batches`` kwargs of the decode actor pools. The pool starts
+    its minimum before any input is read, so a read task must still find
+    a CPU beside it: at most ``cpus - 1`` one-CPU actors, floor of 1,
+    and a 1-CPU session's single actor reserves no CPU (the pool holding
+    the only CPU while waiting on a read that needs it hangs the query).
+    Two actors from 3 CPUs up; the maximum grows with the cluster so a
+    big cluster's decode stage isn't starved at a hardcoded width."""
+    cpus = _cpus()
+    lo = max(1, min(2, cpus - 1))
+    return {"concurrency": (lo, max(lo, cpus - 1)),
+            "num_cpus": 1 if cpus > 1 else 0}
+
+
 def multimodal_payload_stats(sf_dir: str):
     """Binary-payload metadata (the SQL-checkable half of the multimodal
     plumbing: byte sizes of the opaque payload column)."""
@@ -94,15 +108,12 @@ def multimodal_features(sf_dir: str):
     payload = _read(sf_dir, "documents", columns=["doc_id"]).map_batches(
         to_images, batch_format="pyarrow"
     )
-    # actor pool sized from the cluster (VERDICT r2 item 6): floor of 2
-    # keeps tiny sessions working; cap at _cpus() so a big cluster's
-    # decode stage isn't starved at a hardcoded width
     return payload.map_batches(
         DecoderStub,
         fn_constructor_kwargs={"fake": False},
         batch_format="pyarrow",
         batch_size=256,
-        concurrency=(2, max(2, _cpus())),
+        **_decode_pool(),
     )
 
 
@@ -140,7 +151,7 @@ def multimodal_png_features(sf_dir: str):
         PngDecoder,
         batch_format="pyarrow",
         batch_size=256,
-        concurrency=(2, max(2, _cpus())),
+        **_decode_pool(),
     )
 
 
@@ -177,7 +188,7 @@ def multimodal_bmp_features(sf_dir: str):
         BmpDecoder,
         batch_format="pyarrow",
         batch_size=256,
-        concurrency=(2, max(2, _cpus())),
+        **_decode_pool(),
     )
 
 
@@ -215,7 +226,7 @@ def multimodal_gif_features(sf_dir: str):
         GifDecoder,
         batch_format="pyarrow",
         batch_size=256,
-        concurrency=(2, max(2, _cpus())),
+        **_decode_pool(),
     )
 
 
@@ -252,7 +263,7 @@ def multimodal_qoi_features(sf_dir: str):
         QoiDecoder,
         batch_format="pyarrow",
         batch_size=256,
-        concurrency=(2, max(2, _cpus())),
+        **_decode_pool(),
     )
 
 
@@ -292,7 +303,7 @@ def multimodal_image_resize(sf_dir: str):
         ImageResizer,
         batch_format="pyarrow",
         batch_size=256,
-        concurrency=(2, max(2, _cpus())),
+        **_decode_pool(),
     )
 
 
@@ -330,7 +341,7 @@ def multimodal_ulaw_features(sf_dir: str):
         AudioDecoder,
         batch_format="pyarrow",
         batch_size=256,
-        concurrency=(2, max(2, _cpus())),
+        **_decode_pool(),
     )
 
 
@@ -364,7 +375,7 @@ def multimodal_alaw_features(sf_dir: str):
         AudioDecoder,
         batch_format="pyarrow",
         batch_size=256,
-        concurrency=(2, max(2, _cpus())),
+        **_decode_pool(),
     )
 
 
@@ -401,11 +412,12 @@ def multimodal_audio_features(sf_dir: str):
         AudioDecoder,
         batch_format="pyarrow",
         batch_size=256,
-        concurrency=(2, max(2, _cpus())),
+        **_decode_pool(),
     )
 
 
 __all__ = [
+    "_decode_pool",
     "multimodal_payload_stats",
     "multimodal_frame_sample",
     "multimodal_features",

@@ -178,6 +178,11 @@ UNIFIED_SCHEMA = pa.schema([
 UNIFIED_KEYS = ["kind", "source", "metric_type", "dimension", "key_value", "time_window"]
 
 
+def _const(value, typ: pa.DataType, n: int) -> pa.Array:
+    """``n`` copies of ``value`` as one ``typ`` array, no Python list."""
+    return pa.repeat(pa.scalar(value, typ), n)
+
+
 def partial_stage(job: JobConfig, mask_ips: bool = False,
                   relevant_only: bool = True):
     """Build the flagship's per-batch stage, ``stage(batch, routed_root)``:
@@ -213,37 +218,38 @@ def partial_stage(job: JobConfig, mask_ips: bool = False,
         g = global_counter_partial(enriched)
         n_m, n_c = m.num_rows, c.num_rows
         g_cols = g.column_names
+        n_g = len(g_cols)
         return pa.Table.from_arrays(
             [
                 pa.concat_arrays([
-                    pa.array([0] * n_m, pa.int8()),
-                    pa.array([1] * n_c, pa.int8()),
-                    pa.array([2] * len(g_cols), pa.int8()),
+                    _const(0, pa.int8(), n_m),
+                    _const(1, pa.int8(), n_c),
+                    _const(2, pa.int8(), n_g),
                 ]),
                 pa.concat_arrays([
                     m.column("source").combine_chunks(),
                     c.column("source").combine_chunks(),
-                    pa.array([""] * len(g_cols), pa.string()),
+                    _const("", pa.string(), n_g),
                 ]),
                 pa.concat_arrays([
                     m.column("metric_type").combine_chunks(),
-                    pa.array([0] * n_c, pa.int32()),
-                    pa.array([0] * len(g_cols), pa.int32()),
+                    _const(0, pa.int32(), n_c),
+                    _const(0, pa.int32(), n_g),
                 ]),
                 pa.concat_arrays([
-                    pa.array([""] * n_m, pa.string()),
+                    _const("", pa.string(), n_m),
                     c.column("dimension").combine_chunks(),
                     pa.array(g_cols, pa.string()),
                 ]),
                 pa.concat_arrays([
                     m.column("key_value").combine_chunks(),
                     c.column("key_value").combine_chunks(),
-                    pa.array([""] * len(g_cols), pa.string()),
+                    _const("", pa.string(), n_g),
                 ]),
                 pa.concat_arrays([
                     m.column("time_window").combine_chunks(),
-                    pa.array([0] * n_c, pa.int64()),
-                    pa.array([0] * len(g_cols), pa.int64()),
+                    _const(0, pa.int64(), n_c),
+                    _const(0, pa.int64(), n_g),
                 ]),
                 pa.concat_arrays([
                     m.column("metric_value").combine_chunks(),

@@ -18,6 +18,11 @@ Key-space note (SURVEY.md §4): the merge key includes ``key_value`` and
 ``time_window``, so a hot ``source`` does NOT concentrate on one key;
 the key space stays wide without explicit salting. The partials merge
 through ``exchange.merge``.
+
+Column discipline: each sink here selects the enriched columns it reads
+(``FANOUT_COLUMNS``, the counter dimensions, three global-counter
+columns) before it filters ``parse_ok``, so no sink copies the
+``tokens`` payload; only the routed sink (``stages/route.py``) moves it.
 """
 
 from __future__ import annotations
@@ -56,12 +61,28 @@ def const_str(n: int, value: str) -> pa.Array:
     return pa.repeat(pa.scalar(value, type=pa.string()), n)
 
 
+# the enriched columns the emission rules read
+FANOUT_COLUMNS = (
+    "source", "time_window", "bytes_sent", "status", "method", "referer",
+    "path1", "path2", "path3", "ua_family", "ua_os", "ua_device_type",
+    "ua_human", "ua_intent",
+)
+
+
+def parsed_columns(batch: pa.Table, columns) -> pa.Table:
+    """The batch's parse_ok rows of ``columns`` only: selecting first
+    keeps the filter from copying columns the sink never reads (the
+    ``tokens`` payload above all)."""
+    return batch.select(list(columns)).filter(batch.column("parse_ok"))
+
+
 def fanout_long(batch: pa.Table, carry: str | None) -> pa.Table:
     """HandleEntry's emission rules (metricgenerator.go:86-126), the one
     copy: the batch's parse_ok rows -> one long METRIC_SCHEMA row per
     emission, not aggregated. ``carry`` names a batch column appended to
     every emission (compat's arrival order), or None."""
-    batch = batch.filter(batch.column("parse_ok"))
+    batch = parsed_columns(
+        batch, FANOUT_COLUMNS if carry is None else (*FANOUT_COLUMNS, carry))
     schema, extra = METRIC_SCHEMA, []
     if carry is not None:
         schema = schema.append(batch.schema.field(carry))
@@ -166,7 +187,8 @@ def counter_melt(batch: pa.Table) -> pa.Table:
     long table with per-batch partial counts: one shuffle for all nine.
     Keyed by ``source`` because the reference runs one CounterHandler per
     monitored file (main.go:692-694)."""
-    batch = batch.filter(batch.column("parse_ok"))
+    batch = parsed_columns(
+        batch, ("source", *(col for _, col in COUNTER_DIMENSIONS)))
     if batch.num_rows == 0:
         return COUNTER_SCHEMA.empty_table()
     n = batch.num_rows
@@ -204,8 +226,7 @@ GLOBAL_COUNTER_SCHEMA = pa.schema([
 def global_counter_partial(batch: pa.Table) -> pa.Table:
     """One-row partial of the global counters (counter.go:58-84, 137-229)
     plus the parse-error count (main.go:700-707)."""
-    ok = batch.column("parse_ok")
-    good = batch.filter(ok)
+    good = parsed_columns(batch, ("ua_human", "malicious", "bytes_sent"))
     n = good.num_rows
     human = pc.sum(pc.equal(good.column("ua_human"), "Human")).as_py() or 0
     nonhuman = pc.sum(pc.equal(good.column("ua_human"), "NonHuman")).as_py() or 0

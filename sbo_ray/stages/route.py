@@ -12,6 +12,11 @@ partitioned Parquet writer:
   (``db/mysqldb.go:161-238``);
 - the untouched ``tokens`` column rides along for the per-row
   token-array-equality invariant (BASELINE.json input_hint).
+
+It is the one per-batch sink that moves ``tokens``, and it copies them
+once: ``parse_ok`` and the relevance gate form one mask, and one filter
+over the projection's own columns (``ROUTED_COLUMNS``) keeps the routed
+rows.
 """
 
 from __future__ import annotations
@@ -42,6 +47,15 @@ ROUTED_SCHEMA = pa.schema([
     ("ua_is_human", pa.string()),
     ("ua_intent", pa.string()),
 ])
+
+
+# the enriched columns the projection reads
+ROUTED_COLUMNS = (
+    "source", "doc_id", "tokens", "ts", "client_ip", "remote_user", "method",
+    "path1", "path2", "path3", "path", "status", "bytes_sent", "referer",
+    "malicious", "ua_fullname", "ua_os", "ua_family", "ua_device_type",
+    "ua_human", "ua_intent",
+)
 
 
 def relevance_mask(batch: pa.Table) -> pa.Array:
@@ -88,9 +102,11 @@ def _truncate(arr: pa.Array, limit: int, keep_last: bool = False) -> pa.Array:
 def routed_projection(batch: pa.Table, mask_ips: bool = False,
                       relevant_only: bool = True) -> pa.Table:
     """Enriched batch -> routed raw-log rows (SaveRawLog projection)."""
-    batch = batch.filter(batch.column("parse_ok"))
-    if relevant_only and batch.num_rows > 0:
-        batch = batch.filter(relevance_mask(batch))
+    keep = batch.column("parse_ok")
+    if relevant_only:
+        # Kleene AND: a parse failure is false whatever its fields hold
+        keep = pc.and_kleene(keep, relevance_mask(batch))
+    batch = batch.select(list(ROUTED_COLUMNS)).filter(keep)
     n = batch.num_rows
     if n == 0:
         return ROUTED_SCHEMA.empty_table()

@@ -208,12 +208,14 @@ def _grouped_stage(stage, keys: list[str], key_groups: list[int],
     out_schema = UNIFIED_SCHEMA.append(pa.field("group", pa.int32()))
 
     def group_stage(batch: pa.Table) -> pa.Table:
-        # a batch may span shards and groups (batch_size): split it
+        # a batch may span shards and groups (batch_size): split it; the
+        # one-shard batch (the default) holds one group and passes whole
         gid = key_groups.take(pc.index_in(batch.column("path"), keys))
         batch = batch.drop_columns(["path"])
+        present = pc.unique(gid).to_pylist()
         outs = []
-        for g in pc.unique(gid).to_pylist():
-            sub = batch.filter(pc.equal(gid, g))
+        for g in present:
+            sub = batch if len(present) == 1 else batch.filter(pc.equal(gid, g))
             count = pa.table({
                 "kind": pa.array([_ROWS_IN_KIND], pa.int8()), "source": [""],
                 "metric_type": pa.array([0], pa.int32()), "dimension": ["rows_in"],
@@ -221,7 +223,7 @@ def _grouped_stage(stage, keys: list[str], key_groups: list[int],
             }, schema=UNIFIED_SCHEMA)
             unified = pa.concat_tables([stage(sub, routed[g]), count])
             outs.append(unified.append_column(
-                "group", pa.array([g] * unified.num_rows, pa.int32())))
+                "group", pa.repeat(pa.scalar(g, pa.int32()), unified.num_rows)))
         return pa.concat_tables(outs) if outs else out_schema.empty_table()
 
     return group_stage
@@ -368,8 +370,11 @@ class CheckpointedPipeline:
                     if not block.num_rows:
                         continue
                     gcol = block.column("group")
-                    for g in pc.unique(gcol).to_pylist():
-                        sub = block.filter(pc.equal(gcol, g)).drop_columns(["group"])
+                    present = pc.unique(gcol).to_pylist()
+                    for g in present:
+                        sub = block if len(present) == 1 else block.filter(
+                            pc.equal(gcol, g))
+                        sub = sub.drop_columns(["group"])
                         rows_in = sub.filter(pc.equal(sub.column("kind"), _ROWS_IN_KIND))
                         counted[g] += pc.sum(rows_in.column("value")).as_py() or 0
                         parts[g].append(sub)

@@ -2125,6 +2125,42 @@ def test_bw_task_cpus_scales(ray_session, monkeypatch):
     assert DPC._bw_task_cpus(16) == 7
 
 
+@pytest.mark.parametrize("op", ["doc_dedup_ngram", "doc_dedup_containment"])
+def test_chunk_pair_tasks_follow_bw_cap(ray_session, monkeypatch, op):
+    """Both chunk-pair joins size their pair tasks by the bandwidth cap,
+    never a hard-coded count: a fixed num_cpus above the session's CPUs
+    leaves the tasks unschedulable and the query hangs."""
+    from sbo_ray.pipelines import dp_dedup as DPD
+
+    seen = []
+    join = DPD._chunk_pair_join
+
+    def spy(*args, num_cpus, **kw):
+        seen.append(num_cpus)
+        return join(*args, num_cpus=num_cpus, **kw)
+
+    monkeypatch.setattr(DPD, "_chunk_pair_join", spy)
+    monkeypatch.setenv("SBO_BW_TASK_CPUS", "1")
+    out = getattr(DPD, op)("/root/testdata/sf0.001", n_chunks=2)
+    assert seen == [1]
+    assert out.num_rows >= 0
+
+
+def test_decode_pool_leaves_a_cpu_for_reads(monkeypatch):
+    """The decode actor pool's minimum starts before any input is read:
+    it must leave a read task a CPU, or the query hangs (it did at 1 and
+    2 CPUs with a fixed minimum of two one-CPU actors)."""
+    from sbo_ray.pipelines import dp_multimodal as DPM
+
+    for cpus, want in [(1, ((1, 1), 0)), (2, ((1, 1), 1)), (3, ((2, 2), 1)),
+                       (4, ((2, 3), 1)), (32, ((2, 31), 1))]:
+        monkeypatch.setattr(DPM, "_cpus", lambda c=cpus: c)
+        pool = DPM._decode_pool()
+        assert (pool["concurrency"], pool["num_cpus"]) == want, cpus
+        lo, _ = pool["concurrency"]
+        assert lo * pool["num_cpus"] <= cpus - 1, cpus
+
+
 def test_ann_recall_brackets(ray_session):
     """The recall evaluator's invariants: per-query recall in [0,1]
     with n_hits consistent, exact self-agreement when every bucket is
