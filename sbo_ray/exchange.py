@@ -95,6 +95,15 @@ def n_parts(nbytes: int | None = None) -> int:
     return min(cap, max(cpus, -(-nbytes // block)))
 
 
+def row_parts(rows: int) -> int:
+    """Partition count for an exchange sized by its ``rows`` (the
+    label-propagation rounds' graph edges): one partition per 32768
+    rows, at least 2 and at most :func:`n_parts`'s cap. It scales with
+    the graph, not the corpus, so tiny graphs do not pay for no-op tasks
+    every round."""
+    return max(2, min(n_parts(), 1 + rows // 32768))
+
+
 def fib_partition(x: np.ndarray, P: int) -> np.ndarray:
     """int64 keys -> partition ids via a Fibonacci mixing hash (plain
     ``x % P`` would correlate with any stride structure in the ids)."""

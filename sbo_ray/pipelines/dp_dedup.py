@@ -1235,10 +1235,9 @@ def _min_label_prop(pairs_t: pa.Table, max_rounds: int = 50,
     u = np.concatenate([ua, ub]).astype(np.int64, copy=False)
     v = np.concatenate([ub, ua]).astype(np.int64, copy=False)
     nodes = np.unique(u)
-    # scale P with the graph, not the corpus: tiny graphs shouldn't pay
-    # hundreds of no-op tasks per round (n_parts overrides, for tests
-    # that pin the cross-partition shard routing at high P)
-    P = n_parts or max(2, min(X.n_parts(), 1 + len(u) // 32768))
+    # n_parts overrides, for tests that pin the cross-partition shard
+    # routing at high P
+    P = n_parts or X.row_parts(len(u))
     edge_refs = [ray.put(s) for s in X.split(X.fib_partition(u, P), P, u, v)]
     # np.unique gives sorted nodes; the stable split keeps each
     # partition's node array sorted (searchsorted relies on this)
@@ -1344,7 +1343,7 @@ def doc_dedup_clusters_lp(sf_dir: str, threshold: float = 0.8,
     vrefs, total, _ = X.sized_block_refs(verified)
     if not vrefs:
         return empty_out
-    P = max(2, min(X.n_parts(), 1 + (2 * total) // 32768))
+    P = X.row_parts(2 * total)
     edge_refs, label_refs, cnt_refs, sum_refs = X.combine(
         _lp_seed_partition, X.shard(_lp_edge_shard, vrefs, P, P),
         num_returns=4)

@@ -8,14 +8,20 @@ Per batch:
 
 1. ``tokens -> line`` via the zero-copy byte codec;
 2. per-source format lookup (explicit config, never sniffed);
-3. field extraction once per format present in the batch, on that
-   format's lines — the same anchored patterns as the reference's five
-   parsers (``logparsers/httpservers.go:169-318``), vectorized — with
-   the fields scattered back to input row order; everything below runs
-   once over the whole batch;
-4. timestamps: vectorized ``strptime`` of the local clock fields plus a
-   numeric-offset column (the metric time window uses the *local* clock,
-   ``handlers/metricgenerator.go:131-158``);
+3. field extraction with one structural split of the whole batch:
+   ``parse_ok`` is the anchored pattern of each row's format (the
+   reference's five parsers, ``logparsers/httpservers.go:169-318``), run
+   per format present; every line splits once on '"' and its prefix,
+   request and status/bytes parts once on " ", and one take per field
+   gathers the values at the token positions of each row's format. Rows
+   the split cannot place (a quote inside the URI, a spaced timestamp)
+   are extracted by their own format's regex; everything below runs
+   once over the whole batch, in input row order;
+4. timestamps: the local clock and the numeric zone are decoded to
+   integers straight from the string buffer (no ``strptime``), with the
+   scalar parser's calendar check; ``ts`` and the metric time window
+   (from the *local* clock, ``handlers/metricgenerator.go:131-158``)
+   are built from the same integers;
 5. enrichment per **unique value** (dictionary-encode, classify the
    dictionary, scatter back): the URI dictionary is classified by
    ``pyarrow.compute`` kernels (path, path1-3, malicious, utm_source;
@@ -75,15 +81,6 @@ ENRICHED_FIELDS = [
 ]
 ENRICHED_SCHEMA = pa.schema(ENRICHED_FIELDS)
 
-# day exactly 2 digits / hour 1-2 digits: Go time.Parse layout semantics
-# ("02" fixed-width vs "15" non-fixed), keep in lockstep with
-# loglines._RE_APACHE_TS
-_TS_PIECES = (
-    r"^(?P<dt>\d{2}/(?:Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec)/\d{4}"
-    r":\d{1,2}:\d{2}:\d{2}) (?P<sign>[+-])(?P<zh>\d{2})(?P<zm>\d{2})$"
-)
-
-
 # ---- per-unique caches ------------------------------------------------------
 # Module-level so they amortize across batches AND across queries inside each
 # long-lived Ray worker process (task pool) — same effect as actor state,
@@ -136,12 +133,64 @@ def _ua_info(ua: str, cache: dict) -> tuple:
     return hit
 
 
+# ---- string buffers and one-separator splits --------------------------------
+def _str_bytes(strings: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, data) of a string array as numpy views: value i is
+    ``data[offsets[i]:offsets[i + 1]]``."""
+    _, off, data = strings.buffers()
+    offsets = np.frombuffer(off, np.int32, len(strings) + 1, strings.offset * 4)
+    return (offsets.astype(np.int64),
+            np.frombuffer(data, np.uint8) if data is not None else np.zeros(0, np.uint8))
+
+
+class _Split:
+    """``strings`` split on ``sep`` (at most ``max_splits`` times per
+    value; None splits at every ``sep``): row i's tokens are
+    ``tokens[first[i]:first[i] + count[i]]``, and token t's bytes are
+    ``data[start[t]:start[t] + size[t]]``. The checks take token indices;
+    an index past the last token reads the last one (callers mask rows a
+    check does not apply to)."""
+
+    def __init__(self, strings: pa.Array, sep: str, max_splits: int | None) -> None:
+        lists = pc.split_pattern(strings, sep, max_splits=max_splits)
+        lo = lists.offsets.to_numpy().astype(np.int64)
+        self.first, self.count = lo[:-1], np.diff(lo)
+        self.tokens = lists.values
+        off, self.data = _str_bytes(self.tokens)
+        self.start, self.size = off[:-1], np.diff(off)
+
+    def _size(self, t: np.ndarray) -> np.ndarray:
+        return self.size[np.minimum(t, len(self.size) - 1)]
+
+    def _byte(self, t: np.ndarray, at: int) -> np.ndarray:
+        """Byte ``at`` of token t (from the end if negative); 0 if empty."""
+        t = np.minimum(t, len(self.size) - 1)
+        pos = self.start[t] + (at if at >= 0 else self.size[t] + at)
+        return np.where(self.size[t] > 0,
+                        self.data[np.minimum(pos, len(self.data) - 1)], 0)
+
+    def empty(self, t: np.ndarray) -> np.ndarray:
+        return self._size(t) == 0
+
+    def is_char(self, t: np.ndarray, ch: str) -> np.ndarray:
+        return (self._size(t) == 1) & self.starts(t, ch)
+
+    def starts(self, t: np.ndarray, ch: str) -> np.ndarray:
+        return self._byte(t, 0) == ord(ch)
+
+    def ends(self, t: np.ndarray, ch: str) -> np.ndarray:
+        return self._byte(t, -1) == ord(ch)
+
+
 def _unpermute(order: np.ndarray) -> pa.Array:
     """Take indices that move rows concatenated in ``order`` (a
     permutation of input positions) back to input order."""
     inv = np.empty(len(order), dtype=np.int64)
     inv[order] = np.arange(len(order))
     return pa.array(inv)
+
+
+_BLANK = pa.array([""], pa.string())
 
 
 # ---- URI -> path, path1-3, malicious, utm_source ----------------------------
@@ -152,7 +201,6 @@ def _unpermute(order: np.ndarray) -> pa.Array:
 # ("", "*", percent escapes, absolute URLs, bad requests) goes through the
 # scalar L.split_path.
 _URI_SCALAR_ONLY = r"[%\x00-\x1f\x7f]"
-_URI_PARTS = r"(?s)^(?P<path>[^?]*)\??(?P<query>.*)$"
 # L.RE_UTM_SOURCE with a named group; RE2's "$" (no multi-line) is "\Z"
 _UTM_SOURCE = r"(?:\?|&)utm_source=(?P<utm>[^&]+)(?:&|$)"
 
@@ -166,9 +214,12 @@ def _classify_uris(uris: pa.Array) -> tuple:
                         pc.match_substring_regex(uris, _URI_SCALAR_ONLY))
     simple_np = simple.to_numpy(zero_copy_only=False)
     fast = uris.filter(simple)
-    parts = pc.extract_regex(fast, _URI_PARTS)
-    path = pc.struct_field(parts, "path")
-    query = pc.struct_field(parts, "query")
+    # path and raw query: the halves around the first "?"
+    halves = _Split(fast, "?", 1)
+    pool = pa.concat_arrays([halves.tokens, _BLANK])
+    path = pool.take(halves.first)
+    query = pool.take(np.where(halves.count == 2, halves.first + 1,
+                               len(halves.tokens)))
     n_slash = pc.count_substring(path, "/")
     # "//" padding makes segments 1-3 exist; n_slash says which are real
     seg = pc.split_pattern(pc.binary_join_element_wise(path, "//", ""), "/",
@@ -188,7 +239,11 @@ def _classify_uris(uris: pa.Array) -> tuple:
         [L.MALICIOUS_TRAVERSAL, L.MALICIOUS_XSS, L.MALICIOUS_SQLINJ],
         L.MALICIOUS_UNKNOWN,
     ).astype(np.int8)
-    utm = pc.struct_field(pc.extract_regex(fast, _UTM_SOURCE), "utm")
+    # only a value holding the literal "utm_source=" can match
+    tagged = pc.match_substring(fast, "utm_source=")
+    utm = pc.replace_with_mask(
+        pa.nulls(len(fast), pa.string()), tagged,
+        pc.struct_field(pc.extract_regex(fast.filter(tagged), _UTM_SOURCE), "utm"))
     cols = [path, p1, p2, p3, utm]
     if not simple_np.all():
         rest = uris.filter(pc.invert(simple)).to_pylist()
@@ -209,169 +264,194 @@ def _classify_uris(uris: pa.Array) -> tuple:
     return path, p1, p2, p3, mal, utm
 
 
+# ---- field extraction: one structural split per batch ------------------------
 _FIELD_NAMES = ("client_ip", "remote_logname", "remote_user", "ts", "method",
                 "uri", "protocol", "status", "bytes_sent", "referer", "ua",
                 "domain")
 
+# per format code (L.FORMATS order): where a matching line's fields sit in
+# its split. A line splits on '"' into _N_QUOTED parts: the prefix
+# (`[domain] ip logname user [ts] `), the request, the status/bytes text,
+# then referer, " ", user agent and the tail. The prefix, request and
+# status/bytes parts split on " " into _N_PREFIX, 3 and _N_STATUS tokens.
+_CLF = np.array([f == L.FORMAT_APACHE_COMMON for f in L.FORMATS])
+_VHOST = np.array([f == L.FORMAT_APACHE_VHOST_COMBINED for f in L.FORMATS])
+_NGINX = np.array([f in (L.FORMAT_NGINX_COMBINED, L.FORMAT_NGINX_CUSTOM)
+                   for f in L.FORMATS])
+_TAIL = np.array([f == L.FORMAT_NGINX_CUSTOM for f in L.FORMATS])
+_N_QUOTED = np.where(_CLF, 3, 7)
+_N_PREFIX = np.where(_VHOST, 7, 6)
+_N_STATUS = np.where(_CLF, 3, 4)
+# formats whose lines carry referer and user-agent
+_HAS_UA = ~_CLF
 
-def _extract_fields(lines: pa.Array, fmt: str) -> tuple[pa.Array, dict]:
-    """Field extraction with a structural fast path.
 
-    ``parse_ok`` is ALWAYS the anchored-regex match (exact reference
-    semantics). Field values for matching rows are extracted by quote/
-    space splitting — ~10x faster than RE2 capture groups — but only for
-    rows whose split structure is unambiguous (expected quote-part and
-    token counts, literal separators in place); any structurally odd row
-    (e.g. a quote inside the \\S+ URI, a spaced timestamp) falls back to
-    ``pc.extract_regex``, so fast and slow paths are value-identical.
+def _split_fields(lines: pa.Array, fmt: np.ndarray) -> tuple[np.ndarray, dict]:
+    """(ok, {field: string array}) for ``lines`` whose format codes are
+    ``fmt``, in input row order; a field is "" where the line does not
+    match or its format captures no such field.
 
-    Returns (ok_mask, {field: full-length string array, "" on non-match}).
-    """
-    pattern = L.FORMAT_PATTERNS[fmt]
+    ``ok`` is always the anchored ``FORMAT_PATTERNS`` match, run per
+    format on that format's lines (exact reference semantics). Field
+    values come from one split of the whole batch: every line once on
+    '"', its prefix, request and status/bytes parts once on " ", and one
+    take per field at the token positions its row's format puts it. The
+    structural checks (part counts, literal separators, brackets) run
+    once per row against the row's format; a matching row that fails
+    them (a quote inside the URI, a spaced timestamp) is extracted by
+    ``extract_regex`` with its format's pattern, so every row gets the
+    pattern's captures."""
     n = len(lines)
-    ok = pc.match_substring_regex(lines, pattern)
-    ok_np = ok.to_numpy(zero_copy_only=False)
-    good_pos = np.flatnonzero(ok_np)
-    glines = lines.filter(ok) if not ok_np.all() else lines
-    ng = len(glines)
+    order = np.argsort(fmt, kind="stable")
+    cuts = np.flatnonzero(np.diff(fmt[order])) + 1
+    by_fmt = lines if not len(cuts) else lines.take(order)
+    ok = np.empty(n, dtype=bool)
+    for a, b in zip([0, *cuts], [*cuts, n]):
+        pattern = L.FORMAT_PATTERNS[L.FORMATS[fmt[order[a]]]]
+        ok[order[a:b]] = pc.match_substring_regex(
+            by_fmt.slice(a, b - a), pattern).to_numpy(zero_copy_only=False)
 
-    from .metrics import const_str
+    q = _Split(lines, '"', None)
+    rows = np.flatnonzero(ok & (q.count == _N_QUOTED[fmt]))
+    qi, m = q.first[rows], len(rows)
+    s = _Split(q.tokens.take(np.concatenate([qi, qi + 1, qi + 2])), " ", None)
+    pi, ri, si = s.first[:m], s.first[m:2 * m], s.first[2 * m:]
+    f = fmt[rows]
+    counted = ((s.count[:m] == _N_PREFIX[f]) & (s.count[m:2 * m] == 3)
+               & (s.count[2 * m:] == _N_STATUS[f]))
+    rows, f, qi, pi, ri, si = (x[counted] for x in (rows, f, qi, pi, ri, si))
+    npf, clf = _N_PREFIX[f], _CLF[f]
+    aligned = (s.empty(pi + npf - 1) & s.starts(pi + npf - 3, "[")
+               & s.ends(pi + npf - 2, "]") & s.empty(si)
+               & (~_NGINX[f] | s.is_char(pi + 1, "-"))
+               & (clf | (q.is_char(qi + 4, " ") & s.empty(si + 3)
+                         & (_TAIL[f] | q.empty(qi + 6)))))
+    rows, f, qi, pi, ri, si = (x[aligned] for x in (rows, f, qi, pi, ri, si))
+    npf, clf, vb = _N_PREFIX[f], _CLF[f], _VHOST[f].astype(np.int64)
 
-    fields: dict[str, object] = {}
-    if ng == 0:
-        empty_all = const_str(n, "")
-        return ok, {name: empty_all for name in _FIELD_NAMES}
-
-    is_clf = fmt == L.FORMAT_APACHE_COMMON
-    is_vhost = fmt == L.FORMAT_APACHE_VHOST_COMBINED
-    is_nginx = fmt in (L.FORMAT_NGINX_COMBINED, L.FORMAT_NGINX_CUSTOM)
-    has_tail = fmt == L.FORMAT_NGINX_CUSTOM
-    exp_q = 3 if is_clf else 7
-    exp_p = 7 if is_vhost else 6
-    exp_m = 3 if is_clf else 4
-
-    # stage A: quote-structure filter
-    qparts = pc.split_pattern(glines, '"')
-    qlen = pc.list_value_length(qparts).to_numpy(zero_copy_only=False)
-    mask_a = qlen == exp_q
-    pos_a = good_pos[np.flatnonzero(mask_a)]
-    qp_a = qparts.filter(pa.array(mask_a))
-    # stage B: token-count filters on the sub-splits
-    prefix = pc.list_element(qp_a, 0)
-    request = pc.list_element(qp_a, 1)
-    mid = pc.list_element(qp_a, 2)
-    pp = pc.split_pattern(prefix, " ")
-    rp = pc.split_pattern(request, " ")
-    mp = pc.split_pattern(mid, " ")
-    plen = pc.list_value_length(pp).to_numpy(zero_copy_only=False)
-    rlen = pc.list_value_length(rp).to_numpy(zero_copy_only=False)
-    mlen = pc.list_value_length(mp).to_numpy(zero_copy_only=False)
-    mask_b = (plen == exp_p) & (rlen == 3) & (mlen == exp_m)
-    b = pa.array(mask_b)
-    pos_b = pos_a[np.flatnonzero(mask_b)]
-    qp_b, pp_b = qp_a.filter(b), pp.filter(b)
-    rp_b, mp_b = rp.filter(b), mp.filter(b)
-    # stage C: literal-separator / alignment value checks
-    ts_a = pc.list_element(pp_b, exp_p - 3)   # "[dd/Mon/yyyy:HH:MM:SS"
-    ts_b = pc.list_element(pp_b, exp_p - 2)   # "+zzzz]"
-    checks = [
-        pc.equal(pc.list_element(pp_b, exp_p - 1), ""),  # trailing space
-        pc.starts_with(ts_a, "["),
-        pc.ends_with(ts_b, "]"),
-        pc.equal(pc.list_element(mp_b, 0), ""),
-    ]
-    if is_nginx:
-        checks.append(pc.equal(pc.list_element(pp_b, 1), "-"))
-    if not is_clf:
-        checks.append(pc.equal(pc.list_element(qp_b, 4), " "))
-        checks.append(pc.equal(pc.list_element(mp_b, 3), ""))
-        if not has_tail:
-            checks.append(pc.equal(pc.list_element(qp_b, 6), ""))
-    mask_c = checks[0]
-    for c in checks[1:]:
-        mask_c = pc.and_(mask_c, c)
-    c_np = mask_c.to_numpy(zero_copy_only=False)
-    pos_fast = pos_b[np.flatnonzero(c_np)]
-    cmask = pa.array(c_np)
-    qp_f, pp_f = qp_b.filter(cmask), pp_b.filter(cmask)
-    rp_f, mp_f = rp_b.filter(cmask), mp_b.filter(cmask)
-
-    # fast-path field values
-    p_base = 1 if is_vhost else 0
-    fast: dict[str, pa.Array] = {
-        "client_ip": pc.list_element(pp_f, p_base + 0),
-        "remote_logname": (
-            const_str(len(pos_fast), "") if is_nginx
-            else pc.list_element(pp_f, p_base + 1)
-        ),
-        "remote_user": pc.list_element(pp_f, p_base + 2),
-        "ts": pc.binary_join_element_wise(
-            pc.utf8_slice_codeunits(pc.list_element(pp_f, exp_p - 3), 1),
-            pc.utf8_slice_codeunits(pc.list_element(pp_f, exp_p - 2), 0, -1),
-            " ",
-        ),
-        "method": pc.list_element(rp_f, 0),
-        "uri": pc.list_element(rp_f, 1),
-        "protocol": pc.list_element(rp_f, 2),
-        "status": pc.list_element(mp_f, 1),
-        "bytes_sent": pc.list_element(mp_f, 2),
-        "referer": (const_str(len(pos_fast), "") if is_clf
-                    else pc.list_element(qp_f, 3)),
-        "ua": (const_str(len(pos_fast), "") if is_clf
-               else pc.list_element(qp_f, 5)),
-        "domain": (pc.list_element(pp_f, 0) if is_vhost
-                   else const_str(len(pos_fast), "")),
+    # the value pool: split tokens, quoted parts, the fast rows' "dd/Mon/
+    # yyyy:HH:MM:SS +zzzz" (the bracketed tokens re-joined), "", then the
+    # regex-extracted values
+    ts = pc.utf8_slice_codeunits(pc.binary_join_element_wise(
+        s.tokens.take(pi + npf - 3), s.tokens.take(pi + npf - 2), " "), 1, -1)
+    q_base = len(s.tokens)
+    ts_base = q_base + len(q.tokens)
+    blank = ts_base + len(rows)
+    chunks = [s.tokens, q.tokens, ts, _BLANK]
+    at = {
+        "domain": np.where(_VHOST[f], pi, blank),
+        "client_ip": pi + vb,
+        "remote_logname": np.where(_NGINX[f], blank, pi + vb + 1),
+        "remote_user": pi + vb + 2,
+        "ts": ts_base + np.arange(len(rows)),
+        "method": ri, "uri": ri + 1, "protocol": ri + 2,
+        "status": si + 1, "bytes_sent": si + 2,
+        "referer": np.where(clf, blank, q_base + qi + 3),
+        "ua": np.where(clf, blank, q_base + qi + 5),
     }
-
-    # slow path: exact regex extraction for structurally ambiguous rows
-    fast_set = np.zeros(n, dtype=bool)
-    fast_set[pos_fast] = True
-    slow_mask_np = ok_np & ~fast_set
-    pos_slow = np.flatnonzero(slow_mask_np)
-    if len(pos_slow):
-        slines = lines.filter(pa.array(slow_mask_np))
-        ext = pc.extract_regex(slines, pattern)
-        empty_s = const_str(len(pos_slow), "")
-        slow = {
-            name: (pc.fill_null(pc.struct_field(ext, name), "")
-                   if f"?P<{name}>" in pattern else empty_s)
-            for name in _FIELD_NAMES
-        }
-    else:
-        slow = {name: const_str(0, "") for name in _FIELD_NAMES}
-
-    # scatter fast + slow + failed("") back to original row order
-    pos_bad = np.flatnonzero(~ok_np)
-    take_idx = _unpermute(np.concatenate([pos_fast, pos_slow, pos_bad]))
-    n_bad = len(pos_bad)
+    idx = {}
     for name in _FIELD_NAMES:
-        merged = pa.concat_arrays([
-            fast[name].combine_chunks() if isinstance(fast[name], pa.ChunkedArray) else fast[name],
-            slow[name].combine_chunks() if isinstance(slow[name], pa.ChunkedArray) else slow[name],
-            const_str(n_bad, ""),
-        ])
-        fields[name] = merged.take(take_idx)
-    return ok, fields
+        idx[name] = np.full(n, blank, dtype=np.int64)
+        idx[name][rows] = at[name]
+
+    fast = np.zeros(n, dtype=bool)
+    fast[rows] = True
+    slow = np.flatnonzero(ok & ~fast)
+    base = blank + 1
+    for fi in np.unique(fmt[slow]):
+        srows = slow[fmt[slow] == fi]
+        pattern = L.FORMAT_PATTERNS[L.FORMATS[fi]]
+        ext = pc.extract_regex(lines.take(srows), pattern)
+        for name in _FIELD_NAMES:
+            if f"?P<{name}>" in pattern:
+                chunks.append(pc.struct_field(ext, name))
+                idx[name][srows] = base + np.arange(len(srows))
+                base += len(srows)
+    pool = pa.concat_arrays(chunks)
+    return ok, {name: pool.take(idx[name]) for name in _FIELD_NAMES}
 
 
-def _extract_by_format(lines: pa.Array,
-                       fmt_codes: np.ndarray) -> tuple[np.ndarray, dict]:
-    """:func:`_extract_fields` once per format present, on that format's
-    lines, with ``ok`` and the fields scattered back to input row order."""
-    present = np.unique(fmt_codes)
-    if len(present) == 1:
-        ok, fields = _extract_fields(lines, L.FORMATS[present[0]])
-        return ok.to_numpy(zero_copy_only=False), fields
-    pos = [np.flatnonzero(fmt_codes == fi) for fi in present]
-    parts = [_extract_fields(lines.take(pa.array(p)), L.FORMATS[fi])
-             for p, fi in zip(pos, present)]
-    take = _unpermute(np.concatenate(pos))
-    ok_np = np.concatenate(
-        [ok.to_numpy(zero_copy_only=False) for ok, _ in parts]
-    )[take.to_numpy()]
-    fields = {name: pa.concat_arrays([f[name] for _, f in parts]).take(take)
-              for name in _FIELD_NAMES}
-    return ok_np, fields
+# ---- timestamps: integer decode -----------------------------------------------
+# "dd/Mon/yyyy:HH:MM:SS +zzzz", loglines._RE_APACHE_TS's layout with a
+# 2-digit hour (day exactly 2 digits, hour 1-2: Go's "02" is fixed-width,
+# "15" is not): byte positions of the digits and literal separators. A
+# 25-byte value (1-digit hour) is read through _SHORT_HOUR, whose hour
+# tens digit is then set to "0".
+_TS_DIGITS = np.array([0, 1, 7, 8, 9, 10, 12, 13, 15, 16, 18, 19, 22, 23, 24, 25])
+_TS_SEPS = np.array([2, 6, 11, 14, 17, 20])
+_TS_SEP_BYTES = np.frombuffer(b"//::: ", np.uint8)
+_SHORT_HOUR = np.r_[0:12, 0, 12:25]
+_MONTH_KEYS = np.array([(ord(m[0]) << 16) | (ord(m[1]) << 8) | ord(m[2])
+                        for m in L._MONTHS], dtype=np.int64)
+_MONTH_ORDER = np.argsort(_MONTH_KEYS)
+_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _days_from_civil(y: np.ndarray, m: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Days since 1970-01-01 of proleptic Gregorian dates (year >= 1)."""
+    y = y - (m <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    doy = (153 * np.where(m > 2, m - 3, m + 9) + 2) // 5 + d - 1
+    return era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+
+
+def _decode_ts(ts: pa.Array) -> tuple[np.ndarray, ...]:
+    """(valid, utc_s, offset_s, year, month, day, hour, minute) per value
+    of ``ts`` in L.parse_apache_timestamp's layout, decoded from the
+    string buffer.
+
+    A value is valid where it matches the layout, its numeric zone is
+    under 24h, and its clock is a real time: 1 <= day <= days in month
+    (leap years), hour < 24, minute < 60, second < 60, year >= 1, the
+    scalar's ``datetime()`` check, so 29/Feb/2023 or second 60 is not
+    rolled over. ``offset_s`` is the zone wherever the layout matched and
+    the zone is under 24h, else 0. Invalid values read the Go zero time's
+    local clock, 0001-01-01 00:00."""
+    n = len(ts)
+    off, data = _str_bytes(ts)
+    size = np.diff(off)
+    rows = np.flatnonzero((size == 25) | (size == 26))
+    start, short = off[rows], size[rows] == 25
+    if len(rows) and not short.any() and start[-1] - start[0] == 26 * (len(rows) - 1):
+        # back-to-back 26-byte values (the rest empty): a zero-copy view
+        b = data[start[0]:start[-1] + 26].reshape(-1, 26)
+    else:
+        pos = start[:, None] + np.arange(26)
+        pos[short] = start[short, None] + _SHORT_HOUR
+        b = data[pos]
+        b[short, 12] = ord("0")
+    d = b[:, _TS_DIGITS] - np.uint8(ord("0"))   # a non-digit wraps past 9
+    day, y_hi, y_lo, hour, minute, second, zh, zm = (
+        d[:, 0::2].astype(np.int64) * 10 + d[:, 1::2]).T
+    year = y_hi * 100 + y_lo
+    key = (b[:, 3].astype(np.int64) << 16) | (b[:, 4].astype(np.int64) << 8) | b[:, 5]
+    mi = _MONTH_ORDER[np.searchsorted(_MONTH_KEYS[_MONTH_ORDER], key).clip(max=11)]
+    month = np.where(_MONTH_KEYS[mi] == key, mi + 1, 0)
+    sign = b[:, 21]
+    zone = (zh * 3600 + zm * 60) * np.where(sign == ord("-"), -1, 1)
+    sane = ((d < 10).all(axis=1) & (b[:, _TS_SEPS] == _TS_SEP_BYTES).all(axis=1)
+            & (month > 0) & ((sign == ord("+")) | (sign == ord("-")))
+            & (np.abs(zone) < 86400))
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    ok = (sane & (year >= 1) & (day >= 1)
+          & (day <= _DAYS_IN_MONTH[month] + (leap & (month == 2)))
+          & (hour < 24) & (minute < 60) & (second < 60))
+
+    valid = np.zeros(n, dtype=bool)
+    valid[rows] = ok
+    offset_s = np.zeros(n, dtype=np.int32)
+    offset_s[rows] = np.where(sane, zone, 0)
+    # Go zero time's clock, then the valid rows' own
+    clock = [np.ones(n, np.int64), np.ones(n, np.int64), np.ones(n, np.int64),
+             np.zeros(n, np.int64), np.zeros(n, np.int64)]
+    good = rows[ok]
+    for col, v in zip(clock, (year, month, day, hour, minute)):
+        col[good] = v[ok]
+    utc_s = np.zeros(n, dtype=np.int64)
+    utc_s[good] = (_days_from_civil(year[ok], month[ok], day[ok]) * 86400
+                   + hour[ok] * 3600 + minute[ok] * 60 + second[ok] - zone[ok])
+    return (valid, utc_s, offset_s, *clock)
 
 
 def _dict_col(indices: np.ndarray, values: list) -> pa.Array:
@@ -383,19 +463,15 @@ def _dict_col(indices: np.ndarray, values: list) -> pa.Array:
     ).cast(pa.string())
 
 
-# formats whose lines carry referer and user-agent, by format code
-_HAS_UA = np.array([f in L.FORMATS_WITH_UA for f in L.FORMATS])
-
-
 class ParseEnrich:
     """Parse+enrich stage. Usable as a task-pool function target (via
     :func:`make_parse_fn`) or an actor-pool callable class; both share the
     worker-process-level referer and user-agent caches.
 
-    Per batch, field extraction runs once per log format present, on that
-    format's lines; the enrichment (bytes, timestamp, URI, referer, UA,
-    window) then runs once over the whole batch. Output rows keep the
-    input order."""
+    Per batch, one structural split extracts every row's fields
+    (:func:`_split_fields`), and the enrichment (bytes, timestamp, URI,
+    referer, UA, window) runs once over the whole batch. Output rows keep
+    the input order."""
 
     def __init__(self, job: JobConfig | "ray.ObjectRef") -> None:  # noqa: F821
         try:  # accept a ray.put handle (broadcast once, read per actor)
@@ -496,13 +572,12 @@ class ParseEnrich:
         )
         window_minutes = wm_uniques[src_enc.indices.to_numpy(zero_copy_only=False)]
 
-        ok_np, fields = _extract_by_format(lines, fmt_codes)
+        ok_np, fields = _split_fields(lines, fmt_codes)
         return self._enrich(batch, ok_np, fields, _HAS_UA[fmt_codes],
                             window_minutes)
 
     def _enrich(self, batch: pa.Table, ok_np: np.ndarray, fields: dict,
                 has_ua: np.ndarray, window_minutes: np.ndarray) -> pa.Table:
-        n = batch.num_rows
         client_ip = fields["client_ip"]
         remote_logname = fields["remote_logname"]
         remote_user = fields["remote_user"]
@@ -533,47 +608,15 @@ class ParseEnrich:
             0,
         )
 
-        # ---- timestamp: local clock fields + numeric offset ----------------
-        tsx = pc.extract_regex(fields["ts"], _TS_PIECES)
-        local_dt = pc.strptime(
-            pc.struct_field(tsx, "dt"), format="%d/%b/%Y:%H:%M:%S", unit="s",
-            error_is_null=True,
-        )
-        zh = pc.cast(pc.struct_field(tsx, "zh"), pa.int32(), safe=False)
-        zm = pc.cast(pc.struct_field(tsx, "zm"), pa.int32(), safe=False)
-        neg = pc.equal(pc.struct_field(tsx, "sign"), "-")
-        off = pc.add(pc.multiply(zh, 3600), pc.multiply(zm, 60))
-        off = pc.if_else(neg, pc.negate_checked(off), off)
-        off = pc.fill_null(off, 0)
-        # numeric zones at/beyond ±24h: Python's timezone() cannot
-        # represent them, so engine AND oracle treat the timestamp as
-        # unparseable (zero time) — documented divergence from Go, which
-        # range-checks nothing on numeric zones
-        sane = pc.less(pc.abs_checked(off), 86400)
-        local_dt = pc.if_else(sane, local_dt,
-                              pa.nulls(n, pa.timestamp("s")))
-        off = pc.if_else(sane, off, pa.scalar(0, pa.int32()))
-        ts_utc = pc.subtract(
-            local_dt, pc.cast(pc.cast(off, pa.int64()), pa.duration("s"))
-        )
+        # ---- timestamp: integer clock fields + numeric offset ---------------
+        # unparsed rows hold ts "" and so read the Go zero time's window
+        valid, utc_s, off, yy, mo, dd, hh, mi = _decode_ts(fields["ts"])
+        ts_utc = pa.array(utc_s, type=pa.timestamp("s"), mask=~valid)
 
         # time window from the LOCAL clock fields (metricgenerator.go:131-158)
-        yy = pc.fill_null(pc.year(local_dt), 1).to_numpy(zero_copy_only=False)
-        mo = pc.fill_null(pc.month(local_dt), 1).to_numpy(zero_copy_only=False)
-        dd = pc.fill_null(pc.day(local_dt), 1).to_numpy(zero_copy_only=False)
-        hh = pc.fill_null(pc.hour(local_dt), 0).to_numpy(zero_copy_only=False)
-        mi = pc.fill_null(pc.minute(local_dt), 0).to_numpy(zero_copy_only=False)
         div = np.where(np.isin(window_minutes, (1, 5, 15, 30, 60)), window_minutes, 10)
-        tw = (
-            yy.astype(np.int64) * 100_000_000
-            + mo.astype(np.int64) * 1_000_000
-            + dd.astype(np.int64) * 10_000
-            + hh.astype(np.int64) * 100
-            + (mi - mi % div).astype(np.int64)
-        )
-        if not ok_np.all():
-            # unparsed rows carry the Go-zero-time window marker
-            tw[~ok_np] = L.GO_ZERO_TIME_WINDOW
+        tw = (yy * 100_000_000 + mo * 1_000_000 + dd * 10_000 + hh * 100
+              + (mi - mi % div))
 
         # ---- URI -> paths + malicious + utm (vectorized, per unique) -------
         uri_enc = pc.dictionary_encode(fields["uri"])
@@ -639,7 +682,7 @@ class ParseEnrich:
             "remote_logname": remote_logname,
             "remote_user": remote_user,
             "ts": ts_utc,
-            "ts_offset_sec": off,
+            "ts_offset_sec": pa.array(off, type=pa.int32()),
             "method": method,
             "path": path_c,
             "path1": p1_c,

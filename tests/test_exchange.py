@@ -76,6 +76,18 @@ def test_n_parts_rule(monkeypatch):
     assert X.n_parts(100 * block) == X.n_parts() == 32
 
 
+def test_row_parts_rule(monkeypatch):
+    """``exchange.row_parts``: one partition per 32768 rows, at least 2,
+    at most ``n_parts``'s cap (which a forced P replaces)."""
+    monkeypatch.setattr(X, "_cpus", lambda: 1)
+    assert X.row_parts(0) == X.row_parts(32767) == 2
+    assert X.row_parts(2 * 32768) == 3
+    assert X.row_parts(10 * 32768) == 11
+    assert X.row_parts(1 << 30) == X.n_parts() == 16
+    monkeypatch.setattr(X, "n_parts", lambda *_: 1)
+    assert X.row_parts(1 << 30) == 2
+
+
 def test_split_tables_and_arrays():
     part = np.array([2, 0, 2, 1, 0])
     t = pa.table({"k": [10, 11, 12, 13, 14]})

@@ -254,6 +254,44 @@ def test_timestamp_day_must_be_two_digits_hour_may_be_one():
     assert tw[1] == 200010020350       # real window from the 1-digit hour
 
 
+def test_invalid_calendar_dates_read_zero_time_engine_and_oracle():
+    """A clock that is not a real time (29 Feb of a common year, 31 Apr,
+    hour 24, minute 60, second 60, day 00) fails Go's time.Parse and the
+    scalar parse_apache_timestamp: the line keeps parse_ok but gets the
+    zero time. It must not roll over into the next day or month."""
+    from datetime import datetime
+
+    from sbo_ray.functions.sbometrics import METRIC_REQ_COUNT
+    from sbo_ray.oracle.pipeline import run_oracle
+
+    stamps = {
+        "feb29_2023": "29/Feb/2023:03:05:05 +0000",
+        "feb29_2024": "29/Feb/2024:03:05:05 +0000",
+        "apr31": "31/Apr/2025:10:00:00 +0000",
+        "hour24": "01/Jan/2024:24:00:00 +0000",
+        "minute60": "01/Jan/2024:23:60:00 +0000",
+        "second60": "01/Jan/2024:23:59:60 +0000",
+        "day00": "00/Jan/2024:00:00:00 +0000",
+    }
+    want = {src: 101010000 for src in stamps}
+    want["feb29_2024"] = 202402290300
+    sources = list(stamps)
+    lines = [f'1.1.1.1 - - [{stamps[s]}] "GET /a HTTP/1.0" 200 1' for s in sources]
+    formats = {s: "apache_common" for s in sources}
+
+    out = ParseEnrich(_job(**formats))(_table(lines, sources))
+    assert out.column("parse_ok").to_pylist() == [True] * len(lines)
+    assert dict(zip(sources, out.column("time_window").to_pylist())) == want
+    assert dict(zip(sources, out.column("ts").to_pylist())) == {
+        s: datetime(2024, 2, 29, 3, 5, 5) if s == "feb29_2024" else None
+        for s in sources}
+
+    oracle = run_oracle([f"d{i}" for i in range(len(lines))], lines, sources,
+                        formats, exact_totals=True)
+    assert {src: tw for src, mtype, _, tw, _ in oracle.metrics
+            if mtype == METRIC_REQ_COUNT} == want
+
+
 def test_metric_key_100_byte_truncation_engine_and_oracle():
     """ReduceToMaxColumnLen at the metrics sink (db/mysqldb.go:152):
     keys sharing a 100-byte prefix merge; engine and oracle agree."""

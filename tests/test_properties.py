@@ -65,6 +65,160 @@ def test_vectorized_uri_classification_matches_split_path(head, tail):
         assert got == (*want, m.group(2) if m else None), uri
 
 
+# ---- parse stage: batch-wide field split and integer timestamps ------------
+# Line pieces for the five formats. The alphabet keeps to characters on
+# which Python's re and RE2 agree (no newline, vertical tab, \x1c-\x1f or
+# Unicode spaces: Python's \s and "$" treat those differently).
+_WORD = st.text(st.sampled_from("ab09-./:?=&%é"), min_size=1, max_size=5)
+_ODD = st.sampled_from(['"', " ", "  ", "\t", "[", "]", "", "-", '" "'])
+_FIELD = st.integers(0, 19).flatmap(lambda k: st.one_of(
+    _ODD, st.tuples(_WORD, _ODD, _WORD).map("".join)) if k == 0 else _WORD)
+_DIGITS = st.integers(0, 9).flatmap(lambda k: _FIELD if k == 0 else st.text(
+    st.sampled_from("0123456789"), min_size=1, max_size=4))
+_STAMP = st.one_of(
+    st.sampled_from(["10/Oct/2000:13:55:36 -0700", "10/Oct/2000:3:55:36 +0100",
+                     "weird ts here", "nospacets", "01/Jan/2024:00:00:00 +2500"]),
+    st.tuples(_FIELD, _FIELD).map(" ".join),
+)
+
+
+@st.composite
+def _log_line(draw):
+    """(format code, line): a line laid out for one format, with fuzzed
+    fields, sometimes a stray bracket, tail or format code."""
+    layout = draw(st.integers(0, len(L.FORMATS) - 1))
+    fmt = L.FORMATS[layout]
+    f = {k: draw(_FIELD) for k in ("domain", "ip", "logname", "user", "method",
+                                   "uri", "proto", "ref", "ua", "rt", "urt")}
+    status, nbytes, ts = draw(_DIGITS), draw(_DIGITS), draw(_STAMP)
+    logname = "-" if fmt in (L.FORMAT_NGINX_COMBINED, L.FORMAT_NGINX_CUSTOM) \
+        else f["logname"]
+    line = (f'{f["ip"]} {logname} {f["user"]} [{ts}] '
+            f'"{f["method"]} {f["uri"]} {f["proto"]}" {status} {nbytes}')
+    if fmt != L.FORMAT_APACHE_COMMON:
+        line += f' "{f["ref"]}" "{f["ua"]}"'
+    if fmt == L.FORMAT_APACHE_VHOST_COMBINED:
+        line = f'{f["domain"]} {line}'
+    if fmt == L.FORMAT_NGINX_CUSTOM:
+        line += f' {f["rt"]} {f["urt"]}'
+    if draw(st.integers(0, 9)) == 0:
+        line = line.replace("[", "", 1)
+    if draw(st.integers(0, 9)) == 0:
+        line += " " + draw(_WORD)
+    code = layout if draw(st.integers(0, 4)) else draw(st.integers(0, len(L.FORMATS) - 1))
+    return code, line
+
+
+_ADVERSARIAL = [  # test_parse_edge_cases.test_fast_path_fallback_adversarial
+    (1, '1.2.3.4 - - [10/Oct/2000:13:55:36 -0700] "GET /a"b HTTP/1.1" 200 5 "-" "curl/8"'),
+    (1, '1.2.3.4 - - [10/Oct/2000:13:55:36 -0700] "GET /x HTTP/1.1" 200 5 "ref"er" "curl/8"'),
+    (1, '1.2.3.4 - - [weird ts here] "GET /x HTTP/1.1" 200 5 "-" "curl/8"'),
+    (1, '1.2.3.4 - - [nospacets] "GET /x HTTP/1.1" 200 5 "-" "curl/8"'),
+    (1, '1.2.3.4 - frank [10/Oct/2000:13:55:36 -0700] "GET /x?q=1 HTTP/1.1" 404 55 '
+        '"http://www.e.com/" "curl/8"'),
+]
+
+
+@given(st.lists(_log_line(), min_size=1, max_size=25))
+@example(_ADVERSARIAL)
+@example([(0, '1.1.1.1 - - [10/Oct/2000:13:55:36 -0700] "GET /a HTTP/1.0" 200 10'),
+          (4, '4.4.4.4 - - [10/Oct/2000:13:55:36 -0700] "GET /d HTTP/1.1" 200 40 '
+              '"-" "curl/8" 0.001 0.001'),
+          (2, 'x.com 3.3.3.3 - - [10/Oct/2000:3:55:36 -0700] "GET /c HTTP/2.0" '
+              '500 30 "-" "Bytespider"')])
+@settings(max_examples=200, deadline=None)
+def test_batch_field_split_matches_per_line_regex(rows):
+    """The parse stage's one-split extraction equals a per-row Python
+    match of the row's own format pattern: parse_ok, and all 12 fields
+    ("" where the pattern captures no such field or the line does not
+    match), in input row order, on batches mixing all five formats."""
+    import numpy as np
+    import pyarrow as pa
+
+    from sbo_ray.stages.parse import _FIELD_NAMES, _split_fields
+
+    codes = np.array([c for c, _ in rows], dtype=np.int8)
+    lines = [line for _, line in rows]
+    ok, fields = _split_fields(pa.array(lines, pa.string()), codes)
+    for i, (code, line) in enumerate(rows):
+        m = L._COMPILED[L.FORMATS[code]].match(line)
+        assert bool(ok[i]) == (m is not None), line
+        for name in _FIELD_NAMES:
+            want = m.group(name) if m and name in m.re.groupindex else ""
+            assert fields[name][i].as_py() == want, (name, line)
+
+
+_TWO = st.integers(0, 99).map("{:02d}".format)
+_ZONE = st.integers(0, 9999).map("{:04d}".format)
+_MON = st.sampled_from(list(L._MONTHS) + ["jan", "FEB", "Xyz", "Ma"])
+
+
+@given(st.lists(st.tuples(
+    st.one_of(_TWO, st.integers(0, 9).map(str)),                      # day
+    _MON,
+    st.one_of(st.integers(0, 9999).map("{:04d}".format),
+              st.sampled_from(["2024", "2023", "1900", "2000", "0001"])),
+    st.one_of(_TWO, st.integers(0, 9).map(str), st.just("123")),      # hour
+    _TWO, _TWO,                                                       # minute, second
+    st.sampled_from("+-"), _ZONE,
+    st.sampled_from([1, 5, 10, 15, 30, 60, 7]),                       # window size
+), min_size=1, max_size=30))
+@example([("29", "Feb", "2023", "03", "05", "05", "+", "0000", 10),
+          ("29", "Feb", "2024", "3", "05", "05", "-", "0130", 5),
+          ("31", "Dec", "9999", "23", "59", "59", "-", "2359", 60),
+          ("01", "Jan", "0001", "00", "00", "00", "+", "0000", 1),
+          ("01", "Jan", "2024", "00", "00", "00", "+", "2400", 15),
+          ("01", "Jan", "2024", "24", "00", "00", "+", "0000", 10),
+          ("01", "Jan", "2024", "23", "60", "00", "+", "0000", 10),
+          ("01", "Jan", "2024", "23", "59", "60", "+", "0000", 10),
+          ("00", "Jan", "2024", "00", "00", "00", "+", "0000", 10),
+          ("31", "Apr", "2025", "10", "00", "00", "+", "0000", 10),
+          ("29", "Feb", "2000", "10", "00", "00", "+", "0000", 10),
+          ("29", "Feb", "1900", "10", "00", "00", "+", "0000", 10)])
+@example([("10", "Oct", "2000", "13", "55", "36", "-", "0700", 10),   # all 26 bytes
+          ("29", "Feb", "2023", "03", "05", "05", "+", "0000", 10),
+          ("01", "Jan", "1970", "00", "00", "00", "+", "0100", 30)])
+@settings(max_examples=150, deadline=None)
+def test_integer_timestamps_match_scalar_parse(stamps):
+    """The parse stage's ts and time_window equal the scalar
+    parse_apache_timestamp + calculate_time_window, and ts_offset_sec is
+    the captured zone, 0 when nothing matched or |zone| >= 24h."""
+    from datetime import datetime, timezone
+
+    import pyarrow as pa
+
+    from sbo_ray.config import JobConfig, SourceConfig
+    from sbo_ray.stages.parse import ParseEnrich
+    from sbo_ray.synth import SCHEMA
+
+    values = [f"{d}/{mo}/{y}:{h}:{mi}:{s} {sg}{z}"
+              for d, mo, y, h, mi, s, sg, z, _ in stamps]
+    sources = [f"w{w}" for *_, w in stamps]
+    lines = [f'1.1.1.1 - - [{v}] "GET /a HTTP/1.0" 200 1' for v in values]
+    job = JobConfig(default=SourceConfig(log_format="apache_common"),
+                    sources={s: SourceConfig(log_format="apache_common",
+                                             time_window_minutes=int(s[1:]))
+                             for s in set(sources)})
+    out = ParseEnrich(job)(pa.table({
+        "doc_id": pa.array([f"d{i}" for i in range(len(lines))]),
+        "tokens": encode_lines(lines),
+        "n_tok": pa.array([len(x.encode()) for x in lines], type=pa.int32()),
+        "source": pa.array(sources),
+    }, schema=SCHEMA))
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    got = zip(out.column("ts").cast(pa.int64()).to_pylist(),
+              out.column("time_window").to_pylist(),
+              out.column("ts_offset_sec").to_pylist())
+    for value, (_, w), (ts, tw, off) in zip(values, [(0, x[-1]) for x in stamps], got):
+        dt = L.parse_apache_timestamp(value)
+        want_ts = None if dt is L.GO_ZERO_TIME else int((dt - epoch).total_seconds())
+        m = L._RE_APACHE_TS.match(value)
+        zone = ((int(m.group(8)) * 3600 + int(m.group(9)) * 60)
+                * (-1 if m.group(7) == "-" else 1)) if m else 0
+        assert (ts, tw, off) == (want_ts, L.calculate_time_window(dt, w),
+                                 zone if abs(zone) < 86400 else 0), value
+
+
 @given(st.text(max_size=120), st.text(max_size=120))
 @settings(max_examples=60, deadline=None)
 def test_normalize_referer_total(referer, uri):
