@@ -106,8 +106,7 @@ def cmd_follow(args) -> int:
     print a counter report per poll round with CUMULATIVE totals and the
     per-interval DELTA (current - previous, counter.go:53-56). Bounded
     rounds via --rounds (0 = follow until interrupted)."""
-    import pandas as pd
-
+    from .exchange import _combine_partials
     from .report import keyed_counters_table_to_dict, render_counter_report
     from .sources.textlog import follow_text_log
     from .stages.metrics import counter_melt, global_counter_partial
@@ -136,13 +135,9 @@ def cmd_follow(args) -> int:
         round_g = {c: g_t.column(c)[0].as_py() for c in g_t.column_names}
         for k, v in round_g.items():
             totals[k] = totals.get(k, 0) + v
-        kc = counter_melt(enriched).to_pandas()
-        kc_acc = kc if kc_acc is None else (
-            pd.concat([kc_acc, kc])
-            .groupby(["source", "dimension", "key_value"], as_index=False)["cnt"]
-            .sum()
-        )
-        kd = keyed_counters_table_to_dict(kc_acc)
+        kc_acc = _combine_partials(["source", "dimension", "key_value"],
+                                   "cnt", [kc_acc, counter_melt(enriched)])
+        kd = keyed_counters_table_to_dict(kc_acc) if kc_acc else {}
         print(render_counter_report(totals, kd, args.top_n))
         # per-interval view (current - previous cumulative == this
         # round's increments, counter.go:53-56)

@@ -6,11 +6,20 @@ run as plain Ray tasks instead. This module owns the parts of
 that layout that every site used to re-solve:
 
 - ``part_exchange(ds, partial, key, fold, out_schema)``: the one
-  hash-grouped fold (a block partial fused into the read, rows routed
-  by ``key % P``, one pandas ``fold`` per partition), returning one
-  ref per partition. Every "group by a hash partition, then fold each
-  partition" op goes through it; none runs through a Ray Data
-  groupby's sort shuffle.
+  one-sided hash-grouped fold (a block partial fused into the read,
+  rows routed by ``fib_partition(key(rows), P)``, one ``fold`` per
+  partition that takes a ``pa.Table`` and returns a ``pa.Table`` or a
+  ``pd.DataFrame``), returning one ref per partition. Every "group by
+  a hash partition, then fold each partition" op goes through it; none
+  runs through a Ray Data groupby's sort shuffle. The exchanges that
+  stay written out with ``shard``/``combine`` are the ones it cannot
+  express without a new option: multi-sided joins (``_anti_shard`` /
+  ``table_shard`` pairs), multi-wave exchanges (the pack family,
+  ``dedup_shard``, the label-propagation rounds), shard tasks that
+  reserve cpus (``q_log_ngram_novelty``), sites that reuse their block
+  refs for a second pass (``emb_semdedup``'s centroid sample), compat's
+  two-return combine, the cli's per-shard exchanges and the range
+  splits (``_shuf_slice``, ``_ccnet_slice``).
 - ``block_refs(ds)``: the Dataset's non-empty block refs (an empty
   parquet read yields a schemaless block that poisons downstream
   concats, so zero-row blocks drop by bundle metadata);
@@ -19,6 +28,8 @@ that layout that every site used to re-solve:
   one statement of the rule). A site that holds its block refs before
   it picks P passes their bytes; one that picks P first calls
   ``n_parts()`` and gets the cap.
+- ``fib_partition(keys, P)``: the hash partition rule (a Fibonacci
+  mix, so strided ids still spread).
 - ``split(part, P, *cols)``: one stable argsort by partition id, then
   contiguous slices of tables or numpy arrays (``table_shard`` is the
   whole-row form keyed by the Fibonacci hash of one int64 column).
@@ -46,8 +57,9 @@ that layout that every site used to re-solve:
   by ``keys``); every shard -> combine op whose partitions emit
   per-key partial counts or sums ends in it.
 
-Each site keeps its own partition function; P is read at call time
-through ``n_parts`` (patch it to force a partition count).
+The hand-written exchanges keep their own partition functions; P is
+read at call time through ``n_parts`` (patch it to force a partition
+count).
 """
 from __future__ import annotations
 
@@ -367,15 +379,16 @@ def part_exchange(ds: rd.Dataset, partial, key, fold,
     ``partial(block)`` (or None: the blocks as read) runs inside
     ``ds``'s own map, fused into the read, so only its output is
     materialized for the shuffle. The ``part_shard`` task routes those
-    rows by ``key(rows) % P`` (``key`` gives the site's int64 hash per
-    row) and one ``part_combine`` task per partition runs ``fold``
-    (pandas in, pandas out) over every row of its partition, cast to
-    ``out_schema``. P follows the partial outputs' bytes, the bytes
-    that actually move. A partition without rows returns
-    ``out_schema``'s empty table without calling ``fold``, so the refs
-    always hold typed tables: a per-row op returns them as
-    ``rd.from_arrow_refs(refs)``, a bounded one folds
-    ``gather(refs, out_schema)``."""
+    rows by ``fib_partition(key(rows), P)`` (``key`` gives the site's
+    int64 hash per row) and one ``part_combine`` task per partition runs
+    ``fold`` over every row of its partition: one ``pa.Table`` in block
+    order in, a ``pa.Table`` or ``pd.DataFrame`` out, typed by
+    ``out_schema``. P follows the partial outputs' bytes, the bytes that
+    actually move. A partition without rows returns ``out_schema``'s
+    empty table without calling ``fold``, so the refs always hold typed
+    tables: a per-row op returns them as ``rd.from_arrow_refs(refs)``, a
+    bounded one folds ``gather(refs, out_schema)`` or
+    ``sum_refs(refs, keys, out_schema)``."""
     if partial is not None:
         @functools.wraps(partial)
         def run(t: pa.Table) -> pa.Table:
@@ -386,13 +399,14 @@ def part_exchange(ds: rd.Dataset, partial, key, fold,
     P = n_parts(nbytes)
 
     def part_shard(t: pa.Table) -> list:
-        part = (key(t).view(np.uint64) % np.uint64(P)).astype(np.int64)
-        return split(part, P, t)
+        return split(fib_partition(key(t), P), P, t)
 
     def part_combine(*tabs: pa.Table) -> pa.Table:
-        return pa.Table.from_pandas(
-            fold(pa.concat_tables(tabs).to_pandas()), schema=out_schema,
-            preserve_index=False)
+        out = fold(pa.concat_tables(tabs))
+        if isinstance(out, pa.Table):
+            return out.select(out_schema.names).cast(out_schema)
+        return pa.Table.from_pandas(out, schema=out_schema,
+                                    preserve_index=False)
 
     return combine(part_combine, shard(part_shard, refs, P),
                    out_schema=out_schema)

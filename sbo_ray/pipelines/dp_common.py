@@ -1,4 +1,4 @@
-"""Shared infrastructure for the datapipe family modules: pruned reads, partition sizing, the per-user exchange key, and the bandwidth-cap rule.
+"""Shared infrastructure for the datapipe family modules: pruned reads, partition sizing, the exchange keys and the distinct-user fold, and the bandwidth-cap rule.
 
 Mechanical r5 split of pipelines/datapipe.py (the facade re-exports
 everything; import from ``datapipe`` unless you need this module's
@@ -47,6 +47,18 @@ def _user_key(t: pa.Table) -> np.ndarray:
     return t.column("user_id").to_numpy()
 
 
+def _col_key(col: str):
+    """Partition key of an exchange keyed on the integer column ``col``."""
+    return lambda t: t.column(col).to_numpy()
+
+
+def _distinct_users(col: str, t: pa.Table) -> pa.Table:
+    """Fold of the distinct-user exchanges: one user partition's
+    (``col``, user_id) pairs -> distinct users per ``col`` value."""
+    return t.group_by([col, "user_id"]).aggregate([]).group_by(col) \
+        .aggregate([([], "count_all")]).rename_columns([col, "n_users"])
+
+
 def _bw_task_cpus(target_concurrency: int) -> int:
     """CPU reservation for memory-BANDWIDTH-bound tasks (dense-matmul /
     large-temp stages: the ivf_assign rule). Memory bandwidth is a
@@ -74,5 +86,7 @@ __all__ = [
     "_read",
     "_parquet_num_rows",
     "_user_key",
+    "_col_key",
+    "_distinct_users",
     "_bw_task_cpus",
 ]

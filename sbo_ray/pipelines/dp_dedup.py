@@ -35,7 +35,7 @@ def _text_hash_key(t: pa.Table) -> np.ndarray:
     return t.column("text_hash").to_numpy(zero_copy_only=False)
 
 
-def _min_doc_per_hash(g: pd.DataFrame, with_counts: bool) -> pd.DataFrame:
+def _min_doc_per_hash(g: pa.Table, with_counts: bool) -> pd.DataFrame:
     """Per-partition vectorized dedup kernel: min doc_id (and optionally
     the duplicate count) per distinct text_hash — one lexsort + segment
     boundaries, no per-key work."""
@@ -570,27 +570,13 @@ def doc_decontaminate_ngram(sf_dir: str,
 _CAND_SCHEMA = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
 
 
-def _band_shard(block: pa.Table, P: int) -> list:
-    """Signatures + route for one doc block: minhash band rows sliced
-    into P ``band_hash % P`` shards (16 bytes/row) — the shard half of
-    the raw-task candidate exchange."""
-    bt = D.minhash_bands(block)
-    bh = bt.column("band_hash").to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    ids = bt.column("doc_id").to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    return X.split(bh % P, P, bh, ids)
-
-
-def _bucket_pairs_combine(*shards) -> pa.Table:
-    """One band-hash partition: same bucket->triangle pair emission as
-    ``_bucket_pairs_part`` (sorted ids per bucket, dedup within the
-    partition) over the pulled shards, looping only over buckets with
-    >= 2 members."""
-    bh = np.concatenate([s[0] for s in shards])
-    if not len(bh):
-        return _CAND_SCHEMA.empty_table()
-    ids = np.concatenate([s[1] for s in shards])
+def _bucket_pairs_combine(t: pa.Table) -> pa.Table:
+    """One band-hash partition of the LSH candidate exchange: every pair
+    of docs sharing a bucket in its (band_hash, doc_id) rows (sorted ids
+    per bucket, deduped within the partition), looping only over
+    buckets with >= 2 members."""
+    bh = t.column("band_hash").to_numpy()
+    ids = t.column("doc_id").to_numpy()
     order = np.lexsort((ids, bh))
     bh, ids = bh[order], ids[order]
     nb = np.ones(len(bh), dtype=bool)
@@ -615,21 +601,20 @@ def _bucket_pairs_combine(*shards) -> pa.Table:
 
 
 def _candidate_pair_block_refs(sf_dir: str) -> list:
-    """LSH candidate generation as OBJECT-STORE block refs via the
-    raw-task shard/combine exchange: each doc block computes its band
-    rows and slices them by ``band_hash % P`` (``num_returns=P``), and
-    P combine tasks emit their partition's bucket pairs. Locally this
-    times the same as the former groupby+Sort (signatures dominate:
-    ~9 s of the ~15 s warm stage at 4M); it's kept for the same reason
-    the other exchanges use it — no all-to-all barrier, shards stream
-    to combines as soon as each block is signed. No candidate pair
-    ever lands on the driver — assembly, slot-map construction and
-    edge sharding all happen in downstream remote tasks."""
-    refs = X.block_refs(_read(sf_dir, "documents", columns=["doc_id", "text"]))
-    if not refs:
-        return []
-    P = X.n_parts()
-    return X.combine(_bucket_pairs_combine, X.shard(_band_shard, refs, P, P))
+    """LSH candidate generation as OBJECT-STORE block refs via one
+    band-hash exchange (``exchange.part_exchange``): each doc block
+    computes its band rows inside the read, and one combine task per
+    partition emits its bucket pairs. Locally this times the same as
+    the former groupby+Sort (signatures dominate: ~9 s of the ~15 s
+    warm stage at 4M); it's kept for the same reason the other
+    exchanges use it — no all-to-all barrier, shards stream to combines
+    as soon as each block is signed. No candidate pair ever lands on
+    the driver — assembly, slot-map construction and edge sharding all
+    happen in downstream remote tasks."""
+    return X.part_exchange(
+        _read(sf_dir, "documents", columns=["doc_id", "text"]),
+        D.minhash_bands, _col_key("band_hash"), _bucket_pairs_combine,
+        _CAND_SCHEMA)
 
 
 def _pair_cols(block) -> np.ndarray | None:
@@ -719,7 +704,8 @@ def _verified_pairs_ds(sf_dir: str, bc_ref, threshold: float):
             "text": t.column("text").take(pa.array(rows)),
         })
 
-    def verify_part(g: pd.DataFrame) -> pd.DataFrame:
+    def verify_part(g: pa.Table) -> pd.DataFrame:
+        g = g.to_pandas()
         g = g.sort_values(["pair_id", "side"], kind="stable")
         pid = g["pair_id"].to_numpy()
         texts = g["text"].tolist()
@@ -767,8 +753,6 @@ def doc_dedup_minhash(sf_dir: str, threshold: float = 0.8):
     LSH contract; bands/rows tuned so buckets stay small)."""
     empty = _PAIR_SCHEMA.empty_table()
     refs = _candidate_pair_block_refs(sf_dir)
-    if not refs:
-        return empty
     assemble = ray.remote(_assemble_pairs)
     pairs_ref, n_ref = assemble.options(num_returns=2).remote(*refs)
     if ray.get(n_ref) == 0:
@@ -813,40 +797,28 @@ def doc_decontaminate_neardup(sf_dir: str, threshold: float = 0.8,
 def doc_dedup_simhash(sf_dir: str, max_hamming: int = 3):
     """SimHash near-dup pairs via 4x16-bit pigeonhole bucketing, fully
     distributed: per-block signatures -> (seg, seg_val) bucket rows
-    sliced by ``(seg_val*4 + seg) % P`` (``num_returns=P`` raw-task
-    exchange, same shape as substring/compat — bucket rows stream
-    shard-by-shard, no Sort) -> per-partition vectorized Hamming
-    verify -> driver dedupe of the (output-sized) pair list. No corpus
-    materialization; per-worker memory is bounded by the partition's
-    bucket rows."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    P = X.n_parts()
+    routed by ``seg_val*4 + seg`` (``exchange.part_exchange`` —
+    bucket rows stream shard-by-shard, no Sort) -> per-partition
+    vectorized Hamming verify -> driver dedupe of the (output-sized)
+    pair list. No corpus materialization; per-worker memory is bounded
+    by the partition's bucket rows."""
+    def seg_rows(block: pa.Table) -> pa.Table:
+        return D.simhash_segment_rows(D.simhash_batch(block))
 
-    def seg_shard(block: pa.Table) -> list:
-        t = D.simhash_segment_rows(D.simhash_batch(block))
-        seg = t.column("seg").to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        sv = t.column("seg_val").to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        sigs = t.column("simhash").to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        return X.split((sv * 4 + seg) % P, P, seg, sv, ids, sigs)
+    def seg_key(t: pa.Table) -> np.ndarray:
+        return t.column("seg_val").to_numpy().astype(np.int64) * 4 \
+            + t.column("seg").to_numpy()
 
     PAIRS = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
                        ("hamming", pa.int64())])
 
-    def bucket_verify_part(*shards) -> pa.Table:
-        seg = np.concatenate([s[0] for s in shards])
-        if not len(seg):
-            return PAIRS.empty_table()
-        sv = np.concatenate([s[1] for s in shards])
-        ids_all = np.concatenate([s[2] for s in shards])
-        sigs_all = np.concatenate([s[3] for s in shards])
+    def bucket_verify_part(t: pa.Table) -> pa.Table:
+        seg = t.column("seg").to_numpy()
+        sv = t.column("seg_val").to_numpy()
         order = np.lexsort((sv, seg))
         seg, sv = seg[order], sv[order]
-        ids_all, sigs_all = ids_all[order], sigs_all[order]
+        ids_all = t.column("doc_id").to_numpy().astype(np.int64)[order]
+        sigs_all = t.column("simhash").to_numpy().astype(np.int64)[order]
         nb = np.ones(len(seg), dtype=bool)
         nb[1:] = (seg[1:] != seg[:-1]) | (sv[1:] != sv[:-1])
         bounds = np.append(np.flatnonzero(nb), len(seg))
@@ -868,8 +840,9 @@ def doc_dedup_simhash(sf_dir: str, max_hamming: int = 3):
             pa.array(np.concatenate(out_h).astype(np.int64)),
         ], schema=PAIRS)
 
-    sl = X.shard(seg_shard, X.block_refs(ds), P)
-    pairs = X.gather(X.combine(bucket_verify_part, sl, out_schema=PAIRS),
+    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    pairs = X.gather(X.part_exchange(ds, seg_rows, seg_key,
+                                     bucket_verify_part, PAIRS),
                      PAIRS).to_pandas()
     if pairs.empty:
         return PAIRS.empty_table()
@@ -1332,8 +1305,6 @@ def doc_dedup_clusters_lp(sf_dir: str, threshold: float = 0.8,
     empty_out = pa.schema([("doc_id", pa.int64()),
                            ("cluster_id", pa.int64())]).empty_table()
     refs = _candidate_pair_block_refs(sf_dir)
-    if not refs:
-        return empty_out
     assemble = ray.remote(_assemble_pairs)
     pairs_ref, n_ref = assemble.options(num_returns=2).remote(*refs)
     if ray.get(n_ref) == 0:
@@ -1468,7 +1439,6 @@ __all__ = [
     "doc_dedup_substring",
     "doc_decontaminate_ngram",
     "_CAND_SCHEMA",
-    "_band_shard",
     "_bucket_pairs_combine",
     "_candidate_pair_block_refs",
     "_pair_cols",

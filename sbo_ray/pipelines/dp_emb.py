@@ -464,11 +464,11 @@ def emb_kmeans(sf_dir: str, k: int = 16, iters: int = 5,
         return pa.table({"cluster": pa.array(np.arange(k, dtype=np.int64)),
                          "cnt": pa.array(cnt.astype(np.int64))})
 
-    counts = X.fold(ds, count_pass, pa.schema([("cluster", pa.int64()),
-                                               ("cnt", pa.int64())]))
-    tot_cnt = np.zeros(k, dtype=np.int64)
-    np.add.at(tot_cnt, counts.column("cluster").to_numpy(zero_copy_only=False),
-              counts.column("cnt").to_numpy(zero_copy_only=False))
+    counts = X.merge(ds, count_pass, ["cluster"], pa.schema([
+        ("cluster", pa.int64()), ("cnt", pa.int64())]))
+    tot_cnt = np.zeros(k, dtype=np.int64)  # zero-member clusters stay 0
+    tot_cnt[counts.column("cluster").to_numpy()] = \
+        counts.column("cnt").to_numpy()
 
     dim = cent.shape[1]
     flat = pa.array(cent.reshape(-1))

@@ -8,6 +8,7 @@ the chained star-imports and the facade must see them.
 """
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -121,31 +122,32 @@ def orders_with_returns(sf_dir: str, flag: str = "R"):
 _LV_Q = pa.schema([("l_orderkey", pa.int64()), ("sum_qty", pa.int64())])
 
 
-def _lv_combine(thresh: int, *shards) -> pa.Table:
-    """One hash partition of the large-volume scan: fold (orderkey,
-    qty) pairs, keep keys whose total exceeds ``thresh``."""
-    ks = np.concatenate([s[0] for s in shards])
-    qty = np.concatenate([s[1] for s in shards])
-    uk, inv = np.unique(ks, return_inverse=True)
+def _lv_part(thresh: int, t: pa.Table) -> pa.Table:
+    """One orderkey partition of the large-volume scan: sum each
+    order's quantities, keep orders whose total exceeds ``thresh``."""
+    uk, inv = np.unique(t.column("l_orderkey").to_numpy(),
+                        return_inverse=True)
+    qty = t.column("l_quantity").to_numpy().astype(np.int64)
     sums = np.bincount(inv, weights=qty).astype(np.int64)
     keep = sums > thresh
-    return pa.table({"l_orderkey": pa.array(uk[keep], pa.int64()),
-                     "sum_qty": pa.array(sums[keep], pa.int64())})
+    return pa.table({"l_orderkey": uk[keep], "sum_qty": sums[keep]},
+                    schema=_LV_Q)
 
 
 def orders_large_volume(sf_dir: str, min_qty: int = 200):
     """TPC-H Q18's shape (large-volume customers): orders whose total
     lineitem quantity exceeds ``min_qty``, joined back to the order and
     its customer name. Distributed shape for a HIGH-CARDINALITY
-    aggregate feeding a selective join: lineitem ships 16-byte
-    (orderkey, qty) pairs through one Fibonacci-hash raw-task exchange
-    (the _anti_shard layout — native groupby over ~distinct orderkeys
-    is the 49-vs-6.4 s trap, CLAUDE.md), each partition folds sums and
-    applies the HAVING locally, and only the OUTPUT-SIZED qualifying
-    key set returns to the driver. That set broadcasts once (sorted +
-    searchsorted, the emit_slots idiom) to filter the orders scan, and
-    the resulting custkeys broadcast once to filter the customer scan —
-    no big-side-vs-big-side shuffle join anywhere. Exact-integer
+    aggregate feeding a selective join: lineitem ships its 16-byte
+    (orderkey, qty) rows through one orderkey exchange
+    (``exchange.part_exchange`` — native groupby over ~distinct
+    orderkeys is the 49-vs-6.4 s trap, CLAUDE.md), each partition
+    folds sums and applies the HAVING locally, and only the
+    OUTPUT-SIZED qualifying key set returns to the driver. That set
+    broadcasts once (sorted + searchsorted, the emit_slots idiom) to
+    filter the orders scan, and the resulting custkeys broadcast once
+    to filter the customer scan — no big-side-vs-big-side shuffle join
+    anywhere. Exact-integer
     quantities; o_totalprice is a source passthrough (no arithmetic),
     so the gate is hash-exact."""
     out_schema = pa.schema([
@@ -154,12 +156,9 @@ def orders_large_volume(sf_dir: str, min_qty: int = 200):
         ("sum_qty", pa.int64()),
     ])
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
-    lrefs = X.block_refs(li)
-    if not lrefs:
-        return out_schema.empty_table()
-    P = X.n_parts()
-    sl = X.shard(_anti_shard, lrefs, P, P, "l_orderkey", "l_quantity")
-    q = X.gather(X.combine(_lv_combine, sl, min_qty), _LV_Q)
+    q = X.gather(X.part_exchange(li, None, _col_key("l_orderkey"),
+                                 functools.partial(_lv_part, min_qty),
+                                 _LV_Q), _LV_Q)
     if q.num_rows == 0:
         return out_schema.empty_table()
     qk = np.sort(q.column("l_orderkey").to_numpy(zero_copy_only=False))
@@ -210,14 +209,13 @@ _RFM = pa.schema([("c_custkey", pa.int64()), ("recency_days", pa.int64()),
                   ("frequency", pa.int64()), ("monetary", pa.float64())])
 
 
-def _rfm_combine(asof_us: int, *shards) -> pa.Table:
-    """One hash partition of the RFM fold: per-customer last-order
+def _rfm_part(asof_us: int, t: pa.Table) -> pa.Table:
+    """One custkey partition of the RFM fold: per-customer last-order
     timestamp (maximum.at), order count (bincount) and revenue sum
     (weighted bincount) over the co-located order rows. Recency rides
     an INTEGER day division ((asof - last) // 86400e6 us) — numpy and
     DuckDB `//` agree exactly on positive int64, no float gate needed
     (the emb_pq_codes idiom)."""
-    t = pa.concat_tables(shards)
     ck = t.column("o_custkey").to_numpy(zero_copy_only=False).astype(np.int64)
     od = t.column("o_orderdate").to_numpy(zero_copy_only=False) \
         .astype("datetime64[us]").astype(np.int64)
@@ -241,8 +239,8 @@ def customer_rfm(sf_dir: str):
     build a ranking job would run): recency in whole days from the
     customer's last order to the corpus max order date, order count,
     and revenue sum. HIGH-CARDINALITY key (customers ~ corpus-sized),
-    so the shape is the raw-task Fibonacci-hash exchange
-    (CLAUDE.md: native groupby over ~distinct keys is the 49-vs-6.4 s
+    so the shape is one custkey exchange (``exchange.part_exchange``;
+    CLAUDE.md: native groupby over ~distinct keys is the 49-vs-6.4 s
     trap): orders ship their three needed columns as table slices,
     each partition folds its customers with bincount/maximum.at, and
     the customer-sized OUTPUT becomes a Dataset straight from the
@@ -267,34 +265,26 @@ def customer_rfm(sf_dir: str):
     asof_us = pc.max(maxes.column("m")).as_py()
     ds = _read(sf_dir, "orders",
                columns=["o_custkey", "o_orderdate", "o_totalprice"])
-    P = X.n_parts()
-    sl = X.shard(X.table_shard, X.block_refs(ds), P, P, "o_custkey")
-    return rd.from_arrow_refs(
-        X.combine(_rfm_combine, sl, asof_us, out_schema=_RFM))
+    return rd.from_arrow_refs(X.part_exchange(
+        ds, None, _col_key("o_custkey"),
+        functools.partial(_rfm_part, asof_us), _RFM))
 
 
 _INC_DD = pa.schema([("doc_id", pa.int64()), ("n_copies", pa.int64())])
 
 
-def _inc_dedup_combine(*shards) -> pa.Table:
+def _inc_dedup_part(t: pa.Table) -> pa.Table:
     """One hash partition of the incremental dedup: (text_hash, doc_id)
     rows where even ids are the EXISTING corpus and odd ids the new
     snapshot. Emits, per hash absent from the existing side, the new
     side's min doc_id + copy count (sorted-unique anti-probe, then one
     lexsort + segment fold). Sorted by doc_id for determinism."""
-    ks = np.concatenate([s[0] for s in shards])
-    if not len(ks):
-        return _INC_DD.empty_table()
-    ids = np.concatenate([s[1] for s in shards])
+    ks = t.column("text_hash").to_numpy()
+    ids = t.column("doc_id").to_numpy()
     is_new = (ids % 2) == 1
     old_k = np.unique(ks[~is_new])
-    nk, nid = ks[is_new], ids[is_new]
-    if not len(nk):
-        return _INC_DD.empty_table()
-    fresh = ~np.isin(nk, old_k)
-    nk, nid = nk[fresh], nid[fresh]
-    if not len(nk):
-        return _INC_DD.empty_table()
+    fresh = is_new & ~np.isin(ks, old_k)
+    nk, nid = ks[fresh], ids[fresh]
     o = np.lexsort((nid, nk))
     nk, nid = nk[o], nid[o]
     first = np.ones(len(nk), dtype=bool)
@@ -317,7 +307,7 @@ def doc_dedup_incremental(sf_dir: str):
     incoming snapshot. Both sides are corpus-sized, so this is the
     distributed hash ANTI-join (customer_no_orders idiom) on the
     content hash: one fused scan hashes per-unique and routes 16-byte
-    (hash, doc_id) rows by Fibonacci hash (``num_returns=P``); each
+    (hash, doc_id) rows by hash (``exchange.part_exchange``); each
     partition anti-probes the existing side via sorted uniques and
     folds the survivors' min-id + copy count in one lexsort. Text
     never enters the exchange; no driver state; output rides
@@ -327,13 +317,8 @@ def doc_dedup_incremental(sf_dir: str):
     def hash_rows(t: pa.Table) -> pa.Table:
         return D.add_text_hash(t).select(["text_hash", "doc_id"])
 
-    hashed = ds.map_batches(hash_rows, batch_format="pyarrow")
-    refs = X.block_refs(hashed)
-    if not refs:
-        return _INC_DD.empty_table()
-    P = X.n_parts()
-    sl = X.shard(_anti_shard, refs, P, P, "text_hash", "doc_id")
-    return rd.from_arrow_refs(X.combine(_inc_dedup_combine, sl))
+    return rd.from_arrow_refs(X.part_exchange(
+        ds, hash_rows, _text_hash_key, _inc_dedup_part, _INC_DD))
 
 
 _BLOOM_MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
@@ -601,6 +586,21 @@ _Q3 = pa.schema([("l_orderkey", pa.int64()),
                  ("revenue", pa.float64())])
 
 
+def _q3_top(t: pa.Table, k: int) -> pa.Table:
+    """TPC-H Q3's top-k rule over (l_orderkey, o_orderdate, revenue)
+    rows: round2(revenue) desc, o_orderdate asc, key asc."""
+    keys = t.column("l_orderkey").to_numpy()
+    dates = t.column("o_orderdate").to_numpy() \
+        .astype("datetime64[us]").astype(np.int64)
+    rev = np.round(t.column("revenue").to_numpy(), 2)
+    order = np.lexsort((keys, dates, -rev))[:k]
+    return pa.table({
+        "l_orderkey": keys[order],
+        "o_orderdate": t.column("o_orderdate").take(pa.array(order)),
+        "revenue": rev[order],
+    }, schema=_Q3)
+
+
 def orders_shipping_priority(sf_dir: str, segment: str = "BUILDING",
                              date: str = "1995-03-15", k: int = 10):
     """TPC-H Q3 (shipping priority): top-k unshipped orders by revenue
@@ -609,14 +609,15 @@ def orders_shipping_priority(sf_dir: str, segment: str = "BUILDING",
     orders through ONE native hash join (both sides corpus-sized, so
     neither broadcasts), the result joined to date-filtered lineitem
     through a SECOND hash join on orderkey; blocks then emit per-order
-    partial revenues, ONE Fibonacci-hash exchange on orderkey makes
-    the per-partition sums exact (join blocks usually already hold an
-    order whole, but Ray may split partitions by size — the exchange
-    removes that assumption), and each partition keeps its local top-k
-    under the FINAL (round2(revenue) desc, o_orderdate asc, key asc)
-    rule — merge-closed, driver sees P x k rows. Exact SQL mirror."""
+    partial revenues, ONE orderkey exchange
+    (``exchange.part_exchange``) makes the per-partition sums exact
+    (join blocks usually already hold an order whole, but Ray may split
+    partitions by size — the exchange removes that assumption), and
+    each partition keeps its local top-k under the FINAL
+    (round2(revenue) desc, o_orderdate asc, key asc) rule
+    (``_q3_top``, which the driver applies again to the P x k rows).
+    Exact SQL mirror."""
     cutoff = pa.scalar(pd.Timestamp(date))
-    P = X.n_parts()
 
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]) \
         .map_batches(lambda t: t.filter(
@@ -637,48 +638,22 @@ def orders_shipping_priority(sf_dir: str, segment: str = "BUILDING",
                  num_partitions=max(4, _cpus()),
                  on=("l_orderkey",), right_on=("o_orderkey",))
 
-    def rev_shard(block: pa.Table) -> list:
+    def revenue(block: pa.Table) -> pa.Table:
         disc = pc.multiply(block["l_extendedprice"],
                            pc.subtract(pa.scalar(1.0), block["l_discount"]))
-        g = pa.table({
+        return pa.table({
             "l_orderkey": block.column("l_orderkey"),
             "o_orderdate": block.column("o_orderdate"),
             "revenue": disc,
         }).group_by(["l_orderkey", "o_orderdate"]).aggregate(
-            [("revenue", "sum")]).rename_columns(
-            ["l_orderkey", "o_orderdate", "revenue"])
-        keys = g.column("l_orderkey").to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        return X.split(X.fib_partition(keys, P), P, g.cast(_Q3))
+            [("revenue", "sum")]).rename_columns(_Q3.names).cast(_Q3)
 
-    def topk_combine(*shards) -> pa.Table:
-        t = pa.concat_tables(shards)
-        g = t.group_by(["l_orderkey", "o_orderdate"]).aggregate(
-            [("revenue", "sum")]).rename_columns(
-            ["l_orderkey", "o_orderdate", "revenue"])
-        keys = g.column("l_orderkey").to_numpy(zero_copy_only=False)
-        dates = g.column("o_orderdate").to_numpy(zero_copy_only=False) \
-            .astype("datetime64[us]").astype(np.int64)
-        rev = np.round(g.column("revenue").to_numpy(zero_copy_only=False), 2)
-        order = np.lexsort((keys, dates, -rev))[:k]
-        return pa.table({
-            "l_orderkey": pa.array(keys[order].astype(np.int64)),
-            "o_orderdate": g.column("o_orderdate").take(pa.array(order)),
-            "revenue": pa.array(rev[order]),
-        }, schema=_Q3)
+    def top_part(t: pa.Table) -> pa.Table:
+        return _q3_top(t.group_by(["l_orderkey", "o_orderdate"]).aggregate(
+            [("revenue", "sum")]).rename_columns(_Q3.names), k)
 
-    sl = X.shard(rev_shard, X.block_refs(j2), P)
-    merged = X.gather(X.combine(topk_combine, sl, out_schema=_Q3), _Q3)
-    keys = merged.column("l_orderkey").to_numpy(zero_copy_only=False)
-    dates = merged.column("o_orderdate").to_numpy(zero_copy_only=False) \
-        .astype("datetime64[us]").astype(np.int64)
-    rev = merged.column("revenue").to_numpy(zero_copy_only=False)
-    order = np.lexsort((keys, dates, -rev))[:k]
-    return pa.table({
-        "l_orderkey": pa.array(keys[order].astype(np.int64)),
-        "o_orderdate": merged.column("o_orderdate").take(pa.array(order)),
-        "revenue": pa.array(rev[order]),
-    }, schema=_Q3)
+    return _q3_top(X.gather(X.part_exchange(
+        j2, revenue, _col_key("l_orderkey"), top_part, _Q3), _Q3), k)
 
 
 def lineitem_pricing_summary(sf_dir: str):
@@ -782,8 +757,8 @@ def events_sliding_distinct(sf_dir: str, size_minutes: int = 60,
     sliding expansion happens block-locally (every event joins its
     k = size/slide windows, then the block dedupes its (window, user)
     pairs — volume drops before anything leaves the worker), ONE
-    Fibonacci-hash exchange on user_id co-locates every copy of a user
-    (``num_returns=P`` raw tasks, the events_daily_active layout), each
+    user_id exchange (``exchange.part_exchange``, the
+    events_daily_active layout) co-locates every copy of a user, each
     partition dedupes and counts per window over its DISJOINT user set,
     and the driver sums P x |windows| ints (``exchange.sum_refs``).
     Nothing user-sized lands anywhere central.
@@ -792,35 +767,25 @@ def events_sliding_distinct(sf_dir: str, size_minutes: int = 60,
         raise ValueError("size must be a multiple of slide")
     k = size_minutes // slide_minutes
     slide_us = np.int64(slide_minutes) * 60 * 1_000_000
-    P = X.n_parts()
 
-    def pair_shard(block: pa.Table) -> list:
+    def pairs(block: pa.Table) -> pa.Table:
         n = block.num_rows
         ts = block.column("ts").to_numpy(zero_copy_only=False)
         bucket = ts.astype("datetime64[us]").astype(np.int64) // slide_us
         idx = np.repeat(np.arange(n), k)
         wstart = (bucket[:, None] - np.arange(k)[None, :]).ravel() * slide_us
-        pairs = pa.table({
+        return pa.table({
             "window_start": pa.array(wstart.astype("datetime64[us]")),
             "user_id": block.column("user_id").take(pa.array(idx)),
         }).group_by(["window_start", "user_id"]).aggregate([])
-        u = pairs.column("user_id").to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        return X.split(X.fib_partition(u, P), P, pairs)
 
     OUT = pa.schema([("window_start", pa.timestamp("us")),
                      ("n_users", pa.int64())])
-
-    def win_combine(*tables) -> pa.Table:
-        t = pa.concat_tables(tables)
-        dd = t.group_by(["window_start", "user_id"]).aggregate([])
-        g = dd.group_by("window_start").aggregate([([], "count_all")])
-        return g.rename_columns(["window_start", "n_users"]).cast(OUT)
-
     ds = _read(sf_dir, "events", columns=["ts", "user_id"])
-    sl = X.shard(pair_shard, X.block_refs(ds), P)
-    return X.sum_refs(X.combine(win_combine, sl, out_schema=OUT),
-                      ["window_start"], OUT)
+    return X.sum_refs(X.part_exchange(
+        ds, pairs, _user_key,
+        functools.partial(_distinct_users, "window_start"), OUT),
+        ["window_start"], OUT)
 
 
 def events_transitions(sf_dir: str):
@@ -833,7 +798,8 @@ def events_transitions(sf_dir: str):
     driver sums the tiny |types|^2 partial rows (``exchange.sum_refs``).
     Text of events never leaves its partition unaggregated."""
 
-    def bigrams_part(g: pd.DataFrame) -> pd.DataFrame:
+    def bigrams_part(g: pa.Table) -> pd.DataFrame:
+        g = g.to_pandas()
         g = g.sort_values(["user_id", "ts", "event_id"], kind="stable")
         uid = g["user_id"].to_numpy()
         et = g["event_type"].to_numpy()
@@ -885,61 +851,41 @@ _ULTV = pa.schema([("user_id", pa.int64()), ("n_events", pa.int64()),
                    ("total_value", pa.float64())])
 
 
+def _ultv_top(t: pa.Table, k: int) -> pa.Table:
+    """events_user_value_topk's top-k rule over (user_id, n_events,
+    total_value) rows: round2(value) desc, n desc, user asc."""
+    u = t.column("user_id").to_numpy()
+    n = t.column("n_events").to_numpy()
+    v = np.round(t.column("total_value").to_numpy(), 2)
+    order = np.lexsort((u, -n, -v))[:k]
+    return pa.table({"user_id": u[order], "n_events": n[order],
+                     "total_value": v[order]}, schema=_ULTV)
+
+
 def events_user_value_topk(sf_dir: str, k: int = 100):
     """Top-k users by lifetime summed value — exact heavy hitters over
     a high-cardinality key (users are unbounded at scale, so the
     vocab_topk-style driver merge is a memory cliff; the CMS sketch is
     the approximate twin). Same layout as doc_vocab_bigrams: block
     partials (one group_by per block — volume drops to block-distinct
-    users), ONE Fibonacci-hash exchange on user_id, per-partition
-    exact sums + LOCAL top-k under the FINAL (round2(value) desc,
-    n desc, user asc) key — a user lives in exactly one partition, so
-    P local top-ks contain the global top-k; driver merges P x k rows.
-    Exact SQL mirror."""
-    P = X.n_parts()
-
-    def val_shard(block: pa.Table) -> list:
-        g = pa.table({
-            "user_id": block.column("user_id"),
-            "value": block.column("value"),
-        }).group_by("user_id").aggregate(
+    users), ONE user_id exchange (``exchange.part_exchange``),
+    per-partition exact sums + LOCAL top-k under the FINAL
+    (round2(value) desc, n desc, user asc) key — a user lives in
+    exactly one partition, so P local top-ks contain the global top-k;
+    driver merges P x k rows. Exact SQL mirror."""
+    def partial(block: pa.Table) -> pa.Table:
+        return block.group_by("user_id").aggregate(
             [("value", "sum"), ("value", "count")]).rename_columns(
             ["user_id", "total_value", "n_events"])
-        g = g.select(["user_id", "n_events", "total_value"]) \
-            .cast(pa.schema([("user_id", pa.int64()),
-                             ("n_events", pa.int64()),
-                             ("total_value", pa.float64())]))
-        u = g.column("user_id").to_numpy(zero_copy_only=False)
-        return X.split(X.fib_partition(u.astype(np.int64), P), P, g)
 
-    def ltv_combine(*shards) -> pa.Table:
-        t = pa.concat_tables(shards)
-        g = t.group_by("user_id").aggregate(
+    def top_part(t: pa.Table) -> pa.Table:
+        return _ultv_top(t.group_by("user_id").aggregate(
             [("total_value", "sum"), ("n_events", "sum")]).rename_columns(
-            ["user_id", "total_value", "n_events"])
-        u = g.column("user_id").to_numpy(zero_copy_only=False)
-        n = g.column("n_events").to_numpy(zero_copy_only=False)
-        v = np.round(g.column("total_value").to_numpy(zero_copy_only=False),
-                     2)
-        order = np.lexsort((u, -n, -v))[:k]
-        return pa.table({
-            "user_id": pa.array(u[order].astype(np.int64)),
-            "n_events": pa.array(n[order].astype(np.int64)),
-            "total_value": pa.array(v[order]),
-        }, schema=_ULTV)
+            ["user_id", "total_value", "n_events"]), k)
 
     ds = _read(sf_dir, "events", columns=["user_id", "value"])
-    sl = X.shard(val_shard, X.block_refs(ds), P)
-    merged = X.gather(X.combine(ltv_combine, sl, out_schema=_ULTV), _ULTV)
-    u = merged.column("user_id").to_numpy(zero_copy_only=False)
-    n = merged.column("n_events").to_numpy(zero_copy_only=False)
-    v = merged.column("total_value").to_numpy(zero_copy_only=False)
-    order = np.lexsort((u, -n, -v))[:k]
-    return pa.table({
-        "user_id": pa.array(u[order].astype(np.int64)),
-        "n_events": pa.array(n[order].astype(np.int64)),
-        "total_value": pa.array(v[order]),
-    }, schema=_ULTV)
+    return _ultv_top(X.gather(X.part_exchange(
+        ds, partial, _user_key, top_part, _ULTV), _ULTV), k)
 
 
 def events_quantiles_kll(sf_dir: str, qs: tuple = (0.5, 0.9, 0.99)):
@@ -1013,9 +959,10 @@ def events_sessionize(sf_dir: str, gap_minutes: int = 30):
     the two-phase time-bucketed variant with identical output.
     Output: one row per session."""
 
-    def sessions_part(g: pd.DataFrame) -> pd.DataFrame:
+    def sessions_part(g: pa.Table) -> pd.DataFrame:
         # all users of one hash partition, fully vectorized: session
         # boundaries = user change OR gap > threshold
+        g = g.to_pandas()
         g = g.sort_values(["user_id", "ts", "event_id"], kind="stable")
         uid = g["user_id"].to_numpy()
         new_user = np.ones(len(g), dtype=bool)
@@ -1057,7 +1004,7 @@ def events_running_total(sf_dir: str):
     per-row state. Running sums are sequential prefix sums on BOTH
     engines (np.cumsum and DuckDB's window accumulate in the same
     order), ROUND-6 absorbs the residue."""
-    def running_part(g: pd.DataFrame) -> pd.DataFrame:
+    def running_part(g: pa.Table) -> pd.DataFrame:
         o = np.lexsort((g["event_id"].to_numpy(),
                         g["ts"].to_numpy(), g["user_id"].to_numpy()))
         uid = g["user_id"].to_numpy()[o]
@@ -1107,7 +1054,8 @@ def events_attribution(sf_dir: str,
                             ("n_purchases", pa.int64()),
                             ("total_value", pa.float64())])
 
-    def attr_part(g: pd.DataFrame) -> pd.DataFrame:
+    def attr_part(g: pa.Table) -> pd.DataFrame:
+        g = g.to_pandas()
         g = g.sort_values(["user_id", "ts", "event_id"], kind="stable")
         uid = g["user_id"].to_numpy()
         et = g["event_type"].to_numpy()
@@ -1172,7 +1120,8 @@ def events_cohort_ltv(sf_dir: str):
         ("revenue", pa.float64()),
     ])
 
-    def cohort_part(g: pd.DataFrame) -> pd.DataFrame:
+    def cohort_part(g: pa.Table) -> pd.DataFrame:
+        g = g.to_pandas()
         g = g.sort_values(["user_id", "ts", "event_id"], kind="stable")
         uid = g["user_id"].to_numpy()
         # normalize pandas' datetime unit explicitly (ns vs us varies)
@@ -1295,7 +1244,7 @@ def events_user_features(sf_dir: str):
     lexsort per distinct-feature, segment boundaries, bincount folds.
     Output is user-sized (the op's own output), per-partition."""
 
-    def feats_part(g: pd.DataFrame) -> pd.DataFrame:
+    def feats_part(g: pa.Table) -> pd.DataFrame:
         uid = g["user_id"].to_numpy()
         uu, codes = np.unique(uid, return_inverse=True)
         nu = len(uu)
@@ -1349,9 +1298,10 @@ def events_sessionize_salted(sf_dir: str, gap_minutes: int = 30,
     Partitioning assumption: one user's SESSIONS (not events) fit in a
     worker; the bucket granularity is the skew knob."""
 
-    def partial_sessions_part(g: pd.DataFrame) -> pd.DataFrame:
+    def partial_sessions_part(g: pa.Table) -> pd.DataFrame:
         # all (user, bucket) groups of one hash partition, vectorized:
         # partial-session boundary = user/bucket change OR gap
+        g = g.to_pandas()
         g = g.sort_values(["user_id", "bucket", "ts", "event_id"], kind="stable")
         uid = g["user_id"].to_numpy()
         bk = g["bucket"].to_numpy()
@@ -1368,9 +1318,10 @@ def events_sessionize_salted(sf_dir: str, gap_minutes: int = 30,
         )
         return out.reset_index(drop=True)
 
-    def merge_sessions_part(g: pd.DataFrame) -> pd.DataFrame:
+    def merge_sessions_part(g: pa.Table) -> pd.DataFrame:
         # all users of one hash partition: merge boundary = user change
         # OR boundary gap > threshold over the ordered partial sessions
+        g = g.to_pandas()
         g = g.sort_values(["user_id", "session_start", "session_end"],
                           kind="stable")
         uid = g["user_id"].to_numpy()
@@ -1412,13 +1363,13 @@ __all__ = [
     "_semi_orders_combine",
     "orders_with_returns",
     "_LV_Q",
-    "_lv_combine",
+    "_lv_part",
     "orders_large_volume",
     "_RFM",
-    "_rfm_combine",
+    "_rfm_part",
     "customer_rfm",
     "_INC_DD",
-    "_inc_dedup_combine",
+    "_inc_dedup_part",
     "doc_dedup_incremental",
     "_BLOOM_MIX",
     "_bloom_positions",
@@ -1432,6 +1383,7 @@ __all__ = [
     "doc_emb_curation",
     "orders_mktsegment_revenue",
     "_Q3",
+    "_q3_top",
     "orders_shipping_priority",
     "lineitem_pricing_summary",
     "orders_by_month",
@@ -1440,6 +1392,7 @@ __all__ = [
     "events_transitions",
     "events_quantiles",
     "_ULTV",
+    "_ultv_top",
     "events_user_value_topk",
     "events_quantiles_kll",
     "_SESSIONS",

@@ -238,7 +238,8 @@ def events_asof_join(sf_dir: str, left_type: str = "purchase",
     event_id (-1 = none) and the gap in microseconds.
     Partitioning assumption: one hash partition of users fits a worker
     (same contract as events_sessionize)."""
-    def asof_part(g: pd.DataFrame) -> pd.DataFrame:
+    def asof_part(g: pa.Table) -> pd.DataFrame:
+        g = g.to_pandas()
         g = g.assign(_is_left=(g["event_type"] == left_type).astype(np.int8))
         g = g.sort_values(["user_id", "ts", "_is_left", "event_id"],
                           kind="stable")
@@ -293,8 +294,8 @@ def events_window_join(sf_dir: str, left_type: str = "purchase",
     (same contract as events_sessionize)."""
     win_us = np.int64(window_minutes) * 60 * 1_000_000
 
-    def window_part(g: pd.DataFrame) -> pd.DataFrame:
-        is_left = (g["event_type"] == left_type).to_numpy()
+    def window_part(g: pa.Table) -> pd.DataFrame:
+        is_left = g["event_type"].to_numpy() == left_type
         uid = g["user_id"].to_numpy()
         ts = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
         eid = g["event_id"].to_numpy()
@@ -374,35 +375,23 @@ def events_daily_active(sf_dir: str):
     over an event stream, distributed the same way as the log side's
     ``log_distinct_clients``: each block dedupes its own (day, user)
     pairs (volume drops from events to block-distinct pairs before
-    anything leaves the worker), ONE Fibonacci-hash exchange on
-    user_id co-locates every copy of a user (``num_returns=P``), each
+    anything leaves the worker), ONE user_id exchange
+    (``exchange.part_exchange``) co-locates every copy of a user, each
     partition dedupes and counts per day, and the driver sums
     P x |days| tiny partials (``exchange.sum_refs``). Distinct users
     are unbounded at scale — nothing user-sized ever lands on the
     driver."""
-    P = X.n_parts()
-
-    def pair_shard(block: pa.Table) -> list:
-        day = pc.floor_temporal(block.column("ts"), unit="day")
-        pairs = pa.table({
-            "day": day, "user_id": block.column("user_id"),
+    def pairs(block: pa.Table) -> pa.Table:
+        return pa.table({
+            "day": pc.floor_temporal(block.column("ts"), unit="day"),
+            "user_id": block.column("user_id"),
         }).group_by(["day", "user_id"]).aggregate([])
-        u = pairs.column("user_id").to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        return X.split(X.fib_partition(u, P), P, pairs)
 
     OUT = pa.schema([("day", pa.timestamp("us")), ("n_users", pa.int64())])
-
-    def dau_combine(*tables) -> pa.Table:
-        t = pa.concat_tables(tables)
-        dd = t.group_by(["day", "user_id"]).aggregate([])
-        g = dd.group_by("day").aggregate([([], "count_all")])
-        return g.rename_columns(["day", "n_users"]).cast(OUT)
-
     ds = _read(sf_dir, "events", columns=["ts", "user_id"])
-    sl = X.shard(pair_shard, X.block_refs(ds), P)
-    return X.sum_refs(X.combine(dau_combine, sl, out_schema=OUT), ["day"],
-                      OUT)
+    return X.sum_refs(X.part_exchange(
+        ds, pairs, _user_key, functools.partial(_distinct_users, "day"),
+        OUT), ["day"], OUT)
 
 
 _ANOM_MAD = pa.schema([
@@ -484,7 +473,7 @@ def events_funnel(sf_dir: str,
     per-user stage fronts)."""
     SENT = np.iinfo(np.int64).max
 
-    def funnel_part(g: pd.DataFrame) -> pd.DataFrame:
+    def funnel_part(g: pa.Table) -> pd.DataFrame:
         u = g["user_id"].to_numpy()
         t = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
         et = g["event_type"].to_numpy()
@@ -851,7 +840,7 @@ def emb_knn_join(sf_dir: str, k: int = 5, n_chunks: int | None = None):
                               ("cos", pa.float64())]).empty_table()
         return pa.concat_tables(outs)
 
-    def final_part(g: pd.DataFrame) -> pd.DataFrame:
+    def final_part(g: pa.Table) -> pd.DataFrame:
         vid = g["vec_id"].to_numpy()
         nid = g["neighbor_id"].to_numpy()
         cc = g["cos"].to_numpy()
@@ -945,7 +934,7 @@ def events_retention(sf_dir: str):
     partitions. The driver sums the tiny |days|^2/2-bounded matrix
     (``exchange.sum_refs``)."""
 
-    def retention_part(g: pd.DataFrame) -> pd.DataFrame:
+    def retention_part(g: pa.Table) -> pd.DataFrame:
         u = g["user_id"].to_numpy()
         day = g["ts"].to_numpy().astype("datetime64[D]").astype(np.int64)
         order = np.lexsort((day, u))

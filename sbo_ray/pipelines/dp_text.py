@@ -8,6 +8,7 @@ the chained star-imports and the facade must see them.
 """
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -266,7 +267,7 @@ def doc_pack_sequences(sf_dir: str, seq_len: int = 512,
     def chunk_key(t: pa.Table) -> np.ndarray:
         return t.column("doc_id").to_numpy() // chunk_docs
 
-    def pack_part(g: pd.DataFrame) -> pd.DataFrame:
+    def pack_part(g: pa.Table) -> pd.DataFrame:
         ids = g["doc_id"].to_numpy()
         nt = g["n_tokens"].to_numpy()
         o = np.argsort(ids, kind="stable")  # chunk is monotone in doc_id
@@ -313,7 +314,7 @@ def doc_pack_materialize(sf_dir: str, seq_len: int = 512,
     def chunk_key(t: pa.Table) -> np.ndarray:
         return t.column("doc_id").to_numpy() // chunk_docs
 
-    def mat_part(g: pd.DataFrame) -> pd.DataFrame:
+    def mat_part(g: pa.Table) -> pd.DataFrame:
         o = np.argsort(g["doc_id"].to_numpy(), kind="stable")
         ids = g["doc_id"].to_numpy()[o]
         toks = pc.split_pattern(pa.array(g["text"].to_numpy()[o]), " ")
@@ -396,10 +397,10 @@ def doc_paragraph_dedup(sf_dir: str, shared_mod: int = 7):
         }).filter(pc.not_equal(flat, ""))
         return D.add_text_hash(t, column="para")
 
-    def dedup_part(g: pd.DataFrame) -> pd.DataFrame:
+    def dedup_part(g: pa.Table) -> pd.DataFrame:
         did = g["doc_id"].to_numpy()
         idx = g["para_idx"].to_numpy()
-        enc = pc.dictionary_encode(pa.array(g["para"], pa.string()))
+        enc = pc.dictionary_encode(g["para"].combine_chunks())
         codes = enc.indices.to_numpy(zero_copy_only=False)
         order = np.lexsort((idx, did, codes))
         c_s = codes[order]
@@ -656,43 +657,47 @@ def doc_vocab_topk(sf_dir: str, k: int = 100):
 _BI = pa.schema([("bigram", pa.string()), ("n", pa.int64())])
 
 
-def _bigram_shard(block: pa.Table, P: int, k: int) -> list:
-    """Block-local bigram histogram, split into P hash shards. Fully
-    vectorized: one split_pattern; the adjacent-pair join runs over two
-    zero-copy SLICES of the flat token buffer (vals[:-1] ++ " " ++
-    vals[1:]); doc boundaries are masked by offset arithmetic (each
-    doc's last token starts no bigram); pc.value_counts shrinks the
-    block to its unique bigrams before anything leaves the worker; the
-    per-UNIQUE crc32 routes each bigram to its one partition."""
-    import zlib
-
+def _bigram_counts(block: pa.Table) -> pa.Table:
+    """Block-local bigram histogram. Fully vectorized: one
+    split_pattern; the adjacent-pair join runs over two zero-copy
+    SLICES of the flat token buffer (vals[:-1] ++ " " ++ vals[1:]); doc
+    boundaries are masked by offset arithmetic (each doc's last token
+    starts no bigram); pc.value_counts shrinks the block to its unique
+    bigrams before anything leaves the worker."""
     col = block.column("text")
     col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
     words = pc.split_pattern(col.cast(pa.string()), " ")
     vals = words.values
     nv = len(vals)
-    t = _BI.empty_table()
-    if nv >= 2:
-        big = pc.binary_join_element_wise(
-            vals.slice(0, nv - 1), vals.slice(1), " ")
-        keep = np.ones(nv - 1, dtype=bool)
-        ends = words.offsets.to_numpy().astype(np.int64)[1:] - 1
-        keep[ends[(ends >= 0) & (ends < nv - 1)]] = False
-        vc = pc.value_counts(big.filter(pa.array(keep)))
-        t = pa.table({"bigram": vc.field("values"),
-                      "n": vc.field("counts").cast(pa.int64())}, schema=_BI)
-    part = np.fromiter(
+    if nv < 2:
+        return _BI.empty_table()
+    big = pc.binary_join_element_wise(
+        vals.slice(0, nv - 1), vals.slice(1), " ")
+    keep = np.ones(nv - 1, dtype=bool)
+    ends = words.offsets.to_numpy().astype(np.int64)[1:] - 1
+    keep[ends[(ends >= 0) & (ends < nv - 1)]] = False
+    vc = pc.value_counts(big.filter(pa.array(keep)))
+    return pa.table({"bigram": vc.field("values"),
+                     "n": vc.field("counts").cast(pa.int64())}, schema=_BI)
+
+
+def _bigram_key(t: pa.Table) -> np.ndarray:
+    """Partition key of the bigram exchange: crc32 of each (block-unique)
+    bigram."""
+    import zlib
+
+    return np.fromiter(
         (zlib.crc32(u.encode("utf-8")) for u in
          t.column("bigram").to_pylist()),
-        dtype=np.uint32, count=t.num_rows).astype(np.int64) % P
-    return X.split(part, P, t)
+        dtype=np.uint32, count=t.num_rows).astype(np.int64)
 
 
-def _bigram_combine(k: int, *shards) -> pa.Table:
-    """One hash partition: sum its bigrams' counts and emit the LOCAL
-    top-k — correct globally because a bigram lives in exactly one
-    partition, so the global top-k is the top-k of P local top-ks."""
-    agg = pa.concat_tables(shards).group_by("bigram").aggregate([("n", "sum")])
+def _bigram_top(k: int, t: pa.Table) -> pa.Table:
+    """Bigram counts summed per bigram, top-k by (count desc, bigram
+    asc). One partition's LOCAL top-k is correct globally because a
+    bigram lives in exactly one partition, so the global top-k is the
+    top-k of P local top-ks (the driver applies the same rule)."""
+    agg = t.group_by("bigram").aggregate([("n", "sum")])
     order = pc.sort_indices(agg, sort_keys=[("n_sum", "descending"),
                                             ("bigram", "ascending")])
     top = agg.take(order[:k])
@@ -707,17 +712,14 @@ def doc_vocab_bigrams(sf_dir: str, k: int = 100):
     the vocab_topk-style driver merge of all block partials is a
     driver-memory cliff (measured 65 s at 4M docs before this layout);
     instead the block histograms take ONE crc32 hash exchange
-    (``num_returns=P`` raw tasks, the repo's standard shard/combine),
-    each partition sums its bigrams and emits a LOCAL top-k, and the
-    driver merges P x k rows — nothing bigram-vocabulary-sized ever
-    lands anywhere central. 14.7-14.9 s at 4M docs."""
-    P = X.n_parts()
+    (``exchange.part_exchange``), each partition sums its bigrams and
+    emits a LOCAL top-k, and the driver merges P x k rows — nothing
+    bigram-vocabulary-sized ever lands anywhere central. 14.7-14.9 s
+    at 4M docs."""
     ds = _read(sf_dir, "documents", columns=["text"])
-    sl = X.shard(_bigram_shard, X.block_refs(ds), P, P, k)
-    merged = X.gather(X.combine(_bigram_combine, sl, k, out_schema=_BI), _BI)
-    order = pc.sort_indices(merged, sort_keys=[("n", "descending"),
-                                               ("bigram", "ascending")])
-    return merged.take(order[:k])
+    return _bigram_top(k, X.gather(X.part_exchange(
+        ds, _bigram_counts, _bigram_key, functools.partial(_bigram_top, k),
+        _BI), _BI))
 
 
 def doc_tokenize_ids(sf_dir: str, vocab_size: int = 1000):
@@ -1074,7 +1076,7 @@ def doc_curation_pipeline(sf_dir: str, lang: str = "en",
     def annotate(batch: pa.Table) -> pa.Table:
         return _curation_kept(batch, lang, min_tokens, max_tokens, thr)
 
-    def rep_pick(g: pd.DataFrame) -> pd.DataFrame:
+    def rep_pick(g: pa.Table) -> pd.DataFrame:
         # min doc_id per distinct text_hash, stats carried through (they
         # are identical within a group) — one lexsort, no per-key work
         h = g["text_hash"].to_numpy()
@@ -1188,8 +1190,9 @@ __all__ = [
     "doc_entropy",
     "doc_vocab_topk",
     "_BI",
-    "_bigram_shard",
-    "_bigram_combine",
+    "_bigram_counts",
+    "_bigram_key",
+    "_bigram_top",
     "doc_vocab_bigrams",
     "doc_tokenize_ids",
     "_flat_vocab_ids",

@@ -203,11 +203,10 @@ def partial_stage(job: JobConfig, mask_ips: bool = False,
         routed = routed_projection(enriched, mask_ips=mask_ips,
                                    relevant_only=relevant_only)
         if routed.num_rows:
-            # one flat fragment per batch (source rides as a column; use
-            # write_routed() for the per-source hive layout). The name is
-            # derived from the batch's doc_id span, so a RETRIED task
-            # rewrites the same file instead of duplicating rows
-            # (at-least-once side effects made idempotent).
+            # one flat fragment per batch (source rides as a column).
+            # The name is derived from the batch's doc_id span, so a
+            # RETRIED task rewrites the same file instead of duplicating
+            # rows (at-least-once side effects made idempotent).
             ids = batch.column("doc_id")
             span = f"{ids[0].as_py()}|{ids[-1].as_py()}|{batch.num_rows}"
             part = hashlib.sha1(span.encode()).hexdigest()[:16]
@@ -297,12 +296,14 @@ def full_pipeline(input_paths, job: JobConfig, out_dir: str,
     """The flagship single-pass pipeline (the reference's whole lifecycle,
     SURVEY.md §3): ONE streaming read of the token table; each task
     parses+enriches its batch, writes its routed raw-log fragment
-    (per-source hive layout) directly, and emits unified pre-aggregated
+    directly, and emits unified pre-aggregated
     partials for every metric/counter sink; one keyed merge finalizes
     all aggregates. No stage reads the input twice.
 
     Returns {"metrics": ..., "keyed_counters": ..., "global_counters": ...}
-    pyarrow Tables; routed rows land under ``out_dir``/routed/source=*/.
+    pyarrow Tables. Routed rows land as flat ``part-<sha1>.parquet``
+    fragments under ``out_dir``/routed/, with ``source`` as a column; the
+    metric rows are also written to ``out_dir``/metrics/metrics.parquet.
 
     ``out_dir`` may be a plain local path (default) or an fsspec URI
     (``file://``, ``s3://``, ...) — on a multi-node cluster pass shared
@@ -343,16 +344,3 @@ def write_enriched_jsonl(enriched: rd.Dataset, out_dir: str) -> None:
     )
     parsed.write_json(out_dir)
 
-
-def write_metrics(metrics: rd.Dataset, out_dir: str) -> None:
-    """Metrics sink: partitioned Parquet keyed on source (the sbo_metrics
-    table analog, db/mysqldb.go:145-151). ``out_dir`` may be a URI —
-    Ray's write_parquet resolves it through pyarrow.fs (file://, s3://,
-    gcs://; not memory://)."""
-    metrics.write_parquet(out_dir, partition_cols=["source"])
-
-
-def write_routed(routed: rd.Dataset, out_dir: str) -> None:
-    """Routed raw-log sink partitioned by source (sbo_rawlogs analog).
-    ``out_dir`` may be a URI (see write_metrics)."""
-    routed.write_parquet(out_dir, partition_cols=["source"])

@@ -1199,14 +1199,10 @@ def q_log_distinct_clients(sf_dir: str):
         return (t.select(["source", "client_ip"])
                 .group_by(["source", "client_ip"]).aggregate([]))
 
-    def count_part(g: "pd.DataFrame"):
-        import pandas as pd
-
-        dd = g.drop_duplicates(["source", "client_ip"])
-        out = dd.groupby("source", sort=False).size().reset_index(
-            name="n_clients")
-        return pd.DataFrame({"source": out["source"],
-                             "n_clients": out["n_clients"].astype("int64")})
+    def count_part(g: pa.Table) -> pa.Table:
+        dd = g.group_by(["source", "client_ip"]).aggregate([])
+        return dd.group_by("source").aggregate([([], "count_all")]) \
+            .rename_columns(["source", "n_clients"])
 
     out_schema = pa.schema([("source", pa.string()),
                             ("n_clients", pa.int64())])
@@ -1289,9 +1285,10 @@ def q_log_sessionize(sf_dir: str, gap_sec: int = 600):
             "e": t.column("ts").cast(pa.int64()),
         })
 
-    def sessions_part(g: "pd.DataFrame"):
+    def sessions_part(g: pa.Table):
         import pandas as pd
 
+        g = g.to_pandas()
         g = g.sort_values(["source", "client_ip", "e"], kind="stable")
         key = (g["source"].astype(str) + "\x00"
                + g["client_ip"].astype(str)).to_numpy()
@@ -1552,9 +1549,10 @@ def q_log_ip_entropy(sf_dir: str):
                          "client_ip": pairs.column("client_ip"),
                          "cnt": pairs.column("count_all").cast(pa.int64())})
 
-    def fold_part(g: "pd.DataFrame"):
+    def fold_part(g: pa.Table):
         import pandas as pd
 
+        g = g.to_pandas()
         per_ip = (g.groupby(["source", "client_ip"], sort=False)["cnt"]
                   .sum().reset_index())
         c = per_ip["cnt"].to_numpy().astype(np.float64)
@@ -1702,11 +1700,12 @@ def _seq_counts(source, vals: np.ndarray, off: np.ndarray) -> pa.Table:
                      "cnt": g.column("count_all").cast(pa.int64())})
 
 
-def _seq_count_part(g: "pd.DataFrame"):
+def _seq_count_part(g: pa.Table):
     """One hash partition of (source, h, cnt) sequence-hash partials ->
     per-source row and distinct-sequence counts (the seq-dedup fold)."""
     import pandas as pd
 
+    g = g.to_pandas()
     per_seq = (g.groupby(["source", "h"], sort=False)["cnt"].sum()
                .reset_index())
     out = per_seq.groupby("source", sort=False).agg(
@@ -2815,7 +2814,7 @@ def q_log_dup_gap_histogram(sf_dir: str):
         return pa.table({"h": pa.array(h.view(np.int64)),
                          "idx": pa.array(idx, pa.int64())})
 
-    def fold_part(g: "pd.DataFrame"):
+    def fold_part(g: pa.Table):
         import pandas as pd
 
         h = g["h"].to_numpy()
@@ -3203,9 +3202,10 @@ def q_log_dup_cluster_sizes(sf_dir: str):
         return _seq_counts(t.column("source"),
                            *_token_lists(t.column("tokens")))
 
-    def fold_part(g: "pd.DataFrame"):
+    def fold_part(g: pa.Table):
         import pandas as pd
 
+        g = g.to_pandas()
         per_seq = (g.groupby(["source", "h"], sort=False)["cnt"].sum()
                    .reset_index())
         hist = (per_seq.groupby(["source", "cnt"], sort=False)["h"].size()
@@ -3571,9 +3571,10 @@ def q_log_cross_source_leakage(sf_dir: str):
             "h": pa.array(h.view(np.int64)),
         }).group_by(["source", "h"]).aggregate([])
 
-    def fold_part(g: "pd.DataFrame"):
+    def fold_part(g: pa.Table):
         import pandas as pd
 
+        g = g.to_pandas()
         d = g.drop_duplicates(["source", "h"])
         m = d.merge(d, on="h")
         m = m[m["source_x"] < m["source_y"]]
@@ -4452,7 +4453,8 @@ def q_log_repeat_offenders(sf_dir: str):
                          dtype=np.int64, count=len(enc.dictionary))
         return uh[enc.indices.to_numpy(zero_copy_only=False)]
 
-    def offenders_part(g: pd.DataFrame) -> pd.DataFrame:
+    def offenders_part(g: pa.Table) -> pd.DataFrame:
+        g = g.to_pandas()
         g = g.sort_values(["source", "client_ip", "doc_id"], kind="stable")
         src = g["source"].to_numpy()
         cli = g["client_ip"].to_numpy()

@@ -227,6 +227,47 @@ def test_follow_feeds_the_engine_incrementally(ray_session, tmp_path):
     assert total == 3
 
 
+def test_cli_follow_cumulative_counters_match_engine(ray_session, tmp_path,
+                                                      monkeypatch, capsys):
+    """``follow --rounds 2``: lines appended between the two poll rounds
+    add to the cumulative keyed counters, and the final counters equal
+    ``keyed_counters_dataset`` over the whole file."""
+    import pandas as pd
+
+    from sbo_ray import cli, report
+    from sbo_ray.sources.textlog import read_text_logs
+
+    lines = [f'10.0.0.{i % 3} - - [10/Oct/2000:13:{i:02d}:36 -0700] '
+             f'"GET /p{i % 4}/x HTTP/1.0" {404 if i % 5 == 0 else 200} {i}\n'
+             for i in range(20)]
+    p = tmp_path / "live.log"
+    p.write_text("".join(lines[:12]))
+    seen = []
+    render = report.keyed_counters_table_to_dict
+
+    def spy(table, *a, **kw):
+        seen.append(table)
+        if len(seen) == 1:  # the second poll round reads these lines
+            with open(p, "a") as f:
+                f.write("".join(lines[12:]))
+        return render(table, *a, **kw)
+
+    monkeypatch.setattr(report, "keyed_counters_table_to_dict", spy)
+    assert cli.main(["follow", str(p), "--format", "apache_common",
+                     "--rounds", "2", "--interval", "0.01"]) == 0
+    assert len(seen) == 2
+    assert "interval deltas" in capsys.readouterr().out
+
+    job = JobConfig(default=SourceConfig(log_format="apache_common"))
+    want = logpipe.keyed_counters_dataset(logpipe.enriched_dataset_from(
+        read_text_logs([str(p)]), job)).to_pandas()
+    keys = ["source", "dimension", "key_value"]
+    got, want = (df[keys + ["cnt"]].sort_values(keys).reset_index(drop=True)
+                 for df in (seen[-1].to_pandas(), want))
+    assert sum(seen[0].column("cnt").to_pylist()) < got["cnt"].sum()
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
 def test_cli_curate_partitioned_resume(ray_session, tmp_path, capsys):
     """The resumable data-side run: one committed partition per input
     shard, a second invocation without --resume refuses, --resume

@@ -171,6 +171,40 @@ def test_fold_skips_empty_blocks(ray_session, tmp_path):
     assert sorted(full.column("x").to_pylist()) == [1, 2, 3]
 
 
+@pytest.mark.parametrize("fold_format", ["arrow", "pandas"])
+def test_part_exchange_fib_routing_typed_folds(ray_session, monkeypatch,
+                                               fold_format):
+    """``part_exchange``: keys that are all multiples of 32 spread over
+    P = 16 partitions (``key % P`` would put them all in partition 0),
+    a fold returning a ``pa.Table`` or a ``pd.DataFrame`` comes back
+    typed by ``out_schema``, and a partition with no rows never calls
+    the fold."""
+    import ray
+    import ray.data as rd
+
+    monkeypatch.setattr(X, "n_parts", lambda *_: 16)
+    schema = pa.schema([("k", pa.int64()), ("n", pa.int64())])
+
+    def fold(t: pa.Table):
+        if not t.num_rows:
+            raise AssertionError("fold called on a partition with no rows")
+        k = t.column("k").to_numpy()
+        n = np.array([len(k)], np.int32)  # narrower than out_schema
+        if fold_format == "arrow":
+            return pa.table({"n": n, "k": [int(k.min())]})
+        return pd.DataFrame({"n": n, "k": [int(k.min())]})
+
+    def key(t: pa.Table) -> np.ndarray:
+        return t.column("k").to_numpy()
+
+    for n_keys in (64, 3):  # 3 keys leave at least 13 partitions empty
+        ds = rd.from_arrow(pa.table({"k": np.arange(n_keys) * 32}))
+        outs = ray.get(X.part_exchange(ds, None, key, fold, schema))
+        assert len(outs) == 16 and all(o.schema == schema for o in outs)
+        assert sum(sum(o.column("n").to_pylist()) for o in outs) == n_keys
+        assert sum(o.num_rows for o in outs) > 1
+
+
 # ---- partition invariance vs the SQL gates ---------------------------------
 
 
@@ -212,6 +246,15 @@ def test_events_daily_active_high_p(gate, monkeypatch, P):
     "customer_no_orders",       # two-sided anti-join
     "events_sliding_distinct",  # block-expanded pairs, raw-task shard
     "events_cohort_ltv",        # rounded float sum
+    # one-sided folds moved onto exchange.part_exchange
+    "events_user_value_topk",   # local top-k, driver top-k
+    "doc_vocab_bigrams",        # crc32 key of block-unique bigrams
+    "customer_rfm",             # per-row Dataset, custkey key
+    "orders_large_volume",      # HAVING in the fold, broadcast probes
+    "doc_dedup_incremental",    # hash anti-probe per partition
+    "doc_dedup_simhash",        # (seg, seg_val) bucket key
+    "doc_dedup_minhash",        # band-hash key, then the verify exchange
+    "orders_shipping_priority",  # over two native joins, local top-k
 ])
 def test_exchange_partition_invariance(gate, monkeypatch, name, P):
     monkeypatch.setattr(X, "n_parts", lambda *_: P)

@@ -456,9 +456,11 @@ def test_bucket_pairs_combine_matches_set_reference(rows, P):
 
     bh = np.array([r[0] for r in rows], dtype=np.int64)
     ids = np.array([r[1] for r in rows], dtype=np.int64)
-    # arbitrary shard split: round-robin into 3 shards
-    shards = [(bh[i::3], ids[i::3]) for i in range(3)]
-    got = _bucket_pairs_combine(*shards)
+    # arbitrary shard split: round-robin into 3 shards, concatenated
+    # in shard order as the partition's combine receives them
+    got = _bucket_pairs_combine(pa.table({
+        "band_hash": np.concatenate([bh[i::3] for i in range(3)]),
+        "doc_id": np.concatenate([ids[i::3] for i in range(3)])}))
     got_pairs = set(zip(got.column("id_a").to_pylist(),
                         got.column("id_b").to_pylist()))
     want = set()
