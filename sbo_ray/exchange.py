@@ -15,11 +15,13 @@ that layout that every site used to re-solve:
   stay written out with ``shard``/``combine`` are the ones it cannot
   express without a new option: multi-sided joins (``_anti_shard`` /
   ``table_shard`` pairs), multi-wave exchanges (the pack family,
-  ``dedup_shard``, the label-propagation rounds), shard tasks that
-  reserve cpus (``q_log_ngram_novelty``), sites that reuse their block
-  refs for a second pass (``emb_semdedup``'s centroid sample), compat's
-  two-return combine, the cli's per-shard exchanges and the range
-  splits (``_shuf_slice``, ``_ccnet_slice``).
+  ``dedup_shard``, the label-propagation rounds, and
+  ``queries._flag_count``, the near-dup screens' flag-then-count),
+  shard tasks that reserve cpus (``q_log_ngram_novelty``,
+  ``_flag_count``), sites that reuse their block refs for a second
+  pass (``emb_semdedup``'s centroid sample), compat's two-return
+  combine, the cli's per-shard exchanges and the range splits
+  (``_shuf_slice``, ``_ccnet_slice``).
 - ``block_refs(ds)``: the Dataset's non-empty block refs (an empty
   parquet read yields a schemaless block that poisons downstream
   concats, so zero-row blocks drop by bundle metadata);

@@ -2219,6 +2219,132 @@ FROM g
 """
 
 
+def _sampled_window_keys(vals: np.ndarray, off: np.ndarray, n: int,
+                         mod: int) -> tuple:
+    """The engine's one n-token window key: the packed keys of the
+    within-row n-token windows whose FIRST token is 0 mod ``mod``
+    (``mod=1``: every position), plus each window's row id.
+
+    Token j of a window adds its byte at bit 8*j, except the last,
+    which adds only its low 7 bits: an 8-token key tops out at
+    2^63 - 1 and is the same integer the SQL gates compute in BIGINT
+    (``_sql_window_key``). So windows that differ only in bit 7 of
+    their last token (on the byte codec: non-ASCII text) share a key;
+    the engine adopts the gates' key on purpose. When mod | 256 and
+    n >= 2, key % mod == first token % mod, so sampling is decided
+    before packing and keys are gathered only at sampled positions. A
+    position's row comes from searchsorted on the offsets, never a
+    corpus-length np.repeat."""
+    m = len(vals) - n + 1
+    if m <= 0:
+        return np.zeros(0, np.uint64), np.zeros(0, np.int64)
+    sel = (np.arange(m, dtype=np.int64) if mod == 1
+           else np.flatnonzero(vals[:m] % mod == 0))
+    r0 = np.searchsorted(off, sel, side="right") - 1
+    r1 = np.searchsorted(off, sel + n - 1, side="right") - 1
+    same = r0 == r1
+    sel, r0 = sel[same], r0[same]
+    if not len(sel):
+        return np.zeros(0, np.uint64), np.zeros(0, np.int64)
+    k = np.zeros(len(sel), np.uint64)
+    for j in range(n - 1):
+        k += vals[sel + j].astype(np.uint64) << np.uint64(8 * j)
+    k += (vals[sel + n - 1].astype(np.uint64)
+          % np.uint64(128)) << np.uint64(8 * (n - 1))
+    return k, r0
+
+
+def _sql_window_key(n: int) -> str:
+    """DuckDB twin of ``_sampled_window_keys``' key for the window
+    ``tokens[i .. i + n - 1]`` (1-based ``i``), in BIGINT: capping the
+    last token to 7 bits keeps an 8-token key at or under 2^63 - 1,
+    where the full 8-byte pack would overflow BIGINT (and a wrapped
+    negative key would flip the sign of ``%``). The gates sample with
+    ``key % mod = 0``, which reads only the first token when mod | 256."""
+    return " + ".join(
+        [f"CAST(tokens[i + {j}] AS BIGINT) * {256 ** j}"
+         for j in range(n - 1)]
+        + [f"(CAST(tokens[i + {n - 1}] AS BIGINT) % 128) * {256 ** (n - 1)}"])
+
+
+def _flag_count(sf_dir: str, pairs, out: pa.Schema) -> pa.Table:
+    """The near-dup screens' flag-then-count exchange: a row is FLAGGED
+    when one of its keys is shared with a different row, and ``out`` =
+    (source, row count, *extra sums, n_flagged) is counted per source.
+    ``pairs(idx, vals, off)`` maps one block (ingestion ids, token
+    values and offsets) to its (key, idx) int64 pairs and a dict of
+    extra per-row integer columns named as in ``out``.
+
+    Three raw-task waves; payload tokens never move:
+      A (per read block, ``num_returns=2P``): distinct (key, idx) pairs
+        route by the key's Fibonacci hash (first P slots); (idx,
+        source, extras) rows route by idx hash (last P slots).
+      B (per key partition): flag the ids whose key carries >= 2
+        distinct ids; re-route them by idx hash (``num_returns=P``).
+      C (per idx partition): flagged membership per row, then bounded
+        per-source partials, summed by ``X.sum_refs``."""
+    from .datapipe import _bw_task_cpus
+
+    P = X.n_parts()
+    extras = out.names[2:-1]
+
+    def distinct(ks, ds_):
+        o = np.lexsort((ds_, ks))
+        ks, ds_ = ks[o], ds_[o]
+        first = np.ones(len(ks), dtype=bool)
+        first[1:] = (ks[1:] != ks[:-1]) | (ds_[1:] != ds_[:-1])
+        return ks[first], ds_[first]
+
+    def window_shard(t: pa.Table) -> list:
+        idx = _pack_idx(t.column("doc_id"))
+        ks, ds_, cols = pairs(idx, *_token_lists(t.column("tokens")))
+        ks, ds_ = distinct(ks, ds_)
+        dtab = pa.table({"idx": pa.array(idx, pa.int64()),
+                         "source": t.column("source"),
+                         **{c: pa.array(v) for c, v in cols.items()}})
+        return (X.split(X.fib_partition(ks, P), P, ks, ds_)
+                + X.split(X.fib_partition(idx, P), P, dtab))
+
+    def flag_part(*shards) -> list:
+        ks = np.concatenate([s[0] for s in shards])
+        if not len(ks):
+            return [np.zeros(0, np.int64)] * P
+        ks, ds_ = distinct(ks, np.concatenate([s[1] for s in shards]))
+        newk = np.ones(len(ks), dtype=bool)
+        newk[1:] = ks[1:] != ks[:-1]
+        kid = np.cumsum(newk) - 1
+        flagged = np.unique(ds_[np.bincount(kid)[kid] >= 2])
+        return X.split(X.fib_partition(flagged, P), P, flagged)
+
+    def count_part(flagged: list, tabs: list) -> pa.Table:
+        t = pa.concat_tables(tabs)
+        fl = np.isin(t.column("idx").to_numpy(zero_copy_only=False),
+                     np.concatenate(flagged))
+        g = pa.table({"source": t.column("source"),
+                      "fl": pa.array(fl.astype(np.int64)),
+                      **{c: t.column(c).cast(pa.int64()) for c in extras}}
+                     ).group_by("source").aggregate(
+            [("fl", "count"), ("fl", "sum")] + [(c, "sum") for c in extras])
+        return pa.table({"source": g.column("source"),
+                         out.names[1]: g.column("fl_count"),
+                         **{c: g.column(f"{c}_sum") for c in extras},
+                         "n_flagged": g.column("fl_sum")}, schema=out)
+
+    refs = X.block_refs(_read_tokens(sf_dir, ["doc_id", "tokens", "source"]))
+    if not refs:
+        return out.empty_table()
+    # bandwidth cap (target 16/node): the window stage streams ~0.5 GB
+    # of temporaries per block — at 32 concurrent tasks it is
+    # memory-BANDWIDTH-bound (the ivf_assign rule) and measured 36 s;
+    # at 16 concurrent it is 6.9 s for the same 64 tasks. The cap
+    # derives from per-node cpus (datapipe._bw_task_cpus), overridable
+    # via SBO_BW_TASK_CPUS.
+    sl = X.shard(window_shard, refs, 2 * P, num_cpus=_bw_task_cpus(16))
+    fl = X.combine(flag_part, sl[:P], num_returns=P)
+    return X.sum_refs(X.combine(count_part, (fl, sl[P:]), out_schema=out),
+                      ["source"], out)
+
+
 _NGRAM_OUT = pa.schema([("source", pa.string()), ("n_docs", pa.int64()),
                         ("n_flagged", pa.int64())])
 
@@ -2228,134 +2354,34 @@ def q_log_token_ngram_dedup(sf_dir: str, n: int = 8, mod: int = 8):
     Rao-style contamination / near-dup screen at the TOKEN level: a
     sequence is FLAGGED when it shares an n-token window with a
     DIFFERENT sequence (exact duplicates share all windows; partial
-    copies share their overlap). Byte codec means an 8-token window
-    packs EXACTLY into 64 bits — window identity is collision-free, no
-    probabilistic hashing. MOD-sampling (keep keys with key % mod == 0)
+    copies share their overlap). Windows key by the engine's one
+    window pack (``_sampled_window_keys``: no probabilistic hashing;
+    windows that differ only in bit 7 of their last byte share a key,
+    like the SQL gate's). MOD-sampling (keep keys with key % mod == 0)
     bounds the exchange to ~1/mod of the token volume; it is a
     DETERMINISTIC fingerprint subset the SQL gate reproduces from the
-    same integer packing (``mod=1`` is the exhaustive variant).
+    same integer packing (``mod=1`` is the exhaustive variant). When
+    mod | 256 the pack samples by first token; otherwise every window
+    is packed and its key filtered.
 
-    Two raw-task exchanges, payload never moves:
-      A (per read block, ``num_returns=2P``): pack windows, validity =
-        window start and end share a row, distinct (key, doc) pairs
-        route by the key's Fibonacci hash (first P slots); distinct
-        (doc, source) rows route by doc hash (last P slots).
-      B (per key partition): flag docs whose key carries >=2 distinct
-        docs; re-route flagged ids by doc hash (``num_returns=P``).
-      C (per doc partition): fold flagged ids against the (doc, source)
-        rows — searchsorted membership — and emit bounded per-source
-        (n_docs, n_flagged) partials; the driver sums P x |sources|.
-    """
-    from .datapipe import _bw_task_cpus
-
-    P = X.n_parts()
-
-    def window_partial(t: pa.Table) -> list:
-        idx = _pack_idx(t.column("doc_id"))
-        dtab = pa.table({"idx": pa.array(idx, pa.int64()),
-                         "source": t.column("source")})
-        dparts = X.split(X.fib_partition(idx, P), P, dtab)
-        vals, off = _token_lists(t.column("tokens"))
-        lens = np.diff(off)
-        m = len(vals) - n + 1
-        if m <= 0:
-            pairs = [(np.zeros(0, np.int64), np.zeros(0, np.int64))] * P
+    Runs on ``_flag_count``'s three-wave exchange with the distinct
+    (window key, doc) pairs of each block."""
+    def pairs(idx, vals, off):
+        if 256 % mod:
+            k, rows = _sampled_window_keys(vals, off, n, 1)
+            keep = k % np.uint64(mod) == 0
+            k, rows = k[keep], rows[keep]
         else:
-            # key % mod depends ONLY on the first token when mod | 256
-            # (256 == 0 mod 2^b for b <= 8), so sampling is decided
-            # BEFORE packing and full keys are gathered at ~1/mod of
-            # the positions — the 8-pass pack runs on the sample, not
-            # the corpus (35 s -> see BENCH for the measured cut).
-            cheap_mod = mod > 1 and 256 % mod == 0
-            if cheap_mod:
-                sel = np.flatnonzero(vals[:m] % mod == 0)
-            else:
-                sel = np.arange(m, dtype=np.int64)
-            # row of a token position via searchsorted on the (small)
-            # offsets array — no corpus-length np.repeat
-            r0 = np.searchsorted(off, sel, side="right") - 1
-            r1 = np.searchsorted(off, sel + n - 1, side="right") - 1
-            same = r0 == r1
-            sel, r0 = sel[same], r0[same]
-            k = np.zeros(len(sel), np.uint64)
-            for j in range(n):
-                k += vals[sel + j].astype(np.uint64) << np.uint64(8 * j)
-            if mod > 1 and not cheap_mod:
-                keep = (k % np.uint64(mod)) == 0
-                k, r0 = k[keep], r0[keep]
-            wk = k.astype(np.int64)
-            wd = idx[r0]
-            o = np.lexsort((wd, wk))
-            wk, wd = wk[o], wd[o]
-            first = np.ones(len(wk), dtype=bool)
-            first[1:] = (wk[1:] != wk[:-1]) | (wd[1:] != wd[:-1])
-            wk, wd = wk[first], wd[first]
-            pairs = X.split(X.fib_partition(wk, P), P, wk, wd)
-        return list(pairs) + dparts
+            k, rows = _sampled_window_keys(vals, off, n, mod)
+        return k.view(np.int64), idx[rows], {}
 
-    def flag_part(*shards) -> list:
-        ks = np.concatenate([s[0] for s in shards])
-        if not len(ks):
-            return [np.zeros(0, np.int64)] * P
-        ds_ = np.concatenate([s[1] for s in shards])
-        o = np.lexsort((ds_, ks))
-        ks, ds_ = ks[o], ds_[o]
-        first = np.ones(len(ks), dtype=bool)
-        first[1:] = (ks[1:] != ks[:-1]) | (ds_[1:] != ds_[:-1])
-        ks, ds_ = ks[first], ds_[first]
-        newk = np.ones(len(ks), dtype=bool)
-        newk[1:] = ks[1:] != ks[:-1]
-        kid = np.cumsum(newk) - 1
-        ndoc = np.bincount(kid)
-        flagged = np.unique(ds_[ndoc[kid] >= 2])
-        return X.split(X.fib_partition(flagged, P), P, flagged)
-
-    def count_part(flagged: list, tabs: list) -> pa.Table:
-        flagged = np.unique(np.concatenate(flagged))
-        t = pa.concat_tables(tabs)
-        di = t.column("idx").to_numpy(zero_copy_only=False)
-        if len(flagged):
-            pos = np.searchsorted(flagged, di)
-            fl = (pos < len(flagged)) & \
-                (flagged[np.minimum(pos, len(flagged) - 1)] == di)
-        else:
-            fl = np.zeros(len(di), dtype=bool)
-        g = pa.table({"source": t.column("source"),
-                      "fl": pa.array(fl.astype(np.int64))}) \
-            .group_by("source").aggregate([("fl", "sum"), ("fl", "count")])
-        return pa.table({"source": g.column("source"),
-                         "n_docs": g.column("fl_count").cast(pa.int64()),
-                         "n_flagged": g.column("fl_sum").cast(pa.int64())},
-                        schema=_NGRAM_OUT)
-
-    refs = X.block_refs(_read_tokens(sf_dir, ["doc_id", "tokens", "source"]))
-    if not refs:
-        return _NGRAM_OUT.empty_table()
-    # bandwidth cap (target 16/node): the window stage streams ~0.5 GB
-    # of temporaries per block — at 32 concurrent tasks it is
-    # memory-BANDWIDTH-bound (the ivf_assign rule) and measured 36 s;
-    # at 16 concurrent it is 6.9 s for the same 64 tasks. The cap
-    # derives from per-node cpus (datapipe._bw_task_cpus), overridable
-    # via SBO_BW_TASK_CPUS.
-    sl = X.shard(window_partial, refs, 2 * P, num_cpus=_bw_task_cpus(16))
-    fl = X.combine(flag_part, sl[:P], num_returns=P)
-    return X.sum_refs(X.combine(count_part, (fl, sl[P:]),
-                                out_schema=_NGRAM_OUT), ["source"], _NGRAM_OUT)
+    return _flag_count(sf_dir, pairs, _NGRAM_OUT)
 
 
 def sql_token_ngram_dedup(cache: str, n: int = 8, mod: int = 8) -> str:
-    # Key packing assumes byte-alphabet tokens (the synth emits ASCII,
-    # < 128). The top token contributes only its low 7 bits so the max
-    # key is 127*2^56 + (2^56 - 1) = 2^63 - 1: exactly BIGINT's ceiling
-    # (the full 8-byte pack overflows DuckDB BIGINT whenever
-    # tokens[i+7] >= 128, and a wrapped-negative key would also flip
-    # the sign of `%` vs the engine's uint64 arithmetic). Under
-    # tokens < 128 this equals the engine's uint64 pack exactly; the
-    # `% mod` sample gate only reads the LOW byte either way (mod | 256).
-    key_expr = " + ".join(
-        [f"CAST(tokens[i + {j}] AS BIGINT) * {256 ** j}"
-         for j in range(n - 1)]
-        + [f"(CAST(tokens[i + {n - 1}] AS BIGINT) % 128) * {256 ** (n - 1)}"])
+    # the engine's window key (_sampled_window_keys) in BIGINT, on any
+    # byte; the `% mod` sample reads only the first token when mod | 256
+    key_expr = _sql_window_key(n)
     return f"""
 WITH t AS (
   SELECT doc_id, source, tokens
@@ -2412,136 +2438,57 @@ def q_log_seq_dedup_minhash(sf_dir: str, n: int = 8, mod: int = 8):
     near-dup filter a crawl-curation pipeline runs between exact dedup
     and O(n^2) verification.
 
-    Shingles are the mod-sampled 8-token windows (byte codec: the
-    window packs exactly into 64 bits, and `key % mod` for mod | 256
-    depends only on the first token, so sampling decides BEFORE
-    packing). Minhash = min over sampled shingles of (key*a + b) mod
-    2^64 per fixed permutation; bands pair consecutive mins; the band
-    bucket is a shared-literal composite mod 2^64, so the SQL mirror
-    reproduces the ENGINE's buckets bit-for-bit (including its
-    vanishing collision probability) — the gate is exact, not
-    approximate.
+    Shingles are the mod-sampled n-token window keys
+    (``_sampled_window_keys``, the SQL gate's key). Minhash = min over
+    sampled shingles of (key*a + b) mod 2^64 per fixed permutation;
+    bands pair consecutive mins; the band bucket is a shared-literal
+    composite mod 2^64, so the SQL mirror reproduces the ENGINE's
+    buckets bit-for-bit (including its vanishing collision
+    probability) — the gate is exact, not approximate.
 
-    Engine shape: the log_token_ngram_dedup three-wave raw-task
-    exchange, with per-row signatures instead of per-window keys —
-    (bucket, doc) pairs route by bucket hash, flagged ids re-route by
-    doc hash, bounded per-source partials fold on the driver. Payload
-    tokens never move; the exchange carries 4 x 16 bytes per row."""
-    from .datapipe import _bw_task_cpus
-
-    P = X.n_parts()
+    Runs on ``_flag_count``'s three-wave exchange with (band bucket,
+    doc) pairs instead of window keys, plus the per-row ``n_sig``
+    column (the row has at least one sampled shingle). The exchange
+    carries 4 x 16 bytes per row."""
     nbands = len(_MH_PERMS) // 2
 
-    def window_partial(t: pa.Table) -> list:
-        idx = _pack_idx(t.column("doc_id"))
-        vals, off = _token_lists(t.column("tokens"))
-        sig = np.zeros(t.num_rows, dtype=bool)
-        bks = np.zeros(0, np.int64)
-        bds = np.zeros(0, np.int64)
-        m = len(vals) - n + 1
-        if m > 0:
-            sel = np.flatnonzero(vals[:m] % mod == 0)
-            r0 = np.searchsorted(off, sel, side="right") - 1
-            r1 = np.searchsorted(off, sel + n - 1, side="right") - 1
-            same = r0 == r1
-            sel, r0 = sel[same], r0[same]
-            if len(sel):
-                k = np.zeros(len(sel), np.uint64)
-                for j in range(n):
-                    k += vals[sel + j].astype(np.uint64) << np.uint64(8 * j)
-                # sel ascending => r0 non-decreasing: contiguous segments
-                seg_starts = np.r_[0, np.flatnonzero(np.diff(r0)) + 1]
-                seg_rows = r0[seg_starts]
-                sig[seg_rows] = True
-                mins = np.empty((len(_MH_PERMS), len(seg_starts)), np.uint64)
-                for j, (a, b) in enumerate(_MH_PERMS):
-                    mixed = k * np.uint64(a) + np.uint64(b)
-                    mins[j] = np.minimum.reduceat(mixed, seg_starts)
-                bands = []
-                for band in range(nbands):
-                    # >>1 before the composite so the SQL twin's
-                    # HUGEINT products stay under 2^126 (the bloom
-                    # th >> 1 trick); uint64 wraparound == mod 2^64
-                    b0 = mins[2 * band] >> np.uint64(1)
-                    b1 = mins[2 * band + 1] >> np.uint64(1)
-                    bk = (b0 * np.uint64(_MH_C1) + b1 * np.uint64(_MH_C2)
-                          + np.uint64(band + 1))
-                    bands.append(bk.view(np.int64))
-                bks = np.concatenate(bands)
-                bds = np.tile(idx[seg_rows], nbands)
-                o = np.lexsort((bds, bks))
-                bks, bds = bks[o], bds[o]
-                first = np.ones(len(bks), dtype=bool)
-                first[1:] = (bks[1:] != bks[:-1]) | (bds[1:] != bds[:-1])
-                bks, bds = bks[first], bds[first]
-        dtab = pa.table({"idx": pa.array(idx, pa.int64()),
-                         "source": t.column("source"),
-                         "sig": pa.array(sig)})
-        dparts = X.split(X.fib_partition(idx, P), P, dtab)
-        return X.split(X.fib_partition(bks, P), P, bks, bds) + dparts
+    def pairs(idx, vals, off):
+        k, r0 = _sampled_window_keys(vals, off, n, mod)
+        sig = np.zeros(len(idx), dtype=bool)
+        if not len(k):
+            return np.zeros(0, np.int64), np.zeros(0, np.int64), \
+                {"n_sig": sig}
+        # r0 is non-decreasing: one contiguous segment per signed row
+        seg_starts = np.r_[0, np.flatnonzero(np.diff(r0)) + 1]
+        seg_rows = r0[seg_starts]
+        sig[seg_rows] = True
+        mins = np.empty((len(_MH_PERMS), len(seg_starts)), np.uint64)
+        for j, (a, b) in enumerate(_MH_PERMS):
+            mixed = k * np.uint64(a) + np.uint64(b)
+            mins[j] = np.minimum.reduceat(mixed, seg_starts)
+        bands = []
+        for band in range(nbands):
+            # >>1 before the composite so the SQL twin's HUGEINT
+            # products stay under 2^126 (the bloom th >> 1 trick);
+            # uint64 wraparound == mod 2^64
+            b0 = mins[2 * band] >> np.uint64(1)
+            b1 = mins[2 * band + 1] >> np.uint64(1)
+            bk = (b0 * np.uint64(_MH_C1) + b1 * np.uint64(_MH_C2)
+                  + np.uint64(band + 1))
+            bands.append(bk.view(np.int64))
+        return (np.concatenate(bands), np.tile(idx[seg_rows], nbands),
+                {"n_sig": sig})
 
-    def flag_part(*shards) -> list:
-        ks = np.concatenate([s[0] for s in shards])
-        if not len(ks):
-            return [np.zeros(0, np.int64)] * P
-        ds_ = np.concatenate([s[1] for s in shards])
-        o = np.lexsort((ds_, ks))
-        ks, ds_ = ks[o], ds_[o]
-        first = np.ones(len(ks), dtype=bool)
-        first[1:] = (ks[1:] != ks[:-1]) | (ds_[1:] != ds_[:-1])
-        ks, ds_ = ks[first], ds_[first]
-        newk = np.ones(len(ks), dtype=bool)
-        newk[1:] = ks[1:] != ks[:-1]
-        kid = np.cumsum(newk) - 1
-        ndoc = np.bincount(kid)
-        flagged = np.unique(ds_[ndoc[kid] >= 2])
-        return X.split(X.fib_partition(flagged, P), P, flagged)
-
-    def count_part(flagged: list, tabs: list) -> pa.Table:
-        flagged = np.unique(np.concatenate(flagged))
-        t = pa.concat_tables(tabs)
-        di = t.column("idx").to_numpy(zero_copy_only=False)
-        if len(flagged):
-            pos = np.searchsorted(flagged, di)
-            fl = (pos < len(flagged)) & \
-                (flagged[np.minimum(pos, len(flagged) - 1)] == di)
-        else:
-            fl = np.zeros(len(di), dtype=bool)
-        g = pa.table({
-            "source": t.column("source"),
-            "fl": pa.array(fl.astype(np.int64)),
-            "sig": t.column("sig").cast(pa.int64()),
-        }).group_by("source").aggregate(
-            [("fl", "sum"), ("fl", "count"), ("sig", "sum")])
-        return pa.table({"source": g.column("source"),
-                         "n_rows": g.column("fl_count").cast(pa.int64()),
-                         "n_sig": g.column("sig_sum").cast(pa.int64()),
-                         "n_flagged": g.column("fl_sum").cast(pa.int64())},
-                        schema=_MH_OUT)
-
-    refs = X.block_refs(_read_tokens(sf_dir, ["doc_id", "tokens", "source"]))
-    if not refs:
-        return _MH_OUT.empty_table()
-    # same ~0.5 GB-of-temps-per-block profile as the ngram window
-    # stage -> same bandwidth cap (target 16/node)
-    sl = X.shard(window_partial, refs, 2 * P, num_cpus=_bw_task_cpus(16))
-    fl = X.combine(flag_part, sl[:P], num_returns=P)
-    return X.sum_refs(X.combine(count_part, (fl, sl[P:]), out_schema=_MH_OUT),
-                      ["source"], _MH_OUT)
+    return _flag_count(sf_dir, pairs, _MH_OUT)
 
 
 def sql_seq_dedup_minhash(cache: str, n: int = 8, mod: int = 8) -> str:
-    # Same capped byte-alphabet window pack as sql_token_ngram_dedup
-    # (max key 2^63 - 1, equal to the engine's uint64 pack while
-    # tokens < 128 — the documented synth alphabet). All mod-2^64
-    # arithmetic runs in HUGEINT: key*a < 2^126, and the band
+    # The engine's window key (_sql_window_key, max 2^63 - 1). All
+    # mod-2^64 arithmetic runs in HUGEINT: key*a < 2^126, and the band
     # composite uses mv // 2 so each product stays < 2^126 (their sum
     # < 2^127 - 1, HUGEINT's ceiling) — the bloom-gate wraparound
     # idiom. MIN over HUGEINT values in [0, 2^64) equals uint64 MIN.
-    key_expr = " + ".join(
-        [f"CAST(tokens[i + {j}] AS BIGINT) * {256 ** j}"
-         for j in range(n - 1)]
-        + [f"(CAST(tokens[i + {n - 1}] AS BIGINT) % 128) * {256 ** (n - 1)}"])
+    key_expr = _sql_window_key(n)
     perms = ", ".join(f"({j}, {a}::HUGEINT, {b}::HUGEINT)"
                       for j, (a, b) in enumerate(_MH_PERMS))
     m64 = "18446744073709551616::HUGEINT"
@@ -2685,7 +2632,8 @@ def q_log_decontaminate_eval(sf_dir: str, n: int = 8, mod: int = 8,
 
     Two bounded passes over the same pruned read: pass 1 reduces eval
     rows (a 1/``every`` sliver) to their distinct sampled window keys
-    — a small sorted array broadcast once via ray.put; pass 2 flags
+    (``_sampled_window_keys``, the gate's key) — a small sorted array
+    broadcast once via ray.put; pass 2 flags
     train rows by searchsorted membership, block-locally, and emits
     |sources| x 2 integer partials. No exchange: the blocklist is the
     only shared state (the broadcast-small-side rule)."""
@@ -2735,35 +2683,9 @@ def q_log_decontaminate_eval(sf_dir: str, n: int = 8, mod: int = 8,
                    ["source"], _DECON_OUT).sort_by("source")
 
 
-def _sampled_window_keys(vals: np.ndarray, off: np.ndarray, n: int,
-                         mod: int) -> tuple:
-    """Capped-top-byte packed keys of within-row n-token windows whose
-    FIRST token is 0 mod ``mod`` (the shared sampled-window pack), plus
-    each window's row id."""
-    m = len(vals) - n + 1
-    if m <= 0:
-        return np.zeros(0, np.uint64), np.zeros(0, np.int64)
-    sel = np.flatnonzero(vals[:m] % mod == 0)
-    r0 = np.searchsorted(off, sel, side="right") - 1
-    r1 = np.searchsorted(off, sel + n - 1, side="right") - 1
-    same = r0 == r1
-    sel, r0 = sel[same], r0[same]
-    if not len(sel):
-        return np.zeros(0, np.uint64), np.zeros(0, np.int64)
-    k = np.zeros(len(sel), np.uint64)
-    for j in range(n - 1):
-        k += vals[sel + j].astype(np.uint64) << np.uint64(8 * j)
-    k += (vals[sel + n - 1].astype(np.uint64)
-          % np.uint64(128)) << np.uint64(8 * (n - 1))
-    return k, r0
-
-
 def sql_decontaminate_eval(cache: str, n: int = 8, mod: int = 8,
                            every: int = 1000) -> str:
-    key_expr = " + ".join(
-        [f"CAST(tokens[i + {j}] AS BIGINT) * {256 ** j}"
-         for j in range(n - 1)]
-        + [f"(CAST(tokens[i + {n - 1}] AS BIGINT) % 128) * {256 ** (n - 1)}"])
+    key_expr = _sql_window_key(n)
     return f"""
 WITH t AS (
   SELECT doc_id, source, tokens,
@@ -2865,11 +2787,12 @@ def q_log_seq_internal_repeats(sf_dir: str, n: int = 8):
     per-sequence distinct windows) — loops and copy-paste inside a
     payload that cross-sequence dedup can never see.
 
-    Block-local and exchange-free: windows pack to u64 per row (ALL
-    positions — no sampling; repetition is a per-row property), a
-    (row, key) sort yields distinct counts per row, partials are
-    |sources| x 2 integers. Exact on both sides: the SQL mirror is
-    COUNT(*) - COUNT(DISTINCT key) per doc over the same capped pack.
+    Block-local and exchange-free: windows key by
+    ``_sampled_window_keys`` at ``mod=1`` (ALL positions — no sampling;
+    repetition is a per-row property), a (row, key) sort yields
+    distinct counts per row, partials are |sources| x 2 integers.
+    Exact on both sides: the SQL mirror is COUNT(*) - COUNT(DISTINCT
+    key) per doc over the same key (``_sql_window_key``).
     (Measured: bandwidth-capping this map via num_cpus made it 4-5x
     SLOWER — num_cpus on a map_batches breaks read->map fusion, so the
     raw-task _bw_task_cpus rule does NOT transfer to fused map stages;
@@ -2877,31 +2800,18 @@ def q_log_seq_internal_repeats(sf_dir: str, n: int = 8):
 
     def partial(t: pa.Table) -> pa.Table:
         vals, off = _token_lists(t.column("tokens"))
-        m = len(vals) - n + 1
         enc = pc.dictionary_encode(t.column("source").combine_chunks())
         nsrc = len(enc.dictionary)
         reps = np.zeros(t.num_rows, np.int64)
-        if m > 0:
-            pos = np.arange(m, dtype=np.int64)
-            r0 = np.searchsorted(off, pos, side="right") - 1
-            r1 = np.searchsorted(off, pos + n - 1, side="right") - 1
-            same = r0 == r1
-            pos, r0 = pos[same], r0[same]
-            if len(pos):
-                # cap the top byte exactly like the SQL pack (the
-                # documented byte-alphabet assumption)
-                k = np.zeros(len(pos), np.uint64)
-                for j in range(n - 1):
-                    k += vals[pos + j].astype(np.uint64) << np.uint64(8 * j)
-                k += (vals[pos + n - 1].astype(np.uint64)
-                      % np.uint64(128)) << np.uint64(8 * (n - 1))
-                o = np.lexsort((k, r0))
-                rr, kk = r0[o], k[o]
-                first = np.ones(len(kk), dtype=bool)
-                first[1:] = (rr[1:] != rr[:-1]) | (kk[1:] != kk[:-1])
-                # repeated mass per row = windows - distinct windows
-                reps = (np.bincount(rr, minlength=t.num_rows)
-                        - np.bincount(rr[first], minlength=t.num_rows))
+        k, r0 = _sampled_window_keys(vals, off, n, 1)
+        if len(k):
+            o = np.lexsort((k, r0))
+            rr, kk = r0[o], k[o]
+            first = np.ones(len(kk), dtype=bool)
+            first[1:] = (rr[1:] != rr[:-1]) | (kk[1:] != kk[:-1])
+            # repeated mass per row = windows - distinct windows
+            reps = (np.bincount(rr, minlength=t.num_rows)
+                    - np.bincount(rr[first], minlength=t.num_rows))
         src = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({
             "source": enc.dictionary,
@@ -2918,10 +2828,7 @@ def q_log_seq_internal_repeats(sf_dir: str, n: int = 8):
 
 
 def sql_seq_internal_repeats(cache: str, n: int = 8) -> str:
-    key_expr = " + ".join(
-        [f"CAST(tokens[i + {j}] AS BIGINT) * {256 ** j}"
-         for j in range(n - 1)]
-        + [f"(CAST(tokens[i + {n - 1}] AS BIGINT) % 128) * {256 ** (n - 1)}"])
+    key_expr = _sql_window_key(n)
     return f"""
 WITH w AS (
   SELECT doc_id, source, UNNEST(range(1, len(tokens) - {n - 2})) AS i,
@@ -2960,28 +2867,18 @@ def q_log_source_minhash_sim(sf_dir: str, n: int = 8, mod: int = 8):
 
     Exchange-FREE: the signature is a pure min-monoid, so each block
     emits a <= |sources| x 8 partial and the driver folds minima — at
-    any corpus size the state is |sources| x 8 uint64s. Same shared
-    mix literals as log_seq_dedup_minhash, so the SQL mirror
-    reproduces every signature component bit-for-bit (capped-top-byte
-    window pack: the documented byte-alphabet assumption)."""
+    any corpus size the state is |sources| x 8 uint64s. Same window
+    key (``_sampled_window_keys``) and shared mix literals as
+    log_seq_dedup_minhash, so the SQL mirror reproduces every
+    signature component bit-for-bit."""
     part_schema = pa.schema([("source", pa.string()), ("j", pa.int64()),
                              ("mv", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        vals, off = _token_lists(t.column("tokens"))
-        m = len(vals) - n + 1
-        if m <= 0:
+        k, r0 = _sampled_window_keys(*_token_lists(t.column("tokens")),
+                                     n, mod)
+        if not len(k):
             return part_schema.empty_table()
-        sel = np.flatnonzero(vals[:m] % mod == 0)
-        r0 = np.searchsorted(off, sel, side="right") - 1
-        r1 = np.searchsorted(off, sel + n - 1, side="right") - 1
-        same = r0 == r1
-        sel, r0 = sel[same], r0[same]
-        if not len(sel):
-            return part_schema.empty_table()
-        k = np.zeros(len(sel), np.uint64)
-        for j in range(n):
-            k += vals[sel + j].astype(np.uint64) << np.uint64(8 * j)
         enc = pc.dictionary_encode(t.column("source").combine_chunks())
         src = enc.indices.to_numpy(zero_copy_only=False).astype(
             np.int64)[r0]
@@ -3030,11 +2927,9 @@ def q_log_source_minhash_sim(sf_dir: str, n: int = 8, mod: int = 8):
 
 
 def sql_source_minhash_sim(cache: str, n: int = 8, mod: int = 8) -> str:
-    # same capped-top-byte pack + HUGEINT mix as sql_seq_dedup_minhash
-    key_expr = " + ".join(
-        [f"CAST(tokens[i + {j}] AS BIGINT) * {256 ** j}"
-         for j in range(n - 1)]
-        + [f"(CAST(tokens[i + {n - 1}] AS BIGINT) % 128) * {256 ** (n - 1)}"])
+    # same window key (_sql_window_key) + HUGEINT mix as
+    # sql_seq_dedup_minhash
+    key_expr = _sql_window_key(n)
     perms = ", ".join(f"({j}, {a}::HUGEINT, {b}::HUGEINT)"
                       for j, (a, b) in enumerate(_MH_PERMS))
     m64 = "18446744073709551616::HUGEINT"
@@ -3073,9 +2968,10 @@ def q_log_ngram_novelty(sf_dir: str, n: int = 8, mod: int = 8):
     the first block).
 
     Engine shape: bounded pass-1 (min,max) idx partials per source
-    (the log_source_drift pass); pass 2 packs sampled window keys and
-    reduces each block to distinct (key, source) with the block-min
-    idx, routes by key hash (``num_returns=P``), and each combine task
+    (the log_source_drift pass); pass 2 packs sampled window keys
+    (``_sampled_window_keys``, the gate's key) and reduces each block
+    to distinct (key, source) with the block-min idx, routes by key
+    hash (``num_returns=P``), and each combine task
     re-mins per (key, source), maps first-idx -> quartile via the
     broadcast ranges ON INTEGER arithmetic (q = min(3, (fi - mn) * 4
     // (mx - mn + 1)) — no float boundary crosses the gate), and
@@ -3099,20 +2995,10 @@ def q_log_ngram_novelty(sf_dir: str, n: int = 8, mod: int = 8):
     def window_partial(t: pa.Table) -> list:
         empty = (np.zeros(0, np.int64),) * 3
         idx = _pack_idx(t.column("doc_id"))
-        vals, off = _token_lists(t.column("tokens"))
-        m = len(vals) - n + 1
-        if m <= 0:
+        k, r0 = _sampled_window_keys(*_token_lists(t.column("tokens")),
+                                     n, mod)
+        if not len(k):
             return [empty] * P
-        sel = np.flatnonzero(vals[:m] % mod == 0)
-        r0 = np.searchsorted(off, sel, side="right") - 1
-        r1 = np.searchsorted(off, sel + n - 1, side="right") - 1
-        same = r0 == r1
-        sel, r0 = sel[same], r0[same]
-        if not len(sel):
-            return [empty] * P
-        k = np.zeros(len(sel), np.uint64)
-        for j in range(n):
-            k += vals[sel + j].astype(np.uint64) << np.uint64(8 * j)
         kk = k.view(np.int64)
         su = np.searchsorted(
             srcs, np.asarray(t.column("source").to_pylist()))[r0]
@@ -3155,10 +3041,7 @@ def q_log_ngram_novelty(sf_dir: str, n: int = 8, mod: int = 8):
 
 
 def sql_ngram_novelty(cache: str, n: int = 8, mod: int = 8) -> str:
-    key_expr = " + ".join(
-        [f"CAST(tokens[i + {j}] AS BIGINT) * {256 ** j}"
-         for j in range(n - 1)]
-        + [f"(CAST(tokens[i + {n - 1}] AS BIGINT) % 128) * {256 ** (n - 1)}"])
+    key_expr = _sql_window_key(n)
     return f"""
 WITH t AS (
   SELECT source, CAST(right(doc_id, 12) AS BIGINT) AS idx, tokens

@@ -226,6 +226,8 @@ def test_events_daily_active_high_p(gate, monkeypatch, P):
     "log_sessionize",           # parsed-log partial, pandas fold
     "log_pack_tokens_dedup",    # pre-sharded multi-wave
     "log_token_ngram_dedup",    # pre-sharded multi-wave (numpy + tables)
+    "log_seq_dedup_minhash",    # the same flag-then-count exchange, bands
+    "log_ngram_novelty",        # cpu-reserving shard, broadcast ranges
     "orders_with_returns",      # two-sided join
     "doc_dedup_substring",      # numpy-tuple carry, two waves
     "doc_shuffle_order",        # range split + prefix-sum bases

@@ -604,3 +604,38 @@ def test_quality_gate_mask_matches_counter(rows, min_tok, max_dom_ppm):
                 max(Counter(r).values()) * 1_000_000 // len(r)
                 < max_dom_ppm) if r else False
         assert got[i] == want, (i, r, min_tok, max_dom_ppm)
+
+
+@given(st.lists(st.lists(st.integers(min_value=0, max_value=255),
+                         max_size=20), max_size=12),
+       st.integers(min_value=2, max_value=8), st.sampled_from([1, 3, 8]))
+@settings(max_examples=100, deadline=None)
+def test_window_key_engine_equals_sql(rows, n, mod):
+    """The engine's one window pack (``_sampled_window_keys``) and the
+    gates' one SQL key (``_sql_window_key``) give the same key for every
+    window of any byte rows, and the engine's first-token sample is the
+    gates' ``key % mod = 0`` when mod | 256."""
+    import duckdb
+    import pyarrow as pa
+
+    from sbo_ray.pipelines import queries as Q
+
+    tokens = pa.array(rows, pa.list_(pa.int32()))
+    k, r = Q._sampled_window_keys(*Q._token_lists(tokens), n, mod)
+    got = list(zip(r.tolist(), k.tolist()))
+
+    con = duckdb.connect()
+    con.register("t", pa.table({"r": pa.array(range(len(rows)), pa.int64()),
+                                "tokens": tokens}))
+    sql = f"""
+SELECT r, ({Q._sql_window_key(n)}) AS key, tokens[i] AS first
+FROM (SELECT r, tokens, UNNEST(range(1, len(tokens) - {n - 2})) AS i
+      FROM t WHERE len(tokens) >= {n})
+ORDER BY r, i
+"""
+    windows = con.execute(sql).fetchall()
+    assert got == [(r_, key) for r_, key, first in windows
+                   if first % mod == 0]
+    if 256 % mod == 0:
+        assert got == [(r_, key) for r_, key, _ in windows
+                       if key % mod == 0]

@@ -1256,3 +1256,54 @@ def test_pack_tokens_curated_planted(ray_session, tmp_path, monkeypatch):
     # idx3's fragment starts seq 1 at offset 8
     frag3 = out[out.doc_id == "a-000000000003"]
     assert list(frag3.seq_id) == [1] and list(frag3.n_frag_tokens) == [4]
+
+
+# (engine call, gate) pairs of the six window-key screens; token
+# ngram dedup also at mod=1 (every window) and mod=3 (mod does not
+# divide 256: every window packed, then key % 3 filtered)
+_WINDOW_SCREENS = {
+    "token_ngram_dedup": (Q.q_log_token_ngram_dedup,
+                          Q.sql_token_ngram_dedup, {}),
+    "token_ngram_dedup_mod1": (Q.q_log_token_ngram_dedup,
+                               Q.sql_token_ngram_dedup, {"mod": 1}),
+    "token_ngram_dedup_mod3": (Q.q_log_token_ngram_dedup,
+                               Q.sql_token_ngram_dedup, {"mod": 3}),
+    "seq_dedup_minhash": (Q.q_log_seq_dedup_minhash,
+                          Q.sql_seq_dedup_minhash, {}),
+    "decontaminate_eval": (Q.q_log_decontaminate_eval,
+                           Q.sql_decontaminate_eval, {}),
+    "seq_internal_repeats": (Q.q_log_seq_internal_repeats,
+                             Q.sql_seq_internal_repeats, {}),
+    "source_minhash_sim": (Q.q_log_source_minhash_sim,
+                           Q.sql_source_minhash_sim, {}),
+    "ngram_novelty": (Q.q_log_ngram_novelty, Q.sql_ngram_novelty, {}),
+}
+
+
+@pytest.mark.parametrize("last", [("hello wCat one", "s1"),
+                                  ("pppp yyyy", "s1")])
+@pytest.mark.parametrize("screen", sorted(_WINDOW_SCREENS))
+def test_window_screens_equal_gates_on_non_ascii(
+        ray_session, tmp_path, monkeypatch, screen, last):
+    """UTF-8 'Ã' is bytes 0xC3 0x83, and 0xC3 differs from 'C' (0x43)
+    only in bit 7: the windows ending at 'C' and at 0xC3 share the
+    gates' key, so every engine screen must count them as one window,
+    exactly like its SQL gate."""
+    from sbo_ray.codec import encode_lines
+
+    rows = [("hello wCat one", "s0"), ("hello wÃat two", "s1"),
+            ("qqqq zzzz", "s0"), last]
+    t = pa.table({
+        "doc_id": pa.array([f"{s}-{i:012d}" for i, (_, s) in enumerate(rows)],
+                           type=pa.string()),
+        "tokens": encode_lines([r for r, _ in rows]),
+        "n_tok": pa.array([len(r.encode()) for r, _ in rows],
+                          type=pa.int32()),
+        "source": pa.array([s for _, s in rows], type=pa.string()),
+    })
+    pq.write_table(t, str(tmp_path / "shard-00000.parquet"))
+    _patch_paths(monkeypatch, str(tmp_path))
+    q, sql, kw = _WINDOW_SCREENS[screen]
+    got = _norm(q("ignored", **kw).to_pandas())
+    want = _norm(_duck(sql(str(tmp_path), **kw)))
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
