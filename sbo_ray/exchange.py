@@ -31,7 +31,8 @@ that layout that every site used to re-solve:
   it picks P passes their bytes; one that picks P first calls
   ``n_parts()`` and gets the cap.
 - ``fib_partition(keys, P)``: the hash partition rule (a Fibonacci
-  mix, so strided ids still spread).
+  mix, so strided ids still spread); ``crc_hash(values)`` is the int64
+  key of a string array (crc32 per distinct value).
 - ``split(part, P, *cols)``: one stable argsort by partition id, then
   contiguous slices of tables or numpy arrays (``table_shard`` is the
   whole-row form keyed by the Fibonacci hash of one int64 column).
@@ -53,7 +54,8 @@ that layout that every site used to re-solve:
   empty table (an empty Dataset yields zero batches) and skipping
   ``partial`` on empty blocks; ``collect`` is the same concat without
   the map, ``gather`` the same for combine-task refs: bounded
-  outputs that are not summed (top-k, pairs, per-row).
+  outputs that are not summed (top-k, pairs). A per-row output is
+  never gathered: it stays a Dataset over its refs.
 - ``sum_refs(refs, keys, schema)``: the one bounded keyed sum of
   combine outputs (``merge``'s combine over P partition refs, sorted
   by ``keys``); every shard -> combine op whose partitions emit
@@ -123,6 +125,20 @@ def fib_partition(x: np.ndarray, P: int) -> np.ndarray:
     ``x % P`` would correlate with any stride structure in the ids)."""
     h = x.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     return ((h >> np.uint64(33)) % np.uint64(P)).astype(np.int64)
+
+
+def crc_hash(values) -> np.ndarray:
+    """int64 hash of a string array: crc32 of each value's UTF-8 bytes,
+    computed once per distinct value and expanded through dictionary
+    codes (content-deterministic across tasks and processes)."""
+    import zlib
+
+    if isinstance(values, pa.ChunkedArray):
+        values = values.combine_chunks()
+    enc = values.dictionary_encode()
+    uh = np.array([zlib.crc32(u.encode("utf-8"))
+                   for u in enc.dictionary.to_pylist()], dtype=np.int64)
+    return uh[enc.indices.to_numpy(zero_copy_only=False)]
 
 
 def sized_block_refs(ds: rd.Dataset) -> tuple[list, int, int]:

@@ -14,10 +14,9 @@ Scale notes (the 10^12-row story, per the Ray guide patterns):
   segments finds all pairs within Hamming distance 3 without O(n^2).
 - embedding cosine: normalized blocks x broadcast matrix (numpy matmul).
 
-At the small test scales the candidate sets fit in one block, so the
-pair-join inside each bucket runs in ``map_groups``; the partitioning
-assumption (bucket fits a worker) is the standard LSH contract and holds
-when bands/rows are tuned so buckets stay small.
+Each bucket's pair-join runs inside one exchange partition; the
+partitioning assumption (bucket fits a worker) is the standard LSH
+contract and holds when bands/rows are tuned so buckets stay small.
 """
 
 from __future__ import annotations

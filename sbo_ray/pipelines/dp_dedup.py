@@ -868,27 +868,6 @@ def doc_dedup_clusters(sf_dir: str, threshold: float = 0.8):
     })
 
 
-def _chunk_pair_replicate(id_col: str, B: int):
-    """map_batches fn for the replicated chunk-pair join: each row gets
-    chunk ``id % B`` and is emitted once per chunk-pair group containing
-    its chunk (shared by emb_dedup_cosine and doc_dedup_ngram)."""
-
-    def replicate(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        chunk = (ids % B).astype(np.int64)
-        pieces = []
-        for other in range(B):
-            lo = np.minimum(chunk, other)
-            hi = np.maximum(chunk, other)
-            pieces.append(
-                batch.append_column("chunk", pa.array(chunk))
-                .append_column("pair_id", pa.array(lo * B + hi))
-            )
-        return pa.concat_tables(pieces)
-
-    return replicate
-
-
 _NGRAM_PAIRS_SCHEMA = pa.schema([
     ("id_a", pa.int64()), ("id_b", pa.int64()), ("jaccard", pa.float64()),
 ])
@@ -913,7 +892,9 @@ def _chunk_pair_join(refs: list, id_col: str, B: int, pair_fn, *args,
     layout): every block ships once, sliced into B chunks, and each of
     the B(B+1)/2 ``pair_fn(*args, n_a, *a_slices, *b_slices, **kw)``
     tasks pulls exactly the two chunks it compares (no b slices = the
-    in-chunk upper triangle). Returns the pair-task refs."""
+    in-chunk upper triangle). Returns the pair-task refs. The engine's
+    one all-pairs layout: doc_dedup_ngram, doc_dedup_containment,
+    emb_dedup_cosine and emb_knn_join."""
     sl = X.shard(_chunk_slice, refs, B, B, id_col)
     task = ray.remote(pair_fn).options(num_cpus=num_cpus)
     return [task.remote(*args, len(sl[a]), *sl[a],
@@ -1068,14 +1049,9 @@ def doc_dedup_ngram(sf_dir: str, threshold: float = 0.4, n: int = 5,
     compares; n-gram sets are built ONCE per doc inside the pair task.
     Per-worker memory O(2 n_docs/B x doc n-grams); no corpus
     materialization; the pair-above-threshold output is bounded so it
-    concats on the driver. (Previously this rode groupby('pair_id')
-    .map_groups — Ray Data sizes post-sort blocks by bytes, capping
-    this compute-heavy-per-byte stage at ~2-3 concurrent tasks; the
-    raw-task layout runs all pairs concurrently AND ships each doc
-    once instead of B times. Same deliberate drop below the Dataset
-    API as emb_semdedup, measured ~4x here.) Finer-grained than the
-    word-shingle MinHash pipeline (catches char-level edits); exact,
-    so the brute-force SQL oracle gates it directly."""
+    concats on the driver. Finer-grained than the word-shingle MinHash
+    pipeline (catches char-level edits); exact, so the brute-force SQL
+    oracle gates it directly."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     B = n_chunks or max(4, int(np.sqrt(2 * _cpus())))
     refs = X.block_refs(ds)
@@ -1450,7 +1426,6 @@ __all__ = [
     "doc_decontaminate_neardup",
     "doc_dedup_simhash",
     "doc_dedup_clusters",
-    "_chunk_pair_replicate",
     "_NGRAM_PAIRS_SCHEMA",
     "_CONTAIN_PAIRS_SCHEMA",
     "_chunk_slice",

@@ -1273,7 +1273,7 @@ def emb_semdedup(sf_dir: str, nlist: int | None = None,
     (vec_id, rep_id, cluster). The result Dataset is built
     ``from_arrow_refs`` — dropped rows never concat on the driver.
 
-    Why not ``groupby('part').map_groups`` (the usual partition-grouped
+    Why not a Ray Data ``groupby('part')`` fold (the usual partition-grouped
     idiom): the prune is compute-heavy per byte, and Ray Data sizes the
     sort's output blocks BY BYTES, capping the post-shuffle map at ~2-3
     concurrent tasks here (measured: 128 identical prune tasks finish in

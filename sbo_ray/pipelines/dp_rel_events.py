@@ -821,30 +821,35 @@ def events_transitions(sf_dir: str):
                       ["from_type", "to_type"], out_schema)
 
 
+_QUANTS = pa.schema([("event_type", pa.string()), ("p50", pa.float64()),
+                     ("p90", pa.float64()), ("p99", pa.float64())])
+
+
 def events_quantiles(sf_dir: str, qs: tuple = (0.5, 0.9, 0.99)):
     """Exact per-group continuous quantiles (p50/p90/p99 of value per
     event_type) — linear interpolation at rank q*(n-1), the
     quantile_cont definition numpy's 'linear' percentile shares.
-    Groups are the shuffle key: with bounded group cardinality each
-    group's values land on one worker and one vectorized np.percentile
-    call per group suffices. Partitioning assumption: one group's
-    values fit a worker — for heavy groups or unbounded cardinality
-    the approximate path is the CMS/HLL sketch family
-    (stages/sketch.py); exact quantiles fundamentally need the group's
-    order statistics co-located."""
+    Groups route by crc32(event_type) (``exchange.part_exchange``), so
+    each group's values land in one partition and one vectorized
+    np.percentile call per group suffices; one row per group comes
+    back to the driver. Partitioning assumption: one group's values
+    fit a worker — for heavy groups or unbounded cardinality the
+    approximate path is the CMS/HLL sketch family (stages/sketch.py);
+    exact quantiles fundamentally need the group's order statistics
+    co-located."""
 
-    def quants(g: pd.DataFrame) -> pd.DataFrame:
-        v = g["value"].to_numpy()
-        p = np.percentile(v, [q * 100 for q in qs], method="linear")
-        return pd.DataFrame({
-            "event_type": [g["event_type"].iloc[0]],
-            "p50": [round(float(p[0]), 6)],
-            "p90": [round(float(p[1]), 6)],
-            "p99": [round(float(p[2]), 6)],
-        })
+    def quants_part(t: pa.Table) -> pd.DataFrame:
+        rows = []
+        for et, v in t.to_pandas().groupby("event_type")["value"]:
+            p = np.percentile(v.to_numpy(), [q * 100 for q in qs],
+                              method="linear")
+            rows.append([et] + [round(float(x), 6) for x in p[:3]])
+        return pd.DataFrame(rows, columns=_QUANTS.names)
 
     ds = _read(sf_dir, "events", columns=["event_type", "value"])
-    return ds.groupby("event_type").map_groups(quants, batch_format="pandas")
+    return X.gather(X.part_exchange(
+        ds, None, lambda t: X.crc_hash(t.column("event_type")),
+        quants_part, _QUANTS), _QUANTS).sort_by("event_type")
 
 
 _ULTV = pa.schema([("user_id", pa.int64()), ("n_events", pa.int64()),
@@ -1239,8 +1244,8 @@ def events_user_features(sf_dir: str):
     ranking/recommendation training job materializes: event count,
     total value, distinct event types, first/last timestamps and
     distinct active days. Needs per-user DISTINCT sets, so it is
-    hash-grouped by user (the sessionize pattern, never per-user
-    map_groups) with everything inside a partition vectorized: one
+    hash-grouped by user (the sessionize pattern, never a per-user Ray
+    Data groupby) with everything inside a partition vectorized: one
     lexsort per distinct-feature, segment boundaries, bincount folds.
     Output is user-sized (the op's own output), per-partition."""
 
@@ -1390,6 +1395,7 @@ __all__ = [
     "events_sliding_window",
     "events_sliding_distinct",
     "events_transitions",
+    "_QUANTS",
     "events_quantiles",
     "_ULTV",
     "_ultv_top",

@@ -513,8 +513,8 @@ def events_funnel(sf_dir: str,
         ("t_stage1_us", pa.int64()), ("t_stage2_us", pa.int64()),
         ("t_stage3_us", pa.int64()),
     ])
-    return X.gather(X.part_exchange(ds, None, _user_key, funnel_part,
-                                    out_schema), out_schema)
+    return rd.from_arrow_refs(X.part_exchange(ds, None, _user_key,
+                                              funnel_part, out_schema))
 
 
 _BM25 = pa.schema([("doc_id", pa.int64()), ("score", pa.float64())])
@@ -725,18 +725,87 @@ def doc_tfidf(sf_dir: str, k: int = 3):
     return docs.map_batches(topk_scores, batch_format="pyarrow")
 
 
+_KNN_PART = pa.schema([("vec_id", pa.int64()), ("neighbor_id", pa.int64()),
+                       ("cos", pa.float64())])
+_KNN = _KNN_PART.append(pa.field("rnk", pa.int64()))
+
+
+def _side_topk(cm, rid, cid, k: int):
+    """Per-ROW top-k of the cos matrix under (cos desc, col-id asc) in
+    O(na*nb) via argpartition on ONE composite int64 key (1000*cos then
+    -id; cos is already rounded to 3 so the int encoding is lossless) —
+    the flattened-lexsort formulation costs O(na*nb*log) plus 3x the
+    allocations and measured ~25x slower at 6k x 6k chunk pairs.
+    Ordering is identical, so partial top-k selection stays consistent
+    with the final merge."""
+    na, nb = cm.shape
+    key = (np.rint(cm * 1000.0).astype(np.int64) * (1 << 33)
+           - cid[None, :])
+    kk = min(k, nb)
+    if kk < nb:
+        part = np.argpartition(-key, kk - 1, axis=1)[:, :kk]
+    else:
+        part = np.broadcast_to(np.arange(nb), (na, nb)).copy()
+    pk = np.take_along_axis(key, part, axis=1)
+    order = np.argsort(-pk, axis=1, kind="stable")
+    sel = np.take_along_axis(part, order, axis=1)
+    cosv = np.take_along_axis(cm, sel, axis=1).ravel()
+    ok = cosv >= -1.5  # drop the -2.0 self sentinel
+    return (np.repeat(rid, kk)[ok], cid[sel.ravel()][ok], cosv[ok])
+
+
+def _knn_pair(k: int, na_parts: int, *parts) -> pa.Table:
+    """One chunk pair of emb_knn_join: ``parts[:na_parts]`` are the
+    A-chunk slices, the remainder the B-chunk slices (none = the
+    diagonal A x A pair, self matches excluded). Emits each side's
+    partial top-k neighbors from the other side."""
+    a_tbl = pa.concat_tables(parts[:na_parts])
+    diag = na_parts == len(parts)
+    b_tbl = a_tbl if diag else pa.concat_tables(parts[na_parts:])
+    if a_tbl.num_rows == 0 or b_tbl.num_rows == 0:
+        return _KNN_PART.empty_table()
+    ids_a = a_tbl.column("vec_id").to_numpy(zero_copy_only=False)
+    ids_b = b_tbl.column("vec_id").to_numpy(zero_copy_only=False)
+    top = max(int(ids_a.max()), int(ids_b.max()))
+    if top >= 1 << 33:
+        # _side_topk packs (round3(cos) * 2^33 - neighbor_id) into one
+        # int64: an id >= 2^33 bleeds into the cos term and the partial
+        # ordering silently diverges from the final merge — fail loudly
+        # instead (ADVICE r3); widen the encoding if a corpus ever
+        # legitimately exceeds ~8.6e9 vec_ids
+        raise ValueError(
+            f"vec_id {top} >= 2^33 breaks the composite top-k ordering key")
+    m_a = D.normalize_rows(S.embedding_matrix(a_tbl))
+    if diag:
+        cos = np.round(m_a @ m_a.T, 3)
+        np.fill_diagonal(cos, -2.0)  # finite self sentinel
+        sides = [(cos, ids_a, ids_a)]
+    else:
+        m_b = D.normalize_rows(S.embedding_matrix(b_tbl))
+        cos = np.round(m_a @ m_b.T, 3)
+        sides = [(cos, ids_a, ids_b),
+                 (np.ascontiguousarray(cos.T), ids_b, ids_a)]
+    outs = []
+    for cm, rid, cid in sides:
+        vid, nid, cc = _side_topk(cm, rid, cid, k)
+        outs.append(pa.Table.from_arrays([
+            pa.array(vid, pa.int64()), pa.array(nid, pa.int64()),
+            pa.array(cc, pa.float64())], schema=_KNN_PART))
+    return pa.concat_tables(outs)
+
+
 def emb_knn_join(sf_dir: str, k: int = 5, n_chunks: int | None = None):
     """Exact k-NN SELF-join: for EVERY vector, its k nearest neighbors
     by cosine (the retrieval-evaluation / hard-negative-mining
     primitive — emb_similarity_topk generalized from one query to all
-    rows). Same replicated chunk-pair triangle layout as
-    ``emb_dedup_cosine``: B chunks, one cross-matmul per chunk-pair
-    group, but each group emits a PARTIAL top-k per vector instead of
-    threshold pairs, so shuffle volume drops from O(n^2) pair rows to
-    n x B x k partial rows. The final per-vector merge is
-    partition-grouped (hash of vec_id), so no stage ever holds more
-    than a partition of partials; the driver sees the n x k output
-    only.
+    rows). Same raw-task chunk-pair join as ``emb_dedup_cosine``: B
+    ``vec_id % B`` chunks, one matmul per chunk-pair task, but each
+    task emits a PARTIAL top-k per vector (``_knn_pair``) instead of
+    threshold pairs, so the exchange carries n x B x k partial rows,
+    not O(n^2) pairs. The final per-vector merge is partition-grouped
+    (``exchange.part_exchange`` on vec_id), so no stage holds more than
+    a partition of partials, and the n x k output stays a Dataset of
+    the merge's partition blocks.
 
     Ranking is (ROUND(cos, 3) DESC, neighbor_id ASC) at BOTH the
     partial and final stage — the partial ordering must equal the
@@ -751,124 +820,43 @@ def emb_knn_join(sf_dir: str, k: int = 5, n_chunks: int | None = None):
         B = n_chunks
     else:
         # size chunks to ~1k vectors: the emb_dedup_cosine default
-        # (B ~ sqrt(2*cpus), i.e. n/8 per chunk) makes each group
+        # (B ~ sqrt(2*cpus), i.e. n/8 per chunk) makes each pair task
         # allocate O((n/B)^2) cos/key matrices — measured 235 s at 50k
-        # vectors from 36 concurrent ~1 GB-temporary groups thrashing
+        # vectors from 36 concurrent ~1 GB-temporary tasks thrashing
         # memory vs ~10 s with ~1k-row chunks. Capped at 128: past
-        # that, B^2/2 group count + n*B replication rows dominate
-        # (exact all-pairs is O(n^2); cap the candidates, see bench).
+        # that, the B(B+1)/2 pair-task count dominates (exact
+        # all-pairs is O(n^2); cap the candidates, see bench).
         # Row count from the Parquet footer — ds.count() would execute
         # the whole read an extra time just to size B (VERDICT r3 #7).
         n = _parquet_num_rows(sf_dir, "embeddings")
         B = int(min(128, max(4, np.sqrt(2 * _cpus()), -(-n // 1000))))
+    refs = X.block_refs(ds)
+    if not refs:
+        return rd.from_arrow(_KNN.empty_table())
 
-    def _rank_topk(flat_cos, rows, cols, row_ids):
-        """top-k rows per `rows` group under (cos desc, col asc)."""
-        order = np.lexsort((cols, -flat_cos, rows))
-        rr = rows[order]
-        new_grp = np.ones(len(rr), dtype=bool)
-        new_grp[1:] = rr[1:] != rr[:-1]
-        starts = np.maximum.accumulate(
-            np.where(new_grp, np.arange(len(rr)), 0))
-        rank = np.arange(len(rr)) - starts
-        keep = order[rank < k]
-        return (row_ids[rows[keep]], cols[keep], flat_cos[keep],
-                rank[rank < k])
-
-    def _side_topk(cm, rid, cid):
-        """Per-ROW top-k of the cos matrix under (cos desc, col-id asc)
-        in O(na*nb) via argpartition on ONE composite int64 key
-        (1000*cos then -id; cos is already rounded to 3 so the int
-        encoding is lossless) — the flattened-lexsort formulation costs
-        O(na*nb*log) plus 3x the allocations and measured ~25x slower
-        at 6k x 6k chunk pairs. Ordering is identical, so partial
-        top-k selection stays consistent with the final merge."""
-        na, nb = cm.shape
-        key = (np.rint(cm * 1000.0).astype(np.int64) * (1 << 33)
-               - cid[None, :])
-        kk = min(k, nb)
-        if kk < nb:
-            part = np.argpartition(-key, kk - 1, axis=1)[:, :kk]
-        else:
-            part = np.broadcast_to(np.arange(nb), (na, nb)).copy()
-        pk = np.take_along_axis(key, part, axis=1)
-        order = np.argsort(-pk, axis=1, kind="stable")
-        sel = np.take_along_axis(part, order, axis=1)
-        cosv = np.take_along_axis(cm, sel, axis=1).ravel()
-        ok = cosv >= -1.5  # drop the -2.0 self sentinel
-        return (np.repeat(rid, kk)[ok], cid[sel.ravel()][ok], cosv[ok])
-
-    def pair_block(g: pa.Table) -> pa.Table:
-        pair_id = g.column("pair_id")[0].as_py()
-        c_a, c_b = pair_id // B, pair_id % B
-        chunk = g.column("chunk").to_numpy(zero_copy_only=False)
-        ids = g.column("vec_id").to_numpy(zero_copy_only=False)
-        if len(ids) and ids.max() >= (1 << 33):
-            # _side_topk packs (round3(cos) * 2^33 - neighbor_id) into
-            # one int64: an id >= 2^33 bleeds into the cos term and the
-            # partial ordering silently diverges from the final merge —
-            # fail loudly instead (ADVICE r3); widen the encoding if a
-            # corpus ever legitimately exceeds ~8.6e9 vec_ids
-            raise ValueError(
-                f"vec_id {int(ids.max())} >= 2^33 breaks the composite "
-                f"top-k ordering key")
-        m = D.normalize_rows(S.embedding_matrix(g))
-        a_mask = chunk == c_a
-        outs = []
-        if c_a == c_b:
-            ma, ia = m[a_mask], ids[a_mask]
-            cos = np.round(ma @ ma.T, 3)
-            np.fill_diagonal(cos, -2.0)  # finite self sentinel
-            sides = [(cos, ia, ia)]
-        else:
-            ma, ia = m[a_mask], ids[a_mask]
-            mb, ib = m[~a_mask], ids[~a_mask]
-            cos = np.round(ma @ mb.T, 3)
-            sides = [(cos, ia, ib), (np.ascontiguousarray(cos.T), ib, ia)]
-        for cm, rid, cid in sides:
-            if cm.size == 0:
-                continue
-            vid, nid, cc = _side_topk(cm, rid, cid)
-            outs.append(pa.table({
-                "vec_id": pa.array(vid, pa.int64()),
-                "neighbor_id": pa.array(nid, pa.int64()),
-                "cos": pa.array(cc, pa.float64()),
-            }))
-        if not outs:
-            return pa.schema([("vec_id", pa.int64()),
-                              ("neighbor_id", pa.int64()),
-                              ("cos", pa.float64())]).empty_table()
-        return pa.concat_tables(outs)
-
-    def final_part(g: pa.Table) -> pd.DataFrame:
+    def final_part(g: pa.Table) -> pa.Table:
+        """top-k rows per vec_id under (cos desc, neighbor asc)."""
         vid = g["vec_id"].to_numpy()
         nid = g["neighbor_id"].to_numpy()
         cc = g["cos"].to_numpy()
-        # group rows by vec_id via unique codes (code -> vec_id map)
-        uniq, vcode = np.unique(vid, return_inverse=True)
-        v, n, c, r = _rank_topk(cc, vcode, nid, uniq)
-        return pd.DataFrame({
-            "vec_id": v,
-            "neighbor_id": n,
-            "cos": c,
-            "rnk": (r + 1).astype(np.int64),
-        })
+        order = np.lexsort((nid, -cc, vid))
+        vv = vid[order]
+        new_grp = np.ones(len(vv), dtype=bool)
+        new_grp[1:] = vv[1:] != vv[:-1]
+        starts = np.maximum.accumulate(
+            np.where(new_grp, np.arange(len(vv)), 0))
+        rank = np.arange(len(vv)) - starts
+        keep = order[rank < k]
+        return pa.Table.from_arrays([
+            pa.array(vid[keep]), pa.array(nid[keep]), pa.array(cc[keep]),
+            pa.array(rank[rank < k] + 1, pa.int64())], schema=_KNN)
 
-    def vec_key(t: pa.Table) -> np.ndarray:
-        return t.column("vec_id").to_numpy()
-
-    partials = (
-        ds.map_batches(_chunk_pair_replicate("vec_id", B),
-                       batch_format="pyarrow")
-        .groupby("pair_id")
-        .map_groups(pair_block, batch_format="pyarrow")
-    )
-    out_schema = pa.schema([
-        ("vec_id", pa.int64()), ("neighbor_id", pa.int64()),
-        ("cos", pa.float64()), ("rnk", pa.int64()),
-    ])
-    return X.gather(X.part_exchange(partials, None, vec_key, final_part,
-                                    out_schema), out_schema)
+    # bandwidth cap: big-matmul tasks, as in emb_dedup_cosine
+    pairs = _chunk_pair_join(refs, "vec_id", B, _knn_pair, k,
+                             num_cpus=_bw_task_cpus(16))
+    return rd.from_arrow_refs(X.part_exchange(
+        rd.from_arrow_refs(pairs), None, _col_key("vec_id"), final_part,
+        _KNN))
 
 
 def supplier_nation_revenue(sf_dir: str):
@@ -1360,6 +1348,10 @@ __all__ = [
     "_BM25_STAT",
     "doc_bm25_topk",
     "doc_tfidf",
+    "_KNN_PART",
+    "_KNN",
+    "_side_topk",
+    "_knn_pair",
     "emb_knn_join",
     "supplier_nation_revenue",
     "events_retention",

@@ -928,14 +928,8 @@ def _h_key(t: pa.Table) -> np.ndarray:
 
 
 def _ip_key(t: pa.Table) -> np.ndarray:
-    """Partition key of the per-ip log ops: crc32 of ``client_ip``,
-    hashed once per distinct ip of the block."""
-    import zlib
-
-    enc = t.column("client_ip").combine_chunks().dictionary_encode()
-    uh = np.array([zlib.crc32(u.encode("utf-8"))
-                   for u in enc.dictionary.to_pylist()], dtype=np.int64)
-    return uh[enc.indices.to_numpy(zero_copy_only=False)]
+    """Partition key of the per-ip log ops: crc32 of ``client_ip``."""
+    return X.crc_hash(t.column("client_ip"))
 
 
 def q_log_metrics(sf_dir: str):
@@ -1269,7 +1263,10 @@ def q_log_sessionize(sf_dir: str, gap_sec: int = 600):
     partition; inside a partition one lexsort + vectorized gap/key
     boundaries (no per-session Python). Session boundaries depend only
     on ts gaps, so equal-timestamp ordering ambiguity cannot move
-    them; epochs are exact integers."""
+    them; epochs are exact integers. The sessions stay a Dataset of
+    the partition blocks."""
+    import ray.data as rd
+
     out_schema = pa.schema([("source", pa.string()),
                             ("client_ip", pa.string()),
                             ("session_start", pa.int64()),
@@ -1305,8 +1302,8 @@ def q_log_sessionize(sf_dir: str, gap_sec: int = 600):
         out["n_requests"] = out["n_requests"].astype("int64")
         return out.reset_index(drop=True)
 
-    return X.gather(X.part_exchange(_enriched(sf_dir), route, _ip_key,
-                                    sessions_part, out_schema), out_schema)
+    return rd.from_arrow_refs(X.part_exchange(
+        _enriched(sf_dir), route, _ip_key, sessions_part, out_schema))
 
 
 def sql_log_sessionize(cache: str, gap_sec: int = 600) -> str:
@@ -4306,12 +4303,10 @@ def q_log_repeat_offenders(sf_dir: str):
     requests; a client whose window ever holds >=3 is flagged.
 
     Ray shape: hash-grouped by client (``exchange.part_exchange`` —
-    client count is unbounded at scale, so per-client map_groups would
+    client count is unbounded at scale, so a per-client Ray groupby would
     pay ~60us per tiny group), then one vectorized windowed cumsum scan
     per partition; the oracle is an independent SQL window query (and
     the literal ring-buffer dump in pytest)."""
-    import zlib
-
     import pandas as pd
     import ray.data as rd
 
@@ -4329,12 +4324,7 @@ def q_log_repeat_offenders(sf_dir: str):
         key = pc.binary_join_element_wise(
             t.column("source").cast(pa.string()),
             t.column("client_ip").cast(pa.string()), "\x00")
-        enc = pc.dictionary_encode(
-            key.combine_chunks() if isinstance(key, pa.ChunkedArray) else key)
-        uh = np.fromiter((zlib.crc32(u.encode())
-                          for u in enc.dictionary.to_pylist()),
-                         dtype=np.int64, count=len(enc.dictionary))
-        return uh[enc.indices.to_numpy(zero_copy_only=False)]
+        return X.crc_hash(key)
 
     def offenders_part(g: pa.Table) -> pd.DataFrame:
         g = g.to_pandas()

@@ -369,18 +369,11 @@ def _compat_shard(t, P: int):
     key strings (content-deterministic across tasks and processes —
     pd.util.hash_array's categorize path is NOT: the same string can
     hash differently in different arrays), expanded through dictionary
-    codes. No partial row ever lands on the driver."""
-    import zlib
-
+    codes (``exchange.crc_hash``). No partial row ever lands on the
+    driver."""
     if not isinstance(t, pa.Table):
         t = pa.Table.from_pandas(t, preserve_index=False)
-    keys = _group_key_expr(t)
-    if isinstance(keys, pa.ChunkedArray):
-        keys = keys.combine_chunks()
-    enc = keys.dictionary_encode()
-    uh = np.array([zlib.crc32(u.encode("utf-8")) % P
-                   for u in enc.dictionary.to_pylist()], dtype=np.int64)
-    return X.split(uh[enc.indices.to_numpy(zero_copy_only=False)], P, t)
+    return X.split(X.crc_hash(_group_key_expr(t)) % P, P, t)
 
 
 def _compat_combine(window_size: int, replace_existing: bool, *shards):

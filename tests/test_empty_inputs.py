@@ -120,13 +120,16 @@ def empty_events_dir(tmp_path_factory):
     return str(d)
 
 
-def test_funnel_empty_events(ray_session, empty_events_dir):
-    from sbo_ray.pipelines.datapipe import events_funnel
-
-    out = events_funnel(empty_events_dir)
-    assert out.num_rows == 0
-    assert out.schema.names == ["user_id", "max_stage", "t_stage1_us",
-                                "t_stage2_us", "t_stage3_us"]
+@pytest.fixture(scope="module")
+def empty_emb_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("empty_embeddings")
+    pq.write_table(
+        pa.schema([("vec_id", pa.int64()),
+                   ("embedding", pa.list_(pa.float32())),
+                   ("label", pa.int32())]).empty_table(),
+        str(d / "embeddings.parquet"),
+    )
+    return str(d)
 
 
 _I64, _F64, _TS, _STR = (pa.int64(), pa.float64(), pa.timestamp("us"),
@@ -157,16 +160,24 @@ _SESSION_COLS = [("user_id", _I64), ("session_start", _TS),
     ("doc_dedup_exact", "documents", [("doc_id", _I64), ("n_dupes", _I64)]),
     ("doc_curation_pipeline", "documents",
      [("doc_id", _I64), ("n_tokens", _I64), ("n_stop_en", _I64)]),
+    ("events_funnel", "events",
+     [("user_id", _I64), ("max_stage", _I64), ("t_stage1_us", _I64),
+      ("t_stage2_us", _I64), ("t_stage3_us", _I64)]),
+    ("emb_knn_join", "embeddings",
+     [("vec_id", _I64), ("neighbor_id", _I64), ("cos", _F64),
+      ("rnk", _I64)]),
 ])
 def test_per_row_exchange_ops_empty(ray_session, empty_events_dir,
-                                    empty_doc_dir, name, table, cols):
-    """Per-row hash-exchange ops over an empty events/documents table
-    return a zero-row Dataset with the op's declared columns and types
-    (every partition takes the combine's typed empty), never a
-    zero-column one."""
+                                    empty_doc_dir, empty_emb_dir, name,
+                                    table, cols):
+    """Per-row hash-exchange ops over an empty events/documents/
+    embeddings table return a zero-row Dataset with the op's declared
+    columns and types (every partition takes the combine's typed
+    empty), never a zero-column one."""
     from sbo_ray.pipelines import datapipe as DP
 
-    d = empty_events_dir if table == "events" else empty_doc_dir
+    d = {"events": empty_events_dir, "documents": empty_doc_dir,
+         "embeddings": empty_emb_dir}[table]
     out = getattr(DP, name)(d)
     assert out.count() == 0
     schema = out.schema()
@@ -194,20 +205,6 @@ def test_bounded_event_ops_empty(ray_session, empty_events_dir, name, cols):
     out = getattr(DP, name)(empty_events_dir)
     assert out.num_rows == 0
     assert list(zip(out.schema.names, out.schema.types)) == cols
-
-
-def test_knn_join_empty_embeddings(ray_session, tmp_path):
-    from sbo_ray.pipelines.datapipe import emb_knn_join
-
-    pq.write_table(
-        pa.schema([("vec_id", pa.int64()),
-                   ("embedding", pa.list_(pa.float32())),
-                   ("label", pa.int32())]).empty_table(),
-        str(tmp_path / "embeddings.parquet"),
-    )
-    out = emb_knn_join(str(tmp_path))
-    assert out.num_rows == 0
-    assert out.schema.names == ["vec_id", "neighbor_id", "cos", "rnk"]
 
 
 def test_quantize_sq8_empty_embeddings(ray_session, tmp_path):
@@ -361,17 +358,26 @@ def test_log_block_folds_empty(ray_session, empty_token_dir, monkeypatch,
     """Bounded per-block folds and hash-exchange log ops over an empty
     token table: zero batches reach the driver (no block reaches a
     shard task, every partition takes the combine's empty rule), and
-    the result is still a typed empty table, no null column, with the
-    gate's columns (the seeded concats of exchange.fold/gather)."""
+    the result is still typed, no null column, with the gate's columns:
+    a table for the bounded ops (the seeded concats of
+    exchange.fold/gather), a Dataset over the typed partition empties
+    for the per-row sessionize."""
+    import ray.data as rd
+
     from sbo_ray.pipelines import queries as Q
 
     monkeypatch.setattr(
         Q, "_input_paths", lambda sf: [f"{empty_token_dir}/shard-0000.parquet"])
     monkeypatch.setattr(Q, "_job", _job)
     out = getattr(Q, name)("ignored")
-    assert out.num_rows == 0
-    assert out.schema.names == cols
-    assert not any(pa.types.is_null(f.type) for f in out.schema), out.schema
+    if isinstance(out, rd.Dataset):
+        assert out.count() == 0
+        schema = out.schema()
+    else:
+        assert out.num_rows == 0
+        schema = out.schema
+    assert schema.names == cols
+    assert not any(pa.types.is_null(t) for t in schema.types), schema
 
 
 def test_semi_join_empty_orders(ray_session, tmp_path):

@@ -252,6 +252,9 @@ def test_events_daily_active_high_p(gate, monkeypatch, P):
     "events_user_value_topk",   # local top-k, driver top-k
     "doc_vocab_bigrams",        # crc32 key of block-unique bigrams
     "customer_rfm",             # per-row Dataset, custkey key
+    "events_funnel",            # per-row Dataset, user key
+    "events_quantiles",         # crc32 string key, gathered groups
+    "emb_knn_join",             # over the chunk-pair join's refs
     "orders_large_volume",      # HAVING in the fold, broadcast probes
     "doc_dedup_incremental",    # hash anti-probe per partition
     "doc_dedup_simhash",        # (seg, seg_val) bucket key
@@ -265,5 +268,7 @@ def test_exchange_partition_invariance(gate, monkeypatch, name, P):
 
 @pytest.mark.parametrize("B", [1, 2])
 def test_chunk_pair_join_invariance(gate, B):
-    """doc_dedup_ngram fans out over B chunk pairs, not P partitions."""
-    gate("doc_dedup_ngram", n_chunks=B)
+    """The chunk-pair joins fan out over B chunk pairs, not P
+    partitions."""
+    for name in ("doc_dedup_ngram", "emb_knn_join"):
+        gate(name, n_chunks=B)

@@ -396,15 +396,26 @@ def test_pack_tokens_dedup_edges(ray_session, dedup_pack_dir, monkeypatch):
     ]
 
 
-def test_pack_family_no_driver_corpus_table(ray_session, monkeypatch):
-    """r5 contract: the pack family returns Datasets of per-partition
-    combine blocks — the driver may ray.get only bounded partials
-    (chunk sums, bases), never the packed corpus. Spy every ray.get
-    during query CONSTRUCTION and bound the Arrow bytes that reach the
-    driver; the packed sf0.001 output alone is ~0.5 MB, so a 256 KB
-    ceiling fails if any variant reintroduces the driver concat."""
+@pytest.mark.parametrize("name", [
+    # the pack family: table shard / combine waves
+    "log_pack_tokens", "log_pack_tokens_by_source", "log_pack_tokens_dedup",
+    # per-row exchange.part_exchange outputs
+    "log_sessionize", "events_funnel", "events_sessionize", "customer_rfm",
+    "doc_dedup_exact", "doc_dedup_substring",
+    # the chunk-pair join, then a part_exchange merge
+    "emb_knn_join",
+])
+def test_per_row_ops_no_driver_table(ray_session, monkeypatch, name):
+    """Per-row ops return Datasets of per-partition combine blocks: the
+    driver may ray.get only bounded partials (chunk sums, bases, block
+    metadata), never the per-row output. Spy every ray.get during query
+    CONSTRUCTION and bound the Arrow bytes that reach the driver per
+    call; the packed sf0.001 output alone is ~0.5 MB, so a 256 KB
+    ceiling fails if a pack variant reintroduces the driver concat."""
     import ray as ray_mod
     import ray.data as rd
+
+    import __ray_entry__ as E
 
     got_bytes = []
     real_get = ray_mod.get
@@ -423,16 +434,15 @@ def test_pack_family_no_driver_corpus_table(ray_session, monkeypatch):
             got_bytes.append(b)
         return out
 
+    query = E.queries()[name]
     monkeypatch.setattr(ray_mod, "get", spy_get)
-    outs = [Q.q_log_pack_tokens(SF), Q.q_log_pack_tokens_by_source(SF),
-            Q.q_log_pack_tokens_dedup(SF)]
+    out = query(SF)
     monkeypatch.setattr(ray_mod, "get", real_get)
 
     big = [b for b in got_bytes if b > 256 * 1024]
-    assert not big, f"driver ray.get pulled corpus-sized tables: {big}"
-    for out in outs:
-        assert isinstance(out, rd.Dataset)
-    assert outs[0].count() > 0
+    assert not big, f"driver ray.get pulled output-sized tables: {big}"
+    assert isinstance(out, rd.Dataset)
+    assert out.count() > 0
 
 
 def test_pack_tokens_dedup_empty(ray_session, tmp_path, monkeypatch):
