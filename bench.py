@@ -261,7 +261,9 @@ def run_data() -> dict:
     DataContext.get_current().enable_progress_bars = False
     import ray.data as rd
 
-    from sbo_ray.pipelines import datapipe as DP
+    from sbo_ray.pipelines import (
+        dp_dedup, dp_emb, dp_multimodal, dp_rel_events, dp_retrieval, dp_text,
+    )
 
     def consume(res):
         if isinstance(res, rd.Dataset):
@@ -278,135 +280,147 @@ def run_data() -> dict:
 
     rd.read_parquet(os.path.join(docs_dir, "documents.parquet")).count()  # warm
 
-    timed("doc_dedup_exact", lambda: DP.doc_dedup_exact(docs_dir))
-    timed("doc_curation_pipeline", lambda: DP.doc_curation_pipeline(docs_dir))
-    timed("doc_curation_report", lambda: DP.doc_curation_report(docs_dir))
-    timed("doc_dedup_minhash", lambda: DP.doc_dedup_minhash(docs_dir))
-    timed("doc_dedup_substring", lambda: DP.doc_dedup_substring(docs_dir))
-    timed("doc_dedup_simhash", lambda: DP.doc_dedup_simhash(docs_dir))
-    timed("doc_dedup_clusters_uf", lambda: DP.doc_dedup_clusters(docs_dir))
-    timed("doc_dedup_clusters_lp", lambda: DP.doc_dedup_clusters_lp(docs_dir))
-    timed("doc_dedup_near_keep", lambda: DP.doc_dedup_near_keep(docs_dir))
+    timed("doc_dedup_exact", lambda: dp_dedup.doc_dedup_exact(docs_dir))
+    timed("doc_curation_pipeline",
+          lambda: dp_text.doc_curation_pipeline(docs_dir))
+    timed("doc_curation_report", lambda: dp_text.doc_curation_report(docs_dir))
+    timed("doc_dedup_minhash", lambda: dp_dedup.doc_dedup_minhash(docs_dir))
+    timed("doc_dedup_substring",
+          lambda: dp_dedup.doc_dedup_substring(docs_dir))
+    timed("doc_dedup_simhash", lambda: dp_dedup.doc_dedup_simhash(docs_dir))
+    timed("doc_dedup_clusters_uf",
+          lambda: dp_dedup.doc_dedup_clusters(docs_dir))
+    timed("doc_dedup_clusters_lp",
+          lambda: dp_dedup.doc_dedup_clusters_lp(docs_dir))
+    timed("doc_dedup_near_keep",
+          lambda: dp_dedup.doc_dedup_near_keep(docs_dir))
     # exact all-pairs mode: capped input by design (quadratic compute);
     # the LSH path above is the at-scale answer
     timed(f"doc_dedup_ngram_{n_ngram // 1000}k",
-          lambda: DP.doc_dedup_ngram(small_docs_dir))
+          lambda: dp_dedup.doc_dedup_ngram(small_docs_dir))
     timed(f"doc_dedup_containment_{n_ngram // 1000}k",
-          lambda: DP.doc_dedup_containment(small_docs_dir))
-    timed("doc_tfidf", lambda: DP.doc_tfidf(docs_dir))
+          lambda: dp_dedup.doc_dedup_containment(small_docs_dir))
+    timed("doc_tfidf", lambda: dp_retrieval.doc_tfidf(docs_dir))
     timed("doc_unigram_logprob",
-          lambda: DP.doc_unigram_logprob(docs_dir))
-    timed("doc_pii_redact", lambda: DP.doc_pii_redact(docs_dir))
-    timed("doc_group_topk", lambda: DP.doc_group_topk(docs_dir))
-    timed("doc_pack_sequences", lambda: DP.doc_pack_sequences(docs_dir))
+          lambda: dp_retrieval.doc_unigram_logprob(docs_dir))
+    timed("doc_pii_redact", lambda: dp_text.doc_pii_redact(docs_dir))
+    timed("doc_group_topk", lambda: dp_text.doc_group_topk(docs_dir))
+    timed("doc_pack_sequences", lambda: dp_text.doc_pack_sequences(docs_dir))
     timed("doc_decontaminate_ngram",
-          lambda: DP.doc_decontaminate_ngram(docs_dir))
+          lambda: dp_dedup.doc_decontaminate_ngram(docs_dir))
     timed("doc_decontaminate_neardup",
-          lambda: DP.doc_decontaminate_neardup(docs_dir))
+          lambda: dp_dedup.doc_decontaminate_neardup(docs_dir))
     timed("doc_repetition_stats",
-          lambda: DP.doc_repetition_stats(docs_dir))
-    timed("doc_quality_gopher", lambda: DP.doc_quality_gopher(docs_dir))
-    timed("doc_quality_c4", lambda: DP.doc_quality_c4(docs_dir))
-    timed("doc_ccnet_buckets", lambda: DP.doc_ccnet_buckets(docs_dir))
-    timed("doc_emb_curation", lambda: DP.doc_emb_curation(
+          lambda: dp_text.doc_repetition_stats(docs_dir))
+    timed("doc_quality_gopher", lambda: dp_text.doc_quality_gopher(docs_dir))
+    timed("doc_quality_c4", lambda: dp_text.doc_quality_c4(docs_dir))
+    timed("doc_ccnet_buckets",
+          lambda: dp_retrieval.doc_ccnet_buckets(docs_dir))
+    timed("doc_emb_curation", lambda: dp_rel_events.doc_emb_curation(
         synthdata.ensure_doc_emb(n_docs, n_emb)))
-    timed("doc_paragraph_dedup", lambda: DP.doc_paragraph_dedup(docs_dir))
-    timed("doc_mix_epochs", lambda: DP.doc_mix_epochs(docs_dir))
-    timed("doc_entropy", lambda: DP.doc_entropy(docs_dir))
-    timed("doc_quality_linear", lambda: DP.doc_quality_linear(docs_dir))
+    timed("doc_paragraph_dedup", lambda: dp_text.doc_paragraph_dedup(docs_dir))
+    timed("doc_mix_epochs", lambda: dp_dedup.doc_mix_epochs(docs_dir))
+    timed("doc_entropy", lambda: dp_text.doc_entropy(docs_dir))
+    timed("doc_quality_linear", lambda: dp_text.doc_quality_linear(docs_dir))
     timed("doc_dedup_incremental",
-          lambda: DP.doc_dedup_incremental(docs_dir))
+          lambda: dp_rel_events.doc_dedup_incremental(docs_dir))
     timed("doc_bigram_logprob",
-          lambda: DP.doc_bigram_logprob(docs_dir))
+          lambda: dp_retrieval.doc_bigram_logprob(docs_dir))
     timed("doc_pack_materialize",
-          lambda: DP.doc_pack_materialize(docs_dir))
-    timed("doc_fingerprint", lambda: DP.doc_fingerprint(docs_dir))
-    timed("doc_winnow", lambda: DP.doc_winnow(docs_dir))
-    timed("doc_chunk", lambda: DP.doc_chunk(docs_dir))
-    timed("doc_token_stats", lambda: DP.doc_token_stats(docs_dir))
-    timed("doc_lang_id", lambda: DP.doc_lang_id(docs_dir))
-    timed("doc_decontaminate", lambda: DP.doc_decontaminate(docs_dir))
-    timed("doc_sample_hash", lambda: DP.doc_sample_hash(docs_dir))
-    timed("doc_sample_reservoir", lambda: DP.doc_sample_reservoir(docs_dir))
-    timed("doc_sample_weighted", lambda: DP.doc_sample_weighted(docs_dir))
-    timed("doc_split_assign", lambda: DP.doc_split_assign(docs_dir))
+          lambda: dp_text.doc_pack_materialize(docs_dir))
+    timed("doc_fingerprint", lambda: dp_text.doc_fingerprint(docs_dir))
+    timed("doc_winnow", lambda: dp_text.doc_winnow(docs_dir))
+    timed("doc_chunk", lambda: dp_retrieval.doc_chunk(docs_dir))
+    timed("doc_token_stats", lambda: dp_text.doc_token_stats(docs_dir))
+    timed("doc_lang_id", lambda: dp_text.doc_lang_id(docs_dir))
+    timed("doc_decontaminate", lambda: dp_dedup.doc_decontaminate(docs_dir))
+    timed("doc_sample_hash", lambda: dp_dedup.doc_sample_hash(docs_dir))
+    timed("doc_sample_reservoir",
+          lambda: dp_dedup.doc_sample_reservoir(docs_dir))
+    timed("doc_sample_weighted",
+          lambda: dp_dedup.doc_sample_weighted(docs_dir))
+    timed("doc_split_assign", lambda: dp_dedup.doc_split_assign(docs_dir))
     timed("doc_length_histogram",
-          lambda: DP.doc_length_histogram(docs_dir))
+          lambda: dp_dedup.doc_length_histogram(docs_dir))
     timed("doc_sample_stratified",
-          lambda: DP.doc_sample_stratified(docs_dir))
-    timed("doc_vocab_topk", lambda: DP.doc_vocab_topk(docs_dir))
-    timed("doc_vocab_bigrams", lambda: DP.doc_vocab_bigrams(docs_dir))
-    timed("doc_bm25_topk", lambda: DP.doc_bm25_topk(docs_dir))
+          lambda: dp_dedup.doc_sample_stratified(docs_dir))
+    timed("doc_vocab_topk", lambda: dp_text.doc_vocab_topk(docs_dir))
+    timed("doc_vocab_bigrams", lambda: dp_text.doc_vocab_bigrams(docs_dir))
+    timed("doc_bm25_topk", lambda: dp_retrieval.doc_bm25_topk(docs_dir))
     timed("doc_compression_ratio",
-          lambda: DP.doc_compression_ratio(docs_dir))
-    timed("doc_tokenize_ids", lambda: DP.doc_tokenize_ids(docs_dir))
+          lambda: dp_dedup.doc_compression_ratio(docs_dir))
+    timed("doc_tokenize_ids", lambda: dp_text.doc_tokenize_ids(docs_dir))
     timed("doc_perplexity_bigram",
-          lambda: DP.doc_perplexity_bigram(docs_dir))
-    timed("doc_shuffle_order", lambda: DP.doc_shuffle_order(docs_dir))
+          lambda: dp_text.doc_perplexity_bigram(docs_dir))
+    timed("doc_shuffle_order", lambda: dp_text.doc_shuffle_order(docs_dir))
     # exact all-pairs embedding near-dup: capped like ngram (O(n^2))
     timed(f"emb_dedup_cosine_{n_ngram // 1000}k",
-          lambda: DP.emb_dedup_cosine(synthdata.ensure_embeddings(n_ngram)))
-    timed("events_hourly", lambda: DP.events_hourly(events_dir))
-    timed("events_anomaly_mad", lambda: DP.events_anomaly_mad(events_dir))
+          lambda: dp_dedup.emb_dedup_cosine(
+              synthdata.ensure_embeddings(n_ngram)))
+    timed("events_hourly", lambda: dp_retrieval.events_hourly(events_dir))
+    timed("events_anomaly_mad",
+          lambda: dp_retrieval.events_anomaly_mad(events_dir))
     timed("events_daily_active",
-          lambda: DP.events_daily_active(events_dir))
+          lambda: dp_retrieval.events_daily_active(events_dir))
     timed("events_sliding_distinct",
-          lambda: DP.events_sliding_distinct(events_dir))
-    timed("events_funnel", lambda: DP.events_funnel(
+          lambda: dp_rel_events.events_sliding_distinct(events_dir))
+    timed("events_funnel", lambda: dp_retrieval.events_funnel(
         events_dir, stages=("view", "click", "buy")))
     timed("events_quantiles_kll",
-          lambda: DP.events_quantiles_kll(events_dir))
+          lambda: dp_rel_events.events_quantiles_kll(events_dir))
     timed("events_user_value_topk",
-          lambda: DP.events_user_value_topk(events_dir))
-    timed("events_retention", lambda: DP.events_retention(events_dir))
-    timed("events_ab_ttest", lambda: DP.events_ab_ttest(events_dir))
+          lambda: dp_rel_events.events_user_value_topk(events_dir))
+    timed("events_retention",
+          lambda: dp_retrieval.events_retention(events_dir))
+    timed("events_ab_ttest", lambda: dp_rel_events.events_ab_ttest(events_dir))
     timed("events_running_total",
-          lambda: DP.events_running_total(events_dir))
+          lambda: dp_rel_events.events_running_total(events_dir))
     timed("events_user_features",
-          lambda: DP.events_user_features(events_dir))
-    timed("events_sessionize", lambda: DP.events_sessionize(events_dir))
+          lambda: dp_rel_events.events_user_features(events_dir))
+    timed("events_sessionize",
+          lambda: dp_rel_events.events_sessionize(events_dir))
     timed("events_sessionize_salted",
-          lambda: DP.events_sessionize_salted(events_dir))
-    timed("emb_similarity_topk", lambda: DP.emb_similarity_topk(emb_dir))
-    timed("emb_batch_search", lambda: DP.emb_batch_search(emb_dir))
-    timed("emb_ann_recall", lambda: DP.emb_ann_recall(emb_dir))
+          lambda: dp_rel_events.events_sessionize_salted(events_dir))
+    timed("emb_similarity_topk", lambda: dp_emb.emb_similarity_topk(emb_dir))
+    timed("emb_batch_search", lambda: dp_emb.emb_batch_search(emb_dir))
+    timed("emb_ann_recall", lambda: dp_emb.emb_ann_recall(emb_dir))
     # exact all-pairs k-NN: capped input like ngram (quadratic compute)
     timed(f"emb_knn_join_{n_knn // 1000}k",
-          lambda: DP.emb_knn_join(knn_dir))
-    timed("emb_ann_lsh", lambda: DP.emb_ann_lsh(emb_dir))
-    timed("emb_ann_ivf", lambda: DP.emb_ann_ivf(emb_dir))
-    timed("emb_semdedup", lambda: DP.emb_semdedup(emb_dir))
-    timed("emb_kmeans", lambda: DP.emb_kmeans(emb_dir))
-    timed("emb_quantize_sq8", lambda: DP.emb_quantize_sq8(emb_dir))
-    timed("emb_project_rp", lambda: DP.emb_project_rp(emb_dir))
-    timed("emb_ann_sq8", lambda: DP.emb_ann_sq8(emb_dir))
-    timed("emb_kmeans_step", lambda: DP.emb_kmeans_step(emb_dir))
-    timed("emb_pq_codes", lambda: DP.emb_pq_codes(emb_dir))
-    timed("emb_ann_pq", lambda: DP.emb_ann_pq(emb_dir))
-    timed("emb_pq_error", lambda: DP.emb_pq_error(emb_dir))
-    timed("emb_covariance", lambda: DP.emb_covariance(emb_dir))
-    timed("emb_pca_project", lambda: DP.emb_pca_project(emb_dir))
-    timed("emb_ann_ivfpq", lambda: DP.emb_ann_ivfpq(emb_dir))
-    timed("emb_outlier_scores", lambda: DP.emb_outlier_scores(emb_dir))
-    timed("emb_sample_balanced", lambda: DP.emb_sample_balanced(emb_dir))
+          lambda: dp_retrieval.emb_knn_join(knn_dir))
+    timed("emb_ann_lsh", lambda: dp_emb.emb_ann_lsh(emb_dir))
+    timed("emb_ann_ivf", lambda: dp_emb.emb_ann_ivf(emb_dir))
+    timed("emb_semdedup", lambda: dp_emb.emb_semdedup(emb_dir))
+    timed("emb_kmeans", lambda: dp_emb.emb_kmeans(emb_dir))
+    timed("emb_quantize_sq8", lambda: dp_emb.emb_quantize_sq8(emb_dir))
+    timed("emb_project_rp", lambda: dp_emb.emb_project_rp(emb_dir))
+    timed("emb_ann_sq8", lambda: dp_emb.emb_ann_sq8(emb_dir))
+    timed("emb_kmeans_step", lambda: dp_emb.emb_kmeans_step(emb_dir))
+    timed("emb_pq_codes", lambda: dp_emb.emb_pq_codes(emb_dir))
+    timed("emb_ann_pq", lambda: dp_emb.emb_ann_pq(emb_dir))
+    timed("emb_pq_error", lambda: dp_emb.emb_pq_error(emb_dir))
+    timed("emb_covariance", lambda: dp_emb.emb_covariance(emb_dir))
+    timed("emb_pca_project", lambda: dp_emb.emb_pca_project(emb_dir))
+    timed("emb_ann_ivfpq", lambda: dp_emb.emb_ann_ivfpq(emb_dir))
+    timed("emb_outlier_scores", lambda: dp_emb.emb_outlier_scores(emb_dir))
+    timed("emb_sample_balanced", lambda: dp_emb.emb_sample_balanced(emb_dir))
     # real-decoder throughput (actor pools; synth is per-doc Python so
     # these run at the ngram cap, not 4M — the decode rate is the story)
     timed(f"multimodal_ppm_{n_ngram // 1000}k",
-          lambda: DP.multimodal_features(small_docs_dir))
+          lambda: dp_multimodal.multimodal_features(small_docs_dir))
     timed(f"multimodal_png_{n_ngram // 1000}k",
-          lambda: DP.multimodal_png_features(small_docs_dir))
+          lambda: dp_multimodal.multimodal_png_features(small_docs_dir))
     timed(f"multimodal_wav_{n_ngram // 1000}k",
-          lambda: DP.multimodal_audio_features(small_docs_dir))
+          lambda: dp_multimodal.multimodal_audio_features(small_docs_dir))
     timed(f"multimodal_resize_{n_ngram // 1000}k",
-          lambda: DP.multimodal_image_resize(small_docs_dir))
+          lambda: dp_multimodal.multimodal_image_resize(small_docs_dir))
     timed(f"multimodal_bmp_{n_ngram // 1000}k",
-          lambda: DP.multimodal_bmp_features(small_docs_dir))
+          lambda: dp_multimodal.multimodal_bmp_features(small_docs_dir))
     timed("multimodal_gif_features",
-          lambda: DP.multimodal_gif_features(small_docs_dir))
+          lambda: dp_multimodal.multimodal_gif_features(small_docs_dir))
     timed("multimodal_ulaw_20k",
-          lambda: DP.multimodal_ulaw_features(small_docs_dir))
+          lambda: dp_multimodal.multimodal_ulaw_features(small_docs_dir))
     timed("multimodal_alaw_20k",
-          lambda: DP.multimodal_alaw_features(small_docs_dir))
+          lambda: dp_multimodal.multimodal_alaw_features(small_docs_dir))
 
     ray.shutdown()
     return {

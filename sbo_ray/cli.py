@@ -72,17 +72,20 @@ def _input_dataset(inputs: list[str]):
 
 
 def cmd_count(args) -> int:
+    from . import exchange as X
     from .pipelines import logpipe
     from .report import keyed_counters_table_to_dict, render_counter_report
 
     _init_ray()
     job = _load_job(args, args.inputs)
     ds, _ = _input_dataset(args.inputs)
-    g = logpipe.global_counters(logpipe.enriched_dataset_from(ds, job))
-    ds2, _ = _input_dataset(args.inputs)
-    keyed = logpipe.keyed_counters_dataset(logpipe.enriched_dataset_from(ds2, job))
-    kd = keyed_counters_table_to_dict(keyed.to_pandas())
-    print(render_counter_report(g, kd, args.top_n))
+    # one read and parse: the global and keyed counters come out of the
+    # same unified partial merge as the flagship's
+    out = logpipe.split_unified(X.merge(
+        logpipe.enriched_dataset_from(ds, job), logpipe.unified_partial,
+        logpipe.UNIFIED_KEYS, logpipe.UNIFIED_SCHEMA))
+    kd = keyed_counters_table_to_dict(out["keyed_counters"])
+    print(render_counter_report(out["global_counters"], kd, args.top_n))
     return 0
 
 
@@ -187,7 +190,7 @@ def _curation_shard_parts(src: tuple, P: int, lang: str, min_tokens: int,
     import pyarrow.parquet as pq
 
     from . import exchange as X
-    from .pipelines.datapipe import _curation_kept
+    from .pipelines.dp_text import _curation_kept
 
     shard_idx, path = src
     t = pq.read_table(path, columns=["doc_id", "text"])
@@ -287,7 +290,7 @@ def _cmd_curate_full(args, out: str) -> int:
 
     from . import exchange as X
     from . import fsio
-    from .pipelines.datapipe import _CURATION_SCALE, _curation_kept
+    from .pipelines.dp_text import _CURATION_SCALE, _curation_kept
 
     lang, mn, mx = "en", 20, 1000
     thr = int(round(0.015 * _CURATION_SCALE))

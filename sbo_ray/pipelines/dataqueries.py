@@ -15,7 +15,9 @@ Oracle styles per query (see queries.py for the taxonomy):
 from __future__ import annotations
 
 from ..functions.text import _FP_BASE, _FP_WINDOW, LANG_STOPWORDS
-from . import datapipe as P
+from . import (
+    dp_dedup, dp_emb, dp_multimodal, dp_rel_events, dp_retrieval, dp_text,
+)
 
 
 def _sql_list(words) -> str:
@@ -151,7 +153,7 @@ FROM documents
 # empty tokens, matching the engine's split_pattern), counted per gram
 # POSITION; blocklist grams inlined as literals (tiny by contract)
 def _decontam_grams(n: int = 3) -> list[str]:
-    from .datapipe import _DECONTAM_DEFAULT
+    from .dp_dedup import _DECONTAM_DEFAULT
     out = set()
     for p in _DECONTAM_DEFAULT:
         ws = p.split(" ")
@@ -556,9 +558,10 @@ FROM sig a JOIN sig b ON a.doc_id < b.doc_id
 WHERE bit_count(xor(a.simhash, b.simhash)) <= 3
 """
 
-# Exact mirror of the Bloom incremental dedup (datapipe._bloom_positions
-# with m=2^22, k=4): the sketch is deterministic integer arithmetic, so
-# even its false positives reproduce bit-for-bit. Same md5-first-8-bytes
+# Exact mirror of the Bloom incremental dedup
+# (dp_rel_events._bloom_positions with m=2^22, k=4): the sketch is
+# deterministic integer arithmetic, so even its false positives
+# reproduce bit-for-bit. Same md5-first-8-bytes
 # >> 1 content hash; the four multiplicative mixes run mod 2^64 in
 # HUGEINT (the _FP_POWERS wraparound idiom — UBIGINT multiply would
 # overflow-error, not wrap), then >> 17 (// 131072) % 4194304. A
@@ -2412,130 +2415,130 @@ FROM events GROUP BY 1, 2
 
 def data_queries() -> dict:
     return {
-        "doc_dedup_exact": P.doc_dedup_exact,
-        "doc_dedup_substring": P.doc_dedup_substring,
-        "doc_sample_hash": P.doc_sample_hash,
-        "doc_sample_reservoir": P.doc_sample_reservoir,
-        "doc_sample_weighted": P.doc_sample_weighted,
-        "doc_split_assign": P.doc_split_assign,
-        "doc_length_histogram": P.doc_length_histogram,
-        "doc_decontaminate": P.doc_decontaminate,
-        "doc_sample_stratified": P.doc_sample_stratified,
-        "doc_dedup_minhash": P.doc_dedup_minhash,
-        "doc_dedup_ngram": P.doc_dedup_ngram,
-        "doc_dedup_containment": P.doc_dedup_containment,
-        "doc_curation_pipeline": P.doc_curation_pipeline,
-        "doc_curation_report": P.doc_curation_report,
-        "doc_dedup_clusters": P.doc_dedup_clusters,
-        "doc_dedup_clusters_lp": P.doc_dedup_clusters_lp,
-        "doc_dedup_near_keep": P.doc_dedup_near_keep,
+        "doc_dedup_exact": dp_dedup.doc_dedup_exact,
+        "doc_dedup_substring": dp_dedup.doc_dedup_substring,
+        "doc_sample_hash": dp_dedup.doc_sample_hash,
+        "doc_sample_reservoir": dp_dedup.doc_sample_reservoir,
+        "doc_sample_weighted": dp_dedup.doc_sample_weighted,
+        "doc_split_assign": dp_dedup.doc_split_assign,
+        "doc_length_histogram": dp_dedup.doc_length_histogram,
+        "doc_decontaminate": dp_dedup.doc_decontaminate,
+        "doc_sample_stratified": dp_dedup.doc_sample_stratified,
+        "doc_dedup_minhash": dp_dedup.doc_dedup_minhash,
+        "doc_dedup_ngram": dp_dedup.doc_dedup_ngram,
+        "doc_dedup_containment": dp_dedup.doc_dedup_containment,
+        "doc_curation_pipeline": dp_text.doc_curation_pipeline,
+        "doc_curation_report": dp_text.doc_curation_report,
+        "doc_dedup_clusters": dp_dedup.doc_dedup_clusters,
+        "doc_dedup_clusters_lp": dp_dedup.doc_dedup_clusters_lp,
+        "doc_dedup_near_keep": dp_dedup.doc_dedup_near_keep,
         # threshold 0.5 for the driver gate: the testdata embeddings
         # carry label clusters but no planted 0.95-cosine duplicates,
         # so the production default would emit 0 rows and the rows-only
         # check would gate nothing
-        "emb_semdedup": lambda sf: P.emb_semdedup(sf, threshold=0.5),
-        "emb_kmeans": P.emb_kmeans,
-        "doc_dedup_simhash": P.doc_dedup_simhash,
-        "emb_dedup_cosine": P.emb_dedup_cosine,
-        "emb_similarity_topk": P.emb_similarity_topk,
-        "emb_batch_search": P.emb_batch_search,
-        "emb_ann_recall": P.emb_ann_recall,
-        "emb_ann_lsh": P.emb_ann_lsh,
-        "emb_ann_ivf": P.emb_ann_ivf,
-        "emb_quantize_sq8": P.emb_quantize_sq8,
-        "emb_project_rp": P.emb_project_rp,
-        "emb_ann_sq8": P.emb_ann_sq8,
-        "emb_kmeans_step": P.emb_kmeans_step,
-        "emb_pq_codes": P.emb_pq_codes,
-        "emb_ann_pq": P.emb_ann_pq,
-        "emb_pq_error": P.emb_pq_error,
-        "doc_compression_ratio": P.doc_compression_ratio,
-        "emb_covariance": P.emb_covariance,
-        "emb_pca_project": P.emb_pca_project,
-        "emb_ann_ivfpq": P.emb_ann_ivfpq,
-        "emb_sample_balanced": P.emb_sample_balanced,
-        "doc_token_stats": P.doc_token_stats,
-        "doc_token_stats_jsonl": P.doc_token_stats_jsonl,
-        "doc_lang_id": P.doc_lang_id,
-        "doc_fingerprint": P.doc_fingerprint,
-        "doc_winnow": P.doc_winnow,
-        "doc_pii_redact": P.doc_pii_redact,
-        "doc_repetition_stats": P.doc_repetition_stats,
-        "doc_quality_gopher": P.doc_quality_gopher,
-        "doc_quality_c4": P.doc_quality_c4,
-        "doc_ccnet_buckets": P.doc_ccnet_buckets,
-        "doc_emb_curation": P.doc_emb_curation,
-        "doc_paragraph_dedup": P.doc_paragraph_dedup,
-        "doc_mix_epochs": P.doc_mix_epochs,
-        "doc_dedup_incremental": P.doc_dedup_incremental,
-        "doc_quality_linear": P.doc_quality_linear,
-        "doc_dsir_weights": P.doc_dsir_weights,
-        "doc_entropy": P.doc_entropy,
-        "doc_vocab_topk": P.doc_vocab_topk,
-        "doc_vocab_bigrams": P.doc_vocab_bigrams,
-        "doc_bm25_topk": P.doc_bm25_topk,
-        "emb_outlier_scores": P.emb_outlier_scores,
-        "doc_tokenize_ids": P.doc_tokenize_ids,
-        "doc_perplexity_bigram": P.doc_perplexity_bigram,
-        "doc_shuffle_order": P.doc_shuffle_order,
-        "doc_chunk": P.doc_chunk,
-        "emb_label_centroids": P.emb_label_centroids,
-        "events_props_extract": P.events_props_extract,
-        "events_asof_join": P.events_asof_join,
-        "events_window_join": P.events_window_join,
-        "events_sliding_window": P.events_sliding_window,
-        "events_sliding_distinct": P.events_sliding_distinct,
-        "events_user_value_topk": P.events_user_value_topk,
-        "events_running_total": P.events_running_total,
-        "events_ab_ttest": P.events_ab_ttest,
-        "events_attribution": P.events_attribution,
-        "events_attribution_first": P.events_attribution_first,
-        "events_cohort_ltv": P.events_cohort_ltv,
-        "emb_triplet_mining": P.emb_triplet_mining,
-        "orders_large_volume": P.orders_large_volume,
-        "multimodal_qoi_features": P.multimodal_qoi_features,
-        "doc_dedup_bloom": P.doc_dedup_bloom,
-        "events_user_features": P.events_user_features,
-        "events_transitions": P.events_transitions,
-        "events_quantiles": P.events_quantiles,
-        "events_quantiles_kll": P.events_quantiles_kll,
-        "doc_group_topk": P.doc_group_topk,
-        "doc_pack_sequences": P.doc_pack_sequences,
-        "doc_decontaminate_ngram": P.doc_decontaminate_ngram,
-        "doc_decontaminate_neardup": P.doc_decontaminate_neardup,
-        "doc_pack_materialize": P.doc_pack_materialize,
-        "events_funnel": P.events_funnel,
-        "doc_tfidf": P.doc_tfidf,
-        "emb_knn_join": P.emb_knn_join,
-        "doc_unigram_logprob": P.doc_unigram_logprob,
-        "doc_bigram_logprob": P.doc_bigram_logprob,
-        "multimodal_payload_stats": P.multimodal_payload_stats,
-        "multimodal_frame_sample": P.multimodal_frame_sample,
-        "multimodal_features": P.multimodal_features,
-        "multimodal_png_features": P.multimodal_png_features,
-        "multimodal_bmp_features": P.multimodal_bmp_features,
-        "multimodal_gif_features": P.multimodal_gif_features,
-        "multimodal_image_resize": P.multimodal_image_resize,
-        "multimodal_audio_features": P.multimodal_audio_features,
-        "multimodal_ulaw_features": P.multimodal_ulaw_features,
-        "multimodal_alaw_features": P.multimodal_alaw_features,
-        "customer_nation_agg": P.customer_nation_agg,
-        "customer_no_orders": P.customer_no_orders,
-        "supplier_nation_revenue": P.supplier_nation_revenue,
-        "part_brand_revenue": P.part_brand_revenue,
-        "region_revenue_by_year": P.region_revenue_by_year,
-        "events_retention": P.events_retention,
-        "orders_mktsegment_revenue": P.orders_mktsegment_revenue,
-        "orders_shipping_priority": P.orders_shipping_priority,
-        "orders_with_returns": P.orders_with_returns,
-        "customer_rfm": P.customer_rfm,
-        "lineitem_pricing_summary": P.lineitem_pricing_summary,
-        "orders_by_month": P.orders_by_month,
-        "events_hourly": P.events_hourly,
-        "events_daily_active": P.events_daily_active,
-        "events_anomaly_mad": P.events_anomaly_mad,
-        "events_sessionize": P.events_sessionize,
-        "events_sessionize_salted": P.events_sessionize_salted,
+        "emb_semdedup": lambda sf: dp_emb.emb_semdedup(sf, threshold=0.5),
+        "emb_kmeans": dp_emb.emb_kmeans,
+        "doc_dedup_simhash": dp_dedup.doc_dedup_simhash,
+        "emb_dedup_cosine": dp_dedup.emb_dedup_cosine,
+        "emb_similarity_topk": dp_emb.emb_similarity_topk,
+        "emb_batch_search": dp_emb.emb_batch_search,
+        "emb_ann_recall": dp_emb.emb_ann_recall,
+        "emb_ann_lsh": dp_emb.emb_ann_lsh,
+        "emb_ann_ivf": dp_emb.emb_ann_ivf,
+        "emb_quantize_sq8": dp_emb.emb_quantize_sq8,
+        "emb_project_rp": dp_emb.emb_project_rp,
+        "emb_ann_sq8": dp_emb.emb_ann_sq8,
+        "emb_kmeans_step": dp_emb.emb_kmeans_step,
+        "emb_pq_codes": dp_emb.emb_pq_codes,
+        "emb_ann_pq": dp_emb.emb_ann_pq,
+        "emb_pq_error": dp_emb.emb_pq_error,
+        "doc_compression_ratio": dp_dedup.doc_compression_ratio,
+        "emb_covariance": dp_emb.emb_covariance,
+        "emb_pca_project": dp_emb.emb_pca_project,
+        "emb_ann_ivfpq": dp_emb.emb_ann_ivfpq,
+        "emb_sample_balanced": dp_emb.emb_sample_balanced,
+        "doc_token_stats": dp_text.doc_token_stats,
+        "doc_token_stats_jsonl": dp_text.doc_token_stats_jsonl,
+        "doc_lang_id": dp_text.doc_lang_id,
+        "doc_fingerprint": dp_text.doc_fingerprint,
+        "doc_winnow": dp_text.doc_winnow,
+        "doc_pii_redact": dp_text.doc_pii_redact,
+        "doc_repetition_stats": dp_text.doc_repetition_stats,
+        "doc_quality_gopher": dp_text.doc_quality_gopher,
+        "doc_quality_c4": dp_text.doc_quality_c4,
+        "doc_ccnet_buckets": dp_retrieval.doc_ccnet_buckets,
+        "doc_emb_curation": dp_rel_events.doc_emb_curation,
+        "doc_paragraph_dedup": dp_text.doc_paragraph_dedup,
+        "doc_mix_epochs": dp_dedup.doc_mix_epochs,
+        "doc_dedup_incremental": dp_rel_events.doc_dedup_incremental,
+        "doc_quality_linear": dp_text.doc_quality_linear,
+        "doc_dsir_weights": dp_text.doc_dsir_weights,
+        "doc_entropy": dp_text.doc_entropy,
+        "doc_vocab_topk": dp_text.doc_vocab_topk,
+        "doc_vocab_bigrams": dp_text.doc_vocab_bigrams,
+        "doc_bm25_topk": dp_retrieval.doc_bm25_topk,
+        "emb_outlier_scores": dp_emb.emb_outlier_scores,
+        "doc_tokenize_ids": dp_text.doc_tokenize_ids,
+        "doc_perplexity_bigram": dp_text.doc_perplexity_bigram,
+        "doc_shuffle_order": dp_text.doc_shuffle_order,
+        "doc_chunk": dp_retrieval.doc_chunk,
+        "emb_label_centroids": dp_retrieval.emb_label_centroids,
+        "events_props_extract": dp_retrieval.events_props_extract,
+        "events_asof_join": dp_retrieval.events_asof_join,
+        "events_window_join": dp_retrieval.events_window_join,
+        "events_sliding_window": dp_rel_events.events_sliding_window,
+        "events_sliding_distinct": dp_rel_events.events_sliding_distinct,
+        "events_user_value_topk": dp_rel_events.events_user_value_topk,
+        "events_running_total": dp_rel_events.events_running_total,
+        "events_ab_ttest": dp_rel_events.events_ab_ttest,
+        "events_attribution": dp_rel_events.events_attribution,
+        "events_attribution_first": dp_rel_events.events_attribution_first,
+        "events_cohort_ltv": dp_rel_events.events_cohort_ltv,
+        "emb_triplet_mining": dp_retrieval.emb_triplet_mining,
+        "orders_large_volume": dp_rel_events.orders_large_volume,
+        "multimodal_qoi_features": dp_multimodal.multimodal_qoi_features,
+        "doc_dedup_bloom": dp_rel_events.doc_dedup_bloom,
+        "events_user_features": dp_rel_events.events_user_features,
+        "events_transitions": dp_rel_events.events_transitions,
+        "events_quantiles": dp_rel_events.events_quantiles,
+        "events_quantiles_kll": dp_rel_events.events_quantiles_kll,
+        "doc_group_topk": dp_text.doc_group_topk,
+        "doc_pack_sequences": dp_text.doc_pack_sequences,
+        "doc_decontaminate_ngram": dp_dedup.doc_decontaminate_ngram,
+        "doc_decontaminate_neardup": dp_dedup.doc_decontaminate_neardup,
+        "doc_pack_materialize": dp_text.doc_pack_materialize,
+        "events_funnel": dp_retrieval.events_funnel,
+        "doc_tfidf": dp_retrieval.doc_tfidf,
+        "emb_knn_join": dp_retrieval.emb_knn_join,
+        "doc_unigram_logprob": dp_retrieval.doc_unigram_logprob,
+        "doc_bigram_logprob": dp_retrieval.doc_bigram_logprob,
+        "multimodal_payload_stats": dp_multimodal.multimodal_payload_stats,
+        "multimodal_frame_sample": dp_multimodal.multimodal_frame_sample,
+        "multimodal_features": dp_multimodal.multimodal_features,
+        "multimodal_png_features": dp_multimodal.multimodal_png_features,
+        "multimodal_bmp_features": dp_multimodal.multimodal_bmp_features,
+        "multimodal_gif_features": dp_multimodal.multimodal_gif_features,
+        "multimodal_image_resize": dp_multimodal.multimodal_image_resize,
+        "multimodal_audio_features": dp_multimodal.multimodal_audio_features,
+        "multimodal_ulaw_features": dp_multimodal.multimodal_ulaw_features,
+        "multimodal_alaw_features": dp_multimodal.multimodal_alaw_features,
+        "customer_nation_agg": dp_rel_events.customer_nation_agg,
+        "customer_no_orders": dp_rel_events.customer_no_orders,
+        "supplier_nation_revenue": dp_retrieval.supplier_nation_revenue,
+        "part_brand_revenue": dp_retrieval.part_brand_revenue,
+        "region_revenue_by_year": dp_retrieval.region_revenue_by_year,
+        "events_retention": dp_retrieval.events_retention,
+        "orders_mktsegment_revenue": dp_rel_events.orders_mktsegment_revenue,
+        "orders_shipping_priority": dp_rel_events.orders_shipping_priority,
+        "orders_with_returns": dp_rel_events.orders_with_returns,
+        "customer_rfm": dp_rel_events.customer_rfm,
+        "lineitem_pricing_summary": dp_rel_events.lineitem_pricing_summary,
+        "orders_by_month": dp_rel_events.orders_by_month,
+        "events_hourly": dp_retrieval.events_hourly,
+        "events_daily_active": dp_retrieval.events_daily_active,
+        "events_anomaly_mad": dp_retrieval.events_anomaly_mad,
+        "events_sessionize": dp_rel_events.events_sessionize,
+        "events_sessionize_salted": dp_rel_events.events_sessionize_salted,
     }
 
 

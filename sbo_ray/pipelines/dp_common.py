@@ -1,29 +1,19 @@
-"""Shared infrastructure for the datapipe family modules: pruned reads, partition sizing, the exchange keys and the distinct-user fold, and the bandwidth-cap rule.
+"""Shared infrastructure for the data-side family modules: pruned reads, partition sizing, the exchange keys and the distinct-user fold, and the bandwidth-cap rule.
 
-Mechanical r5 split of pipelines/datapipe.py (the facade re-exports
-everything; import from ``datapipe`` unless you need this module's
-namespace specifically, e.g. to monkeypatch a helper its functions
-actually resolve). ``__all__`` lists underscore helpers on purpose:
-the chained star-imports and the facade must see them.
+Each data-side family module (``dp_*``) imports the helpers it uses
+from here by name.
 """
 from __future__ import annotations
 
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray
 import ray.data as rd
 
-from ..functions import dedup as D
-from ..functions import similarity as S
-from ..functions import text as T
-from ..functions.multimodal import DecoderStub, to_payload_table
 from .logpipe import _cpus, tune_context
-
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None) -> rd.Dataset:
@@ -38,8 +28,6 @@ def _parquet_num_rows(sf_dir: str, table: str) -> int:
     import pyarrow.parquet as pq
 
     return pq.ParquetFile(os.path.join(sf_dir, f"{table}.parquet")).metadata.num_rows
-
-
 
 
 def _user_key(t: pa.Table) -> np.ndarray:
@@ -80,13 +68,3 @@ def _bw_task_cpus(target_concurrency: int) -> int:
         n_nodes = 1
     node_cpus = max(1, _cpus() // n_nodes)
     return max(1, round(node_cpus / target_concurrency))
-
-
-__all__ = [
-    "_read",
-    "_parquet_num_rows",
-    "_user_key",
-    "_col_key",
-    "_distinct_users",
-    "_bw_task_cpus",
-]

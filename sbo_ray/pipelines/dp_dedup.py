@@ -1,14 +1,10 @@
 """Dedup + sampling family: exact/near dedup (minhash, simhash, ngram, containment, substring), LSH candidate plumbing, label-prop clustering, decontamination, hash/weighted/reservoir/stratified sampling, split assignment.
 
-Mechanical r5 split of pipelines/datapipe.py (the facade re-exports
-everything; import from ``datapipe`` unless you need this module's
-namespace specifically, e.g. to monkeypatch a helper its functions
-actually resolve). ``__all__`` lists underscore helpers on purpose:
-the chained star-imports and the facade must see them.
+Imports what it uses by name from the module that defines it, and
+callers import this module's ops from here. Monkeypatch a helper where
+the op resolves it.
 """
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pandas as pd
@@ -21,11 +17,9 @@ import ray.data as rd
 from .. import exchange as X
 from ..functions import dedup as D
 from ..functions import similarity as S
-from ..functions import text as T
-from ..functions.multimodal import DecoderStub, to_payload_table
-from .logpipe import _cpus, tune_context
+from .logpipe import _cpus
 
-from .dp_common import *  # noqa: F401,F403
+from .dp_common import _bw_task_cpus, _col_key, _read
 
 # ---- dedup -----------------------------------------------------------------
 
@@ -617,21 +611,12 @@ def _candidate_pair_block_refs(sf_dir: str) -> list:
         _CAND_SCHEMA)
 
 
-def _pair_cols(block) -> np.ndarray | None:
-    """(n, 2) int64 pair array from an arrow or pandas block, or None."""
-    if block is None:
-        return None
-    if isinstance(block, pa.Table):
-        if block.num_rows == 0 or "id_a" not in block.column_names:
-            return None
-        return np.stack([
-            block.column("id_a").to_numpy(zero_copy_only=False),
-            block.column("id_b").to_numpy(zero_copy_only=False),
-        ], axis=1)
-    if len(block) == 0 or "id_a" not in block.columns:
-        return None
-    return np.stack([block["id_a"].to_numpy(), block["id_b"].to_numpy()],
-                    axis=1)
+def _pair_cols(block: pa.Table) -> np.ndarray:
+    """(n, 2) int64 pair array from a typed pair block."""
+    return np.stack([
+        block.column("id_a").to_numpy(zero_copy_only=False),
+        block.column("id_b").to_numpy(zero_copy_only=False),
+    ], axis=1)
 
 
 def _assemble_pairs(*blocks):
@@ -639,7 +624,7 @@ def _assemble_pairs(*blocks):
     global dedup (the same pair can surface from different bands in
     different partitions). Returns (pairs (n,2) int64, n) — the array
     stays in the object store; callers ray.get only the count."""
-    arrs = [a for a in (_pair_cols(b) for b in blocks) if a is not None]
+    arrs = [_pair_cols(b) for b in blocks]
     if not arrs:
         return np.empty((0, 2), dtype=np.int64), 0
     cn = np.concatenate(arrs).astype(np.int64, copy=False)
@@ -1139,12 +1124,41 @@ def _lp_combine(P, make_shortcut, labels: list, offer_shards: list):
     return (nodes, new), psum
 
 
-def _min_label_prop(pairs_t: pa.Table, max_rounds: int = 50,
-                    jump_after: int = 2,
-                    n_parts: int | None = None) -> tuple[pa.Table, int]:
+def _lp_edge_shard(block, P: int):
+    """Remote task: one verified-pair block -> P symmetrized edge shards
+    by the Fibonacci hash of u (num_returns=P, so each seed task pulls
+    only its shard). Pair rows never touch the driver."""
+    pr = _pair_cols(block)
+    u = np.concatenate([pr[:, 0], pr[:, 1]])
+    v = np.concatenate([pr[:, 1], pr[:, 0]])
+    return X.split(X.fib_partition(u, P), P, u, v)
+
+
+def _lp_seed_partition(*shards):
+    """Remote task: concat this partition's edge shards, derive its node
+    set (sorted unique u — exactly the nodes hashed here, since edges
+    are symmetrized and routed by u) and the initial labels. Returns
+    (edges, labels, n_nodes, node_sum); the driver reads only the two
+    ints."""
+    us = [s[0] for s in shards if len(s[0])]
+    vs = [s[1] for s in shards if len(s[1])]
+    if not us:
+        e = np.empty(0, dtype=np.int64)
+        return (e, e), (e, e.copy()), 0, 0
+    u = np.concatenate(us)
+    v = np.concatenate(vs)
+    nodes = np.unique(u)
+    return (u, v), (nodes, nodes.copy()), len(nodes), int(nodes.sum())
+
+
+def _label_prop(pair_refs: list, P: int,
+                max_rounds: int) -> tuple[pa.Table, int]:
     """Distributed min-label propagation with ADAPTIVE pointer doubling
-    over an undirected pair list; returns (sorted (u, label) table,
-    rounds run).
+    over the undirected pairs in ``pair_refs`` (typed ``id_a``/``id_b``
+    blocks) at P partitions; returns (sorted (u, label) table, rounds
+    run). Pair rows never touch the driver: each block is symmetrized
+    and sharded by ``u`` (``_lp_edge_shard``) and each partition seeds
+    its edges and labels in the object store (``_lp_seed_partition``).
 
     Each round is a two-phase hash shuffle over raw Ray tasks (the one
     place the Dataset API genuinely doesn't fit: an iterative fixpoint
@@ -1161,7 +1175,7 @@ def _min_label_prop(pairs_t: pa.Table, max_rounds: int = 50,
       phase 2  per label partition: grouped-min merge (sorted
                ``reduceat``), emitting one partial label-sum.
 
-    From round ``jump_after + 1`` on, phase 2 also emits SHORTCUT edges
+    From round 2 on, phase 2 also emits SHORTCUT edges
     ``label(u) -> u`` pre-sharded by the partition owning label(u), so
     phase 1 of the next round resolves ``label(label(u))`` in the same
     lookup — pointer doubling, dropping the remaining rounds from
@@ -1179,30 +1193,13 @@ def _min_label_prop(pairs_t: pa.Table, max_rounds: int = 50,
     exchange). Partitioning assumption (same as ``exchange.n_parts``): one hash
     partition of the CANDIDATE-PAIR graph fits in a worker; raise P for
     bigger graphs."""
-    ua = pairs_t.column("id_a").to_numpy(zero_copy_only=False)
-    ub = pairs_t.column("id_b").to_numpy(zero_copy_only=False)
-    u = np.concatenate([ua, ub]).astype(np.int64, copy=False)
-    v = np.concatenate([ub, ua]).astype(np.int64, copy=False)
-    nodes = np.unique(u)
-    # n_parts overrides, for tests that pin the cross-partition shard
-    # routing at high P
-    P = n_parts or X.row_parts(len(u))
-    edge_refs = [ray.put(s) for s in X.split(X.fib_partition(u, P), P, u, v)]
-    # np.unique gives sorted nodes; the stable split keeps each
-    # partition's node array sorted (searchsorted relies on this)
-    label_refs = [ray.put((s, s.copy()))
-                  for s in X.split(X.fib_partition(nodes, P), P, nodes)]
-    label_sum = int(nodes.sum())
-    return _lp_loop(edge_refs, label_refs, label_sum, P, max_rounds,
-                    jump_after)
-
-
-def _lp_loop(edge_refs, label_refs, label_sum, P, max_rounds, jump_after):
-    """The propagation fixpoint over pre-sharded object-store refs —
-    shared by the driver-seeded wrapper (_min_label_prop) and the fully
-    driver-free LSH path (doc_dedup_clusters_lp). See _min_label_prop
-    for the round anatomy; this function touches only refs and P ints
-    per round."""
+    edge_refs, label_refs, cnt_refs, sum_refs = X.combine(
+        _lp_seed_partition, X.shard(_lp_edge_shard, pair_refs, P, P),
+        num_returns=4)
+    if sum(ray.get(cnt_refs)) == 0:  # no pair: no node to label
+        e = pa.array([], type=pa.int64())
+        return pa.table({"u": e, "label": e}), 0
+    label_sum = sum(ray.get(sum_refs))
     edges = [[r] for r in edge_refs]
     shortcuts = [[] for _ in range(P)]  # [dest p][source q]
     rounds = 0
@@ -1210,7 +1207,7 @@ def _lp_loop(edge_refs, label_refs, label_sum, P, max_rounds, jump_after):
         offers = X.combine(_lp_propagate,
                            (edges, [[r] for r in label_refs], shortcuts),
                            P, num_returns=P)
-        make_sc = rounds + 1 > jump_after
+        make_sc = rounds >= 2
         out = X.combine(_lp_combine, ([[r] for r in label_refs], offers),
                         P, make_sc, num_returns=2 + (P if make_sc else 0))
         label_refs, sum_refs = out[0], out[1]
@@ -1236,35 +1233,6 @@ def _lp_loop(edge_refs, label_refs, label_sum, P, max_rounds, jump_after):
     }), rounds
 
 
-def _lp_edge_shard(block, P: int):
-    """Remote task: one verified-pair block -> P symmetrized edge shards
-    by the Fibonacci hash of u (num_returns=P, so each seed task pulls
-    only its shard). Pair rows never touch the driver."""
-    pr = _pair_cols(block)
-    if pr is None:
-        pr = np.empty((0, 2), dtype=np.int64)
-    u = np.concatenate([pr[:, 0], pr[:, 1]])
-    v = np.concatenate([pr[:, 1], pr[:, 0]])
-    return X.split(X.fib_partition(u, P), P, u, v)
-
-
-def _lp_seed_partition(*shards):
-    """Remote task: concat this partition's edge shards, derive its node
-    set (sorted unique u — exactly the nodes hashed here, since edges
-    are symmetrized and routed by u) and the initial labels. Returns
-    (edges, labels, n_nodes, node_sum); the driver reads only the two
-    ints."""
-    us = [s[0] for s in shards if len(s[0])]
-    vs = [s[1] for s in shards if len(s[1])]
-    if not us:
-        e = np.empty(0, dtype=np.int64)
-        return (e, e), (e, e.copy()), 0, 0
-    u = np.concatenate(us)
-    v = np.concatenate(vs)
-    nodes = np.unique(u)
-    return (u, v), (nodes, nodes.copy()), len(nodes), int(nodes.sum())
-
-
 def doc_dedup_clusters_lp(sf_dir: str, threshold: float = 0.8,
                           max_rounds: int = 50):
     """Near-dup clusters via DISTRIBUTED min-label propagation — the
@@ -1274,7 +1242,7 @@ def doc_dedup_clusters_lp(sf_dir: str, threshold: float = 0.8,
     map, verified-pair blocks AND the edge shards all live in the
     object store; the driver holds refs, per-partition node counts/sums
     (P ints) and the final (doc_id, cluster_id) output. The propagation
-    loop (pointer-doubled, O(log diameter) rounds; see _min_label_prop)
+    loop (pointer-doubled, O(log diameter) rounds; see _label_prop)
     ping-pongs only label tables. Output == union-find exactly (same
     min-id cluster labels), so the same recursive-CTE SQL oracle gates
     it."""
@@ -1290,15 +1258,7 @@ def doc_dedup_clusters_lp(sf_dir: str, threshold: float = 0.8,
     vrefs, total, _ = X.sized_block_refs(verified)
     if not vrefs:
         return empty_out
-    P = X.row_parts(2 * total)
-    edge_refs, label_refs, cnt_refs, sum_refs = X.combine(
-        _lp_seed_partition, X.shard(_lp_edge_shard, vrefs, P, P),
-        num_returns=4)
-    if sum(ray.get(cnt_refs)) == 0:  # no pair survived the verify
-        return empty_out
-    label_sum = sum(ray.get(sum_refs))
-    out, _rounds = _lp_loop(edge_refs, label_refs, label_sum, P,
-                            max_rounds, jump_after=2)
+    out, _rounds = _label_prop(vrefs, X.row_parts(2 * total), max_rounds)
     return pa.table({
         "doc_id": out.column("u"),
         "cluster_id": out.column("label"),
@@ -1395,53 +1355,3 @@ def emb_dedup_cosine(sf_dir: str, threshold: float = 0.35,
     return X.gather(_chunk_pair_join(refs, "vec_id", B, _cos_pair, threshold,
                                      num_cpus=_bw_task_cpus(16)),
                     _COS_PAIRS_SCHEMA)
-
-
-__all__ = [
-    "_text_hash_key",
-    "_DEDUP_EXACT",
-    "_min_doc_per_hash",
-    "doc_dedup_exact",
-    "doc_sample_hash",
-    "doc_mix_epochs",
-    "doc_sample_weighted",
-    "doc_compression_ratio",
-    "doc_length_histogram",
-    "doc_split_assign",
-    "doc_sample_reservoir",
-    "doc_sample_stratified",
-    "_DECONTAM_DEFAULT",
-    "doc_decontaminate",
-    "doc_dedup_substring",
-    "doc_decontaminate_ngram",
-    "_CAND_SCHEMA",
-    "_bucket_pairs_combine",
-    "_candidate_pair_block_refs",
-    "_pair_cols",
-    "_assemble_pairs",
-    "_build_slot_map",
-    "_PAIR_SCHEMA",
-    "_verified_pairs_ds",
-    "doc_dedup_minhash",
-    "doc_decontaminate_neardup",
-    "doc_dedup_simhash",
-    "doc_dedup_clusters",
-    "_NGRAM_PAIRS_SCHEMA",
-    "_CONTAIN_PAIRS_SCHEMA",
-    "_chunk_slice",
-    "_chunk_pair_join",
-    "_ngram_pair",
-    "doc_dedup_ngram",
-    "doc_dedup_containment",
-    "_lp_propagate",
-    "_lp_combine",
-    "_min_label_prop",
-    "_lp_loop",
-    "_lp_edge_shard",
-    "_lp_seed_partition",
-    "doc_dedup_clusters_lp",
-    "doc_dedup_near_keep",
-    "_COS_PAIRS_SCHEMA",
-    "_cos_pair",
-    "emb_dedup_cosine",
-]

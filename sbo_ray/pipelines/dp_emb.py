@@ -1,17 +1,12 @@
 """Embedding family: similarity/ANN search (brute force, LSH, IVF, SQ8, PQ, IVFPQ), recall evaluation, k-means, quantization, random projection, covariance/PCA, SemDeDup.
 
-Mechanical r5 split of pipelines/datapipe.py (the facade re-exports
-everything; import from ``datapipe`` unless you need this module's
-namespace specifically, e.g. to monkeypatch a helper its functions
-actually resolve). ``__all__`` lists underscore helpers on purpose:
-the chained star-imports and the facade must see them.
+Imports what it uses by name from the module that defines it, and
+callers import this module's ops from here. Monkeypatch a helper where
+the op resolves it.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -21,12 +16,8 @@ import ray.data as rd
 from .. import exchange as X
 from ..functions import dedup as D
 from ..functions import similarity as S
-from ..functions import text as T
-from ..functions.multimodal import DecoderStub, to_payload_table
-from .logpipe import _cpus, tune_context
 
-from .dp_common import *  # noqa: F401,F403
-from .dp_dedup import *  # noqa: F401,F403
+from .dp_common import _parquet_num_rows, _read
 
 # ---- similarity search -----------------------------------------------------
 
@@ -1278,7 +1269,7 @@ def emb_semdedup(sf_dir: str, nlist: int | None = None,
     sort's output blocks BY BYTES, capping the post-shuffle map at ~2-3
     concurrent tasks here (measured: 128 identical prune tasks finish in
     7.9 s as raw tasks vs 94 s through groupby at 4M x 64). Same
-    deliberate drop below the Dataset API as ``_min_label_prop``, same
+    deliberate drop below the Dataset API as ``_label_prop``, same
     justification: measured 6-8x on a fixed workload. Worker memory is
     bounded by ``chunk^2`` cos tiles + the partition's vectors — the
     SemDeDup analog of the LSH bucket contract: ``nlist`` scales with
@@ -1308,45 +1299,3 @@ def emb_semdedup(sf_dir: str, nlist: int | None = None,
     shard_refs = X.shard(_sem_shard, refs, P, P, cent_ref)
     return rd.from_arrow_refs(
         X.combine(_sem_combine, shard_refs, threshold, chunk))
-
-
-__all__ = [
-    "_strided_sample",
-    "_topk_fold",
-    "_min_id_row",
-    "emb_similarity_topk",
-    "_BATCH_SEARCH",
-    "emb_batch_search",
-    "_batch_topk_merge",
-    "emb_ann_recall",
-    "emb_ann_lsh",
-    "emb_ann_ivf",
-    "emb_kmeans",
-    "_MM_SCHEMA",
-    "_sq8_minmax",
-    "emb_quantize_sq8",
-    "_rp_signs",
-    "emb_project_rp",
-    "emb_sample_balanced",
-    "emb_ann_sq8",
-    "_PQ_SCHEMA",
-    "_ADC_SCHEMA",
-    "_pq_codebook",
-    "_pq_encode",
-    "emb_kmeans_step",
-    "emb_pq_codes",
-    "emb_pq_error",
-    "emb_ann_pq",
-    "emb_ann_ivfpq",
-    "_MEAN_PART",
-    "emb_outlier_scores",
-    "_COV_PART",
-    "_cov_moments",
-    "emb_covariance",
-    "emb_pca_project",
-    "_SEM_SCHEMA",
-    "_sem_sample",
-    "_sem_shard",
-    "_sem_combine",
-    "emb_semdedup",
-]

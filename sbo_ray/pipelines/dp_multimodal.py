@@ -1,33 +1,18 @@
 """Multimodal family: payload stats, frame sampling, real image decoders (PPM/PNG/BMP/GIF/QOI), resize, and audio (PCM/u-law/A-law) feature queries.
 
-Mechanical r5 split of pipelines/datapipe.py (the facade re-exports
-everything; import from ``datapipe`` unless you need this module's
-namespace specifically, e.g. to monkeypatch a helper its functions
-actually resolve). ``__all__`` lists underscore helpers on purpose:
-the chained star-imports and the facade must see them.
+Imports what it uses by name from the module that defines it, and
+callers import this module's ops from here. Monkeypatch a helper where
+the op resolves it.
 """
 from __future__ import annotations
 
-import os
-
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
-import ray.data as rd
-
-from ..functions import dedup as D
-from ..functions import similarity as S
-from ..functions import text as T
 from ..functions.multimodal import DecoderStub, to_payload_table
-from .logpipe import _cpus, tune_context
+from .logpipe import _cpus
 
-from .dp_common import *  # noqa: F401,F403
-from .dp_dedup import *  # noqa: F401,F403
-from .dp_emb import *  # noqa: F401,F403
-from .dp_text import *  # noqa: F401,F403
+from .dp_common import _read
 
 # ---- multimodal plumbing ---------------------------------------------------
 
@@ -414,19 +399,3 @@ def multimodal_audio_features(sf_dir: str):
         batch_size=256,
         **_decode_pool(),
     )
-
-
-__all__ = [
-    "_decode_pool",
-    "multimodal_payload_stats",
-    "multimodal_frame_sample",
-    "multimodal_features",
-    "multimodal_png_features",
-    "multimodal_bmp_features",
-    "multimodal_gif_features",
-    "multimodal_qoi_features",
-    "multimodal_image_resize",
-    "multimodal_ulaw_features",
-    "multimodal_alaw_features",
-    "multimodal_audio_features",
-]

@@ -1,15 +1,12 @@
 """Relational + events family: broadcast joins, semi/anti joins, TPC-H-style rollups, RFM, incremental/Bloom dedup, embedding-gated curation, sessionization, sliding windows, attribution, cohort LTV.
 
-Mechanical r5 split of pipelines/datapipe.py (the facade re-exports
-everything; import from ``datapipe`` unless you need this module's
-namespace specifically, e.g. to monkeypatch a helper its functions
-actually resolve). ``__all__`` lists underscore helpers on purpose:
-the chained star-imports and the facade must see them.
+Imports what it uses by name from the module that defines it, and
+callers import this module's ops from here. Monkeypatch a helper where
+the op resolves it.
 """
 from __future__ import annotations
 
 import functools
-import os
 
 import numpy as np
 import pandas as pd
@@ -21,16 +18,12 @@ import ray.data as rd
 
 from .. import exchange as X
 from ..functions import dedup as D
-from ..functions import similarity as S
 from ..functions import text as T
-from ..functions.multimodal import DecoderStub, to_payload_table
-from .logpipe import _cpus, tune_context
+from .logpipe import _cpus
 
-from .dp_common import *  # noqa: F401,F403
-from .dp_dedup import *  # noqa: F401,F403
-from .dp_emb import *  # noqa: F401,F403
-from .dp_text import *  # noqa: F401,F403
-from .dp_multimodal import *  # noqa: F401,F403
+from .dp_common import _col_key, _distinct_users, _read, _user_key
+from .dp_dedup import _text_hash_key
+from .dp_emb import emb_outlier_scores
 
 # ---- relational demos (broadcast join, grouped aggregates) -----------------
 
@@ -540,14 +533,16 @@ def doc_emb_curation(sf_dir: str, lang: str = "en", min_tokens: int = 20,
                          "cos_int": pc.cast(micro, pa.int64())})
 
     text_ds = docs.map_batches(text_gate, batch_format="pyarrow")
-    emb_ds = emb_outlier_scores(sf_dir, threshold=cos_threshold) \
-        .map_batches(emb_gate, batch_format="pyarrow")
     trefs = X.block_refs(text_ds)
     if not trefs:
-        return _EMB_CUR.empty_table()
+        return rd.from_arrow(_EMB_CUR.empty_table())
+    # scored only when a document survives: the scorer's mean pass
+    # reads every embedding eagerly
+    emb_ds = emb_outlier_scores(sf_dir, threshold=cos_threshold) \
+        .map_batches(emb_gate, batch_format="pyarrow")
     erefs = X.block_refs(emb_ds)
     if not erefs:
-        return _EMB_CUR.empty_table()
+        return rd.from_arrow(_EMB_CUR.empty_table())
     P = X.n_parts()
     tsl = X.shard(_anti_shard, trefs, P, P, "doc_id", "n_tokens")
     esl = X.shard(_anti_shard, erefs, P, P, "vec_id", "cos_int")
@@ -1360,56 +1355,3 @@ def events_sessionize_salted(sf_dir: str, gap_minutes: int = 30,
     return rd.from_arrow_refs(X.part_exchange(
         rd.from_arrow_refs(partials), None, _user_key, merge_sessions_part,
         _SESSIONS))
-
-
-__all__ = [
-    "customer_nation_agg",
-    "_SEMI_ORD",
-    "_semi_orders_combine",
-    "orders_with_returns",
-    "_LV_Q",
-    "_lv_part",
-    "orders_large_volume",
-    "_RFM",
-    "_rfm_part",
-    "customer_rfm",
-    "_INC_DD",
-    "_inc_dedup_part",
-    "doc_dedup_incremental",
-    "_BLOOM_MIX",
-    "_bloom_positions",
-    "_bloom_test",
-    "doc_dedup_bloom",
-    "_anti_shard",
-    "_anti_combine",
-    "customer_no_orders",
-    "_EMB_CUR",
-    "_emb_cur_combine",
-    "doc_emb_curation",
-    "orders_mktsegment_revenue",
-    "_Q3",
-    "_q3_top",
-    "orders_shipping_priority",
-    "lineitem_pricing_summary",
-    "orders_by_month",
-    "events_sliding_window",
-    "events_sliding_distinct",
-    "events_transitions",
-    "_QUANTS",
-    "events_quantiles",
-    "_ULTV",
-    "_ultv_top",
-    "events_user_value_topk",
-    "events_quantiles_kll",
-    "_SESSIONS",
-    "events_sessionize",
-    "_RUNNING",
-    "events_running_total",
-    "events_attribution",
-    "events_cohort_ltv",
-    "events_attribution_first",
-    "events_ab_ttest",
-    "_USER_FEATS",
-    "events_user_features",
-    "events_sessionize_salted",
-]

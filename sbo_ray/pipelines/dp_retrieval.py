@@ -1,15 +1,12 @@
 """Retrieval + LM-scoring family: chunking, triplet mining, label centroids, as-of/window joins, funnels, retention, BM25, TF-IDF, kNN join, regional rollups, unigram/bigram log-prob, CCNet buckets.
 
-Mechanical r5 split of pipelines/datapipe.py (the facade re-exports
-everything; import from ``datapipe`` unless you need this module's
-namespace specifically, e.g. to monkeypatch a helper its functions
-actually resolve). ``__all__`` lists underscore helpers on purpose:
-the chained star-imports and the facade must see them.
+Imports what it uses by name from the module that defines it, and
+callers import this module's ops from here. Monkeypatch a helper where
+the op resolves it.
 """
 from __future__ import annotations
 
 import functools
-import os
 
 import numpy as np
 import pandas as pd
@@ -23,15 +20,15 @@ from .. import exchange as X
 from ..functions import dedup as D
 from ..functions import similarity as S
 from ..functions import text as T
-from ..functions.multimodal import DecoderStub, to_payload_table
-from .logpipe import _cpus, tune_context
+from .logpipe import _cpus
 
-from .dp_common import *  # noqa: F401,F403
-from .dp_dedup import *  # noqa: F401,F403
-from .dp_emb import *  # noqa: F401,F403
-from .dp_text import *  # noqa: F401,F403
-from .dp_multimodal import *  # noqa: F401,F403
-from .dp_rel_events import *  # noqa: F401,F403
+from .dp_common import (
+    _bw_task_cpus, _col_key, _distinct_users, _parquet_num_rows, _read,
+    _user_key,
+)
+from .dp_dedup import _chunk_pair_join
+from .dp_text import _shuf_count, doc_vocab_bigrams, doc_vocab_topk
+
 
 def doc_chunk(sf_dir: str, chunk_tokens: int = 32):
     """Fixed-window document chunking (sequence-length prep): each doc
@@ -1327,42 +1324,3 @@ def doc_ccnet_buckets(sf_dir: str, sample_per_block: int = 64):
     rank_task = ray.remote(_ccnet_rank)
     return rd.from_arrow_refs([rank_task.remote(int(b), n_total, *part)
                                for b, part in zip(bases, sl)])
-
-
-__all__ = [
-    "_ANOM_MAD",
-    "events_anomaly_mad",
-    "doc_chunk",
-    "emb_triplet_mining",
-    "emb_label_centroids",
-    "events_props_extract",
-    "_keep_types",
-    "_ASOF",
-    "_WINDOW_JOIN",
-    "events_asof_join",
-    "events_window_join",
-    "events_hourly",
-    "events_daily_active",
-    "events_funnel",
-    "_BM25",
-    "_BM25_STAT",
-    "doc_bm25_topk",
-    "doc_tfidf",
-    "_KNN_PART",
-    "_KNN",
-    "_side_topk",
-    "_knn_pair",
-    "emb_knn_join",
-    "supplier_nation_revenue",
-    "events_retention",
-    "part_brand_revenue",
-    "region_revenue_by_year",
-    "_unigram_vocab_ref",
-    "doc_unigram_logprob",
-    "doc_bigram_logprob",
-    "_CCNET_SCHEMA",
-    "_ccnet_sample",
-    "_ccnet_slice",
-    "_ccnet_rank",
-    "doc_ccnet_buckets",
-]

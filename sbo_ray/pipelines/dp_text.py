@@ -1,10 +1,8 @@
 """Text analysis + quality family: token stats, PII, repetition, Gopher/C4 gates, sequence packing, paragraph dedup, linear quality, DSIR, entropy, vocab, tokenize, perplexity, shuffle order, fingerprints, the curation pipeline.
 
-Mechanical r5 split of pipelines/datapipe.py (the facade re-exports
-everything; import from ``datapipe`` unless you need this module's
-namespace specifically, e.g. to monkeypatch a helper its functions
-actually resolve). ``__all__`` lists underscore helpers on purpose:
-the chained star-imports and the facade must see them.
+Imports what it uses by name from the module that defines it, and
+callers import this module's ops from here. Monkeypatch a helper where
+the op resolves it.
 """
 from __future__ import annotations
 
@@ -22,14 +20,11 @@ import ray.data as rd
 from .. import exchange as X
 from ..functions import dedup as D
 from ..functions import pack
-from ..functions import similarity as S
 from ..functions import text as T
-from ..functions.multimodal import DecoderStub, to_payload_table
-from .logpipe import _cpus, tune_context
+from .logpipe import tune_context
 
-from .dp_common import *  # noqa: F401,F403
-from .dp_dedup import *  # noqa: F401,F403
-from .dp_emb import *  # noqa: F401,F403
+from .dp_common import _read
+from .dp_dedup import _text_hash_key
 
 # ---- text analysis ---------------------------------------------------------
 
@@ -1165,49 +1160,3 @@ def doc_curation_report(sf_dir: str, lang: str = "en",
                             int(counts[2]), int(counts[3]), n_kept],
                            pa.int64()),
     }, schema=_CUR_REPORT)
-
-
-__all__ = [
-    "_CUR_REPORT",
-    "_cur_report_block",
-    "_cur_report_uniq",
-    "doc_curation_report",
-    "doc_token_stats",
-    "_ensure_jsonl_docs",
-    "doc_token_stats_jsonl",
-    "doc_pii_redact",
-    "doc_repetition_stats",
-    "doc_quality_gopher",
-    "doc_quality_c4",
-    "_doc_tok_counts",
-    "_doc_chunk_bases",
-    "doc_pack_sequences",
-    "doc_pack_materialize",
-    "doc_paragraph_dedup",
-    "doc_group_topk",
-    "doc_quality_linear",
-    "doc_dsir_weights",
-    "doc_entropy",
-    "doc_vocab_topk",
-    "_BI",
-    "_bigram_counts",
-    "_bigram_key",
-    "_bigram_top",
-    "doc_vocab_bigrams",
-    "doc_tokenize_ids",
-    "_flat_vocab_ids",
-    "doc_perplexity_bigram",
-    "_SHUF_SCHEMA",
-    "_shuf_keys",
-    "_shuf_slice",
-    "_shuf_count",
-    "_shuf_rank",
-    "doc_shuffle_order",
-    "doc_lang_id",
-    "doc_fingerprint",
-    "doc_winnow",
-    "_CURATION_SCALE",
-    "_curation_kept",
-    "_CURATED",
-    "doc_curation_pipeline",
-]

@@ -183,6 +183,58 @@ def _const(value, typ: pa.DataType, n: int) -> pa.Array:
     return pa.repeat(pa.scalar(value, typ), n)
 
 
+def unified_partial(enriched: pa.Table) -> pa.Table:
+    """One enriched batch's pre-aggregated partial for every metric and
+    counter sink, as ``UNIFIED_SCHEMA`` rows (``kind`` 0/1/2: windowed
+    metrics, keyed counters, global counters)."""
+    m = metric_fanout(enriched)
+    c = counter_melt(enriched)
+    g = global_counter_partial(enriched)
+    n_m, n_c = m.num_rows, c.num_rows
+    g_cols = g.column_names
+    n_g = len(g_cols)
+    return pa.Table.from_arrays(
+        [
+            pa.concat_arrays([
+                _const(0, pa.int8(), n_m),
+                _const(1, pa.int8(), n_c),
+                _const(2, pa.int8(), n_g),
+            ]),
+            pa.concat_arrays([
+                m.column("source").combine_chunks(),
+                c.column("source").combine_chunks(),
+                _const("", pa.string(), n_g),
+            ]),
+            pa.concat_arrays([
+                m.column("metric_type").combine_chunks(),
+                _const(0, pa.int32(), n_c),
+                _const(0, pa.int32(), n_g),
+            ]),
+            pa.concat_arrays([
+                _const("", pa.string(), n_m),
+                c.column("dimension").combine_chunks(),
+                pa.array(g_cols, pa.string()),
+            ]),
+            pa.concat_arrays([
+                m.column("key_value").combine_chunks(),
+                c.column("key_value").combine_chunks(),
+                _const("", pa.string(), n_g),
+            ]),
+            pa.concat_arrays([
+                m.column("time_window").combine_chunks(),
+                _const(0, pa.int64(), n_c),
+                _const(0, pa.int64(), n_g),
+            ]),
+            pa.concat_arrays([
+                m.column("metric_value").combine_chunks(),
+                c.column("cnt").combine_chunks(),
+                pa.array([g.column(col)[0].as_py() for col in g_cols], pa.int64()),
+            ]),
+        ],
+        schema=UNIFIED_SCHEMA,
+    )
+
+
 def partial_stage(job: JobConfig, mask_ips: bool = False,
                   relevant_only: bool = True):
     """Build the flagship's per-batch stage, ``stage(batch, routed_root)``:
@@ -212,52 +264,7 @@ def partial_stage(job: JobConfig, mask_ips: bool = False,
             part = hashlib.sha1(span.encode()).hexdigest()[:16]
             fsio.write_fragment(routed_root, f"part-{part}.parquet", routed)
 
-        m = metric_fanout(enriched)
-        c = counter_melt(enriched)
-        g = global_counter_partial(enriched)
-        n_m, n_c = m.num_rows, c.num_rows
-        g_cols = g.column_names
-        n_g = len(g_cols)
-        return pa.Table.from_arrays(
-            [
-                pa.concat_arrays([
-                    _const(0, pa.int8(), n_m),
-                    _const(1, pa.int8(), n_c),
-                    _const(2, pa.int8(), n_g),
-                ]),
-                pa.concat_arrays([
-                    m.column("source").combine_chunks(),
-                    c.column("source").combine_chunks(),
-                    _const("", pa.string(), n_g),
-                ]),
-                pa.concat_arrays([
-                    m.column("metric_type").combine_chunks(),
-                    _const(0, pa.int32(), n_c),
-                    _const(0, pa.int32(), n_g),
-                ]),
-                pa.concat_arrays([
-                    _const("", pa.string(), n_m),
-                    c.column("dimension").combine_chunks(),
-                    pa.array(g_cols, pa.string()),
-                ]),
-                pa.concat_arrays([
-                    m.column("key_value").combine_chunks(),
-                    c.column("key_value").combine_chunks(),
-                    _const("", pa.string(), n_g),
-                ]),
-                pa.concat_arrays([
-                    m.column("time_window").combine_chunks(),
-                    _const(0, pa.int64(), n_c),
-                    _const(0, pa.int64(), n_g),
-                ]),
-                pa.concat_arrays([
-                    m.column("metric_value").combine_chunks(),
-                    c.column("cnt").combine_chunks(),
-                    pa.array([g.column(col)[0].as_py() for col in g_cols], pa.int64()),
-                ]),
-            ],
-            schema=UNIFIED_SCHEMA,
-        )
+        return unified_partial(enriched)
 
     return stage
 

@@ -2280,7 +2280,7 @@ def _flag_count(sf_dir: str, pairs, out: pa.Schema) -> pa.Table:
         distinct ids; re-route them by idx hash (``num_returns=P``).
       C (per idx partition): flagged membership per row, then bounded
         per-source partials, summed by ``X.sum_refs``."""
-    from .datapipe import _bw_task_cpus
+    from .dp_common import _bw_task_cpus
 
     P = X.n_parts()
     extras = out.names[2:-1]
@@ -2334,7 +2334,7 @@ def _flag_count(sf_dir: str, pairs, out: pa.Schema) -> pa.Table:
     # of temporaries per block — at 32 concurrent tasks it is
     # memory-BANDWIDTH-bound (the ivf_assign rule) and measured 36 s;
     # at 16 concurrent it is 6.9 s for the same 64 tasks. The cap
-    # derives from per-node cpus (datapipe._bw_task_cpus), overridable
+    # derives from per-node cpus (dp_common._bw_task_cpus), overridable
     # via SBO_BW_TASK_CPUS.
     sl = X.shard(window_shard, refs, 2 * P, num_cpus=_bw_task_cpus(16))
     fl = X.combine(flag_part, sl[:P], num_returns=P)
@@ -2974,7 +2974,7 @@ def q_log_ngram_novelty(sf_dir: str, n: int = 8, mod: int = 8):
     // (mx - mn + 1)) — no float boundary crosses the gate), and
     emits <= |sources| x 4 rows. Tokens never move; the exchange
     carries distinct-per-block (key, src, idx) triples."""
-    from .datapipe import _bw_task_cpus
+    from .dp_common import _bw_task_cpus
 
     P = X.n_parts()
     mm = _source_idx_range(sf_dir)

@@ -451,7 +451,7 @@ def metrics_dataset_compat(enriched, window_size: int = 3,
     ``fast=True`` (default): monotonic fast path — one distributed pass
     computes per-run sufficient statistics plus per-group order
     summaries, which then take a two-phase hash exchange over raw Ray
-    tasks (the ``_min_label_prop`` layout): each partial block is split
+    tasks (the ``dp_dedup._label_prop`` layout): each partial block is split
     by group-key hash into P shards, and P combine tasks — each seeing
     every portion of its groups — classify locally, finalize eligible
     groups from Arrow per-window sums (see the correctness argument

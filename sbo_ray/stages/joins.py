@@ -4,7 +4,8 @@ The reference's only join is the broadcast get-or-create domain-id cache
 (ST4, db/mysqldb.go:91-121); these helpers generalize it:
 
 - ``broadcast_lookup``: dimension-table enrich (ray.put once, dict map
-  per batch) — used by stages/geo.py and datapipe.customer_nation_agg.
+  per batch). No engine op calls it: stages/geo.py and
+  ``dp_rel_events.customer_nation_agg`` inline their own broadcast.
 - ``semi_join`` / ``anti_join``: broadcast the (small) key set and
   filter inside map_batches — no shuffle.
 

@@ -117,8 +117,13 @@ def test_counter_report_render(ray_session, tmp_path):
     assert len([l for l in clients_block.splitlines() if l.strip()]) <= 10
 
 
-def test_cli_run_and_count(ray_session, tmp_path, capsys):
+def test_cli_run_and_count(ray_session, tmp_path, capsys, monkeypatch):
+    import ray.data as rd
+
     from sbo_ray import cli
+    from sbo_ray.report import (
+        keyed_counters_table_to_dict, render_counter_report,
+    )
 
     doc_ids, lines, sources = synth.synth_lines(400, seed=15)
     cfg = synth.source_config(12)
@@ -134,9 +139,29 @@ def test_cli_run_and_count(ray_session, tmp_path, capsys):
     assert rc == 0
     assert os.path.exists(os.path.join(out, "metrics.parquet"))
     assert os.path.exists(os.path.join(out, "metrics.prom"))
+    capsys.readouterr()
+    reads = []
+    input_dataset = cli._input_dataset
+
+    def counted(inputs):
+        reads.append(inputs)
+        return input_dataset(inputs)
+
+    monkeypatch.setattr(cli, "_input_dataset", counted)
     rc = cli.main(["count", *paths, "--config", str(cfg_path)])
     assert rc == 0
-    assert "Total requests" in capsys.readouterr().out
+    got = capsys.readouterr().out
+    assert "Total requests" in got
+    assert len(reads) == 1  # one read and parse for both counter kinds
+    # the same report as the two separate counter merges
+    job = JobConfig.from_json(cfg_path.read_text())
+    g = logpipe.global_counters(
+        logpipe.enriched_dataset_from(rd.read_parquet(paths), job))
+    keyed = logpipe.keyed_counters_dataset(
+        logpipe.enriched_dataset_from(rd.read_parquet(paths), job))
+    want = render_counter_report(
+        g, keyed_counters_table_to_dict(keyed.to_pandas()), 10)
+    assert got == want + "\n"
 
 
 def test_text_source_tolerates_invalid_utf8(ray_session, tmp_path):
@@ -441,7 +466,7 @@ def test_cli_curate_full_resume_byte_identical(ray_session, tmp_path,
     assert sorted(frags.column("doc_id").to_pylist()) == [0, 2, 5]
     assert frags.schema.names == ["doc_id", "n_tokens", "n_stop_en"]
     # and it agrees with the Dataset pipeline over the same corpus
-    from sbo_ray.pipelines.datapipe import doc_curation_pipeline
+    from sbo_ray.pipelines.dp_text import doc_curation_pipeline
 
     merged_dir = tmp_path / "merged"
     merged_dir.mkdir()

@@ -114,7 +114,7 @@ def planted(tmp_path_factory):
 
 def test_minhash_finds_planted_dups(ray_session, planted):
     from sbo_ray.functions.dedup import jaccard
-    from sbo_ray.pipelines.datapipe import doc_dedup_minhash
+    from sbo_ray.pipelines.dp_dedup import doc_dedup_minhash
 
     d, texts = planted
     got = doc_dedup_minhash(d, threshold=0.5).to_pandas()
@@ -134,7 +134,7 @@ def test_minhash_one_giant_bucket_distributed_verify(ray_session, tmp_path):
     texts — only the pair list and the verified output."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import doc_dedup_minhash
+    from sbo_ray.pipelines.dp_dedup import doc_dedup_minhash
 
     n_dup, text = 36, " ".join(f"tok{i % 17}" for i in range(120))
     texts = [text] * n_dup + [f"unique doc number {i} with its own words "
@@ -152,7 +152,7 @@ def test_minhash_one_giant_bucket_distributed_verify(ray_session, tmp_path):
 
 
 def test_simhash_finds_exact_dup(ray_session, planted):
-    from sbo_ray.pipelines.datapipe import doc_dedup_simhash
+    from sbo_ray.pipelines.dp_dedup import doc_dedup_simhash
 
     d, texts = planted
     got = doc_dedup_simhash(d, max_hamming=6).to_pandas()
@@ -180,7 +180,7 @@ def test_simhash_batch_matches_scalar():
 
 
 def test_fingerprint_deterministic_and_dup_sensitive(ray_session, planted):
-    from sbo_ray.pipelines.datapipe import doc_fingerprint
+    from sbo_ray.pipelines.dp_text import doc_fingerprint
 
     d, texts = planted
     got = doc_fingerprint(d).to_pandas()
@@ -195,7 +195,7 @@ def test_fingerprint_deterministic_and_dup_sensitive(ray_session, planted):
 
 
 def test_ann_lsh_recall(ray_session):
-    from sbo_ray.pipelines.datapipe import emb_ann_lsh, emb_similarity_topk
+    from sbo_ray.pipelines.dp_emb import emb_ann_lsh, emb_similarity_topk
 
     exact = set(emb_similarity_topk(SF).to_pandas()["vec_id"])
     approx = set(emb_ann_lsh(SF, n_bits=4).to_pandas()["vec_id"])
@@ -205,7 +205,7 @@ def test_ann_lsh_recall(ray_session):
 
 def test_multimodal_features_real_decode(ray_session):
     from sbo_ray.functions.multimodal import DecoderStub
-    from sbo_ray.pipelines.datapipe import multimodal_features
+    from sbo_ray.pipelines.dp_multimodal import multimodal_features
 
     got = multimodal_features(SF).to_pandas().set_index("doc_id")
     assert len(got) == 500
@@ -256,7 +256,7 @@ def test_rp_sign_matrix_deterministic_and_balanced():
     middle-bit sampling exists to dodge)."""
     import numpy as np
 
-    from sbo_ray.pipelines.datapipe import _rp_signs
+    from sbo_ray.pipelines.dp_emb import _rp_signs
 
     s = _rp_signs(64, 16)
     assert s.shape == (64, 16) and set(np.unique(s)) == {-1, 1}
@@ -342,7 +342,7 @@ def test_multimodal_frame_sample_and_resize(ray_session):
 
 def test_dedup_clusters_on_planted(ray_session, planted):
     from sbo_ray.functions.dedup import connected_components
-    from sbo_ray.pipelines.datapipe import doc_dedup_clusters
+    from sbo_ray.pipelines.dp_dedup import doc_dedup_clusters
 
     d, texts = planted
     got = doc_dedup_clusters(d, threshold=0.5).to_pandas()
@@ -356,7 +356,7 @@ def test_dedup_clusters_on_planted(ray_session, planted):
 
 
 def test_ann_ivf_recall_and_exactness(ray_session):
-    from sbo_ray.pipelines.datapipe import emb_ann_ivf, emb_similarity_topk
+    from sbo_ray.pipelines.dp_emb import emb_ann_ivf, emb_similarity_topk
 
     exact_df = emb_similarity_topk(SF).to_pandas()
     # default settings: exact-equal (gated by the exact SQL oracle too)
@@ -368,7 +368,7 @@ def test_ann_ivf_recall_and_exactness(ray_session):
 
 
 def test_ann_ivfpq_recall_and_exactness(ray_session):
-    from sbo_ray.pipelines.datapipe import emb_ann_ivfpq, emb_similarity_topk
+    from sbo_ray.pipelines.dp_emb import emb_ann_ivfpq, emb_similarity_topk
 
     exact_df = emb_similarity_topk(SF).to_pandas()
     # default settings: the ADC shortlist + exact re-rank is exact-equal
@@ -385,7 +385,9 @@ def test_sessionize_salted_equals_single_pass(ray_session):
     """The two-phase skew-safe sessionization must reproduce the
     single-pass result exactly, including sessions spanning bucket
     edges (hour buckets force many boundary merges)."""
-    from sbo_ray.pipelines.datapipe import events_sessionize, events_sessionize_salted
+    from sbo_ray.pipelines.dp_rel_events import (
+        events_sessionize, events_sessionize_salted,
+    )
 
     def norm(df):
         return df.reindex(sorted(df.columns), axis=1).sort_values(
@@ -398,7 +400,9 @@ def test_sessionize_salted_equals_single_pass(ray_session):
 
 
 def test_clusters_label_propagation_equals_union_find(ray_session, planted):
-    from sbo_ray.pipelines.datapipe import doc_dedup_clusters, doc_dedup_clusters_lp
+    from sbo_ray.pipelines.dp_dedup import (
+        doc_dedup_clusters, doc_dedup_clusters_lp,
+    )
 
     d, _ = planted
     uf = doc_dedup_clusters(d, threshold=0.5).to_pandas()
@@ -409,7 +413,7 @@ def test_clusters_label_propagation_equals_union_find(ray_session, planted):
 
 def test_ngram_jaccard_dedup_planted(ray_session, planted):
     from sbo_ray.functions.dedup import ngram_jaccard
-    from sbo_ray.pipelines.datapipe import doc_dedup_ngram
+    from sbo_ray.pipelines.dp_dedup import doc_dedup_ngram
 
     d, texts = planted
     got = doc_dedup_ngram(d, threshold=0.5).to_pandas()
@@ -461,9 +465,8 @@ def test_containment_catches_supersets_jaccard_misses(ray_session, tmp_path):
     import pyarrow.parquet as pq
 
     from sbo_ray.functions.dedup import char_ngrams
-    from sbo_ray.pipelines.datapipe import (
-        doc_dedup_containment,
-        doc_dedup_ngram,
+    from sbo_ray.pipelines.dp_dedup import (
+        doc_dedup_containment, doc_dedup_ngram,
     )
 
     rng = np.random.RandomState(41)
@@ -530,7 +533,7 @@ def test_wav_decode_roundtrip_and_malformed():
 
 
 def test_multimodal_audio_features_real_decode(ray_session):
-    from sbo_ray.pipelines.datapipe import multimodal_audio_features
+    from sbo_ray.pipelines.dp_multimodal import multimodal_audio_features
 
     got = multimodal_audio_features(SF).to_pandas().set_index("doc_id")
     assert len(got) == 500
@@ -545,45 +548,49 @@ def test_multimodal_audio_features_real_decode(ray_session):
     assert (got["n_samples"] == 256).all()
 
 
-def test_min_label_prop_pointer_doubling(ray_session):
+def test_label_prop_pointer_doubling(ray_session):
     """A 64-node path graph has diameter 63: plain neighbor propagation
     needs ~63 rounds, pointer doubling must converge in O(log n). Also
     checks the labels equal the component min everywhere on a graph with
     two components."""
-    from sbo_ray.pipelines.datapipe import _min_label_prop
+    import ray
+
+    from sbo_ray.pipelines.dp_dedup import _label_prop
 
     # path 0-1-...-63 plus a disjoint triangle 100-101-102
     a = list(range(63)) + [100, 101]
     b = list(range(1, 64)) + [101, 102]
     pairs = pa.table({"id_a": pa.array(a, type=pa.int64()),
                       "id_b": pa.array(b, type=pa.int64())})
-    out, rounds = _min_label_prop(pairs, max_rounds=15)
+    out, rounds = _label_prop([ray.put(pairs)], 2, max_rounds=15)
     got = dict(zip(out.column("u").to_pylist(), out.column("label").to_pylist()))
     assert all(got[i] == 0 for i in range(64))
     assert all(got[i] == 100 for i in (100, 101, 102))
     assert rounds <= 10, f"pointer doubling should need ~log2(63) rounds, took {rounds}"
 
 
-def test_min_label_prop_many_partitions(ray_session):
+def test_label_prop_many_partitions(ray_session):
     """Pin the raw-task shuffle's cross-partition routing at high P:
-    with n_parts=7 every round fans offers (and, past round 2, shortcut
+    with P=7 every round fans offers (and, past round 2, shortcut
     shards) across 7x7 ref routes, and node/edge partitions are sparse.
     Same fixpoint as P=2 on a deep path + disjoint star + isolated
     pair, and still O(log diameter) rounds."""
-    from sbo_ray.pipelines.datapipe import _min_label_prop
+    import ray
+
+    from sbo_ray.pipelines.dp_dedup import _label_prop
 
     # path 0..40, star centered at 500 with leaves 501..520, pair (900, 901)
     a = list(range(40)) + [500] * 20 + [900]
     b = list(range(1, 41)) + list(range(501, 521)) + [901]
     pairs = pa.table({"id_a": pa.array(a, type=pa.int64()),
                       "id_b": pa.array(b, type=pa.int64())})
-    out, rounds = _min_label_prop(pairs, max_rounds=15, n_parts=7)
+    out, rounds = _label_prop([ray.put(pairs)], 7, max_rounds=15)
     got = dict(zip(out.column("u").to_pylist(), out.column("label").to_pylist()))
     assert all(got[i] == 0 for i in range(41))
     assert all(got[i] == 500 for i in range(500, 521))
     assert got[900] == 900 and got[901] == 900
     assert rounds <= 9, f"took {rounds}"
-    ref, _ = _min_label_prop(pairs, max_rounds=15, n_parts=2)
+    ref, _ = _label_prop([ray.put(pairs)], 2, max_rounds=15)
     assert ref.equals(out)
 
 
@@ -594,7 +601,7 @@ def test_exact_dedup_single_hot_key(ray_session, tmp_path):
     with the full duplicate count (min doc_id wins)."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import doc_dedup_exact
+    from sbo_ray.pipelines.dp_dedup import doc_dedup_exact
 
     n = 5000
     t = pa.table({
@@ -616,7 +623,7 @@ def test_decontaminate_ngram_planted(ray_session, tmp_path):
     into the next doc's words; short docs (<3 words) never match."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import doc_decontaminate_ngram
+    from sbo_ray.pipelines.dp_dedup import doc_decontaminate_ngram
 
     texts = [
         "intro table value part ending",          # gram 'table value part'
@@ -645,7 +652,7 @@ def test_pack_sequences_planted(ray_session, tmp_path):
     and within-chunk cumsums both participate."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import doc_pack_sequences
+    from sbo_ray.pipelines.dp_text import doc_pack_sequences
 
     counts = [3, 5, 4, 2, 7, 1, 6, 3, 2, 9]
     texts = [" ".join(f"w{i}" for i in range(c)) for c in counts]
@@ -676,7 +683,7 @@ def test_pack_materialize_reconstructs(ray_session, tmp_path):
     chunk_docs=3 + seq_len=8 force both chunk bases and straddling."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import doc_pack_materialize
+    from sbo_ray.pipelines.dp_text import doc_pack_materialize
 
     texts = ["a bb  ccc", "dd e", "f g h i j k", "", "xx yy zz qq rr",
              "m n o p q r s t u v w", "z"]
@@ -765,7 +772,7 @@ def test_reservoir_bottomk_merge_invariant(ray_session):
     equals the brute-force (key, doc_id) order head."""
     import hashlib
 
-    from sbo_ray.pipelines.datapipe import doc_sample_reservoir
+    from sbo_ray.pipelines.dp_dedup import doc_sample_reservoir
 
     res = doc_sample_reservoir("/root/testdata/sf0.001", k=25).to_pandas()
     assert len(res) == 25
@@ -812,7 +819,7 @@ def test_window_join_boundaries(ray_session, tmp_path):
     windows give (0, 0.0), and users never cross-match."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import events_window_join
+    from sbo_ray.pipelines.dp_retrieval import events_window_join
 
     ts = pd.to_datetime([
         "2024-01-01 09:00:00",  # u1 view exactly 1h before -> counted
@@ -844,7 +851,7 @@ def test_asof_join_tie_rules(ray_session, tmp_path):
     gets -1, and users never cross-match."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import events_asof_join
+    from sbo_ray.pipelines.dp_retrieval import events_asof_join
 
     ts = pd.to_datetime([
         "2024-01-01 10:00:00",  # u1 purchase before any view -> -1
@@ -880,7 +887,7 @@ def test_funnel_endpoint_and_order_rules(ray_session, tmp_path):
     stays at stage 0 even with clicks and purchases."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import events_funnel
+    from sbo_ray.pipelines.dp_retrieval import events_funnel
 
     ts = pd.to_datetime([
         # u1: click at the exact view ts -> stage 2; purchase after -> 3
@@ -919,7 +926,7 @@ def test_tfidf_mathematical_tie_breaks_on_token(ray_session, tmp_path):
     import duckdb
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import doc_tfidf
+    from sbo_ray.pipelines.dp_retrieval import doc_tfidf
     from sbo_ray.pipelines.dataqueries import SQL_DOC_TFIDF
 
     # doc 0: 'bbb' twice (df 10 with the 9 fillers) + unique 'aaa' (df 1)
@@ -952,7 +959,7 @@ def test_knn_join_planted_neighbors(ray_session, tmp_path):
     neighbors; rnk is 1..k with (cos desc, neighbor asc) ordering."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import emb_knn_join
+    from sbo_ray.pipelines.dp_retrieval import emb_knn_join
 
     rng = np.random.RandomState(11)
     m = rng.randn(40, 16).astype(np.float32)
@@ -982,7 +989,7 @@ def test_retention_cohort_and_offsets(ray_session, tmp_path):
     0."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import events_retention
+    from sbo_ray.pipelines.dp_retrieval import events_retention
 
     ts = pd.to_datetime([
         "2024-01-01 09:00:00", "2024-01-01 17:30:00",  # u1 day1 twice
@@ -1017,7 +1024,7 @@ def test_curation_no_driver_gather(ray_session, tmp_path):
 
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import doc_curation_pipeline
+    from sbo_ray.pipelines.dp_text import doc_curation_pipeline
 
     src = inspect.getsource(doc_curation_pipeline)
     for pattern in ("ray.put", "iter_batches", "to_pandas", "take_all",
@@ -1053,7 +1060,7 @@ def test_clusters_lp_no_driver_pair_bytes(ray_session, tmp_path, monkeypatch):
     import pyarrow.parquet as pq
     import ray as ray_mod
 
-    from sbo_ray.pipelines.datapipe import doc_dedup_clusters_lp
+    from sbo_ray.pipelines.dp_dedup import doc_dedup_clusters_lp
 
     n_dup = 300
     text = " ".join(f"tok{i % 23}" for i in range(90))
@@ -1098,7 +1105,7 @@ def test_dedup_substring_planted(ray_session, tmp_path):
     boundaries; docs shorter than k emit nothing."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import doc_dedup_substring
+    from sbo_ray.pipelines.dp_dedup import doc_dedup_substring
 
     k = 4
     passage = "alpha beta gamma delta epsilon"        # 5 words -> 2 windows of 4
@@ -1130,7 +1137,7 @@ def test_semdedup_planted_and_sound(ray_session, tmp_path):
     dropped vector must have SOME corpus neighbor above threshold)."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import emb_semdedup
+    from sbo_ray.pipelines.dp_emb import emb_semdedup
 
     rng = np.random.RandomState(5)
     n, d = 120, 16
@@ -1170,7 +1177,7 @@ def test_dedup_near_keep_complement(ray_session, tmp_path):
     cluster members, on a corpus with one 4-doc near-dup cluster."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import (
+    from sbo_ray.pipelines.dp_dedup import (
         doc_dedup_clusters_lp, doc_dedup_near_keep,
     )
 
@@ -1199,7 +1206,7 @@ def test_kmeans_matches_numpy_reference(ray_session, tmp_path):
 
     from sbo_ray.functions.similarity import ivf_centroids
     from sbo_ray.functions.dedup import normalize_rows
-    from sbo_ray.pipelines.datapipe import emb_kmeans
+    from sbo_ray.pipelines.dp_emb import emb_kmeans
 
     rng = np.random.RandomState(9)
     base = rng.randn(3, 16).astype(np.float64) * 10
@@ -1245,7 +1252,7 @@ def test_quantize_sq8_matches_numpy_reference(ray_session, tmp_path):
     max encodes 255, the min 0, and a constant dimension encodes 0."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import emb_quantize_sq8
+    from sbo_ray.pipelines.dp_emb import emb_quantize_sq8
 
     rng = np.random.RandomState(11)
     n, d = 200, 12
@@ -1285,7 +1292,7 @@ def test_ann_sq8_matches_numpy_reference(ray_session, tmp_path):
     clusters the quantized top-1 agrees with full-precision top-1."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import emb_ann_sq8
+    from sbo_ray.pipelines.dp_emb import emb_ann_sq8
 
     rng = np.random.RandomState(3)
     n, d = 300, 16
@@ -1346,7 +1353,7 @@ def test_pq_codes_matches_numpy_reference(ray_session, tmp_path):
     zero, the smallest possible composite key for that row)."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import emb_pq_codes
+    from sbo_ray.pipelines.dp_emb import emb_pq_codes
 
     rng = np.random.RandomState(7)
     n, d = 300, 16
@@ -1377,7 +1384,7 @@ def test_ann_pq_matches_numpy_reference(ray_session, tmp_path):
     the PQ winner lies in the query's cluster."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import emb_ann_pq
+    from sbo_ray.pipelines.dp_emb import emb_ann_pq
 
     rng = np.random.RandomState(5)
     n, d = 300, 16
@@ -1416,7 +1423,7 @@ def test_pq_error_matches_numpy_and_beats_random(ray_session, tmp_path):
     actually quantizes)."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import emb_pq_error
+    from sbo_ray.pipelines.dp_emb import emb_pq_error
 
     rng = np.random.RandomState(31)
     n, d = 300, 16
@@ -1450,7 +1457,7 @@ def test_compression_ratio_reference_and_ordering(ray_session, tmp_path):
 
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import doc_compression_ratio
+    from sbo_ray.pipelines.dp_dedup import doc_compression_ratio
 
     rng = np.random.RandomState(37)
     rep = "spam ham " * 200
@@ -1479,7 +1486,7 @@ def test_winnow_reference_and_guarantee(ray_session, tmp_path):
     import pyarrow.parquet as pq
 
     from sbo_ray.functions.text import _FP_WINDOW, _rolling_hashes
-    from sbo_ray.pipelines.datapipe import doc_winnow
+    from sbo_ray.pipelines.dp_text import doc_winnow
 
     w = 8
     shared = "the quick brown fox jumps over the lazy dog"  # 44 bytes
@@ -1517,7 +1524,7 @@ def test_bm25_matches_python_reference(ray_session, tmp_path):
 
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import doc_bm25_topk
+    from sbo_ray.pipelines.dp_retrieval import doc_bm25_topk
 
     texts = ["apple apple banana", "banana cherry", "apple cherry cherry",
              "durian elderberry", "apple banana cherry apple", "durian"]
@@ -1563,7 +1570,7 @@ def test_vocab_bigrams_reference_and_boundaries(ray_session, tmp_path):
 
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import doc_vocab_bigrams
+    from sbo_ray.pipelines.dp_text import doc_vocab_bigrams
 
     texts = ["a b c", "c a b", "b", "", "a b"]
     t = pa.table({"doc_id": pa.array(range(len(texts)), type=pa.int64()),
@@ -1585,7 +1592,7 @@ def test_outlier_scores_planted(ray_session, tmp_path):
     anti-mean vector is flagged while aligned vectors are not."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import emb_outlier_scores
+    from sbo_ray.pipelines.dp_emb import emb_outlier_scores
 
     rng = np.random.RandomState(29)
     n, d = 200, 16
@@ -1620,7 +1627,7 @@ def test_sample_weighted_reference_and_bias(ray_session, tmp_path):
 
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import doc_sample_weighted
+    from sbo_ray.pipelines.dp_dedup import doc_sample_weighted
 
     rng = np.random.RandomState(23)
     n = 600
@@ -1651,7 +1658,7 @@ def test_covariance_matches_numpy_reference(ray_session, tmp_path):
     population covariance to round-6 (the gate's resolution)."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import emb_covariance
+    from sbo_ray.pipelines.dp_emb import emb_covariance
 
     rng = np.random.RandomState(13)
     n, d = 400, 12
@@ -1676,7 +1683,7 @@ def test_pca_project_matches_numpy_reference(ray_session, tmp_path):
     the planted high-variance direction."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import emb_pca_project
+    from sbo_ray.pipelines.dp_emb import emb_pca_project
 
     rng = np.random.RandomState(17)
     n, d, k = 400, 12, 4
@@ -1715,7 +1722,7 @@ def test_perplexity_bigram_matches_python_reference(ray_session, tmp_path):
 
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import doc_perplexity_bigram
+    from sbo_ray.pipelines.dp_text import doc_perplexity_bigram
 
     texts = [
         "a b a b c",
@@ -1771,7 +1778,7 @@ def test_sample_balanced_exact_k_per_label(ray_session, tmp_path):
 
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import emb_sample_balanced
+    from sbo_ray.pipelines.dp_emb import emb_sample_balanced
 
     rng = np.random.RandomState(7)
     n = 150
@@ -1806,7 +1813,7 @@ def test_shuffle_order_is_md5_rank_permutation(ray_session, tmp_path):
 
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import doc_shuffle_order
+    from sbo_ray.pipelines.dp_text import doc_shuffle_order
 
     n = 500
     t = pa.table({
@@ -1838,7 +1845,7 @@ def test_shuffle_order_partition_invariant_multiblock(ray_session, tmp_path):
 
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import doc_shuffle_order
+    from sbo_ray.pipelines.dp_text import doc_shuffle_order
 
     n = 300
     d = tmp_path / "documents.parquet"
@@ -1870,7 +1877,7 @@ def test_sliding_distinct_multiblock_matches_pandas(ray_session, tmp_path):
     import pandas as pd
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import events_sliding_distinct
+    from sbo_ray.pipelines.dp_rel_events import events_sliding_distinct
 
     rng = np.random.RandomState(11)
     n = 3000
@@ -1914,7 +1921,7 @@ def test_daily_active_multiblock_matches_pandas(ray_session, tmp_path):
     import pandas as pd
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import events_daily_active
+    from sbo_ray.pipelines.dp_retrieval import events_daily_active
 
     rng = np.random.RandomState(9)
     n = 3000
@@ -2033,7 +2040,7 @@ def test_events_anomaly_mad_planted(ray_session, tmp_path):
     mildly varying type stays under the 3*MAD fence."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import events_anomaly_mad
+    from sbo_ray.pipelines.dp_retrieval import events_anomaly_mad
 
     rows = []
     eid = 0
@@ -2078,8 +2085,9 @@ def test_curation_report_planted(ray_session, tmp_path):
     pipeline's kept-row count."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import (doc_curation_pipeline,
-                                            doc_curation_report)
+    from sbo_ray.pipelines.dp_text import (
+        doc_curation_pipeline, doc_curation_report,
+    )
 
     good = ("the cat and the dog are in the house with a mouse and "
             "they all see it of course over there")
@@ -2112,8 +2120,8 @@ def test_bw_task_cpus_scales(ray_session, monkeypatch):
     """The bandwidth cap must track per-node cpus (constant per-node
     concurrency), not encode the dev box: num_cpus doubles with node
     width, floors at 1 on small sessions, and the env override wins."""
-    # patch the DEFINING module (dp_common), not the datapipe facade:
-    # _bw_task_cpus resolves _cpus in its own module's globals
+    # patch the DEFINING module (dp_common): _bw_task_cpus resolves
+    # _cpus in its own module's globals
     from sbo_ray.pipelines import dp_common as DPC
 
     monkeypatch.delenv("SBO_BW_TASK_CPUS", raising=False)
@@ -2135,8 +2143,8 @@ def test_chunk_pair_tasks_follow_bw_cap(ray_session, monkeypatch, op):
 
     import ray.data as rd
 
-    from sbo_ray.pipelines import datapipe as DP
     from sbo_ray.pipelines import dp_dedup as DPD
+    from sbo_ray.pipelines.dataqueries import data_queries
 
     seen = []
     join = DPD._chunk_pair_join
@@ -2145,7 +2153,7 @@ def test_chunk_pair_tasks_follow_bw_cap(ray_session, monkeypatch, op):
         seen.append(num_cpus)
         return join(*args, num_cpus=num_cpus, **kw)
 
-    fn = getattr(DP, op)
+    fn = data_queries()[op]
     # patch the name where the op resolves it
     monkeypatch.setattr(sys.modules[fn.__module__], "_chunk_pair_join", spy)
     monkeypatch.setenv("SBO_BW_TASK_CPUS", "1")
@@ -2175,7 +2183,7 @@ def test_ann_recall_brackets(ray_session):
     with n_hits consistent, exact self-agreement when every bucket is
     probed (probe_hamming >= n_bits -> candidates = everything ->
     recall 1.0 for all queries), and a sane pruning fraction."""
-    from sbo_ray.pipelines.datapipe import emb_ann_recall
+    from sbo_ray.pipelines.dp_emb import emb_ann_recall
 
     SF = "/root/testdata/sf0.001"
     r = emb_ann_recall(SF).to_pandas()
@@ -2196,7 +2204,7 @@ def test_events_attribution_planted(ray_session, tmp_path):
     touch, and users are isolated."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import events_attribution
+    from sbo_ray.pipelines.dp_rel_events import events_attribution
 
     TS = pd.Timestamp("2026-01-01")
     rows = [
@@ -2292,8 +2300,9 @@ def test_new_ops_empty_inputs(ray_session, tmp_path):
     to_pandas schema-loss soft spot)."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import (
-        doc_dsir_weights, events_attribution, orders_large_volume,
+    from sbo_ray.pipelines.dp_text import doc_dsir_weights
+    from sbo_ray.pipelines.dp_rel_events import (
+        events_attribution, orders_large_volume,
     )
 
     pq.write_table(pa.schema([
@@ -2328,7 +2337,7 @@ def test_customer_rfm_empty_and_semantics(ray_session, tmp_path):
     monetary semantics on a hand-computed 2-customer fixture."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import customer_rfm
+    from sbo_ray.pipelines.dp_rel_events import customer_rfm
 
     sch = pa.schema([
         ("o_orderkey", pa.int64()), ("o_custkey", pa.int64()),
@@ -2361,20 +2370,42 @@ def test_customer_rfm_empty_and_semantics(ray_session, tmp_path):
     assert got["monetary"].tolist() == [16.0, 2.5]
 
 
-def test_dedup_bloom_one_sided_error(ray_session):
+def test_dedup_bloom_one_sided_error(ray_session, tmp_path):
     """Bloom incremental dedup: NO false negatives (every snapshot doc
     whose text exists in the even-id corpus is dropped), bounded false
-    positives vs the exact incremental twin, and the block bitmaps
-    OR-merge associatively."""
+    positives vs the exact incremental twin, the incremental twin agrees
+    with exact dedup, and the block bitmaps OR-merge associatively."""
     import numpy as np
 
-    from sbo_ray.pipelines.datapipe import (
-        _bloom_positions, _bloom_test, doc_dedup_bloom,
-        doc_dedup_incremental,
+    from sbo_ray.pipelines.dp_dedup import doc_dedup_exact
+    from sbo_ray.pipelines.dp_rel_events import (
+        _bloom_positions, _bloom_test, doc_dedup_bloom, doc_dedup_incremental,
     )
 
     kept = set(doc_dedup_bloom(SF).to_pandas()["doc_id"])
-    exact = set(doc_dedup_incremental(SF).to_pandas()["doc_id"])
+    inc = doc_dedup_incremental(SF).to_pandas()
+    exact = set(inc["doc_id"])
+    # an incremental survivor's hash has no even (existing) id, so its
+    # min odd id is its whole group's min and its copies are the whole
+    # group: every (doc_id, n_copies) row is an exact-dedup row with
+    # n_dupes == n_copies. SF has no duplicate text, so a planted corpus
+    # adds groups that are new-only, mixed and existing-only.
+    import pyarrow.parquet as pq
+
+    texts = {1: "a", 3: "a", 5: "a", 2: "b", 7: "b", 9: "c", 4: "d",
+             6: "d", 8: "e", 11: "e", 13: "e"}
+    pq.write_table(pa.table({
+        "doc_id": pa.array(list(texts), pa.int64()),
+        "text": pa.array(list(texts.values()))}),
+        str(tmp_path / "documents.parquet"))
+    planted = doc_dedup_incremental(str(tmp_path)).to_pandas()
+    assert sorted(zip(planted["doc_id"], planted["n_copies"])) == [
+        (1, 3), (9, 1)]
+    for d, rows in ((SF, inc), (str(tmp_path), planted)):
+        ex = doc_dedup_exact(d).to_pandas()
+        n_dupes = dict(zip(ex["doc_id"], ex["n_dupes"]))
+        assert all(n_dupes.get(i) == n
+                   for i, n in zip(rows["doc_id"], rows["n_copies"]))
     # one-sided: bloom-kept is a SUBSET of exactly-new (no false
     # negatives: nothing truly duplicated survives)
     assert kept <= exact
@@ -2401,7 +2432,7 @@ def test_events_attribution_first_planted(ray_session, tmp_path):
     FIRST touch (click), where last-touch credits the view."""
     import pyarrow.parquet as pq
 
-    from sbo_ray.pipelines.datapipe import events_attribution_first
+    from sbo_ray.pipelines.dp_rel_events import events_attribution_first
 
     TS = pd.Timestamp("2026-01-01")
     rows = [
@@ -2441,7 +2472,8 @@ def test_triplet_mining_semantics(ray_session):
 
     from sbo_ray.functions import dedup as D
     from sbo_ray.functions import similarity as S
-    from sbo_ray.pipelines.datapipe import _read, emb_triplet_mining
+    from sbo_ray.pipelines.dp_common import _read
+    from sbo_ray.pipelines.dp_retrieval import emb_triplet_mining
 
     out = emb_triplet_mining(SF).to_pandas()
     assert len(out) == 10
@@ -2473,8 +2505,9 @@ def test_per_row_doc_scorers_return_datasets(ray_session):
     concat of per-row results), like doc_perplexity_bigram."""
     import ray.data as rd
 
-    from sbo_ray.pipelines.datapipe import (
-        doc_bigram_logprob, doc_dsir_weights, doc_tfidf, doc_unigram_logprob,
+    from sbo_ray.pipelines.dp_text import doc_dsir_weights
+    from sbo_ray.pipelines.dp_retrieval import (
+        doc_bigram_logprob, doc_tfidf, doc_unigram_logprob,
     )
 
     for op in (doc_tfidf, doc_unigram_logprob, doc_bigram_logprob,

@@ -69,7 +69,7 @@ def test_parse_stats_empty(ray_session, empty_token_dir, monkeypatch):
 
 
 def test_simhash_empty_documents(ray_session, empty_doc_dir):
-    from sbo_ray.pipelines.datapipe import doc_dedup_simhash
+    from sbo_ray.pipelines.dp_dedup import doc_dedup_simhash
 
     out = doc_dedup_simhash(empty_doc_dir)
     assert out.num_rows == 0
@@ -78,21 +78,21 @@ def test_simhash_empty_documents(ray_session, empty_doc_dir):
 
 
 def test_dedup_family_empty_documents(ray_session, empty_doc_dir):
-    from sbo_ray.pipelines import datapipe as DP
+    from sbo_ray.pipelines import dp_dedup, dp_retrieval, dp_text
 
     for fn, cols in (
-        (DP.doc_dedup_minhash, ["id_a", "id_b", "jaccard"]),
-        (DP.doc_dedup_ngram, ["id_a", "id_b", "jaccard"]),
-        (DP.doc_dedup_clusters, ["doc_id", "cluster_id"]),
-        (DP.doc_dedup_clusters_lp, ["doc_id", "cluster_id"]),
-        (DP.doc_group_topk, ["doc_id", "lang", "n_chars", "rnk"]),
-        (DP.doc_tfidf, ["doc_id", "token", "score", "rnk"]),
-        (DP.doc_unigram_logprob, ["doc_id", "n_tokens",
-                                  "avg_neg_logprob"]),
-        (DP.doc_pack_sequences, ["doc_id", "n_tokens", "tok_offset",
-                                 "seq_first", "seq_last"]),
-        (DP.doc_pack_materialize, ["doc_id", "seq_id", "n_frag_tokens",
-                                   "frag_text"]),
+        (dp_dedup.doc_dedup_minhash, ["id_a", "id_b", "jaccard"]),
+        (dp_dedup.doc_dedup_ngram, ["id_a", "id_b", "jaccard"]),
+        (dp_dedup.doc_dedup_clusters, ["doc_id", "cluster_id"]),
+        (dp_dedup.doc_dedup_clusters_lp, ["doc_id", "cluster_id"]),
+        (dp_text.doc_group_topk, ["doc_id", "lang", "n_chars", "rnk"]),
+        (dp_retrieval.doc_tfidf, ["doc_id", "token", "score", "rnk"]),
+        (dp_retrieval.doc_unigram_logprob, ["doc_id", "n_tokens",
+                                            "avg_neg_logprob"]),
+        (dp_text.doc_pack_sequences, ["doc_id", "n_tokens", "tok_offset",
+                                      "seq_first", "seq_last"]),
+        (dp_text.doc_pack_materialize, ["doc_id", "seq_id",
+                                        "n_frag_tokens", "frag_text"]),
     ):
         out = fn(empty_doc_dir)
         if hasattr(out, "count"):  # Dataset-returning ops (r5 pack)
@@ -102,7 +102,7 @@ def test_dedup_family_empty_documents(ray_session, empty_doc_dir):
             assert out.num_rows == 0, fn.__name__
             assert out.schema.names == cols, fn.__name__
     # streaming scan ops return a Dataset; empty input -> zero rows
-    assert DP.doc_decontaminate_ngram(empty_doc_dir).count() == 0
+    assert dp_dedup.doc_decontaminate_ngram(empty_doc_dir).count() == 0
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +166,8 @@ _SESSION_COLS = [("user_id", _I64), ("session_start", _TS),
     ("emb_knn_join", "embeddings",
      [("vec_id", _I64), ("neighbor_id", _I64), ("cos", _F64),
       ("rnk", _I64)]),
+    ("doc_emb_curation", "documents",
+     [("doc_id", _I64), ("n_tokens", _I64), ("cos_mean", _F64)]),
 ])
 def test_per_row_exchange_ops_empty(ray_session, empty_events_dir,
                                     empty_doc_dir, empty_emb_dir, name,
@@ -174,11 +176,11 @@ def test_per_row_exchange_ops_empty(ray_session, empty_events_dir,
     embeddings table return a zero-row Dataset with the op's declared
     columns and types (every partition takes the combine's typed
     empty), never a zero-column one."""
-    from sbo_ray.pipelines import datapipe as DP
+    from sbo_ray.pipelines.dataqueries import data_queries
 
     d = {"events": empty_events_dir, "documents": empty_doc_dir,
          "embeddings": empty_emb_dir}[table]
-    out = getattr(DP, name)(d)
+    out = data_queries()[name](d)
     assert out.count() == 0
     schema = out.schema()
     assert list(zip(schema.names, schema.types)) == cols
@@ -200,15 +202,15 @@ def test_bounded_event_ops_empty(ray_session, empty_events_dir, name, cols):
     """Bounded hash-exchange event ops over an empty events table: a
     zero-row table with the op's columns and types (the typed empty of
     the driver's keyed sum), never an untyped or null column."""
-    from sbo_ray.pipelines import datapipe as DP
+    from sbo_ray.pipelines.dataqueries import data_queries
 
-    out = getattr(DP, name)(empty_events_dir)
+    out = data_queries()[name](empty_events_dir)
     assert out.num_rows == 0
     assert list(zip(out.schema.names, out.schema.types)) == cols
 
 
 def test_quantize_sq8_empty_embeddings(ray_session, tmp_path):
-    from sbo_ray.pipelines.datapipe import emb_quantize_sq8
+    from sbo_ray.pipelines.dp_emb import emb_quantize_sq8
 
     pq.write_table(
         pa.schema([("vec_id", pa.int64()),
@@ -222,7 +224,7 @@ def test_quantize_sq8_empty_embeddings(ray_session, tmp_path):
 
 
 def test_pq_empty_embeddings(ray_session, tmp_path):
-    from sbo_ray.pipelines.datapipe import emb_ann_pq, emb_pq_codes
+    from sbo_ray.pipelines.dp_emb import emb_ann_pq, emb_pq_codes
 
     pq.write_table(
         pa.schema([("vec_id", pa.int64()),
@@ -239,10 +241,8 @@ def test_pq_empty_embeddings(ray_session, tmp_path):
 
 
 def test_bigrams_weighted_empty_documents(ray_session, empty_doc_dir):
-    from sbo_ray.pipelines.datapipe import (
-        doc_sample_weighted,
-        doc_vocab_bigrams,
-    )
+    from sbo_ray.pipelines.dp_dedup import doc_sample_weighted
+    from sbo_ray.pipelines.dp_text import doc_vocab_bigrams
 
     out = doc_vocab_bigrams(empty_doc_dir)
     assert out.num_rows == 0
@@ -253,7 +253,7 @@ def test_bigrams_weighted_empty_documents(ray_session, empty_doc_dir):
 
 
 def test_outlier_scores_empty_embeddings(ray_session, tmp_path):
-    from sbo_ray.pipelines.datapipe import emb_outlier_scores
+    from sbo_ray.pipelines.dp_emb import emb_outlier_scores
 
     pq.write_table(
         pa.schema([("vec_id", pa.int64()),
@@ -267,7 +267,7 @@ def test_outlier_scores_empty_embeddings(ray_session, tmp_path):
 
 
 def test_covariance_pca_empty_embeddings(ray_session, tmp_path):
-    from sbo_ray.pipelines.datapipe import emb_covariance, emb_pca_project
+    from sbo_ray.pipelines.dp_emb import emb_covariance, emb_pca_project
 
     pq.write_table(
         pa.schema([("vec_id", pa.int64()),
@@ -286,7 +286,8 @@ def test_covariance_pca_empty_embeddings(ray_session, tmp_path):
 def test_raw_task_pair_ops_empty_embeddings(ray_session, tmp_path):
     """The raw-task chunk-pair ops must survive a schemaless empty read
     (zero-row blocks are dropped by metadata before slicing)."""
-    from sbo_ray.pipelines.datapipe import emb_dedup_cosine, emb_semdedup
+    from sbo_ray.pipelines.dp_dedup import emb_dedup_cosine
+    from sbo_ray.pipelines.dp_emb import emb_semdedup
 
     pq.write_table(
         pa.schema([("vec_id", pa.int64()),
@@ -384,7 +385,7 @@ def test_semi_join_empty_orders(ray_session, tmp_path):
     """orders_with_returns with no orders but returned lineitems: a
     semi-join with an empty side is a typed empty table (no combine
     task may see key shards without any order table)."""
-    from sbo_ray.pipelines.datapipe import orders_with_returns
+    from sbo_ray.pipelines.dp_rel_events import orders_with_returns
     from sbo_ray.pipelines.queries import SF_CORRECTNESS
 
     sf = os.path.join(os.path.dirname(SF_CORRECTNESS), "sf0.001")

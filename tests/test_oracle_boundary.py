@@ -44,6 +44,19 @@ def test_engine_does_not_import_oracle():
     assert bad == []
 
 
+def test_engine_has_no_star_imports():
+    """Each module imports what it uses by name from the module that
+    defines it: a star-import hides where a name comes from and makes
+    the imported module's whole namespace part of the importer's."""
+    bad = [
+        (str(path.relative_to(PKG)), name)
+        for path in sorted(PKG.rglob("*.py"))
+        for name in _imported(path)
+        if name.endswith(".*")
+    ]
+    assert bad == []
+
+
 def test_line_view_is_the_synth_lines(tmp_path, monkeypatch):
     monkeypatch.setattr(synth, "ensure_input", lambda sf_dir: str(tmp_path))
     monkeypatch.setattr(synth, "_sf_rows", lambda sf_dir: 300)

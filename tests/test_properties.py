@@ -351,7 +351,7 @@ def test_pack_sequences_matches_cumsum(token_counts, seq_len, chunk_docs):
     import pyarrow.parquet as pq
     import tempfile
 
-    from sbo_ray.pipelines.datapipe import doc_pack_sequences
+    from sbo_ray.pipelines.dp_text import doc_pack_sequences
 
     texts = [" ".join(["w"] * c) for c in token_counts]
     with tempfile.TemporaryDirectory() as d:
@@ -452,7 +452,7 @@ def test_bucket_pairs_combine_matches_set_reference(rows, P):
     import numpy as np
     import pyarrow as pa
 
-    from sbo_ray.pipelines.datapipe import _bucket_pairs_combine
+    from sbo_ray.pipelines.dp_dedup import _bucket_pairs_combine
 
     bh = np.array([r[0] for r in rows], dtype=np.int64)
     ids = np.array([r[1] for r in rows], dtype=np.int64)
@@ -491,7 +491,7 @@ def test_anti_combine_matches_set_reference(custs, orders):
     naive set-difference reference for any shard split."""
     import numpy as np
 
-    from sbo_ray.pipelines.datapipe import _anti_combine
+    from sbo_ray.pipelines.dp_rel_events import _anti_combine
 
     ck = np.array([c[0] for c in custs], dtype=np.int64)
     cn = np.array([c[1] for c in custs], dtype=np.int64)

@@ -99,9 +99,8 @@ def test_kll_merge_law_and_roundtrip():
 def test_kll_events_quantiles_query_accuracy(ray_session):
     """The events-side KLL twin brackets the exact per-type quantiles
     at q +/- 0.05 (same contract as the log-side twin)."""
-    from sbo_ray.pipelines.datapipe import (
-        events_quantiles,
-        events_quantiles_kll,
+    from sbo_ray.pipelines.dp_rel_events import (
+        events_quantiles, events_quantiles_kll,
     )
 
     SF = "/root/testdata/sf0.001"
