@@ -97,14 +97,6 @@ def run_bench() -> dict:
     # compat fast path: tracked so the <=1.5x-of-exact ratio stays visible
     timed("metrics_compat", lambda: Q.q_log_metrics_compat(sf_dir).count())
 
-    try:
-        from sbo_ray.pipelines import dataqueries as DQ
-
-        for name, fn in DQ.bench_queries().items():
-            timed(name, lambda fn=fn: fn(sf_dir))
-    except ImportError:
-        pass
-
     # large-input throughput: reuse the scaling cache when present (it is
     # generated by --scaling; skipped with a note on stderr otherwise, to
     # keep plain bench fast on a cold machine)

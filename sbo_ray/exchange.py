@@ -6,15 +6,17 @@ run as plain Ray tasks instead. This module owns the parts of
 that layout that every site used to re-solve:
 
 - ``part_exchange(ds, partial, key, fold, out_schema)``: the one
-  one-sided hash-grouped fold (a block partial fused into the read,
-  rows routed by ``fib_partition(key(rows), P)``, one ``fold`` per
-  partition that takes a ``pa.Table`` and returns a ``pa.Table`` or a
-  ``pd.DataFrame``), returning one ref per partition. Every "group by
-  a hash partition, then fold each partition" op goes through it; none
-  runs through a Ray Data groupby's sort shuffle. The exchanges that
-  stay written out with ``shard``/``combine`` are the ones it cannot
-  express without a new option: multi-sided joins (``_anti_shard`` /
-  ``table_shard`` pairs), multi-wave exchanges (the pack family,
+  hash-grouped fold (a block partial fused into the read, rows routed
+  by ``fib_partition(key(rows), P)``, one ``fold`` per partition that
+  takes a ``pa.Table`` and returns a ``pa.Table`` or a
+  ``pd.DataFrame``), returning one ref per partition. Its two-sided
+  form is every join: ``ds``, ``partial`` and ``key`` are pairs, and
+  ``fold(left, right)`` runs Arrow's ``Table.join`` on the partition's
+  rows of both sides. Every "group by a hash partition, then fold each
+  partition" op and every join goes through it; none runs through a
+  Ray Data groupby, join or aggregate. The exchanges that stay written
+  out with ``shard``/``combine`` are the ones it cannot express
+  without a new option: multi-wave exchanges (the pack family,
   ``dedup_shard``, the label-propagation rounds, and
   ``queries._flag_count``, the near-dup screens' flag-then-count),
   shard tasks that reserve cpus (``q_log_ngram_novelty``,
@@ -390,8 +392,7 @@ def merge(ds: rd.Dataset, partial, keys: list[str],
     return out.select(schema.names).cast(schema)
 
 
-def part_exchange(ds: rd.Dataset, partial, key, fold,
-                  out_schema: pa.Schema) -> list:
+def part_exchange(ds, partial, key, fold, out_schema: pa.Schema) -> list:
     """The hash-grouped fold, as raw tasks; returns one ref per partition.
 
     ``partial(block)`` (or None: the blocks as read) runs inside
@@ -401,30 +402,55 @@ def part_exchange(ds: rd.Dataset, partial, key, fold,
     int64 hash per row) and one ``part_combine`` task per partition runs
     ``fold`` over every row of its partition: one ``pa.Table`` in block
     order in, a ``pa.Table`` or ``pd.DataFrame`` out, typed by
-    ``out_schema``. P follows the partial outputs' bytes, the bytes that
-    actually move. A partition without rows returns ``out_schema``'s
-    empty table without calling ``fold``, so the refs always hold typed
-    tables: a per-row op returns them as ``rd.from_arrow_refs(refs)``, a
-    bounded one folds ``gather(refs, out_schema)`` or
-    ``sum_refs(refs, keys, out_schema)``."""
-    if partial is not None:
-        @functools.wraps(partial)
-        def run(t: pa.Table) -> pa.Table:
-            return partial(t) if t.num_rows else t  # zero-row blocks drop
+    ``out_schema``.
 
-        ds = ds.map_batches(run, batch_format="pyarrow", batch_size=None)
-    refs, _, nbytes = sized_block_refs(ds)
+    Two-sided (a join): ``ds``, ``partial`` and ``key`` are pairs, one
+    entry per side. Each side's partial is fused into its own read, both
+    sides' rows route by the same rule, and ``fold(left, right)`` gets
+    each side's rows of its partition (the join inside it is Arrow's
+    ``Table.join``). The right side always arrives with its columns: a
+    side that has no rows at all ships one typed empty block, its
+    Dataset's schema passed through its partial.
+
+    P follows the partial outputs' bytes (both sides'), the bytes that
+    actually move. A partition without rows on its first side returns
+    ``out_schema``'s empty table without calling ``fold``, so the refs
+    always hold typed tables: a per-row op returns them as
+    ``rd.from_arrow_refs(refs)``, a bounded one folds
+    ``gather(refs, out_schema)`` or ``sum_refs(refs, keys, out_schema)``."""
+    sides = list(zip(ds, partial, key)) if isinstance(ds, tuple) \
+        else [(ds, partial, key)]
+    blocks, nbytes = [], 0
+    for d, part, _ in sides:
+        m = d
+        if part is not None:
+            def run(t: pa.Table, part=part) -> pa.Table:
+                return part(t) if t.num_rows else t  # zero-row blocks drop
+
+            m = d.map_batches(functools.wraps(part)(run),
+                              batch_format="pyarrow", batch_size=None)
+        refs, _, b = sized_block_refs(m)
+        if blocks and not refs:
+            empty = d.schema().base_schema.empty_table()
+            refs = [ray.put(part(empty) if part else empty)]
+        blocks.append(refs)
+        nbytes += b
     P = n_parts(nbytes)
 
-    def part_shard(t: pa.Table) -> list:
+    def part_shard(t: pa.Table, key) -> list:
         return split(fib_partition(key(t), P), P, t)
 
-    def part_combine(*tabs: pa.Table) -> pa.Table:
-        out = fold(pa.concat_tables(tabs))
+    def part_combine(*got) -> pa.Table:
+        got = got if len(sides) > 1 else [got]
+        rows = [[t for t in s if t.num_rows] for s in got]
+        if not rows[0]:
+            return out_schema.empty_table()
+        out = fold(*[pa.concat_tables(r or s[:1]) for r, s in zip(rows, got)])
         if isinstance(out, pa.Table):
             return out.select(out_schema.names).cast(out_schema)
         return pa.Table.from_pandas(out, schema=out_schema,
                                     preserve_index=False)
 
-    return combine(part_combine, shard(part_shard, refs, P),
-                   out_schema=out_schema)
+    mats = tuple(shard(part_shard, refs, P, k)
+                 for refs, (_, _, k) in zip(blocks, sides))
+    return combine(part_combine, mats if len(mats) > 1 else mats[0])

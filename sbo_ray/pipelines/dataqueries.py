@@ -2667,9 +2667,3 @@ def data_oracle_sql() -> dict:
         "events_sessionize": SQL_EVENTS_SESSIONIZE,
         "events_sessionize_salted": SQL_EVENTS_SESSIONIZE,
     }
-
-
-def bench_queries() -> dict:
-    """Queries included in bench.py timings (kept small: the provided
-    tables are tiny; the log pipeline is the throughput story)."""
-    return {}

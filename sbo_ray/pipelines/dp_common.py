@@ -13,7 +13,8 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from .logpipe import _cpus, tune_context
+from ..exchange import _cpus
+from .logpipe import tune_context
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None) -> rd.Dataset:

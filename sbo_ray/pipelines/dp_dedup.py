@@ -15,9 +15,9 @@ import ray
 import ray.data as rd
 
 from .. import exchange as X
+from ..exchange import _cpus
 from ..functions import dedup as D
 from ..functions import similarity as S
-from .logpipe import _cpus
 
 from .dp_common import _bw_task_cpus, _col_key, _read
 

@@ -38,11 +38,14 @@ def _topk_fold(ds: rd.Dataset, block_topk, k: int) -> pa.Table:
     return S.merge_topk(X.fold(ds, block_topk, S._EMPTY_TOPK), k)
 
 
-def _min_id_row(ds: rd.Dataset, id_col: str = "vec_id") -> dict:
-    """Fetch the min-id row: a distributed min AGGREGATE (block partials,
-    tiny combine) + a filtered re-read — never a global sort."""
-    min_id = ds.min(id_col)
-    return ds.filter(expr=f"{id_col} == {min_id}").take(1)[0]
+def _min_id_row(ds: rd.Dataset) -> dict:
+    """The min-vec_id row, in one execution: each block keeps its
+    min-id row (``exchange.fold``) and the driver takes the smallest."""
+    def block_min(t: pa.Table) -> pa.Table:
+        return t.slice(int(np.argmin(t.column("vec_id").to_numpy())), 1)
+
+    return block_min(X.fold(ds, block_min, ds.schema().base_schema)) \
+        .to_pylist()[0]
 
 
 def emb_similarity_topk(sf_dir: str, k: int = 10):

@@ -9,8 +9,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..exchange import _cpus
 from ..functions.multimodal import DecoderStub, to_payload_table
-from .logpipe import _cpus
 
 from .dp_common import _read
 

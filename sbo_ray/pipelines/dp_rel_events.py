@@ -19,7 +19,6 @@ import ray.data as rd
 from .. import exchange as X
 from ..functions import dedup as D
 from ..functions import text as T
-from .logpipe import _cpus
 
 from .dp_common import _col_key, _distinct_users, _read, _user_key
 from .dp_dedup import _text_hash_key
@@ -62,54 +61,44 @@ _SEMI_ORD = pa.schema([("o_orderpriority", pa.string()),
                        ("total_price", pa.float64())])
 
 
-def _semi_orders_combine(orders: list, keys: list) -> pa.Table:
-    """One hash partition of the orders SEMI-join: keep orders whose
-    orderkey appears in the lineitem key shards, fold per-priority
-    (count, price-sum) partials via pyarrow group_by."""
-    ot = pa.concat_tables(orders)
-    rk = (np.unique(np.concatenate([s[0] for s in keys]))
-          if keys else np.zeros(0, np.int64))
-    ok = ot.column("o_orderkey").to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    hit = ot.filter(pa.array(np.isin(ok, rk)))
-    if hit.num_rows == 0:
-        return _SEMI_ORD.empty_table()
+def _semi_orders_fold(orders: pa.Table, li: pa.Table) -> pa.Table:
+    """One orderkey partition of the orders SEMI-join: orders whose
+    orderkey appears among the lineitem keys, folded to per-priority
+    (count, price-sum) partials."""
+    hit = orders.join(li, "o_orderkey", "l_orderkey", join_type="left semi")
     g = hit.group_by("o_orderpriority").aggregate(
         [("o_orderkey", "count"), ("o_totalprice", "sum")])
-    return pa.table({
-        "o_orderpriority": g.column("o_orderpriority"),
-        "n_orders": g.column("o_orderkey_count").cast(pa.int64()),
-        "total_price": g.column("o_totalprice_sum"),
-    }, schema=_SEMI_ORD)
+    return g.rename_columns(_SEMI_ORD.names)
 
 
 def orders_with_returns(sf_dir: str, flag: str = "R"):
     """Distributed hash SEMI-join (TPC-H Q4's shape, the EXISTS
     complement of customer_no_orders' anti-join): orders with at least
     one returned lineitem, aggregated per order priority. Both sides
-    are corpus-sized, so neither broadcasts: the returnflag filter is
-    pushed into the lineitem scan, lineitem ships KEYS ONLY (8
-    bytes/row via _anti_shard), orders ship their three needed columns
-    as table slices, one Fibonacci-hash exchange co-locates them, and
-    each partition emits |priorities|-sized partials the driver sums
+    are corpus-sized, so neither broadcasts: the returnflag filter runs
+    in the lineitem read, lineitem ships KEYS ONLY (8 bytes/row),
+    orders ship their three needed columns, one two-sided
+    ``exchange.part_exchange`` co-locates them by orderkey, and each
+    partition emits |priorities|-sized partials the driver sums
     (``exchange.sum_refs``).
     Membership (not join multiplicity) is the semi-join semantics —
-    duplicate lineitem keys collapse in the per-partition unique."""
+    duplicate lineitem keys collapse in Arrow's left-semi join."""
     orders = _read(sf_dir, "orders",
                    columns=["o_orderkey", "o_orderpriority", "o_totalprice"])
-    li = _read(sf_dir, "lineitem",
-               columns=["l_orderkey", "l_returnflag"]).filter(
-        expr=f"l_returnflag == '{flag}'")
-    orefs = X.block_refs(orders)
-    if not orefs:
-        return _SEMI_ORD.empty_table()
-    P = X.n_parts()
-    osl = X.shard(X.table_shard, orefs, P, P, "o_orderkey")
-    lsl = X.shard(_anti_shard, X.block_refs(li), P, P, "l_orderkey", None)
-    g = X.sum_refs(X.combine(_semi_orders_combine, (osl, lsl),
-                             out_schema=_SEMI_ORD), ["o_orderpriority"],
-                   _SEMI_ORD)
-    return g.set_column(2, "total_price", pc.round(g.column("total_price"), 2))
+    li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_returnflag"])
+
+    def returned(t: pa.Table) -> pa.Table:
+        return t.filter(pc.equal(t["l_returnflag"], flag)).select(
+            ["l_orderkey"])
+
+    g = X.sum_refs(X.part_exchange(
+        (orders, li), (None, returned),
+        (_col_key("o_orderkey"), _col_key("l_orderkey")),
+        _semi_orders_fold, _SEMI_ORD), ["o_orderpriority"], _SEMI_ORD)
+    # np.round: Arrow's round passes a value within an ulp of a cent
+    # through unrounded, so the last bit of the sum would show
+    return g.set_column(2, "total_price", pa.array(
+        np.round(g.column("total_price").to_numpy(), 2)))
 
 
 _LV_Q = pa.schema([("l_orderkey", pa.int64()), ("sum_qty", pa.int64())])
@@ -390,92 +379,55 @@ def doc_dedup_bloom(sf_dir: str, m_bits: int = 1 << 22, k: int = 4):
     return ds.map_batches(keep_new, batch_format="pyarrow")
 
 
-def _anti_shard(block: pa.Table, P: int, key_col: str,
-                carry_col: str | None) -> list:
-    """Route one block's rows by the Fibonacci hash of ``key_col`` into
-    P shards of (keys, carry) arrays (carry=None ships key-only)."""
-    keys = block.column(key_col).to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    part = X.fib_partition(keys, P)
-    if not carry_col:
-        return [(k, k[:0]) for k in X.split(part, P, keys)]
-    carry = block.column(carry_col).to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    return X.split(part, P, keys, carry)
+_NO_ORD = pa.schema([("c_nationkey", pa.int64()),
+                     ("n_no_order_customers", pa.int64())])
 
 
-def _anti_combine(left: list, right: list) -> pa.Table:
-    """One hash partition of the anti-join: left keys absent from the
-    right side, counted per carry value. ``left`` holds (custkey,
-    nationkey) shards, ``right`` key-only shards."""
-    lk = np.concatenate([s[0] for s in left])
-    lc = np.concatenate([s[1] for s in left])
-    rk = np.unique(np.concatenate([s[0] for s in right])) \
-        if right else np.zeros(0, np.int64)
-    miss = ~np.isin(lk, rk)
-    vals, cnts = np.unique(lc[miss], return_counts=True)
-    return pa.table({"key": pa.array(vals.astype(np.int64)),
-                     "cnt": pa.array(cnts.astype(np.int64))})
+def _no_orders_fold(cust: pa.Table, orders: pa.Table) -> pa.Table:
+    """One custkey partition of the customer ANTI-join: customers whose
+    custkey no order carries, counted per nation."""
+    return cust.join(orders, "c_custkey", "o_custkey",
+                     join_type="left anti").group_by("c_nationkey") \
+        .aggregate([([], "count_all")]).rename_columns(_NO_ORD.names)
 
 
 def customer_no_orders(sf_dir: str, status: str = "F"):
     """Distributed ANTI-join (TPC-H Q22's core): customers with NO
     fulfilled (``o_orderstatus == status``) orders, counted per
     nation. Both sides are corpus-sized at scale, so neither
-    broadcasts: one raw-task hash exchange co-locates every custkey's
-    customer row and order rows in the same partition (Fibonacci-mix
-    hash, ``num_returns=P``, 8-16 bytes/row), each partition emits
-    per-nation missing counts via sorted-unique + ``isin``, and the
-    driver sums P x |nations| tiny partials (``exchange.sum_refs``).
-    The status filter is pushed into the scan (predicate before the
-    exchange)."""
+    broadcasts: one two-sided ``exchange.part_exchange`` co-locates
+    every custkey's customer row and order keys in the same partition
+    (8-16 bytes/row), each partition emits per-nation missing counts
+    via Arrow's left-anti join, and the driver sums P x |nations| tiny
+    partials (``exchange.sum_refs``). The status filter runs in the
+    orders read (predicate before the exchange)."""
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
-    orders = _read(sf_dir, "orders",
-                   columns=["o_custkey", "o_orderstatus"]).filter(
-        expr=f"o_orderstatus == '{status}'")
-    OUT = pa.schema([("c_nationkey", pa.int64()),
-                     ("n_no_order_customers", pa.int64())])
-    crefs = X.block_refs(cust)
-    if not crefs:
-        return OUT.empty_table()
-    P = X.n_parts()
-    csl = X.shard(_anti_shard, crefs, P, P, "c_custkey", "c_nationkey")
-    osl = X.shard(_anti_shard, X.block_refs(orders), P, P, "o_custkey", None)
-    g = X.sum_refs(X.combine(_anti_combine, (csl, osl)), ["key"], pa.schema(
-        [("key", pa.int64()), ("cnt", pa.int64())]))
-    return g.rename_columns(OUT.names)
+    orders = _read(sf_dir, "orders", columns=["o_custkey", "o_orderstatus"])
+
+    def with_status(t: pa.Table) -> pa.Table:
+        return t.filter(pc.equal(t["o_orderstatus"], status)).select(
+            ["o_custkey"])
+
+    return X.sum_refs(X.part_exchange(
+        (cust, orders), (None, with_status),
+        (_col_key("c_custkey"), _col_key("o_custkey")), _no_orders_fold,
+        _NO_ORD), ["c_nationkey"], _NO_ORD)
 
 
 _EMB_CUR = pa.schema([("doc_id", pa.int64()), ("n_tokens", pa.int64()),
                       ("cos_mean", pa.float64())])
 
 
-def _emb_cur_combine(ts: list, es: list) -> pa.Table:
+def _emb_cur_fold(ts: pa.Table, es: pa.Table) -> pa.Table:
     """One hash partition of the text x embedding curation join:
     ``ts`` are (doc_id, n_tokens) gate-passing text rows, ``es``
-    (vec_id, cos-in-micro-units) inlier embedding rows. Inner
-    join via sorted-unique vec_ids + searchsorted (vec_ids are unique,
-    so one probe per doc); output sorted by doc_id for per-partition
-    determinism. ``cos_int / 1e6`` reproduces ROUND(cos, 6) exactly:
-    both are the nearest double to the same decimal."""
-    tk = (np.concatenate([s[0] for s in ts])
-          if ts else np.zeros(0, np.int64))
-    ek = (np.concatenate([s[0] for s in es])
-          if es else np.zeros(0, np.int64))
-    if not len(tk) or not len(ek):
-        return _EMB_CUR.empty_table()
-    tc = np.concatenate([s[1] for s in ts])
-    ec = np.concatenate([s[1] for s in es])
-    order = np.argsort(ek, kind="stable")
-    eks, ecs = ek[order], ec[order]
-    pos = np.searchsorted(eks, tk)
-    pos_c = np.minimum(pos, len(eks) - 1)
-    found = eks[pos_c] == tk
-    dk, nt = tk[found], tc[found]
-    cm = ecs[pos_c[found]] / 1e6
-    oo = np.argsort(dk, kind="stable")
-    return pa.table({"doc_id": dk[oo], "n_tokens": nt[oo],
-                     "cos_mean": cm[oo]}, schema=_EMB_CUR)
+    (vec_id, cos-in-micro-units) inlier embedding rows; output sorted
+    by doc_id for per-partition determinism. ``cos_int / 1e6``
+    reproduces ROUND(cos, 6) exactly: both are the nearest double to
+    the same decimal."""
+    j = ts.join(es, "doc_id", "vec_id", join_type="inner").sort_by("doc_id")
+    return j.set_column(2, "cos_mean", pc.divide(
+        j.column("cos_int").cast(pa.float64()), 1e6))
 
 
 def doc_emb_curation(sf_dir: str, lang: str = "en", min_tokens: int = 20,
@@ -489,11 +441,11 @@ def doc_emb_curation(sf_dir: str, lang: str = "en", min_tokens: int = 20,
     criterion). Documents and embeddings are BOTH corpus-sized, so
     neither side broadcasts: each side gates block-locally first (text
     stats via one fused scan, cosines via the two-pass broadcast-mean
-    scorer), then ONE Fibonacci-hash raw-task exchange
-    (``num_returns=P``, 16 bytes/row, survivors only) co-locates every
-    doc's text row and embedding row, and each partition emits matches
-    via sorted vec_ids + searchsorted. Output rides
-    ``from_arrow_refs`` — kept rows never concat on the driver.
+    scorer), then ONE two-sided ``exchange.part_exchange`` (16
+    bytes/row, survivors only) co-locates every doc's text row and
+    embedding row, and each partition emits matches via Arrow's inner
+    join. Output rides ``from_arrow_refs`` — kept rows never concat on
+    the driver.
     Cosines cross the exchange as ROUND-6 micro-units (int64) so the
     join carries integers only and the float reconstruction is exact
     on both engine and oracle sides."""
@@ -532,47 +484,42 @@ def doc_emb_curation(sf_dir: str, lang: str = "en", min_tokens: int = 20,
         return pa.table({"vec_id": keep.column("vec_id"),
                          "cos_int": pc.cast(micro, pa.int64())})
 
-    text_ds = docs.map_batches(text_gate, batch_format="pyarrow")
-    trefs = X.block_refs(text_ds)
+    trefs = X.block_refs(docs.map_batches(text_gate, batch_format="pyarrow"))
     if not trefs:
         return rd.from_arrow(_EMB_CUR.empty_table())
     # scored only when a document survives: the scorer's mean pass
     # reads every embedding eagerly
-    emb_ds = emb_outlier_scores(sf_dir, threshold=cos_threshold) \
-        .map_batches(emb_gate, batch_format="pyarrow")
-    erefs = X.block_refs(emb_ds)
-    if not erefs:
-        return rd.from_arrow(_EMB_CUR.empty_table())
-    P = X.n_parts()
-    tsl = X.shard(_anti_shard, trefs, P, P, "doc_id", "n_tokens")
-    esl = X.shard(_anti_shard, erefs, P, P, "vec_id", "cos_int")
-    return rd.from_arrow_refs(X.combine(_emb_cur_combine, (tsl, esl)))
+    return rd.from_arrow_refs(X.part_exchange(
+        (rd.from_arrow_refs(trefs),
+         emb_outlier_scores(sf_dir, threshold=cos_threshold)),
+        (None, emb_gate), (_col_key("doc_id"), _col_key("vec_id")),
+        _emb_cur_fold, _EMB_CUR))
 
 
 def orders_mktsegment_revenue(sf_dir: str):
-    """Both-sides-distributed hash join via native ``Dataset.join``
-    (hash-partitioned on the key): orders x customer -> revenue per
-    market segment. Complements the broadcast-join path
+    """Both-sides-distributed hash join (a two-sided
+    ``exchange.part_exchange`` on the custkey): orders x customer ->
+    revenue per market segment. Complements the broadcast-join path
     (customer_nation_agg) with the shuffle-join primitive."""
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
     customer = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
-    joined = orders.join(customer, join_type="inner",
-                         num_partitions=max(4, _cpus()),
-                         on=("o_custkey",), right_on=("c_custkey",))
+    out = pa.schema([("c_mktsegment", pa.string()), ("revenue", pa.float64()),
+                     ("n_orders", pa.int64())])
 
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.select(["c_mktsegment", "o_totalprice"]).group_by(
+    def fold(o: pa.Table, c: pa.Table) -> pa.Table:
+        g = o.join(c, "o_custkey", "c_custkey", join_type="inner").group_by(
             "c_mktsegment").aggregate([("o_totalprice", "sum"),
                                        ("o_totalprice", "count")])
-        return g.rename_columns(["c_mktsegment", "revenue", "n_orders"])
+        return g.rename_columns(out.names)
 
-    g = X.merge(joined, partial, ["c_mktsegment"], pa.schema([
-        ("c_mktsegment", pa.string()), ("revenue", pa.float64()),
-        ("n_orders", pa.int64())]))
+    g = X.sum_refs(X.part_exchange(
+        (orders, customer), (None, None),
+        (_col_key("o_custkey"), _col_key("c_custkey")), fold, out),
+        ["c_mktsegment"], out)
     return pa.table({
         "c_mktsegment": g.column("c_mktsegment"),
         "n_orders": g.column("n_orders"),
-        "revenue": pc.round(g.column("revenue"), 2),
+        "revenue": np.round(g.column("revenue").to_numpy(), 2),
     })
 
 
@@ -600,84 +547,94 @@ def orders_shipping_priority(sf_dir: str, segment: str = "BUILDING",
                              date: str = "1995-03-15", k: int = 10):
     """TPC-H Q3 (shipping priority): top-k unshipped orders by revenue
     for one market segment — the canonical 3-table analytical join.
-    Distributed shape: segment-filtered customers x date-filtered
-    orders through ONE native hash join (both sides corpus-sized, so
-    neither broadcasts), the result joined to date-filtered lineitem
-    through a SECOND hash join on orderkey; blocks then emit per-order
-    partial revenues, ONE orderkey exchange
-    (``exchange.part_exchange``) makes the per-partition sums exact
-    (join blocks usually already hold an order whole, but Ray may split
-    partitions by size — the exchange removes that assumption), and
-    each partition keeps its local top-k under the FINAL
+    Distributed shape, over two two-sided ``exchange.part_exchange``
+    joins (every side corpus-sized, so none broadcasts): date-filtered
+    orders x segment-filtered customers on the custkey, then
+    date-filtered lineitem (per-block, per-order partial revenues)
+    x those orders on the orderkey. The second exchange routes by
+    orderkey, so each partition's per-order sums are exact, and each
+    partition keeps its local top-k under the FINAL
     (round2(revenue) desc, o_orderdate asc, key asc) rule
     (``_q3_top``, which the driver applies again to the P x k rows).
     Exact SQL mirror."""
     cutoff = pa.scalar(pd.Timestamp(date))
-
-    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]) \
-        .map_batches(lambda t: t.filter(
-            pc.equal(t["c_mktsegment"], segment)), batch_format="pyarrow")
+    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
     orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_custkey", "o_orderdate"]) \
-        .map_batches(lambda t: t.filter(pc.less(t["o_orderdate"], cutoff)),
-                     batch_format="pyarrow")
-    j1 = orders.join(cust, join_type="inner",
-                     num_partitions=max(4, _cpus()),
-                     on=("o_custkey",), right_on=("c_custkey",))
+                   columns=["o_orderkey", "o_custkey", "o_orderdate"])
     li = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_extendedprice", "l_discount",
-                        "l_shipdate"]) \
-        .map_batches(lambda t: t.filter(pc.greater(t["l_shipdate"], cutoff)),
-                     batch_format="pyarrow")
-    j2 = li.join(j1, join_type="inner",
-                 num_partitions=max(4, _cpus()),
-                 on=("l_orderkey",), right_on=("o_orderkey",))
+                        "l_shipdate"])
+    dated = pa.schema([("o_orderkey", pa.int64()),
+                       ("o_orderdate", pa.timestamp("us"))])
 
-    def revenue(block: pa.Table) -> pa.Table:
-        disc = pc.multiply(block["l_extendedprice"],
-                           pc.subtract(pa.scalar(1.0), block["l_discount"]))
+    def in_segment(t: pa.Table) -> pa.Table:
+        return t.filter(pc.equal(t["c_mktsegment"], segment)).select(
+            ["c_custkey"])
+
+    def placed(o: pa.Table) -> pa.Table:
+        return o.filter(pc.less(o["o_orderdate"], cutoff))
+
+    def revenue(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.greater(t["l_shipdate"], cutoff))
         return pa.table({
-            "l_orderkey": block.column("l_orderkey"),
-            "o_orderdate": block.column("o_orderdate"),
-            "revenue": disc,
-        }).group_by(["l_orderkey", "o_orderdate"]).aggregate(
-            [("revenue", "sum")]).rename_columns(_Q3.names).cast(_Q3)
+            "l_orderkey": t.column("l_orderkey"),
+            "revenue": pc.multiply(t["l_extendedprice"], pc.subtract(
+                pa.scalar(1.0), t["l_discount"])),
+        }).group_by("l_orderkey").aggregate([("revenue", "sum")]) \
+            .rename_columns(["l_orderkey", "revenue"])
 
-    def top_part(t: pa.Table) -> pa.Table:
-        return _q3_top(t.group_by(["l_orderkey", "o_orderdate"]).aggregate(
+    def top_part(rev: pa.Table, o: pa.Table) -> pa.Table:
+        j = rev.join(o, "l_orderkey", "o_orderkey", join_type="inner")
+        return _q3_top(j.group_by(["l_orderkey", "o_orderdate"]).aggregate(
             [("revenue", "sum")]).rename_columns(_Q3.names), k)
 
+    orders_ds = rd.from_arrow_refs(X.part_exchange(
+        (orders, cust), (placed, in_segment),
+        (_col_key("o_custkey"), _col_key("c_custkey")),
+        lambda o, c: o.join(c, "o_custkey", "c_custkey", join_type="inner"),
+        dated))
     return _q3_top(X.gather(X.part_exchange(
-        j2, revenue, _col_key("l_orderkey"), top_part, _Q3), _Q3), k)
+        (li, orders_ds), (revenue, None),
+        (_col_key("l_orderkey"), _col_key("o_orderkey")), top_part, _Q3),
+        _Q3), k)
 
 
 def lineitem_pricing_summary(sf_dir: str):
-    """TPC-H Q1-style pricing summary (grouped multi-aggregate)."""
-    from ray.data.aggregate import Count, Sum
-
+    """TPC-H Q1-style pricing summary (grouped multi-aggregate): a
+    bounded keyed sum, so one ``exchange.merge`` of per-block partials.
+    The money columns sum as decimals (TPC-H's DECIMAL(15,2)), so each
+    sum is exact and ROUND(.., 2) rounds a half cent up: a float sum's
+    last bit follows the block layout and arrival order, and two
+    groups' exact sums sit on a half cent (sf0.001, sf0.1)."""
     cutoff = pa.scalar(pd.Timestamp("1998-09-02"))
+    keys = ["l_returnflag", "l_linestatus"]
+    cents, micros = pa.decimal128(38, 2), pa.decimal128(38, 4)
+    schema = pa.schema([
+        ("l_returnflag", pa.string()), ("l_linestatus", pa.string()),
+        ("sum_qty", pa.float64()), ("sum_base_price", cents),
+        ("sum_disc_price", micros), ("count_order", pa.int64())])
 
-    def prep(t: pa.Table) -> pa.Table:
+    def partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.less_equal(t["l_shipdate"], cutoff))
-        disc = pc.multiply(t["l_extendedprice"],
-                           pc.subtract(pa.scalar(1.0), t["l_discount"]))
-        return t.append_column("disc_price", disc)
+        price = t["l_extendedprice"].cast(pa.decimal128(15, 2))
+        disc = pc.multiply(price, pc.subtract(
+            pa.scalar(1, price.type), t["l_discount"].cast(price.type)))
+        return t.append_column("price", price.cast(cents)) \
+            .append_column("disc_price", disc.cast(micros)) \
+            .group_by(keys).aggregate(
+                [("l_quantity", "sum"), ("price", "sum"),
+                 ("disc_price", "sum"), ([], "count_all")]) \
+            .rename_columns(schema.names)
 
     ds = _read(sf_dir, "lineitem",
                columns=["l_returnflag", "l_linestatus", "l_quantity",
                         "l_extendedprice", "l_discount", "l_shipdate"])
-    ds = ds.map_batches(prep, batch_format="pyarrow")
-    agg = ds.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("l_quantity", alias_name="sum_qty"),
-        Sum("l_extendedprice", alias_name="sum_base_price"),
-        Sum("disc_price", alias_name="sum_disc_price"),
-        Count(alias_name="count_order"),
-    )
-    df = agg.to_pandas()
+    g = X.merge(ds, partial, keys, schema).sort_by(
+        [(k, "ascending") for k in keys])
     for c in ("sum_qty", "sum_base_price", "sum_disc_price"):
-        df[c] = df[c].round(2)
-    df["count_order"] = df["count_order"].astype("int64")
-    return pa.Table.from_pandas(df, preserve_index=False)
+        g = g.set_column(g.schema.get_field_index(c), c, pc.round(
+            g[c], 2, round_mode="half_towards_infinity").cast(pa.float64()))
+    return g
 
 
 def orders_by_month(sf_dir: str):

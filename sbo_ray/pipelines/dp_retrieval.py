@@ -17,10 +17,10 @@ import ray
 import ray.data as rd
 
 from .. import exchange as X
+from ..exchange import _cpus
 from ..functions import dedup as D
 from ..functions import similarity as S
 from ..functions import text as T
-from .logpipe import _cpus
 
 from .dp_common import (
     _bw_task_cpus, _col_key, _distinct_users, _parquet_num_rows, _read,
@@ -949,23 +949,24 @@ def events_retention(sf_dir: str):
 
 
 def part_brand_revenue(sf_dir: str):
-    """Fact x mid-size dimension (lineitem x part) via the native
-    hash-partitioned ``Dataset.join``, then brand rollup. At TPC-H
-    proportions ``part`` is ~1/30 of lineitem — too big to broadcast
-    comfortably at the 100-TB tier, so this is deliberately the
-    SHUFFLE-join primitive (contrast supplier_nation_revenue, where
-    both dims are tiny and a composed broadcast map wins). The
-    post-join aggregate is a block-local partial per brand, so only
-    |brands| rows per block follow the join."""
+    """Fact x mid-size dimension (lineitem x part) via a two-sided
+    ``exchange.part_exchange`` on the partkey, then brand rollup. At
+    TPC-H proportions ``part`` is ~1/30 of lineitem — too big to
+    broadcast comfortably at the 100-TB tier, so this is deliberately
+    the SHUFFLE-join primitive (contrast supplier_nation_revenue, where
+    both dims are tiny and a composed broadcast map wins). Each
+    partition folds its join to per-brand partials, so only |brands|
+    rows per partition follow the join."""
     li = _read(sf_dir, "lineitem",
                columns=["l_partkey", "l_quantity", "l_extendedprice",
                         "l_discount"])
     part = _read(sf_dir, "part", columns=["p_partkey", "p_brand"])
-    joined = li.join(part, join_type="inner",
-                     num_partitions=max(4, _cpus()),
-                     on=("l_partkey",), right_on=("p_partkey",))
+    out = pa.schema([
+        ("p_brand", pa.string()), ("sum_qty", pa.float64()),
+        ("revenue", pa.float64()), ("n_items", pa.int64())])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def fold(li: pa.Table, part: pa.Table) -> pa.Table:
+        t = li.join(part, "l_partkey", "p_partkey", join_type="inner")
         rev = pc.multiply(
             t.column("l_extendedprice"),
             pc.subtract(pa.scalar(1.0), t.column("l_discount")))
@@ -975,28 +976,28 @@ def part_brand_revenue(sf_dir: str):
             "revenue": rev,
         }).group_by("p_brand").aggregate(
             [("sum_qty", "sum"), ("revenue", "sum"), ("revenue", "count")])
-        return g.rename_columns(["p_brand", "sum_qty", "revenue",
-                                 "n_items"])
+        return g.rename_columns(out.names)
 
-    g = X.merge(joined, partial, ["p_brand"], pa.schema([
-        ("p_brand", pa.string()), ("sum_qty", pa.float64()),
-        ("revenue", pa.float64()), ("n_items", pa.int64())]))
+    g = X.sum_refs(X.part_exchange(
+        (li, part), (None, None),
+        (_col_key("l_partkey"), _col_key("p_partkey")), fold, out),
+        ["p_brand"], out)
     return pa.table({
         "p_brand": g.column("p_brand"),
         "n_items": g.column("n_items"),
-        "sum_qty": pc.round(g.column("sum_qty"), 2),
-        "revenue": pc.round(g.column("revenue"), 2),
+        "sum_qty": np.round(g.column("sum_qty").to_numpy(), 2),
+        "revenue": np.round(g.column("revenue").to_numpy(), 2),
     })
 
 
 def region_revenue_by_year(sf_dir: str):
     """Revenue per (region, order year): the shuffle join (orders x
-    customer, both fact-sized) CHAINED with the composed broadcast dim
-    map (nationkey -> region name through nation x region, both tiny) —
-    one exchange total for a four-table query. The dim composition
-    happens driver-side on 25+5 rows; the year is extracted
-    vectorized; per-block partials keep post-join traffic at
-    |regions x years| rows per block."""
+    customer, both fact-sized, a two-sided ``exchange.part_exchange``)
+    CHAINED with the composed broadcast dim map (nationkey -> region
+    name through nation x region, both tiny) — one exchange total for
+    a four-table query. The dim composition happens driver-side on
+    25+5 rows; the year is extracted vectorized; each partition folds
+    its join to |regions x years| partial rows."""
     nation = X.collect(
         _read(sf_dir, "nation", columns=["n_nationkey", "n_regionkey"]),
         pa.schema([("n_nationkey", pa.int32()), ("n_regionkey", pa.int32())]))
@@ -1016,11 +1017,12 @@ def region_revenue_by_year(sf_dir: str):
                    columns=["o_custkey", "o_totalprice", "o_orderdate"])
     customer = _read(sf_dir, "customer",
                      columns=["c_custkey", "c_nationkey"])
-    joined = orders.join(customer, join_type="inner",
-                         num_partitions=max(4, _cpus()),
-                         on=("o_custkey",), right_on=("c_custkey",))
+    out = pa.schema([
+        ("r_name", pa.string()), ("year", pa.int64()),
+        ("revenue", pa.float64()), ("n_orders", pa.int64())])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def fold(o: pa.Table, c: pa.Table) -> pa.Table:
+        t = o.join(c, "o_custkey", "c_custkey", join_type="inner")
         lk = ray.get(lookup_ref)
         nk = t.column("c_nationkey").to_numpy(zero_copy_only=False)
         names = pa.array([lk.get(int(k), "") for k in nk],
@@ -1031,16 +1033,17 @@ def region_revenue_by_year(sf_dir: str):
             "revenue": t.column("o_totalprice"),
         }).group_by(["r_name", "year"]).aggregate(
             [("revenue", "sum"), ("revenue", "count")])
-        return g.rename_columns(["r_name", "year", "revenue", "n_orders"])
+        return g.rename_columns(out.names)
 
-    g = X.merge(joined, partial, ["r_name", "year"], pa.schema([
-        ("r_name", pa.string()), ("year", pa.int64()),
-        ("revenue", pa.float64()), ("n_orders", pa.int64())]))
+    g = X.sum_refs(X.part_exchange(
+        (orders, customer), (None, None),
+        (_col_key("o_custkey"), _col_key("c_custkey")), fold, out),
+        ["r_name", "year"], out)
     return pa.table({
         "r_name": g.column("r_name"),
         "year": g.column("year"),
         "n_orders": g.column("n_orders"),
-        "revenue": pc.round(g.column("revenue"), 2),
+        "revenue": np.round(g.column("revenue").to_numpy(), 2),
     })
 
 

@@ -42,19 +42,16 @@ from ..stages.route import routed_projection
 
 
 def tune_context() -> None:
-    """Shuffle knobs sized to the session instead of the fixed
-    200-partition default, which burns constant overhead per shuffle at
-    small scale. The strategy is the pull-based sort shuffle:
-    hash-shuffle aggregator actors linger for 300s holding CPU
-    reservations (min_hash_shuffle_aggregator_wait_time_in_s), which
-    starves small-CPU sessions across repeated shuffles."""
-    from ray.data.context import DataContext, ShuffleStrategy
+    """Floor a read's block count at the session's cpus (at least 4),
+    in place of Ray's default floor of 200 blocks (capped by a 1 MB
+    minimum block size), which gives a 1-cpu session tens of small
+    blocks per table. Only reads without ``override_num_blocks``
+    consult it. A plan runs under the context its last Dataset copied
+    when it was built, so the floor is set before that Dataset (and
+    stays set in the process)."""
+    from ray.data.context import DataContext
 
-    ctx = DataContext.get_current()
-    cpus = _cpus()
-    ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PULL_BASED
-    ctx.default_hash_shuffle_parallelism = max(4, cpus)
-    ctx.min_parallelism = max(4, cpus)
+    DataContext.get_current().read_op_min_num_blocks = max(4, _cpus())
 
 
 def read_input(input_paths) -> rd.Dataset:
@@ -73,12 +70,18 @@ def read_input(input_paths) -> rd.Dataset:
     n = len(input_paths) if isinstance(input_paths, list) else None
     if n:
         return rd.read_parquet(input_paths, override_num_blocks=n)
+    tune_context()
     return rd.read_parquet(input_paths)
 
 
 def enriched_dataset_from(ds: rd.Dataset, job: JobConfig,
                           batch_size: int | None = None) -> rd.Dataset:
-    """Parse+enrich an already-constructed input Dataset (token schema)."""
+    """Parse+enrich an already-constructed input Dataset (token schema).
+
+    Sets the read floor too: a plan runs under the context of its last
+    Dataset, so the floor set here reaches a read built before it (the
+    cli's ``rd.read_parquet(inputs)``: 4 blocks instead of 36 for the
+    sf0.01 token shards at 1 cpu)."""
     tune_context()
     return ds.map_batches(
         make_parse_fn(job),
@@ -97,7 +100,6 @@ def enriched_dataset(input_dir: str, job: JobConfig,
     module level in each worker and amortize exactly like actor state,
     without per-query actor-pool startup latency. (SURVEY.md §2.4 ST1;
     an actor-pool variant is available via ``ParseEnrich`` directly.)"""
-    tune_context()  # before the read: the Dataset copies the context then
     return enriched_dataset_from(read_input(input_dir), job, batch_size)
 
 
@@ -317,8 +319,6 @@ def full_pipeline(input_paths, job: JobConfig, out_dir: str,
     storage; worker tasks resolve the URI per process (`sbo_ray.fsio`).
     """
     from .. import fsio
-
-    tune_context()
 
     routed_root = fsio.join(out_dir, "routed")
     fsio.makedirs(routed_root)

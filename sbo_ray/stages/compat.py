@@ -8,16 +8,17 @@ the keys[0]-overwrite quirk, and silent late-data drops
 (metrics/SBOMetrics.go:183-210) — for out-of-order inputs:
 
     enriched -> ordered metric fan-out (arrival order = input row order)
-             -> groupby (source, metric_type, key_value)
-             -> map_groups: replay the Go accumulator per key in arrival
+             -> hash exchange on (source, metric_type, key_value)
+             -> per key: replay the Go accumulator in arrival
                 order -> emissions (evictions + End() flush)
 
 The per-key replay is sequential by construction (the reference's state
 is per (file, type, key), so key-partitioned replay is exact); the
-groupby shuffle distributes keys across workers. Arrival order is the
-input row order, tracked with an explicit ``arrival`` column derived
-from the per-shard row position (Ray blocks preserve intra-block order;
-``doc_id`` carries the global synth order for the tests' inputs).
+exchange (``exchange.part_exchange``) distributes keys across workers.
+Arrival order is the input row order, tracked with an explicit
+``arrival`` column derived from the per-shard row position (Ray blocks
+preserve intra-block order; ``doc_id`` carries the global synth order
+for the tests' inputs).
 """
 
 from __future__ import annotations
@@ -444,6 +445,24 @@ def _group_key_expr(t: pa.Table):
     )
 
 
+def _replay(ds, partial, window_size: int, replace_existing: bool) -> list:
+    """Full per-group replay: ``replay_group`` on every (source,
+    metric_type, key_value) group of ``partial``'s ordered fan-out rows,
+    the groups routed by ``exchange.crc_hash`` of the group key through
+    ``exchange.part_exchange``. Returns one COMPAT_SCHEMA ref per
+    partition."""
+    def fold(t: pa.Table) -> pd.DataFrame:
+        return pd.concat([
+            replay_group(g, window_size, replace_existing)
+            for _, g in t.to_pandas().groupby(_GKEYS, sort=False,
+                                              dropna=False)],
+            ignore_index=True)
+
+    return X.part_exchange(ds, partial,
+                           lambda t: X.crc_hash(_group_key_expr(t)), fold,
+                           COMPAT_SCHEMA)
+
+
 def metrics_dataset_compat(enriched, window_size: int = 3,
                            replace_existing: bool = False, fast: bool = True):
     """Faithful streaming-window metric totals as a Ray pipeline.
@@ -463,21 +482,19 @@ def metrics_dataset_compat(enriched, window_size: int = 3,
     corpora). Chronological input therefore costs ~the exact path; the
     replay cost scales with the reordered fraction, not the input. The
     rare overlap corner re-executes the (lazy) enriched pipeline
-    filtered to those groups.
+    filtered to those groups, through the full replay (``_replay``).
 
-    ``fast=False``: the original full per-group replay (used by tests as
-    the semantics reference)."""
-    long_ds = enriched.map_batches(ordered_fanout, batch_format="pyarrow")
-    if not fast:
-        return long_ds.groupby(_GKEYS).map_groups(
-            lambda g: replay_group(g, window_size, replace_existing),
-            batch_format="pandas",
-        )
+    ``fast=False``: the full per-group replay of every group
+    (``_replay``; used by tests as the semantics reference)."""
     import ray
     import ray.data as rd
 
-    refs, _, nbytes = X.sized_block_refs(
-        long_ds.map_batches(compat_partial, batch_format="pyarrow"))
+    if not fast:
+        return rd.from_arrow_refs(_replay(enriched, ordered_fanout,
+                                          window_size, replace_existing))
+    refs, _, nbytes = X.sized_block_refs(enriched.map_batches(
+        ordered_fanout, batch_format="pyarrow").map_batches(
+        compat_partial, batch_format="pyarrow"))
     if not refs:
         return rd.from_arrow(COMPAT_SCHEMA.empty_table())
     import pyarrow.compute as pc
@@ -489,8 +506,6 @@ def metrics_dataset_compat(enriched, window_size: int = 3,
     overlap_keys: set[str] = set()
     for ks in ray.get(key_refs):
         overlap_keys.update(ks)
-    out_ds = rd.from_arrow_refs(table_refs)
-
     if overlap_keys:
         # irreducible corner (interleaved arrival ranges across blocks —
         # requires non-unique or cross-shard-reordered doc_ids): raw
@@ -499,20 +514,10 @@ def metrics_dataset_compat(enriched, window_size: int = 3,
         ov_ref = ray.put(pa.array(sorted(overlap_keys), type=pa.string()))
 
         def only_bad(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:
-                return t
+            t = ordered_fanout(t)
             return t.filter(
                 pc.is_in(_group_key_expr(t), value_set=ray.get(ov_ref)))
 
-        replayed = (
-            enriched.map_batches(ordered_fanout, batch_format="pyarrow")
-            .map_batches(only_bad, batch_format="pyarrow")
-            .groupby(_GKEYS)
-            .map_groups(lambda g: replay_group(g, window_size, replace_existing),
-                        batch_format="pandas")
-            .to_pandas()
-        )
-        if len(replayed):
-            out_ds = out_ds.union(rd.from_arrow(pa.Table.from_pandas(
-                replayed, preserve_index=False).cast(COMPAT_SCHEMA)))
-    return out_ds
+        table_refs += _replay(enriched, only_bad, window_size,
+                              replace_existing)
+    return rd.from_arrow_refs(table_refs)

@@ -354,7 +354,6 @@ class CheckpointedPipeline:
             group_stage = _grouped_stage(
                 stage, _resolve_paths_and_filesystem(todo)[0],
                 [group_of[p] for p in todo], routed)
-            logpipe.tune_context()
             ds = rd.read_parquet(
                 todo, include_paths=True, override_num_blocks=len(todo),
             ).map_batches(group_stage, batch_format="pyarrow",

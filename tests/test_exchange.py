@@ -45,13 +45,16 @@ def gate(ray_session):
                     f"read_parquet('{SF}/{t}.parquet')")
     qs, sqls = E.queries(), E.oracle_sql(SF)
 
-    def check(name, **kw):
+    def check(name, sql=None, **kw):
+        """``sql``: the gate with the call's ``kw`` bound (default: the
+        query's own gate)."""
         res = qs[name](SF, **kw)
         got = res.to_pandas() if isinstance(res, (rd.Dataset, pa.Table)) \
             else res
         pd.testing.assert_frame_equal(
-            _norm(got), _norm(con.execute(sqls[name]).df()),
+            _norm(got), _norm(con.execute(sql or sqls[name]).df()),
             check_dtype=False)
+        return got
 
     return check
 
@@ -259,11 +262,74 @@ def test_events_daily_active_high_p(gate, monkeypatch, P):
     "doc_dedup_incremental",    # hash anti-probe per partition
     "doc_dedup_simhash",        # (seg, seg_val) bucket key
     "doc_dedup_minhash",        # band-hash key, then the verify exchange
-    "orders_shipping_priority",  # over two native joins, local top-k
+    "orders_shipping_priority",  # over two two-sided exchanges, local top-k
+    # joins on the two-sided exchange.part_exchange
+    "orders_mktsegment_revenue",  # inner join, per-segment sums
+    "part_brand_revenue",       # fact x dimension inner join
+    "region_revenue_by_year",   # inner join + broadcast dim map
+    "doc_emb_curation",         # per-row join, mapped sides
+    # a bounded keyed sum on exchange.merge
+    "lineitem_pricing_summary",
 ])
 def test_exchange_partition_invariance(gate, monkeypatch, name, P):
     monkeypatch.setattr(X, "n_parts", lambda *_: P)
     gate(name)
+
+
+def test_join_empty_sides(gate):
+    """Two-sided exchanges with a side that has no rows at all, each
+    against its gate with the same parameter: an anti-join keeps every
+    left row, a semi-join and inner joins give typed empty results."""
+    from sbo_ray.pipelines import dataqueries as DQ
+
+    got = gate("customer_no_orders", status="Z",
+               sql=DQ.SQL_CUSTOMER_NO_ORDERS.replace("'F'", "'Z'"))
+    n_cust = duckdb.sql(f"SELECT COUNT(*) FROM read_parquet("
+                        f"'{SF}/customer.parquet')").fetchone()[0]
+    assert got["n_no_order_customers"].sum() == n_cust
+
+    got = gate("orders_with_returns", flag="Z",
+               sql=DQ.SQL_ORDERS_WITH_RETURNS.replace("'R'", "'Z'"))
+    assert len(got) == 0
+    q3 = DQ.SQL_ORDERS_SHIPPING_PRIORITY
+    for kw, sql in [
+            # no lineitem ships after 2100: the first (probe) side is empty
+            (dict(date="2100-01-01"), q3.replace("1995-03-15", "2100-01-01")),
+            # no customer in the segment: a right side without rows
+            (dict(segment="NONE"), q3.replace("'BUILDING'", "'NONE'"))]:
+        got = gate("orders_shipping_priority", sql=sql, **kw)
+        assert len(got) == 0 and not (got.dtypes == object).any()
+
+
+def test_join_in_small_memory_session():
+    """A join runs in a Ray session whose ``memory`` resource is 1 GB
+    and matches its gate (a hash-shuffle join reserves GiBs for its
+    aggregators there and never finishes)."""
+    import subprocess
+    import sys
+
+    script = f"""
+import duckdb, ray
+ray.init(address="local", num_cpus=2, _memory=1e9,
+         include_dashboard=False, logging_level="ERROR")
+from sbo_ray.pipelines import dataqueries as DQ
+from sbo_ray.pipelines.dp_rel_events import orders_mktsegment_revenue
+got = orders_mktsegment_revenue({SF!r}).to_pandas()
+con = duckdb.connect()
+for t in ("orders", "customer"):
+    con.execute(f"CREATE VIEW {{t}} AS SELECT * FROM read_parquet("
+                f"'{SF}/{{t}}.parquet')")
+want = con.execute(DQ.SQL_ORDERS_MKTSEGMENT_REVENUE).df()
+key = ["c_mktsegment", "n_orders", "revenue"]
+got, want = (d[key].sort_values(key).reset_index(drop=True)
+             for d in (got, want))
+assert got.equals(want), (got, want)
+print("MATCH")
+"""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run([sys.executable, "-c", script], cwd=repo,
+                         capture_output=True, text=True, timeout=240)
+    assert out.returncode == 0 and "MATCH" in out.stdout, out.stderr[-3000:]
 
 
 @pytest.mark.parametrize("B", [1, 2])

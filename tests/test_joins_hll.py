@@ -1,4 +1,4 @@
-"""Broadcast semi/anti joins + HLL approximate distinct."""
+"""HLL approximate distinct."""
 
 import numpy as np
 import pyarrow as pa
@@ -15,28 +15,6 @@ def ds(ray_session):
         "v": pa.array(np.arange(40000, dtype=np.int64)),
     })
     return rd.from_arrow(t).repartition(8), t
-
-
-def test_semi_anti_join(ds):
-    from sbo_ray.stages.joins import anti_join, semi_join
-
-    d, t = ds
-    keys = {"key1", "key2", "key3"}
-    n_in = sum(1 for k in t.column("k").to_pylist() if k in keys)
-    assert semi_join(d, "k", keys).count() == n_in
-    assert anti_join(d, "k", keys).count() == 40000 - n_in
-
-
-def test_broadcast_lookup(ds):
-    from sbo_ray.stages.joins import broadcast_lookup
-
-    d, t = ds
-    mapping = {f"key{i}": f"grp{i % 7}" for i in range(5000)}
-    out = broadcast_lookup(d, "k", mapping, "grp", default="none")
-    df = out.to_pandas()
-    sample = df.sample(100, random_state=0)
-    for _, r in sample.iterrows():
-        assert r["grp"] == mapping.get(r["k"], "none")
 
 
 def test_hll_accuracy_and_merge(ds):

@@ -487,20 +487,19 @@ def test_bucket_pairs_combine_matches_set_reference(rows, P):
        st.lists(st.integers(0, 40), max_size=120))
 @settings(max_examples=60, deadline=None)
 def test_anti_combine_matches_set_reference(custs, orders):
-    """The anti-join combine (missing keys counted per carry) equals a
-    naive set-difference reference for any shard split."""
-    import numpy as np
+    """The anti-join fold (missing keys counted per nation, Arrow's
+    left-anti join) equals a naive set-difference reference, with
+    repeated keys on either side and either side empty."""
+    from sbo_ray.pipelines.dp_rel_events import _no_orders_fold
 
-    from sbo_ray.pipelines.dp_rel_events import _anti_combine
-
-    ck = np.array([c[0] for c in custs], dtype=np.int64)
-    cn = np.array([c[1] for c in custs], dtype=np.int64)
-    ok = np.array(orders, dtype=np.int64)
-    left = [(ck[i::2], cn[i::2]) for i in range(2)]
-    right = [(ok[i::2], np.zeros(0, np.int64)) for i in range(2)]
-    got = _anti_combine(left, right)
-    got_map = dict(zip(got.column("key").to_pylist(),
-                       got.column("cnt").to_pylist()))
+    cust = pa.table({"c_custkey": [c[0] for c in custs],
+                     "c_nationkey": [c[1] for c in custs]},
+                    schema=pa.schema([("c_custkey", pa.int64()),
+                                      ("c_nationkey", pa.int32())]))
+    got = _no_orders_fold(cust, pa.table(
+        {"o_custkey": pa.array(orders, pa.int64())}))
+    got_map = dict(zip(got.column("c_nationkey").to_pylist(),
+                       got.column("n_no_order_customers").to_pylist()))
     want = {}
     oset = set(orders)
     for k, n in custs:
