@@ -179,13 +179,63 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _partitions(args, out: str, start) -> int:
+    """The resumable per-shard loop of ``curate`` and ``pack``: one
+    output PARTITION per input shard (``out/shard=<stem>/``), its
+    fragments written as idempotent two-phase files (fsio) and committed
+    with a ``_SUCCESS`` marker holding ``rows`` and the writer's fields.
+    A committed partition is skipped with ``--resume`` and refused (exit
+    2) without it. When any partition is pending, ``start()`` runs once
+    — pass 1 over ALL inputs, so its state never depends on which
+    partitions already committed — and returns ``write(si, path)`` ->
+    (marker fields, fragment tables) for each pending shard."""
+    from . import fsio
+
+    todo, done_before, ran = [], [], []
+    for si, p in enumerate(args.inputs):
+        stem = os.path.splitext(os.path.basename(p))[0]
+        pdir = os.path.join(out, f"shard={stem}")
+        if not fsio.exists(os.path.join(pdir, "_SUCCESS")):
+            todo.append((si, p, stem, pdir))
+        elif args.resume:
+            done_before.append(stem)
+        else:
+            print(f"partition shard={stem} already committed; "
+                  "pass --resume to skip it and continue", file=sys.stderr)
+            return 2
+    write = start() if todo else None
+    for si, p, stem, pdir in todo:
+        meta, frags = write(si, p)
+        fsio.makedirs(pdir)
+        fsio.clear_fragments(pdir)
+        n_rows = 0
+        for i, frag in enumerate(frags):
+            fsio.write_fragment(pdir, f"part-{i:05d}.parquet", frag)
+            n_rows += frag.num_rows
+        with fsio.open_file(os.path.join(pdir, "_SUCCESS"), "wb") as f:
+            f.write(json.dumps({"rows": n_rows, **meta}).encode())
+        ran.append(stem)
+    print(json.dumps({"out": out, "ran": ran, "skipped": done_before}))
+    return 0
+
+
+def _shard_batches(path: str, columns: list[str]):
+    """One input shard's batches in file order (one read block)."""
+    import ray.data as rd
+
+    return rd.read_parquet(path, columns=columns, override_num_blocks=1
+                           ).iter_batches(batch_format="pyarrow",
+                                          batch_size=None)
+
+
 def _curation_shard_parts(src: tuple, P: int, lang: str, min_tokens: int,
                           max_tokens: int, thr: int) -> list:
     """Pass-1 partial for one (shard_idx, path) input shard of the FULL
-    curation profile: gate-passing (text_hash, doc_id, shard_idx)
-    triples hash-routed into P partitions (``num_returns=P``); each
-    return is a (3, n) int64 array. Gate semantics are the pipeline's
-    own ``_curation_kept`` — identical by construction."""
+    curation profile: gate-passing (text_hash, doc_id, shard_idx, 0)
+    rows hash-routed into P partitions (``num_returns=P``) for
+    ``_winners_combine``; each return is a (4, n) int64 array. Gate
+    semantics are the pipeline's own ``_curation_kept`` — identical by
+    construction."""
     import numpy as np
     import pyarrow.parquet as pq
 
@@ -200,27 +250,27 @@ def _curation_shard_parts(src: tuple, P: int, lang: str, min_tokens: int,
     d = kept.column("doc_id").to_numpy(
         zero_copy_only=False).astype(np.int64)
     # text_hash is a 63-bit non-negative md5 prefix
-    return [np.stack([hs, ds, np.full(len(hs), shard_idx, np.int64)])
+    return [np.stack([hs, ds, np.full(len(hs), shard_idx, np.int64),
+                      np.zeros(len(hs), np.int64)])
             for hs, ds in X.split(h % P, P, h, d)]
 
 
-def _curation_combine(S: int, *parts) -> list:
-    """One hash partition of the curation dedup exchange: the
-    min-doc_id winner survives per distinct hash; every OTHER doc_id is
-    dropped, routed back to its input shard (``num_returns=S``, sorted
-    per shard) so each writer filters with one searchsorted — the
-    exchange-routed-filter idiom; the driver holds only refs."""
+def _winners_combine(S: int, *parts) -> list:
+    """One hash partition of the cli's dedup exchanges, over (h, id,
+    shard, n_tok) rows: the min-id copy per distinct h survives
+    (``min_index_winners``). Returns [per-shard KEPT ``n_tok`` sums (S
+    ints)] + every OTHER id, routed back to its input shard
+    (``num_returns=S+1``) so each writer filters its own; the driver
+    holds only refs."""
     import numpy as np
 
-    a = np.concatenate([p for p in parts if p.shape[1]], axis=1) \
-        if any(p.shape[1] for p in parts) else np.zeros((3, 0), np.int64)
-    h, d, si = a
-    order = np.lexsort((d, h))
-    h, d, si = h[order], d[order], si[order]
-    first = np.ones(len(h), dtype=bool)
-    first[1:] = h[1:] != h[:-1]
-    dd, dsi = d[~first], si[~first]
-    return [np.sort(dd[dsi == s]) for s in range(S)]
+    from .functions.dedup import min_index_winners
+
+    h, i, si, nt = np.concatenate(parts, axis=1)
+    first, i, si, nt = min_index_winners(h, i, si, nt)
+    sums = np.bincount(si[first], weights=nt[first], minlength=S)
+    di, dsi = i[~first], si[~first]
+    return [sums.astype(np.int64)] + [di[dsi == s] for s in range(S)]
 
 
 def cmd_curate(args) -> int:
@@ -245,40 +295,20 @@ def cmd_curate(args) -> int:
     (doc_id, n_tokens, n_stop_en)."""
     import ray.data as rd
 
-    from . import fsio
     from .functions import text as T
 
     _init_ray()
     out = args.out or "/tmp/sbo_ray_out/curate"
     if getattr(args, "pipeline", "stats") == "full":
         return _cmd_curate_full(args, out)
-    done_before, ran = [], []
-    for p in args.inputs:
-        stem = os.path.splitext(os.path.basename(p))[0]
-        pdir = os.path.join(out, f"shard={stem}")
-        marker = os.path.join(pdir, "_SUCCESS")
-        if fsio.exists(marker):
-            if not args.resume:
-                print(f"partition shard={stem} already committed; "
-                      "pass --resume to skip it and continue",
-                      file=sys.stderr)
-                return 2
-            done_before.append(stem)
-            continue
-        ds = rd.read_parquet(p, columns=["doc_id", "text"])
-        fsio.makedirs(pdir)
-        fsio.clear_fragments(pdir)
-        n_rows = 0
-        for i, b in enumerate(ds.map_batches(
-                T.token_stats, batch_format="pyarrow").iter_batches(
-                batch_format="pyarrow", batch_size=None)):
-            fsio.write_fragment(pdir, f"part-{i:05d}.parquet", b)
-            n_rows += b.num_rows
-        with fsio.open_file(marker, "wb") as f:
-            f.write(json.dumps({"rows": n_rows}).encode())
-        ran.append(stem)
-    print(json.dumps({"out": out, "ran": ran, "skipped": done_before}))
-    return 0
+
+    def write(si: int, path: str):
+        ds = rd.read_parquet(path, columns=["doc_id", "text"])
+        return {}, ds.map_batches(T.token_stats, batch_format="pyarrow"
+                                  ).iter_batches(batch_format="pyarrow",
+                                                 batch_size=None)
+
+    return _partitions(args, out, lambda: write)
 
 
 def _cmd_curate_full(args, out: str) -> int:
@@ -286,74 +316,46 @@ def _cmd_curate_full(args, out: str) -> int:
     import numpy as np
     import pyarrow as pa
     import ray
-    import ray.data as rd
 
     from . import exchange as X
-    from . import fsio
     from .pipelines.dp_text import _CURATION_SCALE, _curation_kept
 
     lang, mn, mx = "en", 20, 1000
     thr = int(round(0.015 * _CURATION_SCALE))
     S = len(args.inputs)
-    todo, done_before = [], []
-    for si, p in enumerate(args.inputs):
-        stem = os.path.splitext(os.path.basename(p))[0]
-        pdir = os.path.join(out, f"shard={stem}")
-        if fsio.exists(os.path.join(pdir, "_SUCCESS")):
-            if not args.resume:
-                print(f"partition shard={stem} already committed; "
-                      "pass --resume to skip it and continue",
-                      file=sys.stderr)
-                return 2
-            done_before.append(stem)
-        else:
-            todo.append((si, p, stem, pdir))
-    ran = []
-    if todo:
-        # pass 1: deterministic global dedup exchange over ALL shards
-        # (committed ones included — winners must not depend on resume
-        # state); dropped ids come back pre-routed per input shard
+
+    def start():
+        # pass 1: the deterministic global dedup exchange; dropped ids
+        # come back pre-routed per input shard
         P = X.n_parts()
-        sl = X.shard(_curation_shard_parts, list(enumerate(args.inputs)), P,
-                     P, lang, mn, mx, thr)
-        cl = X.combine(_curation_combine, sl, S, num_returns=S)
-        for si, p, stem, pdir in todo:
-            dropped = np.sort(np.concatenate(ray.get(cl[si])))
-            fsio.makedirs(pdir)
-            fsio.clear_fragments(pdir)
-            n_rows = 0
-            ds = rd.read_parquet(p, columns=["doc_id", "text"],
-                                 override_num_blocks=1)
-            for i, b in enumerate(ds.iter_batches(
-                    batch_format="pyarrow", batch_size=None)):
-                kept = _curation_kept(b, lang, mn, mx, thr)
-                ids = kept.column("doc_id").to_numpy(
-                    zero_copy_only=False).astype(np.int64)
-                if len(dropped):
-                    pos = np.searchsorted(dropped, ids)
-                    hit = (pos < len(dropped)) & \
-                        (dropped[np.minimum(pos, len(dropped) - 1)] == ids)
-                else:
-                    hit = np.zeros(len(ids), dtype=bool)
-                frag = kept.select(
-                    ["doc_id", "n_tokens", "n_stop_en"]).filter(
-                    pa.array(~hit))
-                fsio.write_fragment(pdir, f"part-{i:05d}.parquet", frag)
-                n_rows += frag.num_rows
-            with fsio.open_file(os.path.join(pdir, "_SUCCESS"), "wb") as f:
-                f.write(json.dumps({"rows": n_rows}).encode())
-            ran.append(stem)
-    print(json.dumps({"out": out, "ran": ran, "skipped": done_before}))
-    return 0
+        cl = X.combine(_winners_combine, X.shard(
+            _curation_shard_parts, list(enumerate(args.inputs)), P, P,
+            lang, mn, mx, thr), S, num_returns=S + 1)
+
+        def write(si: int, path: str):
+            dropped = np.concatenate(ray.get(cl[1 + si]))
+
+            def frags():
+                for b in _shard_batches(path, ["doc_id", "text"]):
+                    kept = _curation_kept(b, lang, mn, mx, thr)
+                    ids = kept.column("doc_id").to_numpy(
+                        zero_copy_only=False).astype(np.int64)
+                    yield kept.select(["doc_id", "n_tokens", "n_stop_en"]
+                                      ).filter(pa.array(~np.isin(ids, dropped)))
+            return {}, frags()
+        return write
+
+    return _partitions(args, out, start)
 
 
 def _pack_shard_parts(src: tuple, P: int, min_tok: int,
                       max_dom_ppm: int) -> list:
-    """Curated-pack pass 1, one (path, row_base) input shard: gate rows
+    """Curated-pack pass 1, one (shard_idx, path) input shard: gate rows
     block-locally (_quality_gate_mask), hash the survivors' token
-    arrays, and return (h, global rownum, n_tok) triples pre-sharded by
-    h (num_returns=P). Gated-out rows are not dedup candidates and
-    contribute nothing."""
+    arrays, and return (h, rownum, shard_idx, n_tok) rows pre-sharded by
+    h (num_returns=P) for ``_winners_combine``. A rownum is
+    ``_rownum``'s shard-major position. Gated-out rows are not dedup
+    candidates and contribute nothing."""
     import numpy as np
     import pyarrow.parquet as pq
 
@@ -361,38 +363,46 @@ def _pack_shard_parts(src: tuple, P: int, min_tok: int,
     from .pipelines.queries import (_quality_gate_mask, _seq_hash64,
                                     _token_lists)
 
-    path, row_base = src
+    si, path = src
     vals, off = _token_lists(
         pq.read_table(path, columns=["tokens"]).column("tokens"))
     keep = _quality_gate_mask(vals, off, min_tok, max_dom_ppm)
     h = _seq_hash64(vals, off).view(np.int64)[keep]
-    rn = row_base + np.flatnonzero(keep).astype(np.int64)
-    nt = np.diff(off)[keep]
-    return [np.stack(s)
-            for s in X.split(X.fib_partition(h, P), P, h, rn, nt)]
+    rn = _rownum(si, np.flatnonzero(keep))
+    return [np.stack([*s[:2], np.full(len(s[0]), si, np.int64), s[2]])
+            for s in X.split(X.fib_partition(h, P), P, h, rn,
+                             np.diff(off)[keep])]
 
 
-def _pack_combine_dedup(S: int, row_bounds, *parts) -> list:
-    """Curated-pack pass 1, one hash partition: keep the min-rownum
-    copy per h; return [per-shard KEPT token sums (S ints)] + the
-    dropped rownums pre-routed to their origin shard (num_returns=S+1
-    — the _curation_combine idiom with a sums carry)."""
+def _rownum(si: int, rows) -> "np.ndarray":
+    """Ingestion order of ``pack --curated``: shards in the given order,
+    rows in file order, as one int64 (shard index in the high bits)."""
     import numpy as np
 
-    a = np.concatenate([p for p in parts if p.shape[1]], axis=1) \
-        if any(p.shape[1] for p in parts) else np.zeros((3, 0), np.int64)
-    h, rn, nt = a
-    order = np.lexsort((rn, h))
-    h, rn, nt = h[order], rn[order], nt[order]
-    first = np.ones(len(h), dtype=bool)
-    first[1:] = h[1:] != h[:-1]
-    rb = np.asarray(row_bounds, dtype=np.int64)
-    kshard = np.searchsorted(rb, rn[first], side="right") - 1
-    sums = np.bincount(kshard, weights=nt[first], minlength=S)
-    dr = rn[~first]
-    dshard = np.searchsorted(rb, dr, side="right") - 1
-    return [sums.astype(np.int64)] + \
-        [np.sort(dr[dshard == s]) for s in range(S)]
+    return (np.int64(si) << 40) + np.asarray(rows, dtype=np.int64)
+
+
+def _pack_partition(path: str, base: int, seq_len: int, keep=None):
+    """The one per-shard pack writer: one input shard's fragments,
+    batch by batch, its stream starting at token ``base``, rows in file
+    order. ``keep(b, row0)``, when given, is the keep mask of batch
+    ``b`` (its first row is the shard's ``row0``-th); offsets count
+    kept rows only."""
+    import numpy as np
+    import pyarrow as pa
+
+    from .functions import pack
+    from .pipelines.queries import _token_lists
+
+    row0 = 0
+    for b in _shard_batches(path, ["doc_id", "tokens"]):
+        if keep is not None:
+            b, row0 = b.filter(pa.array(keep(b, row0))), row0 + b.num_rows
+        vals, off = _token_lists(b.column("tokens"))
+        nt = np.diff(off)
+        yield pack.fragments(b.select(["doc_id"]), vals, off,
+                             base + np.cumsum(nt) - nt, seq_len)
+        base += int(nt.sum())
 
 
 def _cmd_pack_curated(args, out: str) -> int:
@@ -405,84 +415,37 @@ def _cmd_pack_curated(args, out: str) -> int:
     kill is byte-identical regardless of commit state. Ingestion
     order: shards in the given order, rows in file order."""
     import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
     import ray
-    import ray.data as rd
 
     from . import exchange as X
-    from . import fsio
-    from .functions import pack
     from .pipelines.queries import _quality_gate_mask, _token_lists
 
-    seq_len = args.seq_len
     min_tok, max_dom_ppm = 4, 900_000
     S = len(args.inputs)
-    todo, done_before = [], []
-    for si, p in enumerate(args.inputs):
-        stem = os.path.splitext(os.path.basename(p))[0]
-        pdir = os.path.join(out, f"shard={stem}")
-        if fsio.exists(os.path.join(pdir, "_SUCCESS")):
-            if not args.resume:
-                print(f"partition shard={stem} already committed; "
-                      "pass --resume to skip it and continue",
-                      file=sys.stderr)
-                return 2
-            done_before.append(stem)
-        else:
-            todo.append((si, p, stem, pdir))
-    ran = []
-    if todo:
-        @ray.remote
-        def shard_rows(path: str) -> int:
-            return int(pq.ParquetFile(path).metadata.num_rows)
 
-        nrows = ray.get([shard_rows.remote(p) for p in args.inputs])
-        row_bounds = [0] * (S + 1)
-        for i, n in enumerate(nrows):
-            row_bounds[i + 1] = row_bounds[i] + n
+    def start():
         P = X.n_parts()
-        sl = X.shard(_pack_shard_parts, list(zip(args.inputs, row_bounds)),
-                     P, P, min_tok, max_dom_ppm)
-        cl = X.combine(_pack_combine_dedup, sl, S, row_bounds[:-1],
-                       num_returns=S + 1)
+        cl = X.combine(_winners_combine, X.shard(
+            _pack_shard_parts, list(enumerate(args.inputs)), P, P, min_tok,
+            max_dom_ppm), S, num_returns=S + 1)
         sums = np.sum(ray.get(cl[0]), axis=0).astype(np.int64)
         bases = np.cumsum(sums) - sums
-        for si, p, stem, pdir in todo:
-            dropped = np.sort(np.concatenate(ray.get(cl[1 + si])))
-            fsio.makedirs(pdir)
-            fsio.clear_fragments(pdir)
-            n_rows, seen = 0, 0
-            running = int(bases[si])
-            ds = rd.read_parquet(p, columns=["doc_id", "tokens"],
-                                 override_num_blocks=1)
-            for i, b in enumerate(ds.iter_batches(
-                    batch_format="pyarrow", batch_size=None)):
+
+        def write(si: int, path: str):
+            dropped = np.concatenate(ray.get(cl[1 + si]))
+
+            def keep(b, row0: int):
                 vals, off = _token_lists(b.column("tokens"))
-                keep = _quality_gate_mask(vals, off, min_tok, max_dom_ppm)
-                rn = row_bounds[si] + seen + np.arange(
-                    b.num_rows, dtype=np.int64)
-                seen += b.num_rows
-                if len(dropped):
-                    pos = np.searchsorted(dropped, rn)
-                    hit = (pos < len(dropped)) & \
-                        (dropped[np.minimum(pos, len(dropped) - 1)] == rn)
-                    keep &= ~hit
-                kept = b.filter(pa.array(keep))
-                vals, off = _token_lists(kept.column("tokens"))
-                nt = np.diff(off)
-                goff = running + np.cumsum(nt) - nt
-                running += int(nt.sum())
-                frag = pack.fragments(kept.select(["doc_id"]), vals, off,
-                                      goff, seq_len)
-                fsio.write_fragment(pdir, f"part-{i:05d}.parquet", frag)
-                n_rows += frag.num_rows
-            with fsio.open_file(os.path.join(pdir, "_SUCCESS"), "wb") as f:
-                f.write(json.dumps({"rows": n_rows,
-                                    "base": int(bases[si])}).encode())
-            ran.append(stem)
-    print(json.dumps({"out": out, "ran": ran, "skipped": done_before}))
-    return 0
+                rn = _rownum(si, row0 + np.arange(b.num_rows))
+                return (_quality_gate_mask(vals, off, min_tok, max_dom_ppm)
+                        & ~np.isin(rn, dropped))
+
+            base = int(bases[si])
+            return {"base": base}, _pack_partition(path, base, args.seq_len,
+                                                   keep)
+        return write
+
+    return _partitions(args, out, start)
 
 
 def cmd_pack(args) -> int:
@@ -501,19 +464,14 @@ def cmd_pack(args) -> int:
 
     ``--curated`` switches to the gated curation flagship (quality
     gate -> exact dedup -> pack; see _cmd_pack_curated)."""
+    import numpy as np
     import pyarrow.parquet as pq
     import ray
-    import ray.data as rd
-
-    from . import fsio
-    from .functions import pack
-    from .pipelines.queries import _token_lists
 
     _init_ray()
     out = args.out or "/tmp/sbo_ray_out/pack"
     if getattr(args, "curated", False):
         return _cmd_pack_curated(args, out)
-    seq_len = args.seq_len
 
     @ray.remote
     def shard_total(path: str) -> int:
@@ -521,47 +479,17 @@ def cmd_pack(args) -> int:
                    .column("n_tok").to_numpy(zero_copy_only=False)
                    .astype("int64").sum())
 
-    totals = ray.get([shard_total.remote(p) for p in args.inputs])
-    bases = [0] * len(totals)
-    for i in range(1, len(totals)):
-        bases[i] = bases[i - 1] + totals[i - 1]
+    def start():
+        totals = np.array(ray.get([shard_total.remote(p)
+                                   for p in args.inputs]), dtype=np.int64)
+        bases = np.cumsum(totals) - totals
 
-    done_before, ran = [], []
-    for p, base in zip(args.inputs, bases):
-        stem = os.path.splitext(os.path.basename(p))[0]
-        pdir = os.path.join(out, f"shard={stem}")
-        marker = os.path.join(pdir, "_SUCCESS")
-        if fsio.exists(marker):
-            if not args.resume:
-                print(f"partition shard={stem} already committed; "
-                      "pass --resume to skip it and continue",
-                      file=sys.stderr)
-                return 2
-            done_before.append(stem)
-            continue
-        fsio.makedirs(pdir)
-        fsio.clear_fragments(pdir)
-        n_rows = 0
-        import numpy as np
+        def write(si: int, path: str):
+            base = int(bases[si])
+            return {"base": base}, _pack_partition(path, base, args.seq_len)
+        return write
 
-        ds = rd.read_parquet(p, columns=["doc_id", "tokens"],
-                             override_num_blocks=1)
-        running = base
-        for i, b in enumerate(ds.iter_batches(batch_format="pyarrow",
-                                              batch_size=None)):
-            vals, toffs = _token_lists(b.column("tokens"))
-            nt = np.diff(toffs)
-            off = running + np.cumsum(nt) - nt
-            running += int(nt.sum())
-            frag = pack.fragments(b.select(["doc_id"]), vals, toffs, off,
-                                  seq_len)
-            fsio.write_fragment(pdir, f"part-{i:05d}.parquet", frag)
-            n_rows += frag.num_rows
-        with fsio.open_file(marker, "wb") as f:
-            f.write(json.dumps({"rows": n_rows, "base": base}).encode())
-        ran.append(stem)
-    print(json.dumps({"out": out, "ran": ran, "skipped": done_before}))
-    return 0
+    return _partitions(args, out, start)
 
 
 def cmd_osmetrics(args) -> int:

@@ -16,13 +16,16 @@ that layout that every site used to re-solve:
   partition" op and every join goes through it; none runs through a
   Ray Data groupby, join or aggregate. The exchanges that stay written
   out with ``shard``/``combine`` are the ones it cannot express
-  without a new option: multi-wave exchanges (the pack family,
-  ``dedup_shard``, the label-propagation rounds, and
-  ``queries._flag_count``, the near-dup screens' flag-then-count),
-  shard tasks that reserve cpus (``q_log_ngram_novelty``,
-  ``_flag_count``), sites that reuse their block refs for a second
-  pass (``emb_semdedup``'s centroid sample), compat's two-return
-  combine, the cli's per-shard exchanges and the range splits
+  without a new option: multi-wave exchanges (the pack family's one
+  head, ``queries._pack_shard``, whose chunk shard also emits each
+  op's pass-1 side output — the dedup ops' hash slices included — and
+  whose payload ops all end in ``_pack_combine``; the
+  label-propagation rounds; and ``queries._flag_count``, the near-dup
+  screens' flag-then-count), shard tasks that reserve cpus
+  (``q_log_ngram_novelty``, ``_flag_count``), sites that reuse their
+  block refs for a second pass (``emb_semdedup``'s centroid sample),
+  compat's two-return combine, the cli's per-shard dedup exchanges
+  (one ``cli._winners_combine``) and the range splits
   (``_shuf_slice``, ``_ccnet_slice``).
 - ``block_refs(ds)``: the Dataset's non-empty block refs (an empty
   parquet read yields a schemaless block that poisons downstream

@@ -50,6 +50,17 @@ def add_text_hash(batch: pa.Table, column: str = "text") -> pa.Table:
     return batch.append_column("text_hash", pa.array(hashes))
 
 
+def min_index_winners(h: np.ndarray, idx: np.ndarray, *cols) -> tuple:
+    """Exact dedup's winner rule: of the rows sharing a content hash
+    ``h``, the one with the smallest ``idx`` survives. Returns the
+    winner mask, ``idx`` and ``cols``, all in (h, idx) order."""
+    o = np.lexsort((idx, h))
+    h = h[o]
+    first = np.ones(len(h), dtype=bool)
+    first[1:] = h[1:] != h[:-1]
+    return (first, idx[o], *(c[o] for c in cols))
+
+
 # ---- shingles / minhash ----------------------------------------------------
 
 

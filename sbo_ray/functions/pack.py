@@ -16,8 +16,15 @@ the chunk, so packing is a two-pass prefix sum:
   each row's tokens cover (``spans``) and per-fragment checksums
   (``fragments``).
 
-Pure numpy/Arrow, no Ray: the query exchanges, the doc-side packers
-and ``cli pack`` all call these.
+A run of ``offsets`` is any key the rows sort by within a partition:
+the chunk for one stream, or (source, chunk) when each source packs
+as its own stream (the by-source op resets its bases per source).
+
+Pure numpy/Arrow, no Ray. Callers: the query pack family (one head,
+``queries._pack_shard``; one fragment combine, ``queries._pack_combine``;
+one span wave for the two diagnostics, ``queries._span_combine``), the
+doc-side packers (``dp_text._doc_chunk_bases``) and ``cli pack``'s one
+per-shard writer (``cli._pack_partition``).
 """
 from __future__ import annotations
 

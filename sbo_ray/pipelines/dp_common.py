@@ -57,12 +57,9 @@ def _bw_task_cpus(target_concurrency: int) -> int:
     on the 32-cpu dev box: ~0.5 GB-temp-churn tasks peak at 16
     concurrent (36 s -> 6.9 s for the token window stage; 94 -> 7.9 s
     semdedup), heavier dense-count tasks at 8 (40-68 s -> 21-31 s for
-    ngram pairs) — hence targets 16 and 8 at the call sites. Override
-    per cluster with SBO_BW_TASK_CPUS (hardware bandwidth/core ratios
-    differ; re-measure with `python bench.py --tokens`)."""
-    env = os.environ.get("SBO_BW_TASK_CPUS")
-    if env:
-        return max(1, int(env))
+    ngram pairs) — hence targets 16 and 8 at the call sites (hardware
+    bandwidth/core ratios differ; re-measure with
+    `python bench.py --tokens`)."""
     try:
         n_nodes = max(1, sum(1 for nd in ray.nodes() if nd.get("Alive")))
     except Exception:

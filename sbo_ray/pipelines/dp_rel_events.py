@@ -52,7 +52,7 @@ def customer_nation_agg(sf_dir: str):
     return pa.table({
         "n_name": g.column("n_name"),
         "n_customers": g.column("n_customers"),
-        "total_acctbal": pc.round(g.column("total_acctbal"), 2),
+        "total_acctbal": np.round(g.column("total_acctbal").to_numpy(), 2),
     })
 
 
@@ -655,7 +655,7 @@ def orders_by_month(sf_dir: str):
     return pa.table({
         "month": g.column("month"),
         "n_orders": g.column("n_orders"),
-        "revenue": pc.round(g.column("revenue"), 2),
+        "revenue": np.round(g.column("revenue").to_numpy(), 2),
     })
 
 
@@ -697,7 +697,7 @@ def events_sliding_window(sf_dir: str, size_minutes: int = 60,
         "window_start": g.column("window_start"),
         "event_type": g.column("event_type"),
         "n_events": g.column("n_events"),
-        "sum_value": pc.round(g.column("sum_value"), 2),
+        "sum_value": np.round(g.column("sum_value").to_numpy(), 2),
     })
 
 

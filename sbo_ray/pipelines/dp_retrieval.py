@@ -364,7 +364,7 @@ def events_hourly(sf_dir: str):
         "event_type": g.column("event_type"),
         "hour": g.column("hour"),
         "n_events": g.column("n_events"),
-        "sum_value": pc.round(g.column("sum_value"), 2),
+        "sum_value": np.round(g.column("sum_value").to_numpy(), 2),
     })
 
 def events_daily_active(sf_dir: str):
@@ -903,7 +903,7 @@ def supplier_nation_revenue(sf_dir: str):
     return pa.table({
         "n_name": g.column("n_name"),
         "n_items": g.column("n_items"),
-        "revenue": pc.round(g.column("revenue"), 2),
+        "revenue": np.round(g.column("revenue").to_numpy(), 2),
     })
 
 

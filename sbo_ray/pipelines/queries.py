@@ -22,6 +22,7 @@ from .. import exchange as X
 from .. import synth
 from ..config import JobConfig
 from ..functions import pack
+from ..functions.dedup import min_index_winners
 from . import logpipe
 
 SF_CORRECTNESS = "/root/testdata/sf0.01"
@@ -2334,8 +2335,7 @@ def _flag_count(sf_dir: str, pairs, out: pa.Schema) -> pa.Table:
     # of temporaries per block — at 32 concurrent tasks it is
     # memory-BANDWIDTH-bound (the ivf_assign rule) and measured 36 s;
     # at 16 concurrent it is 6.9 s for the same 64 tasks. The cap
-    # derives from per-node cpus (dp_common._bw_task_cpus), overridable
-    # via SBO_BW_TASK_CPUS.
+    # derives from per-node cpus (dp_common._bw_task_cpus).
     sl = X.shard(window_shard, refs, 2 * P, num_cpus=_bw_task_cpus(16))
     fl = X.combine(flag_part, sl[:P], num_returns=P)
     return X.sum_refs(X.combine(count_part, (fl, sl[P:]), out_schema=out),
@@ -3487,6 +3487,10 @@ _PACK_SCHEMA = pa.schema([
     ("n_frag_tokens", pa.int64()), ("frag_sum", pa.int64()),
     ("first_tok", pa.int64()), ("last_tok", pa.int64()),
 ])
+_PACK_SRC_SCHEMA = pa.schema([pa.field("source", pa.string()),
+                              *_PACK_SCHEMA])
+_PACK_SRC_SUMS = pa.schema([("source", pa.string()), ("chunk", pa.int64()),
+                            ("tok_sum", pa.int64())])
 
 
 def _pack_idx(col) -> np.ndarray:
@@ -3496,39 +3500,37 @@ def _pack_idx(col) -> np.ndarray:
                    pa.int64()).to_numpy(zero_copy_only=False)
 
 
-def _with_sep(col, sep: int) -> pa.ListArray:
-    """A list<int32> token column with one ``sep`` token appended to
-    every row (a null row becomes ``[sep]``)."""
-    vals, off = _token_lists(col)
+def _with_sep(t: pa.Table, sep: int) -> pa.Table:
+    """``t`` with one ``sep`` token appended to every row's ``tokens``
+    (a null row becomes ``[sep]``)."""
+    vals, off = _token_lists(t.column("tokens"))
     noff = off + np.arange(len(off))
     out = np.full(len(vals) + len(off) - 1, sep, dtype=np.int32)
     keep = np.ones(len(out), dtype=bool)
     keep[noff[1:] - 1] = False
     out[keep] = vals
-    return pa.ListArray.from_arrays(pa.array(noff, pa.int32()),
-                                    pa.array(out))
+    return t.set_column(t.column_names.index("tokens"), "tokens",
+                        pa.ListArray.from_arrays(pa.array(noff, pa.int32()),
+                                                 pa.array(out)))
 
 
-def _pack_shard(sf_dir: str, cols: list, chunk_docs: int, sums,
-                sep: int | None = None) -> tuple[list, list]:
-    """The shared head of the single-read pack ops. One file-aligned
-    read of ``doc_id`` + ``cols``; its fused map keeps ``cols`` and adds
-    the ingestion index ``idx`` and ``chunk = idx // chunk_docs`` (with
-    ``sep``, every row's ``tokens`` also gets one separator appended).
-    P follows the keyed blocks' bytes, and one task per block slices
-    its rows into P partitions by chunk (``exchange.table_shard``) and
-    emits its bounded pass-1 partial ``sums(block)``. Returns the
-    partition-major slice matrix and the partial refs, both empty when
-    the input has no rows."""
+def _pack_shard(sf_dir: str, cols: list, chunk_docs: int, side,
+                wide: bool = False, prep=None) -> tuple[list, list]:
+    """The one head of the pack family. One file-aligned read of
+    ``doc_id`` + ``cols``; its fused map keeps ``cols``, adds the
+    ingestion index ``idx`` and ``chunk = idx // chunk_docs``, then
+    applies ``prep`` (the separator, the dedup ops' hash and gate). P
+    follows the keyed blocks' bytes, and one task per block slices its
+    rows into P partitions by chunk (``exchange.table_shard``) and
+    appends ``side(block, P)``: one bounded pass-1 partial, or with
+    ``wide`` P slices for a second wave. Returns the partition-major
+    chunk slices and side outputs, both empty when the input has no
+    rows."""
     def add_keys(t: pa.Table) -> pa.Table:
         idx = _pack_idx(t.column("doc_id"))
-        t = t.select(cols)
-        if sep is not None:
-            t = t.set_column(t.column_names.index("tokens"), "tokens",
-                             _with_sep(t.column("tokens"), sep))
-        return (t.append_column("idx", pa.array(idx, pa.int64()))
-                .append_column("chunk",
-                               pa.array(idx // chunk_docs, pa.int64())))
+        t = (t.select(cols).append_column("idx", pa.array(idx, pa.int64()))
+             .append_column("chunk", pa.array(idx // chunk_docs, pa.int64())))
+        return t if prep is None else prep(t)
 
     refs, _, nbytes = X.sized_block_refs(
         _read_tokens(sf_dir, list(dict.fromkeys(["doc_id", *cols])))
@@ -3538,86 +3540,113 @@ def _pack_shard(sf_dir: str, cols: list, chunk_docs: int, sums,
     P = X.n_parts(nbytes)
 
     def chunk_shard(block: pa.Table) -> list:
-        return X.table_shard(block, P, "chunk") + [sums(block)]
+        return X.table_shard(block, P, "chunk") + side(block, P)
 
-    sl = X.shard(chunk_shard, refs, P + 1)
-    return sl[:P], sl[P]
+    sl = X.shard(chunk_shard, refs, 2 * P if wide else P + 1)
+    return sl[:P], sl[P:]
 
 
-def _chunk_tok_sums(block: pa.Table) -> pa.Table:
-    """Pass-1 partial of the pack ops: per-chunk token totals, from
-    ``n_tok`` when the op reads it, else from the ``tokens`` lengths."""
+def _chunk_tok_sums(block: pa.Table, P: int) -> list:
+    """Pass-1 side output of the single-stream pack ops: the block's
+    per-chunk token totals, from ``n_tok`` when the op reads it, else
+    from the ``tokens`` lengths."""
     n = (block.column("n_tok") if "n_tok" in block.column_names
          else pc.list_value_length(block.column("tokens")))
-    return pack.chunk_sums(
+    return [pack.chunk_sums(
         block.column("chunk").to_numpy(zero_copy_only=False),
-        n.to_numpy(zero_copy_only=False).astype(np.int64))
+        n.to_numpy(zero_copy_only=False).astype(np.int64))]
 
 
-def _pack_bases(sum_refs: list):
+def _chunk_run(g: pa.Table) -> np.ndarray:
+    """Run key of the single-stream pack ops: the row's chunk."""
+    return g.column("chunk").to_numpy(zero_copy_only=False)
+
+
+def _source_run(srcs: np.ndarray, C: int, g: pa.Table) -> np.ndarray:
+    """Run key of the by-source packing: (source, chunk) as ``rank * C +
+    chunk``, with the source's rank in the driver's sorted ``srcs``."""
+    enc = pc.dictionary_encode(g.column("source").combine_chunks())
+    rank = np.searchsorted(srcs, np.asarray(enc.dictionary.to_pylist()))
+    return (rank[enc.indices.to_numpy(zero_copy_only=False)] * C
+            + _chunk_run(g))
+
+
+def _pack_bases(sums: list):
     """(chunk, tok_sum) partial refs summed on the driver into the
-    broadcast ``pack.bases``."""
+    broadcast base of the single-stream pack ops: the chunk run key and
+    ``pack.bases``."""
     import ray
 
-    return ray.put(pack.bases(X.sum_refs(sum_refs, ["chunk"],
-                                         pack.CHUNK_SUMS)))
+    return ray.put((_chunk_run, pack.bases(
+        X.sum_refs(sums, ["chunk"], pack.CHUNK_SUMS))))
 
 
-def _pack_combine(base, seq_len: int, *shards) -> pa.Table:
-    """One hash partition of the packing exchange: rows back in
-    ingestion order, exact stream offsets from the broadcast chunk
-    bases, then the fragments."""
-    g = pa.concat_tables(shards).combine_chunks()
-    g = g.take(pa.array(np.argsort(
-        g.column("idx").to_numpy(zero_copy_only=False), kind="stable")))
+def _stream_order(run, g: pa.Table) -> tuple:
+    """A chunk partition's rows in stream order: the order that sorts
+    them by (run key ``run(g)``, idx), and their run keys in that order.
+    A partition holds whole chunks, so it holds whole runs, and
+    ``pack.offsets`` turns the sorted keys into exact stream offsets."""
+    r = run(g)
+    o = np.lexsort((g.column("idx").to_numpy(zero_copy_only=False), r))
+    return o, r[o]
+
+
+def _pack_combine(base, seq_len: int, ids: list, dropped: list,
+                  tabs: list) -> pa.Table:
+    """One chunk partition of every payload pack op: drop the rows whose
+    ``idx`` is in ``dropped`` (the dedup ops' losers, routed to this
+    partition; none for the others), then the kept rows' fragments in
+    stream order, with ``ids``' columns. Offsets count kept rows only,
+    as the kept-only chunk sums do."""
+    run, bases = base
+    g = pa.concat_tables(tabs).combine_chunks()
+    drop = np.concatenate([np.empty(0, np.int64), *dropped])
+    if len(drop):
+        g = g.filter(pa.array(~np.isin(
+            g.column("idx").to_numpy(zero_copy_only=False), drop)))
+    o, r = _stream_order(run, g)
+    g = g.take(pa.array(o))
     vals, toffs = _token_lists(g.column("tokens"))
-    off = pack.offsets(g.column("chunk").to_numpy(zero_copy_only=False),
-                       np.diff(toffs), base)
-    return pack.fragments(g.select(["doc_id"]), vals, toffs, off, seq_len)
+    return pack.fragments(g.select(ids), vals, toffs,
+                          pack.offsets(r, np.diff(toffs), bases), seq_len)
 
 
-_PACK_SRC_SCHEMA = pa.schema([
-    ("source", pa.string()), ("doc_id", pa.string()),
-    ("seq_id", pa.int64()), ("n_frag_tokens", pa.int64()),
-    ("frag_sum", pa.int64()),
-    ("first_tok", pa.int64()), ("last_tok", pa.int64()),
-])
+def _pack_fragments(sl: list, base, seq_len: int, ids: list,
+                    schema: pa.Schema, dropped: list | None = None):
+    """The payload pack ops' last wave: one ``_pack_combine`` per chunk
+    partition, with its dropped ids when the op dedups. The packed
+    corpus is O(input) rows, so it ships as a Dataset of per-partition
+    blocks, never a driver concat."""
+    import ray.data as rd
+
+    return rd.from_arrow_refs(X.combine(
+        _pack_combine, (dropped or [[]] * len(sl), sl), base, seq_len, ids,
+        out_schema=schema))
 
 
-_PACK_SRC_SUMS = pa.schema([("source", pa.string()), ("chunk", pa.int64()),
-                            ("tok_sum", pa.int64())])
+def _pack_stream(sf_dir: str, seq_len: int, chunk_docs: int, prep=None):
+    """Single-stream packing of ``tokens`` (after ``prep``): the pack
+    head, chunk bases, the fragment wave."""
+    import ray.data as rd
+
+    sl, side = _pack_shard(sf_dir, ["doc_id", "tokens"], chunk_docs,
+                           _chunk_tok_sums, prep=prep)
+    if not sl:
+        return rd.from_arrow(_PACK_SCHEMA.empty_table())
+    return _pack_fragments(sl, _pack_bases(side[0]), seq_len, ["doc_id"],
+                           _PACK_SCHEMA)
 
 
-def _pack_src_chunk_sums(block: pa.Table) -> pa.Table:
-    """Per-(source, chunk) token sums for one block (bounded pass 1 of
-    the by-source packing)."""
+def _pack_src_chunk_sums(block: pa.Table, P: int) -> list:
+    """Pass-1 side output of the by-source packing: the block's
+    per-(source, chunk) token sums."""
     nt = pc.list_value_length(block.column("tokens"))
     g = pa.table({
         "source": block.column("source"),
         "chunk": block.column("chunk"),
         "nt": nt.cast(pa.int64()),
     }).group_by(["source", "chunk"]).aggregate([("nt", "sum")])
-    return g.rename_columns(["source", "chunk", "tok_sum"])
-
-
-def _pack_src_combine(base, seq_len: int, *shards) -> pa.Table:
-    """One hash partition of the by-source packing exchange: rows sort
-    by (source, chunk, idx), and the composite (source, chunk) key runs
-    through ``pack.offsets`` against the broadcast per-source bases."""
-    srcs_sorted, C, comp_base = base
-    g = pa.concat_tables(shards).combine_chunks()
-    enc = pc.dictionary_encode(g.column("source").combine_chunks())
-    src_idx = np.searchsorted(srcs_sorted, np.asarray(
-        enc.dictionary.to_pylist()))[enc.indices.to_numpy(
-            zero_copy_only=False)]
-    comp = src_idx * C + g.column("chunk").to_numpy(zero_copy_only=False)
-    o = np.lexsort((g.column("idx").to_numpy(zero_copy_only=False),
-                    comp))  # == (source, idx): chunk is monotone in idx
-    g = g.take(pa.array(o))
-    vals, toffs = _token_lists(g.column("tokens"))
-    off = pack.offsets(comp[o], np.diff(toffs), comp_base)
-    return pack.fragments(g.select(["source", "doc_id"]), vals, toffs, off,
-                          seq_len)
+    return [g.rename_columns(["source", "chunk", "tok_sum"])]
 
 
 def q_log_pack_tokens_by_source(sf_dir: str, seq_len: int = 512,
@@ -3628,67 +3657,34 @@ def q_log_pack_tokens_by_source(sf_dir: str, seq_len: int = 512,
     layout, vs q_log_pack_tokens' single global stream). Same ingestion
     order within a source.
 
-    Engine shape: the chunk exchange already co-locates every
-    (source, chunk) group (group ⊆ chunk), so only pass 1 changes —
+    Engine shape: q_log_pack_tokens' with the run key (source, chunk)
+    in place of chunk. The chunk exchange already co-locates every
+    (source, chunk) run (run ⊆ chunk), so only pass 1 changes —
     bounded per-(source, chunk) sums, driver cumsum RESET per source,
     composite-key bases broadcast once. SQL mirror: the same window
     cumsum PARTITIONed BY source."""
+    import functools
+
     import ray
     import ray.data as rd
 
-    sl, sum_refs = _pack_shard(sf_dir, ["doc_id", "tokens", "source"],
-                               chunk_docs, _pack_src_chunk_sums)
+    sl, side = _pack_shard(sf_dir, ["doc_id", "tokens", "source"],
+                           chunk_docs, _pack_src_chunk_sums)
     if not sl:
         return rd.from_arrow(_PACK_SRC_SCHEMA.empty_table())
-    t = X.sum_refs(sum_refs, ["source", "chunk"], _PACK_SRC_SUMS)
-    srcs_sorted, src_idx = np.unique(
-        np.asarray(t.column("source").to_pylist()), return_inverse=True)
+    t = X.sum_refs(side[0], ["source", "chunk"], _PACK_SRC_SUMS)
+    srcs, rank = np.unique(np.asarray(t.column("source").to_pylist()),
+                           return_inverse=True)
     chunk = t.column("chunk").to_numpy()
     C = int(chunk.max()) + 1
     # per-source exclusive cumsum: the offsets rule with the source as
     # the run key and zero bases
-    zero = (np.arange(len(srcs_sorted)), np.zeros(len(srcs_sorted), np.int64))
-    comp_base = (src_idx * C + chunk,
-                 pack.offsets(src_idx, t.column("tok_sum").to_numpy(), zero))
-    # combine outputs stay in the object store: the packed corpus is
-    # O(input) rows, so the result ships as a Dataset of per-partition
-    # blocks (the customer_rfm idiom), never a driver concat
-    return rd.from_arrow_refs(X.combine(
-        _pack_src_combine, sl, ray.put((srcs_sorted, C, comp_base)), seq_len,
-        out_schema=_PACK_SRC_SCHEMA))
-
-
-def sql_pack_tokens_by_source(cache: str, seq_len: int = 512) -> str:
-    return f"""
-WITH t AS (
-  SELECT doc_id, source, tokens, CAST(n_tok AS BIGINT) AS n_tok,
-         CAST(right(doc_id, 12) AS BIGINT) AS idx
-  FROM read_parquet('{cache}/shard-*.parquet')
-), o AS (
-  SELECT doc_id, source, tokens, n_tok,
-         CAST(COALESCE(SUM(n_tok) OVER (PARTITION BY source ORDER BY idx
-           ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS BIGINT)
-           AS tok_offset
-  FROM t
-), f AS (
-  SELECT doc_id, source, tokens, n_tok, tok_offset,
-         unnest(generate_series(tok_offset // {seq_len},
-                                (tok_offset + n_tok - 1) // {seq_len}))
-           AS seq_id
-  FROM o WHERE n_tok > 0
-), s AS (
-  SELECT doc_id, source, CAST(seq_id AS BIGINT) AS seq_id, tokens,
-         GREATEST(seq_id * {seq_len}, tok_offset) - tok_offset + 1 AS a,
-         LEAST((seq_id + 1) * {seq_len}, tok_offset + n_tok) - tok_offset AS b
-  FROM f
-)
-SELECT source, doc_id, seq_id,
-       CAST(b - a + 1 AS BIGINT) AS n_frag_tokens,
-       CAST(list_sum(list_slice(tokens, a, b)) AS BIGINT) AS frag_sum,
-       CAST(tokens[a] AS BIGINT) AS first_tok,
-       CAST(tokens[b] AS BIGINT) AS last_tok
-FROM s
-"""
+    zero = (np.arange(len(srcs)), np.zeros(len(srcs), np.int64))
+    bases = (rank * C + chunk,
+             pack.offsets(rank, t.column("tok_sum").to_numpy(), zero))
+    return _pack_fragments(
+        sl, ray.put((functools.partial(_source_run, srcs, C), bases)),
+        seq_len, ["source", "doc_id"], _PACK_SRC_SCHEMA)
 
 
 def q_log_pack_tokens(sf_dir: str, seq_len: int = 512,
@@ -3706,49 +3702,57 @@ def q_log_pack_tokens(sf_dir: str, seq_len: int = 512,
     slices its rows by chunk hash (``exchange.table_shard``) and emits
     its bounded per-chunk token sums, which fold on the driver into
     exclusive chunk bases broadcast once; then the ONE justified
-    payload exchange combines on raw tasks (Ray Data's sort-based
-    groupby sizes post-shuffle blocks by bytes, capping concurrency for
-    this stage — the compat/semdedup rule) with full P-way combine
-    parallelism. Fragment stats are exact integers (tokens < 256,
-    fragments <= seq_len), so the SQL gate is hash-exact."""
-    import ray.data as rd
-
-    sl, sum_refs = _pack_shard(sf_dir, ["doc_id", "tokens"], chunk_docs,
-                               _chunk_tok_sums)
-    if not sl:
-        return rd.from_arrow(_PACK_SCHEMA.empty_table())
-    # packed output is O(corpus): return per-partition blocks as a
-    # Dataset (customer_rfm idiom), never a driver concat
-    return rd.from_arrow_refs(X.combine(
-        _pack_combine, sl, _pack_bases(sum_refs), seq_len,
-        out_schema=_PACK_SCHEMA))
+    payload exchange combines on raw tasks (``_pack_combine``; Ray
+    Data's sort-based groupby sizes post-shuffle blocks by bytes,
+    capping concurrency for this stage — the compat/semdedup rule)
+    with full P-way combine parallelism. Fragment stats are exact
+    integers (tokens < 256, fragments <= seq_len), so the SQL gate is
+    hash-exact."""
+    return _pack_stream(sf_dir, seq_len, chunk_docs)
 
 
-def sql_pack_tokens(cache: str, seq_len: int = 512) -> str:
+def _sql_pack(cache: str, seq_len: int, cols: str = "doc_id", *,
+              tokens: str = "tokens", n_tok: str = "n_tok",
+              rows: str = "SELECT * FROM raw", part: str = "") -> str:
+    """The pack gates' one CTE chain, up to ``f``: one row per (row,
+    sequence) its tokens cover. ``raw`` reads ``cols``, ``tokens`` AS
+    tokens, ``n_tok`` and the ingestion index ``idx``; ``t`` is ``rows``
+    over it (the dedup and curation filters); ``o`` adds each row's
+    exclusive stream offset, a window cumsum over ``part`` (the
+    by-source gate's PARTITION BY) ordered by idx; ``f`` unnests the seq
+    ids. ``_sql_fragments`` or ``_sql_seq_hist`` ends the query."""
     return f"""
-WITH t AS (
-  SELECT doc_id, tokens, CAST(n_tok AS BIGINT) AS n_tok,
+WITH raw AS (
+  SELECT {cols}, {tokens} AS tokens, CAST({n_tok} AS BIGINT) AS n_tok,
          CAST(right(doc_id, 12) AS BIGINT) AS idx
   FROM read_parquet('{cache}/shard-*.parquet')
+), t AS (
+  {rows}
 ), o AS (
-  SELECT doc_id, tokens, n_tok,
-         CAST(COALESCE(SUM(n_tok) OVER (ORDER BY idx
+  SELECT *,
+         CAST(COALESCE(SUM(n_tok) OVER ({part}ORDER BY idx
            ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS BIGINT)
            AS tok_offset
   FROM t
 ), f AS (
-  SELECT doc_id, tokens, n_tok, tok_offset,
+  SELECT *,
          unnest(generate_series(tok_offset // {seq_len},
                                 (tok_offset + n_tok - 1) // {seq_len}))
            AS seq_id
   FROM o WHERE n_tok > 0
-), s AS (
-  SELECT doc_id, CAST(seq_id AS BIGINT) AS seq_id, tokens,
+)"""
+
+
+def _sql_fragments(cols: str, seq_len: int) -> str:
+    """The fragment gates' end of ``_sql_pack``: each (row, seq)
+    fragment's token range and exact checksums, with ``cols``."""
+    return f""", s AS (
+  SELECT {cols}, CAST(seq_id AS BIGINT) AS seq_id, tokens,
          GREATEST(seq_id * {seq_len}, tok_offset) - tok_offset + 1 AS a,
          LEAST((seq_id + 1) * {seq_len}, tok_offset + n_tok) - tok_offset AS b
   FROM f
 )
-SELECT doc_id, seq_id,
+SELECT {cols}, seq_id,
        CAST(b - a + 1 AS BIGINT) AS n_frag_tokens,
        CAST(list_sum(list_slice(tokens, a, b)) AS BIGINT) AS frag_sum,
        CAST(tokens[a] AS BIGINT) AS first_tok,
@@ -3757,59 +3761,106 @@ FROM s
 """
 
 
-_MIX_PART = pa.schema([("seq", pa.int64()), ("cnt", pa.int64())])
+def _sql_seq_hist(name: str, count: str) -> str:
+    """The diagnostic gates' end of ``_sql_pack``: ``count`` per seq,
+    then how many seqs have each count, as (``name``, n_seqs)."""
+    return f""", d AS (
+  SELECT seq_id, {count} AS n FROM f GROUP BY seq_id
+)
+SELECT CAST(n AS BIGINT) AS {name}, CAST(COUNT(*) AS BIGINT) AS n_seqs
+FROM d GROUP BY n ORDER BY n
+"""
+
+
+# the dedup gates' rule: the min-idx copy of each distinct tokens array
+_SQL_FIRST_COPY = "QUALIFY idx = MIN(idx) OVER (PARTITION BY tokens)"
+
+
+def sql_pack_tokens_by_source(cache: str, seq_len: int = 512) -> str:
+    return (_sql_pack(cache, seq_len, "source, doc_id",
+                      part="PARTITION BY source ")
+            + _sql_fragments("source, doc_id", seq_len))
+
+
+def sql_pack_tokens(cache: str, seq_len: int = 512) -> str:
+    return _sql_pack(cache, seq_len) + _sql_fragments("doc_id", seq_len)
+
+
+_SEQ_PAIRS = pa.schema([("seq", pa.int64()), ("key", pa.int64())])
 _MIX_SCHEMA = pa.schema([("n_docs", pa.int64()), ("n_seqs", pa.int64())])
-
-
-def _seq_spans(base, seq_len: int, shards) -> tuple:
-    """Wave 1 of the payload-free pack ops, one chunk partition: exact
-    stream offsets from ``n_tok`` and the broadcast chunk bases, then
-    the (row, seq) spans. Returns the partition's table, each span's
-    row in it, and each span's seq id."""
-    g = pa.concat_tables(shards).combine_chunks()
-    o = np.argsort(g.column("idx").to_numpy(zero_copy_only=False),
-                   kind="stable")
-    nt = g.column("n_tok").to_numpy(
-        zero_copy_only=False).astype(np.int64)[o]
-    ck = g.column("chunk").to_numpy(zero_copy_only=False)[o]
-    row, seq, _, _ = pack.spans(pack.offsets(ck, nt, base), nt, seq_len)
-    return g, o[row], seq
-
-
-def _mix_combine(base, seq_len: int, P2: int, *shards):
-    """One chunk partition of the doc-mix exchange: every doc's
-    sequence spans as (seq, touch-count) partials, returned PRE-SHARDED
-    by seq hash for the per-seq combine (num_returns=P2)."""
-    _, _, seq = _seq_spans(base, seq_len, shards)
-    us, cnts = np.unique(seq, return_counts=True)
-    return X.split(X.fib_partition(us, P2), P2, pa.table(
-        {"seq": pa.array(us, pa.int64()),
-         "cnt": pa.array(cnts.astype(np.int64))}))
-
-
-def _mix_seq_combine(*parts) -> pa.Table:
-    """Per-seq totals for one seq partition, folded straight into the
-    bounded (n_docs, n_seqs) histogram (n_docs <= seq_len + 1)."""
-    t = pa.concat_tables(parts)
-    seq = t.column("seq").to_numpy(zero_copy_only=False)
-    cnt = t.column("cnt").to_numpy(zero_copy_only=False)
-    _, inv = np.unique(seq, return_inverse=True)
-    tot = np.bincount(inv, weights=cnt).astype(np.int64)
-    d, nsq = np.unique(tot, return_counts=True)
-    return pa.table({"n_docs": pa.array(d, pa.int64()),
-                     "n_seqs": pa.array(nsq.astype(np.int64))})
-
-
-_PUR_PART = pa.schema([("seq", pa.int64()), ("srch", pa.int64())])
 _PUR_SCHEMA = pa.schema([("n_sources", pa.int64()), ("n_seqs", pa.int64())])
 
 
-def _src_hash64(col) -> np.ndarray:
-    """64-bit FNV-1a of each source string (identity only — distinct
-    counting needs equality, never order; collisions among a bounded
-    source set are measure-zero and deterministic)."""
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    enc = pc.dictionary_encode(arr)
+def _distinct_pairs(seq: np.ndarray, key: np.ndarray) -> tuple:
+    """The distinct (seq, key) pairs, sorted."""
+    o = np.lexsort((key, seq))
+    seq, key = seq[o], key[o]
+    keep = np.ones(len(seq), dtype=bool)
+    keep[1:] = (seq[1:] != seq[:-1]) | (key[1:] != key[:-1])
+    return seq[keep], key[keep]
+
+
+def _span_combine(base, seq_len: int, P2: int, key, *shards) -> list:
+    """Wave 1 of the payload-free pack diagnostics, one chunk partition:
+    exact stream offsets from ``n_tok``, every row's (row, seq) spans,
+    and the distinct (seq, ``key(rows)``) pairs, returned PRE-SHARDED by
+    seq hash for the per-seq wave (num_returns=P2)."""
+    run, bases = base
+    g = pa.concat_tables(shards).combine_chunks()
+    o, r = _stream_order(run, g)
+    nt = g.column("n_tok").to_numpy(
+        zero_copy_only=False).astype(np.int64)[o]
+    row, seq, _, _ = pack.spans(pack.offsets(r, nt, bases), nt, seq_len)
+    seq, k = _distinct_pairs(seq, key(g)[o[row]])
+    return X.split(X.fib_partition(seq, P2), P2, pa.table(
+        [pa.array(seq, pa.int64()), pa.array(k, pa.int64())],
+        schema=_SEQ_PAIRS))
+
+
+def _seq_hist_combine(schema: pa.Schema, *parts) -> pa.Table:
+    """Wave 2, one seq partition: distinct keys per seq (a pair repeats
+    when a seq crosses chunk partitions), folded straight into the
+    bounded (count, n_seqs) histogram ``schema``."""
+    t = pa.concat_tables(parts)
+    seq, _ = _distinct_pairs(t.column("seq").to_numpy(zero_copy_only=False),
+                             t.column("key").to_numpy(zero_copy_only=False))
+    _, n = np.unique(seq, return_counts=True)
+    d, nsq = np.unique(n, return_counts=True)
+    return pa.table([pa.array(d, pa.int64()), pa.array(nsq, pa.int64())],
+                    schema=schema)
+
+
+def _seq_histogram(sf_dir: str, seq_len: int, chunk_docs: int, cols: list,
+                   key, schema: pa.Schema) -> pa.Table:
+    """The payload-free pack diagnostics: the sequence grid depends only
+    on (idx, n_tok), so the pack head reads ``cols`` (``n_tok`` and the
+    key's column, no payload) and two raw-task waves follow —
+    ``_span_combine`` per chunk partition, ``_seq_hist_combine`` per seq
+    partition — then the driver sums P bounded histograms. Every stream
+    position belongs to a row, so every seq appears in some pair.
+    Exact integers end-to-end."""
+    sl, side = _pack_shard(sf_dir, cols, chunk_docs, _chunk_tok_sums)
+    if not sl:
+        return schema.empty_table()
+    P = len(sl)
+    mids = X.combine(_span_combine, sl, _pack_bases(side[0]), seq_len, P,
+                     key, num_returns=P, out_schema=_SEQ_PAIRS)
+    return X.sum_refs(
+        X.combine(_seq_hist_combine, mids, schema, out_schema=schema),
+        [schema.names[0]], schema)
+
+
+def _idx_key(t: pa.Table) -> np.ndarray:
+    """Pair key of log_pack_doc_mix: the row's ingestion index."""
+    return t.column("idx").to_numpy(zero_copy_only=False)
+
+
+def _source_key(t: pa.Table) -> np.ndarray:
+    """Pair key of log_pack_source_purity: 64-bit FNV-1a of the row's
+    source (identity only — distinct counting needs equality, never
+    order; collisions among a bounded source set are measure-zero and
+    deterministic)."""
+    enc = pc.dictionary_encode(t.column("source").combine_chunks())
     uniq = enc.dictionary.to_pylist()
     h = np.empty(len(uniq), dtype=np.uint64)
     for i, s in enumerate(uniq):
@@ -3822,90 +3873,21 @@ def _src_hash64(col) -> np.ndarray:
     return h[idx].view(np.int64)
 
 
-def _purity_combine(base, seq_len: int, P2: int, *shards):
-    """One chunk partition of the source-purity exchange: the doc-mix
-    spans, then distinct (seq, source-hash) presence pairs pre-sharded
-    by seq hash (num_returns=P2). Pairs from docs of the SAME source in
-    the same seq dedup here; cross-partition repeats of a pair dedup
-    again in the per-seq combine."""
-    g, row, seq = _seq_spans(base, seq_len, shards)
-    sh = _src_hash64(g.column("source"))[row]
-    o2 = np.lexsort((sh, seq))
-    seq, sh = seq[o2], sh[o2]
-    keep = np.ones(len(seq), dtype=bool)
-    keep[1:] = (seq[1:] != seq[:-1]) | (sh[1:] != sh[:-1])
-    seq, sh = seq[keep], sh[keep]
-    return X.split(X.fib_partition(seq, P2), P2, pa.table(
-        {"seq": pa.array(seq, pa.int64()), "srch": pa.array(sh, pa.int64())}))
-
-
-def _purity_seq_combine(*parts) -> pa.Table:
-    """Distinct sources per seq for one seq partition, folded into the
-    bounded (n_sources, n_seqs) histogram."""
-    t = pa.concat_tables(parts)
-    seq = t.column("seq").to_numpy(zero_copy_only=False)
-    sh = t.column("srch").to_numpy(zero_copy_only=False)
-    o = np.lexsort((sh, seq))
-    seq, sh = seq[o], sh[o]
-    keep = np.ones(len(seq), dtype=bool)
-    keep[1:] = (seq[1:] != seq[:-1]) | (sh[1:] != sh[:-1])
-    seq = seq[keep]
-    _, ns = np.unique(seq, return_counts=True)
-    d, nsq = np.unique(ns, return_counts=True)
-    return pa.table({"n_sources": pa.array(d.astype(np.int64)),
-                     "n_seqs": pa.array(nsq.astype(np.int64))})
-
-
 def q_log_pack_source_purity(sf_dir: str, seq_len: int = 512,
                              chunk_docs: int = 4096):
     """Domain purity of the packed layout: how many distinct SOURCES
     each fixed-length training sequence mixes (the domain-mixing twin
     of log_pack_doc_mix — log_pack_tokens_by_source exists precisely
     to drive this histogram to all-1s; this op measures how impure the
-    global layout actually is).
-
-    Same payload-free two-wave exchange as doc_mix, with the source
-    hash riding along: wave 1 derives exact offsets per chunk
-    partition and emits DISTINCT (seq, source) presence pairs
-    pre-sharded by seq hash; wave 2 re-dedups cross-partition repeats
-    and folds bounded histograms. Exact integers end-to-end."""
-    sl, sum_refs = _pack_shard(sf_dir, ["n_tok", "source"], chunk_docs,
-                               _chunk_tok_sums)
-    if not sl:
-        return _PUR_SCHEMA.empty_table()
-    P = len(sl)
-    mids = X.combine(_purity_combine, sl, _pack_bases(sum_refs), seq_len,
-                     P, num_returns=P, out_schema=_PUR_PART)
-    return X.sum_refs(
-        X.combine(_purity_seq_combine, mids, out_schema=_PUR_SCHEMA),
-        ["n_sources"], _PUR_SCHEMA)
+    global layout actually is). Doc_mix's waves with the source hash
+    as the pair key."""
+    return _seq_histogram(sf_dir, seq_len, chunk_docs, ["n_tok", "source"],
+                          _source_key, _PUR_SCHEMA)
 
 
 def sql_pack_source_purity(cache: str, seq_len: int = 512) -> str:
-    return f"""
-WITH t AS (
-  SELECT source, CAST(n_tok AS BIGINT) AS n_tok,
-         CAST(right(doc_id, 12) AS BIGINT) AS idx
-  FROM read_parquet('{cache}/shard-*.parquet')
-), o AS (
-  SELECT source, n_tok,
-         CAST(COALESCE(SUM(n_tok) OVER (ORDER BY idx
-           ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS BIGINT)
-           AS tok_offset
-  FROM t
-), f AS (
-  SELECT source,
-         unnest(generate_series(tok_offset // {seq_len},
-                                (tok_offset + n_tok - 1) // {seq_len}))
-           AS seq_id
-  FROM o WHERE n_tok > 0
-), d AS (
-  SELECT seq_id, COUNT(DISTINCT source) AS n_sources FROM f GROUP BY seq_id
-)
-SELECT CAST(n_sources AS BIGINT) AS n_sources,
-       CAST(COUNT(*) AS BIGINT) AS n_seqs
-FROM d GROUP BY n_sources ORDER BY n_sources
-"""
+    return (_sql_pack(cache, seq_len, "source")
+            + _sql_seq_hist("n_sources", "COUNT(DISTINCT source)"))
 
 
 def q_log_pack_doc_mix(sf_dir: str, seq_len: int = 512,
@@ -3914,51 +3896,14 @@ def q_log_pack_doc_mix(sf_dir: str, seq_len: int = 512,
     training sequence mixes (the cross-doc attention-contamination
     diagnostic for the log_pack_tokens layout — a seq_len too large for
     the doc-length distribution shows up as a heavy n_docs tail).
-
-    Payload-free: the sequence grid depends only on (idx, n_tok), so
-    the read prunes to two tiny columns and the exchange ships 24-byte
-    rows — same two raw-task waves as the pack op (chunks partition
-    wave 1; per-seq touch counts return pre-sharded by seq hash so the
-    per-seq fold meets its rows inside wave 2), driver folds P bounded
-    histograms. Every stream position belongs to a doc, so every seq
-    appears in some partial — no missing-seq correction. Exact
-    integers end-to-end."""
-    sl, sum_refs = _pack_shard(sf_dir, ["n_tok"], chunk_docs,
-                               _chunk_tok_sums)
-    if not sl:
-        return _MIX_SCHEMA.empty_table()
-    P = len(sl)
-    mids = X.combine(_mix_combine, sl, _pack_bases(sum_refs), seq_len,
-                     P, num_returns=P, out_schema=_MIX_PART)
-    return X.sum_refs(
-        X.combine(_mix_seq_combine, mids, out_schema=_MIX_SCHEMA),
-        ["n_docs"], _MIX_SCHEMA)
+    Payload-free (``_seq_histogram``), with the doc's ingestion index
+    as the pair key."""
+    return _seq_histogram(sf_dir, seq_len, chunk_docs, ["n_tok"], _idx_key,
+                          _MIX_SCHEMA)
 
 
 def sql_pack_doc_mix(cache: str, seq_len: int = 512) -> str:
-    return f"""
-WITH t AS (
-  SELECT CAST(n_tok AS BIGINT) AS n_tok,
-         CAST(right(doc_id, 12) AS BIGINT) AS idx
-  FROM read_parquet('{cache}/shard-*.parquet')
-), o AS (
-  SELECT n_tok,
-         CAST(COALESCE(SUM(n_tok) OVER (ORDER BY idx
-           ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS BIGINT)
-           AS tok_offset
-  FROM t
-), f AS (
-  SELECT unnest(generate_series(tok_offset // {seq_len},
-                                (tok_offset + n_tok - 1) // {seq_len}))
-           AS seq_id
-  FROM o WHERE n_tok > 0
-), d AS (
-  SELECT seq_id, COUNT(*) AS n_docs FROM f GROUP BY seq_id
-)
-SELECT CAST(n_docs AS BIGINT) AS n_docs,
-       CAST(COUNT(*) AS BIGINT) AS n_seqs
-FROM d GROUP BY n_docs ORDER BY n_docs
-"""
+    return _sql_pack(cache, seq_len) + _sql_seq_hist("n_docs", "COUNT(*)")
 
 
 def q_log_pack_tokens_sep(sf_dir: str, seq_len: int = 512,
@@ -3970,74 +3915,19 @@ def q_log_pack_tokens_sep(sf_dir: str, seq_len: int = 512,
     boundaries and attention masks can be rebuilt from the separators.
     Zero-token rows still contribute their separator (a boundary
     marker). This is plain q_log_pack_tokens over ``tokens + [sep]``:
-    ``_pack_shard`` appends the separator in the read's map, so the
-    chunk sums, the one payload combine and the Dataset-of-blocks
-    return are the plain op's. The fragment checksums are exact
-    integers including covered separators, so the SQL gate
-    (list_concat(tokens, [sep]) + the same window cumsum) is
+    the pack head appends the separator in the read's map. The fragment
+    checksums are exact integers including covered separators, so the
+    SQL gate (list_concat(tokens, [sep]) + the same window cumsum) is
     hash-exact."""
-    import ray.data as rd
-
-    sl, sum_refs = _pack_shard(sf_dir, ["doc_id", "tokens"], chunk_docs,
-                               _chunk_tok_sums, sep=sep)
-    if not sl:
-        return rd.from_arrow(_PACK_SCHEMA.empty_table())
-    return rd.from_arrow_refs(X.combine(
-        _pack_combine, sl, _pack_bases(sum_refs), seq_len,
-        out_schema=_PACK_SCHEMA))
+    return _pack_stream(sf_dir, seq_len, chunk_docs,
+                        prep=lambda t: _with_sep(t, sep))
 
 
 def sql_pack_tokens_sep(cache: str, seq_len: int = 512,
                         sep: int = 256) -> str:
-    return f"""
-WITH t AS (
-  SELECT doc_id, list_concat(tokens, [{sep}]) AS toks,
-         CAST(n_tok + 1 AS BIGINT) AS n_tok,
-         CAST(right(doc_id, 12) AS BIGINT) AS idx
-  FROM read_parquet('{cache}/shard-*.parquet')
-), o AS (
-  SELECT doc_id, toks, n_tok,
-         CAST(COALESCE(SUM(n_tok) OVER (ORDER BY idx
-           ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS BIGINT)
-           AS tok_offset
-  FROM t
-), f AS (
-  SELECT doc_id, toks, n_tok, tok_offset,
-         unnest(generate_series(tok_offset // {seq_len},
-                                (tok_offset + n_tok - 1) // {seq_len}))
-           AS seq_id
-  FROM o
-), s AS (
-  SELECT doc_id, CAST(seq_id AS BIGINT) AS seq_id, toks,
-         GREATEST(seq_id * {seq_len}, tok_offset) - tok_offset + 1 AS a,
-         LEAST((seq_id + 1) * {seq_len}, tok_offset + n_tok) - tok_offset AS b
-  FROM f
-)
-SELECT doc_id, seq_id,
-       CAST(b - a + 1 AS BIGINT) AS n_frag_tokens,
-       CAST(list_sum(list_slice(toks, a, b)) AS BIGINT) AS frag_sum,
-       CAST(toks[a] AS BIGINT) AS first_tok,
-       CAST(toks[b] AS BIGINT) AS last_tok
-FROM s
-"""
-
-
-def _pack_dedup_combine(base, seq_len: int, dropped: list,
-                        tabs: list) -> pa.Table:
-    """One hash partition of the dedup-then-pack exchange: drop the
-    partition's duplicate rows (sorted dropped-idx membership via
-    searchsorted), then delegate to the plain pack combine — within-
-    chunk offsets are rebuilt over KEPT rows only, matching the
-    kept-only chunk bases."""
-    dropped = np.unique(np.concatenate(dropped))
-    t = pa.concat_tables(tabs)
-    if len(dropped):
-        idx = t.column("idx").to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(dropped, idx)
-        hit = (pos < len(dropped)) & \
-            (dropped[np.minimum(pos, len(dropped) - 1)] == idx)
-        t = t.filter(pa.array(~hit))
-    return _pack_combine(base, seq_len, t)
+    return (_sql_pack(cache, seq_len, tokens=f"list_concat(tokens, [{sep}])",
+                      n_tok="n_tok + 1")
+            + _sql_fragments("doc_id", seq_len))
 
 
 def q_log_pack_tokens_dedup(sf_dir: str, seq_len: int = 512,
@@ -4048,10 +3938,10 @@ def q_log_pack_tokens_dedup(sf_dir: str, seq_len: int = 512,
     data job actually runs (dedup feeding the packer), in one pipeline
     with no intermediate materialization.
 
-    Raw-task waves over ONE read:
-      1. One shard task per block slices (h, idx, n_tok) triples by the
-         sequence hash and the payload rows by chunk hash
-         (``exchange.table_shard``), ``num_returns=2P``.
+    Raw-task waves over ONE read (the pack head):
+      1. One shard task per block slices the payload rows by chunk hash
+         (``exchange.table_shard``) and (h, idx, n_tok) triples by the
+         sequence hash, ``num_returns=2P``.
       2. Each hash partition keeps the min idx per h, emits (a) bounded
          per-chunk KEPT-token sums and (b) the dropped ids PRE-SHARDED
          by their chunk's Fibonacci hash (``num_returns=P+1`` — dropped
@@ -4059,8 +3949,7 @@ def q_log_pack_tokens_dedup(sf_dir: str, seq_len: int = 512,
       3. The driver folds chunk sums into exclusive bases (the pack
          prefix-sum contract: O(corpus/chunk_docs) ints) broadcast once.
       4. Each chunk partition's payload slices meet its dropped-id shard
-         in one combine task, which filters and delegates to the plain
-         pack combine.
+         in the one pack combine, which filters before it packs.
 
     Sequence identity rides the property-tested 64-bit polynomial row
     hash (the log_seq_dedup contract: collisions ~ n^2/2^64); the SQL
@@ -4070,100 +3959,53 @@ def q_log_pack_tokens_dedup(sf_dir: str, seq_len: int = 512,
 
 def _dedup_pack_pipeline(sf_dir: str, seq_len: int, chunk_docs: int,
                          gate=None):
-    """The dedup-feeding-pack three-wave exchange, shared by
-    log_pack_tokens_dedup and log_pack_tokens_curated. The read's map
-    adds idx/chunk and the sequence hash ``h``; ``gate(vals, off)``,
-    when given, returns the per-row keep mask of a filter applied
-    there, before any row enters the dedup."""
+    """The dedup-feeding-pack waves, shared by log_pack_tokens_dedup and
+    log_pack_tokens_curated, on the pack head: the read's map adds the
+    sequence hash ``h``; ``gate(vals, off)``, when given, returns the
+    per-row keep mask of a filter applied there, before any row enters
+    the dedup."""
     import ray.data as rd
 
-    def add_keys(t: pa.Table) -> pa.Table:
-        idx = _pack_idx(t.column("doc_id"))
+    def add_hash(t: pa.Table) -> pa.Table:
         vals, off = _token_lists(t.column("tokens"))
         # .view, not .astype: bit-exact uint64->int64 reinterpretation
         # (the log_seq_dedup idiom; astype of out-of-range uint64 is a
         # platform-defined C cast)
-        h = _seq_hash64(vals, off).view(np.int64)
-        t = (t.select(["doc_id", "tokens"])
-             .append_column("idx", pa.array(idx, pa.int64()))
-             .append_column("chunk", pa.array(idx // chunk_docs, pa.int64()))
-             .append_column("h", pa.array(h)))
+        t = t.append_column("h", pa.array(_seq_hash64(vals, off).view(np.int64)))
         return t if gate is None else t.filter(pa.array(gate(vals, off)))
 
-    refs, _, nbytes = X.sized_block_refs(
-        _read_tokens(sf_dir, ["doc_id", "tokens"])
-        .map_batches(add_keys, batch_format="pyarrow"))
-    if not refs:
-        return rd.from_arrow(_PACK_SCHEMA.empty_table())
-    P = X.n_parts(nbytes)
-
-    def dedup_shard(t: pa.Table) -> list:
-        # P (h, idx, n_tok) slices by sequence hash, then P payload
-        # slices by chunk hash
-        h = t.column("h").to_numpy(zero_copy_only=False)
-        idx = t.column("idx").to_numpy(zero_copy_only=False)
+    def hash_slices(t: pa.Table, P: int) -> list:
+        h = _h_key(t)
         nt = pc.list_value_length(t.column("tokens")).to_numpy(
             zero_copy_only=False).astype(np.int64)
-        return (X.split(X.fib_partition(h, P), P, h, idx, nt)
-                + X.table_shard(t, P, "chunk"))
+        return X.split(X.fib_partition(h, P), P, h,
+                       t.column("idx").to_numpy(zero_copy_only=False), nt)
+
+    sl, hs = _pack_shard(sf_dir, ["doc_id", "tokens"], chunk_docs,
+                         hash_slices, wide=True, prep=add_hash)
+    if not sl:
+        return rd.from_arrow(_PACK_SCHEMA.empty_table())
+    P = len(sl)
 
     def dedup_combine(*shards) -> list:
-        # keep the min idx per h: kept-token chunk sums, plus the
-        # dropped ids split by their chunk's partition
+        # kept-token chunk sums, plus the dropped ids split by their
+        # chunk's partition
         h, idx, nt = (np.concatenate([s[i] for s in shards])
                       for i in range(3))
-        o = np.lexsort((idx, h))
-        h, idx, nt = h[o], idx[o], nt[o]
-        first = np.ones(len(h), dtype=bool)
-        first[1:] = h[1:] != h[:-1]
+        first, idx, nt = min_index_winners(h, idx, nt)
         dropped = idx[~first]
         return ([pack.chunk_sums(idx[first] // chunk_docs, nt[first])]
                 + X.split(X.fib_partition(dropped // chunk_docs, P), P,
                           dropped))
 
-    sl = X.shard(dedup_shard, refs, 2 * P)
-    fl = X.combine(dedup_combine, sl[:P], num_returns=P + 1)
-    # packed survivor stream is O(corpus): ship it as a Dataset of
-    # per-partition blocks (customer_rfm idiom), never a driver concat
-    return rd.from_arrow_refs(X.combine(
-        _pack_dedup_combine, (fl[1:], sl[P:]), _pack_bases(fl[0]), seq_len,
-        out_schema=_PACK_SCHEMA))
+    fl = X.combine(dedup_combine, hs, num_returns=P + 1)
+    return _pack_fragments(sl, _pack_bases(fl[0]), seq_len, ["doc_id"],
+                           _PACK_SCHEMA, dropped=fl[1:])
 
 
 def sql_pack_tokens_dedup(cache: str, seq_len: int = 512) -> str:
-    return f"""
-WITH raw AS (
-  SELECT doc_id, tokens, CAST(n_tok AS BIGINT) AS n_tok,
-         CAST(right(doc_id, 12) AS BIGINT) AS idx
-  FROM read_parquet('{cache}/shard-*.parquet')
-), t AS (
-  SELECT doc_id, tokens, n_tok, idx FROM raw
-  QUALIFY idx = MIN(idx) OVER (PARTITION BY tokens)
-), o AS (
-  SELECT doc_id, tokens, n_tok,
-         CAST(COALESCE(SUM(n_tok) OVER (ORDER BY idx
-           ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS BIGINT)
-           AS tok_offset
-  FROM t
-), f AS (
-  SELECT doc_id, tokens, n_tok, tok_offset,
-         unnest(generate_series(tok_offset // {seq_len},
-                                (tok_offset + n_tok - 1) // {seq_len}))
-           AS seq_id
-  FROM o WHERE n_tok > 0
-), s AS (
-  SELECT doc_id, CAST(seq_id AS BIGINT) AS seq_id, tokens,
-         GREATEST(seq_id * {seq_len}, tok_offset) - tok_offset + 1 AS a,
-         LEAST((seq_id + 1) * {seq_len}, tok_offset + n_tok) - tok_offset AS b
-  FROM f
-)
-SELECT doc_id, seq_id,
-       CAST(b - a + 1 AS BIGINT) AS n_frag_tokens,
-       CAST(list_sum(list_slice(tokens, a, b)) AS BIGINT) AS frag_sum,
-       CAST(tokens[a] AS BIGINT) AS first_tok,
-       CAST(tokens[b] AS BIGINT) AS last_tok
-FROM s
-"""
+    return (_sql_pack(cache, seq_len, rows=f"SELECT * FROM raw {_SQL_FIRST_COPY}")
+            + _sql_fragments("doc_id", seq_len))
 
 
 def _quality_gate_mask(vals: np.ndarray, off: np.ndarray,
@@ -4215,50 +4057,16 @@ def q_log_pack_tokens_curated(sf_dir: str, seq_len: int = 512,
 def sql_pack_tokens_curated(cache: str, seq_len: int = 512,
                             max_dom_ppm: int = 900_000,
                             min_tok: int = 4) -> str:
-    return f"""
-WITH raw AS (
-  SELECT doc_id, tokens, CAST(n_tok AS BIGINT) AS n_tok,
-         CAST(right(doc_id, 12) AS BIGINT) AS idx
-  FROM read_parquet('{cache}/shard-*.parquet')
-), u AS (
-  SELECT doc_id, CAST(tok AS BIGINT) AS tok,
-         CAST(COUNT(*) AS BIGINT) AS c
-  FROM read_parquet('{cache}/shard-*.parquet') t, UNNEST(t.tokens) AS z(tok)
-  GROUP BY doc_id, tok
-), dom AS (
-  SELECT doc_id, MAX(c) AS mx FROM u GROUP BY doc_id
-), gated AS (
-  SELECT raw.* FROM raw JOIN dom USING (doc_id)
+    return _sql_pack(cache, seq_len, rows=f"""SELECT raw.* FROM raw JOIN (
+    SELECT doc_id, MAX(c) AS mx FROM (
+      SELECT doc_id, CAST(COUNT(*) AS BIGINT) AS c
+      FROM read_parquet('{cache}/shard-*.parquet') t, UNNEST(t.tokens) AS z(tok)
+      GROUP BY doc_id, tok
+    ) GROUP BY doc_id
+  ) dom USING (doc_id)
   WHERE raw.n_tok >= {min_tok}
     AND dom.mx * 1000000 // raw.n_tok < {max_dom_ppm}
-), t AS (
-  SELECT doc_id, tokens, n_tok, idx FROM gated
-  QUALIFY idx = MIN(idx) OVER (PARTITION BY tokens)
-), o AS (
-  SELECT doc_id, tokens, n_tok,
-         CAST(COALESCE(SUM(n_tok) OVER (ORDER BY idx
-           ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS BIGINT)
-           AS tok_offset
-  FROM t
-), f AS (
-  SELECT doc_id, tokens, n_tok, tok_offset,
-         unnest(generate_series(tok_offset // {seq_len},
-                                (tok_offset + n_tok - 1) // {seq_len}))
-           AS seq_id
-  FROM o WHERE n_tok > 0
-), s AS (
-  SELECT doc_id, CAST(seq_id AS BIGINT) AS seq_id, tokens,
-         GREATEST(seq_id * {seq_len}, tok_offset) - tok_offset + 1 AS a,
-         LEAST((seq_id + 1) * {seq_len}, tok_offset + n_tok) - tok_offset AS b
-  FROM f
-)
-SELECT doc_id, seq_id,
-       CAST(b - a + 1 AS BIGINT) AS n_frag_tokens,
-       CAST(list_sum(list_slice(tokens, a, b)) AS BIGINT) AS frag_sum,
-       CAST(tokens[a] AS BIGINT) AS first_tok,
-       CAST(tokens[b] AS BIGINT) AS last_tok
-FROM s
-"""
+  {_SQL_FIRST_COPY}""") + _sql_fragments("doc_id", seq_len)
 
 
 def q_log_top_paths_cms(sf_dir: str):

@@ -2119,18 +2119,16 @@ def test_curation_report_planted(ray_session, tmp_path):
 def test_bw_task_cpus_scales(ray_session, monkeypatch):
     """The bandwidth cap must track per-node cpus (constant per-node
     concurrency), not encode the dev box: num_cpus doubles with node
-    width, floors at 1 on small sessions, and the env override wins."""
+    width and floors at 1 on small sessions."""
     # patch the DEFINING module (dp_common): _bw_task_cpus resolves
     # _cpus in its own module's globals
     from sbo_ray.pipelines import dp_common as DPC
 
-    monkeypatch.delenv("SBO_BW_TASK_CPUS", raising=False)
     for cpus, target, want in [(32, 16, 2), (32, 8, 4), (64, 16, 4),
-                               (128, 16, 8), (8, 16, 1), (4, 8, 1)]:
+                               (128, 16, 8), (8, 16, 1), (4, 8, 1),
+                               (112, 16, 7)]:
         monkeypatch.setattr(DPC, "_cpus", lambda c=cpus: c)
         assert DPC._bw_task_cpus(target) == want, (cpus, target)
-    monkeypatch.setenv("SBO_BW_TASK_CPUS", "7")
-    assert DPC._bw_task_cpus(16) == 7
 
 
 @pytest.mark.parametrize("op", ["doc_dedup_ngram", "doc_dedup_containment",
@@ -2143,6 +2141,7 @@ def test_chunk_pair_tasks_follow_bw_cap(ray_session, monkeypatch, op):
 
     import ray.data as rd
 
+    from sbo_ray.pipelines import dp_common as DPC
     from sbo_ray.pipelines import dp_dedup as DPD
     from sbo_ray.pipelines.dataqueries import data_queries
 
@@ -2156,11 +2155,51 @@ def test_chunk_pair_tasks_follow_bw_cap(ray_session, monkeypatch, op):
     fn = data_queries()[op]
     # patch the name where the op resolves it
     monkeypatch.setattr(sys.modules[fn.__module__], "_chunk_pair_join", spy)
-    monkeypatch.setenv("SBO_BW_TASK_CPUS", "1")
+    # a one-cpu node: the cap floors at one cpu per task
+    monkeypatch.setattr(DPC, "_cpus", lambda: 1)
     out = fn("/root/testdata/sf0.001", n_chunks=2)
     assert seen == [1]
     n = out.count() if isinstance(out, rd.Dataset) else out.num_rows
     assert n >= 0
+
+
+def test_money_sums_round_to_the_cent(ray_session, tmp_path):
+    """The money aggregates round with np.round, as DuckDB's ROUND
+    does. Arrow's round returns a sum within an ulp of a cent unchanged
+    (5579342238.309999 stays 5579342238.309999), so its last bit would
+    show in the result and miss the gate's 5579342238.31."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from sbo_ray.pipelines.dp_rel_events import (customer_nation_agg,
+                                                 events_sliding_window,
+                                                 orders_by_month)
+    from sbo_ray.pipelines.dp_retrieval import (events_hourly,
+                                                supplier_nation_revenue)
+
+    v, cents = 5579342238.309999, 5579342238.31
+    assert pc.round(pa.array([v]), 2)[0].as_py() != cents
+    ts = pa.array([np.datetime64("2020-01-15T10:20", "us")])
+    for name, cols in {
+        "nation": {"n_nationkey": pa.array([1], pa.int32()),
+                   "n_name": ["N"]},
+        "customer": {"c_custkey": [1], "c_nationkey": pa.array([1], pa.int32()),
+                     "c_acctbal": [v]},
+        "orders": {"o_orderdate": ts, "o_totalprice": [v]},
+        "events": {"event_type": ["e"], "ts": ts, "value": [v]},
+        "supplier": {"s_suppkey": [1], "s_nationkey": pa.array([1], pa.int32())},
+        "lineitem": {"l_suppkey": [1], "l_extendedprice": [v],
+                     "l_discount": [0.0]},
+    }.items():
+        pq.write_table(pa.table(cols), str(tmp_path / f"{name}.parquet"))
+    sf = str(tmp_path)
+    for fn, col in [(customer_nation_agg, "total_acctbal"),
+                    (orders_by_month, "revenue"),
+                    (events_sliding_window, "sum_value"),
+                    (events_hourly, "sum_value"),
+                    (supplier_nation_revenue, "revenue")]:
+        got = fn(sf).column(col).to_pylist()
+        assert got and set(got) == {cents}, (fn.__name__, got)
 
 
 def test_decode_pool_leaves_a_cpu_for_reads(monkeypatch):

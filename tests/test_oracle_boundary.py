@@ -70,3 +70,24 @@ def test_line_view_is_the_synth_lines(tmp_path, monkeypatch):
     synth.ensure_line_view("sf")  # idempotent: an existing view is kept
     assert os.stat(path).st_mtime_ns == before
     assert sorted(os.listdir(tmp_path)) == ["lines.parquet"]
+
+
+def test_engine_reads_no_environment():
+    """Deployment settings are the cli's (``SBO_RAY_ADDRESS``,
+    ``RAY_GRAFT_CPUS``): nothing else under ``sbo_ray/`` reads the
+    environment, so an op's behaviour follows its arguments and the Ray
+    session alone."""
+    names = {"environ", "getenv", "environb", "getenvb"}
+    bad = sorted(
+        (str(path.relative_to(PKG)), node.lineno)
+        for path in PKG.rglob("*.py")
+        if path.relative_to(PKG).parts != ("cli.py",)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.alias) and node.name in names)
+    )
+    assert bad == []
+    cli = ast.parse((PKG / "cli.py").read_text())
+    assert any(isinstance(n, ast.Attribute) and n.attr == "environ"
+               for n in ast.walk(cli))

@@ -537,50 +537,61 @@ def test_seq_hash_matches_tuple_equality(rows):
             assert (h[i] == h[j]) == (tup[i] == tup[j])
 
 
-@given(st.lists(st.lists(st.integers(min_value=0, max_value=255),
-                         max_size=12), min_size=1, max_size=25),
+@given(st.lists(st.tuples(st.sampled_from("abc"),
+                          st.lists(st.integers(min_value=0, max_value=255),
+                                   max_size=12)), min_size=1, max_size=25),
        st.integers(min_value=1, max_value=8),
-       st.integers(min_value=1, max_value=6))
-@settings(max_examples=60, deadline=None)
-def test_pack_combine_matches_naive(rows, seq_len, chunk_docs):
+       st.integers(min_value=1, max_value=6),
+       st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_pack_combine_matches_naive(rows, seq_len, chunk_docs, by_source):
     """_pack_combine == a naive Python packer on arbitrary ragged rows,
-    any seq_len, any chunk granularity (single shard, all chunks)."""
-    from sbo_ray.pipelines.queries import _pack_combine
+    any seq_len, any chunk granularity (single shard, all chunks, rows
+    arriving in reverse), under both run keys: the chunk (one stream)
+    and (source, chunk) (one stream per source)."""
+    import functools
+
+    from sbo_ray.pipelines.queries import (_chunk_run, _pack_combine,
+                                           _source_run)
 
     n = len(rows)
     idx = np.arange(n, dtype=np.int64)
     chunk = idx // chunk_docs
-    # naive reference
-    stream, doc_of_tok = [], []
-    for i, r in enumerate(rows):
-        stream.extend(r)
-        doc_of_tok.extend([i] * len(r))
-    want = {}
-    for t_pos, (tok, d) in enumerate(zip(stream, doc_of_tok)):
-        sid = t_pos // seq_len
-        key = (f"d{d:012d}", sid)
-        agg = want.setdefault(key, [0, 0, None, None])
-        agg[0] += 1
-        agg[1] += tok
-        if agg[2] is None:
-            agg[2] = tok
-        agg[3] = tok
-    # chunk bases = exclusive cumsum of per-chunk token counts
-    lens = np.array([len(r) for r in rows], dtype=np.int64)
-    cids = np.unique(chunk)
-    per_chunk = np.array([lens[chunk == c].sum() for c in cids])
-    bases = np.cumsum(per_chunk) - per_chunk
+    stream = [s if by_source else "" for s, _ in rows]
+    # naive reference: each stream concatenates its rows in idx order
+    want, pos = {}, {}
+    for i, (s, (_, r)) in enumerate(zip(stream, rows)):
+        for tok in r:
+            key = (f"d{i:012d}", pos.get(s, 0) // seq_len)
+            pos[s] = pos.get(s, 0) + 1
+            agg = want.setdefault(key, [0, 0, tok, tok])
+            agg[0] += 1
+            agg[1] += tok
+            agg[3] = tok
+    # run bases = exclusive cumsum of per-run token counts, per stream
+    lens = np.array([len(r) for _, r in rows], dtype=np.int64)
+    C = int(chunk.max()) + 1
+    srcs = np.unique(np.asarray(stream))
+    rid = np.searchsorted(srcs, np.asarray(stream)) * C + chunk
+    runs = np.unique(rid)
+    bases, acc = [], {}
+    for r in runs:
+        bases.append(acc.get(r // C, 0))
+        acc[r // C] = bases[-1] + int(lens[rid == r].sum())
+    run = functools.partial(_source_run, srcs, C) if by_source else _chunk_run
     g = pa.table({
         "doc_id": pa.array([f"d{i:012d}" for i in idx], pa.string()),
-        "tokens": pa.array([list(map(int, r)) for r in rows],
+        "tokens": pa.array([list(map(int, r)) for _, r in rows],
                            pa.list_(pa.int32())),
+        "source": pa.array([s for s, _ in rows], pa.string()),
         "idx": pa.array(idx), "chunk": pa.array(chunk),
-    })
-    got = _pack_combine((cids, bases), seq_len, g).to_pandas()
+    }).take(pa.array(np.arange(n)[::-1]))
+    got = _pack_combine((run, (runs, np.array(bases, np.int64))), seq_len,
+                        ["doc_id"], [], [g]).to_pandas()
     got_d = {(r.doc_id, r.seq_id): [r.n_frag_tokens, r.frag_sum,
                                     r.first_tok, r.last_tok]
              for r in got.itertuples(index=False)}
-    assert got_d == {k: v for k, v in want.items()}
+    assert got_d == want
 
 
 @given(st.lists(st.lists(st.integers(min_value=0, max_value=255),
