@@ -47,14 +47,22 @@ def _encode_chunk(lines: list[str]) -> pa.ListArray:
     )
 
 
+def one_array(col) -> pa.Array:
+    """``col`` as one Array: a ChunkedArray's only chunk shared as it is
+    (``combine_chunks`` copies even a single chunk), several chunks
+    combined; an Array passes through."""
+    if not isinstance(col, pa.ChunkedArray):
+        return col
+    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+
+
 def decode_tokens(tokens: pa.Array) -> pa.Array:
     """list<int32> byte-tokens -> string array, vectorized.
 
     Reuses the list offsets directly as string offsets and casts the
     int32 token values to a uint8 data buffer — no per-row Python.
     """
-    if isinstance(tokens, pa.ChunkedArray):
-        tokens = tokens.combine_chunks()
+    tokens = one_array(tokens)
     if isinstance(tokens, pa.LargeListArray):  # normalize
         tokens = tokens.cast(pa.list_(pa.int32()))
     # .offsets respects slicing; .values does not — slice values to the

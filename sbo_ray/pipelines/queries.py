@@ -20,6 +20,7 @@ import pyarrow.compute as pc
 
 from .. import exchange as X
 from .. import synth
+from ..codec import one_array
 from ..config import JobConfig
 from ..functions import pack
 from ..functions.dedup import min_index_winners
@@ -933,6 +934,62 @@ def _ip_key(t: pa.Table) -> np.ndarray:
     return X.crc_hash(t.column("client_ip"))
 
 
+# ---- the bounded count kernels: every keyed-count block partial in this
+# module counts through ``_key_counts`` (a numpy bincount) or
+# ``_count_rows`` (an Arrow group-by), its sources coded by ``_source_codes``
+def _source_codes(t: pa.Table) -> tuple[pa.Array, np.ndarray]:
+    """The block's source dictionary (first-appearance order) and each
+    row's int64 code into it."""
+    enc = pc.dictionary_encode(one_array(t.column("source")))
+    return enc.dictionary, enc.indices.to_numpy(
+        zero_copy_only=False).astype(np.int64)
+
+
+def _key_counts(key, radix: int, src=None, **sums) -> pa.Table:
+    """One numpy bincount of an int64 ``key`` in ``[0, radix)``; per
+    source when ``src`` is ``_source_codes``' (dictionary, codes) with
+    the codes aligned to ``key`` (one bin per ``code * radix + key``).
+    Returns the non-zero bins in bin order as (source?, key, cnt,
+    *sums), each ``sums`` column the int64 bincount of its weights.
+    ``key=0, radix=1`` counts rows per source."""
+    n = radix
+    if src is not None:
+        key = src[1] * radix + key
+        n *= len(src[0])
+    cnt = np.bincount(key, minlength=n)
+    nz = np.flatnonzero(cnt)
+    cols = {} if src is None else {
+        "source": src[0].take(pa.array(nz // radix))}
+    cols["key"] = pa.array(nz % radix, pa.int64())
+    cols["cnt"] = pa.array(cnt[nz], pa.int64())
+    for name, w in sums.items():
+        cols[name] = pa.array(np.bincount(key, weights=w, minlength=n)[nz]
+                              .astype(np.int64))
+    return pa.table(cols)
+
+
+def _count_rows(t: pa.Table, cols: list) -> pa.Table:
+    """The one Arrow group-by row count: ``t``'s distinct ``cols`` rows
+    and an int64 ``cnt`` of each."""
+    return (pa.table({c: one_array(t.column(c)) for c in cols})
+            .group_by(cols).aggregate([([], "count_all")])
+            .rename_columns([*cols, "cnt"]))
+
+
+def _parsed_counts(enr, key: str, dtype: pa.DataType, col=None) -> pa.Table:
+    """Per-(source, ``key``) counts of the parsed lines, merged: the one
+    partial of the four parse_ok log counters. ``col(t)``, when given,
+    derives the ``key`` column from the parsed block."""
+    def partial(t: pa.Table) -> pa.Table:
+        t = t.filter(t.column("parse_ok"))
+        if col is not None:
+            t = t.append_column(key, col(t))
+        return _count_rows(t, ["source", key])
+
+    return X.merge(enr, partial, ["source", key], pa.schema([
+        ("source", pa.string()), (key, dtype), ("cnt", pa.int64())]))
+
+
 def q_log_metrics(sf_dir: str):
     return logpipe.metrics_dataset(_enriched(sf_dir))
 
@@ -999,19 +1056,8 @@ def q_log_geo_counts(sf_dir: str):
     """GeoIP-style broadcast-lookup enrich -> per (source, geo) counts."""
     from ..stages.geo import make_geo_enricher
 
-    enr = _enriched(sf_dir).map_batches(
-        make_geo_enricher(), batch_format="pyarrow"
-    )
-
-    def partial(t: pa.Table) -> pa.Table:
-        t = t.filter(t.column("parse_ok"))
-        g = t.select(["source", "geo"]).group_by(["source", "geo"]).aggregate(
-            [([], "count_all")]
-        )
-        return g.rename_columns(["source", "geo", "cnt"])
-
-    return X.merge(enr, partial, ["source", "geo"], pa.schema([
-        ("source", pa.string()), ("geo", pa.string()), ("cnt", pa.int64())]))
+    return _parsed_counts(_enriched(sf_dir).map_batches(
+        make_geo_enricher(), batch_format="pyarrow"), "geo", pa.string())
 
 
 def q_log_rate_zscore(sf_dir: str, z_cut: float = 1.5):
@@ -1024,19 +1070,8 @@ def q_log_rate_zscore(sf_dir: str, z_cut: float = 1.5):
     (bounded: sources x windows, windows bounded by the corpus time
     span) -> per-source vectorized stats on the driver-held aggregate
     (the same bounded-table contract as the counter report)."""
-    enr = _enriched(sf_dir)
-
-    def partial(t: pa.Table) -> pa.Table:
-        t = t.filter(t.column("parse_ok"))
-        g = pa.table({
-            "source": t.column("source").combine_chunks(),
-            "time_window": t.column("time_window").combine_chunks(),
-        }).group_by(["source", "time_window"]).aggregate([([], "count_all")])
-        return g.rename_columns(["source", "time_window", "cnt"])
-
-    schema = pa.schema([("source", pa.string()),
-                        ("time_window", pa.int64()), ("cnt", pa.int64())])
-    df = X.merge(enr, partial, ["source", "time_window"], schema).to_pandas()
+    df = _parsed_counts(_enriched(sf_dir), "time_window",
+                        pa.int64()).to_pandas()
     if df.empty:
         return pa.schema([("source", pa.string()),
                           ("time_window", pa.int64()), ("cnt", pa.int64()),
@@ -1068,19 +1103,8 @@ def q_log_bytes_quantiles(sf_dir: str, qs: tuple = (0.5, 0.9, 0.99)):
     quantile_cont) definition: rank q*(n-1), v[lo] + frac*(v[hi]-v[lo]).
     Missing/absent byte fields count as 0, the parse stage's Atoi("")
     semantics (httpservers.go:175-176)."""
-    enr = _enriched(sf_dir)
-
-    def partial(t: pa.Table) -> pa.Table:
-        t = t.filter(t.column("parse_ok"))
-        g = pa.table({
-            "source": t.column("source").combine_chunks(),
-            "bytes_sent": t.column("bytes_sent").combine_chunks(),
-        }).group_by(["source", "bytes_sent"]).aggregate([([], "count_all")])
-        return g.rename_columns(["source", "bytes_sent", "cnt"])
-
-    schema = pa.schema([("source", pa.string()),
-                        ("bytes_sent", pa.int64()), ("cnt", pa.int64())])
-    df = X.merge(enr, partial, ["source", "bytes_sent"], schema).to_pandas()
+    df = _parsed_counts(_enriched(sf_dir), "bytes_sent",
+                        pa.int64()).to_pandas()
     out_schema = pa.schema([("source", pa.string()), ("p50", pa.float64()),
                             ("p90", pa.float64()), ("p99", pa.float64())])
     if df.empty:
@@ -1125,11 +1149,10 @@ def q_log_bytes_quantiles_kll(sf_dir: str, qs: tuple = (0.5, 0.9, 0.99)):
     def partial(t: pa.Table) -> pa.Table:
         t = t.filter(t.column("parse_ok"))
         srcs, sketches = [], []
-        enc = pc.dictionary_encode(t.column("source").combine_chunks())
+        dic, idx = _source_codes(t)
         bs = t.column("bytes_sent").combine_chunks().to_numpy(
             zero_copy_only=False)
-        idx = enc.indices.to_numpy(zero_copy_only=False)
-        for i, src in enumerate(enc.dictionary.to_pylist()):
+        for i, src in enumerate(dic.to_pylist()):
             sk = KLLSketch(K)
             sk.add(bs[idx == i])
             srcs.append(src)
@@ -1161,22 +1184,12 @@ def q_log_bytes_quantiles_kll(sf_dir: str, qs: tuple = (0.5, 0.9, 0.99)):
 
 def q_log_status_class_counts(sf_dir: str):
     """Status-class (2xx/3xx/4xx/5xx) enrichment counts per source."""
-    enr = _enriched(sf_dir)
+    def status_class(t: pa.Table) -> pa.Array:
+        return pc.binary_join_element_wise(pc.utf8_slice_codeunits(
+            t.column("status").combine_chunks(), 0, 1), "xx", "")
 
-    def partial(t: pa.Table) -> pa.Table:
-        t = t.filter(t.column("parse_ok"))
-        cls = pc.binary_join_element_wise(
-            pc.utf8_slice_codeunits(t.column("status").combine_chunks(), 0, 1),
-            "xx", "",
-        )
-        g = pa.table({"source": t.column("source").combine_chunks(),
-                      "status_class": cls}).group_by(
-            ["source", "status_class"]).aggregate([([], "count_all")])
-        return g.rename_columns(["source", "status_class", "cnt"])
-
-    return X.merge(enr, partial, ["source", "status_class"], pa.schema([
-        ("source", pa.string()), ("status_class", pa.string()),
-        ("cnt", pa.int64())]))
+    return _parsed_counts(_enriched(sf_dir), "status_class", pa.string(),
+                          status_class)
 
 
 def q_log_distinct_clients(sf_dir: str):
@@ -1195,9 +1208,8 @@ def q_log_distinct_clients(sf_dir: str):
                 .group_by(["source", "client_ip"]).aggregate([]))
 
     def count_part(g: pa.Table) -> pa.Table:
-        dd = g.group_by(["source", "client_ip"]).aggregate([])
-        return dd.group_by("source").aggregate([([], "count_all")]) \
-            .rename_columns(["source", "n_clients"])
+        return _count_rows(g.group_by(["source", "client_ip"]).aggregate([]),
+                           ["source"]).rename_columns(["source", "n_clients"])
 
     out_schema = pa.schema([("source", pa.string()),
                             ("n_clients", pa.int64())])
@@ -1222,10 +1234,10 @@ def q_log_distinct_clients_hll(sf_dir: str):
     def partial(t: pa.Table) -> pa.Table:
         t = t.filter(t.column("parse_ok"))
         srcs, sketches = [], []
-        enc = pc.dictionary_encode(t.column("source").combine_chunks())
+        dic, idx = _source_codes(t)
         ips = t.column("client_ip").combine_chunks()
-        for i, src in enumerate(enc.dictionary.to_pylist()):
-            uniq = pc.unique(ips.filter(pc.equal(enc.indices, i))).to_pylist()
+        for i, src in enumerate(dic.to_pylist()):
+            uniq = pc.unique(ips.filter(pa.array(idx == i))).to_pylist()
             hll = HyperLogLog(P)
             hll.add_hashes(_hash_strings([str(u) for u in uniq]))
             srcs.append(src)
@@ -1341,7 +1353,7 @@ FROM s GROUP BY source, client_ip, sid
 def _token_lists(col) -> tuple["np.ndarray", "np.ndarray"]:
     """(values int32, offsets int64 rebased to 0) from a list<int32>
     column — the zero-copy slicing idiom of ``codec.decode_tokens``."""
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    arr = one_array(col)
     if isinstance(arr, pa.LargeListArray):
         arr = arr.cast(pa.list_(pa.int32()))
     off = arr.offsets.to_numpy().astype(np.int64)
@@ -1359,6 +1371,47 @@ def _read_tokens(sf_dir: str, columns: list[str]):
                            override_num_blocks=max(1, len(paths)))
 
 
+def _pair_keys(vals: np.ndarray, off: np.ndarray) -> tuple:
+    """Adjacent token pairs of flat ``vals`` / ``off`` that stay inside
+    one row: keys ``a * 256 + b``, and the mask over all ``len(vals) -
+    1`` adjacent positions that selects them (one boolean mask, not a
+    gather: the bigram partials' hot path)."""
+    key = vals[:-1].astype(np.int64) * 256 + vals[1:]
+    valid = np.ones(len(key), dtype=bool)
+    ends = off[1:-1] - 1  # last token of each non-final row
+    valid[ends[(ends >= 0) & (ends < len(valid))]] = False
+    return key[valid], valid
+
+
+_PAIR_COUNTS = pa.schema([("pair", pa.int64()), ("cnt", pa.int64())])
+_TOKEN_COUNTS = pa.schema([("source", pa.string()), ("token", pa.int64()),
+                           ("cnt", pa.int64())])
+
+
+def _pair_counts(sf_dir: str) -> pa.Table:
+    """Corpus bigram counts (pair = a * 256 + b, pairs inside rows):
+    the one <=65536-row block partial of token_bigrams and token_pmi."""
+    def partial(t: pa.Table) -> pa.Table:
+        return _key_counts(_pair_keys(*_token_lists(t.column("tokens")))[0],
+                           65536).rename_columns(_PAIR_COUNTS.names)
+
+    return X.merge(_read_tokens(sf_dir, ["tokens"]), partial, ["pair"],
+                   _PAIR_COUNTS)
+
+
+def _token_counts(sf_dir: str) -> pa.Table:
+    """Per-(source, token) counts: the one |sources| x <=256-row block
+    partial of the entropy, tf-idf, OOV and Zipf ops."""
+    def partial(t: pa.Table) -> pa.Table:
+        vals, off = _token_lists(t.column("tokens"))
+        dic, codes = _source_codes(t)
+        return _key_counts(vals, 256, (dic, np.repeat(codes, np.diff(off)))
+                           ).rename_columns(_TOKEN_COUNTS.names)
+
+    return X.merge(_read_tokens(sf_dir, ["tokens", "source"]), partial,
+                   ["source", "token"], _TOKEN_COUNTS)
+
+
 def q_log_token_histogram(sf_dir: str, k: int = 32):
     """Global token-id frequency top-k over the pre-tokenized payload.
 
@@ -1369,11 +1422,8 @@ def q_log_token_histogram(sf_dir: str, k: int = 32):
     part_schema = pa.schema([("token", pa.int64()), ("cnt", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        vals, _ = _token_lists(t.column("tokens"))
-        cnt = np.bincount(vals, minlength=256)
-        nz = np.nonzero(cnt)[0]
-        return pa.table({"token": nz.astype(np.int64),
-                         "cnt": cnt[nz].astype(np.int64)})
+        return _key_counts(_token_lists(t.column("tokens"))[0], 256) \
+            .rename_columns(part_schema.names)
 
     g = X.merge(_read_tokens(sf_dir, ["tokens"]), partial, ["token"],
                 part_schema)
@@ -1394,24 +1444,7 @@ def q_log_token_bigrams(sf_dir: str, k: int = 32):
     ``doc_vocab_bigrams``). Pairs never cross row boundaries; each block
     bincounts packed keys a*256+b into a <=65536-row partial.
     Deterministic boundary: (cnt desc, a asc, b asc)."""
-    part_schema = pa.schema([("pair", pa.int64()), ("cnt", pa.int64())])
-
-    def partial(t: pa.Table) -> pa.Table:
-        vals, off = _token_lists(t.column("tokens"))
-        if len(vals) < 2:
-            return part_schema.empty_table()
-        key = vals[:-1].astype(np.int64) * 256 + vals[1:].astype(np.int64)
-        valid = np.ones(len(vals) - 1, dtype=bool)
-        ends = off[1:-1] - 1  # last token of each non-final row
-        ends = ends[(ends >= 0) & (ends < len(valid))]
-        valid[ends] = False
-        cnt = np.bincount(key[valid], minlength=65536)
-        nz = np.nonzero(cnt)[0]
-        return pa.table({"pair": nz.astype(np.int64),
-                         "cnt": cnt[nz].astype(np.int64)})
-
-    g = X.merge(_read_tokens(sf_dir, ["tokens"]), partial, ["pair"],
-                part_schema)
+    g = _pair_counts(sf_dir)
     pair = g.column("pair").to_numpy(zero_copy_only=False)
     t = pa.table({"a": pair // 256, "b": pair % 256, "cnt": g.column("cnt")})
     return t.sort_by([("cnt", "descending"), ("a", "ascending"),
@@ -1437,32 +1470,15 @@ def q_log_token_pmi(sf_dir: str, k: int = 32, min_cnt: int = 5):
     delimiter-structure signal; raw bigram counts only surface the
     frequent pairs, PMI surfaces the BOUND ones).
 
-    All probabilities come from the same bigram table (marginals are
-    the row/column sums), so the whole statistic folds from the one
-    bounded <=65536-key bincount partial of ``log_token_bigrams`` —
-    no second pass, no exchange. PMI = ln(c_ab * N / (ra * cb)) is a
+    All probabilities come from the one bigram table (marginals are
+    the row/column sums), so the whole statistic folds from
+    ``_pair_counts``, the merge ``log_token_bigrams`` reads too — no
+    second pass, no exchange. PMI = ln(c_ab * N / (ra * cb)) is a
     transcendental of integer counts: ROUND-6 is safe (the
     doc_tfidf rule — never gate on raw transcendental output), rank
     under (pmi6 desc, a, b) on both sides. ``min_cnt`` floors the
     long tail where PMI degenerates to noise."""
-    part_schema = pa.schema([("pair", pa.int64()), ("cnt", pa.int64())])
-
-    def partial(t: pa.Table) -> pa.Table:
-        vals, off = _token_lists(t.column("tokens"))
-        if len(vals) < 2:
-            return part_schema.empty_table()
-        key = vals[:-1].astype(np.int64) * 256 + vals[1:].astype(np.int64)
-        valid = np.ones(len(vals) - 1, dtype=bool)
-        ends = off[1:-1] - 1
-        ends = ends[(ends >= 0) & (ends < len(valid))]
-        valid[ends] = False
-        cnt = np.bincount(key[valid], minlength=65536)
-        nz = np.nonzero(cnt)[0]
-        return pa.table({"pair": nz.astype(np.int64),
-                         "cnt": cnt[nz].astype(np.int64)})
-
-    g = X.merge(_read_tokens(sf_dir, ["tokens"]), partial, ["pair"],
-                part_schema)
+    g = _pair_counts(sf_dir)
     pair = g.column("pair").to_numpy(zero_copy_only=False)
     cnt = g.column("cnt").to_numpy(zero_copy_only=False)
     a, b = pair // 256, pair % 256
@@ -1539,13 +1555,8 @@ def q_log_ip_entropy(sf_dir: str):
                             ("ip_entropy", pa.float64())])
 
     def pair_partial(t: pa.Table) -> pa.Table:
-        t = t.filter(t.column("parse_ok"))
-        pairs = (t.select(["source", "client_ip"])
-                 .group_by(["source", "client_ip"])
-                 .aggregate([([], "count_all")]))
-        return pa.table({"source": pairs.column("source"),
-                         "client_ip": pairs.column("client_ip"),
-                         "cnt": pairs.column("count_all").cast(pa.int64())})
+        return _count_rows(t.filter(t.column("parse_ok")),
+                           ["source", "client_ip"])
 
     def fold_part(g: pa.Table):
         import pandas as pd
@@ -1612,26 +1623,11 @@ def q_log_source_ce(sf_dir: str):
 
     def partial(t: pa.Table) -> pa.Table:
         vals, off = _token_lists(t.column("tokens"))
-        if len(vals) < 2:
-            return part_schema.empty_table()
-        key = vals[:-1].astype(np.int64) * 256 + vals[1:].astype(np.int64)
-        valid = np.ones(len(vals) - 1, dtype=bool)
-        ends = off[1:-1] - 1
-        ends = ends[(ends >= 0) & (ends < len(valid))]
-        valid[ends] = False
-        enc = pc.dictionary_encode(t.column("source").combine_chunks())
-        row_src = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        lens = np.diff(off)
-        tok_src = np.repeat(row_src, lens)[:-1][valid]
-        nsrc = len(enc.dictionary)
-        cnt = np.bincount(tok_src * 65536 + key[valid],
-                          minlength=nsrc * 65536)
-        nz = np.nonzero(cnt)[0]
-        return pa.table({
-            "source": enc.dictionary.take(pa.array(nz // 65536)),
-            "pair": pa.array(nz % 65536, pa.int64()),
-            "cnt": pa.array(cnt[nz], pa.int64()),
-        })
+        key, valid = _pair_keys(vals, off)
+        dic, codes = _source_codes(t)
+        return _key_counts(key, 65536, (
+            dic, np.repeat(codes, np.diff(off))[:-1][valid])).rename_columns(
+            part_schema.names)
 
     g = X.merge(_read_tokens(sf_dir, ["tokens", "source"]), partial,
                 ["source", "pair"], part_schema)
@@ -1690,12 +1686,10 @@ def _seq_counts(source, vals: np.ndarray, off: np.ndarray) -> pa.Table:
     """Block partial of the sequence-hash ops: one ``_seq_hash64`` per
     row of flat ``vals`` / ``off``, then (source, h, cnt) with ``cnt``
     the row's copies within the block."""
-    g = pa.table({
+    return _count_rows(pa.table({
         "source": source,
         "h": pa.array(_seq_hash64(vals, off).view(np.int64)),
-    }).group_by(["source", "h"]).aggregate([([], "count_all")])
-    return pa.table({"source": g.column("source"), "h": g.column("h"),
-                     "cnt": g.column("count_all").cast(pa.int64())})
+    }), ["source", "h"])
 
 
 def _seq_count_part(g: pa.Table):
@@ -1917,32 +1911,14 @@ def q_log_token_entropy(sf_dir: str):
     token-stream twin of ``log_ip_entropy`` (low entropy = a source
     emitting near-constant payloads, the stuck-sensor / bot signal).
     Vocabulary is bounded (byte codec), so each block emits a
-    |sources| x <=256 bincount partial and the driver folds KBs:
+    |sources| x <=256 bincount partial (``_token_counts``) and the
+    driver folds KBs:
     H = ln N - (sum c ln c)/N. ROUND-6 (transcendental sums)."""
-    part_schema = pa.schema([("source", pa.string()), ("token", pa.int64()),
-                             ("cnt", pa.int64())])
     out_schema = pa.schema([("source", pa.string()),
                             ("n_tokens", pa.int64()),
                             ("token_entropy", pa.float64())])
 
-    def partial(t: pa.Table) -> pa.Table:
-        vals, off = _token_lists(t.column("tokens"))
-        if not len(vals):
-            return part_schema.empty_table()
-        enc = pc.dictionary_encode(t.column("source").combine_chunks())
-        row_src = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        tok_src = np.repeat(row_src, np.diff(off))
-        nsrc = len(enc.dictionary)
-        cnt = np.bincount(tok_src * 256 + vals, minlength=nsrc * 256)
-        nz = np.nonzero(cnt)[0]
-        return pa.table({
-            "source": enc.dictionary.take(pa.array(nz // 256)),
-            "token": pa.array(nz % 256, pa.int64()),
-            "cnt": pa.array(cnt[nz], pa.int64()),
-        })
-
-    g = X.merge(_read_tokens(sf_dir, ["tokens", "source"]), partial,
-                ["source", "token"], part_schema)
+    g = _token_counts(sf_dir)
     if g.num_rows == 0:
         return out_schema.empty_table()
     import pandas as pd
@@ -1977,37 +1953,18 @@ FROM c GROUP BY source
 def q_log_source_token_tfidf(sf_dir: str, k: int = 5):
     """Top-``k`` DISTINCTIVE tokens per source by tf-idf over the token
     stream — the per-domain vocabulary signature (which byte values
-    characterize a source against the corpus). Same bounded
-    |sources| x 256 partial as the entropy/OOV family; the driver
-    derives df (distinct sources per token) and score = c * ln(S/df)
+    characterize a source against the corpus). Its counts are
+    ``_token_counts``, the merge the entropy/OOV/Zipf ops read; the
+    driver derives df (distinct sources per token) and score = c * ln(S/df)
     (unnormalized tf — a count QUOTIENT tf would hit the .5e-6
     boundary trap; c * ln(...) is a transcendental product, ROUND-6
     safe). Rank selection rides the integer composite key
     (round6(score) desc, token asc) on BOTH sides (the doc_tfidf
     rule)."""
-    part_schema = pa.schema([("source", pa.string()), ("token", pa.int64()),
-                             ("cnt", pa.int64())])
     out_schema = pa.schema([("source", pa.string()), ("token", pa.int64()),
                             ("cnt", pa.int64()), ("tfidf", pa.float64())])
 
-    def partial(t: pa.Table) -> pa.Table:
-        vals, off = _token_lists(t.column("tokens"))
-        if not len(vals):
-            return part_schema.empty_table()
-        enc = pc.dictionary_encode(t.column("source").combine_chunks())
-        row_src = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        tok_src = np.repeat(row_src, np.diff(off))
-        nsrc = len(enc.dictionary)
-        cnt = np.bincount(tok_src * 256 + vals, minlength=nsrc * 256)
-        nz = np.nonzero(cnt)[0]
-        return pa.table({
-            "source": enc.dictionary.take(pa.array(nz // 256)),
-            "token": pa.array(nz % 256, pa.int64()),
-            "cnt": pa.array(cnt[nz], pa.int64()),
-        })
-
-    g = X.merge(_read_tokens(sf_dir, ["tokens", "source"]), partial,
-                ["source", "token"], part_schema)
+    g = _token_counts(sf_dir)
     if g.num_rows == 0:
         return out_schema.empty_table()
     import pandas as pd
@@ -2069,37 +2026,18 @@ def q_log_oov_rate(sf_dir: str, v: int = 64):
     """Per-source out-of-vocabulary rate against the corpus top-``v``
     token vocabulary — the domain-shift screen a tokenizer-refresh job
     runs (a source whose traffic falls outside the head vocabulary is
-    drifting). ONE bounded pass: the same |sources| x <=256 per-block
-    bincount partial yields BOTH the global histogram (top-v under the
-    deterministic cnt-desc, token-asc boundary) and the per-source
-    counts; the rate ships as a FLOORED integer ppm ((oov * 1e6) // n —
-    the doc_quality_linear rule: count quotients land on exact .5e-6
-    boundaries, ROUND-6 is a coin flip)."""
-    part_schema = pa.schema([("source", pa.string()), ("token", pa.int64()),
-                             ("cnt", pa.int64())])
+    drifting). ONE bounded pass: ``_token_counts`` (the merge the
+    entropy/tf-idf/Zipf ops read) yields BOTH the global histogram
+    (top-v under the deterministic cnt-desc, token-asc boundary) and
+    the per-source counts; the rate ships as a FLOORED integer ppm
+    ((oov * 1e6) // n — the doc_quality_linear rule: count quotients
+    land on exact .5e-6 boundaries, ROUND-6 is a coin flip)."""
     out_schema = pa.schema([("source", pa.string()),
                             ("n_tokens", pa.int64()),
                             ("n_oov", pa.int64()),
                             ("oov_ppm", pa.int64())])
 
-    def partial(t: pa.Table) -> pa.Table:
-        vals, off = _token_lists(t.column("tokens"))
-        if not len(vals):
-            return part_schema.empty_table()
-        enc = pc.dictionary_encode(t.column("source").combine_chunks())
-        row_src = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        tok_src = np.repeat(row_src, np.diff(off))
-        nsrc = len(enc.dictionary)
-        cnt = np.bincount(tok_src * 256 + vals, minlength=nsrc * 256)
-        nz = np.nonzero(cnt)[0]
-        return pa.table({
-            "source": enc.dictionary.take(pa.array(nz // 256)),
-            "token": pa.array(nz % 256, pa.int64()),
-            "cnt": pa.array(cnt[nz], pa.int64()),
-        })
-
-    g = X.merge(_read_tokens(sf_dir, ["tokens", "source"]), partial,
-                ["source", "token"], part_schema)
+    g = _token_counts(sf_dir)
     if g.num_rows == 0:
         return out_schema.empty_table()
     tok = g.column("token").to_numpy(zero_copy_only=False)
@@ -2166,21 +2104,9 @@ def q_log_seq_len_buckets(sf_dir: str, width: int = 128):
 
     def partial(t: pa.Table) -> pa.Table:
         nt = t.column("n_tok").to_numpy(zero_copy_only=False).astype(np.int64)
-        enc = pc.dictionary_encode(t.column("source").combine_chunks())
-        src = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
         b = nt // width
-        nb = int(b.max()) + 1
-        key = src * nb + b
-        cnt = np.bincount(key, minlength=len(enc.dictionary) * nb)
-        tot = np.bincount(key, weights=nt,
-                          minlength=len(enc.dictionary) * nb)
-        nz = np.nonzero(cnt)[0]
-        return pa.table({
-            "source": enc.dictionary.take(pa.array(nz // nb)),
-            "bucket": pa.array(nz % nb, pa.int64()),
-            "n_seqs": pa.array(cnt[nz], pa.int64()),
-            "sum_tokens": pa.array(tot[nz].astype(np.int64)),
-        })
+        return _key_counts(b, int(b.max()) + 1, _source_codes(t),
+                           sum_tokens=nt).rename_columns(part_schema.names)
 
     g = X.merge(_read_tokens(sf_dir, ["n_tok", "source"]), partial,
                 ["source", "bucket"], part_schema)
@@ -2541,34 +2467,14 @@ def q_log_token_zipf(sf_dir: str):
     near-constant payloads go steeply negative; the corpus-health
     scalar a mixing job tracks per source.
 
-    The per-(source, token) counts are the bounded histogram partials
-    (|sources| x 256), so the regression itself is driver-side
-    arithmetic on KBs. The slope is a quotient of transcendental sums
-    — ROUND-6 safe (last-ulp noise only; the doc_tfidf rule), with
-    integer rank/count inputs identical on both sides."""
-    part_schema = pa.schema([("source", pa.string()), ("token", pa.int64()),
-                             ("cnt", pa.int64())])
+    The per-(source, token) counts are ``_token_counts``' bounded
+    histogram partials (|sources| x 256), so the regression itself is
+    driver-side arithmetic on KBs. The slope is a quotient of
+    transcendental sums — ROUND-6 safe (last-ulp noise only; the
+    doc_tfidf rule), with integer rank/count inputs identical on both
+    sides."""
 
-    def partial(t: pa.Table) -> pa.Table:
-        vals, off = _token_lists(t.column("tokens"))
-        if not len(vals):
-            return part_schema.empty_table()
-        nt = np.diff(off)
-        enc = pc.dictionary_encode(t.column("source").combine_chunks())
-        src = np.repeat(enc.indices.to_numpy(
-            zero_copy_only=False).astype(np.int64), nt)
-        nsrc = len(enc.dictionary)
-        cnt = np.bincount(src * 256 + vals.astype(np.int64),
-                          minlength=nsrc * 256)
-        nz = np.flatnonzero(cnt)
-        return pa.table({
-            "source": enc.dictionary.take(pa.array(nz // 256)),
-            "token": pa.array((nz % 256).astype(np.int64)),
-            "cnt": pa.array(cnt[nz].astype(np.int64)),
-        })
-
-    df = X.merge(_read_tokens(sf_dir, ["tokens", "source"]), partial,
-                 ["source", "token"], part_schema).to_pandas()
+    df = _token_counts(sf_dir).to_pandas()
     rows = []
     for src, grp in df.groupby("source", sort=True):
         grp = grp.sort_values(["cnt", "token"],
@@ -2664,17 +2570,8 @@ def q_log_decontaminate_eval(sf_dir: str, n: int = 8, mod: int = 8,
             pos = np.searchsorted(bl, ks)
             m = (pos < len(bl)) & (bl[np.minimum(pos, len(bl) - 1)] == ks)
             hit[rows[m]] = True
-        enc = pc.dictionary_encode(sub.column("source").combine_chunks())
-        src = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        nsrc = len(enc.dictionary)
-        return pa.table({
-            "source": enc.dictionary,
-            "n_rows": pa.array(np.bincount(src, minlength=nsrc)
-                               .astype(np.int64)),
-            "n_flagged": pa.array(
-                np.bincount(src, weights=hit,
-                            minlength=nsrc).astype(np.int64)),
-        })
+        return _key_counts(0, 1, _source_codes(sub), n_flagged=hit) \
+            .rename_columns(["source", "key", "n_rows", "n_flagged"])
 
     return X.merge(_read_tokens(sf_dir, ["doc_id", "tokens", "source"]), flag,
                    ["source"], _DECON_OUT).sort_by("source")
@@ -2797,8 +2694,6 @@ def q_log_seq_internal_repeats(sf_dir: str, n: int = 8):
 
     def partial(t: pa.Table) -> pa.Table:
         vals, off = _token_lists(t.column("tokens"))
-        enc = pc.dictionary_encode(t.column("source").combine_chunks())
-        nsrc = len(enc.dictionary)
         reps = np.zeros(t.num_rows, np.int64)
         k, r0 = _sampled_window_keys(vals, off, n, 1)
         if len(k):
@@ -2809,16 +2704,8 @@ def q_log_seq_internal_repeats(sf_dir: str, n: int = 8):
             # repeated mass per row = windows - distinct windows
             reps = (np.bincount(rr, minlength=t.num_rows)
                     - np.bincount(rr[first], minlength=t.num_rows))
-        src = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "source": enc.dictionary,
-            "n_seqs_repeat": pa.array(
-                np.bincount(src, weights=reps > 0,
-                            minlength=nsrc).astype(np.int64)),
-            "n_rep_windows": pa.array(
-                np.bincount(src, weights=reps,
-                            minlength=nsrc).astype(np.int64)),
-        })
+        return _key_counts(0, 1, _source_codes(t), n_seqs_repeat=reps > 0,
+                           n_rep_windows=reps)
 
     return X.merge(_read_tokens(sf_dir, ["tokens", "source"]), partial,
                    ["source"], _INTREP_OUT).sort_by("source")
@@ -2876,9 +2763,8 @@ def q_log_source_minhash_sim(sf_dir: str, n: int = 8, mod: int = 8):
                                      n, mod)
         if not len(k):
             return part_schema.empty_table()
-        enc = pc.dictionary_encode(t.column("source").combine_chunks())
-        src = enc.indices.to_numpy(zero_copy_only=False).astype(
-            np.int64)[r0]
+        dic, src = _source_codes(t)
+        src = src[r0]
         o = np.argsort(src, kind="stable")
         src, k = src[o], k[o]
         seg = np.r_[0, np.flatnonzero(np.diff(src)) + 1]
@@ -2891,8 +2777,7 @@ def q_log_source_minhash_sim(sf_dir: str, n: int = 8, mod: int = 8):
             rows["j"].append(np.full(len(seg), j, np.int64))
             rows["mv"].append(mins.view(np.int64))
         return pa.table({
-            "source": enc.dictionary.take(
-                pa.array(np.concatenate(rows["source"]))),
+            "source": dic.take(pa.array(np.concatenate(rows["source"]))),
             "j": pa.array(np.concatenate(rows["j"])),
             "mv": pa.array(np.concatenate(rows["mv"])),
         })
@@ -3137,20 +3022,13 @@ def q_log_token_positional_stats(sf_dir: str, width: int = 64):
         pos = (np.arange(len(vals), dtype=np.int64)
                - np.repeat(off[:-1], nt))
         pb = pos // width
-        enc = pc.dictionary_encode(t.column("source").combine_chunks())
-        row_src = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        tok_src = np.repeat(row_src, nt)
-        nb = int(pb.max()) + 1
-        nsrc = len(enc.dictionary)
-        key = (tok_src * nb + pb) * 256 + vals
-        cnt = np.bincount(key, minlength=nsrc * nb * 256)
-        nz = np.flatnonzero(cnt)
-        return pa.table({
-            "source": enc.dictionary.take(pa.array(nz // (nb * 256))),
-            "pb": pa.array((nz // 256) % nb, pa.int64()),
-            "token": pa.array(nz % 256, pa.int64()),
-            "cnt": pa.array(cnt[nz], pa.int64()),
-        }, schema=part_schema)
+        dic, codes = _source_codes(t)
+        c = _key_counts(pb * 256 + vals, (int(pb.max()) + 1) * 256,
+                        (dic, np.repeat(codes, nt)))
+        k = c.column("key").to_numpy()
+        return pa.table({"source": c.column("source"), "pb": k // 256,
+                         "token": k % 256, "cnt": c.column("cnt")},
+                        schema=part_schema)
 
     df = X.merge(_read_tokens(sf_dir, ["tokens", "source"]), partial,
                  ["source", "pb", "token"], part_schema).to_pandas()
@@ -3205,23 +3083,11 @@ def q_log_token_burstiness(sf_dir: str):
 
     def partial(t: pa.Table) -> pa.Table:
         vals, off = _token_lists(t.column("tokens"))
-        if not len(vals):
-            return _BURST_OUT.empty_table()
-        nt = np.diff(off)
-        row_of = np.repeat(np.arange(t.num_rows, dtype=np.int64), nt)
-        key = row_of * 256 + vals.astype(np.int64)
-        uk, cnt = np.unique(key, return_counts=True)
-        tok = (uk & 255).astype(np.int64)
-        n_occ = np.bincount(tok, weights=cnt, minlength=256)
-        sum_sq = np.bincount(tok, weights=cnt * cnt, minlength=256)
-        n_seqs = np.bincount(tok, minlength=256)
-        nz = np.flatnonzero(n_seqs)
-        return pa.table({
-            "token": pa.array(nz, pa.int64()),
-            "n_occ": pa.array(n_occ[nz].astype(np.int64)),
-            "sum_sq": pa.array(sum_sq[nz].astype(np.int64)),
-            "n_seqs": pa.array(n_seqs[nz].astype(np.int64)),
-        })
+        row_of = np.repeat(np.arange(t.num_rows, dtype=np.int64),
+                           np.diff(off))
+        uk, cnt = np.unique(row_of * 256 + vals, return_counts=True)
+        return _key_counts(uk & 255, 256, n_occ=cnt, sum_sq=cnt * cnt) \
+            .rename_columns(["token", "n_seqs", "n_occ", "sum_sq"])
 
     return X.merge(_read_tokens(sf_dir, ["tokens"]), partial, ["token"],
                    _BURST_OUT).sort_by("token")
@@ -3262,11 +3128,7 @@ def q_log_seq_len_percentiles(sf_dir: str):
                              ("cnt", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        g = pa.table({
-            "source": t.column("source"),
-            "n_tok": t.column("n_tok").cast(pa.int64()),
-        }).group_by(["source", "n_tok"]).aggregate([([], "count_all")])
-        return g.rename_columns(["source", "n_tok", "cnt"])
+        return _count_rows(t, ["source", "n_tok"])
 
     df = X.merge(_read_tokens(sf_dir, ["source", "n_tok"]), partial,
                  ["source", "n_tok"], part_schema).to_pandas()
@@ -3322,12 +3184,9 @@ def q_log_token_run_lengths(sf_dir: str):
         starts = off[:-1][np.diff(off) > 0]  # first token of nonempty rows
         start[starts] = True
         start[1:] |= vals[1:] != vals[:-1]
-        si = np.flatnonzero(start)
-        lens = np.diff(np.r_[si, n])
-        cnt = np.bincount(lens)
-        nz = np.flatnonzero(cnt)
-        return pa.table({"run_len": pa.array(nz.astype(np.int64)),
-                         "n_runs": pa.array(cnt[nz].astype(np.int64))})
+        lens = np.diff(np.r_[np.flatnonzero(start), n])
+        return _key_counts(lens, int(lens.max()) + 1).rename_columns(
+            _RUN_OUT.names)
 
     return X.merge(_read_tokens(sf_dir, ["tokens"]), partial, ["run_len"],
                    _RUN_OUT).sort_by("run_len")
@@ -3391,17 +3250,9 @@ def q_log_seq_dominant_ratio(sf_dir: str):
         mx = np.maximum.reduceat(cnt, bnd)
         rid = rows_u[bnd]  # rows with nt == 0 never appear
         dec = mx * 1_000_000 // nt[rid] // 100_000
-        enc = pc.dictionary_encode(t.column("source").combine_chunks())
-        src = enc.indices.to_numpy(zero_copy_only=False).astype(
-            np.int64)[rid]
-        nsrc = len(enc.dictionary)
-        h = np.bincount(src * 11 + dec, minlength=nsrc * 11)
-        nz = np.flatnonzero(h)
-        return pa.table({
-            "source": enc.dictionary.take(pa.array(nz // 11)),
-            "decile": pa.array(nz % 11, pa.int64()),
-            "n_seqs": pa.array(h[nz].astype(np.int64)),
-        })
+        dic, codes = _source_codes(t)
+        return _key_counts(dec, 11, (dic, codes[rid])).rename_columns(
+            _DOM_OUT.names)
 
     return X.merge(_read_tokens(sf_dir, ["tokens", "source"]), partial,
                    ["source", "decile"], _DOM_OUT).sort_by(
@@ -3495,8 +3346,7 @@ _PACK_SRC_SUMS = pa.schema([("source", pa.string()), ("chunk", pa.int64()),
 
 def _pack_idx(col) -> np.ndarray:
     """Ingestion index: the numeric 12-digit suffix of doc_id."""
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    return pc.cast(pc.utf8_slice_codeunits(arr, -12),
+    return pc.cast(pc.utf8_slice_codeunits(one_array(col), -12),
                    pa.int64()).to_numpy(zero_copy_only=False)
 
 
@@ -3565,10 +3415,9 @@ def _chunk_run(g: pa.Table) -> np.ndarray:
 def _source_run(srcs: np.ndarray, C: int, g: pa.Table) -> np.ndarray:
     """Run key of the by-source packing: (source, chunk) as ``rank * C +
     chunk``, with the source's rank in the driver's sorted ``srcs``."""
-    enc = pc.dictionary_encode(g.column("source").combine_chunks())
-    rank = np.searchsorted(srcs, np.asarray(enc.dictionary.to_pylist()))
-    return (rank[enc.indices.to_numpy(zero_copy_only=False)] * C
-            + _chunk_run(g))
+    dic, codes = _source_codes(g)
+    rank = np.searchsorted(srcs, np.asarray(dic.to_pylist()))
+    return rank[codes] * C + _chunk_run(g)
 
 
 def _pack_bases(sums: list):
@@ -3860,8 +3709,8 @@ def _source_key(t: pa.Table) -> np.ndarray:
     source (identity only — distinct counting needs equality, never
     order; collisions among a bounded source set are measure-zero and
     deterministic)."""
-    enc = pc.dictionary_encode(t.column("source").combine_chunks())
-    uniq = enc.dictionary.to_pylist()
+    dic, idx = _source_codes(t)
+    uniq = dic.to_pylist()
     h = np.empty(len(uniq), dtype=np.uint64)
     for i, s in enumerate(uniq):
         acc = np.uint64(0xCBF29CE484222325)
@@ -3869,7 +3718,6 @@ def _source_key(t: pa.Table) -> np.ndarray:
             acc = np.uint64((int(acc) ^ by) *
                             0x100000001B3 % (1 << 64))
         h[i] = acc
-    idx = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
     return h[idx].view(np.int64)
 
 

@@ -325,6 +325,12 @@ def test_late_r5_token_ops_empty(ray_session, empty_token_dir, monkeypatch):
         (Q.q_log_source_minhash_sim, ["src_a", "src_b", "n_match"]),
         (Q.q_log_seq_internal_repeats,
          ["source", "n_seqs_repeat", "n_rep_windows"]),
+        (Q.q_log_source_ce, ["source", "n_bigrams", "ce"]),
+        (Q.q_log_token_zipf, ["source", "slope", "n_distinct"]),
+        (Q.q_log_token_positional_stats,
+         ["source", "pos_bucket", "n_tokens", "sum_tok", "n_distinct"]),
+        (Q.q_log_token_histogram, ["token", "cnt"]),
+        (Q.q_log_token_bigrams, ["a", "b", "cnt"]),
     ]
     for fn, cols in cases:
         out = fn("ignored")

@@ -70,12 +70,25 @@ def test_full_pipeline_tree_equals_driver(ray_session, shards, tmp_path,
     assert got["global_counters"] == want["global_counters"]
 
 
-def test_token_histogram_tree_equals_driver(ray_session, shards, monkeypatch,
-                                            spy):
+# one bounded count op per kernel shape: global and per-source bincounts,
+# the pair keys, a bucket radix with a sum column, a multi-sum bincount
+# and the Arrow row count
+@pytest.mark.parametrize("op, kw", [
+    pytest.param(op, kw, id=op) for op, kw in [
+        ("q_log_token_histogram", {"k": 256}),
+        ("q_log_source_ce", {}),
+        ("q_log_token_entropy", {}),
+        ("q_log_token_positional_stats", {}),
+        ("q_log_seq_len_buckets", {}),
+        ("q_log_token_burstiness", {}),
+        ("q_log_rate_zscore", {}),
+    ]])
+def test_count_op_tree_equals_driver(ray_session, shards, monkeypatch, spy,
+                                     op, kw):
     monkeypatch.setattr(Q, "_input_paths", lambda sf: shards)
-    want = Q.q_log_token_histogram("ignored", k=256)
+    want = getattr(Q, op)("ignored", **kw)
     _tree(monkeypatch, 2)
-    got = Q.q_log_token_histogram("ignored", k=256)
+    got = getattr(Q, op)("ignored", **kw)
     assert spy.calls > 0
     assert want.num_rows > 0
     assert got.schema == want.schema

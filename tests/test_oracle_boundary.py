@@ -91,3 +91,19 @@ def test_engine_reads_no_environment():
     cli = ast.parse((PKG / "cli.py").read_text())
     assert any(isinstance(n, ast.Attribute) and n.attr == "environ"
                for n in ast.walk(cli))
+
+
+def test_source_codes_is_the_one_dictionary_encode():
+    """``queries._source_codes`` is the one place ``queries.py`` encodes
+    a block's sources: the count, sketch, pack and screen partials take
+    the dictionary and codes from it instead of restating the encode."""
+    tree = ast.parse((PKG / "pipelines" / "queries.py").read_text())
+    sites = sorted(
+        top.name if isinstance(top, ast.FunctionDef) else "<module>"
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None))
+        == "dictionary_encode"
+    )
+    assert sites == ["_source_codes"]

@@ -649,3 +649,40 @@ ORDER BY r, i
     if 256 % mod == 0:
         assert got == [(r_, key) for r_, key, _ in windows
                        if key % mod == 0]
+
+
+@given(st.lists(st.tuples(st.sampled_from("abc"),
+                          st.lists(st.integers(min_value=0, max_value=255),
+                                   max_size=10)), max_size=25))
+@settings(max_examples=100, deadline=None)
+def test_key_counts_and_pair_keys_match_counter(rows):
+    """The bounded count kernels == a Counter on arbitrary ragged token
+    rows, empty rows included: ``_pair_keys`` yields each row's adjacent
+    pairs and never a pair across rows, and ``_key_counts`` per source
+    gives every non-zero (source, key) bin, its count and a sum column."""
+    from collections import Counter
+
+    from sbo_ray.pipelines.queries import (_key_counts, _pair_keys,
+                                           _source_codes, _token_lists)
+
+    t = pa.table({
+        "source": pa.array([s for s, _ in rows], pa.string()),
+        "tokens": pa.array([r for _, r in rows], pa.list_(pa.int32())),
+    })
+    vals, off = _token_lists(t.column("tokens"))
+    dic, codes = _source_codes(t)
+    tok_src = np.repeat(codes, np.diff(off))
+    key, valid = _pair_keys(vals, off)
+
+    def rows_of(c: pa.Table) -> dict:
+        return {(s, k): rest for s, k, *rest in zip(
+            *[c.column(n).to_pylist() for n in c.column_names])}
+
+    want = Counter((s, a * 256 + b) for s, r in rows for a, b in zip(r, r[1:]))
+    assert Counter(key.tolist()) == Counter(k for _, k in want.elements())
+    got = rows_of(_key_counts(key, 65536, (dic, tok_src[:-1][valid])))
+    assert got == {k: [c] for k, c in want.items()}
+
+    want = Counter((s, tok) for s, r in rows for tok in r)
+    got = rows_of(_key_counts(vals, 256, (dic, tok_src), tok_sum=vals))
+    assert got == {(s, tok): [c, tok * c] for (s, tok), c in want.items()}

@@ -32,6 +32,24 @@ def cache(ray_session):
     return synth.ensure_input(SF)
 
 
+def test_token_lists_reads_one_chunk_in_place():
+    """A one-chunk column's values are the chunk's own buffer
+    (``combine_chunks`` would copy it); several chunks are combined."""
+    import numpy as np
+
+    chunk = pa.array([[7], [1, 2, 3], [], [4, 5]],
+                     pa.list_(pa.int32())).slice(1)
+    vals, off = Q._token_lists(pa.chunked_array([chunk]))
+    assert vals.tolist() == [1, 2, 3, 4, 5]
+    assert off.tolist() == [0, 3, 3, 5]
+    buf = np.frombuffer(chunk.values.buffers()[1], dtype=np.int32)
+    assert np.shares_memory(vals, buf)
+    vals, off = Q._token_lists(pa.chunked_array([chunk, chunk]))
+    assert vals.tolist() == [1, 2, 3, 4, 5] * 2
+    assert off.tolist() == [0, 3, 3, 5, 8, 8, 10]
+    assert not np.shares_memory(vals, buf)
+
+
 def test_token_histogram_vs_duckdb(ray_session, cache):
     got = _norm(Q.q_log_token_histogram(SF).to_pandas())
     want = _norm(_duck(Q.sql_token_histogram(cache)))
