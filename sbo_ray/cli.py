@@ -282,7 +282,9 @@ def cmd_curate(args) -> int:
     never recomputing finished work.
 
     ``--pipeline stats`` (default): shard-local quality stats — resume
-    exact by construction (no cross-shard state).
+    exact by construction (no cross-shard state, and each shard's rows
+    are read and written in file order, so a recomputed partition is
+    byte-identical).
 
     ``--pipeline full``: the checkpointed ``doc_curation_pipeline``
     (exact dedup + lang/quality gate). Cross-shard state is the dedup
@@ -293,8 +295,6 @@ def cmd_curate(args) -> int:
     kill is byte-identical, regardless of which partitions already
     committed. Output columns match doc_curation_pipeline
     (doc_id, n_tokens, n_stop_en)."""
-    import ray.data as rd
-
     from .functions import text as T
 
     _init_ray()
@@ -303,10 +303,7 @@ def cmd_curate(args) -> int:
         return _cmd_curate_full(args, out)
 
     def write(si: int, path: str):
-        ds = rd.read_parquet(path, columns=["doc_id", "text"])
-        return {}, ds.map_batches(T.token_stats, batch_format="pyarrow"
-                                  ).iter_batches(batch_format="pyarrow",
-                                                 batch_size=None)
+        return {}, map(T.token_stats, _shard_batches(path, ["doc_id", "text"]))
 
     return _partitions(args, out, lambda: write)
 
@@ -386,21 +383,22 @@ def _pack_partition(path: str, base: int, seq_len: int, keep=None):
     """The one per-shard pack writer: one input shard's fragments,
     batch by batch, its stream starting at token ``base``, rows in file
     order. ``keep(b, row0)``, when given, is the keep mask of batch
-    ``b`` (its first row is the shard's ``row0``-th); offsets count
-    kept rows only."""
+    ``b`` (its first row is the shard's ``row0``-th); a row it drops is
+    a zero-length row (``pack.fragments``), so offsets count kept rows
+    only and the payload is read in place."""
     import numpy as np
-    import pyarrow as pa
 
     from .functions import pack
     from .pipelines.queries import _token_lists
 
     row0 = 0
     for b in _shard_batches(path, ["doc_id", "tokens"]):
-        if keep is not None:
-            b, row0 = b.filter(pa.array(keep(b, row0))), row0 + b.num_rows
         vals, off = _token_lists(b.column("tokens"))
         nt = np.diff(off)
-        yield pack.fragments(b.select(["doc_id"]), vals, off,
+        if keep is not None:
+            nt[~keep(b, row0)] = 0
+            row0 += b.num_rows
+        yield pack.fragments(b.select(["doc_id"]), vals, off, nt,
                              base + np.cumsum(nt) - nt, seq_len)
         base += int(nt.sum())
 

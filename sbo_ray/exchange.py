@@ -38,9 +38,10 @@ that layout that every site used to re-solve:
 - ``fib_partition(keys, P)``: the hash partition rule (a Fibonacci
   mix, so strided ids still spread); ``crc_hash(values)`` is the int64
   key of a string array (crc32 per distinct value).
-- ``split(part, P, *cols)``: one stable argsort by partition id, then
-  contiguous slices of tables or numpy arrays (``table_shard`` is the
-  whole-row form keyed by the Fibonacci hash of one int64 column).
+- ``split(part, P, *cols)``: one stable argsort by partition id (none
+  when the ids are already sorted, as at P = 1), then contiguous
+  slices of tables or numpy arrays (``table_shard`` is the whole-row
+  form keyed by the Fibonacci hash of one int64 column).
 - ``shard`` / ``combine``: launch one wave of tasks and return a
   partition-major ref matrix, so multi-wave and two-sided exchanges
   compose; Ray's ``num_returns=1`` bare-ref convention is handled here.
@@ -80,6 +81,8 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 from ray.data import DataContext
+
+from .codec import one_array
 
 # merge's tree switch: past DRIVER_ROWS partial rows or DRIVER_BLOCKS
 # blocks, every FANIN pending partials merge in one remote task
@@ -138,8 +141,7 @@ def crc_hash(values) -> np.ndarray:
     codes (content-deterministic across tasks and processes)."""
     import zlib
 
-    if isinstance(values, pa.ChunkedArray):
-        values = values.combine_chunks()
+    values = one_array(values)
     enc = values.dictionary_encode()
     uh = np.array([zlib.crc32(u.encode("utf-8"))
                    for u in enc.dictionary.to_pylist()], dtype=np.int64)
@@ -165,11 +167,15 @@ def split(part: np.ndarray, P: int, *cols) -> list:
     """Slice ``cols`` (pyarrow tables or numpy arrays, all aligned with
     ``part``) into P partitions by the ids in ``part``. Returns one
     entry per partition: the bare slice for a single column, else a
-    tuple of slices."""
-    order = np.argsort(part, kind="stable")
-    bounds = np.searchsorted(part[order], np.arange(P + 1))
-    cols = [c.take(pa.array(order)) if isinstance(c, pa.Table) else c[order]
-            for c in cols]
+    tuple of slices. When ``part`` is already non-decreasing (always at
+    P = 1) the slices are zero-copy views of ``cols``: no argsort and
+    no take."""
+    if (part[1:] < part[:-1]).any():
+        order = np.argsort(part, kind="stable")
+        part = part[order]
+        cols = [c.take(pa.array(order)) if isinstance(c, pa.Table)
+                else c[order] for c in cols]
+    bounds = np.searchsorted(part, np.arange(P + 1))
     out = [tuple(c[s:e] for c in cols)
            for s, e in zip(bounds[:-1], bounds[1:])]
     return [o[0] for o in out] if len(cols) == 1 else out

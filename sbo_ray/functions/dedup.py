@@ -28,6 +28,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..codec import one_array
+
 # ---- exact -----------------------------------------------------------------
 
 
@@ -38,8 +40,7 @@ def add_text_hash(batch: pa.Table, column: str = "text") -> pa.Table:
     import pyarrow.compute as pc
 
     col = batch.column(column)
-    enc = pc.dictionary_encode(col.combine_chunks() if isinstance(
-        col, pa.ChunkedArray) else col)
+    enc = pc.dictionary_encode(one_array(col))
     uniques = enc.dictionary.to_pylist()
     uhash = np.fromiter(
         (int.from_bytes(hashlib.md5(v.encode()).digest()[:8], "big") >> 1
@@ -110,8 +111,7 @@ def minhash_bands(batch: pa.Table, n_perm: int = 64, bands: int = 16,
     if n == 0:
         return empty
     col = batch.column(text_col)
-    words = pc.utf8_split_whitespace(
-        col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col)
+    words = pc.utf8_split_whitespace(one_array(col))
     offsets = words.offsets.to_numpy().astype(np.int64)
     flat = words.values
     wcounts = np.diff(offsets)
@@ -235,8 +235,7 @@ def simhash_batch(batch: pa.Table, text_col: str = "text",
             **{f"seg{i}": pa.array([], type=pa.int32()) for i in range(4)},
         })
     col = batch.column(text_col)
-    words = pc.utf8_split_whitespace(
-        col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col)
+    words = pc.utf8_split_whitespace(one_array(col))
     offsets = words.offsets.to_numpy().astype(np.int64)
     wcounts = np.diff(offsets)
     enc = pc.dictionary_encode(words.values)
@@ -301,14 +300,11 @@ def simhash_segment_rows(batch: pa.Table) -> pa.Table:
     ``(seg, seg_val, doc_id, simhash)`` rows — the pigeonhole-bucket keys
     for the distributed ``groupby(["seg","seg_val"])`` pair search."""
     n = batch.num_rows
-    ids = batch.column("doc_id").combine_chunks() if isinstance(
-        batch.column("doc_id"), pa.ChunkedArray) else batch.column("doc_id")
-    sigs = batch.column("simhash").combine_chunks() if isinstance(
-        batch.column("simhash"), pa.ChunkedArray) else batch.column("simhash")
+    ids = one_array(batch.column("doc_id"))
+    sigs = one_array(batch.column("simhash"))
     pieces = []
     for seg in range(4):
-        seg_val = batch.column(f"seg{seg}").combine_chunks() if isinstance(
-            batch.column(f"seg{seg}"), pa.ChunkedArray) else batch.column(f"seg{seg}")
+        seg_val = one_array(batch.column(f"seg{seg}"))
         pieces.append(pa.table({
             "seg": pa.array(np.full(n, seg, dtype=np.int32)),
             "seg_val": seg_val,

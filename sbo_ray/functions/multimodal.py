@@ -22,6 +22,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..codec import one_array
+
 PAYLOAD_SCHEMA = pa.schema([
     ("doc_id", pa.int64()),
     ("payload", pa.binary()),
@@ -36,13 +38,11 @@ def to_payload_table(batch: pa.Table, text_col: str = "text",
                      media_type: str = "application/octet-stream") -> pa.Table:
     """Wrap a column as an opaque binary payload table (the test stand-in
     for real image/audio bytes)."""
-    payload = batch.column(text_col).cast(pa.binary())
-    if isinstance(payload, pa.ChunkedArray):
-        payload = payload.combine_chunks()
+    payload = one_array(batch.column(text_col).cast(pa.binary()))
     n = batch.num_rows
     return pa.Table.from_arrays(
         [
-            batch.column("doc_id").combine_chunks() if isinstance(batch.column("doc_id"), pa.ChunkedArray) else batch.column("doc_id"),
+            one_array(batch.column("doc_id")),
             payload,
             pa.array([media_type] * n, type=pa.string()),
             pc.binary_length(payload).cast(pa.int64()),
@@ -81,12 +81,10 @@ def frame_sample(batch: pa.Table, every_k: int = 4) -> pa.Table:
 def resize_features(batch: pa.Table, out_dim: int = 8) -> pa.Table:
     """Resize stage stand-in: average-pool the feature vector down to
     ``out_dim`` (what an image resize + re-embed would do dimensionally)."""
-    feats = batch.column("features")
-    if isinstance(feats, pa.ChunkedArray):
-        feats = feats.combine_chunks()
+    feats = one_array(batch.column("features"))
     if len(feats) == 0:
         return batch
-    m = feats.values.to_numpy(zero_copy_only=False).reshape(len(feats), -1)
+    m = feats.flatten().to_numpy(zero_copy_only=False).reshape(len(feats), -1)
     factor = m.shape[1] // out_dim
     if factor == 0:
         raise ValueError(
@@ -204,12 +202,9 @@ class DecoderStub:
             b_v.append(int(px[2::3].sum()))
         return pa.Table.from_arrays(
             [
-                batch.column("doc_id").combine_chunks() if isinstance(
-                    batch.column("doc_id"), pa.ChunkedArray) else batch.column("doc_id"),
-                batch.column("media_type").combine_chunks() if isinstance(
-                    batch.column("media_type"), pa.ChunkedArray) else batch.column("media_type"),
-                batch.column("payload_bytes").combine_chunks() if isinstance(
-                    batch.column("payload_bytes"), pa.ChunkedArray) else batch.column("payload_bytes"),
+                one_array(batch.column("doc_id")),
+                one_array(batch.column("media_type")),
+                one_array(batch.column("payload_bytes")),
                 pa.array(w_v, type=pa.int64()),
                 pa.array(h_v, type=pa.int64()),
                 pa.array(r_v, type=pa.int64()),
@@ -316,13 +311,11 @@ class ImageResizer:
                     np.stack([rasters[i] for i in grp]), w, h)
                 ow_v[grp], oh_v[grp] = w // 2, h // 2
                 sums[grp] = pooled.sum(axis=(1, 2), dtype=np.int64)
-        def _chunkless(col):
-            return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
 
         return pa.Table.from_arrays(
             [
-                _chunkless(batch.column("doc_id")),
-                _chunkless(batch.column("media_type")),
+                one_array(batch.column("doc_id")),
+                one_array(batch.column("media_type")),
                 pa.array(ow_v), pa.array(oh_v),
                 pa.array(sums[:, 0]), pa.array(sums[:, 1]),
                 pa.array(sums[:, 2]),
@@ -537,8 +530,7 @@ class AudioDecoder:
             max_v.append(int(np.abs(amp).max(initial=0)))
 
         def _col(name):
-            c = batch.column(name)
-            return c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
+            return one_array(batch.column(name))
 
         return pa.Table.from_arrays(
             [
@@ -761,8 +753,7 @@ class PngDecoder:
             b_v.append(int(amp[2::3].sum()))
 
         def _col(name):
-            c = batch.column(name)
-            return c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
+            return one_array(batch.column(name))
 
         return pa.Table.from_arrays(
             [
@@ -885,8 +876,7 @@ class BmpDecoder:
             b_v.append(int(amp[2::3].sum()))
 
         def _col(name):
-            c = batch.column(name)
-            return c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
+            return one_array(batch.column(name))
 
         return pa.Table.from_arrays(
             [
@@ -1176,8 +1166,7 @@ class GifDecoder:
             b_v.append(int(rgb[:, 2].sum()))
 
         def _col(name):
-            c = batch.column(name)
-            return c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
+            return one_array(batch.column(name))
 
         return pa.Table.from_arrays(
             [
@@ -1354,8 +1343,7 @@ class QoiDecoder:
             b_v.append(int(s[2]))
 
         def _col(name):
-            c = batch.column(name)
-            return c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
+            return one_array(batch.column(name))
 
         return pa.Table.from_arrays(
             [

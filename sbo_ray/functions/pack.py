@@ -11,10 +11,13 @@ the chunk, so packing is a two-pass prefix sum:
   or ``exchange.sum_refs``) and ``bases`` turns the totals into sorted
   chunk ids and exclusive bases, O(corpus / chunk_docs) ints broadcast
   once;
-- pass 2: a partition holding whole chunks, rows in stream order,
-  turns them into offsets (``offsets``), the (row, sequence) spans
-  each row's tokens cover (``spans``) and per-fragment checksums
-  (``fragments``).
+- pass 2: a partition holding whole chunks turns their rows' lengths,
+  in stream order, into offsets (``offsets``), then the (row,
+  sequence) spans each row's tokens cover (``spans``) and
+  per-fragment checksums (``fragments``). Only the narrow keys (run,
+  ingestion index, length) are ever sorted: ``fragments`` reads the
+  token payload in place, in whatever order its rows arrived, and a
+  row dropped before packing is a zero-length row.
 
 A run of ``offsets`` is any key the rows sort by within a partition:
 the chunk for one stream, or (source, chunk) when each source packs
@@ -83,14 +86,19 @@ def spans(off: np.ndarray, n: np.ndarray, seq_len: int) -> tuple:
 
 
 def fragments(ids: pa.Table, vals: np.ndarray, toffs: np.ndarray,
-              off: np.ndarray, seq_len: int) -> pa.Table:
-    """The packed fragments of rows with flat token values ``vals``,
-    row offsets ``toffs`` (rebased to 0) and stream offsets ``off``:
-    ``ids``' columns for each fragment's row, then ``seq_id``,
-    ``n_frag_tokens`` and exact checksums (``frag_sum`` from one flat
-    cumsum, ``first_tok``, ``last_tok``)."""
+              n: np.ndarray, off: np.ndarray, seq_len: int) -> pa.Table:
+    """The packed fragments of rows whose tokens start at ``toffs`` in
+    the flat ``vals`` (rebased to 0), with ``n`` tokens each and stream
+    offsets ``off``: ``ids``' columns for each fragment's row, then
+    ``seq_id``, ``n_frag_tokens`` and exact checksums (``frag_sum`` from
+    one flat cumsum, ``first_tok``, ``last_tok``), rows in input order.
+
+    A dropped row is a zero-length row: with ``n`` 0 it emits no
+    fragment and adds nothing to the offsets, whatever tokens ``toffs``
+    gives it. So callers read a payload in place and drop rows by their
+    lengths, never by filtering the payload."""
     vals = vals.astype(np.int64, copy=False)
-    row, seq, lo, hi = spans(off, np.diff(toffs), seq_len)
+    row, seq, lo, hi = spans(off, n, seq_len)
     s = toffs[row] + lo
     e = toffs[row] + hi
     C = np.zeros(len(vals) + 1, dtype=np.int64)

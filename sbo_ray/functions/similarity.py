@@ -15,14 +15,13 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..codec import one_array
 from .dedup import normalize_rows
 
 
 def embedding_matrix(batch: pa.Table, col: str = "embedding") -> np.ndarray:
-    arr = batch.column(col)
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    flat = arr.values.to_numpy(zero_copy_only=False)
+    arr = one_array(batch.column(col))
+    flat = arr.flatten().to_numpy(zero_copy_only=False)
     return flat.reshape(len(arr), -1)
 
 

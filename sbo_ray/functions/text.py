@@ -20,6 +20,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..codec import one_array
+
 TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 ALPHA_RE = re.compile(r"[a-z]+")
 PUNCT_RE = re.compile(r"[.,;:!?]")
@@ -40,9 +42,7 @@ LANGS = sorted(LANG_STOPWORDS)  # de, en, es, fr — tie-break order
 
 
 def _text_col(batch: pa.Table) -> pa.Array:
-    col = batch.column("text")
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+    col = one_array(batch.column("text"))
     return pc.fill_null(col, "")
 
 
@@ -231,9 +231,7 @@ def pii_redact(batch: pa.Table, text_col: str = "text") -> pa.Table:
     Email masking runs FIRST so digits inside an email's domain are
     never double-counted as an IP — the SQL oracle mirrors the order.
     Emits the redacted text plus per-doc match counts."""
-    col = batch.column(text_col)
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+    col = one_array(batch.column(text_col))
     n_email = pc.count_substring_regex(col, PII_EMAIL_RE).cast(pa.int64())
     red = pc.replace_substring_regex(col, PII_EMAIL_RE, "<EMAIL>")
     n_ip = pc.count_substring_regex(red, PII_IPV4_RE).cast(pa.int64())
@@ -258,9 +256,7 @@ def repetition_stats(batch: pa.Table) -> pa.Table:
     fraction = top_bigram/ (total-1)); integers keep the SQL oracle
     hash-exact. Fully vectorized: Arrow dictionary codes + sorted
     composite-key runs with reduceat maxima, no per-doc Python."""
-    col = batch.column("text")
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+    col = one_array(batch.column("text"))
     toks = pc.split_pattern(col, " ")
     offs = toks.offsets.to_numpy(zero_copy_only=False)
     counts = np.diff(offs).astype(np.int64)
@@ -462,9 +458,7 @@ def vocab_partial(batch: pa.Table) -> pa.Table:
     half of the global vocabulary count. Emits (token, n) per unique
     token in the block — volume drops from tokens to block-uniques
     before anything shuffles or reaches the driver."""
-    col = batch.column("text")
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+    col = one_array(batch.column("text"))
     toks = pc.split_pattern(col, " ")
     flat = toks.values
     t = pa.table({"token": flat}).group_by("token").aggregate([("token", "count")])
@@ -484,9 +478,7 @@ def chunk_docs(batch: pa.Table, chunk_tokens: int = 32) -> pa.Table:
     space-split tokens with ' ' reproduces the original substring
     byte-for-byte, including runs of consecutive spaces (empty
     tokens)."""
-    col = batch.column("text")
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+    col = one_array(batch.column("text"))
     toks = pc.split_pattern(col, " ")
     offs = toks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
     n_toks = np.diff(offs)
@@ -510,9 +502,7 @@ def chunk_docs(batch: pa.Table, chunk_tokens: int = 32) -> pa.Table:
         texts = pc.binary_join(chunk_list, " ")
     else:
         texts = pa.array([], type=pa.string())
-    ids = batch.column("doc_id")
-    if isinstance(ids, pa.ChunkedArray):
-        ids = ids.combine_chunks()
+    ids = one_array(batch.column("doc_id"))
     return pa.table({
         "doc_id": ids.take(pa.array(doc_of)),
         "chunk_no": pa.array(chunk_no, type=pa.int64()),

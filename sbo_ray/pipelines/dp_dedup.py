@@ -15,6 +15,7 @@ import ray
 import ray.data as rd
 
 from .. import exchange as X
+from ..codec import one_array
 from ..exchange import _cpus
 from ..functions import dedup as D
 from ..functions import similarity as S
@@ -107,9 +108,7 @@ def doc_mix_epochs(sf_dir: str):
     THR = np.array([0, 3 << 61, 1 << 62, 1 << 61], np.int64)
 
     def expand(t: pa.Table) -> pa.Table:
-        src = t.column("source")
-        if isinstance(src, pa.ChunkedArray):
-            src = src.combine_chunks()
+        src = one_array(t.column("source"))
         digits = pc.extract_regex(src, r"(?P<d>[0-9]+)")
         # digit-less source names fall into weight class 0 (w = 1.0) on
         # both sides (the oracle's TRY_CAST -> COALESCE 0)
@@ -154,13 +153,9 @@ def doc_sample_weighted(sf_dir: str, k: int = 100):
     import hashlib
 
     def local_bottomk(t: pa.Table) -> pa.Table:
-        ids_c = t.column("doc_id")
-        if isinstance(ids_c, pa.ChunkedArray):
-            ids_c = ids_c.combine_chunks()
+        ids_c = one_array(t.column("doc_id"))
         ids = ids_c.to_numpy(zero_copy_only=False)
-        text = t.column("text")
-        if isinstance(text, pa.ChunkedArray):
-            text = text.combine_chunks()
+        text = one_array(t.column("text"))
         payload = pc.binary_join_element_wise(
             ids_c.cast(pa.string()), text.cast(pa.string()), ":")
         u63 = np.fromiter(
@@ -229,9 +224,7 @@ def doc_length_histogram(sf_dir: str, bucket_tokens: int = 10):
                       ("sum_tokens", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        col = t.column("text")
-        col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) \
-            else col
+        col = one_array(t.column("text"))
         n_tok = pc.list_value_length(pc.split_pattern(col, " ")) \
             .to_numpy(zero_copy_only=False).astype(np.int64)
         b = n_tok // bucket_tokens
@@ -297,9 +290,7 @@ def doc_sample_reservoir(sf_dir: str, k: int = 100):
     import hashlib
 
     def local_bottomk(t: pa.Table) -> pa.Table:
-        ids_c = t.column("doc_id")
-        if isinstance(ids_c, pa.ChunkedArray):
-            ids_c = ids_c.combine_chunks()
+        ids_c = one_array(t.column("doc_id"))
         ids = ids_c.to_numpy(zero_copy_only=False)
         # one md5 per row (keys are per-row unique by construction, so
         # the per-unique dictionary idiom degenerates — the md5 itself
@@ -368,8 +359,7 @@ def doc_decontaminate(sf_dir: str, blocklist: tuple[str, ...] | None = None):
 
     def scan(t: pa.Table) -> pa.Table:
         ps = ray.get(bref)
-        col = t.column("text")
-        col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+        col = one_array(t.column("text"))
         n = t.num_rows
         hits = np.zeros(n, dtype=np.int64)
         for p in ps:
@@ -413,8 +403,7 @@ def doc_dedup_substring(sf_dir: str, k: int = 10):
     def window_partial(t: pa.Table):
         import zlib
 
-        col = t.column("text")
-        col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+        col = one_array(t.column("text"))
         # split_pattern " " == DuckDB string_split (keeps empty tokens)
         words = pc.split_pattern(col, " ")
         offsets = words.offsets.to_numpy().astype(np.int64)
@@ -529,8 +518,7 @@ def doc_decontaminate_ngram(sf_dir: str,
 
     def scan(t: pa.Table) -> pa.Table:
         gset = ray.get(gram_ref)
-        col = t.column("text")
-        col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+        col = one_array(t.column("text"))
         # split_pattern " " == DuckDB string_split (keeps empty tokens)
         words = pc.split_pattern(col, " ")
         offsets = words.offsets.to_numpy().astype(np.int64)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..codec import one_array
 from ..exchange import _cpus
 from ..functions.multimodal import DecoderStub, to_payload_table
 
@@ -59,8 +60,7 @@ def multimodal_frame_sample(sf_dir: str, every_k: int = 4):
             "doc_id": b.column("doc_id"),
             "frame_no": pc.cast(b.column("frame_no"), pa.int64()),
             "frame_len": pc.binary_length(
-                b.column("frame").combine_chunks() if isinstance(
-                    b.column("frame"), pa.ChunkedArray) else b.column("frame")
+                one_array(b.column("frame"))
             ).cast(pa.int64()),
         })
 

@@ -17,6 +17,7 @@ import ray
 import ray.data as rd
 
 from .. import exchange as X
+from ..codec import one_array
 from ..exchange import _cpus
 from ..functions import dedup as D
 from ..functions import similarity as S
@@ -132,16 +133,14 @@ def emb_label_centroids(sf_dir: str):
     float64 sum+count partials per label (one np.add.at per block — the
     payload never shuffles), tiny driver merge over labels x dims."""
     def partial(batch: pa.Table) -> pa.Table:
-        emb = batch.column("embedding")
-        if isinstance(emb, pa.ChunkedArray):
-            emb = emb.combine_chunks()
+        emb = one_array(batch.column("embedding"))
         n = len(emb)
         offs = emb.offsets.to_numpy(zero_copy_only=False)
         widths = np.diff(offs)
         d = int(widths[0])
         if not (widths == d).all():
             raise ValueError("ragged embedding dims in block")
-        m = emb.values.to_numpy(zero_copy_only=False).reshape(n, d).astype(np.float64)
+        m = emb.flatten().to_numpy(zero_copy_only=False).reshape(n, d).astype(np.float64)
         labels = batch.column("label").to_numpy(zero_copy_only=False)
         uniq, codes = np.unique(labels, return_inverse=True)
         sums = np.zeros((len(uniq), d), dtype=np.float64)
@@ -176,9 +175,7 @@ def events_props_extract(sf_dir: str):
     goes through DuckDB's real JSON parser — agreement shows the regex
     fast path extracts exactly what a JSON parser would."""
     def partial(batch: pa.Table) -> pa.Table:
-        props = batch.column("props")
-        if isinstance(props, pa.ChunkedArray):
-            props = props.combine_chunks()
+        props = one_array(batch.column("props"))
         ex = pc.extract_regex(props, r'"k": (?P<k>[0-9]+)')
         k = pc.struct_field(ex, "k").cast(pa.int64())
         return pa.table({
@@ -200,9 +197,7 @@ def events_props_extract(sf_dir: str):
 def _keep_types(types: tuple, t: pa.Table) -> pa.Table:
     """The block's rows whose event_type is one of ``types`` (the two
     stream-join ops' read-side filter)."""
-    et = t.column("event_type")
-    if isinstance(et, pa.ChunkedArray):
-        et = et.combine_chunks()
+    et = one_array(t.column("event_type"))
     return t.filter(pc.is_in(et, value_set=pa.array(list(types))))
 
 
@@ -548,8 +543,7 @@ def doc_bm25_topk(sf_dir: str, k: int = 100, n_terms: int = 3,
     tref = ray.put(terms_sorted)
 
     def stat_partial(t: pa.Table) -> pa.Table:
-        col = t.column("text")
-        col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+        col = one_array(t.column("text"))
         ts = ray.get(tref)
         toks = pc.split_pattern(col.cast(pa.string()), " ")
         lens = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
@@ -588,8 +582,7 @@ def doc_bm25_topk(sf_dir: str, k: int = 100, n_terms: int = 3,
     sref = ray.put((terms_sorted, idf, avgdl))
 
     def score_topk(t: pa.Table) -> pa.Table:
-        col = t.column("text")
-        col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+        col = one_array(t.column("text"))
         ts, idf_b, avg_b = ray.get(sref)
         nt = len(ts)
         toks = pc.split_pattern(col.cast(pa.string()), " ")
@@ -645,9 +638,7 @@ def doc_tfidf(sf_dir: str, k: int = 3):
     differences, so the tie-break is deterministic across engines."""
 
     def df_partial(batch: pa.Table) -> pa.Table:
-        col = batch.column("text")
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+        col = one_array(batch.column("text"))
         toks = pc.split_pattern(col, " ")
         doc_idx = np.repeat(
             np.arange(len(batch), dtype=np.int64),
@@ -687,9 +678,7 @@ def doc_tfidf(sf_dir: str, k: int = 3):
         if batch.num_rows == 0:
             return out_schema.empty_table()
         vocab_a, df_v = ray.get(df_ref)
-        col = batch.column("text")
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+        col = one_array(batch.column("text"))
         toks = pc.split_pattern(col, " ")
         doc_ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
         doc_idx = np.repeat(
@@ -1091,9 +1080,7 @@ def doc_unigram_logprob(sf_dir: str):
         if batch.num_rows == 0:
             return empty
         vocab_a, gc_arr = ray.get(cnt_ref)
-        col = batch.column("text")
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+        col = one_array(batch.column("text"))
         toks = pc.split_pattern(col, " ")
         doc_ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
         doc_idx = np.repeat(
@@ -1160,9 +1147,7 @@ def doc_bigram_logprob(sf_dir: str, k_big: int = 2000,
             return empty
         vocab_a, gc = ray.get(cnt_ref)
         bgv, bgc = ray.get(big_ref)
-        col = batch.column("text")
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+        col = one_array(batch.column("text"))
         toks = pc.split_pattern(col, " ")
         n_tok = pc.list_value_length(toks).to_numpy(
             zero_copy_only=False).astype(np.int64)
@@ -1284,9 +1269,7 @@ def doc_ccnet_buckets(sf_dir: str, sample_per_block: int = 64):
 
     def score_keys(batch: pa.Table) -> pa.Table:
         vocab_a, gc_arr = ray.get(cnt_ref)
-        col = batch.column("text")
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+        col = one_array(batch.column("text"))
         toks = pc.split_pattern(col, " ")
         doc_ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
         doc_idx = np.repeat(

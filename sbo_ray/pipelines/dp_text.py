@@ -18,6 +18,7 @@ import ray
 import ray.data as rd
 
 from .. import exchange as X
+from ..codec import one_array
 from ..functions import dedup as D
 from ..functions import pack
 from ..functions import text as T
@@ -98,12 +99,8 @@ def doc_pii_redact(sf_dir: str):
     synth_ppm/synth_wav payloads) and the SQL oracle builds the same
     augmented text, making the redaction + counts exactly checkable."""
     def augment(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id")
-        if isinstance(ids, pa.ChunkedArray):
-            ids = ids.combine_chunks()
-        txt = batch.column("text")
-        if isinstance(txt, pa.ChunkedArray):
-            txt = txt.combine_chunks()
+        ids = one_array(batch.column("doc_id"))
+        txt = one_array(batch.column("text"))
         ids_np = ids.to_numpy(zero_copy_only=False)
         id_s = ids.cast(pa.string())
         m7 = pa.array((ids_np % 7).astype(str), type=pa.string())
@@ -158,12 +155,8 @@ def doc_quality_c4(sf_dir: str):
     javascript line, lorem-ipsum page, brace page, the >= 3-kept-lines
     boundary) fire on both sides."""
     def augment(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id")
-        if isinstance(ids, pa.ChunkedArray):
-            ids = ids.combine_chunks()
-        txt = batch.column("text")
-        if isinstance(txt, pa.ChunkedArray):
-            txt = txt.combine_chunks()
+        ids = one_array(batch.column("doc_id"))
+        txt = one_array(batch.column("text"))
         ids_np = ids.to_numpy(zero_copy_only=False)
         id_s = ids.cast(pa.string())
         empty = pa.array([""] * len(ids), type=pa.string())
@@ -202,9 +195,7 @@ def doc_quality_c4(sf_dir: str):
 def _doc_tok_counts(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
     """(doc ids, tokens per doc) of a documents block: tokens are the
     ' '-separated words of ``text``."""
-    col = t.column("text")
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+    col = one_array(t.column("text"))
     n_tok = pc.list_value_length(pc.split_pattern(col, " ")).to_numpy(
         zero_copy_only=False).astype(np.int64)
     ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -366,12 +357,8 @@ def doc_paragraph_dedup(sf_dir: str, shared_mod: int = 7):
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def explode(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id")
-        if isinstance(ids, pa.ChunkedArray):
-            ids = ids.combine_chunks()
-        txt = batch.column("text")
-        if isinstance(txt, pa.ChunkedArray):
-            txt = txt.combine_chunks()
+        ids = one_array(batch.column("doc_id"))
+        txt = one_array(batch.column("text"))
         ids_np = ids.to_numpy(zero_copy_only=False).astype(np.int64)
         mod_s = pa.array(ids_np % shared_mod).cast(pa.string())
         aug = pc.binary_join_element_wise(
@@ -481,12 +468,8 @@ def doc_quality_linear(sf_dir: str, n_buckets: int = 1024):
     vectorized pass, no shuffle — model inference at 100 TB is an
     embarrassingly parallel map."""
     def score(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id")
-        if isinstance(ids, pa.ChunkedArray):
-            ids = ids.combine_chunks()
-        txt = batch.column("text")
-        if isinstance(txt, pa.ChunkedArray):
-            txt = txt.combine_chunks()
+        ids = one_array(batch.column("doc_id"))
+        txt = one_array(batch.column("text"))
         toks = pc.split_pattern(txt, " ")
         n_tok = pc.list_value_length(toks).to_numpy(
             zero_copy_only=False).astype(np.int64)
@@ -537,9 +520,7 @@ def doc_dsir_weights(sf_dir: str, n_buckets: int = 8192,
                              ("cnt_t", pa.int64())])
 
     def _buckets(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
-        txt = t.column("text")
-        if isinstance(txt, pa.ChunkedArray):
-            txt = txt.combine_chunks()
+        txt = one_array(t.column("text"))
         toks = pc.split_pattern(txt, " ")
         n_tok = pc.list_value_length(toks).to_numpy(
             zero_copy_only=False).astype(np.int64)
@@ -600,12 +581,8 @@ def doc_entropy(sf_dir: str):
     non-negative terms, so no -0.0 can diverge from the oracle) under
     ROUND-6 (libm ulp noise only, the doc_sample_weighted rule)."""
     def ent(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id")
-        if isinstance(ids, pa.ChunkedArray):
-            ids = ids.combine_chunks()
-        txt = batch.column("text")
-        if isinstance(txt, pa.ChunkedArray):
-            txt = txt.combine_chunks()
+        ids = one_array(batch.column("doc_id"))
+        txt = one_array(batch.column("text"))
         toks = pc.split_pattern(txt, " ")
         n_tok = pc.list_value_length(toks).to_numpy(
             zero_copy_only=False).astype(np.int64)
@@ -659,8 +636,7 @@ def _bigram_counts(block: pa.Table) -> pa.Table:
     boundaries are masked by offset arithmetic (each doc's last token
     starts no bigram); pc.value_counts shrinks the block to its unique
     bigrams before anything leaves the worker."""
-    col = block.column("text")
-    col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    col = one_array(block.column("text"))
     words = pc.split_pattern(col.cast(pa.string()), " ")
     vals = words.values
     nv = len(vals)
@@ -735,8 +711,7 @@ def doc_tokenize_ids(sf_dir: str, vocab_size: int = 1000):
     vref = ray.put((toks[order], ids[order]))
 
     def encode(t: pa.Table) -> pa.Table:
-        col = t.column("text")
-        col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+        col = one_array(t.column("text"))
         words = pc.split_pattern(col, " ")
         offsets = words.offsets.to_numpy().astype(np.int64)
         enc = words.values.dictionary_encode()
@@ -766,8 +741,7 @@ def _flat_vocab_ids(t: pa.Table, st: np.ndarray, si: np.ndarray):
     SORTED vocabulary (st tokens, si ids) — the doc_tokenize_ids encode
     kernel factored out: dictionary codes + searchsorted per UNIQUE
     token, OOV -> 0; no per-row Python."""
-    col = t.column("text")
-    col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    col = one_array(t.column("text"))
     words = pc.split_pattern(col, " ")
     offsets = words.offsets.to_numpy().astype(np.int64)
     enc = words.values.dictionary_encode()
@@ -961,9 +935,7 @@ def doc_fingerprint(sf_dir: str):
 
     def explode(batch: pa.Table) -> pa.Table:
         fp = T.fingerprint(batch)
-        col = fp.column("fingerprint")
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+        col = one_array(fp.column("fingerprint"))
         lengths = pc.list_value_length(col).to_numpy(zero_copy_only=False)
         doc_ids = fp.column("doc_id").to_numpy(zero_copy_only=False)
         rank = np.concatenate([np.arange(1, n + 1) for n in lengths]) if len(
@@ -971,7 +943,7 @@ def doc_fingerprint(sf_dir: str):
         return pa.table({
             "doc_id": pa.array(np.repeat(doc_ids, lengths), type=pa.int64()),
             "fp_rank": pa.array(rank, type=pa.int64()),
-            "fp_hash": col.values,
+            "fp_hash": col.flatten(),
         })
 
     return _read(sf_dir, "documents", columns=["doc_id", "text"]).map_batches(

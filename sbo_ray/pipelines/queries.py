@@ -1141,7 +1141,8 @@ def q_log_bytes_quantiles_kll(sf_dir: str, qs: tuple = (0.5, 0.9, 0.99)):
     histogram would be input-sized. No SQL gate (the sketch is
     approximate by construction); the rank-error bound and the merge
     law are pinned in tests/test_sketch.py, and the driver compares
-    row counts with the exact twin."""
+    row counts with the exact twin. The sketches merge in a fixed
+    order, so the result does not depend on block completion order."""
     from ..stages.kll import KLLSketch
 
     K = 256
@@ -1162,7 +1163,10 @@ def q_log_bytes_quantiles_kll(sf_dir: str, qs: tuple = (0.5, 0.9, 0.99)):
             "sketch": pa.array(sketches, type=pa.binary()),
         })
 
-    parts = X.fold(_enriched(sf_dir), partial, _SKETCH_PART)
+    # a KLL merge is not order-invariant once a compactor fires, so the
+    # partials merge in (source, sketch) order, not fold arrival order
+    parts = X.fold(_enriched(sf_dir), partial, _SKETCH_PART).sort_by(
+        [("source", "ascending"), ("sketch", "ascending")])
     merged: dict[str, KLLSketch] = {}
     for src, blob in zip(parts.column("source").to_pylist(),
                          parts.column("sketch").to_pylist()):
@@ -3442,22 +3446,40 @@ def _stream_order(run, g: pa.Table) -> tuple:
 
 def _pack_combine(base, seq_len: int, ids: list, dropped: list,
                   tabs: list) -> pa.Table:
-    """One chunk partition of every payload pack op: drop the rows whose
-    ``idx`` is in ``dropped`` (the dedup ops' losers, routed to this
-    partition; none for the others), then the kept rows' fragments in
-    stream order, with ``ids``' columns. Offsets count kept rows only,
-    as the kept-only chunk sums do."""
+    """One chunk partition of every payload pack op: the kept rows'
+    fragments in stream order, with ``ids``' columns.
+
+    The ``tokens`` payload is read in place, slice by slice, and never
+    concatenated, sorted or taken: only the key columns are
+    concatenated and put in stream order (``_stream_order``), which is
+    all ``pack.offsets`` needs. A row whose ``idx`` is in ``dropped``
+    (the dedup ops' losers, routed to this partition; none for the
+    others) becomes a zero-length row, so offsets count kept rows only,
+    as the kept-only chunk sums do. Each slice emits its own fragments;
+    the small fragments table is then taken into stream order (the
+    row's stream rank, then ``seq_id``)."""
     run, bases = base
-    g = pa.concat_tables(tabs).combine_chunks()
+    toks = [_token_lists(t.column("tokens")) for t in tabs]
+    n = np.concatenate([np.diff(toffs) for _, toffs in toks])
+    g = pa.concat_tables([t.drop_columns(["tokens"])
+                          for t in tabs]).combine_chunks()
     drop = np.concatenate([np.empty(0, np.int64), *dropped])
     if len(drop):
-        g = g.filter(pa.array(~np.isin(
-            g.column("idx").to_numpy(zero_copy_only=False), drop)))
+        n[np.isin(g.column("idx").to_numpy(zero_copy_only=False), drop)] = 0
     o, r = _stream_order(run, g)
-    g = g.take(pa.array(o))
-    vals, toffs = _token_lists(g.column("tokens"))
-    return pack.fragments(g.select(ids), vals, toffs,
-                          pack.offsets(r, np.diff(toffs), bases), seq_len)
+    off, rank = np.empty_like(n), np.empty_like(n)
+    off[o] = pack.offsets(r, n[o], bases)
+    rank[o] = np.arange(len(o))
+    g = g.select(ids).append_column("rank", pa.array(rank))
+    frags, lo = [], 0
+    for (vals, toffs), t in zip(toks, tabs):
+        hi = lo + t.num_rows
+        frags.append(pack.fragments(g.slice(lo, t.num_rows), vals, toffs,
+                                    n[lo:hi], off[lo:hi], seq_len))
+        lo = hi
+    f = pa.concat_tables(frags)
+    return f.take(pa.array(np.argsort(
+        f.column("rank").to_numpy(), kind="stable"))).drop_columns(["rank"])
 
 
 def _pack_fragments(sl: list, base, seq_len: int, ids: list,
@@ -3797,7 +3819,8 @@ def q_log_pack_tokens_dedup(sf_dir: str, seq_len: int = 512,
       3. The driver folds chunk sums into exclusive bases (the pack
          prefix-sum contract: O(corpus/chunk_docs) ints) broadcast once.
       4. Each chunk partition's payload slices meet its dropped-id shard
-         in the one pack combine, which filters before it packs.
+         in the one pack combine, where a dropped row packs as a
+         zero-length row (the payload is read in place, never filtered).
 
     Sequence identity rides the property-tested 64-bit polynomial row
     hash (the log_seq_dedup contract: collisions ~ n^2/2^64); the SQL

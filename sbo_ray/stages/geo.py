@@ -18,6 +18,8 @@ import pyarrow as pa
 
 import ray
 
+from ..codec import one_array
+
 DEFAULT_GEO: dict[str, str] = {
     "192.0.2": "testnet-1",
     "198.51.100": "testnet-2",
@@ -52,9 +54,7 @@ def make_geo_enricher(geo_table: dict[str, str] | None = None):
         table = resolved[0]
         import pyarrow.compute as pc
 
-        ips = batch.column("client_ip")
-        if isinstance(ips, pa.ChunkedArray):
-            ips = ips.combine_chunks()
+        ips = one_array(batch.column("client_ip"))
         enc = pc.dictionary_encode(ips)
         if len(cache) > (1 << 19):
             # client-IP cardinality is unbounded at scale; cap like the

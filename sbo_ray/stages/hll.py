@@ -15,6 +15,8 @@ import pyarrow as pa
 
 import ray.data as rd
 
+from ..codec import one_array
+
 
 class HyperLogLog:
     __slots__ = ("p", "m", "registers")
@@ -72,9 +74,7 @@ def _hash_strings(vals: list[str]) -> np.ndarray:
 def hll_partial(batch: pa.Table, column: str, p: int = 12) -> pa.Table:
     import pyarrow.compute as pc
 
-    col = batch.column(column)
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+    col = one_array(batch.column(column))
     uniq = pc.unique(col).to_pylist()
     hll = HyperLogLog(p)
     if uniq:

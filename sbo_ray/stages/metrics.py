@@ -31,6 +31,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..codec import one_array
 from ..functions.sbometrics import (
     METRIC_BYTES_SENT,
     METRIC_DEVICE_TYPE,
@@ -141,8 +142,7 @@ def fanout_long(batch: pa.Table, carry: str | None) -> pa.Table:
     # merge happens here instead of in a DB upsert
     from .route import _truncate
 
-    kv = long_t.column("key_value")
-    kv = kv.combine_chunks() if isinstance(kv, pa.ChunkedArray) else kv
+    kv = one_array(long_t.column("key_value"))
     return long_t.set_column(
         long_t.schema.get_field_index("key_value"), "key_value",
         _truncate(kv, 100),

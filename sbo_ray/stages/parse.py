@@ -43,7 +43,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..codec import decode_tokens
+from ..codec import decode_tokens, one_array
 from ..config import JobConfig
 from ..functions import loglines as L
 from ..functions.ua import _BOTLIKE_FAMILIES, classify_user_agent
@@ -532,7 +532,7 @@ class ParseEnrich:
                     return ENRICHED_SCHEMA.empty_table()
         sources = batch.column("source")
         # format per row via the (small) source dictionary
-        src_enc = pc.dictionary_encode(sources.combine_chunks() if isinstance(sources, pa.ChunkedArray) else sources)
+        src_enc = pc.dictionary_encode(one_array(sources))
         src_uniques = src_enc.dictionary.to_pylist()
 
         def fmt_for(src: str, src_idx: int) -> int:
@@ -703,9 +703,7 @@ class ParseEnrich:
         }
         arrays = []
         for name, typ in ENRICHED_FIELDS:
-            col = cols[name]
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
+            col = one_array(cols[name])
             if col.type != typ:
                 col = col.cast(typ)
             arrays.append(col)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..codec import one_array
 from ..functions.loglines import reduce_to_max_len, reduce_to_max_len_keeping_last
 
 ROUTED_SCHEMA = pa.schema([
@@ -82,8 +83,7 @@ def _truncate(arr: pa.Array, limit: int, keep_last: bool = False) -> pa.Array:
     exceeds the byte limit, return the array untouched; otherwise fix the
     *dictionary* (unique values) and expand with an Arrow take — the
     Python truncation runs once per distinct long value, not per row."""
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
+    arr = one_array(arr)
     lengths = pc.binary_length(arr.cast(pa.binary()))
     mx = pc.max(lengths).as_py()
     if mx is None or mx <= limit:
@@ -148,9 +148,7 @@ def routed_projection(batch: pa.Table, mask_ips: bool = False,
     }
     arrays = []
     for name, typ in zip(ROUTED_SCHEMA.names, ROUTED_SCHEMA.types):
-        col = cols[name]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+        col = one_array(cols[name])
         if col.type != typ:
             col = col.cast(typ)
         arrays.append(col)

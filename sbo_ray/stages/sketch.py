@@ -26,6 +26,8 @@ import pyarrow as pa
 
 import ray.data as rd
 
+from ..codec import one_array
+
 
 class CountMinSketch:
     __slots__ = ("width", "depth", "table", "seeds")
@@ -75,9 +77,7 @@ def _hash_keys(keys: list[str]) -> np.ndarray:
 def sketch_partial(batch: pa.Table, key_col: str, n_candidates: int = 64,
                    width: int = 2048, depth: int = 4) -> pa.Table:
     """One block -> (serialized sketch, local candidates) row."""
-    keys_arr = batch.column(key_col)
-    if isinstance(keys_arr, pa.ChunkedArray):
-        keys_arr = keys_arr.combine_chunks()
+    keys_arr = one_array(batch.column(key_col))
     vc = keys_arr.value_counts()
     uniq = vc.field("values").to_pylist()
     counts = vc.field("counts").to_numpy(zero_copy_only=False).astype(np.int64)

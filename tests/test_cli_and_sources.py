@@ -341,6 +341,36 @@ def test_cli_curate_partitioned_resume(ray_session, tmp_path, capsys):
     assert total == 4
 
 
+def test_cli_curate_stats_byte_identical(ray_session, tmp_path, capsys):
+    """curate (stats) writes each shard's rows in file order, so two
+    runs over the same multi-row-group shard write byte-identical part
+    files (a partition recomputed after a kill is the same file)."""
+    import glob as _glob
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from sbo_ray import cli
+
+    p = tmp_path / "docs.parquet"
+    n = 600
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(n), pa.int64()),
+        "text": pa.array([f"word{i} and the {i % 7} of it" for i in range(n)]),
+    }), p, row_group_size=50)
+    files = {}
+    for run in ("a", "b"):
+        out = str(tmp_path / run)
+        assert cli.main(["curate", str(p), "--out", out]) == 0
+        files[run] = {f[len(out):]: open(f, "rb").read() for f in sorted(
+            _glob.glob(f"{out}/shard=*/part-*.parquet"))}
+    capsys.readouterr()
+    assert files["a"] and files["a"] == files["b"]
+    ids = pa.concat_tables([pq.read_table(tmp_path / "a" / f.lstrip("/"))
+                            for f in files["a"]]).column("doc_id")
+    assert ids.to_pylist() == list(range(n))
+
+
 def test_cli_pack_partitioned_resume(ray_session, tmp_path, capsys):
     """Resumable sequence packing: global offsets stay EXACT across a
     resume because pass 1's bases are deterministic — a partition

@@ -104,6 +104,35 @@ def test_split_tables_and_arrays():
     assert [s.num_rows for s in X.split(part[:0], 2, t.slice(0, 0))] == [0, 0]
 
 
+def test_split_sorted_part_equals_unsorted():
+    """A non-decreasing ``part`` takes split's no-sort path; it must
+    give the slices the argsort path gives for the same rows unsorted."""
+    rng = np.random.default_rng(3)
+    part = rng.integers(0, 5, 200)
+    t = pa.table({"k": np.arange(200), "s": [str(i) for i in range(200)]})
+    a = np.arange(200) * 7
+    o = np.argsort(part, kind="stable")
+    fast = X.split(part[o], 6, t.take(pa.array(o)), a[o])
+    slow = X.split(part, 6, t, a)
+    assert len(fast) == len(slow) == 6
+    for (ft, fa), (st_, sa) in zip(fast, slow):
+        assert ft.equals(st_) and fa.tolist() == sa.tolist()
+
+
+def test_split_at_one_partition_shares_the_block():
+    """At P = 1 (``part`` all zero) the one slice is the block itself:
+    the table shares the block's buffers and the array is a view."""
+    t = pa.table({"k": np.arange(100), "tokens": [[i, i] for i in range(100)]})
+    (out,) = X.table_shard(t, 1, "k")
+    assert out.num_rows == 100
+    for name in t.column_names:
+        assert (out.column(name).chunk(0).buffers()[1].address
+                == t.column(name).chunk(0).buffers()[1].address)
+    a = np.arange(100)
+    (view,) = X.split(np.zeros(100, np.int64), 1, a)
+    assert np.shares_memory(view, a)
+
+
 # Task functions are built inside the tests: workers cannot import this
 # test module, so they must pickle by value.
 def _fns():

@@ -5,6 +5,7 @@ The SQL gates' one input besides the shards is ``synth``'s line view."""
 import ast
 import os
 import pathlib
+import re
 
 import pyarrow.parquet as pq
 
@@ -107,3 +108,18 @@ def test_source_codes_is_the_one_dictionary_encode():
         == "dictionary_encode"
     )
     assert sites == ["_source_codes"]
+
+
+def test_no_combine_chunks_idiom():
+    """A column becomes one Array through ``codec.one_array``, which
+    shares a ChunkedArray's only chunk; the hand-written ``combine_chunks()
+    if isinstance(x, pa.ChunkedArray)`` idiom (inline or as an if-block)
+    copies even one chunk."""
+    inline = re.compile(r"combine_chunks\(\)\s*(?:\\\s*)?if\s+isinstance\(")
+    block = re.compile(r"if isinstance\((\w+), pa\.ChunkedArray\):\n"
+                       r"\s+\1 = \1\.combine_chunks\(\)")
+    bad = [str(path.relative_to(PKG))
+           for path in sorted(PKG.rglob("*.py"))
+           for src in [path.read_text()]
+           if inline.search(src) or block.search(src)]
+    assert bad == []

@@ -537,18 +537,39 @@ def test_seq_hash_matches_tuple_equality(rows):
             assert (h[i] == h[j]) == (tup[i] == tup[j])
 
 
+def _pack_input(rows, chunk_docs: int, perm, cuts: list):
+    """The pack combine's input for ``rows`` = [(source, tokens)]: idx
+    = row number, chunk = idx // chunk_docs, the rows in ``perm``
+    order cut into slices at ``cuts``."""
+    idx = np.arange(len(rows), dtype=np.int64)
+    g = pa.table({
+        "doc_id": pa.array([f"d{i:012d}" for i in idx], pa.string()),
+        "tokens": pa.array([list(map(int, r)) for _, r in rows],
+                           pa.list_(pa.int32())),
+        "source": pa.array([s for s, _ in rows], pa.string()),
+        "idx": pa.array(idx), "chunk": pa.array(idx // chunk_docs),
+    }).take(pa.array(np.asarray(perm, np.int64)))
+    bounds = [0, *cuts, len(rows)]
+    return [g.slice(lo, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 @given(st.lists(st.tuples(st.sampled_from("abc"),
                           st.lists(st.integers(min_value=0, max_value=255),
-                                   max_size=12)), min_size=1, max_size=25),
+                                   max_size=12), st.booleans()),
+                min_size=1, max_size=25),
        st.integers(min_value=1, max_value=8),
        st.integers(min_value=1, max_value=6),
-       st.booleans())
+       st.booleans(), st.integers(min_value=1, max_value=4),
+       st.randoms(use_true_random=False))
 @settings(max_examples=80, deadline=None)
-def test_pack_combine_matches_naive(rows, seq_len, chunk_docs, by_source):
+def test_pack_combine_matches_naive(rows, seq_len, chunk_docs, by_source,
+                                    n_slices, rnd):
     """_pack_combine == a naive Python packer on arbitrary ragged rows,
-    any seq_len, any chunk granularity (single shard, all chunks, rows
-    arriving in reverse), under both run keys: the chunk (one stream)
-    and (source, chunk) (one stream per source)."""
+    any seq_len, any chunk granularity, under both run keys: the chunk
+    (one stream) and (source, chunk) (one stream per source). The rows
+    arrive as up to four slices in shuffled order, and the ids flagged
+    as dropped (the dedup ops' losers, split over two id arrays) pack as
+    nothing. The output rows come in stream order, then seq_id."""
     import functools
 
     from sbo_ray.pipelines.queries import (_chunk_run, _pack_combine,
@@ -557,19 +578,23 @@ def test_pack_combine_matches_naive(rows, seq_len, chunk_docs, by_source):
     n = len(rows)
     idx = np.arange(n, dtype=np.int64)
     chunk = idx // chunk_docs
-    stream = [s if by_source else "" for s, _ in rows]
-    # naive reference: each stream concatenates its rows in idx order
+    stream = [s if by_source else "" for s, _, _ in rows]
+    kept = [not d for _, _, d in rows]
+    # naive reference: each stream concatenates its kept rows in idx
+    # order; its fragments come stream by stream, row by row
     want, pos = {}, {}
-    for i, (s, (_, r)) in enumerate(zip(stream, rows)):
-        for tok in r:
+    for i, (s, (_, r, _)) in enumerate(zip(stream, rows)):
+        for tok in r if kept[i] else []:
             key = (f"d{i:012d}", pos.get(s, 0) // seq_len)
             pos[s] = pos.get(s, 0) + 1
             agg = want.setdefault(key, [0, 0, tok, tok])
             agg[0] += 1
             agg[1] += tok
             agg[3] = tok
-    # run bases = exclusive cumsum of per-run token counts, per stream
-    lens = np.array([len(r) for _, r in rows], dtype=np.int64)
+    order = sorted(want, key=lambda k: (stream[int(k[0][1:])], k))
+    # run bases = exclusive cumsum of per-run kept token counts, per stream
+    lens = np.array([len(r) if k else 0 for (_, r, _), k in zip(rows, kept)],
+                    dtype=np.int64)
     C = int(chunk.max()) + 1
     srcs = np.unique(np.asarray(stream))
     rid = np.searchsorted(srcs, np.asarray(stream)) * C + chunk
@@ -579,19 +604,35 @@ def test_pack_combine_matches_naive(rows, seq_len, chunk_docs, by_source):
         bases.append(acc.get(r // C, 0))
         acc[r // C] = bases[-1] + int(lens[rid == r].sum())
     run = functools.partial(_source_run, srcs, C) if by_source else _chunk_run
-    g = pa.table({
-        "doc_id": pa.array([f"d{i:012d}" for i in idx], pa.string()),
-        "tokens": pa.array([list(map(int, r)) for _, r in rows],
-                           pa.list_(pa.int32())),
-        "source": pa.array([s for s, _ in rows], pa.string()),
-        "idx": pa.array(idx), "chunk": pa.array(chunk),
-    }).take(pa.array(np.arange(n)[::-1]))
+    perm = rnd.sample(range(n), n)
+    cuts = sorted(rnd.sample(range(1, n), min(n_slices, n) - 1))
+    tabs = _pack_input([(s, r) for s, r, _ in rows], chunk_docs, perm, cuts)
+    drop = idx[~np.asarray(kept)]
     got = _pack_combine((run, (runs, np.array(bases, np.int64))), seq_len,
-                        ["doc_id"], [], [g]).to_pandas()
+                        ["doc_id"], [drop[::2], drop[1::2]], tabs).to_pandas()
+    assert list(zip(got.doc_id, got.seq_id)) == order
     got_d = {(r.doc_id, r.seq_id): [r.n_frag_tokens, r.frag_sum,
                                     r.first_tok, r.last_tok]
              for r in got.itertuples(index=False)}
     assert got_d == want
+
+
+def test_pack_combine_row_order():
+    """One partition's output rows: in stream order (here idx, one
+    stream), each row's fragments by seq_id, whatever order its slices
+    and their rows arrive in; a dropped row leaves no row and no gap."""
+    from sbo_ray.pipelines.queries import _chunk_run, _pack_combine
+
+    rows = [("a", [1, 2]), ("a", [3, 4, 5, 6, 7]), ("a", [8]),
+            ("a", []), ("a", [9, 10, 11, 12])]
+    tabs = _pack_input(rows, 2, [4, 2, 0, 3, 1], [2])
+    got = _pack_combine((_chunk_run, (np.arange(3), np.array([0, 7, 7]))),
+                        3, ["doc_id"], [np.array([2])], tabs)
+    assert [(d[-1:], s) for d, s in zip(got.column("doc_id").to_pylist(),
+                                        got.column("seq_id").to_pylist())
+            ] == [("0", 0), ("1", 0), ("1", 1), ("1", 2), ("4", 2),
+                  ("4", 3)]
+    assert got.column("frag_sum").to_pylist() == [3, 3, 15, 7, 19, 23]
 
 
 @given(st.lists(st.lists(st.integers(min_value=0, max_value=255),

@@ -139,3 +139,23 @@ def test_kll_bytes_quantiles_query_accuracy(ray_session):
             hi[[col]], rsuffix="_hi")
         assert (j[col] >= j[f"{col}_lo"]).all(), col
         assert (j[col] <= j[f"{col}_hi"]).all(), col
+
+
+def test_kll_bytes_quantiles_merge_order_invariant(ray_session, monkeypatch):
+    """The per-(block, source) KLL sketches merge in a fixed order: with
+    ``X.fold``'s partials reversed (another block completion order),
+    the quantile table is identical. sf0.01's blocks are large enough
+    for the compactors to fire, where a KLL merge stops commuting."""
+    from sbo_ray import exchange as X
+    from sbo_ray.pipelines.queries import q_log_bytes_quantiles_kll
+
+    SF = "/root/testdata/sf0.01"
+    want = q_log_bytes_quantiles_kll(SF)
+    fold = X.fold
+
+    def reversed_fold(*a, **k):
+        t = fold(*a, **k)
+        return t.take(pa.array(np.arange(t.num_rows)[::-1]))
+
+    monkeypatch.setattr(X, "fold", reversed_fold)
+    assert q_log_bytes_quantiles_kll(SF).equals(want)
