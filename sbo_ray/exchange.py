@@ -27,10 +27,26 @@ that layout that every site used to re-solve:
   compat's two-return combine, the cli's per-shard dedup exchanges
   (one ``cli._winners_combine``) and the range splits
   (``_shuf_slice``, ``_ccnet_slice``).
-- ``block_refs(ds)``: the Dataset's non-empty block refs (an empty
+- ``block_refs(ds)``: the input's non-empty block refs (an empty
   parquet read yields a schemaless block that poisons downstream
-  concats, so zero-row blocks drop by bundle metadata);
-  ``sized_block_refs`` also sums their rows and bytes.
+  concats, so zero-row blocks drop); ``sized_block_refs(ds, partial)``
+  also runs a block partial and sums its outputs' rows and bytes.
+- Every entry point that takes ``ds`` (``merge``, ``fold``,
+  ``part_exchange``, ``block_refs``/``sized_block_refs``) takes either
+  a Ray Data ``Dataset`` or a ``FileRead(paths, columns)``, and
+  ``_partial_blocks`` is the one place either becomes partial block
+  refs. A Dataset runs the partial in its own map, fused into its
+  read, and its zero-row blocks drop by bundle metadata. A
+  ``FileRead`` starts no Ray Data execution: one ``read_map`` task per
+  parquet file reads it and runs the partial in the same task, and
+  returns the block plus its ``(rows, bytes)`` as a second return, by
+  which zero-row outputs drop. It is file-aligned because a file is
+  the unit the token tables are written in (one shard of a few MB):
+  one task per file is the block layout a Dataset read with
+  ``override_num_blocks=len(paths)`` gave, without the fixed cost of
+  planning and running a Ray Data execution on every call
+  (BENCH/BASELINE.md). A single-file table with many row groups would
+  run as one task, so such reads stay on Ray Data.
 - ``n_parts(nbytes)``: the partition count P (its docstring is the
   one statement of the rule). A site that holds its block refs before
   it picks P passes their bytes; one that picks P first calls
@@ -51,15 +67,16 @@ that layout that every site used to re-solve:
 - ``merge(ds, partial, keys, schema)``: the one keyed partial merge
   (the metric/counter combiner): ``partial`` fused into the map, then
   every non-key column of ``schema`` summed per key. Its partial blocks
-  stream to one driver concat + ``group_by``, or, past ``DRIVER_ROWS``
-  partial rows or ``DRIVER_BLOCKS`` blocks, through a remote tree of
-  ``FANIN``-way ``_merge_partials`` tasks, so no unbounded partial
-  stream is concatenated on the driver.
+  stream (a ``FileRead``'s in task completion order) to one driver
+  concat + ``group_by``, or, past ``DRIVER_ROWS`` partial rows or
+  ``DRIVER_BLOCKS`` blocks, through a remote tree of ``FANIN``-way
+  ``_merge_partials`` tasks, so no unbounded partial stream is
+  concatenated on the driver.
 - ``fold(ds, partial, schema)``: keyless per-block partials (top-k,
-  sketches, vector sums, min/max) -> driver concat, seeded with a typed
-  empty table (an empty Dataset yields zero batches) and skipping
-  ``partial`` on empty blocks; ``collect`` is the same concat without
-  the map, ``gather`` the same for combine-task refs: bounded
+  sketches, vector sums, min/max; None: a bounded input's blocks as
+  they are) -> driver concat, seeded with a typed empty table (an
+  empty Dataset yields zero batches) and skipping ``partial`` on empty
+  blocks; ``gather`` is the same for combine-task refs: bounded
   outputs that are not summed (top-k, pairs). A per-row output is
   never gathered: it stays a Dataset over its refs.
 - ``sum_refs(refs, keys, schema)``: the one bounded keyed sum of
@@ -74,12 +91,13 @@ count).
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 import ray
-import ray.data as rd
 from ray.data import DataContext
 
 from .codec import one_array
@@ -148,18 +166,82 @@ def crc_hash(values) -> np.ndarray:
     return uh[enc.indices.to_numpy(zero_copy_only=False)]
 
 
-def sized_block_refs(ds: rd.Dataset) -> tuple[list, int, int]:
-    """The Dataset's non-empty block refs (one execution) and their
-    total rows and bytes, all from bundle metadata."""
-    blocks = [(r, md) for b in ds.iter_internal_ref_bundles()
-              for r, md in b.blocks if md.num_rows != 0]
-    return ([r for r, _ in blocks],
-            sum(md.num_rows or 0 for _, md in blocks),
-            sum(md.size_bytes or 0 for _, md in blocks))
+@dataclass(frozen=True)
+class FileRead:
+    """A file-aligned parquet read with no Ray Data execution: one
+    ``read_map`` task per file of ``paths`` reads ``columns`` (None:
+    all of them)."""
+    paths: list
+    columns: list | None = None
 
 
-def block_refs(ds: rd.Dataset) -> list:
-    """The Dataset's non-empty block refs (one execution)."""
+@ray.remote(num_returns=2)
+def read_map(path: str, columns, run) -> tuple:
+    """One file of a ``FileRead`` and ``run`` (or None) on it, in one
+    task: the block and its ``(rows, bytes)``. Arrow's read threads
+    stay off, as in Ray Data's parquet reader: the task is the unit of
+    parallelism."""
+    t = pq.read_table(path, columns=columns, use_threads=False)
+    if run is not None:
+        t = run(t)
+    return t, (t.num_rows, t.nbytes)
+
+
+def _partial_blocks(src, partial, schema: pa.Schema | None = None,
+                    stream: bool = False):
+    """The one place an input becomes partial block refs: yields
+    ``(ref, rows, bytes)`` for every non-empty output of ``partial``
+    (None: the blocks as read) over ``src``, a Dataset or a
+    ``FileRead``. ``partial`` never sees a zero-row block: one passes
+    through (as ``schema``'s empty table when given) and drops.
+
+    A Dataset runs ``partial`` in its own map (one execution) and sizes
+    its blocks by bundle metadata. A ``FileRead`` runs one ``read_map``
+    task per file; the outputs come in file order after one
+    ``ray.get`` of their sizes, or, with ``stream``, as their tasks
+    finish (``ray.wait``)."""
+    run = partial
+    if partial is not None:
+        @functools.wraps(partial)
+        def run(t: pa.Table) -> pa.Table:
+            if t.num_rows:
+                return partial(t)
+            return t if schema is None else schema.empty_table()
+
+    if isinstance(src, FileRead):
+        outs = [read_map.remote(p, src.columns, run) for p in src.paths]
+        block = {m: b for b, m in outs}  # size ref -> block ref
+        left = list(block)
+        while left:
+            ready, left = left, []
+            if stream:
+                ready, left = ray.wait(ready, num_returns=1)
+                if left:
+                    more, left = ray.wait(left, num_returns=len(left),
+                                          timeout=0)
+                    ready += more
+            for m, (rows, nbytes) in zip(ready, ray.get(ready)):
+                if rows:
+                    yield block[m], rows, nbytes
+        return
+    ds = src if run is None else src.map_batches(run, batch_format="pyarrow")
+    for bundle in ds.iter_internal_ref_bundles():
+        for ref, md in bundle.blocks:
+            if md.num_rows != 0:
+                yield ref, md.num_rows or 0, md.size_bytes or 0
+
+
+def sized_block_refs(ds, partial=None) -> tuple[list, int, int]:
+    """The non-empty output block refs of ``partial`` (None: the blocks
+    as read) over a Dataset or ``FileRead``, and their total rows and
+    bytes (see ``_partial_blocks``)."""
+    blocks = list(_partial_blocks(ds, partial))
+    return ([r for r, _, _ in blocks], sum(n for _, n, _ in blocks),
+            sum(b for _, _, b in blocks))
+
+
+def block_refs(ds) -> list:
+    """The non-empty block refs of a Dataset or ``FileRead``."""
     return sized_block_refs(ds)[0]
 
 
@@ -282,23 +364,15 @@ def gather(refs: list, schema: pa.Schema) -> pa.Table:
     return pa.concat_tables([schema.empty_table()] + ray.get(refs))
 
 
-def collect(ds: rd.Dataset, schema: pa.Schema) -> pa.Table:
-    """A bounded Dataset's batches, cast to ``schema`` and concatenated
-    on the driver after a typed empty seed (an empty Dataset yields
-    zero batches)."""
+def fold(ds, partial, schema: pa.Schema) -> pa.Table:
+    """Bounded per-block partials folded on the driver: ``partial`` (or
+    None: the blocks as they are) runs on every non-empty block of a
+    Dataset or ``FileRead`` and its outputs are fetched, cast to
+    ``schema`` and concatenated after a typed empty seed (an empty
+    input yields no block)."""
+    refs = [r for r, _, _ in _partial_blocks(ds, partial, schema)]
     return pa.concat_tables([schema.empty_table()] + [
-        b.select(schema.names).cast(schema)
-        for b in ds.iter_batches(batch_format="pyarrow", batch_size=None)])
-
-
-def fold(ds: rd.Dataset, partial, schema: pa.Schema) -> pa.Table:
-    """Bounded per-block partials folded on the driver: ``partial`` runs
-    on every non-empty block and the outputs are collected."""
-    @functools.wraps(partial)
-    def run(t: pa.Table) -> pa.Table:
-        return partial(t) if t.num_rows else schema.empty_table()
-
-    return collect(ds.map_batches(run, batch_format="pyarrow"), schema)
+        b.select(schema.names).cast(schema) for b in ray.get(refs)])
 
 
 def _combine_partials(keys: list[str], value, tables) -> pa.Table | None:
@@ -342,31 +416,28 @@ def _merge_partials(keys: list[str], value, *tables) -> pa.Table | None:
     return _combine_partials(keys, value, tables)
 
 
-def merge(ds: rd.Dataset, partial, keys: list[str],
-          schema: pa.Schema) -> pa.Table:
+def merge(ds, partial, keys: list[str], schema: pa.Schema) -> pa.Table:
     """Keyed partial merge: every non-key column of ``schema`` summed per
     ``keys`` (``[]``: one total row), typed by ``schema``; an input with
     no rows gives ``schema``'s empty table.
 
-    ``partial(block)`` (or None: the blocks as they are) runs inside
-    ``ds``'s own map on every non-empty block, cast to ``schema``. The
-    partial blocks are consumed as one stream of refs
-    (``iter_internal_ref_bundles``: a single execution, so side-effect
-    stages never rerun). Until ``DRIVER_ROWS`` partial rows or
+    ``partial(block)`` (or None: the blocks as they are) runs on every
+    non-empty block of ``ds`` (a Dataset: inside its own map; a
+    ``FileRead``: inside each file's read task), cast to ``schema``.
+    The partial blocks are consumed as one stream of refs (a single
+    execution, so side-effect stages never rerun; a ``FileRead``'s in
+    task completion order). Until ``DRIVER_ROWS`` partial rows or
     ``DRIVER_BLOCKS`` blocks have streamed, they are fetched and
     combined in one driver concat + ``group_by``; past either, every
     ``FANIN`` pending refs merge in a ``_merge_partials`` task (while
     upstream still runs), recursively down to one table, so driver
     memory stays O(final keys) however many blocks stream."""
     values = [n for n in schema.names if n not in keys]
+    run = partial
     if partial is not None:
         @functools.wraps(partial)
         def run(t: pa.Table) -> pa.Table:
-            if not t.num_rows:
-                return schema.empty_table()
             return partial(t).select(schema.names).cast(schema)
-
-        ds = ds.map_batches(run, batch_format="pyarrow")
 
     def reduce(pending: list) -> list:
         batch, rest = pending[:FANIN], pending[FANIN:]
@@ -376,14 +447,13 @@ def merge(ds: rd.Dataset, partial, keys: list[str],
     pending: list = []  # (ref, is a tree node's output)
     rows = blocks = 0
     tree = False
-    for bundle in ds.iter_internal_ref_bundles():
-        for ref, md in bundle.blocks:
-            pending.append((ref, False))
-            blocks += 1
-            rows += md.num_rows or 0
-            tree = tree or rows > DRIVER_ROWS or blocks > DRIVER_BLOCKS
-            while tree and len(pending) >= FANIN:
-                pending = reduce(pending)
+    for ref, n, _ in _partial_blocks(ds, run, schema, stream=True):
+        pending.append((ref, False))
+        blocks += 1
+        rows += n
+        tree = tree or rows > DRIVER_ROWS or blocks > DRIVER_BLOCKS
+        while tree and len(pending) >= FANIN:
+            pending = reduce(pending)
     if tree:
         while len(pending) > 1:
             pending = reduce(pending)
@@ -405,16 +475,18 @@ def part_exchange(ds, partial, key, fold, out_schema: pa.Schema) -> list:
     """The hash-grouped fold, as raw tasks; returns one ref per partition.
 
     ``partial(block)`` (or None: the blocks as read) runs inside
-    ``ds``'s own map, fused into the read, so only its output is
-    materialized for the shuffle. The ``part_shard`` task routes those
+    ``ds``'s own map, fused into the read (a ``FileRead``: inside each
+    file's read task), so only its output is materialized for the
+    shuffle. The ``part_shard`` task routes those
     rows by ``fib_partition(key(rows), P)`` (``key`` gives the site's
     int64 hash per row) and one ``part_combine`` task per partition runs
     ``fold`` over every row of its partition: one ``pa.Table`` in block
     order in, a ``pa.Table`` or ``pd.DataFrame`` out, typed by
     ``out_schema``.
 
-    Two-sided (a join): ``ds``, ``partial`` and ``key`` are pairs, one
-    entry per side. Each side's partial is fused into its own read, both
+    Two-sided (a join): ``ds`` (two Datasets), ``partial`` and ``key``
+    are pairs, one entry per side. Each side's partial is fused into its
+    own read, both
     sides' rows route by the same rule, and ``fold(left, right)`` gets
     each side's rows of its partition (the join inside it is Arrow's
     ``Table.join``). The right side always arrives with its columns: a
@@ -431,14 +503,7 @@ def part_exchange(ds, partial, key, fold, out_schema: pa.Schema) -> list:
         else [(ds, partial, key)]
     blocks, nbytes = [], 0
     for d, part, _ in sides:
-        m = d
-        if part is not None:
-            def run(t: pa.Table, part=part) -> pa.Table:
-                return part(t) if t.num_rows else t  # zero-row blocks drop
-
-            m = d.map_batches(functools.wraps(part)(run),
-                              batch_format="pyarrow", batch_size=None)
-        refs, _, b = sized_block_refs(m)
+        refs, _, b = sized_block_refs(d, part)
         if blocks and not refs:
             empty = d.schema().base_schema.empty_table()
             refs = [ray.put(part(empty) if part else empty)]

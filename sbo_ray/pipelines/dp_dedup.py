@@ -731,8 +731,8 @@ def doc_dedup_minhash(sf_dir: str, threshold: float = 0.8):
     if ray.get(n_ref) == 0:
         return empty
     bc_ref = ray.remote(_build_slot_map).remote(pairs_ref)
-    verified = X.collect(_verified_pairs_ds(sf_dir, bc_ref, threshold),
-                         _PAIR_SCHEMA)
+    verified = X.fold(_verified_pairs_ds(sf_dir, bc_ref, threshold), None,
+                      _PAIR_SCHEMA)
     return verified.sort_by([("id_a", "ascending"), ("id_b", "ascending")])
 
 

@@ -30,8 +30,8 @@ from .dp_emb import emb_outlier_scores
 def customer_nation_agg(sf_dir: str):
     """Broadcast hash join customer->nation (ray.put the 25-row dim
     table) + grouped aggregate: count + total acctbal per nation."""
-    nation = X.collect(
-        _read(sf_dir, "nation", columns=["n_nationkey", "n_name"]),
+    nation = X.fold(
+        _read(sf_dir, "nation", columns=["n_nationkey", "n_name"]), None,
         pa.schema([("n_nationkey", pa.int32()), ("n_name", pa.string())]))
     lookup = dict(zip(nation.column("n_nationkey").to_pylist(),
                       nation.column("n_name").to_pylist()))

@@ -855,11 +855,11 @@ def supplier_nation_revenue(sf_dir: str):
     the driver merges |nations| rows. No shuffle at all — the 100-TB
     shape for dimension-join aggregation (two chained Dataset.joins
     would pay two all-to-all exchanges for the same answer)."""
-    supplier = X.collect(
-        _read(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"]),
+    supplier = X.fold(
+        _read(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"]), None,
         pa.schema([("s_suppkey", pa.int64()), ("s_nationkey", pa.int32())]))
-    nation = X.collect(
-        _read(sf_dir, "nation", columns=["n_nationkey", "n_name"]),
+    nation = X.fold(
+        _read(sf_dir, "nation", columns=["n_nationkey", "n_name"]), None,
         pa.schema([("n_nationkey", pa.int32()), ("n_name", pa.string())]))
     n_name = dict(zip(nation.column("n_nationkey").to_pylist(),
                       nation.column("n_name").to_pylist()))
@@ -987,11 +987,11 @@ def region_revenue_by_year(sf_dir: str):
     a four-table query. The dim composition happens driver-side on
     25+5 rows; the year is extracted vectorized; each partition folds
     its join to |regions x years| partial rows."""
-    nation = X.collect(
-        _read(sf_dir, "nation", columns=["n_nationkey", "n_regionkey"]),
+    nation = X.fold(
+        _read(sf_dir, "nation", columns=["n_nationkey", "n_regionkey"]), None,
         pa.schema([("n_nationkey", pa.int32()), ("n_regionkey", pa.int32())]))
-    region = X.collect(
-        _read(sf_dir, "region", columns=["r_regionkey", "r_name"]),
+    region = X.fold(
+        _read(sf_dir, "region", columns=["r_regionkey", "r_name"]), None,
         pa.schema([("r_regionkey", pa.int32()), ("r_name", pa.string())]))
     r_name = dict(zip(region.column("r_regionkey").to_pylist(),
                       region.column("r_name").to_pylist()))

@@ -1366,13 +1366,14 @@ def _token_lists(col) -> tuple["np.ndarray", "np.ndarray"]:
     return vals, off - start
 
 
-def _read_tokens(sf_dir: str, columns: list[str]):
-    """Column-pruned file-aligned read of the raw token table."""
-    import ray.data as rd
-
-    paths = _input_paths(sf_dir)
-    return rd.read_parquet(paths, columns=columns,
-                           override_num_blocks=max(1, len(paths)))
+def _read_tokens(sf_dir: str, columns: list[str]) -> X.FileRead:
+    """Column-pruned, file-aligned read of the raw token table: the
+    shard paths from ``_input_paths`` (resolved at call time) and
+    ``columns``. The value starts nothing: ``exchange.merge``/``fold``/
+    ``part_exchange``/``block_refs`` read each shard in one raw task
+    that also runs the op's partial, so a token op runs no Ray Data
+    execution for its read."""
+    return X.FileRead(_input_paths(sf_dir), columns)
 
 
 def _pair_keys(vals: np.ndarray, off: np.ndarray) -> tuple:
@@ -3371,9 +3372,10 @@ def _with_sep(t: pa.Table, sep: int) -> pa.Table:
 def _pack_shard(sf_dir: str, cols: list, chunk_docs: int, side,
                 wide: bool = False, prep=None) -> tuple[list, list]:
     """The one head of the pack family. One file-aligned read of
-    ``doc_id`` + ``cols``; its fused map keeps ``cols``, adds the
+    ``doc_id`` + ``cols`` (``_read_tokens``); each shard's read task
+    also runs ``add_keys`` as its partial: keep ``cols``, add the
     ingestion index ``idx`` and ``chunk = idx // chunk_docs``, then
-    applies ``prep`` (the separator, the dedup ops' hash and gate). P
+    apply ``prep`` (the separator, the dedup ops' hash and gate). P
     follows the keyed blocks' bytes, and one task per block slices its
     rows into P partitions by chunk (``exchange.table_shard``) and
     appends ``side(block, P)``: one bounded pass-1 partial, or with
@@ -3387,8 +3389,8 @@ def _pack_shard(sf_dir: str, cols: list, chunk_docs: int, side,
         return t if prep is None else prep(t)
 
     refs, _, nbytes = X.sized_block_refs(
-        _read_tokens(sf_dir, list(dict.fromkeys(["doc_id", *cols])))
-        .map_batches(add_keys, batch_format="pyarrow"))
+        _read_tokens(sf_dir, list(dict.fromkeys(["doc_id", *cols]))),
+        add_keys)
     if not refs:
         return [], []
     P = X.n_parts(nbytes)

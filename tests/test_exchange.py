@@ -367,3 +367,91 @@ def test_chunk_pair_join_invariance(gate, B):
     partitions."""
     for name in ("doc_dedup_ngram", "emb_knn_join"):
         gate(name, n_chunks=B)
+
+
+# ---- the file-read input form (exchange.FileRead) --------------------------
+
+# one token op per entry point its FileRead reaches
+READ_OPS = [
+    "log_token_histogram",      # merge
+    "log_source_minhash_sim",   # fold
+    "log_seq_dedup",            # part_exchange
+    "log_token_ngram_dedup",    # block_refs
+    "log_pack_tokens",          # the pack head: sized_block_refs + partial
+    "log_pack_tokens_dedup",    # the pack head, wide
+]
+
+
+def _token_results(monkeypatch, paths: list) -> dict:
+    import ray.data as rd
+
+    import __ray_entry__ as E
+    from sbo_ray.pipelines import queries as Q
+
+    monkeypatch.setattr(Q, "_input_paths", lambda _sf: paths)
+    qs, out = E.queries(), {}
+    for name in READ_OPS:
+        res = qs[name](SF)
+        out[name] = _norm(res.to_pandas()
+                          if isinstance(res, (rd.Dataset, pa.Table)) else res)
+    return out
+
+
+@pytest.fixture(scope="module")
+def token_shards(ray_session):
+    from sbo_ray.pipelines import queries as Q
+
+    paths = Q._input_paths(SF)
+    assert len(paths) > 1
+    return paths
+
+
+def _assert_same(got: dict, want: dict) -> None:
+    for name in READ_OPS:
+        assert len(want[name]), name
+        pd.testing.assert_frame_equal(got[name], want[name], obj=name)
+
+
+def test_file_read_drops_an_empty_shard(token_shards, tmp_path, monkeypatch):
+    """A zero-row shard among non-empty ones changes no result: its read
+    task's output drops by the row count the task returns (Ray Data
+    dropped it by bundle metadata)."""
+    import pyarrow.parquet as pq
+
+    from sbo_ray import synth
+
+    empty = str(tmp_path / "shard-empty.parquet")
+    pq.write_table(synth.SCHEMA.empty_table(), empty)
+    want = _token_results(monkeypatch, token_shards)
+    got = _token_results(monkeypatch,
+                         token_shards[:1] + [empty] + token_shards[1:])
+    _assert_same(got, want)
+
+
+def test_file_read_multi_row_group_shards(token_shards, tmp_path,
+                                          monkeypatch):
+    """Shards written in 50-row row groups give the same results: their
+    columns reach each read task's partial as multi-chunk arrays."""
+    import pyarrow.parquet as pq
+
+    paths = []
+    for i, p in enumerate(token_shards):
+        paths.append(str(tmp_path / f"shard-{i:05d}.parquet"))
+        pq.write_table(pq.read_table(p), paths[-1], row_group_size=50)
+    assert pq.read_table(paths[0], use_threads=False).column(
+        "tokens").num_chunks > 1
+    _assert_same(_token_results(monkeypatch, paths),
+                 _token_results(monkeypatch, token_shards))
+
+
+@pytest.mark.parametrize("name", READ_OPS)
+def test_token_ops_start_no_ray_data_read(gate, monkeypatch, name):
+    """Token ops read their shards on raw tasks: with Ray Data's parquet
+    reader disabled, each still matches its SQL gate."""
+    import ray.data as rd
+
+    def no_read(*a, **kw):
+        raise AssertionError("a token op started a Ray Data read")
+
+    monkeypatch.setattr(rd, "read_parquet", no_read)
+    gate(name)
